@@ -54,7 +54,6 @@ from .quadform import (
 )
 from .sampler import (
     PtfSampler,
-    SamplerConfig,
     enumerate_sampler_distribution,
     lift_to_continuous,
     sample_grid_point,
@@ -77,7 +76,6 @@ __all__ = [
     "QuarticForm",
     "Rng",
     "RoundingConfig",
-    "SamplerConfig",
     "SubsetSumInstance",
     "alpha_beta_deg2",
     "classify_point_deg2",

@@ -1,8 +1,10 @@
 """Command-line front end: counting, sampling, instance generation,
 densification, and validation, all seed-reproducible.
 
-Exit codes: 0 success, 1 malformed input, 2 below-floor counting result,
-3 filter-retry exhaustion, 4 validation/densification failure.
+Exit codes: 0 success, 1 malformed or oversized input (including --eps
+outside (0, 1], a negative --samples, and instances beyond the engine's size
+guards), 2 below-floor counting result, 3 filter-retry exhaustion,
+4 validation/densification failure.
 """
 
 from __future__ import annotations
@@ -14,7 +16,13 @@ import sys
 import numpy as np
 
 from . import hardness
-from .counter import DEFAULT_EPS, DEFAULT_GAMMA, DEFAULT_TAU, count_ptf_gaussian
+from .counter import (
+    DEFAULT_EPS,
+    DEFAULT_GAMMA,
+    DEFAULT_TAU,
+    EngineTooLargeError,
+    count_ptf_gaussian,
+)
 from .densifier import DensifierConfig, BudgetExhaustedError, planted_experiment
 from .numerics import Rng
 from .quadform import instance_to_dict, load_instance
@@ -37,15 +45,31 @@ def _emit(doc: dict) -> None:
     sys.stdout.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
+def _bad_args(args: argparse.Namespace) -> str | None:
+    if not (0.0 < args.eps <= 1.0):
+        return f"--eps must lie in (0, 1], got {args.eps}"
+    if getattr(args, "samples", 0) < 0:
+        return f"--samples must be >= 0, got {args.samples}"
+    return None
+
+
 def cmd_count(args: argparse.Namespace) -> int:
+    bad = _bad_args(args)
+    if bad:
+        sys.stderr.write(f"error: {bad}\n")
+        return 1
     try:
         inst = load_instance(args.instance)
     except Exception as exc:
         sys.stderr.write(f"error: cannot read instance: {exc}\n")
         return 1
-    res = count_ptf_gaussian(
-        inst, args.eps, tau=args.tau, trunc_B=args.trunc_B, gamma=args.gamma
-    )
+    try:
+        res = count_ptf_gaussian(
+            inst, args.eps, tau=args.tau, trunc_B=args.trunc_B, gamma=args.gamma
+        )
+    except EngineTooLargeError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 1
     _emit(res.to_dict())
     if res.below_floor:
         sys.stderr.write(
@@ -56,6 +80,10 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
+    bad = _bad_args(args)
+    if bad:
+        sys.stderr.write(f"error: {bad}\n")
+        return 1
     try:
         inst = load_instance(args.instance)
     except Exception as exc:
@@ -77,6 +105,9 @@ def cmd_sample(args: argparse.Namespace) -> int:
                 _emit({"x": [float(v) for v in x], "filtered": bool(args.filter)})
             else:
                 sys.stdout.write(" ".join(f"{float(v):.17g}" for v in x) + "\n")
+    except EngineTooLargeError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 1
     except FloorError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

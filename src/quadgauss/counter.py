@@ -1,5 +1,6 @@
 """Deterministic multiplicative-accuracy estimation of Pr[sum_i Y_i <= theta]
-for independent per-coordinate variables Y_i = lam_i*[G]^2 + mu_i*[G].
+for independent per-coordinate variables Y_i = lam_i*[G]^2 + mu_i*[G], and
+the prefix-CDF table that serves both counting and sampling.
 
 The engine convolves the per-coordinate pmfs sequentially, sparsifying the
 running distribution after every step: a greedy walk over the cumulative
@@ -7,17 +8,21 @@ distribution keeps an atom whenever the cumulative mass has grown by more
 than a (1 + eps_step) factor since the last kept atom, and merges the mass
 of dropped atoms into the next kept atom to their right.  Merging rightward
 makes the compressed CDF F' a pointwise lower bound of the running CDF F
-with F <= (1 + eps_step) * F', so after n steps the exact tail is bracketed
-within a known factor ``err_budget = (1 + eps_step)^n``; reporting the
-geometric midpoint F'(theta) * sqrt(err_budget) with eps_step = eps/(2n)
-certifies a (1 +- eps) answer.  Everything is pure and deterministic: two
-runs on identical inputs produce bit-identical outputs.
+with F <= (1 + eps_step) * F', so after k steps the exact CDF is bracketed
+within a known factor ``err_budget = (1 + eps_step)^k``.
 
-For one or two coordinates the tail is summed directly (exactly, up to float
-roundoff), which trivially satisfies the same contract and keeps the
-recursive sampler fast; ``force_engine=True`` routes even small instances
-through the compressed-CDF machinery, which the tests use to pin the engine
-against the brute-force oracle.
+``PrefixCDFTable`` keeps the CDFs P_0, ..., P_{n-1} of the prefix sums
+Y_1 + ... + Y_j: P_0 is the point mass at 0, P_1 the exact CDF of Y_1, and
+P_2, ..., P_{n-1} the per-step output of one ``compressed_tail_cdf`` run over
+the first n - 1 coordinates.  The last coordinate is summed over its grid
+values, so the table's mass at theta is
+sum_kappa cell(kappa) * P_{n-1}(theta - lam_n kappa^2 - mu_n kappa).
+``count`` reports that mass at the geometric midpoint of P_{n-1}'s budget
+with eps_step = eps/(2(n-1)), which certifies a (1 +- eps) answer; at n <= 2
+nothing is compressed and the mass is exact up to float roundoff.  The
+sampler draws coordinates n, n-1, ..., 1 in turn from the same weights.
+Everything is pure and deterministic: two runs on identical inputs produce
+bit-identical outputs.
 
 ``exact_tail_bruteforce`` is the independent oracle: a dense convolution in
 80-bit extended precision, feasible up to ~1e7 grid points.
@@ -30,8 +35,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import CoordinateBox, GridSpec, support_and_log_pmf, support_and_pmf
-from .numerics import LOG_ZERO, Rng
+from .grid import (
+    CoordinateBox,
+    GridSpec,
+    _log_cell_masses,
+    support_and_log_pmf,
+    support_and_pmf,
+)
+from .numerics import LOG_ZERO, Rng, log_sum
 from .quadform import (
     ConstantPolynomialError,
     DecoupledConstraint,
@@ -48,6 +59,7 @@ __all__ = [
     "CompressedCDF",
     "CountResult",
     "EngineTooLargeError",
+    "PrefixCDFTable",
     "DEFAULT_TAU",
     "DEFAULT_GAMMA",
     "DEFAULT_EPS",
@@ -102,13 +114,14 @@ class CompressedCDF:
         if self.err_budget < 1.0:
             raise ValueError("err_budget must be >= 1")
 
-    def log_query(self, t: float) -> float:
-        idx = int(np.searchsorted(self.values, t, side="right"))
-        return LOG_ZERO if idx == 0 else float(self.log_cum[idx - 1])
+    def log_query(self, t):
+        """log F'(t) for a scalar or an array of thresholds."""
+        idx = np.searchsorted(self.values, t, side="right")
+        out = np.where(idx == 0, LOG_ZERO, self.log_cum[idx - 1])
+        return out if out.ndim else float(out)
 
-    def query(self, t: float) -> float:
-        lq = self.log_query(t)
-        return 0.0 if lq == LOG_ZERO else math.exp(lq)
+    def query(self, t):
+        return np.exp(self.log_query(t))
 
     @property
     def log_total(self) -> float:
@@ -189,31 +202,95 @@ def compressed_tail_cdf(pmfs, eps: float, collect: list | None = None) -> Compre
     return _finalize_cdf(values, logp, budget)
 
 
-def _conditional_log_pmfs(dc: DecoupledConstraint, spec: GridSpec, box):
-    if box is None:
-        box = CoordinateBox.full(spec)
-    i_lo, i_hi = box.index_ranges(spec)
-    if len(i_lo) != dc.n or spec.n != dc.n:
-        raise ValueError("constraint, grid, and box dimensions disagree")
-    return [
-        support_and_log_pmf(
-            float(dc.lam[j]), float(dc.mu[j]), spec, (int(i_lo[j]), int(i_hi[j]))
+_POINT_MASS_AT_ZERO = CompressedCDF(
+    values=np.zeros(1), log_cum=np.zeros(1), err_budget=1.0
+)
+
+
+@dataclass(frozen=True)
+class PrefixCDFTable:
+    """Prefix CDFs of the decoupled sum on one grid, read by both ``count``
+    and the sampler.
+
+    ``cdfs[i]`` is P_i, the CDF of Y_1 + ... + Y_i (P_0 is the point mass at
+    0); ``support[i]`` holds coordinate i+1's value lam kappa^2 + mu kappa
+    at every grid value ``kappa``, and ``log_cell`` the log mass of each
+    grid value.  Given the threshold t left for coordinates 1..i+1,
+    coordinate i+1 weighs kappa by cell(kappa) * P_i(t - support[i][kappa])
+    (``log_weights(i, t)``).
+
+    Accuracy.  P_1 is exact.  For j >= 2, P_j comes out of j sparsification
+    steps at one step size e, so P_j <= F_j <= beta_j * P_j with
+    beta_j = (1 + e)^j, where F_j is the exact CDF.  A point's probability
+    under the sampler is the product over j of its coordinate-j weight
+    divided by the sum of the coordinate-j weights.  The numerator's
+    P_{j-1} and the denominator (the same weights summed, a lower bound of
+    F_j(t)) both lower-bound their exact values within beta_{j-1}, so their
+    quotient, coordinate j's factor, is within beta_{j-1} either way of its
+    exact conditional.  With beta_0 = beta_1 = 1, the product over
+    j = 3..n puts every grid point's probability within (1 + e)^K of the
+    exact conditional law, K = n(n-1)/2 - 1.  The sampler picks e from
+    (1 + e)^K = 1/(1 - eps): every point's ratio then lies in
+    [1 - eps, 1/(1 - eps)], so the total variation distance is at most eps.
+    Counting keeps the single-sum certificate: at e = eps/(2(n-1)),
+    beta_{n-1} = (1 + e)^(n-1) <= exp(eps/2), and the geometric midpoint of
+    the mass is within exp(+-eps/4).  Both steps are computed from (n, eps).
+    """
+
+    cdfs: tuple[CompressedCDF, ...]
+    support: np.ndarray
+    log_cell: np.ndarray
+    kappa: np.ndarray
+    theta: float
+
+    @classmethod
+    def build(
+        cls, dc: DecoupledConstraint, spec: GridSpec, tail_eps: float
+    ) -> "PrefixCDFTable":
+        """Table for ``dc`` on ``spec``; P_2..P_{n-1} come from
+        ``compressed_tail_cdf`` at ``tail_eps``, i.e. at the per-step eps
+        tail_eps/(2(n-1)).  Coefficients are expected to be rounded
+        (integral multiples of one lattice step) so that support values
+        collide exactly."""
+        n = dc.n
+        if spec.n != n:
+            raise ValueError("constraint and grid dimensions disagree")
+        kappa = spec.value(np.arange(spec.points_per_coord))
+        support = dc.lam[:, None] * kappa * kappa + dc.mu[:, None] * kappa
+        cdfs = [_POINT_MASS_AT_ZERO]
+        if n >= 2:
+            pmfs = [
+                support_and_log_pmf(float(dc.lam[j]), float(dc.mu[j]), spec)
+                for j in range(n - 1)
+            ]
+            cdfs.append(_finalize_cdf(*pmfs[0], 1.0))
+            if n >= 3:
+                steps: list[CompressedCDF] = []
+                compressed_tail_cdf(pmfs, tail_eps, collect=steps)
+                cdfs.extend(steps[1:])
+        return cls(
+            cdfs=tuple(cdfs),
+            support=support,
+            log_cell=_log_cell_masses(spec.tau, spec.B),
+            kappa=kappa,
+            theta=float(dc.theta),
         )
-        for j in range(dc.n)
-    ]
 
+    @property
+    def n(self) -> int:
+        return len(self.cdfs)
 
-def _exact_tail_small(pmfs_log, theta: float) -> float:
-    # direct summation for one or two coordinates; exact up to float roundoff
-    if len(pmfs_log) == 1:
-        v, lp = pmfs_log[0]
-        idx = int(np.searchsorted(v, theta, side="right"))
-        return float(np.sum(np.exp(lp[:idx])))
-    (v1, lp1), (v2, lp2) = pmfs_log
-    p1 = np.exp(lp1)
-    cum2 = np.concatenate(([0.0], np.cumsum(np.exp(lp2))))
-    idx = np.searchsorted(v2, theta - v1, side="right")
-    return float(np.dot(p1, cum2[idx]))
+    def log_weights(self, j: int, t) -> np.ndarray:
+        """Log weight of every grid value of coordinate j+1 given the
+        threshold ``t`` left for coordinates 1..j+1; ``t`` is a scalar,
+        giving shape (m,), or a (k,) array, giving (k, m)."""
+        t = np.asarray(t, dtype=float)[..., None]
+        return self.log_cell + self.cdfs[j].log_query(t - self.support[j])
+
+    def log_mass(self) -> float:
+        """log of the lower-bound mass at theta; off by at most the last
+        CDF's ``err_budget``."""
+        return log_sum(self.log_weights(self.n - 1, self.theta))
 
 
 def exact_tail_bruteforce(
@@ -253,30 +330,17 @@ def exact_tail_bruteforce(
 
 
 def count(
-    dc: DecoupledConstraint,
-    spec: GridSpec,
-    box: CoordinateBox | None = None,
-    eps: float = DEFAULT_EPS,
-    *,
-    force_engine: bool = False,
+    dc: DecoupledConstraint, spec: GridSpec, eps: float = DEFAULT_EPS
 ) -> float:
-    """Deterministic estimate of Pr[sum_i Y_i <= theta | H in box] with a
-    certified multiplicative error factor of at most (1 + eps).
-
-    Coefficients are expected to be rounded (integral multiples of one
-    lattice step) so that support values collide exactly.  One- and
-    two-coordinate instances are summed exactly unless ``force_engine``.
-    """
+    """Deterministic estimate of Pr[sum_i Y_i <= theta] on the grid with a
+    certified multiplicative error factor of at most (1 + eps)."""
     if not (0.0 < eps <= 1.0):
         raise ValueError(f"eps must lie in (0, 1], got {eps}")
-    pmfs = _conditional_log_pmfs(dc, spec, box)
-    if dc.n <= 2 and not force_engine:
-        return min(_exact_tail_small(pmfs, dc.theta), 1.0)
-    cdf = compressed_tail_cdf(pmfs, eps)
-    lq = cdf.log_query(dc.theta)
-    if lq == LOG_ZERO:
+    table = PrefixCDFTable.build(dc, spec, eps)
+    lm = table.log_mass()
+    if lm == LOG_ZERO:
         return 0.0
-    return min(math.exp(lq + 0.5 * math.log(cdf.err_budget)), 1.0)
+    return min(math.exp(lm + 0.5 * math.log(table.cdfs[-1].err_budget)), 1.0)
 
 
 @dataclass(frozen=True)
@@ -353,7 +417,6 @@ def count_ptf_gaussian(
     trunc_B: float | None = None,
     gamma: float = DEFAULT_GAMMA,
     floor: float | None = None,
-    force_engine: bool = False,
 ) -> CountResult:
     """Estimate Pr_{G ~ N(0,I)}[sign(q(G)) = +1] to within (1 +- eps), up to
     the reported discretization/rounding/truncation slack.
@@ -380,7 +443,7 @@ def count_ptf_gaussian(
     rounded = round_coefficients(nz, RoundingConfig(gamma=gamma, tau=tau))
     b_radius = float(trunc_B) if trunc_B is not None else default_trunc_radius(n, eps)
     spec = GridSpec(tau=tau, B=b_radius, n=n)
-    estimate = count(rounded, spec, None, eps, force_engine=force_engine)
+    estimate = count(rounded, spec, eps)
     return CountResult(
         estimate=estimate,
         eps=eps,

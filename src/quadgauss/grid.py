@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .numerics import LOG_ZERO, interval_mass, log_interval_mass, log_sum
+from .numerics import LOG_ZERO, interval_mass, log_interval_mass
 
 __all__ = [
     "GridSpec",

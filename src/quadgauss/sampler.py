@@ -1,15 +1,15 @@
 """Sampling from the standard Gaussian conditioned on a quadratic threshold
-region, by recursive bisection driven by the deterministic counter.
+region, by drawing from the counter's prefix-CDF table.
 
-A grid point is produced by walking a binary tree of coordinate boxes: at
-each node one coordinate's run of grid points is split near its midpoint,
-the counter supplies (1 +- delta)-accurate conditional acceptance masses for
-the two half-boxes, and a Bernoulli draw picks a side with probability
-proportional to the half-box joint mass (exact per-coordinate box mass times
-estimated conditional acceptance).  Weighting by joint mass keeps the
-per-leaf output probability within [1 - 2*delta*depth, 1 + 2*delta*depth]
-of the true conditional mass, which bounds the total variation error by
-eps once delta = eps / (2 log2 |A|).
+A grid point is drawn one coordinate at a time, last coordinate first
+(counting to sampling by self-reducibility): given the threshold t left for
+coordinates 1..j, coordinate j takes the grid value kappa with probability
+proportional to cell(kappa) * P_{j-1}(t - lam_j kappa^2 - mu_j kappa), where
+P_{j-1} is the table's CDF of Y_1 + ... + Y_{j-1}, by inverse CDF over its
+grid values.  The table is built once per sampler at a step size derived
+from (n, eps) that keeps every grid point's probability within
+[1 - eps, 1/(1 - eps)] of the exact conditional law, so the total variation
+error is at most eps (see ``PrefixCDFTable``).
 
 The continuous lift is exact, not approximate: conditioned on the grid
 point, each coordinate of the underlying Gaussian is distributed as N(0,1)
@@ -24,17 +24,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import grid as _grid
 from .counter import (
     DEFAULT_EPS,
     DEFAULT_GAMMA,
     DEFAULT_TAU,
     EngineTooLargeError,
+    PrefixCDFTable,
     count,
     default_trunc_radius,
 )
-from .grid import CoordinateBox, GridSpec
-from .numerics import Rng, truncated_normal_sample
+from .grid import GridSpec
+from .numerics import LOG_ZERO, Rng, truncated_normal_sample
 from .quadform import (
     ConstantPolynomialError,
     DecoupledConstraint,
@@ -47,12 +47,10 @@ from .quadform import (
 )
 
 __all__ = [
-    "SamplerConfig",
-    "BisectionNode",
     "FloorError",
-    "AllBranchZeroError",
     "FilterRetryError",
     "PtfSampler",
+    "sampling_table",
     "sample_grid_point",
     "enumerate_sampler_distribution",
     "lift_to_continuous",
@@ -64,248 +62,80 @@ class FloorError(RuntimeError):
     """The acceptance region's counted mass is below the reporting floor."""
 
 
-class AllBranchZeroError(RuntimeError):
-    """Both half-box acceptance estimates vanished; unreachable when the
-    parent box carried mass."""
-
-
 class FilterRetryError(RuntimeError):
     """exact_filter rejected every draw within the retry limit."""
 
 
-@dataclass(frozen=True)
-class SamplerConfig:
-    """Total-variation target ``eps``, per-call counting accuracy ``delta``
-    (eps / (2 log2 |A|) for the initial grid size |A|), and a hard recursion
-    stop ``max_depth``."""
-
-    eps: float
-    delta: float
-    max_depth: int
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.eps <= 1.0):
-            raise ValueError(f"eps must lie in (0, 1], got {self.eps}")
-        if not (0.0 < self.delta <= 1.0):
-            raise ValueError("delta must lie in (0, 1]")
-
-    @classmethod
-    def for_grid(cls, eps: float, spec: GridSpec) -> "SamplerConfig":
-        log2_a = spec.n * math.log2(spec.points_per_coord)
-        delta = eps / (2.0 * max(log2_a, 1.0))
-        return cls(eps=eps, delta=delta, max_depth=int(math.ceil(log2_a)) + spec.n)
+def sampling_table(
+    dc: DecoupledConstraint, spec: GridSpec, eps: float
+) -> PrefixCDFTable:
+    """The prefix-CDF table whose draws are within eps of the exact
+    conditional law in total variation: its step e solves
+    (1 + e)^K = 1/(1 - eps) with K = n(n-1)/2 - 1.  At n <= 2 nothing is
+    compressed and the draws are exact."""
+    if not (0.0 < eps <= 1.0):
+        raise ValueError(f"eps must lie in (0, 1], got {eps}")
+    n = dc.n
+    k = n * (n - 1) // 2 - 1
+    if k <= 0:
+        return PrefixCDFTable.build(dc, spec, eps)
+    # eps = 1 bounds nothing: merge as far as the sparsifier goes
+    step = math.inf if eps == 1.0 else math.expm1(-math.log1p(-eps) / k)
+    return PrefixCDFTable.build(dc, spec, 2.0 * (n - 1) * step)
 
 
-@dataclass(frozen=True)
-class BisectionNode:
-    """One step of the bisection walk: the node's box, the bit path that
-    reached it, and the joint masses of its two children."""
-
-    box: CoordinateBox
-    path: str
-    branch_weights: tuple[float, float]
-
-
-Ranges = tuple[tuple[int, int], ...]
-
-
-def _full_ranges(spec: GridSpec) -> Ranges:
-    m = spec.points_per_coord
-    return tuple((0, m - 1) for _ in range(spec.n))
-
-
-def _ranges_size(ranges: Ranges) -> int:
-    size = 1
-    for lo, hi in ranges:
-        size *= hi - lo + 1
-    return size
-
-
-def _box_from_ranges(spec: GridSpec, ranges: Ranges) -> CoordinateBox:
-    lo = spec.value(np.asarray([r[0] for r in ranges]))
-    hi = spec.value(np.asarray([r[1] for r in ranges]))
-    return CoordinateBox(lo=lo, hi=hi)
-
-
-def _split(ranges: Ranges) -> tuple[int, Ranges, Ranges]:
-    # first coordinate holding more than one grid point, cut at the midpoint
-    # index so both halves are nonempty runs of grid points
-    for j, (lo, hi) in enumerate(ranges):
-        npts = hi - lo + 1
-        if npts > 1:
-            left_hi = lo + (npts + 1) // 2 - 1
-            left = ranges[:j] + ((lo, left_hi),) + ranges[j + 1 :]
-            right = ranges[:j] + ((left_hi + 1, hi),) + ranges[j + 1 :]
-            return j, left, right
-    raise AssertionError("split requested on a singleton box")
-
-
-class _CachedCounter:
-    """Memoizes conditional acceptance estimates per coordinate box, so the
-    shared upper levels of the bisection tree are counted once per batch."""
-
-    def __init__(
-        self,
-        dc: DecoupledConstraint,
-        spec: GridSpec,
-        delta: float,
-        force_engine: bool = False,
-    ):
-        self.dc = dc
-        self.spec = spec
-        self.delta = delta
-        self.force_engine = force_engine
-        self.calls = 0
-        self._cache: dict[Ranges, float] = {}
-
-    def eta(self, ranges: Ranges) -> float:
-        hit = self._cache.get(ranges)
-        if hit is not None:
-            return hit
-        self.calls += 1
-        box = _box_from_ranges(self.spec, ranges)
-        val = count(
-            self.dc, self.spec, box, self.delta, force_engine=self.force_engine
-        )
-        self._cache[ranges] = val
-        return val
-
-
-def _branch_masses(
-    counter: _CachedCounter, spec: GridSpec, j: int, parent: Ranges, left: Ranges, right: Ranges
-) -> tuple[float, float]:
-    lp = _grid.range_log_mass(spec, *parent[j])
-    w0 = math.exp(_grid.range_log_mass(spec, *left[j]) - lp)
-    w1 = math.exp(_grid.range_log_mass(spec, *right[j]) - lp)
-    return w0 * counter.eta(left), w1 * counter.eta(right)
-
-
-def sample_grid_point(
-    dc: DecoupledConstraint,
-    spec: GridSpec,
-    cfg: SamplerConfig,
-    rng: Rng,
-    *,
-    box: CoordinateBox | None = None,
-    counter: _CachedCounter | None = None,
-    floor: float | None = None,
-    force_engine: bool = False,
-    trace: list[BisectionNode] | None = None,
-) -> np.ndarray:
-    """Draw a grid point from the discretized Gaussian conditioned on the
-    acceptance region (within the initial ``box``, default the whole grid);
-    output law is within eps of the exact conditional in total variation.
-
-    A singleton box returns its point immediately without any counting.
-    ``floor`` defaults to 2^(-4n); the root acceptance estimate must exceed
-    it.
-    """
-    if counter is None:
-        counter = _CachedCounter(dc, spec, cfg.delta, force_engine)
-    if box is None:
-        ranges = _full_ranges(spec)
-    else:
-        i_lo, i_hi = box.index_ranges(spec)
-        ranges = tuple((int(a), int(b)) for a, b in zip(i_lo, i_hi))
-    if _ranges_size(ranges) == 1:
-        return np.asarray(spec.value(np.asarray([r[0] for r in ranges])), dtype=float)
-    floor_value = float(floor) if floor is not None else 2.0 ** (-4 * spec.n)
-    root = counter.eta(ranges)
-    if root < floor_value or root == 0.0:
-        raise FloorError(
-            f"root acceptance estimate {root} is below the floor {floor_value}"
-        )
-    depth = 0
-    path = ""
-    while _ranges_size(ranges) > 1:
-        if depth > cfg.max_depth:
-            raise RuntimeError("bisection exceeded its depth bound")
-        j, left, right = _split(ranges)
-        m0, m1 = _branch_masses(counter, spec, j, ranges, left, right)
-        if m0 == 0.0 and m1 == 0.0:
-            raise AllBranchZeroError(
-                f"both half-boxes report zero acceptance at depth {depth}"
-            )
-        if trace is not None:
-            trace.append(
-                BisectionNode(
-                    box=_box_from_ranges(spec, ranges),
-                    path=path,
-                    branch_weights=(m0, m1),
-                )
-            )
-        take_right = rng.uniform() >= m0 / (m0 + m1)
-        ranges = right if take_right else left
-        path += "1" if take_right else "0"
-        depth += 1
-    kappa = np.asarray(spec.value(np.asarray([r[0] for r in ranges])), dtype=float)
-    if not bool(dc.accepts(kappa)):
-        raise AllBranchZeroError("walk terminated on a non-accepting grid point")
-    return kappa
+def sample_grid_point(table: PrefixCDFTable, rng: Rng) -> np.ndarray:
+    """Draw one grid point from the table: coordinates n, n-1, ..., 1 in
+    turn, each by inverse CDF over its grid values."""
+    idx = np.empty(table.n, dtype=int)
+    t = table.theta
+    for j in range(table.n - 1, -1, -1):
+        lw = table.log_weights(j, t)
+        top = lw.max()
+        if top == LOG_ZERO:
+            raise FloorError("no grid point lies in the acceptance region")
+        cum = np.cumsum(np.exp(lw - top))
+        i = int(np.searchsorted(cum, rng.uniform() * cum[-1], side="right"))
+        idx[j] = i
+        t -= table.support[j, i]
+    return table.kappa[idx]
 
 
 @dataclass(frozen=True)
 class EnumeratedDistribution:
-    """Exact output law of the bisection sampler: one row per reachable leaf."""
+    """Exact output law of the sampler: one row per reachable grid point."""
 
     points: np.ndarray  # (k, n) grid values
     probs: np.ndarray  # (k,)
-    depths: np.ndarray  # (k,) path lengths
 
     def as_dict(self) -> dict[tuple, float]:
         return {tuple(p): float(q) for p, q in zip(self.points, self.probs)}
 
 
 def enumerate_sampler_distribution(
-    dc: DecoupledConstraint,
-    spec: GridSpec,
-    cfg: SamplerConfig,
-    *,
-    force_engine: bool = False,
-    counter: _CachedCounter | None = None,
+    dc: DecoupledConstraint, spec: GridSpec, eps: float
 ) -> EnumeratedDistribution:
-    """Deterministic traversal of every bisection branch, multiplying the
-    Bernoulli branch probabilities the sampler would use; feasible for grids
-    up to 1e5 points."""
+    """Output law of :func:`sample_grid_point` on ``sampling_table(dc, spec,
+    eps)``: the product of the n conditional laws it draws from, expanded
+    over every reachable grid point; feasible for grids up to 1e5 points."""
     if spec.points_per_coord**spec.n > 100_000:
         raise EngineTooLargeError("grid too large to enumerate")
-    if counter is None:
-        counter = _CachedCounter(dc, spec, cfg.delta, force_engine)
-    points: list[np.ndarray] = []
-    probs: list[float] = []
-    depths: list[int] = []
-
-    def descend(ranges: Ranges, prob: float, depth: int) -> None:
-        if _ranges_size(ranges) == 1:
-            kappa = spec.value(np.asarray([r[0] for r in ranges]))
-            points.append(np.asarray(kappa, dtype=float))
-            probs.append(prob)
-            depths.append(depth)
-            return
-        if depth > cfg.max_depth:
-            raise RuntimeError("bisection exceeded its depth bound")
-        j, left, right = _split(ranges)
-        m0, m1 = _branch_masses(counter, spec, j, ranges, left, right)
-        if m0 == 0.0 and m1 == 0.0:
-            raise AllBranchZeroError("both half-boxes report zero acceptance")
-        total = m0 + m1
-        if m0 > 0.0:
-            descend(left, prob * (m0 / total), depth + 1)
-        if m1 > 0.0:
-            descend(right, prob * (m1 / total), depth + 1)
-
-    root = _full_ranges(spec)
-    if _ranges_size(root) == 1:
-        kappa = spec.value(np.asarray([r[0] for r in root]))
-        return EnumeratedDistribution(
-            points=np.asarray([kappa], dtype=float),
-            probs=np.asarray([1.0]),
-            depths=np.asarray([0]),
-        )
-    descend(root, 1.0, 0)
-    return EnumeratedDistribution(
-        points=np.asarray(points), probs=np.asarray(probs), depths=np.asarray(depths)
-    )
+    table = sampling_table(dc, spec, eps)
+    m = spec.points_per_coord
+    idx = np.zeros((1, 0), dtype=int)  # chosen indices of coordinates j+1..n
+    logp = np.zeros(1)
+    t = np.array([table.theta])
+    for j in range(table.n - 1, -1, -1):
+        lw = table.log_weights(j, t)
+        top = lw.max(axis=1, keepdims=True)
+        lw -= top + np.log(np.sum(np.exp(lw - top), axis=1, keepdims=True))
+        joint = (logp[:, None] + lw).ravel()
+        reach = np.flatnonzero(joint > LOG_ZERO)
+        rows, cols = np.divmod(reach, m)
+        idx = np.column_stack([cols, idx[rows]])
+        t = t[rows] - table.support[j, cols]
+        logp = joint[reach]
+    return EnumeratedDistribution(points=table.kappa[idx], probs=np.exp(logp))
 
 
 def lift_to_continuous(kappa: np.ndarray, spec: GridSpec, rng: Rng) -> np.ndarray:
@@ -322,10 +152,11 @@ def lift_to_continuous(kappa: np.ndarray, spec: GridSpec, rng: Rng) -> np.ndarra
 
 class PtfSampler:
     """Prepared sampling pipeline for one PTF: decouple -> normalize ->
-    round -> bisection grid sampling -> exact continuous lift -> rotate back.
+    round -> prefix-CDF table -> grid point -> exact continuous lift ->
+    rotate back.
 
-    Counting calls are memoized across draws, so batches share the upper
-    bisection tree.  With ``exact_filter`` draws are rejected until the
+    The table is built once, here; the first draw checks the counted mass
+    against the floor.  With ``exact_filter`` draws are rejected until the
     original polynomial is nonnegative at the output; the residual bias of
     the unfiltered stream is bounded by the rounding slack.
     """
@@ -340,8 +171,9 @@ class PtfSampler:
         gamma: float = DEFAULT_GAMMA,
         floor: float | None = None,
         retry_limit: int = 100,
-        force_engine: bool = False,
     ):
+        if not (0.0 < eps <= 1.0):
+            raise ValueError(f"eps must lie in (0, 1], got {eps}")
         self.original = q
         self.eps = float(eps)
         self.retry_limit = int(retry_limit)
@@ -349,6 +181,7 @@ class PtfSampler:
         dc = decouple(q) if isinstance(q, QuadraticForm) else q
         self._n = dc.n
         self._floor = float(floor) if floor is not None else 2.0 ** (-4 * dc.n)
+        self._floor_checked = False
         try:
             nz = normalize(dc)
         except ConstantPolynomialError as err:
@@ -364,11 +197,8 @@ class PtfSampler:
             float(trunc_B) if trunc_B is not None else default_trunc_radius(dc.n, eps)
         )
         self.spec = GridSpec(tau=tau, B=b_radius, n=dc.n)
-        self.cfg = SamplerConfig.for_grid(eps, self.spec)
         self.rotation = dc.rotation
-        self._counter = _CachedCounter(
-            self.rounded, self.spec, self.cfg.delta, force_engine
-        )
+        self.table = sampling_table(self.rounded, self.spec, self.eps)
 
     def _original_accepts(self, x: np.ndarray, y: np.ndarray) -> bool:
         if isinstance(self.original, QuadraticForm):
@@ -378,16 +208,16 @@ class PtfSampler:
     def sample(self, rng: Rng, exact_filter: bool = False) -> np.ndarray:
         if self.constant:
             return rng.normal(self._n)
+        if not self._floor_checked:
+            mass = count(self.rounded, self.spec, self.eps)
+            if mass < self._floor or mass == 0.0:
+                raise FloorError(
+                    f"counted acceptance mass {mass} is below the floor {self._floor}"
+                )
+            self._floor_checked = True
         attempts = self.retry_limit + 1 if exact_filter else 1
         for _ in range(attempts):
-            kappa = sample_grid_point(
-                self.rounded,
-                self.spec,
-                self.cfg,
-                rng,
-                counter=self._counter,
-                floor=self._floor,
-            )
+            kappa = sample_grid_point(self.table, rng)
             y = lift_to_continuous(kappa, self.spec, rng)
             x = self.rotation @ y
             if not exact_filter or self._original_accepts(x, y):

@@ -83,6 +83,39 @@ class TestCount:
         assert json.loads(out)["below_floor"] is True
 
 
+class TestBadInput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["count", "--eps", "0"],
+            ["sample", "--eps", "0"],
+            ["sample", "--samples", "-3"],
+        ],
+    )
+    def test_bad_flag_exit_1(self, chi2_instance, capsys, argv):
+        code = cli.main([*argv, "--instance", chi2_instance])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", ["count", "sample"])
+    def test_oversized_instance_exit_1(self, tmp_path, capsys, command):
+        # n = 16 with default flags: the first convolution trips the size guard
+        gen = np.random.default_rng(16)
+        big = gen.standard_normal((16, 16))
+        q = QuadraticForm(
+            A=-np.eye(16) + 0.15 * (big + big.T), b=0.3 * gen.standard_normal(16), c=16.0
+        )
+        path = tmp_path / "n16.json"
+        save_instance(q, str(path))
+        code = cli.main([command, "--instance", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "size guard" in captured.err
+
+
 class TestSample:
     def test_zero_samples(self, chi2_instance, capsys):
         code, out = run_inproc(

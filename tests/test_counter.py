@@ -14,7 +14,7 @@ from quadgauss.counter import (
     exact_tail_bruteforce,
     mc_count,
 )
-from quadgauss.grid import CoordinateBox, GridSpec, support_and_log_pmf
+from quadgauss.grid import GridSpec, support_and_log_pmf
 from quadgauss.numerics import LOG_ZERO, Rng
 from quadgauss.quadform import DecoupledConstraint, QuadraticForm
 
@@ -83,7 +83,7 @@ class TestCount:
             dc = lattice_constraint(gen, n)
             exact = exact_tail_bruteforce(dc, spec)
             for eps in (0.3, 0.1, 0.05):
-                est = count(dc, spec, None, eps, force_engine=True)
+                est = count(dc, spec, eps)
                 if exact == 0.0:
                     assert est == 0.0
                 else:
@@ -95,7 +95,7 @@ class TestCount:
             spec = GridSpec(tau=2.0**-4, B=2.0, n=n)
             for _ in range(10):
                 dc = lattice_constraint(gen, n)
-                fast = count(dc, spec, None, 0.05)
+                fast = count(dc, spec, 0.05)
                 exact = exact_tail_bruteforce(dc, spec)
                 assert fast == pytest.approx(exact, rel=1e-11, abs=1e-14)
 
@@ -103,8 +103,8 @@ class TestCount:
         gen = np.random.default_rng(4)
         spec = GridSpec(tau=2.0**-3, B=2.0, n=3)
         dc = lattice_constraint(gen, 3)
-        a = count(dc, spec, None, 0.1, force_engine=True)
-        b = count(dc, spec, None, 0.1, force_engine=True)
+        a = count(dc, spec, 0.1)
+        b = count(dc, spec, 0.1)
         assert a == b  # bit identical
 
     def test_monotone_in_theta(self):
@@ -116,40 +116,9 @@ class TestCount:
             dc = DecoupledConstraint(
                 lam=base.lam, mu=base.mu, theta=float(theta), rotation=base.rotation
             )
-            cur = count(dc, spec, None, 0.1, force_engine=True)
+            cur = count(dc, spec, 0.1)
             assert cur >= prev - 1e-12
             prev = cur
-
-    def test_box_additivity(self):
-        spec = GridSpec(tau=2.0**-3, B=2.0, n=2)
-        dc = DecoupledConstraint(
-            lam=np.array([0.5, 0.25]), mu=np.array([0.125, -0.5]), theta=0.4,
-            rotation=np.eye(2),
-        )
-        m = spec.points_per_coord
-        parent = CoordinateBox.full(spec)
-        cut = m // 2
-        left = CoordinateBox(
-            lo=parent.lo, hi=np.array([spec.value(cut), spec.B])
-        )
-        right = CoordinateBox(
-            lo=np.array([spec.value(cut + 1), -spec.B]), hi=parent.hi
-        )
-        from quadgauss.grid import range_mass
-
-        w0 = range_mass(spec, 0, cut)
-        w1 = range_mass(spec, cut + 1, m - 1)
-        lhs = w0 * count(dc, spec, left, 0.05) + w1 * count(dc, spec, right, 0.05)
-        rhs = count(dc, spec, parent, 0.05)
-        assert lhs == pytest.approx(rhs, rel=1e-10)
-
-    def test_unrestricted_equals_full_box(self):
-        gen = np.random.default_rng(6)
-        spec = GridSpec(tau=2.0**-3, B=2.0, n=2)
-        dc = lattice_constraint(gen, 2)
-        assert count(dc, spec, None, 0.1) == count(
-            dc, spec, CoordinateBox.full(spec), 0.1
-        )
 
     def test_chi2_decoupled_direct(self):
         # the canonical decoupled instance fed straight to the counter
@@ -157,37 +126,8 @@ class TestCount:
         dc = DecoupledConstraint(
             lam=np.ones(2), mu=np.zeros(2), theta=2.0, rotation=np.eye(2)
         )
-        est = count(dc, spec, None, 0.02)
+        est = count(dc, spec, 0.02)
         assert est == pytest.approx(oracles.chi2_cdf(2.0, 2), rel=0.03)
-
-    def test_box_additivity_engine_path(self):
-        spec = GridSpec(tau=2.0**-3, B=2.0, n=3)
-        dc = DecoupledConstraint(
-            lam=np.array([0.5, 0.25, -0.125]),
-            mu=np.array([0.125, -0.5, 0.25]),
-            theta=0.6,
-            rotation=np.eye(3),
-        )
-        from quadgauss.grid import range_mass
-
-        eps = 0.1
-        m = spec.points_per_coord
-        cut = m // 2
-        parent = CoordinateBox.full(spec)
-        left = CoordinateBox(
-            lo=parent.lo, hi=np.array([spec.value(cut), spec.B, spec.B])
-        )
-        right = CoordinateBox(
-            lo=np.array([spec.value(cut + 1), -spec.B, -spec.B]), hi=parent.hi
-        )
-        w0 = range_mass(spec, 0, cut)
-        w1 = range_mass(spec, cut + 1, m - 1)
-        lhs = w0 * count(dc, spec, left, eps, force_engine=True) + w1 * count(
-            dc, spec, right, eps, force_engine=True
-        )
-        rhs = count(dc, spec, parent, eps, force_engine=True)
-        # each term is certified within e^(+-eps/4); the budgets combine
-        assert lhs == pytest.approx(rhs, rel=2.0 * (math.exp(eps / 4.0) - 1.0))
 
     def test_compression_brackets_running_cdf(self):
         # instrumented: every intermediate compressed CDF must lower-bound
@@ -232,7 +172,7 @@ class TestCount:
             lam=np.array([1.0]), mu=np.zeros(1), theta=0.0, rotation=np.eye(1)
         )
         with pytest.raises(ValueError):
-            count(dc, spec, None, 0.0)
+            count(dc, spec, 0.0)
 
 
 class TestCountPtfGaussian:
@@ -256,12 +196,6 @@ class TestCountPtfGaussian:
         res = count_ptf_gaussian(q, 0.02, tau=2.0**-8, trunc_B=6.0)
         want = 1.0 - oracles.chi2_cdf(1.0, 1)
         assert res.estimate == pytest.approx(want, rel=0.03)
-
-    def test_chi2_engine_path(self):
-        # same closed form, forced through the compressed-CDF engine
-        q = QuadraticForm(A=-np.eye(2), b=np.zeros(2), c=2.0)
-        res = count_ptf_gaussian(q, 0.05, tau=2.0**-6, trunc_B=4.0, force_engine=True)
-        assert res.estimate == pytest.approx(oracles.chi2_cdf(2.0, 2), rel=0.06)
 
     def test_chi2_three_dims_closed_form(self):
         # n = 3 always runs the engine; closed-form chi^2_3 CDF as oracle

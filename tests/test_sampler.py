@@ -10,12 +10,11 @@ from quadgauss.sampler import (
     FilterRetryError,
     FloorError,
     PtfSampler,
-    SamplerConfig,
-    _CachedCounter,
     enumerate_sampler_distribution,
     lift_to_continuous,
     sample_grid_point,
     sample_ptf_gaussian,
+    sampling_table,
 )
 
 import oracles
@@ -23,7 +22,7 @@ import oracles
 
 def exact_conditional_pmf(dc, spec):
     """Brute-force conditional law of the discretized Gaussian given
-    acceptance (independent of the bisection machinery)."""
+    acceptance (independent of the prefix-CDF table)."""
     m = spec.points_per_coord
     grids = np.meshgrid(*[np.arange(m)] * spec.n, indexing="ij")
     pts = np.stack([spec.value(g.ravel()) for g in grids], axis=1)
@@ -40,114 +39,92 @@ DISC = DecoupledConstraint(
 )
 
 
-class TestSampleGridPoint:
-    def test_singleton_box_returns_without_counting(self):
-        spec = GridSpec(tau=1.0, B=1.0, n=2)
-        dc = DecoupledConstraint(
-            lam=np.array([1.0, 0.0]), mu=np.zeros(2), theta=5.0, rotation=np.eye(2)
-        )
-        cfg = SamplerConfig.for_grid(0.1, spec)
-        counter = _CachedCounter(dc, spec, cfg.delta)
-        box = CoordinateBox(lo=np.array([0.0, -1.0]), hi=np.array([0.0, -1.0]))
-        pt = sample_grid_point(dc, spec, cfg, Rng(0), box=box, counter=counter)
-        assert tuple(pt) == (0.0, -1.0)
-        assert counter.calls == 0  # no counting on a singleton box
+# lattice coefficients (step 2^-6) whose n = 3 sampling table merges atoms
+SKEW3 = DecoupledConstraint(
+    lam=np.array([0.40625, -0.796875, 0.21875]),
+    mu=np.array([-0.5625, 0.140625, 0.953125]),
+    theta=0.0,
+    rotation=np.eye(3),
+)
 
+
+class TestSampleGridPoint:
     def test_only_accepting_point_returned(self):
         spec = GridSpec(tau=0.5, B=1.0, n=1)
         dc = DecoupledConstraint(
             lam=np.array([1.0]), mu=np.zeros(1), theta=0.1, rotation=np.eye(1)
         )
-        cfg = SamplerConfig.for_grid(0.05, spec)
+        table = sampling_table(dc, spec, 0.05)
         r = Rng(2)
         for _ in range(50):
-            assert sample_grid_point(dc, spec, cfg, r)[0] == 0.0
+            assert sample_grid_point(table, r)[0] == 0.0
 
     def test_membership_always(self):
-        spec = GridSpec(tau=0.25, B=2.0, n=2)
-        cfg = SamplerConfig.for_grid(0.1, spec)
-        counter = _CachedCounter(DISC, spec, cfg.delta)
-        r = Rng(3)
-        for _ in range(100):
-            kappa = sample_grid_point(DISC, spec, cfg, r, counter=counter)
-            assert DISC.value(kappa) <= DISC.theta
-
-    def test_depth_bound(self):
-        spec = GridSpec(tau=0.25, B=2.0, n=2)
-        cfg = SamplerConfig.for_grid(0.1, spec)
-        bound = sum(
-            math.ceil(math.log2(spec.points_per_coord)) for _ in range(2)
-        )
-        dist = enumerate_sampler_distribution(DISC, spec, cfg)
-        assert dist.depths.max() <= bound
-        assert cfg.max_depth >= dist.depths.max()
+        for dc, spec in (
+            (DISC, GridSpec(tau=0.25, B=2.0, n=2)),
+            (SKEW3, GridSpec(tau=0.25, B=2.0, n=3)),
+        ):
+            table = sampling_table(dc, spec, 0.1)
+            r = Rng(3)
+            for _ in range(100):
+                kappa = sample_grid_point(table, r)
+                assert dc.value(kappa) <= dc.theta
 
     def test_floor_violation(self):
         spec = GridSpec(tau=0.5, B=2.0, n=1)
         dc = DecoupledConstraint(
             lam=np.array([0.0]), mu=np.array([1.0]), theta=-10.0, rotation=np.eye(1)
         )
-        cfg = SamplerConfig.for_grid(0.1, spec)
         with pytest.raises(FloorError):
-            sample_grid_point(dc, spec, cfg, Rng(0))
+            sample_grid_point(sampling_table(dc, spec, 0.1), Rng(0))
+        s = PtfSampler(dc, 0.1, tau=0.5, trunc_B=2.0)
+        with pytest.raises(FloorError):
+            s.sample(Rng(0))
 
     def test_seed_determinism(self):
         spec = GridSpec(tau=0.25, B=2.0, n=2)
-        cfg = SamplerConfig.for_grid(0.1, spec)
-        a = [tuple(sample_grid_point(DISC, spec, cfg, Rng(7))) for _ in range(5)]
-        b = [tuple(sample_grid_point(DISC, spec, cfg, Rng(7))) for _ in range(5)]
+        table = sampling_table(DISC, spec, 0.1)
+        a = [tuple(sample_grid_point(table, Rng(7))) for _ in range(5)]
+        b = [tuple(sample_grid_point(table, Rng(7))) for _ in range(5)]
         assert a == b
-
-    def test_trace_records_bisection_nodes(self):
-        spec = GridSpec(tau=0.5, B=2.0, n=2)
-        cfg = SamplerConfig.for_grid(0.1, spec)
-        trace = []
-        sample_grid_point(DISC, spec, cfg, Rng(8), trace=trace)
-        assert 1 <= len(trace) <= cfg.max_depth
-        for i, node in enumerate(trace):
-            assert len(node.path) == i
-            m0, m1 = node.branch_weights
-            assert m0 >= 0.0 and m1 >= 0.0 and m0 + m1 > 0.0
 
 
 class TestEnumerateDistribution:
     def test_probabilities_sum_to_one(self):
         spec = GridSpec(tau=0.25, B=2.0, n=2)
-        cfg = SamplerConfig.for_grid(0.1, spec)
-        dist = enumerate_sampler_distribution(DISC, spec, cfg)
+        dist = enumerate_sampler_distribution(DISC, spec, 0.1)
         assert dist.probs.sum() == pytest.approx(1.0, abs=1e-10)
 
     def test_tv_within_eps(self):
         spec = GridSpec(tau=0.25, B=2.0, n=2)
         for eps in (0.1, 0.05):
-            cfg = SamplerConfig.for_grid(eps, spec)
-            dist = enumerate_sampler_distribution(DISC, spec, cfg)
+            dist = enumerate_sampler_distribution(DISC, spec, eps)
             exact = exact_conditional_pmf(DISC, spec)
             approx = dist.as_dict()
             keys = set(exact) | set(approx)
             tv = 0.5 * sum(abs(exact.get(k, 0.0) - approx.get(k, 0.0)) for k in keys)
             assert tv <= eps
 
-    def test_per_leaf_ratio_engine_path(self):
-        # route counting through the compressed-CDF engine so delta is real
-        spec = GridSpec(tau=0.5, B=2.0, n=2)
+    def test_per_point_ratio_merged_table(self):
+        spec = GridSpec(tau=0.25, B=2.0, n=3)
         eps = 0.1
-        cfg = SamplerConfig.for_grid(eps, spec)
-        dist = enumerate_sampler_distribution(DISC, spec, cfg, force_engine=True)
-        exact = exact_conditional_pmf(DISC, spec)
-        for pt, prob, depth in zip(dist.points, dist.probs, dist.depths):
+        table = sampling_table(SKEW3, spec, eps)
+        exact_sums = np.unique(np.add.outer(table.support[0], table.support[1]))
+        assert table.cdfs[2].values.size < exact_sums.size  # atoms were merged
+        dist = enumerate_sampler_distribution(SKEW3, spec, eps)
+        exact = exact_conditional_pmf(SKEW3, spec)
+        assert len(dist.probs) == len(exact)
+        for pt, prob in zip(dist.points, dist.probs):
             truth = exact.get(tuple(pt))
             assert truth is not None
-            ratio = prob / truth
-            assert 1.0 - 2.0 * cfg.delta * depth <= ratio <= 1.0 + 2.0 * cfg.delta * depth
+            assert 1.0 - eps <= prob / truth <= 1.0 / (1.0 - eps)
 
     def test_single_point_region_mass_one(self):
         spec = GridSpec(tau=0.5, B=1.0, n=1)
         dc = DecoupledConstraint(
             lam=np.array([1.0]), mu=np.zeros(1), theta=0.1, rotation=np.eye(1)
         )
-        cfg = SamplerConfig.for_grid(0.1, spec)
-        dist = enumerate_sampler_distribution(dc, spec, cfg)
+        dist = enumerate_sampler_distribution(dc, spec, 0.1)
         assert len(dist.probs) == 1
         assert dist.probs[0] == pytest.approx(1.0, abs=1e-12)
 
@@ -156,21 +133,19 @@ class TestEnumerateDistribution:
         dc = DecoupledConstraint(
             lam=np.array([0.5, 0.5]), mu=np.zeros(2), theta=1.0, rotation=np.eye(2)
         )
-        cfg = SamplerConfig.for_grid(0.05, spec)
-        pmf = enumerate_sampler_distribution(dc, spec, cfg).as_dict()
+        pmf = enumerate_sampler_distribution(dc, spec, 0.05).as_dict()
         for (k1, k2), p in pmf.items():
             assert pmf[(k2, k1)] == pytest.approx(p, abs=1e-9)
 
     def test_empirical_agreement_with_enumeration(self):
         spec = GridSpec(tau=0.5, B=2.0, n=2)
-        cfg = SamplerConfig.for_grid(0.1, spec)
-        counter = _CachedCounter(DISC, spec, cfg.delta)
-        pmf = enumerate_sampler_distribution(DISC, spec, cfg, counter=counter).as_dict()
+        table = sampling_table(DISC, spec, 0.1)
+        pmf = enumerate_sampler_distribution(DISC, spec, 0.1).as_dict()
         r = Rng(11)
         n = 20_000
         seen: dict = {}
         for _ in range(n):
-            k = tuple(sample_grid_point(DISC, spec, cfg, r, counter=counter))
+            k = tuple(sample_grid_point(table, r))
             seen[k] = seen.get(k, 0) + 1
         for k, p in pmf.items():
             if p > 0.01:
@@ -209,11 +184,15 @@ class TestPtfSampler:
     def test_rounded_constraint_always_satisfied(self):
         from quadgauss.grid import round_to_grid
 
-        q = QuadraticForm(A=-np.eye(2), b=np.zeros(2), c=2.0)
-        s = PtfSampler(q, 0.1, tau=2.0**-5, trunc_B=4.0)
-        pts = s.sample_batch(300, Rng(3))
-        kappa = round_to_grid((s.rotation.T @ pts.T).T, s.spec)
-        assert np.all(s.rounded.value(kappa) <= s.rounded.theta)
+        q2 = QuadraticForm(A=-np.eye(2), b=np.zeros(2), c=2.0)
+        q3 = QuadraticForm(A=-np.eye(3), b=np.zeros(3), c=2.0)
+        for s in (
+            PtfSampler(q2, 0.1, tau=2.0**-5, trunc_B=4.0),
+            PtfSampler(q3),  # default flags: tau 2^-8, compressed table
+        ):
+            pts = s.sample_batch(300, Rng(3))
+            kappa = round_to_grid((s.rotation.T @ pts.T).T, s.spec)
+            assert np.all(s.rounded.value(kappa) <= s.rounded.theta)
 
     def test_exact_filter_postcondition(self):
         q = QuadraticForm(A=-np.eye(2), b=np.zeros(2), c=2.0)

@@ -2,9 +2,11 @@
 densification, and validation, all seed-reproducible.
 
 Exit codes: 0 success, 1 malformed or oversized input (including --eps
-outside (0, 1], a negative --samples, and instances beyond the engine's size
-guards), 2 below-floor counting result, 3 filter-retry exhaustion,
-4 validation/densification failure.
+outside (0, 1], a negative --samples, a --tau or --gamma that is not a power
+of 2 in (0, 1), a --gamma with n*gamma^2 > 1/4, a --trunc-B below 1 or not a
+multiple of --tau, non-finite instance entries, and instances beyond the
+engine's size guards), 2 below-floor counting result, 3 filter-retry
+exhaustion, 4 validation/densification failure.
 """
 
 from __future__ import annotations
@@ -24,8 +26,9 @@ from .counter import (
     count_ptf_gaussian,
 )
 from .densifier import DensifierConfig, BudgetExhaustedError, planted_experiment
+from .grid import GridSpec
 from .numerics import Rng
-from .quadform import instance_to_dict, load_instance
+from .quadform import RoundingConfig, instance_to_dict, load_instance
 from .sampler import FilterRetryError, FloorError, PtfSampler
 from .validation import run_validation
 
@@ -50,7 +53,29 @@ def _bad_args(args: argparse.Namespace) -> str | None:
         return f"--eps must lie in (0, 1], got {args.eps}"
     if getattr(args, "samples", 0) < 0:
         return f"--samples must be >= 0, got {args.samples}"
+    try:
+        RoundingConfig(gamma=args.gamma, tau=args.tau)
+        if args.trunc_B is not None:
+            GridSpec(tau=args.tau, B=args.trunc_B, n=1)
+    except ValueError as exc:
+        return str(exc)
     return None
+
+
+def _read_instance(args: argparse.Namespace):
+    """The instance at --instance, or None after an error line."""
+    try:
+        inst = load_instance(args.instance)
+    except Exception as exc:
+        sys.stderr.write(f"error: cannot read instance: {exc}\n")
+        return None
+    if inst.n * args.gamma**2 > 0.25:
+        sys.stderr.write(
+            f"error: --gamma {args.gamma} is too coarse for n = {inst.n}: "
+            f"n*gamma^2 must be at most 1/4\n"
+        )
+        return None
+    return inst
 
 
 def cmd_count(args: argparse.Namespace) -> int:
@@ -58,10 +83,8 @@ def cmd_count(args: argparse.Namespace) -> int:
     if bad:
         sys.stderr.write(f"error: {bad}\n")
         return 1
-    try:
-        inst = load_instance(args.instance)
-    except Exception as exc:
-        sys.stderr.write(f"error: cannot read instance: {exc}\n")
+    inst = _read_instance(args)
+    if inst is None:
         return 1
     try:
         res = count_ptf_gaussian(
@@ -84,10 +107,8 @@ def cmd_sample(args: argparse.Namespace) -> int:
     if bad:
         sys.stderr.write(f"error: {bad}\n")
         return 1
-    try:
-        inst = load_instance(args.instance)
-    except Exception as exc:
-        sys.stderr.write(f"error: cannot read instance: {exc}\n")
+    inst = _read_instance(args)
+    if inst is None:
         return 1
     rng = Rng(args.seed)
     try:

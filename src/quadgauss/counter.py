@@ -3,13 +3,17 @@ for independent per-coordinate variables Y_i = lam_i*[G]^2 + mu_i*[G], and
 the prefix-CDF table that serves both counting and sampling.
 
 The engine convolves the per-coordinate pmfs sequentially, sparsifying the
-running distribution after every step: a greedy walk over the cumulative
-distribution keeps an atom whenever the cumulative mass has grown by more
-than a (1 + eps_step) factor since the last kept atom, and merges the mass
-of dropped atoms into the next kept atom to their right.  Merging rightward
-makes the compressed CDF F' a pointwise lower bound of the running CDF F
-with F <= (1 + eps_step) * F', so after k steps the exact CDF is bracketed
-within a known factor ``err_budget = (1 + eps_step)^k``.
+running distribution after every step, and each factor before it enters
+when the size bound predicts fewer pairs that way.  A greedy walk over the
+cumulative distribution keeps an atom whenever the cumulative mass has grown
+by more than a (1 + eps_step) factor since the last kept atom, and merges
+the mass of dropped atoms into the next kept atom to their right.  Merging
+rightward makes the compressed CDF F' a pointwise lower bound of the running
+CDF F with F <= (1 + eps_step) * F', so after k merges the exact CDF is
+bracketed within a known factor ``err_budget = (1 + eps_step)^k``.  Masses
+are stored as logs; pair masses and cumulative sums are formed in linear
+space scaled by each call's largest mass, and whatever falls too far below
+it for a double is summed in log space instead.
 
 ``PrefixCDFTable`` keeps the CDFs P_0, ..., P_{n-1} of the prefix sums
 Y_1 + ... + Y_j: P_0 is the point mass at 0, P_1 the exact CDF of Y_1, and
@@ -17,10 +21,10 @@ P_2, ..., P_{n-1} the per-step output of one ``compressed_tail_cdf`` run over
 the first n - 1 coordinates.  The last coordinate is summed over its grid
 values, so the table's mass at theta is
 sum_kappa cell(kappa) * P_{n-1}(theta - lam_n kappa^2 - mu_n kappa).
-``count`` reports that mass at the geometric midpoint of P_{n-1}'s budget
-with eps_step = eps/(2(n-1)), which certifies a (1 +- eps) answer; at n <= 2
-nothing is compressed and the mass is exact up to float roundoff.  The
-sampler draws coordinates n, n-1, ..., 1 in turn from the same weights.
+``count`` reports that mass at the geometric midpoint of P_{n-1}'s budget,
+which certifies a (1 +- eps) answer; at n <= 2 nothing is compressed and the
+mass is exact up to float roundoff.  The sampler draws coordinates n, n-1,
+..., 1 in turn from the same weights, from a table built at a finer step.
 Everything is pure and deterministic: two runs on identical inputs produce
 bit-identical outputs.
 
@@ -128,50 +132,116 @@ class CompressedCDF:
         return float(self.log_cum[-1])
 
 
+# A linear-space sum scaled by the call's largest mass keeps double precision
+# once it reaches this floor: each term it may have lost to underflow is
+# below 2^-1074, i.e. 2^-74 of the floor.  Sums below it are redone in log
+# space.
+_LINEAR_FLOOR = 2.0**-1000
+
+
+def _run_log_sums(p: np.ndarray, starts: np.ndarray, log_terms) -> np.ndarray:
+    """log of the sums of ``p`` over the runs that begin at ``starts``.
+
+    ``p`` holds masses scaled by the call's largest mass; ``log_terms(pos)``
+    gives the log of ``p`` at the positions ``pos`` without underflow.  A
+    run whose linear sum falls below ``_LINEAR_FLOOR`` is summed again from
+    those logs, so no mass is lost however far below the maximum it lies."""
+    out = np.add.reduceat(p, starts)
+    low = out < _LINEAR_FLOOR
+    with np.errstate(divide="ignore"):
+        np.log(out, out=out)
+    if low.any():
+        lengths = np.diff(np.append(starts, p.size))
+        pos = np.flatnonzero(np.repeat(low, lengths))
+        lengths = lengths[low]
+        out[low] = np.logaddexp.reduceat(log_terms(pos), np.cumsum(lengths) - lengths)
+    return out
+
+
+def _log_cumsum(logp: np.ndarray) -> np.ndarray:
+    """Running log-sum-exp of ``logp``: a scaled linear cumsum, with the
+    leading sums that stay below ``_LINEAR_FLOOR`` redone in log space."""
+    top = logp.max()
+    cum = np.cumsum(np.exp(logp - top))
+    with np.errstate(divide="ignore"):
+        out = np.log(cum) + top
+    head = int(np.searchsorted(cum, _LINEAR_FLOOR))
+    if head:
+        out[:head] = np.logaddexp.accumulate(logp[:head])
+    return out
+
+
 def _sparsify(values: np.ndarray, logp: np.ndarray, eps_step: float):
     """Merge atoms rightward while consecutive cumulative masses stay within
-    a (1 + eps_step) ratio; kept anchors retain their exact cumulative mass."""
+    a (1 + eps_step) ratio; kept anchors retain their exact cumulative mass.
+
+    The walk compares scaled linear cumulative sums; over the leading sums
+    below ``_LINEAR_FLOOR`` it compares their logs instead."""
     live = logp > LOG_ZERO
     if not np.all(live):
         values, logp = values[live], logp[live]
     m = values.size
     if m == 0:
         raise ValueError("empty distribution")
+    top = logp.max()
+    p = np.exp(logp - top)
+    cum = np.cumsum(p)
+    head = int(cum.searchsorted(_LINEAR_FLOOR))
+    log_head = np.logaddexp.accumulate(logp[:head] - top)
     thresh = math.log1p(eps_step)
-    cum = np.logaddexp.accumulate(logp)
-    if m <= 2 or (cum[-1] - cum[0]) >= thresh * (m - 1):
-        return values, logp  # nothing worth merging
+    grow = 1.0 + eps_step
     kept = []
     i = 0
     while i < m:
         kept.append(i)
-        i = int(np.searchsorted(cum, cum[i] + thresh, side="right"))
+        if i >= head:
+            i = int(cum.searchsorted(cum[i] * grow, "right"))
+            continue
+        i = int(log_head.searchsorted(log_head[i] + thresh, "right"))
+        if i == head:
+            bound = math.exp(log_head[kept[-1]] + thresh)
+            i = max(head, int(cum.searchsorted(bound, "right")))
     if kept[-1] != m - 1:
         kept.append(m - 1)
-    kept_arr = np.asarray(kept, dtype=int)
+    kept_arr = np.asarray(kept)
     starts = np.concatenate(([0], kept_arr[:-1] + 1))
-    merged = np.logaddexp.reduceat(logp, starts)
+    merged = _run_log_sums(p, starts, lambda pos: logp[pos] - top) + top
     return values[kept_arr], merged
 
 
 def _convolve_pmfs(values, logp, atom_v, atom_lp):
-    pairs = values.size * atom_v.size
-    if pairs > _PAIR_LIMIT:
-        raise EngineTooLargeError(
-            f"convolution of {values.size} x {atom_v.size} atoms exceeds the "
-            f"size guard; use a coarser grid or larger eps"
-        )
-    v = np.add.outer(values, atom_v).ravel()
-    lp = np.add.outer(logp, atom_lp).ravel()
-    order = np.argsort(v, kind="stable")
-    v = v[order]
-    lp = lp[order]
-    starts = np.flatnonzero(np.concatenate(([True], v[1:] != v[:-1])))
-    return v[starts], np.logaddexp.reduceat(lp, starts)
+    """Law of the sum of two independent variables given as ascending
+    (values, log masses).  Pair masses are formed and summed in linear
+    space, scaled by the largest pair mass; the log is taken once per
+    distinct value."""
+    top_a, top_b = logp.max(), atom_lp.max()
+    la = logp - top_a
+    lb = atom_lp - top_b
+
+    def pair_order():
+        v = np.add.outer(atom_v, values).ravel()
+        return v, np.argsort(v)
+
+    v, order = pair_order()
+    p = np.take(np.multiply.outer(np.exp(lb), np.exp(la)).ravel(), order)
+    v = np.take(v, order)
+    del order  # the largest array; log_terms sorts again in the rare case
+    new = np.empty(v.size, dtype=bool)
+    new[0] = True
+    np.not_equal(v[1:], v[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    del new
+    v = v[starts]
+
+    def log_terms(pos):
+        b, a = np.divmod(pair_order()[1][pos], values.size)
+        return la[a] + lb[b]
+
+    return v, _run_log_sums(p, starts, log_terms) + (top_a + top_b)
 
 
 def _finalize_cdf(values, logp, err_budget) -> CompressedCDF:
-    cum = np.logaddexp.accumulate(logp)
+    cum = _log_cumsum(logp)
     # drop anchors whose mass vanished below float resolution so the
     # cumulative sequence is strictly increasing
     keep = np.concatenate(([True], cum[1:] > cum[:-1]))
@@ -181,25 +251,71 @@ def _finalize_cdf(values, logp, err_budget) -> CompressedCDF:
     return CompressedCDF(values=values[keep], log_cum=cum[keep], err_budget=err_budget)
 
 
-def compressed_tail_cdf(pmfs, eps: float, collect: list | None = None) -> CompressedCDF:
-    """Convolve per-coordinate (values, log pmf) pairs with per-step
-    sparsification at eps_step = eps/(2n); the result brackets the exact sum
-    CDF within err_budget."""
+def _log_spread(logp: np.ndarray) -> float:
+    """log of total mass over leftmost mass: bounds the log-range of the
+    cumulative masses of any sum this factor enters."""
+    return float(np.logaddexp.reduce(logp) - logp[0])
+
+
+def _pair_bounds(factors, eps_step: float) -> list[float]:
+    """Upper bounds on the pairs each convolution of ``factors`` forms when
+    the running sum is sparsified at ``eps_step``: greedy sparsification
+    keeps at most 2 + (log-range)/log1p(eps_step) anchors, and the log-range
+    of a sum is at most the sum of its factors' ``_log_spread``."""
+    thresh = math.log1p(eps_step)
+    atoms = float(factors[0][0].size)
+    spread = _log_spread(factors[0][1])
+    bounds = []
+    for v, lp in factors[1:]:
+        bounds.append(atoms * v.size)
+        spread += _log_spread(lp)
+        atoms = min(bounds[-1], 3.0 + spread / thresh)
+    return bounds
+
+
+def compressed_tail_cdf(pmfs, eps_step: float, collect: list | None = None) -> CompressedCDF:
+    """Convolve n per-coordinate (values, log pmf) pairs left to right,
+    sparsifying the running sum after every convolution.
+
+    ``eps_step`` is the per-merge step when every factor is sparsified too,
+    before it is convolved: 2j - 1 merges then lie behind the j-th prefix
+    sum.  When the size bound (``_pair_bounds``) predicts fewer pairs with
+    whole factors, the factors enter whole and the running sums are merged
+    at the wider step e with (1 + e)^(n-1) = (1 + eps_step)^(2n-1): the last
+    budget is unchanged and the budget of the j-th prefix sum,
+    (1 + e)^(j-1), is at most (1 + eps_step)^(2j-1).
+
+    Each compressed CDF lower-bounds the exact CDF of its prefix sum and
+    stays within its ``err_budget`` = (1 + step)^merges of it; ``collect``
+    receives one per prefix sum.  All pair counts are checked against the
+    size guard before the first convolution."""
     n = len(pmfs)
-    eps_step = eps / (2.0 * n)
-    budget = 1.0
-    values, logp = pmfs[0]
-    values, logp = _sparsify(values, logp, eps_step)
-    budget *= 1.0 + eps_step
-    if collect is not None:
-        collect.append(_finalize_cdf(values, logp, budget))
-    for atom_v, atom_lp in pmfs[1:]:
-        values, logp = _convolve_pmfs(values, logp, atom_v, atom_lp)
-        values, logp = _sparsify(values, logp, eps_step)
-        budget *= 1.0 + eps_step
+    factors = [_sparsify(v, lp, eps_step) for v, lp in pmfs]
+    step = eps_step
+    merges = [2 * j + 1 for j in range(n)]  # behind prefix sum j, 0-based
+    bounds = _pair_bounds(factors, step)
+    if n >= 2:
+        wide = math.expm1(math.log1p(eps_step) * (2 * n - 1) / (n - 1))
+        whole = _pair_bounds(pmfs, wide)
+        if sum(whole) < sum(bounds):
+            factors, step, merges, bounds = list(pmfs), wide, list(range(n)), whole
+    for j, pairs in enumerate(bounds, start=1):
+        if pairs > _PAIR_LIMIT:
+            raise EngineTooLargeError(
+                f"convolution step {j} may form up to {pairs:.3g} pairs "
+                f"({pairs / factors[j][0].size:.0f} x {factors[j][0].size} "
+                f"atoms), beyond the size guard; use a coarser grid or larger eps"
+            )
+    values, logp = factors[0]
+    for j, (atom_v, atom_lp) in enumerate(factors[1:], start=1):
         if collect is not None:
-            collect.append(_finalize_cdf(values, logp, budget))
-    return _finalize_cdf(values, logp, budget)
+            collect.append(_finalize_cdf(values, logp, (1.0 + step) ** merges[j - 1]))
+        values, logp = _convolve_pmfs(values, logp, atom_v, atom_lp)
+        values, logp = _sparsify(values, logp, step)
+    out = _finalize_cdf(values, logp, (1.0 + step) ** merges[-1])
+    if collect is not None:
+        collect.append(out)
+    return out
 
 
 _POINT_MASS_AT_ZERO = CompressedCDF(
@@ -219,22 +335,34 @@ class PrefixCDFTable:
     coordinate i+1 weighs kappa by cell(kappa) * P_i(t - support[i][kappa])
     (``log_weights(i, t)``).
 
-    Accuracy.  P_1 is exact.  For j >= 2, P_j comes out of j sparsification
-    steps at one step size e, so P_j <= F_j <= beta_j * P_j with
-    beta_j = (1 + e)^j, where F_j is the exact CDF.  A point's probability
-    under the sampler is the product over j of its coordinate-j weight
-    divided by the sum of the coordinate-j weights.  The numerator's
-    P_{j-1} and the denominator (the same weights summed, a lower bound of
-    F_j(t)) both lower-bound their exact values within beta_{j-1}, so their
-    quotient, coordinate j's factor, is within beta_{j-1} either way of its
-    exact conditional.  With beta_0 = beta_1 = 1, the product over
-    j = 3..n puts every grid point's probability within (1 + e)^K of the
-    exact conditional law, K = n(n-1)/2 - 1.  The sampler picks e from
-    (1 + e)^K = 1/(1 - eps): every point's ratio then lies in
+    Accuracy.  P_1 is exact.  For j >= 2, P_j comes out of
+    ``compressed_tail_cdf`` over the first n - 1 coordinates.  A rightward
+    merge at step e, of a factor before it is convolved or of the running
+    sum after, leaves a pointwise lower bound within a (1 + e) factor of the
+    CDF it replaces, and convolving with an independent variable keeps both
+    properties.  So P_j <= F_j <= beta_j * P_j, where F_j is the exact CDF
+    and beta_j = (1 + e)^(m_j), with m_j the number of merges behind P_j:
+    one per convolution and one per sparsified factor among coordinates
+    1..j, so m_j = 2j - 1 when every factor is sparsified.  Both steps below
+    are set for that case; when whole factors are cheaper, the engine merges
+    at a wider step that leaves beta_{n-1} as it is and lowers every other
+    beta_j (see ``compressed_tail_cdf``).
+
+    Counting reads the mass at the geometric midpoint of beta_{n-1}.  With
+    e = eps/(2 m_{n-1}) = eps/(2(2n - 3)), beta_{n-1} <= exp(eps/2) and the
+    midpoint is within exp(+-eps/4) of the exact mass.
+
+    Sampling: a point's probability under the sampler is the product over
+    j of its coordinate-j weight divided by the sum of the coordinate-j
+    weights.  The numerator's P_{j-1} and the denominator (the same weights
+    summed, a lower bound of F_j(t)) both lower-bound their exact values
+    within beta_{j-1}, so their quotient, coordinate j's factor, is within
+    beta_{j-1} either way of its exact conditional.  With
+    beta_0 = beta_1 = 1, the product over j = 3..n puts every grid point's
+    probability within (1 + e)^K of the exact conditional law, where
+    K = m_2 + ... + m_{n-1} = (n-1)^2 - 1.  With e from
+    (1 + e)^K = 1/(1 - eps), every point's ratio lies in
     [1 - eps, 1/(1 - eps)], so the total variation distance is at most eps.
-    Counting keeps the single-sum certificate: at e = eps/(2(n-1)),
-    beta_{n-1} = (1 + e)^(n-1) <= exp(eps/2), and the geometric midpoint of
-    the mass is within exp(+-eps/4).  Both steps are computed from (n, eps).
     """
 
     cdfs: tuple[CompressedCDF, ...]
@@ -244,14 +372,32 @@ class PrefixCDFTable:
     theta: float
 
     @classmethod
-    def build(
-        cls, dc: DecoupledConstraint, spec: GridSpec, tail_eps: float
+    def for_count(
+        cls, dc: DecoupledConstraint, spec: GridSpec, eps: float
+    ) -> "PrefixCDFTable":
+        """Table whose mass at theta, read at the midpoint of its budget, is
+        within exp(+-eps/4) of the exact mass."""
+        return cls._build(dc, spec, eps / (2.0 * max(2 * dc.n - 3, 1)))
+
+    @classmethod
+    def for_sampling(
+        cls, dc: DecoupledConstraint, spec: GridSpec, eps: float
+    ) -> "PrefixCDFTable":
+        """Table whose draws are within eps of the exact conditional law in
+        total variation, point by point within [1 - eps, 1/(1 - eps)]; eps = 1
+        bounds nothing and merges as far as the sparsifier goes."""
+        k = max((dc.n - 1) ** 2 - 1, 1)
+        step = math.expm1(-math.log1p(-eps) / k) if eps < 1.0 else math.inf
+        return cls._build(dc, spec, step)
+
+    @classmethod
+    def _build(
+        cls, dc: DecoupledConstraint, spec: GridSpec, eps_step: float
     ) -> "PrefixCDFTable":
         """Table for ``dc`` on ``spec``; P_2..P_{n-1} come from
-        ``compressed_tail_cdf`` at ``tail_eps``, i.e. at the per-step eps
-        tail_eps/(2(n-1)).  Coefficients are expected to be rounded
-        (integral multiples of one lattice step) so that support values
-        collide exactly."""
+        ``compressed_tail_cdf`` at ``eps_step``.  Coefficients are expected
+        to be rounded (integral multiples of one lattice step) so that
+        support values collide exactly."""
         n = dc.n
         if spec.n != n:
             raise ValueError("constraint and grid dimensions disagree")
@@ -266,7 +412,7 @@ class PrefixCDFTable:
             cdfs.append(_finalize_cdf(*pmfs[0], 1.0))
             if n >= 3:
                 steps: list[CompressedCDF] = []
-                compressed_tail_cdf(pmfs, tail_eps, collect=steps)
+                compressed_tail_cdf(pmfs, eps_step, collect=steps)
                 cdfs.extend(steps[1:])
         return cls(
             cdfs=tuple(cdfs),
@@ -336,7 +482,7 @@ def count(
     certified multiplicative error factor of at most (1 + eps)."""
     if not (0.0 < eps <= 1.0):
         raise ValueError(f"eps must lie in (0, 1], got {eps}")
-    table = PrefixCDFTable.build(dc, spec, eps)
+    table = PrefixCDFTable.for_count(dc, spec, eps)
     lm = table.log_mass()
     if lm == LOG_ZERO:
         return 0.0

@@ -78,6 +78,8 @@ class QuadraticForm:
             raise ValueError(f"A must be square and nonempty, got {A.shape}")
         if b.shape != (n,):
             raise ValueError(f"b has shape {b.shape}, expected ({n},)")
+        if not (np.isfinite(A).all() and np.isfinite(b).all() and math.isfinite(self.c)):
+            raise ValueError("A, b and c must be finite")
         scale = max(1.0, float(np.max(np.abs(A))))
         if float(np.max(np.abs(A - A.T))) > 1e-12 * scale:
             raise ValueError("A is not symmetric within tolerance 1e-12")
@@ -128,6 +130,8 @@ class DecoupledConstraint:
         n = lam.shape[0]
         if mu.shape != (n,) or rot.shape != (n, n):
             raise ValueError("lambda, mu, rotation have inconsistent shapes")
+        if not (all(np.isfinite(a).all() for a in (lam, mu, rot)) and math.isfinite(self.theta)):
+            raise ValueError("lambda, mu, theta and rotation must be finite")
         if self.normalized:
             total = float(np.sum(lam**2) + np.sum(mu**2))
             if abs(total - 1.0) > 1e-10:

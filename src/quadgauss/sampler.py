@@ -19,7 +19,6 @@ normals inverts the discretization in law.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,18 +69,11 @@ def sampling_table(
     dc: DecoupledConstraint, spec: GridSpec, eps: float
 ) -> PrefixCDFTable:
     """The prefix-CDF table whose draws are within eps of the exact
-    conditional law in total variation: its step e solves
-    (1 + e)^K = 1/(1 - eps) with K = n(n-1)/2 - 1.  At n <= 2 nothing is
-    compressed and the draws are exact."""
+    conditional law in total variation (``PrefixCDFTable.for_sampling``).
+    At n <= 2 nothing is compressed and the draws are exact."""
     if not (0.0 < eps <= 1.0):
         raise ValueError(f"eps must lie in (0, 1], got {eps}")
-    n = dc.n
-    k = n * (n - 1) // 2 - 1
-    if k <= 0:
-        return PrefixCDFTable.build(dc, spec, eps)
-    # eps = 1 bounds nothing: merge as far as the sparsifier goes
-    step = math.inf if eps == 1.0 else math.expm1(-math.log1p(-eps) / k)
-    return PrefixCDFTable.build(dc, spec, 2.0 * (n - 1) * step)
+    return PrefixCDFTable.for_sampling(dc, spec, eps)
 
 
 def sample_grid_point(table: PrefixCDFTable, rng: Rng) -> np.ndarray:

@@ -2,13 +2,16 @@
 
 Nothing here imports the package under test: CDFs come from an erf power
 series or libm's erfc, eigenpairs from the 2x2 closed form, chi-square CDFs
-from their elementary closed forms, and discrete pmfs from direct cell
-enumeration.
+from their elementary closed forms, discrete pmfs from direct cell
+enumeration, and the counting engine's kernels from a log-space
+implementation that never leaves the log domain.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 SQRT2 = math.sqrt(2.0)
 
@@ -123,3 +126,36 @@ def discrete_tail(lam, mu, theta: float, tau: float, B: float) -> float:
         if v <= theta:
             total += math.prod(masses[k] for k in combo)
     return total
+
+
+def convolve_log(values, logp, atom_v, atom_lp):
+    """Law of the sum of two independent variables given as ascending
+    (values, log masses), with every pair mass summed by logaddexp."""
+    v = np.add.outer(values, atom_v).ravel()
+    lp = np.add.outer(logp, atom_lp).ravel()
+    order = np.argsort(v, kind="stable")
+    v = v[order]
+    lp = lp[order]
+    starts = np.flatnonzero(np.concatenate(([True], v[1:] != v[:-1])))
+    return v[starts], np.logaddexp.reduceat(lp, starts)
+
+
+def sparsify_log(values, logp, eps_step):
+    """Greedy rightward merge in log space: keep an atom once the log
+    cumulative mass has grown by more than log1p(eps_step) since the last
+    kept one, and always keep the last atom."""
+    live = logp > -math.inf
+    values, logp = values[live], logp[live]
+    m = values.size
+    thresh = math.log1p(eps_step)
+    cum = np.logaddexp.accumulate(logp)
+    kept = []
+    i = 0
+    while i < m:
+        kept.append(i)
+        i = int(np.searchsorted(cum, cum[i] + thresh, side="right"))
+    if kept[-1] != m - 1:
+        kept.append(m - 1)
+    kept = np.asarray(kept)
+    starts = np.concatenate(([0], kept[:-1] + 1))
+    return values[kept], np.logaddexp.reduceat(logp, starts)

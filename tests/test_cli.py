@@ -90,6 +90,13 @@ class TestBadInput:
             ["count", "--eps", "0"],
             ["sample", "--eps", "0"],
             ["sample", "--samples", "-3"],
+            ["count", "--tau", "0.3"],
+            ["sample", "--tau", "0.3"],
+            ["count", "--gamma", "0.3"],
+            ["count", "--gamma", "2"],
+            ["count", "--trunc-B", "0.3"],
+            ["count", "--gamma", "0.5"],
+            ["sample", "--gamma", "0.5"],
         ],
     )
     def test_bad_flag_exit_1(self, chi2_instance, capsys, argv):
@@ -98,6 +105,16 @@ class TestBadInput:
         assert code == 1
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", ["count", "sample"])
+    def test_non_finite_instance_exit_1(self, tmp_path, capsys, command):
+        path = tmp_path / "nan.json"
+        path.write_text('{"n": 2, "A": [[-1.0, NaN], [NaN, -1.0]], "b": [0.0, 0.0], "c": 2.0}')
+        code = cli.main([command, "--instance", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "finite" in captured.err
 
     @pytest.mark.parametrize("command", ["count", "sample"])
     def test_oversized_instance_exit_1(self, tmp_path, capsys, command):

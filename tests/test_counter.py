@@ -4,9 +4,13 @@ import math
 import numpy as np
 import pytest
 
+from quadgauss import counter
 from quadgauss.counter import (
     CountResult,
     EngineTooLargeError,
+    PrefixCDFTable,
+    _convolve_pmfs,
+    _sparsify,
     compressed_tail_cdf,
     count,
     count_ptf_gaussian,
@@ -26,6 +30,32 @@ def lattice_constraint(gen, n, step=2.0**-4):
     mu = np.rint(gen.normal(size=n) / step) * step
     theta = float(gen.normal() * n)
     return DecoupledConstraint(lam=lam, mu=mu, theta=theta, rotation=np.eye(n))
+
+
+def assert_brackets_running_cdfs(pmfs, collected):
+    """Every collected compressed CDF lower-bounds the exact CDF of its
+    prefix sum and stays within its error budget."""
+    running_v, running_p = None, None
+    for k, (v, lp) in enumerate(pmfs):
+        p = np.exp(lp)
+        if running_v is None:
+            running_v, running_p = v, p
+        else:
+            vv = np.add.outer(running_v, v).ravel()
+            pp = np.multiply.outer(running_p, p).ravel()
+            order = np.argsort(vv, kind="stable")
+            vv, pp = vv[order], pp[order]
+            starts = np.flatnonzero(np.concatenate(([True], vv[1:] != vv[:-1])))
+            running_v = vv[starts]
+            running_p = np.add.reduceat(pp, starts)
+        cdf = collected[k]
+        exact_cum = np.cumsum(running_p)
+        for t in np.linspace(running_v[0] - 0.1, running_v[-1] + 0.1, 97):
+            idx = int(np.searchsorted(running_v, t, side="right"))
+            exact = exact_cum[idx - 1] if idx else 0.0
+            approx = cdf.query(t)
+            assert approx <= exact + 1e-12
+            assert exact <= cdf.err_budget * approx + 1e-12
 
 
 class TestExactTailBruteforce:
@@ -141,30 +171,39 @@ class TestCount:
         ]
         collected: list = []
         compressed_tail_cdf(pmfs, 0.25, collect=collected)
-        # exact running convolutions in linear space
-        running_v, running_p = None, None
-        for k, (v, lp) in enumerate(pmfs):
-            p = np.exp(lp)
-            if running_v is None:
-                running_v, running_p = v, p
-            else:
-                vv = np.add.outer(running_v, v).ravel()
-                pp = np.multiply.outer(running_p, p).ravel()
-                order = np.argsort(vv, kind="stable")
-                vv, pp = vv[order], pp[order]
-                starts = np.flatnonzero(
-                    np.concatenate(([True], vv[1:] != vv[:-1]))
-                )
-                running_v = vv[starts]
-                running_p = np.add.reduceat(pp, starts)
-            cdf = collected[k]
-            exact_cum = np.cumsum(running_p)
-            for t in np.linspace(running_v[0] - 0.1, running_v[-1] + 0.1, 97):
-                idx = int(np.searchsorted(running_v, t, side="right"))
-                exact = exact_cum[idx - 1] if idx else 0.0
-                approx = cdf.query(t)
-                assert approx <= exact + 1e-12
-                assert exact <= cdf.err_budget * approx + 1e-12
+        assert_brackets_running_cdfs(pmfs, collected)
+
+    def test_whole_factors_bracket_running_cdf(self):
+        # small factors that sparsification barely shrinks enter whole, and
+        # the running sums merge at the wider step with the same last budget
+        gen = np.random.default_rng(8)
+        spec = GridSpec(tau=2.0**-2, B=2.0, n=4)
+        dc = lattice_constraint(gen, 4)
+        pmfs = [
+            support_and_log_pmf(float(dc.lam[j]), float(dc.mu[j]), spec)
+            for j in range(4)
+        ]
+        collected: list = []
+        compressed_tail_cdf(pmfs, 0.01, collect=collected)
+        assert collected[0].values.size == pmfs[0][0].size
+        assert collected[0].err_budget == 1.0
+        assert collected[-1].err_budget == pytest.approx(1.01**7, rel=1e-12)
+        assert_brackets_running_cdfs(pmfs, collected)
+
+    def test_oracle_equivalence_four_coordinates(self):
+        # n = 4 makes two convolutions, where the engine may take whole
+        # factors at a wider step
+        gen = np.random.default_rng(9)
+        spec = GridSpec(tau=2.0**-2, B=2.0, n=4)
+        for _ in range(8):
+            dc = lattice_constraint(gen, 4)
+            exact = exact_tail_bruteforce(dc, spec)
+            for eps in (0.3, 0.1, 0.05):
+                est = count(dc, spec, eps)
+                if exact == 0.0:
+                    assert est == 0.0
+                else:
+                    assert 1.0 / (1.0 + eps) - 1e-9 <= est / exact <= 1.0 + eps + 1e-9
 
     def test_rejects_bad_eps(self):
         spec = GridSpec(tau=0.5, B=1.0, n=1)
@@ -173,6 +212,92 @@ class TestCount:
         )
         with pytest.raises(ValueError):
             count(dc, spec, 0.0)
+
+
+def random_lattice_pmf(gen, size, step=2.0**-6):
+    values = np.unique(gen.integers(-400, 400, size=size)) * step
+    return values, gen.normal(size=values.size) * 3.0 - 4.0
+
+
+class TestKernels:
+    """The linear-space kernels against the log-space reference in oracles."""
+
+    def test_convolve_matches_log_space_reference(self):
+        gen = np.random.default_rng(11)
+        for _ in range(20):
+            a = random_lattice_pmf(gen, int(gen.integers(1, 300)))
+            b = random_lattice_pmf(gen, int(gen.integers(1, 300)))
+            got_v, got_lp = _convolve_pmfs(*a, *b)
+            want_v, want_lp = oracles.convolve_log(*a, *b)
+            assert np.array_equal(got_v, want_v)
+            np.testing.assert_allclose(got_lp, want_lp, rtol=0.0, atol=1e-12)
+
+    def test_sparsify_matches_log_space_reference(self):
+        gen = np.random.default_rng(12)
+        for _ in range(20):
+            v, lp = oracles.convolve_log(
+                *random_lattice_pmf(gen, 200), *random_lattice_pmf(gen, 200)
+            )
+            for eps_step in (1e-3, 1e-2, 0.3):
+                got_v, got_lp = _sparsify(v, lp, eps_step)
+                want_v, want_lp = oracles.sparsify_log(v, lp, eps_step)
+                assert np.array_equal(got_v, want_v)
+                np.testing.assert_allclose(got_lp, want_lp, rtol=0.0, atol=1e-12)
+
+    def test_sparsify_merges_after_tiny_leading_atom(self):
+        # the log-range is dominated by the first atom, yet the 1000 equal
+        # atoms after it are far closer than the step and must merge
+        values = np.arange(1001.0)
+        logp = np.concatenate(([math.log(1e-100)], np.full(1000, math.log(1e-3))))
+        got_v, got_lp = _sparsify(values, logp, 0.1)
+        assert got_v.size < 100
+        # the merged CDF lower-bounds the exact one within the step
+        exact = np.cumsum(np.exp(logp))
+        merged = np.cumsum(np.exp(got_lp))
+        idx = np.searchsorted(got_v, values, side="right")
+        approx = np.where(idx > 0, merged[idx - 1], 0.0)
+        assert np.all(approx <= exact * (1.0 + 1e-12))
+        assert np.all(exact <= 1.1 * approx * (1.0 + 1e-12))
+
+    def test_no_atom_lost_beyond_linear_range(self):
+        # tails at B = 40 weigh ~e^-785 per factor: the sum of two spans more
+        # than the ~745 nats a scaled double can hold
+        spec = GridSpec(tau=0.5, B=40.0, n=3)
+        dc = DecoupledConstraint(
+            lam=np.array([-0.5, -0.25, 0.5]),
+            mu=np.array([0.25, 0.0, 0.0]),
+            theta=0.0,
+            rotation=np.eye(3),
+        )
+        f1, f2 = (
+            support_and_log_pmf(float(dc.lam[j]), float(dc.mu[j]), spec) for j in range(2)
+        )
+        got_v, got_lp = _convolve_pmfs(*f1, *f2)
+        want_v, want_lp = oracles.convolve_log(*f1, *f2)
+        assert want_lp.max() - want_lp.min() > 1000.0
+        assert np.array_equal(got_v, want_v)
+        np.testing.assert_allclose(got_lp, want_lp, rtol=1e-13)
+        got_v, got_lp = _sparsify(want_v, want_lp, 1e-3)
+        want_v, want_lp = oracles.sparsify_log(want_v, want_lp, 1e-3)
+        assert np.array_equal(got_v, want_v)
+        np.testing.assert_allclose(got_lp, want_lp, rtol=1e-13)
+        # the table keeps the leftmost pair, of mass e^(l1 + l2)
+        table = PrefixCDFTable.for_count(dc, spec, 0.05)
+        assert table.cdfs[2].values[0] == f1[0][0] + f2[0][0]
+        assert table.cdfs[2].log_cum[0] == pytest.approx(f1[1][0] + f2[1][0], rel=1e-13)
+
+    def test_size_guard_fires_before_any_convolution(self, monkeypatch):
+        def no_convolution(*args):
+            raise AssertionError("a convolution ran before the size guard fired")
+
+        monkeypatch.setattr(counter, "_convolve_pmfs", no_convolution)
+        gen = np.random.default_rng(16)
+        big = gen.standard_normal((16, 16))
+        q = QuadraticForm(
+            A=-np.eye(16) + 0.15 * (big + big.T), b=0.3 * gen.standard_normal(16), c=16.0
+        )
+        with pytest.raises(EngineTooLargeError, match="size guard"):
+            count_ptf_gaussian(q)
 
 
 class TestCountPtfGaussian:

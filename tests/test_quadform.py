@@ -271,3 +271,17 @@ class TestInstanceIO:
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):
             instance_from_dict({"n": 2, "A": [[0, 1], [0, 0]], "b": [0, 0], "c": 0})
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"n": 2, "A": [[-1, math.nan], [math.nan, -1]], "b": [0, 0], "c": 1},
+            {"n": 1, "A": [[-1]], "b": [math.inf], "c": 1},
+            {"n": 1, "A": [[-1]], "b": [0], "c": -math.inf},
+            {"decoupled": {"lambda": [1.0, math.nan], "mu": [0.0, 0.0], "theta": 2.0}},
+            {"decoupled": {"lambda": [1.0], "mu": [0.0], "theta": math.inf}},
+        ],
+    )
+    def test_non_finite_rejected(self, doc):
+        with pytest.raises(ValueError, match="finite"):
+            instance_from_dict(doc)

@@ -3,10 +3,10 @@ densification, and validation, all seed-reproducible.
 
 Exit codes: 0 success, 1 malformed or oversized input (including --eps
 outside (0, 1], a negative --samples, a --tau or --gamma that is not a power
-of 2 in (0, 1), a --gamma with n*gamma^2 > 1/4, a --trunc-B below 1 or not a
-multiple of --tau, non-finite instance entries, and instances beyond the
-engine's size guards), 2 below-floor counting result, 3 filter-retry
-exhaustion, 4 validation/densification failure.
+of 2 in (0, 1), a --trunc-B below 1 or not a multiple of --tau, non-finite
+instance entries, a --gamma with n*gamma^2 > 1/4 on a non-constant instance,
+and instances beyond the engine's size guards), 2 below-floor counting result,
+3 filter-retry exhaustion, 4 validation/densification failure.
 """
 
 from __future__ import annotations
@@ -62,35 +62,21 @@ def _bad_args(args: argparse.Namespace) -> str | None:
     return None
 
 
-def _read_instance(args: argparse.Namespace):
-    """The instance at --instance, or None after an error line."""
-    try:
-        inst = load_instance(args.instance)
-    except Exception as exc:
-        sys.stderr.write(f"error: cannot read instance: {exc}\n")
-        return None
-    if inst.n * args.gamma**2 > 0.25:
-        sys.stderr.write(
-            f"error: --gamma {args.gamma} is too coarse for n = {inst.n}: "
-            f"n*gamma^2 must be at most 1/4\n"
-        )
-        return None
-    return inst
-
-
 def cmd_count(args: argparse.Namespace) -> int:
     bad = _bad_args(args)
     if bad:
         sys.stderr.write(f"error: {bad}\n")
         return 1
-    inst = _read_instance(args)
-    if inst is None:
+    try:
+        inst = load_instance(args.instance)
+    except Exception as exc:
+        sys.stderr.write(f"error: cannot read instance: {exc}\n")
         return 1
     try:
         res = count_ptf_gaussian(
             inst, args.eps, tau=args.tau, trunc_B=args.trunc_B, gamma=args.gamma
         )
-    except EngineTooLargeError as exc:
+    except (EngineTooLargeError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     _emit(res.to_dict())
@@ -107,8 +93,10 @@ def cmd_sample(args: argparse.Namespace) -> int:
     if bad:
         sys.stderr.write(f"error: {bad}\n")
         return 1
-    inst = _read_instance(args)
-    if inst is None:
+    try:
+        inst = load_instance(args.instance)
+    except Exception as exc:
+        sys.stderr.write(f"error: cannot read instance: {exc}\n")
         return 1
     rng = Rng(args.seed)
     try:
@@ -126,7 +114,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
                 _emit({"x": [float(v) for v in x], "filtered": bool(args.filter)})
             else:
                 sys.stdout.write(" ".join(f"{float(v):.17g}" for v in x) + "\n")
-    except EngineTooLargeError as exc:
+    except (EngineTooLargeError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except FloorError as exc:

@@ -2,18 +2,18 @@
 for independent per-coordinate variables Y_i = lam_i*[G]^2 + mu_i*[G], and
 the prefix-CDF table that serves both counting and sampling.
 
-The engine convolves the per-coordinate pmfs sequentially, sparsifying the
-running distribution after every step, and each factor before it enters
-when the size bound predicts fewer pairs that way.  A greedy walk over the
-cumulative distribution keeps an atom whenever the cumulative mass has grown
-by more than a (1 + eps_step) factor since the last kept atom, and merges
-the mass of dropped atoms into the next kept atom to their right.  Merging
-rightward makes the compressed CDF F' a pointwise lower bound of the running
-CDF F with F <= (1 + eps_step) * F', so after k merges the exact CDF is
-bracketed within a known factor ``err_budget = (1 + eps_step)^k``.  Masses
-are stored as logs; pair masses and cumulative sums are formed in linear
-space scaled by each call's largest mass, and whatever falls too far below
-it for a double is summed in log space instead.
+The engine convolves the per-coordinate pmfs sequentially, sparsifying each
+factor before it enters and the running distribution after every step.  A
+greedy walk over the cumulative distribution keeps an atom whenever the
+cumulative mass has grown by more than a (1 + eps_step) factor since the
+last kept atom, and merges the mass of dropped atoms into the next kept atom
+to their right.  Merging rightward makes the compressed CDF F' a pointwise
+lower bound of the running CDF F with F <= (1 + eps_step) * F', so after k
+merges the exact CDF is bracketed within a known factor
+``err_budget = (1 + eps_step)^k``.  Masses are stored as logs; pair masses
+and cumulative sums are formed in linear space scaled by each call's largest
+mass, and whatever falls too far below it for a double is summed in log
+space instead.
 
 ``PrefixCDFTable`` keeps the CDFs P_0, ..., P_{n-1} of the prefix sums
 Y_1 + ... + Y_j: P_0 is the point mass at 0, P_1 the exact CDF of Y_1, and
@@ -79,7 +79,10 @@ DEFAULT_GAMMA = 2.0**-20
 DEFAULT_EPS = 0.05
 
 _BRUTEFORCE_LIMIT = 10_000_000
-_PAIR_LIMIT = 60_000_000
+# a convolution holds at most about 33 bytes per pair it forms, so the
+# guard keeps its peak near 2.8 GB
+_PAIR_LIMIT = 85_000_000
+_GATHER_BLOCK = 1 << 18
 
 
 class EngineTooLargeError(RuntimeError):
@@ -217,15 +220,22 @@ def _convolve_pmfs(values, logp, atom_v, atom_lp):
     top_a, top_b = logp.max(), atom_lp.max()
     la = logp - top_a
     lb = atom_lp - top_b
+    pa, pb = np.exp(la), np.exp(lb)
 
     def pair_order():
-        v = np.add.outer(atom_v, values).ravel()
-        return v, np.argsort(v)
+        return np.argsort(np.add.outer(atom_v, values).ravel())
 
-    v, order = pair_order()
-    p = np.take(np.multiply.outer(np.exp(lb), np.exp(la)).ravel(), order)
-    v = np.take(v, order)
-    del order  # the largest array; log_terms sorts again in the rare case
+    order = pair_order()
+    # sorted pair values and masses are gathered from the pair indices a
+    # block at a time, so no unsorted copy of either outlives the argsort
+    v = np.empty(order.size)
+    p = np.empty(order.size)
+    for lo in range(0, order.size, _GATHER_BLOCK):
+        hi = lo + _GATHER_BLOCK
+        b, a = np.divmod(order[lo:hi], values.size)
+        np.add(atom_v[b], values[a], out=v[lo:hi])
+        np.multiply(pb[b], pa[a], out=p[lo:hi])
+    del order
     new = np.empty(v.size, dtype=bool)
     new[0] = True
     np.not_equal(v[1:], v[:-1], out=new[1:])
@@ -234,7 +244,7 @@ def _convolve_pmfs(values, logp, atom_v, atom_lp):
     v = v[starts]
 
     def log_terms(pos):
-        b, a = np.divmod(pair_order()[1][pos], values.size)
+        b, a = np.divmod(pair_order()[pos], values.size)
         return la[a] + lb[b]
 
     return v, _run_log_sums(p, starts, log_terms) + (top_a + top_b)
@@ -275,31 +285,16 @@ def _pair_bounds(factors, eps_step: float) -> list[float]:
 
 def compressed_tail_cdf(pmfs, eps_step: float, collect: list | None = None) -> CompressedCDF:
     """Convolve n per-coordinate (values, log pmf) pairs left to right,
-    sparsifying the running sum after every convolution.
+    sparsifying every factor before it is convolved and the running sum
+    after every convolution, each at the per-merge step ``eps_step``.
 
-    ``eps_step`` is the per-merge step when every factor is sparsified too,
-    before it is convolved: 2j - 1 merges then lie behind the j-th prefix
-    sum.  When the size bound (``_pair_bounds``) predicts fewer pairs with
-    whole factors, the factors enter whole and the running sums are merged
-    at the wider step e with (1 + e)^(n-1) = (1 + eps_step)^(2n-1): the last
-    budget is unchanged and the budget of the j-th prefix sum,
-    (1 + e)^(j-1), is at most (1 + eps_step)^(2j-1).
-
-    Each compressed CDF lower-bounds the exact CDF of its prefix sum and
-    stays within its ``err_budget`` = (1 + step)^merges of it; ``collect``
-    receives one per prefix sum.  All pair counts are checked against the
-    size guard before the first convolution."""
-    n = len(pmfs)
+    2j - 1 merges lie behind the j-th prefix sum, so its compressed CDF
+    lower-bounds the exact CDF and stays within its ``err_budget`` =
+    (1 + eps_step)^(2j - 1) of it; ``collect`` receives one per prefix sum.
+    All pair counts are checked against the size guard before the first
+    convolution."""
     factors = [_sparsify(v, lp, eps_step) for v, lp in pmfs]
-    step = eps_step
-    merges = [2 * j + 1 for j in range(n)]  # behind prefix sum j, 0-based
-    bounds = _pair_bounds(factors, step)
-    if n >= 2:
-        wide = math.expm1(math.log1p(eps_step) * (2 * n - 1) / (n - 1))
-        whole = _pair_bounds(pmfs, wide)
-        if sum(whole) < sum(bounds):
-            factors, step, merges, bounds = list(pmfs), wide, list(range(n)), whole
-    for j, pairs in enumerate(bounds, start=1):
+    for j, pairs in enumerate(_pair_bounds(factors, eps_step), start=1):
         if pairs > _PAIR_LIMIT:
             raise EngineTooLargeError(
                 f"convolution step {j} may form up to {pairs:.3g} pairs "
@@ -309,10 +304,10 @@ def compressed_tail_cdf(pmfs, eps_step: float, collect: list | None = None) -> C
     values, logp = factors[0]
     for j, (atom_v, atom_lp) in enumerate(factors[1:], start=1):
         if collect is not None:
-            collect.append(_finalize_cdf(values, logp, (1.0 + step) ** merges[j - 1]))
+            collect.append(_finalize_cdf(values, logp, (1.0 + eps_step) ** (2 * j - 1)))
         values, logp = _convolve_pmfs(values, logp, atom_v, atom_lp)
-        values, logp = _sparsify(values, logp, step)
-    out = _finalize_cdf(values, logp, (1.0 + step) ** merges[-1])
+        values, logp = _sparsify(values, logp, eps_step)
+    out = _finalize_cdf(values, logp, (1.0 + eps_step) ** (2 * len(factors) - 1))
     if collect is not None:
         collect.append(out)
     return out
@@ -343,10 +338,7 @@ class PrefixCDFTable:
     properties.  So P_j <= F_j <= beta_j * P_j, where F_j is the exact CDF
     and beta_j = (1 + e)^(m_j), with m_j the number of merges behind P_j:
     one per convolution and one per sparsified factor among coordinates
-    1..j, so m_j = 2j - 1 when every factor is sparsified.  Both steps below
-    are set for that case; when whole factors are cheaper, the engine merges
-    at a wider step that leaves beta_{n-1} as it is and lowers every other
-    beta_j (see ``compressed_tail_cdf``).
+    1..j, so m_j = 2j - 1.
 
     Counting reads the mass at the geometric midpoint of beta_{n-1}.  With
     e = eps/(2 m_{n-1}) = eps/(2(2n - 3)), beta_{n-1} <= exp(eps/2) and the
@@ -385,7 +377,10 @@ class PrefixCDFTable:
     ) -> "PrefixCDFTable":
         """Table whose draws are within eps of the exact conditional law in
         total variation, point by point within [1 - eps, 1/(1 - eps)]; eps = 1
-        bounds nothing and merges as far as the sparsifier goes."""
+        bounds nothing and merges as far as the sparsifier goes.  At n <= 2
+        nothing is compressed and the draws are exact."""
+        if not (0.0 < eps <= 1.0):
+            raise ValueError(f"eps must lie in (0, 1], got {eps}")
         k = max((dc.n - 1) ** 2 - 1, 1)
         step = math.expm1(-math.log1p(-eps) / k) if eps < 1.0 else math.inf
         return cls._build(dc, spec, step)

@@ -49,7 +49,6 @@ __all__ = [
     "FloorError",
     "FilterRetryError",
     "PtfSampler",
-    "sampling_table",
     "sample_grid_point",
     "enumerate_sampler_distribution",
     "lift_to_continuous",
@@ -63,17 +62,6 @@ class FloorError(RuntimeError):
 
 class FilterRetryError(RuntimeError):
     """exact_filter rejected every draw within the retry limit."""
-
-
-def sampling_table(
-    dc: DecoupledConstraint, spec: GridSpec, eps: float
-) -> PrefixCDFTable:
-    """The prefix-CDF table whose draws are within eps of the exact
-    conditional law in total variation (``PrefixCDFTable.for_sampling``).
-    At n <= 2 nothing is compressed and the draws are exact."""
-    if not (0.0 < eps <= 1.0):
-        raise ValueError(f"eps must lie in (0, 1], got {eps}")
-    return PrefixCDFTable.for_sampling(dc, spec, eps)
 
 
 def sample_grid_point(table: PrefixCDFTable, rng: Rng) -> np.ndarray:
@@ -107,12 +95,13 @@ class EnumeratedDistribution:
 def enumerate_sampler_distribution(
     dc: DecoupledConstraint, spec: GridSpec, eps: float
 ) -> EnumeratedDistribution:
-    """Output law of :func:`sample_grid_point` on ``sampling_table(dc, spec,
-    eps)``: the product of the n conditional laws it draws from, expanded
-    over every reachable grid point; feasible for grids up to 1e5 points."""
+    """Output law of :func:`sample_grid_point` on
+    ``PrefixCDFTable.for_sampling(dc, spec, eps)``: the product of the n
+    conditional laws it draws from, expanded over every reachable grid
+    point; feasible for grids up to 1e5 points."""
     if spec.points_per_coord**spec.n > 100_000:
         raise EngineTooLargeError("grid too large to enumerate")
-    table = sampling_table(dc, spec, eps)
+    table = PrefixCDFTable.for_sampling(dc, spec, eps)
     m = spec.points_per_coord
     idx = np.zeros((1, 0), dtype=int)  # chosen indices of coordinates j+1..n
     logp = np.zeros(1)
@@ -190,7 +179,7 @@ class PtfSampler:
         )
         self.spec = GridSpec(tau=tau, B=b_radius, n=dc.n)
         self.rotation = dc.rotation
-        self.table = sampling_table(self.rounded, self.spec, self.eps)
+        self.table = PrefixCDFTable.for_sampling(self.rounded, self.spec, self.eps)
 
     def _original_accepts(self, x: np.ndarray, y: np.ndarray) -> bool:
         if isinstance(self.original, QuadraticForm):

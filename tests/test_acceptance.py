@@ -12,7 +12,13 @@ import time
 import numpy as np
 import pytest
 
-from quadgauss.counter import count, count_ptf_gaussian, exact_tail_bruteforce, mc_count
+from quadgauss.counter import (
+    PrefixCDFTable,
+    count,
+    count_ptf_gaussian,
+    exact_tail_bruteforce,
+    mc_count,
+)
 from quadgauss.densifier import DensifierConfig, planted_experiment
 from quadgauss.grid import GridSpec, joint_log_mass, CoordinateBox, round_to_grid
 from quadgauss.hardness import (
@@ -41,7 +47,6 @@ from quadgauss.sampler import (
     PtfSampler,
     enumerate_sampler_distribution,
     sample_ptf_gaussian,
-    sampling_table,
 )
 
 import oracles
@@ -157,7 +162,7 @@ def test_criterion_3_sampler_tv_soundness():
                 worst_ratio = max(worst_ratio, abs(ratio - 1.0))
                 assert 1.0 - eps <= ratio <= 1.0 / (1.0 - eps)
             if n == 3:
-                table = sampling_table(dc, spec, eps)
+                table = PrefixCDFTable.for_sampling(dc, spec, eps)
                 sums = np.unique(np.add.outer(table.support[0], table.support[1]))
                 merged += table.cdfs[2].values.size < sums.size
     assert merged >= 1  # the gate exercises sparsification

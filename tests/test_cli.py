@@ -106,6 +106,14 @@ class TestBadInput:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
+    def test_coarse_gamma_on_constant_instance_counts(self, const_pos_instance, capsys):
+        # a constant polynomial is answered exactly, before any rounding
+        code, out = run_inproc(
+            ["count", "--gamma", "0.5", "--instance", const_pos_instance], capsys
+        )
+        assert code == 0
+        assert json.loads(out)["estimate"] == 1.0
+
     @pytest.mark.parametrize("command", ["count", "sample"])
     def test_non_finite_instance_exit_1(self, tmp_path, capsys, command):
         path = tmp_path / "nan.json"

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from quadgauss.counter import PrefixCDFTable
 from quadgauss.grid import CoordinateBox, GridSpec, joint_log_mass
 from quadgauss.numerics import Rng
 from quadgauss.quadform import DecoupledConstraint, QuadraticForm, sign_at
@@ -14,7 +15,6 @@ from quadgauss.sampler import (
     lift_to_continuous,
     sample_grid_point,
     sample_ptf_gaussian,
-    sampling_table,
 )
 
 import oracles
@@ -54,7 +54,7 @@ class TestSampleGridPoint:
         dc = DecoupledConstraint(
             lam=np.array([1.0]), mu=np.zeros(1), theta=0.1, rotation=np.eye(1)
         )
-        table = sampling_table(dc, spec, 0.05)
+        table = PrefixCDFTable.for_sampling(dc, spec, 0.05)
         r = Rng(2)
         for _ in range(50):
             assert sample_grid_point(table, r)[0] == 0.0
@@ -64,7 +64,7 @@ class TestSampleGridPoint:
             (DISC, GridSpec(tau=0.25, B=2.0, n=2)),
             (SKEW3, GridSpec(tau=0.25, B=2.0, n=3)),
         ):
-            table = sampling_table(dc, spec, 0.1)
+            table = PrefixCDFTable.for_sampling(dc, spec, 0.1)
             r = Rng(3)
             for _ in range(100):
                 kappa = sample_grid_point(table, r)
@@ -76,14 +76,14 @@ class TestSampleGridPoint:
             lam=np.array([0.0]), mu=np.array([1.0]), theta=-10.0, rotation=np.eye(1)
         )
         with pytest.raises(FloorError):
-            sample_grid_point(sampling_table(dc, spec, 0.1), Rng(0))
+            sample_grid_point(PrefixCDFTable.for_sampling(dc, spec, 0.1), Rng(0))
         s = PtfSampler(dc, 0.1, tau=0.5, trunc_B=2.0)
         with pytest.raises(FloorError):
             s.sample(Rng(0))
 
     def test_seed_determinism(self):
         spec = GridSpec(tau=0.25, B=2.0, n=2)
-        table = sampling_table(DISC, spec, 0.1)
+        table = PrefixCDFTable.for_sampling(DISC, spec, 0.1)
         a = [tuple(sample_grid_point(table, Rng(7))) for _ in range(5)]
         b = [tuple(sample_grid_point(table, Rng(7))) for _ in range(5)]
         assert a == b
@@ -108,7 +108,7 @@ class TestEnumerateDistribution:
     def test_per_point_ratio_merged_table(self):
         spec = GridSpec(tau=0.25, B=2.0, n=3)
         eps = 0.1
-        table = sampling_table(SKEW3, spec, eps)
+        table = PrefixCDFTable.for_sampling(SKEW3, spec, eps)
         exact_sums = np.unique(np.add.outer(table.support[0], table.support[1]))
         assert table.cdfs[2].values.size < exact_sums.size  # atoms were merged
         dist = enumerate_sampler_distribution(SKEW3, spec, eps)
@@ -139,7 +139,7 @@ class TestEnumerateDistribution:
 
     def test_empirical_agreement_with_enumeration(self):
         spec = GridSpec(tau=0.5, B=2.0, n=2)
-        table = sampling_table(DISC, spec, 0.1)
+        table = PrefixCDFTable.for_sampling(DISC, spec, 0.1)
         pmf = enumerate_sampler_distribution(DISC, spec, 0.1).as_dict()
         r = Rng(11)
         n = 20_000

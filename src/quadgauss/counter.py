@@ -13,7 +13,9 @@ merges the exact CDF is bracketed within a known factor
 ``err_budget = (1 + eps_step)^k``.  Masses are stored as logs; pair masses
 and cumulative sums are formed in linear space scaled by each call's largest
 mass, and whatever falls too far below it for a double is summed in log
-space instead.
+space instead.  A convolution forms its pairs one window of values at a
+time and merges them as it goes, so its memory does not grow with the
+number of pairs.
 
 ``PrefixCDFTable`` keeps the CDFs P_0, ..., P_{n-1} of the prefix sums
 Y_1 + ... + Y_j: P_0 is the point mass at 0, P_1 the exact CDF of Y_1, and
@@ -79,10 +81,12 @@ DEFAULT_GAMMA = 2.0**-20
 DEFAULT_EPS = 0.05
 
 _BRUTEFORCE_LIMIT = 10_000_000
-# a convolution holds at most about 33 bytes per pair it forms, so the
-# guard keeps its peak near 2.8 GB
+# pairs one convolution may form; it bounds time, not memory, since pairs
+# are formed _PAIR_BLOCK at a time
 _PAIR_LIMIT = 85_000_000
-_GATHER_BLOCK = 1 << 18
+_PAIR_BLOCK = 1 << 16
+# window edges are quantiles of every _SAMPLE_STRIDE-th atom of each side
+_SAMPLE_STRIDE = 32
 
 
 class EngineTooLargeError(RuntimeError):
@@ -174,80 +178,151 @@ def _log_cumsum(logp: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sparsify(values: np.ndarray, logp: np.ndarray, eps_step: float):
-    """Merge atoms rightward while consecutive cumulative masses stay within
-    a (1 + eps_step) ratio; kept anchors retain their exact cumulative mass.
+def _merge_stream(chunks, top: float, eps_step: float):
+    """Greedy rightward merge over a distribution given in ascending chunks.
+
+    Each chunk is ``(values, p, starts, log_terms)``: distinct ascending
+    values, each of mass the sum of ``p`` over its run of terms (the runs
+    begin at ``starts``), ``p`` scaled by exp(-top), and ``log_terms(pos)``
+    the logs of ``p`` at ``pos`` without underflow; every chunk lies right
+    of the one before.  An atom is kept once the cumulative mass has grown
+    by more than a (1 + eps_step) factor since the last kept one, the last
+    atom is always kept, and the mass of dropped atoms merges into the next
+    kept atom to their right, so kept anchors retain their exact cumulative
+    mass.  Returns the kept (values, log masses).
 
     The walk compares scaled linear cumulative sums; over the leading sums
-    below ``_LINEAR_FLOOR`` it compares their logs instead."""
+    below ``_LINEAR_FLOOR`` it compares their logs instead.  The cumulative
+    sum, the pending run and the next threshold carry over from chunk to
+    chunk, so the result does not depend on where the chunks split."""
+    thresh = math.log1p(eps_step)
+    grow = 1.0 + eps_step
+    kept_v, kept_lp = [], []
+    cum_prev, log_cum_prev = 0.0, LOG_ZERO
+    run_log, pending = LOG_ZERO, False  # the merged run not yet kept
+    target, in_log = LOG_ZERO, True  # the next kept atom's cumulative exceeds it
+    for values, p, starts, log_terms in chunks:
+        n = values.size
+        cum = np.add.reduceat(p, starts)
+        cum[0] += cum_prev
+        np.cumsum(cum, out=cum)
+        cum_prev = cum[-1]
+        head = int(cum.searchsorted(_LINEAR_FLOOR))
+        if head:
+            end = starts[head] if head < n else p.size
+            log_head = np.logaddexp.reduceat(log_terms(np.arange(end)), starts[:head])
+            log_head[0] = np.logaddexp(log_cum_prev, log_head[0])
+            np.logaddexp.accumulate(log_head, out=log_head)
+            log_cum_prev = log_head[-1]
+        kept = []
+        if in_log:
+            i = int(log_head.searchsorted(target, "right")) if head else 0
+            while i < head:
+                kept.append(i)
+                target = log_head[i] + thresh
+                i = int(log_head.searchsorted(target, "right"))
+            if i < n:  # the walk leaves the head in this chunk
+                in_log, target = False, math.exp(target)
+                i = max(head, int(cum.searchsorted(target, "right")))
+        else:
+            i = int(cum.searchsorted(target, "right"))
+        while i < n:
+            kept.append(i)
+            target = cum[i] * grow
+            i = int(cum.searchsorted(target, "right"))
+        ends = np.asarray(kept, dtype=np.intp)
+        ends = ends[ends < n - 1] + 1
+        runs = _run_log_sums(p, np.concatenate(([0], starts[ends])), log_terms)
+        if kept:
+            runs[0] = np.logaddexp(run_log, runs[0])
+            kept_v.append(values[kept])
+            kept_lp.append(runs[: len(kept)])
+            run_log, pending = LOG_ZERO, False
+        if len(runs) > len(kept):
+            run_log, pending = np.logaddexp(run_log, runs[-1]), True
+        last = values[-1:]
+    if pending:
+        kept_v.append(last)
+        kept_lp.append(np.array([run_log]))
+    return np.concatenate(kept_v), np.concatenate(kept_lp) + top
+
+
+def _sparsify(values: np.ndarray, logp: np.ndarray, eps_step: float):
+    """Merge atoms rightward while consecutive cumulative masses stay within
+    a (1 + eps_step) ratio; kept anchors retain their exact cumulative mass
+    (``_merge_stream`` on one chunk)."""
     live = logp > LOG_ZERO
     if not np.all(live):
         values, logp = values[live], logp[live]
-    m = values.size
-    if m == 0:
+    if values.size == 0:
         raise ValueError("empty distribution")
     top = logp.max()
-    p = np.exp(logp - top)
-    cum = np.cumsum(p)
-    head = int(cum.searchsorted(_LINEAR_FLOOR))
-    log_head = np.logaddexp.accumulate(logp[:head] - top)
-    thresh = math.log1p(eps_step)
-    grow = 1.0 + eps_step
-    kept = []
-    i = 0
-    while i < m:
-        kept.append(i)
-        if i >= head:
-            i = int(cum.searchsorted(cum[i] * grow, "right"))
-            continue
-        i = int(log_head.searchsorted(log_head[i] + thresh, "right"))
-        if i == head:
-            bound = math.exp(log_head[kept[-1]] + thresh)
-            i = max(head, int(cum.searchsorted(bound, "right")))
-    if kept[-1] != m - 1:
-        kept.append(m - 1)
-    kept_arr = np.asarray(kept)
-    starts = np.concatenate(([0], kept_arr[:-1] + 1))
-    merged = _run_log_sums(p, starts, lambda pos: logp[pos] - top) + top
-    return values[kept_arr], merged
+    lp = logp - top
+    chunk = (values, np.exp(lp), np.arange(values.size), lambda pos: lp[pos])
+    return _merge_stream([chunk], top, eps_step)
 
 
-def _convolve_pmfs(values, logp, atom_v, atom_lp):
-    """Law of the sum of two independent variables given as ascending
-    (values, log masses).  Pair masses are formed and summed in linear
-    space, scaled by the largest pair mass; the log is taken once per
-    distinct value."""
-    top_a, top_b = logp.max(), atom_lp.max()
-    la = logp - top_a
-    lb = atom_lp - top_b
+def _row_splits(values, atom_v, t):
+    """For each b, the number of a with values[a] + atom_v[b] < t, the sums
+    compared as rounded to doubles: a search on t - atom_v[b], then stepped
+    until the rounded sums on either side of the split agree with it."""
+    m = values.size
+    idx = np.searchsorted(values, t - atom_v)
+    while True:
+        below = idx > 0
+        below[below] = values[idx[below] - 1] + atom_v[below] >= t
+        above = idx < m
+        above[above] = values[idx[above]] + atom_v[above] < t
+        if not (below.any() or above.any()):
+            return idx
+        idx += above
+        idx -= below
+
+
+def _pair_windows(values, la, atom_v, lb):
+    """The pairs of two ascending supports, in ascending chunks of about
+    ``_PAIR_BLOCK`` pairs for ``_merge_stream``: each chunk's distinct pair
+    values, the pair masses exp(la[a] + lb[b]) in value order, where each
+    value's run begins, and the pair log masses.  Window edges are
+    quantiles of a sub-grid of the pairs; each pair falls in one window by
+    its rounded value, so equal values never straddle two windows."""
+    m, k = values.size, atom_v.size
     pa, pb = np.exp(la), np.exp(lb)
+    windows = -(-m * k // _PAIR_BLOCK)
+    edges = []
+    if windows > 1:
+        sample = np.sort(np.add.outer(atom_v[::_SAMPLE_STRIDE], values[::_SAMPLE_STRIDE]), axis=None)
+        edges = np.unique(sample[np.arange(1, windows) * sample.size // windows])
+    lo = np.zeros(k, dtype=np.intp)
+    for t in [*edges, None]:
+        hi = np.full(k, m, dtype=np.intp) if t is None else _row_splits(values, atom_v, t)
+        size = hi - lo
+        total = int(size.sum())
+        if total:
+            b = np.repeat(np.arange(k), size)
+            a = np.arange(total) - np.repeat(np.cumsum(size) - size - lo, size)
+            v = atom_v[b] + values[a]
+            order = np.argsort(v)
+            v, a, b = v[order], a[order], b[order]
+            del order
+            new = np.empty(total, dtype=bool)
+            new[0] = True
+            np.not_equal(v[1:], v[:-1], out=new[1:])
+            starts = np.flatnonzero(new)
+            yield v[starts], pb[b] * pa[a], starts, lambda pos: la[a[pos]] + lb[b[pos]]
+        lo = hi
 
-    def pair_order():
-        return np.argsort(np.add.outer(atom_v, values).ravel())
 
-    order = pair_order()
-    # sorted pair values and masses are gathered from the pair indices a
-    # block at a time, so no unsorted copy of either outlives the argsort
-    v = np.empty(order.size)
-    p = np.empty(order.size)
-    for lo in range(0, order.size, _GATHER_BLOCK):
-        hi = lo + _GATHER_BLOCK
-        b, a = np.divmod(order[lo:hi], values.size)
-        np.add(atom_v[b], values[a], out=v[lo:hi])
-        np.multiply(pb[b], pa[a], out=p[lo:hi])
-    del order
-    new = np.empty(v.size, dtype=bool)
-    new[0] = True
-    np.not_equal(v[1:], v[:-1], out=new[1:])
-    starts = np.flatnonzero(new)
-    del new
-    v = v[starts]
-
-    def log_terms(pos):
-        b, a = np.divmod(pair_order()[pos], values.size)
-        return la[a] + lb[b]
-
-    return v, _run_log_sums(p, starts, log_terms) + (top_a + top_b)
+def _convolve_sparsify(values, logp, atom_v, atom_lp, eps_step: float):
+    """The law of the sum of two independent variables given as ascending
+    (values, log masses), sparsified at ``eps_step`` as ``_sparsify`` would
+    sparsify their exact convolution.  Pairs are formed, sorted and merged
+    one window of values at a time, so memory does not grow with the number
+    of pairs.  Pair masses are formed and summed in linear space, scaled by
+    the largest pair mass."""
+    top_a, top_b = logp.max(), atom_lp.max()
+    windows = _pair_windows(values, logp - top_a, atom_v, atom_lp - top_b)
+    return _merge_stream(windows, top_a + top_b, eps_step)
 
 
 def _finalize_cdf(values, logp, err_budget) -> CompressedCDF:
@@ -305,8 +380,7 @@ def compressed_tail_cdf(pmfs, eps_step: float, collect: list | None = None) -> C
     for j, (atom_v, atom_lp) in enumerate(factors[1:], start=1):
         if collect is not None:
             collect.append(_finalize_cdf(values, logp, (1.0 + eps_step) ** (2 * j - 1)))
-        values, logp = _convolve_pmfs(values, logp, atom_v, atom_lp)
-        values, logp = _sparsify(values, logp, eps_step)
+        values, logp = _convolve_sparsify(values, logp, atom_v, atom_lp, eps_step)
     out = _finalize_cdf(values, logp, (1.0 + eps_step) ** (2 * len(factors) - 1))
     if collect is not None:
         collect.append(out)

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from quadgauss.counter import (
     CountResult,
     EngineTooLargeError,
     PrefixCDFTable,
-    _convolve_pmfs,
+    _convolve_sparsify,
+    _pair_windows,
     _sparsify,
     compressed_tail_cdf,
     count,
@@ -201,16 +203,54 @@ def random_lattice_pmf(gen, size, step=2.0**-6):
 class TestKernels:
     """The linear-space kernels against the log-space reference in oracles."""
 
-    def test_convolve_matches_log_space_reference(self):
+    @pytest.mark.parametrize("step", [2.0**-6, 0.1])
+    def test_pair_windows_partition_the_convolution(self, monkeypatch, step):
+        # small windows: every pair lands in exactly one, in value order; at
+        # step 0.1 pair sums round, and equal sums must share a window
+        monkeypatch.setattr(counter, "_PAIR_BLOCK", 97)
+        monkeypatch.setattr(counter, "_SAMPLE_STRIDE", 1)
         gen = np.random.default_rng(11)
         for _ in range(20):
-            a = random_lattice_pmf(gen, int(gen.integers(1, 300)))
-            b = random_lattice_pmf(gen, int(gen.integers(1, 300)))
-            got_v, got_lp = _convolve_pmfs(*a, *b)
+            a = random_lattice_pmf(gen, int(gen.integers(1, 300)), step)
+            b = random_lattice_pmf(gen, int(gen.integers(1, 300)), step)
+            chunks = [
+                (v, np.logaddexp.reduceat(log_terms(np.arange(p.size)), starts))
+                for v, p, starts, log_terms in _pair_windows(a[0], a[1], b[0], b[1])
+            ]
+            assert len(chunks) > 1 or a[0].size * b[0].size <= 97
+            got_v = np.concatenate([v for v, _ in chunks])
+            got_lp = np.concatenate([lp for _, lp in chunks])
             want_v, want_lp = oracles.convolve_log(*a, *b)
             assert np.array_equal(got_v, want_v)
             np.testing.assert_allclose(got_lp, want_lp, rtol=0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("block, stride", [(97, 1), (1 << 16, 32)])
+    def test_convolve_matches_log_space_reference(self, monkeypatch, block, stride):
+        monkeypatch.setattr(counter, "_PAIR_BLOCK", block)
+        monkeypatch.setattr(counter, "_SAMPLE_STRIDE", stride)
+        gen = np.random.default_rng(11)
+        for _ in range(20):
+            a = random_lattice_pmf(gen, int(gen.integers(1, 300)))
+            b = random_lattice_pmf(gen, int(gen.integers(1, 300)))
+            exact = oracles.convolve_log(*a, *b)
+            for eps_step in (1e-3, 1e-2, 0.3):
+                got_v, got_lp = _convolve_sparsify(*a, *b, eps_step)
+                want_v, want_lp = oracles.sparsify_log(*exact, eps_step)
+                assert np.array_equal(got_v, want_v)
+                np.testing.assert_allclose(got_lp, want_lp, rtol=0.0, atol=1e-12)
+
+    def test_convolution_memory_does_not_grow_with_pairs(self):
+        # 4M distinct pair values: holding every pair at once took 133 MB,
+        # one window at a time takes under 10 MB
+        gen = np.random.default_rng(13)
+        a, b = ((np.sort(gen.uniform(size=2000)), gen.normal(size=2000)) for _ in range(2))
+        tracemalloc.start()
+        try:
+            _convolve_sparsify(*a, *b, 1e-3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
     def test_sparsify_matches_log_space_reference(self):
         gen = np.random.default_rng(12)
         for _ in range(20):
@@ -238,7 +278,19 @@ class TestKernels:
         assert np.all(approx <= exact * (1.0 + 1e-12))
         assert np.all(exact <= 1.1 * approx * (1.0 + 1e-12))
 
-    def test_no_atom_lost_beyond_linear_range(self):
+    def test_sparsify_leaves_log_head_at_the_step(self):
+        # relative to the top atom: e^-693.2 lies below the 2^-1000 linear
+        # floor, adding e^-696 lifts the cumulative just above it but by
+        # less than the step, so that atom merges into the next one
+        values = np.arange(5.0)
+        logp = np.array([-693.2, -696.0, 0.0, 0.0, 0.0])
+        got_v, got_lp = _sparsify(values, logp, 0.1)
+        want_v, want_lp = oracles.sparsify_log(values, logp, 0.1)
+        assert np.array_equal(want_v, [0.0, 2.0, 3.0, 4.0])
+        assert np.array_equal(got_v, want_v)
+        np.testing.assert_allclose(got_lp, want_lp, rtol=0.0, atol=1e-12)
+
+    def test_no_atom_lost_beyond_linear_range(self, monkeypatch):
         # tails at B = 40 weigh ~e^-785 per factor: the sum of two spans more
         # than the ~745 nats a scaled double can hold
         spec = GridSpec(tau=0.5, B=40.0, n=3)
@@ -251,15 +303,19 @@ class TestKernels:
         f1, f2 = (
             support_and_log_pmf(float(dc.lam[j]), float(dc.mu[j]), spec) for j in range(2)
         )
-        got_v, got_lp = _convolve_pmfs(*f1, *f2)
-        want_v, want_lp = oracles.convolve_log(*f1, *f2)
-        assert want_lp.max() - want_lp.min() > 1000.0
+        exact = oracles.convolve_log(*f1, *f2)
+        assert exact[1].max() - exact[1].min() > 1000.0
+        want_v, want_lp = oracles.sparsify_log(*exact, 1e-3)
+        got_v, got_lp = _sparsify(*exact, 1e-3)
         assert np.array_equal(got_v, want_v)
         np.testing.assert_allclose(got_lp, want_lp, rtol=1e-13)
-        got_v, got_lp = _sparsify(want_v, want_lp, 1e-3)
-        want_v, want_lp = oracles.sparsify_log(want_v, want_lp, 1e-3)
-        assert np.array_equal(got_v, want_v)
-        np.testing.assert_allclose(got_lp, want_lp, rtol=1e-13)
+        # in small windows the log-space head and runs carry across windows
+        for block, stride in ((1 << 16, 32), (61, 1)):
+            monkeypatch.setattr(counter, "_PAIR_BLOCK", block)
+            monkeypatch.setattr(counter, "_SAMPLE_STRIDE", stride)
+            got_v, got_lp = _convolve_sparsify(*f1, *f2, 1e-3)
+            assert np.array_equal(got_v, want_v)
+            np.testing.assert_allclose(got_lp, want_lp, rtol=1e-13)
         # the table keeps the leftmost pair, of mass e^(l1 + l2)
         table = PrefixCDFTable.for_count(dc, spec, 0.05)
         assert table.cdfs[2].values[0] == f1[0][0] + f2[0][0]
@@ -269,7 +325,7 @@ class TestKernels:
         def no_convolution(*args):
             raise AssertionError("a convolution ran before the size guard fired")
 
-        monkeypatch.setattr(counter, "_convolve_pmfs", no_convolution)
+        monkeypatch.setattr(counter, "_convolve_sparsify", no_convolution)
         gen = np.random.default_rng(16)
         big = gen.standard_normal((16, 16))
         q = QuadraticForm(
@@ -288,7 +344,7 @@ class TestKernels:
         def stop(*args):
             raise GuardPassed
 
-        monkeypatch.setattr(counter, "_convolve_pmfs", stop)
+        monkeypatch.setattr(counter, "_convolve_sparsify", stop)
         gen = np.random.default_rng(32)
         big = gen.standard_normal((32, 32))
         q = QuadraticForm(

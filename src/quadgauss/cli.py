@@ -5,8 +5,11 @@ Exit codes: 0 success, 1 malformed or oversized input (including --eps
 outside (0, 1], a negative --samples, a --tau or --gamma that is not a power
 of 2 in (0, 1), a --trunc-B below 1 or not a multiple of --tau, non-finite
 instance entries, a --gamma with n*gamma^2 > 1/4 on a non-constant instance,
-and instances beyond the engine's size guards), 2 below-floor counting result,
-3 filter-retry exhaustion, 4 validation/densification failure.
+instances beyond the engine's size guards, and for densify an --eps or
+--delta outside (0, 1), an --n-pos below 1 or below the coverage bound, or a
+negative --mistake-budget), 2 below-floor counting result, 3 filter-retry
+exhaustion, 4 validation/densification failure (including an exhausted
+budget and a kappa-rounding flip rate above 1%).
 """
 
 from __future__ import annotations
@@ -25,7 +28,12 @@ from .counter import (
     EngineTooLargeError,
     count_ptf_gaussian,
 )
-from .densifier import DensifierConfig, BudgetExhaustedError, planted_experiment
+from .densifier import (
+    BudgetExhaustedError,
+    DensifierConfig,
+    KappaFlipError,
+    planted_experiment,
+)
 from .grid import GridSpec
 from .numerics import Rng
 from .quadform import RoundingConfig, instance_to_dict, load_instance
@@ -150,7 +158,22 @@ def cmd_geninstance(args: argparse.Namespace) -> int:
     return 0
 
 
+def _bad_densify_args(args: argparse.Namespace) -> str | None:
+    for flag, v in (("--eps", args.eps), ("--delta", args.delta)):
+        if not (0.0 < v < 1.0):
+            return f"{flag} must lie in (0, 1), got {v}"
+    if args.n_pos is not None and args.n_pos < 1:
+        return f"--n-pos must be >= 1, got {args.n_pos}"
+    if args.mistake_budget is not None and args.mistake_budget < 0:
+        return f"--mistake-budget must be >= 0, got {args.mistake_budget}"
+    return None
+
+
 def cmd_densify(args: argparse.Namespace) -> int:
+    bad = _bad_densify_args(args)
+    if bad:
+        sys.stderr.write(f"error: {bad}\n")
+        return 1
     try:
         inst = load_instance(args.instance)
     except Exception as exc:
@@ -163,15 +186,21 @@ def cmd_densify(args: argparse.Namespace) -> int:
         n_pos=args.n_pos,
     )
     try:
+        cfg.resolve(inst.n)
+    except ValueError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 1
+    try:
         report = planted_experiment(
             inst, cfg, Rng(args.seed), transcript_path=args.transcript
         )
-    except BudgetExhaustedError as exc:
+    except (BudgetExhaustedError, KappaFlipError) as exc:
         if args.transcript:
             with open(args.transcript, "w", encoding="utf-8") as fh:
                 for event in exc.transcript:
                     fh.write(json.dumps(event, sort_keys=True) + "\n")
-        _emit({"error": "budget-exhausted", "detail": str(exc)})
+        error = "budget-exhausted" if isinstance(exc, BudgetExhaustedError) else "kappa-flip"
+        _emit({"error": error, "detail": str(exc)})
         return 4
     _emit(report)
     return 0 if (report["passed_a"] and report["passed_b"]) else 4

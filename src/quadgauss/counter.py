@@ -48,7 +48,7 @@ from .grid import (
     support_and_log_pmf,
     support_and_pmf,
 )
-from .numerics import LOG_ZERO, Rng, log_sum
+from .numerics import LOG_ZERO, Rng, log_sum, normal_blocks
 from .quadform import (
     ConstantPolynomialError,
     DecoupledConstraint,
@@ -681,21 +681,16 @@ def mc_count(
 ) -> tuple[float, float]:
     """Monte Carlo frequency of sign(q(G)) = +1 with a 99% CI half-width.
 
-    Work is split into fixed-size blocks, each drawn from a derived child
-    stream, so the estimate depends only on (seed, n_samples) no matter how
-    blocks are scheduled.
+    Block i of ``chunk`` draws comes from the child stream ``rng.derive(i)``
+    (see :func:`normal_blocks`, which fills blocks on at most 2 worker
+    threads), so the estimate depends only on (seed, n_samples, chunk), not
+    on the worker count or on how blocks are scheduled.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     hits = 0
-    done = 0
-    block = 0
-    while done < n_samples:
-        size = min(chunk, n_samples - done)
-        g = rng.derive(block).normal(size=(size, q.n))
+    for g in normal_blocks(rng, q.n, chunk, total=n_samples):
         hits += int(np.count_nonzero(np.asarray(sign_at(q, g)) == 1))
-        done += size
-        block += 1
     p = hits / n_samples
     half = _Z99 * math.sqrt(max(p * (1.0 - p), 0.0) / n_samples)
     return p, half

@@ -26,12 +26,13 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import closing
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .counter import count_ptf_gaussian, mc_count
-from .numerics import Rng
+from .numerics import Rng, normal_blocks
 from .quadform import QuadraticForm, sign_at
 from .sampler import PtfSampler
 
@@ -45,6 +46,7 @@ __all__ = [
     "DensifierConfig",
     "DensifyResult",
     "BudgetExhaustedError",
+    "KappaFlipError",
     "MarginError",
     "densify",
     "planted_experiment",
@@ -270,6 +272,15 @@ class BudgetExhaustedError(RuntimeError):
         self.transcript = transcript
 
 
+class KappaFlipError(RuntimeError):
+    """Rounding fed points to the kappa lattice flipped the learner's
+    prediction on more than 1% of them; the transcript is attached."""
+
+    def __init__(self, message: str, transcript: list[dict]):
+        super().__init__(message)
+        self.transcript = transcript
+
+
 @dataclass
 class DensifyResult:
     hypothesis: QuadraticForm
@@ -368,8 +379,8 @@ def densify(
             )
             flip_frac = flips / fed if fed else 0.0
             if flip_frac > 0.01:
-                raise AssertionError(
-                    f"kappa rounding flipped {flip_frac:.1%} of fed points"
+                raise KappaFlipError(
+                    f"kappa rounding flipped {flip_frac:.1%} of fed points", transcript
                 )
             return DensifyResult(
                 hypothesis=g,
@@ -395,21 +406,48 @@ def densify(
         rounds += 1
 
 
-def _rejection_positives(f: QuadraticForm, rng: Rng, chunk: int = 1 << 15):
-    def source(k: int, _state={"i": 0}) -> np.ndarray:
-        out = []
-        got = 0
+def _rejection_sample(
+    q: QuadraticForm, k: int, rng: Rng, first: int, limit: int, what: str
+) -> tuple[np.ndarray, int]:
+    """The first k points with sign(q) = +1 among blocks of 2^15 normals, block
+    i drawn from ``rng.derive(i)`` for i = first, first + 1, ...; returns them
+    with the index of the first unused block.  Raises once ``limit`` is
+    passed."""
+    kept: list[np.ndarray] = []
+    got = 0
+    i = first
+    with closing(normal_blocks(rng, q.n, 1 << 15, first=first)) as blocks:
         while got < k:
-            g = rng.derive(10_000 + _state["i"]).normal(size=(chunk, f.n))
-            _state["i"] += 1
-            keep = np.asarray(sign_at(f, g)) == 1
-            pts = g[keep]
-            if pts.size:
-                out.append(pts)
-                got += pts.shape[0]
-            if _state["i"] > 40_000:
-                raise RuntimeError("positive rejection sampling starved")
-        return np.concatenate(out)[:k]
+            g = next(blocks)
+            i += 1
+            keep = g[np.asarray(sign_at(q, g)) == 1]
+            if keep.size:
+                kept.append(keep)
+                got += keep.shape[0]
+            if i > limit:
+                raise RuntimeError(f"{what} rejection sampling starved")
+    return np.concatenate(kept)[:k], i
+
+
+def _rejection_positives(f: QuadraticForm, rng: Rng):
+    """Positive source by rejection: each call continues with the next block."""
+    next_block = 10_000
+
+    def source(k: int) -> np.ndarray:
+        nonlocal next_block
+        pts, next_block = _rejection_sample(f, k, rng, next_block, 10_000 + 40_000, "positive")
+        return pts
+
+    return source
+
+
+def _sampler_positives(f: QuadraticForm, eps: float, rng: Rng):
+    """Positive source through a sampler: every call continues the one stream
+    ``rng``, so later calls return fresh points."""
+    sampler = PtfSampler(f, eps, floor=0.0)
+
+    def source(k: int) -> np.ndarray:
+        return sampler.sample_batch(k, rng, exact_filter=True)
 
     return source
 
@@ -436,10 +474,7 @@ def planted_experiment(
     if p_est >= 1e-4:
         pos = _rejection_positives(f, rng.derive(1))
     else:
-        sampler = PtfSampler(f, cfg.eps, floor=0.0)
-
-        def pos(k: int) -> np.ndarray:
-            return sampler.sample_batch(k, rng.derive(2), exact_filter=True)
+        pos = _sampler_positives(f, cfg.eps, rng.derive(2))
 
     result = densify(pos, cfg, rng.derive(3), f_oracle=lambda pts: sign_at(f, pts))
     if transcript_path:
@@ -456,19 +491,9 @@ def planted_experiment(
     # (b) density of the target inside g's region
     g_mass, _ = mc_count(g, 1 << 16, rng.derive(4))
     if g_mass >= 1e-2:
-        got = []
-        need = n_validation
-        i = 0
-        while need > 0:
-            draw = rng.derive(50_000 + i).normal(size=(1 << 15, f.n))
-            i += 1
-            keep = draw[np.asarray(sign_at(g, draw)) == 1]
-            if keep.size:
-                got.append(keep)
-                need -= keep.shape[0]
-            if i > 20_000:
-                raise RuntimeError("hypothesis rejection sampling starved")
-        neg_pool = np.concatenate(got)[:n_validation]
+        neg_pool, _ = _rejection_sample(
+            g, n_validation, rng, 50_000, 50_000 + 20_000, "hypothesis"
+        )
     else:
         g_sampler = PtfSampler(g, cfg.eps, floor=0.0)
         neg_pool = g_sampler.sample_batch(n_validation, rng.derive(5))

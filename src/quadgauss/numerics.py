@@ -14,12 +14,18 @@ used here (n <= a few dozen) is as accurate as anything LAPACK would return.
 
 Everything in this module is pure given explicit inputs.  ``Rng`` is the one
 stateful object: a splittable counter-based (Philox) stream, single-owner by
-convention.
+convention.  ``normal_blocks`` draws blocks of normals on at most two worker
+threads; each block is fixed by its child stream, so the output does not
+depend on the worker count.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +35,7 @@ __all__ = [
     "LOG_ZERO",
     "LogProb",
     "Rng",
+    "normal_blocks",
     "EigenConvergenceError",
     "std_normal_cdf",
     "log_std_normal_cdf",
@@ -234,6 +241,11 @@ class LogProb:
         return self.value <= other.value
 
 
+def _philox(seed: int, spawn_key: tuple[int, ...]) -> np.random.Generator:
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=spawn_key)
+    return np.random.Generator(np.random.Philox(ss))
+
+
 class Rng:
     """Seeded, splittable, counter-based random stream (Philox).
 
@@ -241,14 +253,15 @@ class Rng:
     yields an independent child stream determined by (seed, spawn path, i),
     so sharded Monte Carlo is reproducible no matter how work is divided.
     A stream is single-owner: never share one instance across concurrent
-    consumers, derive children instead.
+    consumers, derive children instead.  Block draws through
+    :func:`normal_blocks` use at most 2 worker threads, and their output does
+    not depend on the worker count.
     """
 
     def __init__(self, seed: int, _spawn_key: tuple[int, ...] = ()):
         self.seed = int(seed)
         self.spawn_key = tuple(int(k) for k in _spawn_key)
-        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=self.spawn_key)
-        self._gen = np.random.Generator(np.random.Philox(ss))
+        self._gen = _philox(self.seed, self.spawn_key)
 
     def derive(self, index: int) -> "Rng":
         """Independent child stream; deterministic in (seed, path, index)."""
@@ -268,6 +281,67 @@ class Rng:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Rng(seed={self.seed}, spawn_key={self.spawn_key})"
+
+
+_POOL: tuple[int, ThreadPoolExecutor, int] | None = None  # (pid, pool, workers)
+_POOL_LOCK = threading.Lock()
+
+
+def _draw_pool() -> tuple[ThreadPoolExecutor, int]:
+    """The block-draw pool, started on first use (again after a fork): one
+    worker per CPU this process may run on, at most 2."""
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None or _POOL[0] != os.getpid():
+            cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+            workers = min(2, cpus or 1)
+            pool = ThreadPoolExecutor(workers, thread_name_prefix="quadgauss-normal")
+            _POOL = (os.getpid(), pool, workers)
+        return _POOL[1], _POOL[2]
+
+
+def normal_blocks(rng: Rng, n: int, size: int, first: int = 0, total: int | None = None):
+    """Yield standard-normal blocks of ``size`` rows and ``n`` columns.
+
+    Block i is exactly ``rng.derive(first + i).normal((m, n))``, where m is
+    ``size`` except for a partial last block when ``total`` (rows in all,
+    None for an endless stream) is not a multiple of ``size``.  Worker
+    threads fill the next block while the caller works on the current one.
+    They fill preallocated slots, one per worker, and a yielded block is a
+    view of its slot, valid only until the next block is requested: copy
+    what must be kept.  A worker's exception is raised here; closing the
+    generator cancels the blocks not yet started.
+    """
+    if size < 1 or n < 1 or (total is not None and total < 0):
+        raise ValueError("normal_blocks needs size, n >= 1 and total >= 0")
+    pool, workers = _draw_pool()
+    end = math.inf if total is None else total
+    slots = workers if total is None else min(workers, -(-total // size))
+    bufs = [np.empty((min(size, end), n)) for _ in range(slots)]
+    seed, key = rng.seed, rng.spawn_key
+
+    def fill(buf: np.ndarray, index: int) -> np.ndarray:
+        return _philox(seed, key + (first + index,)).standard_normal(out=buf)
+
+    pending: deque = deque()
+    submitted = 0
+
+    def submit() -> None:
+        nonlocal submitted
+        if submitted * size < end:
+            m = min(size, end - submitted * size)
+            pending.append(pool.submit(fill, bufs[submitted % slots][:m], submitted))
+            submitted += 1
+
+    try:
+        for _ in range(slots):
+            submit()
+        while pending:
+            yield pending.popleft().result()
+            submit()  # the slot of the block just yielded is free again
+    finally:
+        for fut in pending:
+            fut.cancel()
 
 
 def _truncated_right_tail(lo: float, hi: float, u: np.ndarray) -> np.ndarray:

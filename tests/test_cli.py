@@ -1,3 +1,4 @@
+import functools
 import json
 import subprocess
 import sys
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from quadgauss import cli
+from quadgauss.densifier import DensifierConfig
 from quadgauss.quadform import QuadraticForm, save_instance
 
 
@@ -97,6 +99,14 @@ class TestBadInput:
             ["count", "--trunc-B", "0.3"],
             ["count", "--gamma", "0.5"],
             ["sample", "--gamma", "0.5"],
+            ["densify", "--eps", "0"],
+            ["densify", "--eps", "-0.1"],
+            ["densify", "--eps", "1"],
+            ["densify", "--delta", "1.5"],
+            ["densify", "--delta", "0"],
+            ["densify", "--n-pos", "0"],
+            ["densify", "--n-pos", "5"],
+            ["densify", "--mistake-budget", "-1"],
         ],
     )
     def test_bad_flag_exit_1(self, chi2_instance, capsys, argv):
@@ -317,6 +327,25 @@ class TestDensifyCommand:
         assert json.loads(out)["error"] == "budget-exhausted"
         events = [json.loads(line) for line in transcript.read_text().splitlines()]
         assert any(e["event"] == "count" for e in events)
+
+
+    def test_kappa_flip_exit_4(self, tmp_path, capsys, monkeypatch):
+        # the CLI has no --kappa flag; a coarse lattice (kappa = 1) makes
+        # rounding flip the learner's prediction on fed points
+        monkeypatch.setattr(cli, "DensifierConfig", functools.partial(DensifierConfig, kappa=1.0))
+        path = tmp_path / "thin.json"
+        save_instance(
+            QuadraticForm(A=np.zeros((2, 2)), b=np.array([1.0, 0.0]), c=-2.9),
+            str(path),
+        )
+        transcript = tmp_path / "run.jsonl"
+        argv = ["densify", "--instance", str(path), "--mistake-budget", "30", "--seed", "1"]
+        code, out = run_inproc([*argv, "--transcript", str(transcript)], capsys)
+        assert code == 4
+        doc = json.loads(out)
+        assert doc["error"] == "kappa-flip" and "kappa rounding flipped" in doc["detail"]
+        events = [json.loads(line) for line in transcript.read_text().splitlines()]
+        assert events[-1]["event"] == "terminate"
 
 
 class TestValidate:

@@ -433,3 +433,13 @@ class TestMcCount:
         a = mc_count(q, 10_000, Rng(4), chunk=1 << 16)
         b = mc_count(q, 10_000, Rng(4), chunk=1 << 16)
         assert a == b
+
+    def test_pinned_values(self):
+        # recorded with serial block draws; threaded block draws must agree
+        chi2 = QuadraticForm(A=-np.eye(2), b=np.zeros(2), c=2.0)
+        assert mc_count(chi2, 70_001, Rng(3), chunk=1 << 12) == (
+            0.6338623733946658,
+            0.0046901272370572745,
+        )
+        thin3 = QuadraticForm(A=np.zeros((3, 3)), b=np.array([1.0, 0.0, 0.0]), c=-3.0)
+        assert mc_count(thin3, 100_000, Rng(7)) == (0.00148, 0.00031313118484105855)

@@ -7,10 +7,12 @@ from quadgauss.densifier import (
     BudgetExhaustedError,
     DensifierConfig,
     EllipsoidLearner,
+    KappaFlipError,
     PerceptronLearner,
     densify,
     feature_dim,
     feature_map,
+    _sampler_positives,
     planted_experiment,
     quadratic_from_weights,
     weights_from_quadratic,
@@ -200,6 +202,23 @@ class TestDensify:
             assert isinstance(event["step"], int)
             assert event["event"] in allowed
 
+    def test_coarse_kappa_raises_typed_error(self):
+        # kappa = 1 rounds fed points so coarsely that the learner's
+        # prediction flips on a third of them
+        f = QuadraticForm(A=np.zeros((2, 2)), b=np.array([1.0, 0.0]), c=-2.9)
+        cfg = DensifierConfig(
+            eps=0.2,
+            delta=0.2,
+            mistake_budget=30,
+            n_pos=1000,
+            p_hat=0.00196,
+            sample_tau=2.0**-4,
+            kappa=1.0,
+        )
+        with pytest.raises(KappaFlipError, match="kappa rounding flipped") as err:
+            densify(_planted_source(f, Rng(5)), cfg, Rng(6))
+        assert any(e["event"] == "terminate" for e in err.value.transcript)
+
     def test_n_pos_floor_enforced(self):
         f = QuadraticForm(A=-np.eye(2), b=np.zeros(2), c=2.0)
         cfg = DensifierConfig(eps=0.1, delta=0.1, n_pos=10, p_hat=0.64)
@@ -220,6 +239,39 @@ class TestPlantedExperiment:
         rep = planted_experiment(f, DensifierConfig(eps=0.1, delta=0.1), Rng(11))
         assert rep["passed_a"] and rep["passed_b"]
         assert rep["density"] >= 1.0 / (8.0 * rep["mistake_budget"])
+
+    def test_thin3_report_pinned(self):
+        # recorded with serial block draws; threaded block draws must agree
+        f = QuadraticForm(A=np.zeros((3, 3)), b=np.array([1.0, 0.0, 0.0]), c=-3.0)
+        rep = planted_experiment(
+            f, DensifierConfig(eps=0.1, delta=0.1), Rng(1).derive(4), n_validation=3000
+        )
+        assert rep == {
+            "n": 3,
+            "p_estimate": 0.001361162791277045,
+            "p_hat": 0.0014065348843196133,
+            "mistakes": 0,
+            "rounds": 0,
+            "gamma": 4.098360655737705e-05,
+            "mistake_budget": 3050,
+            "agreement": 1.0,
+            "agreement_ci": 0.0,
+            "density": 0.0016666666666666668,
+            "density_ci": 0.0019184363385802473,
+            "kappa_flip_fraction": 0.0,
+            "passed_a": True,
+            "passed_b": True,
+            "transcript_events": 2,
+        }
+
+    def test_sampler_positives_are_fresh_across_calls(self):
+        # the low-mass positive source continues one stream: a second call
+        # must not replay the first call's points
+        f = QuadraticForm(A=np.zeros((2, 2)), b=np.array([1.0, 0.0]), c=-4.0)
+        pos = _sampler_positives(f, 0.1, Rng(2).derive(2))
+        a, b = pos(3), pos(3)
+        assert np.all(a[:, 0] >= 4.0) and np.all(b[:, 0] >= 4.0)
+        assert not np.any(np.isin(b, a))
 
     def test_constant_positive_target(self):
         f = QuadraticForm(A=np.zeros((2, 2)), b=np.zeros(2), c=1.0)

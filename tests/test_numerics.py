@@ -1,8 +1,13 @@
 import math
+import os
+import sys
+import threading
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
+from quadgauss import numerics
 from quadgauss.numerics import (
     LOG_ZERO,
     LogProb,
@@ -11,6 +16,7 @@ from quadgauss.numerics import (
     jacobi_eigen,
     log_interval_mass,
     log_sum,
+    normal_blocks,
     std_normal_cdf,
     truncated_normal_sample,
 )
@@ -219,3 +225,128 @@ class TestRng:
         assert not np.array_equal(
             Rng(9).derive(1).derive(2).uniform(10), Rng(9).derive(2).derive(1).uniform(10)
         )
+
+
+def _serial_blocks(rng, n, size, first, total):
+    # the definition normal_blocks must reproduce, one block at a time
+    out, i = [], 0
+    while total is None or i * size < total:
+        m = size if total is None else min(size, total - i * size)
+        out.append(rng.derive(first + i).normal((m, n)))
+        i += 1
+        if total is None and i == 6:
+            break
+    return out
+
+
+class TestNormalBlocks:
+    @pytest.mark.parametrize(
+        "first, size, total", [(0, 64, 64 * 5), (7, 100, 1030), (40_000, 33, 33), (3, 50, None)]
+    )
+    def test_equals_serial_definition(self, first, size, total):
+        rng = Rng(5).derive(2)
+        want = _serial_blocks(rng, 3, size, first, total)
+        got = []
+        for block in normal_blocks(rng, 3, size, first=first, total=total):
+            got.append(block.copy())
+            if total is None and len(got) == len(want):
+                break
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and np.array_equal(a, b)
+
+    def test_early_break_then_fresh_generator(self):
+        rng = Rng(8)
+        gen = normal_blocks(rng, 2, 16, total=16 * 50)
+        first = next(gen).copy()
+        gen.close()
+        again = next(normal_blocks(rng, 2, 16, total=16 * 50))
+        assert np.array_equal(first, again)
+        assert np.array_equal(first, rng.derive(0).normal((16, 2)))
+
+    def test_close_cancels_pending_blocks(self, monkeypatch):
+        # a pool whose tasks run only when their result is read, so a block
+        # that nobody reads stays pending until the generator is closed
+        class LazyFuture(Future):
+            def __init__(self, fn, args):
+                super().__init__()
+                self.task = (fn, args)
+
+            def result(self, timeout=None):
+                if self.set_running_or_notify_cancel():
+                    fn, args = self.task
+                    self.set_result(fn(*args))
+                return super().result(timeout)
+
+        class LazyPool:
+            def __init__(self):
+                self.futures = []
+
+            def submit(self, fn, *args):
+                self.futures.append(LazyFuture(fn, args))
+                return self.futures[-1]
+
+        pool = LazyPool()
+        monkeypatch.setattr(numerics, "_POOL", (os.getpid(), pool, 2))
+        gen = normal_blocks(Rng(1), 2, 16, total=16 * 10)
+        assert np.array_equal(next(gen), Rng(1).derive(0).normal((16, 2)))
+        gen.close()
+        assert [f.cancelled() for f in pool.futures] == [False, True]
+
+    def test_one_worker_pool(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_POOL", None)
+        monkeypatch.setattr(numerics.os, "sched_getaffinity", lambda pid: {0})
+        pool, workers = numerics._draw_pool()
+        try:
+            assert workers == 1
+            rng = Rng(4)
+            got = [b.copy() for b in normal_blocks(rng, 3, 40, first=2, total=150)]
+            want = _serial_blocks(rng, 3, 40, 2, 150)
+            assert [b.shape[0] for b in got] == [40, 40, 40, 30]
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        finally:
+            pool.shutdown()
+
+    def test_at_most_two_workers(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_POOL", None)
+        monkeypatch.setattr(numerics.os, "sched_getaffinity", lambda pid: set(range(64)))
+        pool, workers = numerics._draw_pool()
+        pool.shutdown()
+        assert workers == 2
+
+    def test_worker_error_reaches_consumer(self, monkeypatch):
+        def broken(seed, key):
+            raise RuntimeError("fill failed")
+
+        monkeypatch.setattr(numerics, "_philox", broken)
+        with pytest.raises(RuntimeError, match="fill failed"):
+            next(normal_blocks(Rng(0), 2, 8, total=80))
+
+    def test_concurrent_consumers_share_the_pool(self):
+        # more consumers than workers, switching threads as often as possible
+        results: dict[int, list[np.ndarray]] = {}
+
+        def consume(k: int) -> None:
+            results[k] = [b.copy() for b in normal_blocks(Rng(k), 2, 64, total=64 * 20 + 5)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=consume, args=(k,)) for k in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for k in range(6):
+            want = _serial_blocks(Rng(k), 2, 64, 0, 64 * 20 + 5)
+            assert len(results[k]) == len(want)
+            assert all(np.array_equal(a, b) for a, b in zip(results[k], want))
+
+    def test_rejects_bad_sizes(self):
+        with pytest.raises(ValueError):
+            next(normal_blocks(Rng(0), 2, 0))
+        with pytest.raises(ValueError):
+            next(normal_blocks(Rng(0), 2, 8, total=-1))

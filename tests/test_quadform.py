@@ -54,6 +54,26 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(q, np.zeros(3))
 
+    @pytest.mark.parametrize("shape", [(4,), (7, 4), (3, 5, 4)])
+    def test_matches_explicit_sum(self, shape):
+        gen = np.random.default_rng(1)
+        q = random_form(gen, 4)
+        xs = gen.normal(size=shape)
+        got = evaluate(q, xs)
+        pts = xs.reshape(-1, 4)
+        want = [
+            math.fsum(
+                [x[i] * q.A[i, j] * x[j] for i in range(4) for j in range(4)]
+                + [q.b[i] * x[i] for i in range(4)]
+                + [q.c]
+            )
+            for x in pts
+        ]
+        assert np.shape(got) == shape[:-1]
+        np.testing.assert_allclose(np.reshape(got, -1), want, rtol=1e-12)
+        if len(shape) == 1:
+            assert type(got) is float
+
 
 class TestSignAt:
     def test_zero_is_positive(self):

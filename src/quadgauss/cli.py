@@ -36,7 +36,7 @@ from .densifier import (
 )
 from .grid import GridSpec
 from .numerics import Rng
-from .quadform import RoundingConfig, instance_to_dict, load_instance
+from .quadform import QuadraticForm, RoundingConfig, instance_to_dict, load_instance
 from .sampler import FilterRetryError, FloorError, PtfSampler
 from .validation import run_validation
 
@@ -178,6 +178,11 @@ def cmd_densify(args: argparse.Namespace) -> int:
         inst = load_instance(args.instance)
     except Exception as exc:
         sys.stderr.write(f"error: cannot read instance: {exc}\n")
+        return 1
+    if not isinstance(inst, QuadraticForm):
+        sys.stderr.write(
+            "error: densify needs a quadratic-form instance (A, b, c), not a decoupled one\n"
+        )
         return 1
     cfg = DensifierConfig(
         eps=args.eps,

@@ -10,7 +10,9 @@ last kept atom, and merges the mass of dropped atoms into the next kept atom
 to their right.  Merging rightward makes the compressed CDF F' a pointwise
 lower bound of the running CDF F with F <= (1 + eps_step) * F', so after k
 merges the exact CDF is bracketed within a known factor
-``err_budget = (1 + eps_step)^k``.  Masses are stored as logs; pair masses
+``err_budget = (1 + eps_step)^k``.  Count tables also start each walk at a
+floor relative to the answer, which merges the far left tail into the first
+kept atom at a bounded additive cost.  Masses are stored as logs; pair masses
 and cumulative sums are formed in linear space scaled by each call's largest
 mass, and whatever falls too far below it for a double is summed in log
 space instead.  A convolution forms its pairs one window of values at a
@@ -37,6 +39,7 @@ bit-identical outputs.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,7 +107,8 @@ class CompressedCDF:
 
     The represented step function lower-bounds the CDF it was compressed
     from; the true CDF never exceeds it by more than the multiplicative
-    ``err_budget``.
+    ``err_budget``, plus, in a count table with a floor, an additive term
+    (see ``PrefixCDFTable``).
     """
 
     values: np.ndarray
@@ -178,17 +182,19 @@ def _log_cumsum(logp: np.ndarray) -> np.ndarray:
     return out
 
 
-def _merge_stream(chunks, top: float, eps_step: float):
+def _merge_stream(chunks, top: float, eps_step: float, log_floor: float = LOG_ZERO):
     """Greedy rightward merge over a distribution given in ascending chunks.
 
     Each chunk is ``(values, p, starts, log_terms)``: distinct ascending
     values, each of mass the sum of ``p`` over its run of terms (the runs
     begin at ``starts``), ``p`` scaled by exp(-top), and ``log_terms(pos)``
     the logs of ``p`` at ``pos`` without underflow; every chunk lies right
-    of the one before.  An atom is kept once the cumulative mass has grown
-    by more than a (1 + eps_step) factor since the last kept one, the last
-    atom is always kept, and the mass of dropped atoms merges into the next
-    kept atom to their right, so kept anchors retain their exact cumulative
+    of the one before.  The first atom kept is the first whose cumulative
+    mass exceeds exp(log_floor) (the first atom when there is no floor);
+    after it, an atom is kept once the cumulative mass has grown by more
+    than a (1 + eps_step) factor since the last kept one, the last atom is
+    always kept, and the mass of dropped atoms merges into the next kept
+    atom to their right, so kept anchors retain their exact cumulative
     mass.  Returns the kept (values, log masses).
 
     The walk compares scaled linear cumulative sums; over the leading sums
@@ -200,7 +206,7 @@ def _merge_stream(chunks, top: float, eps_step: float):
     kept_v, kept_lp = [], []
     cum_prev, log_cum_prev = 0.0, LOG_ZERO
     run_log, pending = LOG_ZERO, False  # the merged run not yet kept
-    target, in_log = LOG_ZERO, True  # the next kept atom's cumulative exceeds it
+    target, in_log = log_floor - top, True  # the next kept atom's cumulative exceeds it
     for values, p, starts, log_terms in chunks:
         n = values.size
         cum = np.add.reduceat(p, starts)
@@ -247,9 +253,10 @@ def _merge_stream(chunks, top: float, eps_step: float):
     return np.concatenate(kept_v), np.concatenate(kept_lp) + top
 
 
-def _sparsify(values: np.ndarray, logp: np.ndarray, eps_step: float):
+def _sparsify(values: np.ndarray, logp: np.ndarray, eps_step: float, log_floor: float = LOG_ZERO):
     """Merge atoms rightward while consecutive cumulative masses stay within
-    a (1 + eps_step) ratio; kept anchors retain their exact cumulative mass
+    a (1 + eps_step) ratio, and the cumulative mass up to exp(log_floor) into
+    the first kept atom; kept anchors retain their exact cumulative mass
     (``_merge_stream`` on one chunk)."""
     live = logp > LOG_ZERO
     if not np.all(live):
@@ -259,7 +266,7 @@ def _sparsify(values: np.ndarray, logp: np.ndarray, eps_step: float):
     top = logp.max()
     lp = logp - top
     chunk = (values, np.exp(lp), np.arange(values.size), lambda pos: lp[pos])
-    return _merge_stream([chunk], top, eps_step)
+    return _merge_stream([chunk], top, eps_step, log_floor)
 
 
 def _row_splits(values, atom_v, t):
@@ -313,16 +320,16 @@ def _pair_windows(values, la, atom_v, lb):
         lo = hi
 
 
-def _convolve_sparsify(values, logp, atom_v, atom_lp, eps_step: float):
+def _convolve_sparsify(values, logp, atom_v, atom_lp, eps_step: float, log_floor: float = LOG_ZERO):
     """The law of the sum of two independent variables given as ascending
-    (values, log masses), sparsified at ``eps_step`` as ``_sparsify`` would
-    sparsify their exact convolution.  Pairs are formed, sorted and merged
-    one window of values at a time, so memory does not grow with the number
-    of pairs.  Pair masses are formed and summed in linear space, scaled by
-    the largest pair mass."""
+    (values, log masses), sparsified at ``eps_step`` and ``log_floor`` as
+    ``_sparsify`` would sparsify their exact convolution.  Pairs are formed,
+    sorted and merged one window of values at a time, so memory does not
+    grow with the number of pairs.  Pair masses are formed and summed in
+    linear space, scaled by the largest pair mass."""
     top_a, top_b = logp.max(), atom_lp.max()
     windows = _pair_windows(values, logp - top_a, atom_v, atom_lp - top_b)
-    return _merge_stream(windows, top_a + top_b, eps_step)
+    return _merge_stream(windows, top_a + top_b, eps_step, log_floor)
 
 
 def _finalize_cdf(values, logp, err_budget) -> CompressedCDF:
@@ -358,7 +365,19 @@ def _pair_bounds(factors, eps_step: float) -> list[float]:
     return bounds
 
 
-def compressed_tail_cdf(pmfs, eps_step: float, collect: list | None = None) -> CompressedCDF:
+@dataclass(frozen=True)
+class _FlooredStep:
+    """A per-merge ``step`` with an answer-relative floor for
+    ``compressed_tail_cdf``: ``log_floor(factors)`` is called with the
+    factors sparsified at ``step`` once they have passed the size guard, and
+    returns log delta, the cumulative mass up to which every left tail
+    merges into its first kept atom."""
+
+    step: float
+    log_floor: Callable[[list], float]
+
+
+def compressed_tail_cdf(pmfs, eps_step, collect: list | None = None) -> CompressedCDF:
     """Convolve n per-coordinate (values, log pmf) pairs left to right,
     sparsifying every factor before it is convolved and the running sum
     after every convolution, each at the per-merge step ``eps_step``.
@@ -367,24 +386,53 @@ def compressed_tail_cdf(pmfs, eps_step: float, collect: list | None = None) -> C
     lower-bounds the exact CDF and stays within its ``err_budget`` =
     (1 + eps_step)^(2j - 1) of it; ``collect`` receives one per prefix sum.
     All pair counts are checked against the size guard before the first
-    convolution."""
-    factors = [_sparsify(v, lp, eps_step) for v, lp in pmfs]
-    for j, pairs in enumerate(_pair_bounds(factors, eps_step), start=1):
+    convolution.
+
+    ``eps_step`` may be a ``_FlooredStep``: then, unless every convolution
+    fits one pair window (where merging more saves nothing), each factor is
+    sparsified again from its pmf and every merge starts its walk at the
+    floor delta, which also lets the exact CDF exceed the bound by an
+    additive (2j - 1) * err_budget * delta."""
+    step, log_floor = eps_step, None
+    if isinstance(eps_step, _FlooredStep):
+        step, log_floor = eps_step.step, eps_step.log_floor
+    factors = [_sparsify(v, lp, step) for v, lp in pmfs]
+    bounds = _pair_bounds(factors, step)
+    for j, pairs in enumerate(bounds, start=1):
         if pairs > _PAIR_LIMIT:
             raise EngineTooLargeError(
                 f"convolution step {j} may form up to {pairs:.3g} pairs "
                 f"({pairs / factors[j][0].size:.0f} x {factors[j][0].size} "
                 f"atoms), beyond the size guard; use a coarser grid or larger eps"
             )
+    floor = LOG_ZERO
+    if log_floor is not None and max(bounds, default=0.0) > _PAIR_BLOCK:
+        floor = log_floor(factors)
+        if floor > LOG_ZERO:
+            factors = [_sparsify(v, lp, step, floor) for v, lp in pmfs]
     values, logp = factors[0]
     for j, (atom_v, atom_lp) in enumerate(factors[1:], start=1):
         if collect is not None:
-            collect.append(_finalize_cdf(values, logp, (1.0 + eps_step) ** (2 * j - 1)))
-        values, logp = _convolve_sparsify(values, logp, atom_v, atom_lp, eps_step)
-    out = _finalize_cdf(values, logp, (1.0 + eps_step) ** (2 * len(factors) - 1))
+            collect.append(_finalize_cdf(values, logp, (1.0 + step) ** (2 * j - 1)))
+        values, logp = _convolve_sparsify(values, logp, atom_v, atom_lp, step, floor)
+    out = _finalize_cdf(values, logp, (1.0 + step) ** (2 * len(factors) - 1))
     if collect is not None:
         collect.append(out)
     return out
+
+
+def _coarse_log_mass(factors, support: np.ndarray, log_cell: np.ndarray, theta: float) -> float:
+    """log of a lower bound on the grid mass at theta: ``factors`` (the
+    first n - 1 coordinates) sparsified again at step 1 and chained at step
+    1, then summed over the last coordinate's ``support`` values with cell
+    masses ``log_cell``.  Every merge lower-bounds the CDF it replaces, so
+    the result lower-bounds the exact mass."""
+    chain = [_sparsify(v, lp, 1.0) for v, lp in factors]
+    values, logp = chain[0]
+    for atom_v, atom_lp in chain[1:]:
+        values, logp = _convolve_sparsify(values, logp, atom_v, atom_lp, 1.0)
+    cdf = _finalize_cdf(values, logp, 2.0 ** (2 * len(chain) - 1))
+    return log_sum(log_cell + cdf.log_query(theta - support))
 
 
 _POINT_MASS_AT_ZERO = CompressedCDF(
@@ -414,9 +462,26 @@ class PrefixCDFTable:
     one per convolution and one per sparsified factor among coordinates
     1..j, so m_j = 2j - 1.
 
-    Counting reads the mass at the geometric midpoint of beta_{n-1}.  With
-    e = eps/(2 m_{n-1}) = eps/(2(2n - 3)), beta_{n-1} <= exp(eps/2) and the
-    midpoint is within exp(+-eps/4) of the exact mass.
+    Counting (``for_count``) takes e = eps/(2 m_{n-1}) = eps/(2(2n - 3)), so
+    beta = beta_{n-1} <= exp(eps/2), and merges every left tail relative to
+    the answer F = F(theta), the exact grid mass at theta.  A coarse pass
+    chains the same sparsified factors, merged again at step 1, and reads
+    their mass L at theta; L <= F, since every merge lower-bounds.  Each
+    merge of the table then starts its walk at delta = eps' L/(8n), with
+    eps' = min(eps, 1/2): the mass whose cumulative total is at most delta
+    merges into the first kept atom, which keeps its exact cumulative mass.
+    Such a merge leaves F' <= F <= (1 + e) F' + delta, as left of the first
+    kept atom F <= delta, and convolving with a probability law keeps this
+    without growing delta.  Over the 2n - 3 merges, and then summing over
+    the last coordinate's cells (total mass at most 1), the table mass M at
+    theta satisfies M <= F <= beta (M + (2n - 3) delta), where
+    (2n - 3) delta <= eps' L/4 <= eps' F/4.  So F <= beta M/(1 - r) with
+    r = beta eps'/4, and the midpoint sqrt(beta) M satisfies
+    (1 - r)/sqrt(beta) <= sqrt(beta) M/F <= sqrt(beta): both ends lie within
+    [1/(1 + eps), 1 + eps] for every eps in (0, 1] (the cap eps' <= 1/2
+    keeps r small enough near eps = 1).  When every convolution fits one
+    pair window, the floor would save no work, so neither the coarse pass
+    nor the floor runs, and delta = 0.  Sampling tables have no floor.
 
     Sampling: a point's probability under the sampler is the product over
     j of its coordinate-j weight divided by the sum of the coordinate-j
@@ -442,8 +507,11 @@ class PrefixCDFTable:
         cls, dc: DecoupledConstraint, spec: GridSpec, eps: float
     ) -> "PrefixCDFTable":
         """Table whose mass at theta, read at the midpoint of its budget, is
-        within exp(+-eps/4) of the exact mass."""
-        return cls._build(dc, spec, eps / (2.0 * max(2 * dc.n - 3, 1)))
+        within (1 +- eps) of the exact mass; its left tails merge below a
+        floor relative to that mass (see the class docstring)."""
+        n = dc.n
+        step = eps / (2.0 * max(2 * n - 3, 1))
+        return cls._build(dc, spec, step, math.log(min(eps, 0.5) / (8.0 * n)))
 
     @classmethod
     def for_sampling(
@@ -461,17 +529,25 @@ class PrefixCDFTable:
 
     @classmethod
     def _build(
-        cls, dc: DecoupledConstraint, spec: GridSpec, eps_step: float
+        cls,
+        dc: DecoupledConstraint,
+        spec: GridSpec,
+        eps_step: float,
+        log_floor_frac: float | None = None,
     ) -> "PrefixCDFTable":
         """Table for ``dc`` on ``spec``; P_2..P_{n-1} come from
-        ``compressed_tail_cdf`` at ``eps_step``.  Coefficients are expected
-        to be rounded (integral multiples of one lattice step) so that
-        support values collide exactly."""
+        ``compressed_tail_cdf`` at ``eps_step``, floored at
+        exp(log_floor_frac) times the coarse mass at theta when
+        ``log_floor_frac`` is given.  Coefficients are expected to be rounded
+        (integral multiples of one lattice step) so that support values
+        collide exactly."""
         n = dc.n
         if spec.n != n:
             raise ValueError("constraint and grid dimensions disagree")
         kappa = spec.value(np.arange(spec.points_per_coord))
         support = dc.lam[:, None] * kappa * kappa + dc.mu[:, None] * kappa
+        log_cell = _log_cell_masses(spec.tau, spec.B)
+        theta = float(dc.theta)
         cdfs = [_POINT_MASS_AT_ZERO]
         if n >= 2:
             pmfs = [
@@ -480,15 +556,22 @@ class PrefixCDFTable:
             ]
             cdfs.append(_finalize_cdf(*pmfs[0], 1.0))
             if n >= 3:
+                merge = eps_step
+                if log_floor_frac is not None:
+                    merge = _FlooredStep(
+                        eps_step,
+                        lambda factors: log_floor_frac
+                        + _coarse_log_mass(factors, support[n - 1], log_cell, theta),
+                    )
                 steps: list[CompressedCDF] = []
-                compressed_tail_cdf(pmfs, eps_step, collect=steps)
+                compressed_tail_cdf(pmfs, merge, collect=steps)
                 cdfs.extend(steps[1:])
         return cls(
             cdfs=tuple(cdfs),
             support=support,
-            log_cell=_log_cell_masses(spec.tau, spec.B),
+            log_cell=log_cell,
             kappa=kappa,
-            theta=float(dc.theta),
+            theta=theta,
         )
 
     @property
@@ -548,7 +631,12 @@ def count(
     dc: DecoupledConstraint, spec: GridSpec, eps: float = DEFAULT_EPS
 ) -> float:
     """Deterministic estimate of Pr[sum_i Y_i <= theta] on the grid with a
-    certified multiplicative error factor of at most (1 + eps)."""
+    certified multiplicative error factor of at most (1 + eps).
+
+    The count table merges each left tail below an absolute floor of about
+    eps/(8n) times a coarse lower bound on the answer, so its atoms span only
+    the mass range the answer needs; sampling tables keep every tail (see
+    ``PrefixCDFTable``)."""
     if not (0.0 < eps <= 1.0):
         raise ValueError(f"eps must lie in (0, 1], got {eps}")
     table = PrefixCDFTable.for_count(dc, spec, eps)

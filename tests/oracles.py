@@ -140,21 +140,22 @@ def convolve_log(values, logp, atom_v, atom_lp):
     return v[starts], np.logaddexp.reduceat(lp, starts)
 
 
-def sparsify_log(values, logp, eps_step):
-    """Greedy rightward merge in log space: keep an atom once the log
-    cumulative mass has grown by more than log1p(eps_step) since the last
-    kept one, and always keep the last atom."""
+def sparsify_log(values, logp, eps_step, log_floor=-math.inf):
+    """Greedy rightward merge in log space: the first atom kept is the first
+    whose log cumulative mass exceeds ``log_floor``; after it, keep an atom
+    once the log cumulative mass has grown by more than log1p(eps_step)
+    since the last kept one, and always keep the last atom."""
     live = logp > -math.inf
     values, logp = values[live], logp[live]
     m = values.size
     thresh = math.log1p(eps_step)
     cum = np.logaddexp.accumulate(logp)
     kept = []
-    i = 0
+    i = int(np.searchsorted(cum, log_floor, side="right"))
     while i < m:
         kept.append(i)
         i = int(np.searchsorted(cum, cum[i] + thresh, side="right"))
-    if kept[-1] != m - 1:
+    if not kept or kept[-1] != m - 1:
         kept.append(m - 1)
     kept = np.asarray(kept)
     starts = np.concatenate(([0], kept[:-1] + 1))

@@ -116,6 +116,17 @@ class TestBadInput:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
+    def test_densify_rejects_decoupled_instance(self, tmp_path, capsys):
+        path = tmp_path / "dec.json"
+        path.write_text(
+            json.dumps({"decoupled": {"lambda": [0.5, 0.5], "mu": [0.0, 0.0], "theta": 1.0}})
+        )
+        code = cli.main(["densify", "--instance", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "decoupled" in captured.err
+
     def test_coarse_gamma_on_constant_instance_counts(self, const_pos_instance, capsys):
         # a constant polynomial is answered exactly, before any rounding
         code, out = run_inproc(

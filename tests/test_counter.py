@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from quadgauss import counter
+from quadgauss import counter, hardness
 from quadgauss.counter import (
     CountResult,
     EngineTooLargeError,
@@ -316,10 +316,32 @@ class TestKernels:
             got_v, got_lp = _convolve_sparsify(*f1, *f2, 1e-3)
             assert np.array_equal(got_v, want_v)
             np.testing.assert_allclose(got_lp, want_lp, rtol=1e-13)
-        # the table keeps the leftmost pair, of mass e^(l1 + l2)
-        table = PrefixCDFTable.for_count(dc, spec, 0.05)
+        # a sampling table has no floor: it keeps the leftmost pair, of mass
+        # e^(l1 + l2)
+        table = PrefixCDFTable.for_sampling(dc, spec, 0.05)
         assert table.cdfs[2].values[0] == f1[0][0] + f2[0][0]
         assert table.cdfs[2].log_cum[0] == pytest.approx(f1[1][0] + f2[1][0], rel=1e-13)
+        # a count table merges that pair into its first kept atom, which holds
+        # the exact cumulative mass of the (floored) factors it convolved
+        calls = []
+        real = counter._convolve_sparsify
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(counter, "_convolve_sparsify", spy)
+        table = PrefixCDFTable.for_count(dc, spec, 0.05)
+        *factors, _, log_floor = calls[-1]
+        first = table.cdfs[2]
+        assert log_floor > LOG_ZERO
+        # both factors were floored too: each first atom holds more than it
+        assert factors[1][0] > log_floor and factors[3][0] > log_floor
+        assert first.values[0] > f1[0][0] + f2[0][0]
+        conv_v, conv_lp = oracles.convolve_log(*factors)
+        want = np.logaddexp.reduce(conv_lp[conv_v <= first.values[0]])
+        assert first.log_cum[0] == pytest.approx(want, rel=1e-13)
+        assert first.log_cum[0] > log_floor
 
     def test_size_guard_fires_before_any_convolution(self, monkeypatch):
         def no_convolution(*args):
@@ -352,6 +374,171 @@ class TestKernels:
         )
         with pytest.raises(GuardPassed):
             count_ptf_gaussian(q, tau=2.0**-5, trunc_B=4.0)
+
+
+def floors_between_cumulatives(gen, logp, k):
+    """k log floors halfway between consecutive log cumulative masses that
+    differ by more than rounding, plus one below and one above them all."""
+    cum = np.logaddexp.accumulate(logp)
+    gaps = np.flatnonzero(np.diff(cum) > 1e-6)
+    picks = gen.choice(gaps, size=min(k, gaps.size), replace=False)
+    return [cum[0] - 50.0, *(0.5 * (cum[picks] + cum[picks + 1])), cum[-1] + 1.0]
+
+
+def bench_style(n):
+    gen = np.random.default_rng(n)
+    big = gen.standard_normal((n, n))
+    return QuadraticForm(
+        A=-np.eye(n) + 0.3 * (big + big.T) / 2.0, b=0.3 * gen.standard_normal(n), c=float(n)
+    )
+
+
+def cube_style(n):
+    gen = np.random.default_rng(100 + n)
+    w = gen.integers(1, 16, size=n)
+    z = gen.integers(0, 2, size=n)
+    inst = hardness.SubsetSumInstance(w0=int(w @ z), w=tuple(int(v) for v in w))
+    return hardness.gen_deg2_cube_instance(inst)[1]
+
+
+def pair_counter(monkeypatch):
+    """Count the pairs every convolution forms."""
+    formed = [0]
+    real = counter._pair_windows
+
+    def counted(*args):
+        for chunk in real(*args):
+            formed[0] += chunk[1].size
+            yield chunk
+
+    monkeypatch.setattr(counter, "_pair_windows", counted)
+    return formed
+
+
+class TestAnswerRelativeFloor:
+    """Count tables merge each left tail below a floor relative to a coarse
+    lower bound on the answer; sampling tables keep every tail."""
+
+    @pytest.mark.parametrize("block, stride", [(1 << 16, 32), (61, 1)])
+    def test_floored_walk_matches_log_space_reference(self, monkeypatch, block, stride):
+        monkeypatch.setattr(counter, "_PAIR_BLOCK", block)
+        monkeypatch.setattr(counter, "_SAMPLE_STRIDE", stride)
+        gen = np.random.default_rng(21)
+        for _ in range(12):
+            a = random_lattice_pmf(gen, int(gen.integers(2, 300)))
+            b = random_lattice_pmf(gen, int(gen.integers(2, 300)))
+            exact = oracles.convolve_log(*a, *b)
+            for log_floor in floors_between_cumulatives(gen, exact[1], 4):
+                for eps_step in (1e-3, 0.3):
+                    want_v, want_lp = oracles.sparsify_log(*exact, eps_step, log_floor)
+                    for got_v, got_lp in (
+                        _convolve_sparsify(*a, *b, eps_step, log_floor),
+                        _sparsify(*exact, eps_step, log_floor),
+                    ):
+                        assert np.array_equal(got_v, want_v)
+                        np.testing.assert_allclose(got_lp, want_lp, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("block, stride", [(1 << 16, 32), (61, 1)])
+    def test_floor_in_the_log_head(self, monkeypatch, block, stride):
+        # tails at B = 40 lie ~1000 nats below the top pair: floors there sit
+        # in the log-space head of the walk, and the rest in its linear part
+        monkeypatch.setattr(counter, "_PAIR_BLOCK", block)
+        monkeypatch.setattr(counter, "_SAMPLE_STRIDE", stride)
+        spec = GridSpec(tau=0.5, B=40.0, n=2)
+        f1 = support_and_log_pmf(-0.5, 0.25, spec)
+        f2 = support_and_log_pmf(-0.25, 0.0, spec)
+        exact = oracles.convolve_log(*f1, *f2)
+        gen = np.random.default_rng(22)
+        floors = (-1100.0, -900.0, -720.0, -30.0, *floors_between_cumulatives(gen, exact[1], 4))
+        for log_floor in floors:
+            want_v, want_lp = oracles.sparsify_log(*exact, 1e-3, log_floor)
+            got_v, got_lp = _convolve_sparsify(*f1, *f2, 1e-3, log_floor)
+            assert np.array_equal(got_v, want_v)
+            np.testing.assert_allclose(got_lp, want_lp, rtol=1e-13, atol=1e-12)
+
+    def test_count_within_eps_of_bruteforce(self, monkeypatch):
+        # small windows so that the floor engages on small grids
+        monkeypatch.setattr(counter, "_PAIR_BLOCK", 61)
+        coarse = []
+        real = counter._coarse_log_mass
+
+        def spy(*args):
+            coarse.append(real(*args))
+            return coarse[-1]
+
+        monkeypatch.setattr(counter, "_coarse_log_mass", spy)
+        gen = np.random.default_rng(23)
+        spec = {n: GridSpec(tau=0.25, B=2.0, n=n) for n in (3, 4, 5)}
+        worst, floored = 0.0, 0
+        for trial in range(54):
+            n = 3 + trial % 3
+            dc = lattice_constraint(gen, n)
+            exact = exact_tail_bruteforce(dc, spec[n])
+            if exact < 1e-9:
+                continue
+            for eps in (0.05, 0.2, 0.5, 1.0):
+                before = len(coarse)
+                est = count(dc, spec[n], eps)
+                assert len(coarse) == before + 1
+                assert coarse[-1] <= math.log(exact) + 1e-12
+                floored += coarse[-1] > LOG_ZERO
+                assert 1.0 / (1.0 + eps) <= est / exact <= 1.0 + eps
+                if eps == 0.05:
+                    worst = max(worst, abs(math.log(est / exact)))
+        assert floored >= 50 * 4
+        assert worst <= 0.05 / 2
+
+    def test_no_coarse_pass_when_every_step_fits_one_window(self, monkeypatch):
+        def no_coarse(*args):
+            raise AssertionError("the coarse pass ran on a one-window table")
+
+        monkeypatch.setattr(counter, "_coarse_log_mass", no_coarse)
+        gen = np.random.default_rng(24)
+        spec = GridSpec(tau=0.25, B=2.0, n=4)
+        dc = lattice_constraint(gen, 4)
+        step = 0.05 / (2.0 * 5)
+        got = PrefixCDFTable.for_count(dc, spec, 0.05)
+        want = PrefixCDFTable._build(dc, spec, step)
+        for a, b in zip(got.cdfs, want.cdfs):
+            assert np.array_equal(a.values, b.values)
+            assert np.array_equal(a.log_cum, b.log_cum)
+
+    def test_sampling_table_has_no_floor(self, monkeypatch):
+        # even where a count table's floor engages, a sampling table equals
+        # one built straight from the unfloored chain
+        monkeypatch.setattr(counter, "_PAIR_BLOCK", 61)
+        gen = np.random.default_rng(25)
+        for n in (3, 4, 5):
+            spec = GridSpec(tau=0.25, B=2.0, n=n)
+            dc = lattice_constraint(gen, n)
+            for eps in (0.05, 0.5, 1.0):
+                table = PrefixCDFTable.for_sampling(dc, spec, eps)
+                k = (n - 1) ** 2 - 1
+                step = math.expm1(-math.log1p(-eps) / k) if eps < 1.0 else math.inf
+                pmfs = [
+                    support_and_log_pmf(float(dc.lam[j]), float(dc.mu[j]), spec)
+                    for j in range(n - 1)
+                ]
+                steps = []
+                compressed_tail_cdf(pmfs, step, collect=steps)
+                assert len(table.cdfs) == len(steps) + 1
+                for got, want in zip(table.cdfs[2:], steps[1:]):
+                    assert np.array_equal(got.values, want.values)
+                    assert np.array_equal(got.log_cum, want.log_cum)
+                    assert got.err_budget == want.err_budget
+
+    def test_floor_cuts_pairs_at_default_flags(self, monkeypatch):
+        # machine-independent: pairs formed by default-flag counts, the
+        # coarse pass included, against the floor-free tables (a coarse mass
+        # of zero leaves no floor)
+        formed = pair_counter(monkeypatch)
+        estimates = [count_ptf_gaussian(q).estimate for q in (bench_style(5), cube_style(4))]
+        with_floor = formed[0]
+        formed[0] = 0
+        monkeypatch.setattr(counter, "_coarse_log_mass", lambda *args: LOG_ZERO)
+        for q, est in zip((bench_style(5), cube_style(4)), estimates):
+            assert count_ptf_gaussian(q).estimate == pytest.approx(est, rel=1e-3)
+        assert with_floor <= 0.7 * formed[0]
 
 
 class TestCountPtfGaussian:

@@ -20,7 +20,7 @@ from .densifier import (
     feature_map,
     planted_experiment,
 )
-from .grid import CoordinateBox, GridSpec, oracle_quadratic, support_and_pmf
+from .grid import GridSpec, support_and_pmf
 from .hardness import (
     QuarticForm,
     SubsetSumInstance,
@@ -34,7 +34,6 @@ from .hardness import (
     sample_region_uniform_deg2,
 )
 from .numerics import (
-    LogProb,
     Rng,
     interval_mass,
     jacobi_eigen,
@@ -67,14 +66,12 @@ __version__ = "0.1.0"
 __all__ = [
     "BudgetExhaustedError",
     "CompressedCDF",
-    "CoordinateBox",
     "CountResult",
     "DecoupledConstraint",
     "DensifierConfig",
     "DensifyResult",
     "GridSpec",
     "KappaFlipError",
-    "LogProb",
     "PtfSampler",
     "QuadraticForm",
     "QuarticForm",
@@ -101,7 +98,6 @@ __all__ = [
     "load_instance",
     "mc_count",
     "normalize",
-    "oracle_quadratic",
     "planted_experiment",
     "region_mass_mc",
     "round_coefficients",

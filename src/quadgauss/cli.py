@@ -7,7 +7,8 @@ of 2 in (0, 1), a --trunc-B below 1 or not a multiple of --tau, non-finite
 instance entries, a --gamma with n*gamma^2 > 1/4 on a non-constant instance,
 instances beyond the engine's size guards, and for densify an --eps or
 --delta outside (0, 1), an --n-pos below 1 or below the coverage bound, or a
-negative --mistake-budget), 2 below-floor counting result, 3 filter-retry
+negative --mistake-budget, and for geninstance a non-finite --c or one the
+generator refuses), 2 below-floor counting result, 3 filter-retry
 exhaustion, 4 validation/densification failure (including an exhausted
 budget and a kappa-rounding flip rate above 1%).
 """
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -141,19 +143,24 @@ def cmd_geninstance(args: argparse.Namespace) -> int:
     except Exception as exc:
         sys.stderr.write(f"error: invalid subset-sum parameters: {exc}\n")
         return 1
+    if not math.isfinite(args.c):
+        sys.stderr.write(f"error: --c must be finite, got {args.c}\n")
+        return 1
     doc = hardness.instance_to_dict(inst, args.c)
-    doc["solutions"] = [list(s) for s in inst.solutions()]
-    if args.variant == "cube01":
-        alpha, beta = hardness.alpha_beta_deg2(inst, args.c)
-        _, f = hardness.gen_deg2_cube_instance(inst, args.c)
-        doc["alpha"] = alpha
-        doc["beta"] = beta
-        doc["ptf"] = instance_to_dict(f)
-    else:
-        quartic, alpha, beta = hardness.gen_deg4_gauss_instance(inst, args.c)
-        doc["alpha"] = alpha
-        doc["beta"] = beta
-        doc["lambda"] = quartic.lam
+    try:
+        doc["solutions"] = [list(s) for s in inst.solutions()]
+        if args.variant == "cube01":
+            alpha, beta = hardness.alpha_beta_deg2(inst, args.c)
+            _, f = hardness.gen_deg2_cube_instance(inst, args.c)
+            doc["ptf"] = instance_to_dict(f)
+        else:
+            quartic, alpha, beta = hardness.gen_deg4_gauss_instance(inst, args.c)
+            doc["lambda"] = quartic.lam
+    except ValueError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 1
+    doc["alpha"] = alpha
+    doc["beta"] = beta
     _emit(doc)
     return 0
 

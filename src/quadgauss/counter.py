@@ -44,13 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (
-    CoordinateBox,
-    GridSpec,
-    _log_cell_masses,
-    support_and_log_pmf,
-    support_and_pmf,
-)
+from .grid import GridSpec, _log_cell_masses, support_and_log_pmf, support_and_pmf
 from .numerics import LOG_ZERO, Rng, log_sum, normal_blocks
 from .quadform import (
     ConstantPolynomialError,
@@ -137,10 +131,6 @@ class CompressedCDF:
 
     def query(self, t):
         return np.exp(self.log_query(t))
-
-    @property
-    def log_total(self) -> float:
-        return float(self.log_cum[-1])
 
 
 # A linear-space sum scaled by the call's largest mass keeps double precision
@@ -591,24 +581,17 @@ class PrefixCDFTable:
         return log_sum(self.log_weights(self.n - 1, self.theta))
 
 
-def exact_tail_bruteforce(
-    dc: DecoupledConstraint, spec: GridSpec, box: CoordinateBox | None = None
-) -> float:
-    """Exact Pr[sum_i Y_i <= theta] on the (restricted) grid, by dense
-    convolution with 80-bit accumulation.  Refuses grids beyond ~1e7 points."""
-    if box is None:
-        box = CoordinateBox.full(spec)
-    if box.size(spec) > _BRUTEFORCE_LIMIT:
+def exact_tail_bruteforce(dc: DecoupledConstraint, spec: GridSpec) -> float:
+    """Exact Pr[sum_i Y_i <= theta] on the grid, by dense convolution with
+    80-bit accumulation.  Refuses grids beyond ~1e7 points."""
+    if spec.total_points > _BRUTEFORCE_LIMIT:
         raise EngineTooLargeError(
-            f"grid has {box.size(spec)} points, beyond the brute-force limit"
+            f"grid has {spec.total_points:.0f} points, beyond the brute-force limit"
         )
-    i_lo, i_hi = box.index_ranges(spec)
     acc_v: np.ndarray | None = None
     acc_p: np.ndarray | None = None
     for j in range(dc.n):
-        v, p = support_and_pmf(
-            float(dc.lam[j]), float(dc.mu[j]), spec, (int(i_lo[j]), int(i_hi[j]))
-        )
+        v, p = support_and_pmf(float(dc.lam[j]), float(dc.mu[j]), spec)
         p = p.astype(np.longdouble)
         if acc_v is None:
             acc_v, acc_p = v, p

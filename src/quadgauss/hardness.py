@@ -271,14 +271,28 @@ class QuarticForm:
         return np.where(np.asarray(v) >= 0.0, 1, -1)
 
 
-def gen_deg4_gauss_instance(
-    inst: SubsetSumInstance, c: float = 4.0
-) -> tuple[QuarticForm, float, float]:
-    """Quartic penalty form plus its cluster radii (L2 metric).
+def _radii_deg4(quartic: QuarticForm) -> tuple[float, float]:
+    """Cluster radii (alpha, beta) of the quartic form, in the L2 metric.
 
     alpha solves 4(1-X)^2 X^2 = 1/(2 lam); beta is the smallest positive
     solution of (||w||^2 + lam (2+X)^2) X^2 = 1/2.
     """
+    lam = quartic.lam
+    alpha = 0.5 * (1.0 - math.sqrt(1.0 - math.sqrt(2.0 / lam)))
+    wn2 = quartic.w_norm**2
+
+    def g(x: float) -> float:
+        return (wn2 + lam * (2.0 + x) ** 2) * x * x - 0.5
+
+    beta = float(brentq(g, 0.0, 1.0, xtol=1e-300, rtol=8.9e-16))
+    return alpha, beta
+
+
+def gen_deg4_gauss_instance(
+    inst: SubsetSumInstance, c: float = 4.0
+) -> tuple[QuarticForm, float, float]:
+    """Quartic penalty form plus its cluster radii (alpha, beta), in the L2
+    metric (see ``_radii_deg4``)."""
     if inst.variant != "pm1":
         raise ValueError("gen_deg4_gauss_instance requires the pm1 variant")
     if c < 1.0:
@@ -287,13 +301,7 @@ def gen_deg4_gauss_instance(
     if lam <= 2.0:
         raise ValueError(f"penalty lam = {lam} must exceed 2")
     quartic = QuarticForm(w0=inst.w0, w=inst.w, lam=lam)
-    alpha = 0.5 * (1.0 - math.sqrt(1.0 - math.sqrt(2.0 / lam)))
-    wn2 = inst.w_norm**2
-
-    def g(x: float) -> float:
-        return (wn2 + lam * (2.0 + x) ** 2) * x * x - 0.5
-
-    beta = float(brentq(g, 0.0, 1.0, xtol=1e-300, rtol=8.9e-16))
+    alpha, beta = _radii_deg4(quartic)
     if not (beta < alpha):
         raise ValueError(f"radius ordering violated (beta={beta}, alpha={alpha})")
     return quartic, alpha, beta
@@ -305,14 +313,7 @@ def classify_point_deg4(x: np.ndarray, quartic: QuarticForm) -> Classification:
     if x.shape != (quartic.n,):
         raise ValueError("dimension mismatch")
     inst = SubsetSumInstance(w0=quartic.w0, w=quartic.w, variant="pm1")
-    lam = quartic.lam
-    alpha = 0.5 * (1.0 - math.sqrt(1.0 - math.sqrt(2.0 / lam)))
-    wn2 = quartic.w_norm**2
-
-    def g(v: float) -> float:
-        return (wn2 + lam * (2.0 + v) ** 2) * v * v - 0.5
-
-    beta = float(brentq(g, 0.0, 1.0, xtol=1e-300, rtol=8.9e-16))
+    alpha, beta = _radii_deg4(quartic)
     z = np.where(x >= 0.0, 1, -1)
     dist = float(np.linalg.norm(x - z))
     nearest = tuple(int(v) for v in z)
@@ -346,8 +347,7 @@ def sample_region_gauss_deg4(
     if not inst.is_solution(z):
         raise ValueError("z is not a solution of the instance")
     z = np.asarray(z, dtype=float)
-    lam = quartic.lam
-    alpha = 0.5 * (1.0 - math.sqrt(1.0 - math.sqrt(2.0 / lam)))
+    alpha, _ = _radii_deg4(quartic)
     r_min = max(0.0, float(np.linalg.norm(z)) - alpha)
     chunk = 256
     tried = 0

@@ -26,25 +26,21 @@ import os
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import log_ndtr, ndtr, ndtri, ndtri_exp
 
 __all__ = [
     "LOG_ZERO",
-    "LogProb",
     "Rng",
     "normal_blocks",
     "EigenConvergenceError",
     "std_normal_cdf",
-    "log_std_normal_cdf",
     "interval_mass",
     "log_interval_mass",
     "truncated_normal_sample",
     "jacobi_eigen",
     "log_sum",
-    "log_add",
     "log_sub",
     "log1mexp",
 ]
@@ -69,11 +65,6 @@ def std_normal_cdf(x: float) -> float:
     if math.isinf(x):
         raise ValueError("std_normal_cdf requires finite x")
     return float(ndtr(x))
-
-
-def log_std_normal_cdf(x: float) -> float:
-    """log Phi(x), accurate far into the left tail (x ~ -1000 is fine)."""
-    return float(log_ndtr(float(x)))
 
 
 def _validate_interval(a: float, b: float) -> tuple[float, float]:
@@ -137,15 +128,6 @@ def log1mexp(x: float) -> float:
     return math.log1p(-math.exp(x))
 
 
-def log_add(la: float, lb: float) -> float:
-    """log(e^la + e^lb) with -inf as zero."""
-    if la == LOG_ZERO:
-        return lb
-    if lb == LOG_ZERO:
-        return la
-    return float(np.logaddexp(la, lb))
-
-
 def log_sub(la: float, lb: float) -> float:
     """log(e^la - e^lb); requires la >= lb, returns -inf on equality."""
     if lb == LOG_ZERO:
@@ -185,60 +167,6 @@ def log_interval_mass(a: float, b: float) -> float:
     lfa = float(log_ndtr(a))
     lfb = float(log_ndtr(b))
     return log_sub(lfb, lfa)
-
-
-@dataclass(frozen=True)
-class LogProb:
-    """A probability held as its natural log; -inf encodes exact zero.
-
-    Arithmetic never underflows for probabilities down to e^(-1e6) and far
-    beyond; addition is probability addition, ``*`` is independent-event
-    product.
-    """
-
-    value: float
-
-    def __post_init__(self) -> None:
-        if math.isnan(self.value):
-            raise ValueError("LogProb value must not be NaN")
-        if self.value > 1e-9:
-            raise ValueError(f"LogProb must be <= 0, got {self.value}")
-
-    @classmethod
-    def zero(cls) -> "LogProb":
-        return cls(LOG_ZERO)
-
-    @classmethod
-    def one(cls) -> "LogProb":
-        return cls(0.0)
-
-    @classmethod
-    def from_linear(cls, p: float) -> "LogProb":
-        if p < 0.0:
-            raise ValueError("probability must be >= 0")
-        return cls(LOG_ZERO) if p == 0.0 else cls(min(math.log(p), 0.0))
-
-    @property
-    def linear(self) -> float:
-        return 0.0 if self.value == LOG_ZERO else math.exp(self.value)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.value == LOG_ZERO
-
-    def __add__(self, other: "LogProb") -> "LogProb":
-        return LogProb(min(log_add(self.value, other.value), 0.0))
-
-    def __mul__(self, other: "LogProb") -> "LogProb":
-        if self.is_zero or other.is_zero:
-            return LogProb.zero()
-        return LogProb(self.value + other.value)
-
-    def __lt__(self, other: "LogProb") -> bool:
-        return self.value < other.value
-
-    def __le__(self, other: "LogProb") -> bool:
-        return self.value <= other.value
 
 
 def _philox(seed: int, spawn_key: tuple[int, ...]) -> np.random.Generator:

@@ -153,9 +153,6 @@ class DecoupledConstraint:
             return bool(v <= self.theta)
         return np.asarray(v) <= self.theta
 
-    def is_constant(self) -> bool:
-        return bool(np.all(self.lam == 0.0) and np.all(self.mu == 0.0))
-
 
 @dataclass(frozen=True)
 class RoundingConfig:

@@ -99,7 +99,7 @@ def enumerate_sampler_distribution(
     ``PrefixCDFTable.for_sampling(dc, spec, eps)``: the product of the n
     conditional laws it draws from, expanded over every reachable grid
     point; feasible for grids up to 1e5 points."""
-    if spec.points_per_coord**spec.n > 100_000:
+    if spec.total_points > 100_000:
         raise EngineTooLargeError("grid too large to enumerate")
     table = PrefixCDFTable.for_sampling(dc, spec, eps)
     m = spec.points_per_coord

@@ -7,15 +7,13 @@ versions of the full test-suite properties: small fixed seeds, small grids.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import grid as g
 from . import hardness as hd
 from .counter import count, exact_tail_bruteforce, mc_count
 from .densifier import feature_map, quadratic_from_weights, weights_from_quadratic
-from .grid import CoordinateBox, GridSpec
+from .grid import GridSpec
 from .numerics import Rng, interval_mass, jacobi_eigen, std_normal_cdf
 from .quadform import (
     DecoupledConstraint,
@@ -94,18 +92,28 @@ def _rounding_bound() -> Check:
     return "rounding-bound", ok, "lattice and perturbation bounds"
 
 
-def _pmf_oracle_consistency() -> Check:
+def _cell_masses(spec: GridSpec) -> np.ndarray:
+    return np.array(
+        [interval_mass(*spec.cell_bounds(i)) for i in range(spec.points_per_coord)]
+    )
+
+
+def _pmf_vs_cells() -> Check:
     spec = GridSpec(tau=2.0**-3, B=2.0, n=1)
+    kappa = spec.value(np.arange(spec.points_per_coord))
+    cells = _cell_masses(spec)
     rng = Rng(15)
     worst = 0.0
     for _ in range(50):
         a, b = rng.uniform(2) * 2.0 - 1.0
-        nu1, nu2 = np.sort(rng.normal(2) * 2.0)
-        direct = g.oracle_quadratic(a, b, nu1, nu2, spec)
+        direct: dict[float, float] = {}
+        for v, m in zip((a * kappa * kappa + b * kappa).tolist(), cells):
+            direct[v] = direct.get(v, 0.0) + m
         vals, probs = g.support_and_pmf(a, b, spec)
-        mask = (vals >= nu1) & (vals <= nu2)
-        worst = max(worst, abs(direct - float(np.sum(probs[mask]))))
-    return "oracle-vs-pmf", worst <= 1e-10, f"max gap = {worst:.2e}"
+        if sorted(direct) != vals.tolist():
+            return "pmf-vs-cells", False, f"support differs at a={a}, b={b}"
+        worst = max(worst, max(abs(direct[v] - p) for v, p in zip(vals.tolist(), probs)))
+    return "pmf-vs-cells", worst <= 1e-12, f"max gap = {worst:.2e}"
 
 
 def _count_vs_bruteforce() -> Check:
@@ -141,9 +149,8 @@ def _sampler_tv() -> Check:
     pts = np.stack(
         [spec.value(idx0.ravel()), spec.value(idx1.ravel())], axis=1
     )
-    masses = np.array(
-        [math.exp(g.joint_log_mass(spec, CoordinateBox.full(spec), p)) for p in pts]
-    )
+    cells = _cell_masses(spec)
+    masses = cells[idx0.ravel()] * cells[idx1.ravel()]
     accept = dc.value(pts) <= dc.theta
     masses = np.where(accept, masses, 0.0)
     masses /= masses.sum()
@@ -209,7 +216,7 @@ ALL_CHECKS = [
     _eigen_residuals,
     _decouple_roundtrip,
     _rounding_bound,
-    _pmf_oracle_consistency,
+    _pmf_vs_cells,
     _count_vs_bruteforce,
     _sampler_tv,
     _hardness_geometry,

@@ -9,6 +9,7 @@ implementation that never leaves the log domain.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -97,6 +98,15 @@ def grid_points(tau: float, B: float) -> list[float]:
     return [(i - half) * tau for i in range(2 * half + 1)]
 
 
+def round_to_grid(x, tau: float, B: float):
+    """Floor x onto the tau-grid, capped at +-B (scalar or array)."""
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("round_to_grid requires finite input")
+    half = round(B / tau)
+    return np.clip(np.floor(x / tau), -half, half) * tau
+
+
 def grid_cell_mass(kappa: float, tau: float, B: float) -> float:
     """Mass of the floor-cell owned by kappa, tails capped at +-B."""
     lo = -math.inf if kappa == -B else kappa
@@ -116,8 +126,6 @@ def discrete_image_pmf(a: float, b: float, tau: float, B: float) -> dict[float, 
 def discrete_tail(lam, mu, theta: float, tau: float, B: float) -> float:
     """Exact Pr[sum lam_i [G]_i^2 + mu_i [G]_i <= theta] by product-grid
     enumeration (small grids only)."""
-    import itertools
-
     pts = grid_points(tau, B)
     masses = {k: grid_cell_mass(k, tau, B) for k in pts}
     total = 0.0
@@ -126,6 +134,19 @@ def discrete_tail(lam, mu, theta: float, tau: float, B: float) -> float:
         if v <= theta:
             total += math.prod(masses[k] for k in combo)
     return total
+
+
+def conditional_pmf(lam, mu, theta: float, tau: float, B: float) -> dict:
+    """Law of the grid point given sum lam_i k_i^2 + mu_i k_i <= theta, by
+    product-grid enumeration (small grids only)."""
+    pts = grid_points(tau, B)
+    masses = {k: grid_cell_mass(k, tau, B) for k in pts}
+    law = {}
+    for combo in itertools.product(pts, repeat=len(lam)):
+        if sum(l * k * k + m * k for l, m, k in zip(lam, mu, combo)) <= theta:
+            law[combo] = math.prod(masses[k] for k in combo)
+    total = math.fsum(law.values())
+    return {k: v / total for k, v in law.items() if v > 0.0}
 
 
 def convolve_log(values, logp, atom_v, atom_lp):

@@ -107,10 +107,16 @@ class TestBadInput:
             ["densify", "--n-pos", "0"],
             ["densify", "--n-pos", "5"],
             ["densify", "--mistake-budget", "-1"],
+            ["geninstance", "--variant", "pm1", "--w0", "2", "--w", "1,1,2", "--c", "0.5"],
+            ["geninstance", "--variant", "cube01", "--w0", "2", "--w", "1,1,2", "--c", "-3"],
+            ["geninstance", "--w0", "2", "--w", "1,1,2", "--c", "nan"],
+            ["geninstance", "--variant", "pm1", "--w0", "2", "--w", "1,1,2", "--c", "inf"],
         ],
     )
     def test_bad_flag_exit_1(self, chi2_instance, capsys, argv):
-        code = cli.main([*argv, "--instance", chi2_instance])
+        if argv[0] != "geninstance":
+            argv = [*argv, "--instance", chi2_instance]
+        code = cli.main(argv)
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
@@ -363,7 +369,7 @@ class TestValidate:
     def test_exit_zero_and_reports(self, capsys):
         code, out = run_inproc(["validate"], capsys)
         assert code == 0
-        assert "checks passed" in out
+        assert out.endswith("11/11 checks passed\n")
         assert "FAIL" not in out
 
 

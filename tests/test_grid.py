@@ -3,20 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from quadgauss.grid import (
-    CoordinateBox,
-    GridSpec,
-    ZeroMassRestrictionError,
-    coordinate_mass,
-    oracle_quadratic,
-    round_to_grid,
-    support_and_log_pmf,
-    support_and_pmf,
-)
+from quadgauss.grid import GridSpec, support_and_pmf
 
 import oracles
 
 SPEC_HALF = GridSpec(tau=0.5, B=1.0, n=1)
+
+
+def cell_masses(spec):
+    """Mass of each grid value, read off the pmf of the identity map."""
+    vals, probs = support_and_pmf(0.0, 1.0, spec)
+    return dict(zip(vals.tolist(), probs.tolist()))
 
 
 class TestGridSpec:
@@ -41,54 +38,40 @@ class TestGridSpec:
 
 class TestRoundToGrid:
     def test_interior(self):
-        assert round_to_grid(0.3, SPEC_HALF) == 0.0
+        assert oracles.round_to_grid(0.3, 0.5, 1.0) == 0.0
 
     def test_cap(self):
-        assert round_to_grid(7.0, SPEC_HALF) == 1.0
-        assert round_to_grid(-7.0, SPEC_HALF) == -1.0
+        assert oracles.round_to_grid(7.0, 0.5, 1.0) == 1.0
+        assert oracles.round_to_grid(-7.0, 0.5, 1.0) == -1.0
 
     def test_exact_point_owns_cell(self):
-        assert round_to_grid(-0.5, SPEC_HALF) == -0.5
+        assert oracles.round_to_grid(-0.5, 0.5, 1.0) == -0.5
 
     def test_floor_semantics(self):
         # kappa owns [kappa, kappa + tau)
-        assert round_to_grid(0.4999999, SPEC_HALF) == 0.0
-        assert round_to_grid(0.5, SPEC_HALF) == 0.5
+        assert oracles.round_to_grid(0.4999999, 0.5, 1.0) == 0.0
+        assert oracles.round_to_grid(0.5, 0.5, 1.0) == 0.5
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
-            round_to_grid(math.nan, SPEC_HALF)
+            oracles.round_to_grid(math.nan, 0.5, 1.0)
 
 
 class TestCoordinateMass:
     def test_interior_cell(self):
-        assert coordinate_mass(0.0, SPEC_HALF) == pytest.approx(
+        assert cell_masses(SPEC_HALF)[0.0] == pytest.approx(
             oracles.phi_series(0.5) - 0.5, rel=1e-13
         )
 
     def test_capped_tail(self):
-        assert coordinate_mass(1.0, SPEC_HALF) == pytest.approx(
-            1.0 - oracles.phi_series(1.0), rel=1e-13
-        )
-        assert coordinate_mass(-1.0, SPEC_HALF) == pytest.approx(
-            oracles.phi_series(-0.5), rel=1e-13
-        )
+        masses = cell_masses(SPEC_HALF)
+        assert masses[1.0] == pytest.approx(1.0 - oracles.phi_series(1.0), rel=1e-13)
+        assert masses[-1.0] == pytest.approx(oracles.phi_series(-0.5), rel=1e-13)
 
     def test_total_mass_one(self):
-        total = sum(
-            coordinate_mass(SPEC_HALF.value(i), SPEC_HALF)
-            for i in range(SPEC_HALF.points_per_coord)
-        )
-        assert total == pytest.approx(1.0, abs=1e-14)
-
-    def test_restriction_renormalizes(self):
-        m = coordinate_mass(0.0, SPEC_HALF, (1, 3))
-        base = sum(coordinate_mass(SPEC_HALF.value(i), SPEC_HALF) for i in (1, 2, 3))
-        assert m == pytest.approx(coordinate_mass(0.0, SPEC_HALF) / base, rel=1e-12)
-
-    def test_outside_restriction_rejected(self):
-        with pytest.raises(ValueError):
-            coordinate_mass(-1.0, SPEC_HALF, (1, 3))
+        masses = cell_masses(SPEC_HALF)
+        assert len(masses) == SPEC_HALF.points_per_coord
+        assert sum(masses.values()) == pytest.approx(1.0, abs=1e-14)
 
 
 class TestSupportAndPmf:
@@ -134,44 +117,13 @@ class TestSupportAndPmf:
 
     def test_min_atom_mass_lower_bound(self):
         spec = GridSpec(tau=2.0**-4, B=2.0, n=1)
-        thinnest = min(
-            coordinate_mass(spec.value(i), spec) for i in range(spec.points_per_coord)
-        )
+        thinnest = min(cell_masses(spec).values())
         _, probs = support_and_pmf(1.0, 0.5, spec)
         assert probs.min() >= thinnest - 1e-15
 
-    def test_restricted_masses_consistent(self):
-        spec = GridSpec(tau=2.0**-3, B=2.0, n=1)
-        restriction = (5, 20)
-        vals_r, probs_r = support_and_pmf(0.5, -0.25, spec, restriction)
-        vals_f, probs_f = support_and_pmf(0.5, -0.25, spec)
-        total = sum(
-            coordinate_mass(spec.value(i), spec) for i in range(5, 21)
-        )
-        lut = dict(zip(vals_f.tolist(), probs_f.tolist()))
-        kept = {
-            float(spec.value(i)): coordinate_mass(spec.value(i), spec)
-            for i in range(5, 21)
-        }
-        for v, p in zip(vals_r, probs_r):
-            direct = sum(m for k, m in kept.items() if 0.5 * k * k - 0.25 * k == v)
-            assert p == pytest.approx(direct / total, rel=1e-12)
-        assert lut  # full pmf nonempty
-
 
 class TestOracleQuadratic:
-    def test_identity_full_range(self):
-        assert oracle_quadratic(0.0, 1.0, -1.0, 1.0, SPEC_HALF) == pytest.approx(
-            1.0, abs=1e-14
-        )
-
-    def test_square_tail_example(self):
-        got = oracle_quadratic(1.0, 0.0, 1.0, math.inf, SPEC_HALF)
-        want = oracles.phi_series(-0.5) + (1.0 - oracles.phi_series(1.0))
-        assert got == pytest.approx(want, rel=1e-12)
-
-    def test_nonnegative_square_never_below_zero(self):
-        assert oracle_quadratic(1.0, 0.0, -math.inf, -0.1, SPEC_HALF) == 0.0
+    """Interval sums of the image pmf against direct cell enumeration."""
 
     def test_matches_pmf_sum_randomized(self):
         gen = np.random.default_rng(4)
@@ -179,51 +131,8 @@ class TestOracleQuadratic:
         for _ in range(1000):
             a, b = gen.uniform(-1, 1, size=2)
             nu1, nu2 = np.sort(gen.normal(size=2) * 2.0)
-            direct = oracle_quadratic(a, b, nu1, nu2, spec)
+            image = oracles.discrete_image_pmf(a, b, spec.tau, spec.B)
+            direct = sum(p for v, p in image.items() if nu1 <= v <= nu2)
             vals, probs = support_and_pmf(a, b, spec)
             mask = (vals >= nu1) & (vals <= nu2)
             assert direct == pytest.approx(float(probs[mask].sum()), rel=1e-10, abs=1e-13)
-
-    def test_monotone_in_interval(self):
-        gen = np.random.default_rng(5)
-        spec = GridSpec(tau=2.0**-3, B=2.0, n=1)
-        for _ in range(100):
-            a, b = gen.uniform(-1, 1, size=2)
-            lo, mid1, mid2, hi = np.sort(gen.normal(size=4) * 2.0)
-            inner = oracle_quadratic(a, b, mid1, mid2, spec)
-            outer = oracle_quadratic(a, b, lo, hi, spec)
-            assert outer >= inner - 1e-14
-
-    def test_restriction_consistency(self):
-        spec = GridSpec(tau=2.0**-3, B=2.0, n=1)
-        gen = np.random.default_rng(6)
-        restriction = (4, 28)
-        base = sum(coordinate_mass(spec.value(i), spec) for i in range(4, 29))
-        for _ in range(200):
-            a, b = gen.uniform(-1, 1, size=2)
-            nu1, nu2 = np.sort(gen.normal(size=2))
-            vals, probs = support_and_pmf(a, b, spec)
-            kept = [
-                (spec.value(i), coordinate_mass(spec.value(i), spec))
-                for i in range(4, 29)
-            ]
-            direct = sum(m for k, m in kept if nu1 <= a * k * k + b * k <= nu2) / base
-            got = oracle_quadratic(a, b, nu1, nu2, spec, restriction)
-            assert got == pytest.approx(direct, rel=1e-12, abs=1e-14)
-
-
-class TestCoordinateBox:
-    def test_full_box(self):
-        spec = GridSpec(tau=0.5, B=1.0, n=3)
-        box = CoordinateBox.full(spec)
-        assert box.size(spec) == 125
-
-    def test_ordering_enforced(self):
-        with pytest.raises(ValueError):
-            CoordinateBox(lo=np.array([1.0]), hi=np.array([0.0]))
-
-    def test_off_grid_rejected(self):
-        spec = GridSpec(tau=0.5, B=1.0, n=1)
-        box = CoordinateBox(lo=np.array([0.3]), hi=np.array([1.0]))
-        with pytest.raises(ValueError):
-            box.index_ranges(spec)

@@ -10,7 +10,6 @@ import pytest
 from quadgauss import numerics
 from quadgauss.numerics import (
     LOG_ZERO,
-    LogProb,
     Rng,
     interval_mass,
     jacobi_eigen,
@@ -178,28 +177,6 @@ class TestJacobiEigen:
 
 
 class TestLogProb:
-    def test_zero_sentinel(self):
-        z = LogProb.zero()
-        assert z.is_zero and z.linear == 0.0
-        assert (z + LogProb.from_linear(0.25)).linear == pytest.approx(0.25)
-        assert (z * LogProb.one()).is_zero
-
-    def test_deep_values_survive(self):
-        tiny = LogProb(-1e6)
-        tinier = LogProb(-1e6 - math.log(2.0))
-        s = tiny + tinier
-        assert s.value == pytest.approx(-1e6 + math.log(1.5), rel=1e-12)
-        assert tinier < tiny
-
-    def test_product(self):
-        a = LogProb.from_linear(0.5)
-        b = LogProb.from_linear(0.25)
-        assert (a * b).linear == pytest.approx(0.125, rel=1e-14)
-
-    def test_rejects_positive_log(self):
-        with pytest.raises(ValueError):
-            LogProb(0.5)
-
     def test_large_sum_matches_fsum(self):
         gen = np.random.default_rng(7)
         logs = np.log(gen.uniform(size=1_000_000)) - 20.0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from quadgauss.counter import PrefixCDFTable
-from quadgauss.grid import CoordinateBox, GridSpec, joint_log_mass
+from quadgauss.grid import GridSpec
 from quadgauss.numerics import Rng
 from quadgauss.quadform import DecoupledConstraint, QuadraticForm, sign_at
 from quadgauss.sampler import (
@@ -18,20 +18,6 @@ from quadgauss.sampler import (
 )
 
 import oracles
-
-
-def exact_conditional_pmf(dc, spec):
-    """Brute-force conditional law of the discretized Gaussian given
-    acceptance (independent of the prefix-CDF table)."""
-    m = spec.points_per_coord
-    grids = np.meshgrid(*[np.arange(m)] * spec.n, indexing="ij")
-    pts = np.stack([spec.value(g.ravel()) for g in grids], axis=1)
-    box = CoordinateBox.full(spec)
-    masses = np.array([math.exp(joint_log_mass(spec, box, p)) for p in pts])
-    accept = np.asarray(dc.value(pts)) <= dc.theta
-    masses = np.where(accept, masses, 0.0)
-    total = masses.sum()
-    return {tuple(p): float(v / total) for p, v in zip(pts, masses) if v > 0.0}
 
 
 DISC = DecoupledConstraint(
@@ -99,7 +85,7 @@ class TestEnumerateDistribution:
         spec = GridSpec(tau=0.25, B=2.0, n=2)
         for eps in (0.1, 0.05):
             dist = enumerate_sampler_distribution(DISC, spec, eps)
-            exact = exact_conditional_pmf(DISC, spec)
+            exact = oracles.conditional_pmf(DISC.lam, DISC.mu, DISC.theta, spec.tau, spec.B)
             approx = dist.as_dict()
             keys = set(exact) | set(approx)
             tv = 0.5 * sum(abs(exact.get(k, 0.0) - approx.get(k, 0.0)) for k in keys)
@@ -112,7 +98,7 @@ class TestEnumerateDistribution:
         exact_sums = np.unique(np.add.outer(table.support[0], table.support[1]))
         assert table.cdfs[2].values.size < exact_sums.size  # atoms were merged
         dist = enumerate_sampler_distribution(SKEW3, spec, eps)
-        exact = exact_conditional_pmf(SKEW3, spec)
+        exact = oracles.conditional_pmf(SKEW3.lam, SKEW3.mu, SKEW3.theta, spec.tau, spec.B)
         assert len(dist.probs) == len(exact)
         for pt, prob in zip(dist.points, dist.probs):
             truth = exact.get(tuple(pt))
@@ -182,8 +168,6 @@ class TestLift:
 
 class TestPtfSampler:
     def test_rounded_constraint_always_satisfied(self):
-        from quadgauss.grid import round_to_grid
-
         q2 = QuadraticForm(A=-np.eye(2), b=np.zeros(2), c=2.0)
         q3 = QuadraticForm(A=-np.eye(3), b=np.zeros(3), c=2.0)
         for s in (
@@ -191,7 +175,7 @@ class TestPtfSampler:
             PtfSampler(q3),  # default flags: tau 2^-8, compressed table
         ):
             pts = s.sample_batch(300, Rng(3))
-            kappa = round_to_grid((s.rotation.T @ pts.T).T, s.spec)
+            kappa = oracles.round_to_grid((s.rotation.T @ pts.T).T, s.spec.tau, s.spec.B)
             assert np.all(s.rounded.value(kappa) <= s.rounded.theta)
 
     def test_exact_filter_postcondition(self):

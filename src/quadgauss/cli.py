@@ -1,16 +1,18 @@
 """Command-line front end: counting, sampling, instance generation,
 densification, and validation, all seed-reproducible.
 
-Exit codes: 0 success, 1 malformed or oversized input (including --eps
-outside (0, 1], a negative --samples, a --tau or --gamma that is not a power
-of 2 in (0, 1), a --trunc-B below 1 or not a multiple of --tau, non-finite
-instance entries, a --gamma with n*gamma^2 > 1/4 on a non-constant instance,
-instances beyond the engine's size guards, and for densify an --eps or
---delta outside (0, 1), an --n-pos below 1 or below the coverage bound, or a
-negative --mistake-budget, and for geninstance a non-finite --c or one the
-generator refuses), 2 below-floor counting result, 3 filter-retry
-exhaustion, 4 validation/densification failure (including an exhausted
-budget and a kappa-rounding flip rate above 1%).
+Exit codes: 0 success (and --help), 1 malformed or oversized input
+(including a usage error, such as an unknown or missing flag or a value
+that does not parse; --eps outside (0, 1], a negative --samples or
+--filter-retries, a --tau or --gamma that is not a power of 2 in (0, 1), a
+--trunc-B below 1 or not a multiple of --tau, non-finite instance entries, a
+--gamma with n*gamma^2 > 1/4 on a non-constant instance, instances beyond
+the engine's size guards, and for densify an --eps or --delta outside
+(0, 1), an --n-pos below 1 or below the coverage bound, or a negative
+--mistake-budget, and for geninstance a non-finite --c or one the generator
+refuses), 2 below-floor counting result, 3 filter-retry exhaustion, 4
+validation/densification failure (including an exhausted budget and a
+kappa-rounding flip rate above 1%).
 """
 
 from __future__ import annotations
@@ -43,6 +45,18 @@ from .sampler import FilterRetryError, FloorError, PtfSampler
 from .validation import run_validation
 
 DEFAULT_SEED = 0
+
+
+class _UsageError(Exception):
+    pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error to main() instead of exiting with argparse's
+    status 2, which is the below-floor code here."""
+
+    def error(self, message):
+        raise _UsageError(f"{message} (see {self.prog} --help)")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -230,7 +244,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="quadgauss",
         description=(
             "Deterministic Gaussian measure of quadratic threshold regions, "
@@ -275,7 +289,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except _UsageError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 1
     np.seterr(all="ignore")  # log-domain arithmetic trips benign under/overflow
     return args.func(args)
 

@@ -1,25 +1,26 @@
 """Learning a containing degree-2 region from positive samples only.
 
-The loop maintains an online halfspace learner over the degree-2 monomial
-expansion (so its linear hypotheses are exactly degree-2 threshold
-functions).  Misclassified positives from the sample pool are fed with label
-+1 until the pool is covered; then the hypothesis region's Gaussian mass is
-counted, and either the target's mass estimate is already a gamma/2 fraction
-of it (terminate: the hypothesis is dense enough) or a fresh point is drawn
-from the hypothesis region and fed with label -1, which is correct with
-probability 1 - gamma per draw since the target occupies less than a gamma
-fraction of the hypothesis.  Points are discretized to a kappa lattice
-before entering the learner; how often that rounding flips the hypothesis
-sign is tracked and must stay below 1%.
+The loop (after De, Diakonikolas and Servedio, 2015) maintains an online
+halfspace learner over the degree-2 monomial expansion (so its linear
+hypotheses are exactly degree-2 threshold functions).  Misclassified
+positives from the sample pool are fed with label +1 until the pool is
+covered; then the hypothesis region's Gaussian mass is counted to within
+(1 +- delta), and either the caller's target mass estimate p_hat is already
+a gamma/2 fraction of it (terminate: the hypothesis is dense enough) or a
+fresh point is drawn from the hypothesis region by a sampler built for that
+hypothesis and fed with label -1, which is correct with probability
+1 - gamma per draw since the target occupies less than a gamma fraction of
+the hypothesis.  With mistake budget M, gamma = 1/(8M) and at most 4M + 16
+negatives are drawn.  Points are discretized to a lattice of step
+``_KAPPA`` before entering the learner; how often that rounding flips the
+hypothesis sign is tracked and must stay below 1%.
 
-The default learner is a central-cut ellipsoid over weight space: predict
-with the center, cut on each violated constraint, and keep cutting until the
-center is consistent with every example fed so far.  Each cut shrinks the
+The learner is a central-cut ellipsoid over weight space: predict with the
+center, cut on each violated constraint, and keep cutting until the center
+is consistent with every example fed so far.  Each cut shrinks the
 ellipsoid volume by e^(-1/(2(m+1))), so when some halfspace separates the
 examples with margin at least ``margin_floor``, the total number of cuts
-(hence of mistakes) is at most ~2 m (m+1) ln(1/margin_floor).  A perceptron
-is provided as a faster fallback; it honors the mistake-bound role but does
-not maintain consistency with past examples.
+(hence of mistakes) is at most ~2 m (m+1) ln(1/margin_floor).
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ __all__ = [
     "quadratic_from_weights",
     "weights_from_quadratic",
     "EllipsoidLearner",
-    "PerceptronLearner",
     "DensifierConfig",
     "DensifyResult",
     "BudgetExhaustedError",
@@ -179,71 +179,33 @@ class EllipsoidLearner:
                     progress = True
 
 
-class PerceptronLearner:
-    """Classic perceptron; mistake-bounded under a margin but does not keep
-    consistency with past examples (fast fallback)."""
-
-    def __init__(self, dim: int, margin_floor: float = 1e-6):
-        self.dim = dim
-        self.margin_floor = float(margin_floor)
-        self.center = np.zeros(dim)
-        self.mistakes = 0
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self.center.copy()
-
-    def mistake_bound(self) -> int:
-        return int(math.ceil(1.0 / self.margin_floor**2))
-
-    def predict(self, v: np.ndarray) -> int:
-        return 1 if float(self.center @ v) >= 0.0 else -1
-
-    def update(self, v: np.ndarray, label: int) -> None:
-        v = np.asarray(v, dtype=float)
-        norm = float(np.linalg.norm(v))
-        if norm == 0.0:
-            raise ValueError("zero feature vector")
-        v = v / norm
-        if self.predict(v) != label:
-            self.mistakes += 1
-            self.center = self.center + label * v
-
-
-_LEARNERS = {"ellipsoid": EllipsoidLearner, "perceptron": PerceptronLearner}
+# Points fed to the learner are rounded to this lattice first.
+_KAPPA = 2.0**-16
+# Accuracy and grid step of the sampler that draws negatives from the hypothesis.
+_SAMPLE_EPS = 0.25
+_SAMPLE_TAU = 2.0**-5
 
 
 @dataclass(frozen=True)
 class DensifierConfig:
-    """Parameters of one densifier run; None fields are derived at run time
-    (gamma = 1/(8M), n_pos from the feature dimension, budget from the
-    learner's own bound)."""
+    """Accuracy eps and confidence delta of one densifier run, plus the pool
+    size and mistake budget, which ``resolve`` derives when left None (n_pos
+    from the coverage bound, the budget M from the learner's own bound).
+
+    Everything else follows from these: the density bar ``gamma`` = 1/(8M),
+    a cap of 4M + 16 negative rounds, and a hypothesis count to within
+    (1 +- delta)."""
 
     eps: float = 0.1
     delta: float = 0.1
-    gamma: float | None = None
     n_pos: int | None = None
     mistake_budget: int | None = None
-    kappa: float = 2.0**-16
-    p_hat: float | None = None
-    count_eps: float | None = None
-    sample_eps: float = 0.25
-    count_tau: float = 2.0**-8
-    sample_tau: float = 2.0**-5
-    learner: str = "ellipsoid"
-    margin_floor: float = 1e-6
-    max_rounds: int | None = None
 
     def resolve(self, n: int) -> "DensifierConfig":
         m = feature_dim(n)
-        learner_cls = _LEARNERS[self.learner]
         budget = self.mistake_budget
         if budget is None:
-            budget = learner_cls(m, self.margin_floor).mistake_bound()
-        gamma_scale = max(budget, 1)
-        gamma = self.gamma if self.gamma is not None else 1.0 / (8.0 * gamma_scale)
-        if gamma > 1.0 / (4.0 * gamma_scale):
-            raise ValueError("gamma must be at most 1/(4 * mistake budget)")
+            budget = EllipsoidLearner(m).mistake_bound()
         pos_floor = int(math.ceil((m * m + math.log(1.0 / self.delta)) / self.eps**2))
         n_pos = self.n_pos if self.n_pos is not None else pos_floor
         if n_pos < pos_floor:
@@ -251,16 +213,12 @@ class DensifierConfig:
                 f"n_pos = {n_pos} is below the coverage bound {pos_floor} for "
                 f"eps = {self.eps}, delta = {self.delta}"
             )
-        count_eps = self.count_eps if self.count_eps is not None else self.delta
-        max_rounds = self.max_rounds if self.max_rounds is not None else 4 * budget + 16
-        return replace(
-            self,
-            gamma=gamma,
-            n_pos=n_pos,
-            mistake_budget=budget,
-            count_eps=count_eps,
-            max_rounds=max_rounds,
-        )
+        return replace(self, n_pos=n_pos, mistake_budget=budget)
+
+    @property
+    def gamma(self) -> float:
+        """Density bar 1/(8M) of a resolved config."""
+        return 1.0 / (8.0 * max(self.mistake_budget, 1))
 
 
 class BudgetExhaustedError(RuntimeError):
@@ -294,12 +252,13 @@ class DensifyResult:
         return "\n".join(json.dumps(e, sort_keys=True) for e in self.transcript)
 
 
-def _round_kappa(x: np.ndarray, kappa: float) -> np.ndarray:
-    return np.rint(np.asarray(x, dtype=float) / kappa) * kappa
+def _round_kappa(x: np.ndarray) -> np.ndarray:
+    return np.rint(np.asarray(x, dtype=float) / _KAPPA) * _KAPPA
 
 
 def densify(
     pos_source,
+    p_hat: float,
     cfg: DensifierConfig,
     rng: Rng,
     f_oracle=None,
@@ -307,32 +266,29 @@ def densify(
     """Run the densifier loop against a stream of positive examples.
 
     ``pos_source(k)`` must return k fresh draws from the target-conditioned
-    Gaussian as an array (k, n).  ``cfg.p_hat`` is the caller's estimate of
-    the target mass (required: the density termination test compares against
-    it).  ``f_oracle`` (batch points -> +-1), when given, is used only to
-    annotate the transcript with true labels.
+    Gaussian as an array (k, n).  ``p_hat`` is the caller's estimate of the
+    target mass, which the density termination test compares against.
+    ``f_oracle`` (batch points -> +-1), when given, is used only to annotate
+    the transcript with true labels.
 
     Returns the hypothesis as a quadratic form whose sign agrees with the
     learner, plus the full event transcript.  Raises BudgetExhaustedError if
     the budgets run out before the density test passes.
     """
-    if cfg.p_hat is None:
-        raise ValueError("cfg.p_hat (target mass estimate) is required")
     peek = np.asarray(pos_source(1), dtype=float)
     if peek.ndim != 2:
         raise ValueError("pos_source must return a (k, n) array")
     n = peek.shape[1]
     cfg = cfg.resolve(n)
     pool = np.asarray(pos_source(int(cfg.n_pos)), dtype=float)
-    learner = _LEARNERS[cfg.learner](feature_dim(n), cfg.margin_floor)
-    pool_disc = _round_kappa(pool, cfg.kappa)
+    learner = EllipsoidLearner(feature_dim(n))
+    max_rounds = 4 * cfg.mistake_budget + 16
+    pool_disc = _round_kappa(pool)
     feats_raw = feature_map(pool)
     feats = feature_map(pool_disc)
     transcript: list[dict] = []
     fed = 0
     flips = 0
-    neg_sampler: PtfSampler | None = None
-    neg_key: bytes | None = None
 
     def hypothesis() -> QuadraticForm:
         return quadratic_from_weights(learner.weights, n)
@@ -369,11 +325,11 @@ def densify(
             feed(pool[j], feats[j], feats_raw[j], +1, "pos_mistake", rounds)
             continue
         g = hypothesis()
-        res = count_ptf_gaussian(g, cfg.count_eps, tau=cfg.count_tau, floor=0.0)
+        res = count_ptf_gaussian(g, cfg.delta, floor=0.0)
         transcript.append(
             {"step": rounds, "event": "count", "estimate": res.estimate}
         )
-        if cfg.p_hat >= 0.5 * cfg.gamma * res.estimate:
+        if p_hat >= 0.5 * cfg.gamma * res.estimate:
             transcript.append(
                 {"step": rounds, "event": "terminate", "reason": "density"}
             )
@@ -390,18 +346,12 @@ def densify(
                 kappa_flip_fraction=flip_frac,
                 density_estimate=res.estimate,
             )
-        if rounds >= cfg.max_rounds:
+        if rounds >= max_rounds:
             raise BudgetExhaustedError(
-                f"round budget {cfg.max_rounds} exhausted", transcript
+                f"round budget {max_rounds} exhausted", transcript
             )
-        key = learner.weights.tobytes()
-        if neg_sampler is None or key != neg_key:
-            neg_sampler = PtfSampler(
-                g, cfg.sample_eps, tau=cfg.sample_tau, floor=0.0
-            )
-            neg_key = key
-        x = neg_sampler.sample(rng.derive(rounds))
-        xd = _round_kappa(x, cfg.kappa)
+        x = PtfSampler(g, _SAMPLE_EPS, tau=_SAMPLE_TAU, floor=0.0).sample(rng.derive(rounds))
+        xd = _round_kappa(x)
         feed(x, feature_map(xd), feature_map(x), -1, "neg_feed", rounds)
         rounds += 1
 
@@ -464,24 +414,23 @@ def planted_experiment(
     (b) how dense the target is inside the hypothesis, both by Monte Carlo.
     The transcript can optionally be written out as JSON lines.
     """
+    cfg = cfg.resolve(f.n)
     count_res = count_ptf_gaussian(f, cfg.eps / 3.0, floor=0.0)
     p_est = count_res.estimate
     if p_est <= 0.0:
         raise ValueError("target has no measurable positive region")
     p_hat = min(p_est * (1.0 + cfg.eps / 3.0), 1.0)
-    cfg = replace(cfg, p_hat=p_hat)
 
     if p_est >= 1e-4:
         pos = _rejection_positives(f, rng.derive(1))
     else:
         pos = _sampler_positives(f, cfg.eps, rng.derive(2))
 
-    result = densify(pos, cfg, rng.derive(3), f_oracle=lambda pts: sign_at(f, pts))
+    result = densify(pos, p_hat, cfg, rng.derive(3), f_oracle=lambda pts: sign_at(f, pts))
     if transcript_path:
         with open(transcript_path, "w", encoding="utf-8") as fh:
             fh.write(result.transcript_jsonl() + "\n")
     g = result.hypothesis
-    cfg_r = cfg.resolve(f.n)
 
     # (a) coverage of the target's conditioned distribution by g
     fresh = pos(n_validation)
@@ -506,14 +455,14 @@ def planted_experiment(
         "p_hat": p_hat,
         "mistakes": result.mistakes,
         "rounds": result.rounds,
-        "gamma": cfg_r.gamma,
-        "mistake_budget": cfg_r.mistake_budget,
+        "gamma": cfg.gamma,
+        "mistake_budget": cfg.mistake_budget,
         "agreement": agree,
         "agreement_ci": agree_ci,
         "density": density,
         "density_ci": density_ci,
         "kappa_flip_fraction": result.kappa_flip_fraction,
         "passed_a": agree >= 1.0 - 2.0 * cfg.eps,
-        "passed_b": density >= cfg_r.gamma,
+        "passed_b": density >= cfg.gamma,
         "transcript_events": len(result.transcript),
     }

@@ -168,6 +168,22 @@ class Classification:
     predicted: int | None
 
 
+def _classify_near(
+    inst: SubsetSumInstance, z: np.ndarray, dist: float, alpha: float, beta: float
+) -> Classification:
+    """Classify a point at distance ``dist`` from its nearest cube vertex
+    ``z``, given the construction's cluster radii alpha > beta."""
+    nearest = tuple(int(v) for v in z)
+    if dist > alpha:
+        return Classification("far_from_all", nearest, dist, -1)
+    if inst.is_solution(z):
+        if dist <= beta:
+            return Classification("near_solution", nearest, dist, +1)
+    elif dist <= 1.0 / (4.0 * inst.w_norm):
+        return Classification("near_non_solution", nearest, dist, -1)
+    return Classification("indeterminate", nearest, dist, None)
+
+
 def classify_point_deg2(
     x: np.ndarray, inst: SubsetSumInstance, c: float = 4.0
 ) -> Classification:
@@ -179,16 +195,7 @@ def classify_point_deg2(
         raise ValueError("point must lie in the unit cube")
     alpha, beta = alpha_beta_deg2(inst, c)
     z = np.where(x >= 0.5, 1, 0)
-    dist = float(np.sum(np.abs(x - z)))
-    nearest = tuple(int(v) for v in z)
-    if dist > alpha:
-        return Classification("far_from_all", nearest, dist, -1)
-    if inst.is_solution(z):
-        if dist <= beta:
-            return Classification("near_solution", nearest, dist, +1)
-    elif dist <= 1.0 / (4.0 * inst.w_norm):
-        return Classification("near_non_solution", nearest, dist, -1)
-    return Classification("indeterminate", nearest, dist, None)
+    return _classify_near(inst, z, float(np.sum(np.abs(x - z))), alpha, beta)
 
 
 def _simplex_displacements(n: int, radius: float, k: int, rng: Rng) -> np.ndarray:
@@ -315,16 +322,7 @@ def classify_point_deg4(x: np.ndarray, quartic: QuarticForm) -> Classification:
     inst = SubsetSumInstance(w0=quartic.w0, w=quartic.w, variant="pm1")
     alpha, beta = _radii_deg4(quartic)
     z = np.where(x >= 0.0, 1, -1)
-    dist = float(np.linalg.norm(x - z))
-    nearest = tuple(int(v) for v in z)
-    if dist > alpha:
-        return Classification("far_from_all", nearest, dist, -1)
-    if inst.is_solution(z):
-        if dist <= beta:
-            return Classification("near_solution", nearest, dist, +1)
-    elif dist <= 1.0 / (4.0 * quartic.w_norm):
-        return Classification("near_non_solution", nearest, dist, -1)
-    return Classification("indeterminate", nearest, dist, None)
+    return _classify_near(inst, z, float(np.linalg.norm(x - z)), alpha, beta)
 
 
 def _l2_ball_proposals(z: np.ndarray, radius: float, k: int, rng: Rng) -> np.ndarray:

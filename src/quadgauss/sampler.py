@@ -155,6 +155,8 @@ class PtfSampler:
     ):
         if not (0.0 < eps <= 1.0):
             raise ValueError(f"eps must lie in (0, 1], got {eps}")
+        if retry_limit < 0:
+            raise ValueError(f"retry_limit must be >= 0, got {retry_limit}")
         self.original = q
         self.eps = float(eps)
         self.retry_limit = int(retry_limit)

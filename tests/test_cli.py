@@ -1,4 +1,3 @@
-import functools
 import json
 import subprocess
 import sys
@@ -6,8 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from quadgauss import cli
-from quadgauss.densifier import DensifierConfig
+from quadgauss import cli, densifier
 from quadgauss.quadform import QuadraticForm, save_instance
 
 
@@ -111,6 +109,13 @@ class TestBadInput:
             ["geninstance", "--variant", "cube01", "--w0", "2", "--w", "1,1,2", "--c", "-3"],
             ["geninstance", "--w0", "2", "--w", "1,1,2", "--c", "nan"],
             ["geninstance", "--variant", "pm1", "--w0", "2", "--w", "1,1,2", "--c", "inf"],
+            ["sample", "--filter", "--filter-retries", "-1"],
+            # usage errors that argparse raises
+            ["count", "--eps", "abc"],
+            ["sample", "--samples", "x"],
+            ["densify", "--n-pos", "1.5"],
+            ["geninstance", "--w0", "2", "--w", "1,1,2", "--c", "-inf"],
+            ["count", "--no-such-flag"],
         ],
     )
     def test_bad_flag_exit_1(self, chi2_instance, capsys, argv):
@@ -121,6 +126,21 @@ class TestBadInput:
         assert code == 1
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", ["count", "sample", "densify"])
+    def test_missing_instance_exit_1(self, capsys, command):
+        code = cli.main([command])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "--instance" in captured.err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["count", "--help"]])
+    def test_help_exit_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 0
+        assert "usage:" in capsys.readouterr().out
 
     def test_densify_rejects_decoupled_instance(self, tmp_path, capsys):
         path = tmp_path / "dec.json"
@@ -349,7 +369,7 @@ class TestDensifyCommand:
     def test_kappa_flip_exit_4(self, tmp_path, capsys, monkeypatch):
         # the CLI has no --kappa flag; a coarse lattice (kappa = 1) makes
         # rounding flip the learner's prediction on fed points
-        monkeypatch.setattr(cli, "DensifierConfig", functools.partial(DensifierConfig, kappa=1.0))
+        monkeypatch.setattr(densifier, "_KAPPA", 1.0)
         path = tmp_path / "thin.json"
         save_instance(
             QuadraticForm(A=np.zeros((2, 2)), b=np.array([1.0, 0.0]), c=-2.9),

@@ -1,14 +1,15 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from quadgauss import densifier
 from quadgauss.densifier import (
     BudgetExhaustedError,
     DensifierConfig,
     EllipsoidLearner,
     KappaFlipError,
-    PerceptronLearner,
     densify,
     feature_dim,
     feature_map,
@@ -78,17 +79,6 @@ class TestLearners:
         learner = EllipsoidLearner(4)
         assert learner.predict(np.array([0.5, -1.0, 0.0, 2.0])) == 1
 
-    def test_perceptron_learns_separable(self):
-        gen = np.random.default_rng(2)
-        dim = 5
-        learner = PerceptronLearner(dim)
-        stream = separable_stream(gen, dim, 2000, margin=0.2)
-        for v, label in stream:
-            learner.update(v, label)
-        assert learner.mistakes <= (1.0 / 0.2) ** 2 + 1
-        errs = sum(1 for v, label in stream[-200:] if learner.predict(v) != label)
-        assert errs <= 10
-
     def test_mistake_counter_only_on_wrong_predictions(self):
         learner = EllipsoidLearner(3)
         learner.update(np.array([1.0, 0.0, 0.0]), +1)  # predicted +1 already
@@ -129,34 +119,32 @@ class TestDensify:
         # a dense target lets the all-positive initial hypothesis terminate
         # at round zero via the density test
         f = QuadraticForm(A=-np.eye(2), b=np.zeros(2), c=2.0)
-        cfg = DensifierConfig(eps=0.2, delta=0.2, n_pos=1000, p_hat=0.64)
-        res = densify(_planted_source(f, Rng(3)), cfg, Rng(4))
+        cfg = DensifierConfig(eps=0.2, delta=0.2, n_pos=1000)
+        res = densify(_planted_source(f, Rng(3)), 0.64, cfg, Rng(4))
         assert res.rounds == 0
         assert res.mistakes == 0
         assert res.density_estimate == 1.0
         events = [e["event"] for e in res.transcript]
         assert events == ["count", "terminate"]
 
-    def test_learning_path_via_thin_target(self):
+    @staticmethod
+    def _learning_run():
         # a target thin enough that the all-plus hypothesis fails the
         # density test, so negative rounds and real learning happen
         f = QuadraticForm(A=np.zeros((2, 2)), b=np.array([1.0, 0.0]), c=-2.9)
         truth = 0.0018658133003840102  # Phi(-2.9), frozen from erfc
+        p_hat = truth * 1.05
+        cfg = DensifierConfig(eps=0.2, delta=0.2, mistake_budget=30, n_pos=1000)
+        res = densify(
+            _planted_source(f, Rng(5)), p_hat, cfg, Rng(6), f_oracle=lambda p: sign_at(f, p)
+        )
+        return f, p_hat, res
+
+    def test_learning_path_via_thin_target(self):
+        f, p_hat, res = self._learning_run()
         budget = 30
         gamma = 1.0 / (8.0 * budget)
-        p_hat = truth * 1.05
         assert p_hat < gamma / 2.0  # the run cannot short-circuit at round 0
-        cfg = DensifierConfig(
-            eps=0.2,
-            delta=0.2,
-            mistake_budget=budget,
-            n_pos=1000,
-            p_hat=p_hat,
-            sample_tau=2.0**-4,
-        )
-        res = densify(
-            _planted_source(f, Rng(5)), cfg, Rng(6), f_oracle=lambda p: sign_at(f, p)
-        )
         assert res.rounds > 0
         assert res.mistakes <= budget
         # terminated by the density test: hypothesis mass dropped under the bar
@@ -170,60 +158,61 @@ class TestDensify:
         fresh = _planted_source(f, Rng(7))(2000)
         assert np.mean(np.asarray(sign_at(res.hypothesis, fresh)) == 1) >= 0.6
 
-    def test_budget_exhaustion_reports_transcript(self):
-        f = QuadraticForm(A=np.zeros((2, 2)), b=np.array([1.0, 0.0]), c=-2.9)
-        cfg = DensifierConfig(
-            eps=0.2,
-            delta=0.2,
-            mistake_budget=30,
-            n_pos=1000,
-            p_hat=0.00196,
-            max_rounds=0,
-            sample_tau=2.0**-4,
-        )
-        with pytest.raises(BudgetExhaustedError) as err:
-            densify(_planted_source(f, Rng(8)), cfg, Rng(9))
-        assert isinstance(err.value.transcript, list)
+    def test_learning_path_transcript_pinned(self):
+        # the full event stream of a run that leaves round 0: pool mistakes,
+        # hypothesis counts, a negative draw and the density stop
+        _, _, res = self._learning_run()
+        assert res.rounds == 1 and res.mistakes == 2
+        digest = hashlib.sha256(res.transcript_jsonl().encode()).hexdigest()
+        assert digest == "1baa7096a03c03cd4a0be96bd3571c5e97f1a34c0990df9f61eb4f6cfa9f7c86"
 
-    def test_requires_p_hat(self):
-        cfg = DensifierConfig()
-        with pytest.raises(ValueError):
-            densify(lambda k: np.zeros((k, 2)), cfg, Rng(0))
+    def test_budget_exhaustion_reports_transcript(self, monkeypatch):
+        # every negative draw is the same point; once it has been fed, the
+        # learner stays consistent with it, so later rounds make no mistake
+        # and only the round budget 4M + 16 = 36 can end the run
+        class FixedPointSampler:
+            def __init__(self, g, *args, **kwargs):
+                pass
+
+            def sample(self, rng):
+                return np.array([-5.0, 0.0])
+
+        monkeypatch.setattr(densifier, "PtfSampler", FixedPointSampler)
+        f = QuadraticForm(A=np.zeros((2, 2)), b=np.array([1.0, 0.0]), c=-2.9)
+        cfg = DensifierConfig(eps=0.2, delta=0.2, mistake_budget=5, n_pos=1000)
+        with pytest.raises(BudgetExhaustedError, match="round budget 36 exhausted") as err:
+            densify(_planted_source(f, Rng(8)), 0.00196, cfg, Rng(9))
+        negs = [e for e in err.value.transcript if e["event"] == "neg_feed"]
+        assert len(negs) == 36
+        assert sum(e["mistake"] for e in negs) == 1
 
     def test_transcript_schema(self):
         import json
 
         f = QuadraticForm(A=-np.eye(2), b=np.zeros(2), c=2.0)
-        cfg = DensifierConfig(eps=0.2, delta=0.2, n_pos=1000, p_hat=0.64)
-        res = densify(_planted_source(f, Rng(13)), cfg, Rng(14))
+        cfg = DensifierConfig(eps=0.2, delta=0.2, n_pos=1000)
+        res = densify(_planted_source(f, Rng(13)), 0.64, cfg, Rng(14))
         allowed = {"pos_mistake", "neg_feed", "count", "terminate"}
         for line in res.transcript_jsonl().splitlines():
             event = json.loads(line)
             assert isinstance(event["step"], int)
             assert event["event"] in allowed
 
-    def test_coarse_kappa_raises_typed_error(self):
+    def test_coarse_kappa_raises_typed_error(self, monkeypatch):
         # kappa = 1 rounds fed points so coarsely that the learner's
         # prediction flips on a third of them
+        monkeypatch.setattr(densifier, "_KAPPA", 1.0)
         f = QuadraticForm(A=np.zeros((2, 2)), b=np.array([1.0, 0.0]), c=-2.9)
-        cfg = DensifierConfig(
-            eps=0.2,
-            delta=0.2,
-            mistake_budget=30,
-            n_pos=1000,
-            p_hat=0.00196,
-            sample_tau=2.0**-4,
-            kappa=1.0,
-        )
+        cfg = DensifierConfig(eps=0.2, delta=0.2, mistake_budget=30, n_pos=1000)
         with pytest.raises(KappaFlipError, match="kappa rounding flipped") as err:
-            densify(_planted_source(f, Rng(5)), cfg, Rng(6))
+            densify(_planted_source(f, Rng(5)), 0.00196, cfg, Rng(6))
         assert any(e["event"] == "terminate" for e in err.value.transcript)
 
     def test_n_pos_floor_enforced(self):
         f = QuadraticForm(A=-np.eye(2), b=np.zeros(2), c=2.0)
-        cfg = DensifierConfig(eps=0.1, delta=0.1, n_pos=10, p_hat=0.64)
+        cfg = DensifierConfig(eps=0.1, delta=0.1, n_pos=10)
         with pytest.raises(ValueError):
-            densify(_planted_source(f, Rng(15)), cfg, Rng(16))
+            densify(_planted_source(f, Rng(15)), 0.64, cfg, Rng(16))
 
 
 class TestPlantedExperiment:

@@ -226,6 +226,13 @@ class TestPtfSampler:
         with pytest.raises(FilterRetryError):
             s.sample(Rng(9), exact_filter=True)
 
+    def test_negative_retry_limit_rejected(self):
+        # -1 would allow zero attempts, so a filtered draw could never succeed
+        q = QuadraticForm(A=-np.eye(2), b=np.zeros(2), c=2.0)
+        with pytest.raises(ValueError, match="retry_limit"):
+            PtfSampler(q, 0.25, retry_limit=-1)
+        PtfSampler(q, 0.25, tau=2.0**-4, retry_limit=0).sample(Rng(9), exact_filter=True)
+
     def test_seed_determinism(self):
         q = QuadraticForm(A=-np.eye(2), b=np.zeros(2), c=2.0)
         a = sample_ptf_gaussian(q, 0.1, Rng(10), k=10, tau=2.0**-5, trunc_B=4.0)

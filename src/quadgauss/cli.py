@@ -1,25 +1,26 @@
 """Command-line front end: counting, sampling, instance generation,
 densification, and validation, all seed-reproducible.
 
-Exit codes: 0 success (and --help), 1 malformed or oversized input
-(including a usage error, such as an unknown or missing flag or a value
-that does not parse; --eps outside (0, 1], a negative --samples or
---filter-retries, a --tau or --gamma that is not a power of 2 in (0, 1), a
---trunc-B below 1 or not a multiple of --tau, non-finite instance entries, a
---gamma with n*gamma^2 > 1/4 on a non-constant instance, instances beyond
-the engine's size guards, and for densify an --eps or --delta outside
-(0, 1), an --n-pos below 1 or below the coverage bound, or a negative
---mistake-budget, and for geninstance a non-finite --c or one the generator
-refuses), 2 below-floor counting result, 3 filter-retry exhaustion, 4
-validation/densification failure (including an exhausted budget and a
-kappa-rounding flip rate above 1%).
+Commands load their input and call the library, which checks its own
+settings; ``main`` writes any error they raise as one ``error: <message>``
+line on stderr.  Exit codes:
+
+- 0: success, and --help.
+- 1: malformed or oversized input: a usage error (an unknown, missing or
+  unparsable flag, an unreadable instance, a negative --samples), a setting
+  the library rejects with ValueError, or an instance beyond the engine's
+  size guards.
+- 2: a counted mass below the floor (``count`` still prints its result).
+- 3: the exact filter rejected every draw within --filter-retries.
+- 4: validation or densification failed, including an exhausted mistake
+  budget and a kappa-rounding flip rate above 1% (``densify`` then prints a
+  JSON ``error`` line).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -38,9 +39,8 @@ from .densifier import (
     KappaFlipError,
     planted_experiment,
 )
-from .grid import GridSpec
 from .numerics import Rng
-from .quadform import QuadraticForm, RoundingConfig, instance_to_dict, load_instance
+from .quadform import DecoupledConstraint, QuadraticForm, instance_to_dict, load_instance
 from .sampler import FilterRetryError, FloorError, PtfSampler
 from .validation import run_validation
 
@@ -72,37 +72,17 @@ def _emit(doc: dict) -> None:
     sys.stdout.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
-def _bad_args(args: argparse.Namespace) -> str | None:
-    if not (0.0 < args.eps <= 1.0):
-        return f"--eps must lie in (0, 1], got {args.eps}"
-    if getattr(args, "samples", 0) < 0:
-        return f"--samples must be >= 0, got {args.samples}"
+def _load(path: str) -> QuadraticForm | DecoupledConstraint:
     try:
-        RoundingConfig(gamma=args.gamma, tau=args.tau)
-        if args.trunc_B is not None:
-            GridSpec(tau=args.tau, B=args.trunc_B, n=1)
-    except ValueError as exc:
-        return str(exc)
-    return None
+        return load_instance(path)
+    except Exception as exc:
+        raise _UsageError(f"cannot read instance: {exc}") from exc
 
 
 def cmd_count(args: argparse.Namespace) -> int:
-    bad = _bad_args(args)
-    if bad:
-        sys.stderr.write(f"error: {bad}\n")
-        return 1
-    try:
-        inst = load_instance(args.instance)
-    except Exception as exc:
-        sys.stderr.write(f"error: cannot read instance: {exc}\n")
-        return 1
-    try:
-        res = count_ptf_gaussian(
-            inst, args.eps, tau=args.tau, trunc_B=args.trunc_B, gamma=args.gamma
-        )
-    except (EngineTooLargeError, ValueError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
+    res = count_ptf_gaussian(
+        _load(args.instance), args.eps, tau=args.tau, trunc_B=args.trunc_B, gamma=args.gamma
+    )
     _emit(res.to_dict())
     if res.below_floor:
         sys.stderr.write(
@@ -113,40 +93,23 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
-    bad = _bad_args(args)
-    if bad:
-        sys.stderr.write(f"error: {bad}\n")
-        return 1
-    try:
-        inst = load_instance(args.instance)
-    except Exception as exc:
-        sys.stderr.write(f"error: cannot read instance: {exc}\n")
-        return 1
+    if args.samples < 0:
+        raise _UsageError(f"--samples must be >= 0, got {args.samples}")
+    sampler = PtfSampler(
+        _load(args.instance),
+        args.eps,
+        tau=args.tau,
+        trunc_B=args.trunc_B,
+        gamma=args.gamma,
+        retry_limit=args.filter_retries,
+    )
     rng = Rng(args.seed)
-    try:
-        sampler = PtfSampler(
-            inst,
-            args.eps,
-            tau=args.tau,
-            trunc_B=args.trunc_B,
-            gamma=args.gamma,
-            retry_limit=args.filter_retries,
-        )
-        for i in range(args.samples):
-            x = sampler.sample(rng, exact_filter=args.filter)
-            if args.json:
-                _emit({"x": [float(v) for v in x], "filtered": bool(args.filter)})
-            else:
-                sys.stdout.write(" ".join(f"{float(v):.17g}" for v in x) + "\n")
-    except (EngineTooLargeError, ValueError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except FloorError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except FilterRetryError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 3
+    for _ in range(args.samples):
+        x = sampler.sample(rng, exact_filter=args.filter)
+        if args.json:
+            _emit({"x": [float(v) for v in x], "filtered": bool(args.filter)})
+        else:
+            sys.stdout.write(" ".join(f"{float(v):.17g}" for v in x) + "\n")
     return 0
 
 
@@ -154,68 +117,31 @@ def cmd_geninstance(args: argparse.Namespace) -> int:
     try:
         weights = tuple(int(v) for v in args.w.split(","))
         inst = hardness.SubsetSumInstance(w0=args.w0, w=weights, variant=args.variant)
-    except Exception as exc:
-        sys.stderr.write(f"error: invalid subset-sum parameters: {exc}\n")
-        return 1
-    if not math.isfinite(args.c):
-        sys.stderr.write(f"error: --c must be finite, got {args.c}\n")
-        return 1
-    doc = hardness.instance_to_dict(inst, args.c)
-    try:
-        doc["solutions"] = [list(s) for s in inst.solutions()]
-        if args.variant == "cube01":
-            alpha, beta = hardness.alpha_beta_deg2(inst, args.c)
-            _, f = hardness.gen_deg2_cube_instance(inst, args.c)
-            doc["ptf"] = instance_to_dict(f)
-        else:
-            quartic, alpha, beta = hardness.gen_deg4_gauss_instance(inst, args.c)
-            doc["lambda"] = quartic.lam
     except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
+        raise _UsageError(f"invalid subset-sum parameters: {exc}") from exc
+    doc = hardness.instance_to_dict(inst, args.c)
+    doc["solutions"] = [list(s) for s in inst.solutions()]
+    if args.variant == "cube01":
+        alpha, beta = hardness.alpha_beta_deg2(inst, args.c)
+        _, f = hardness.gen_deg2_cube_instance(inst, args.c)
+        doc["ptf"] = instance_to_dict(f)
+    else:
+        quartic, alpha, beta = hardness.gen_deg4_gauss_instance(inst, args.c)
+        doc["lambda"] = quartic.lam
     doc["alpha"] = alpha
     doc["beta"] = beta
     _emit(doc)
     return 0
 
 
-def _bad_densify_args(args: argparse.Namespace) -> str | None:
-    for flag, v in (("--eps", args.eps), ("--delta", args.delta)):
-        if not (0.0 < v < 1.0):
-            return f"{flag} must lie in (0, 1), got {v}"
-    if args.n_pos is not None and args.n_pos < 1:
-        return f"--n-pos must be >= 1, got {args.n_pos}"
-    if args.mistake_budget is not None and args.mistake_budget < 0:
-        return f"--mistake-budget must be >= 0, got {args.mistake_budget}"
-    return None
-
-
 def cmd_densify(args: argparse.Namespace) -> int:
-    bad = _bad_densify_args(args)
-    if bad:
-        sys.stderr.write(f"error: {bad}\n")
-        return 1
-    try:
-        inst = load_instance(args.instance)
-    except Exception as exc:
-        sys.stderr.write(f"error: cannot read instance: {exc}\n")
-        return 1
-    if not isinstance(inst, QuadraticForm):
-        sys.stderr.write(
-            "error: densify needs a quadratic-form instance (A, b, c), not a decoupled one\n"
-        )
-        return 1
     cfg = DensifierConfig(
         eps=args.eps,
         delta=args.delta,
         mistake_budget=args.mistake_budget,
         n_pos=args.n_pos,
     )
-    try:
-        cfg.resolve(inst.n)
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
+    inst = _load(args.instance)
     try:
         report = planted_experiment(
             inst, cfg, Rng(args.seed), transcript_path=args.transcript
@@ -288,14 +214,24 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# Errors main() reports as one "error:" line, with their exit codes
+_EXIT_CODES = (
+    (_UsageError, 1),
+    (ValueError, 1),
+    (EngineTooLargeError, 1),
+    (FloorError, 2),
+    (FilterRetryError, 3),
+)
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-    except _UsageError as exc:
+        np.seterr(all="ignore")  # log-domain arithmetic trips benign under/overflow
+        return args.func(args)
+    except tuple(kind for kind, _ in _EXIT_CODES) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return 1
-    np.seterr(all="ignore")  # log-domain arithmetic trips benign under/overflow
-    return args.func(args)
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -695,6 +695,27 @@ def _truncation_slack(spec: GridSpec) -> float:
     return min(1.0, 2.0 * spec.n * std_normal_cdf(-spec.B))
 
 
+def _checked_grid(
+    q: QuadraticForm | DecoupledConstraint,
+    eps: float,
+    tau: float,
+    trunc_B: float | None,
+    gamma: float,
+    floor: float | None,
+) -> tuple[RoundingConfig, GridSpec, float]:
+    """Check ``eps`` and build the rounding config, the grid (radius
+    ``trunc_B``, default ``default_trunc_radius``) and the floor (default
+    2^(-4n)) that counting and sampling share.  It runs before any
+    decoupling work, so a bad setting raises ValueError at once."""
+    if not (0.0 < eps <= 1.0):
+        raise ValueError(f"eps must lie in (0, 1], got {eps}")
+    cfg = RoundingConfig(gamma=gamma, tau=tau)
+    b_radius = float(trunc_B) if trunc_B is not None else default_trunc_radius(q.n, eps)
+    spec = GridSpec(tau=tau, B=b_radius, n=q.n)
+    floor_value = float(floor) if floor is not None else 2.0 ** (-4 * q.n)
+    return cfg, spec, floor_value
+
+
 def count_ptf_gaussian(
     q: QuadraticForm | DecoupledConstraint,
     eps: float = DEFAULT_EPS,
@@ -709,11 +730,11 @@ def count_ptf_gaussian(
 
     Pipeline: decouple -> normalize -> round coefficients -> discrete count
     on the full grid.  Constant polynomials are answered exactly.  Estimates
-    below ``floor`` (default 2^(-4n)) are flagged, not suppressed.
+    below ``floor`` (default 2^(-4n)) are flagged, not suppressed.  A bad
+    setting raises ValueError before any work.
     """
+    cfg, spec, floor_value = _checked_grid(q, eps, tau, trunc_B, gamma, floor)
     dc = decouple(q) if isinstance(q, QuadraticForm) else q
-    n = dc.n
-    floor_value = float(floor) if floor is not None else 2.0 ** (-4 * n)
     try:
         nz = normalize(dc)
     except ConstantPolynomialError as err:
@@ -726,9 +747,7 @@ def count_ptf_gaussian(
             below_floor=err.mass < floor_value,
             floor=floor_value,
         )
-    rounded = round_coefficients(nz, RoundingConfig(gamma=gamma, tau=tau))
-    b_radius = float(trunc_B) if trunc_B is not None else default_trunc_radius(n, eps)
-    spec = GridSpec(tau=tau, B=b_radius, n=n)
+    rounded = round_coefficients(nz, cfg)
     estimate = count(rounded, spec, eps)
     return CountResult(
         estimate=estimate,

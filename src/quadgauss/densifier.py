@@ -194,12 +194,21 @@ class DensifierConfig:
 
     Everything else follows from these: the density bar ``gamma`` = 1/(8M),
     a cap of 4M + 16 negative rounds, and a hypothesis count to within
-    (1 +- delta)."""
+    (1 +- delta).  A field out of range raises ValueError."""
 
     eps: float = 0.1
     delta: float = 0.1
     n_pos: int | None = None
     mistake_budget: int | None = None
+
+    def __post_init__(self) -> None:
+        for name, v in (("eps", self.eps), ("delta", self.delta)):
+            if not (0.0 < v < 1.0):
+                raise ValueError(f"{name} must lie in (0, 1), got {v}")
+        if self.n_pos is not None and self.n_pos < 1:
+            raise ValueError(f"n_pos must be >= 1, got {self.n_pos}")
+        if self.mistake_budget is not None and self.mistake_budget < 0:
+            raise ValueError(f"mistake_budget must be >= 0, got {self.mistake_budget}")
 
     def resolve(self, n: int) -> "DensifierConfig":
         m = feature_dim(n)
@@ -414,6 +423,11 @@ def planted_experiment(
     (b) how dense the target is inside the hypothesis, both by Monte Carlo.
     The transcript can optionally be written out as JSON lines.
     """
+    if not isinstance(f, QuadraticForm):
+        raise ValueError(
+            "planted_experiment needs a quadratic-form target (A, b, c), "
+            f"not a decoupled or other instance ({type(f).__name__})"
+        )
     cfg = cfg.resolve(f.n)
     count_res = count_ptf_gaussian(f, cfg.eps / 3.0, floor=0.0)
     p_est = count_res.estimate

@@ -52,8 +52,8 @@ class GridSpec:
         e = math.log2(tau)
         if e != math.floor(e):
             raise ValueError(f"tau must be an exact power of 2, got {tau}")
-        if B < 1.0:
-            raise ValueError(f"truncation radius B must be >= 1, got {B}")
+        if not (1.0 <= B < math.inf):
+            raise ValueError(f"truncation radius B must be finite and >= 1, got {B}")
         if self.n < 1:
             raise ValueError("dimension must be >= 1")
         ratio = B / tau

@@ -118,6 +118,8 @@ class SubsetSumInstance:
 
 
 def _lambda_deg2(inst: SubsetSumInstance, c: float) -> tuple[float, float]:
+    if not math.isfinite(c):
+        raise ValueError(f"c must be finite, got {c}")
     m_factor = c * inst.n
     return m_factor, m_factor * inst.w_norm
 
@@ -302,6 +304,8 @@ def gen_deg4_gauss_instance(
     metric (see ``_radii_deg4``)."""
     if inst.variant != "pm1":
         raise ValueError("gen_deg4_gauss_instance requires the pm1 variant")
+    if not math.isfinite(c):
+        raise ValueError(f"c must be finite, got {c}")
     if c < 1.0:
         raise ValueError("c must be >= 1")
     lam = c * inst.n * max(inst.w_norm**2, float(inst.n))

@@ -60,9 +60,7 @@ def std_normal_cdf(x: float) -> float:
     Monotone nondecreasing; rejects non-finite input.
     """
     x = float(x)
-    if math.isnan(x):
-        raise ValueError("std_normal_cdf requires finite x")
-    if math.isinf(x):
+    if not math.isfinite(x):
         raise ValueError("std_normal_cdf requires finite x")
     return float(ndtr(x))
 
@@ -316,7 +314,10 @@ class EigenConvergenceError(RuntimeError):
     """Jacobi sweeps failed to drive the off-diagonal to zero."""
 
 
-def jacobi_eigen(A: np.ndarray, max_sweeps: int = 60) -> tuple[np.ndarray, np.ndarray]:
+_JACOBI_MAX_SWEEPS = 60
+
+
+def jacobi_eigen(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
 
     Returns ``(w, R)`` with eigenvalues ``w`` sorted descending and
@@ -336,7 +337,7 @@ def jacobi_eigen(A: np.ndarray, max_sweeps: int = 60) -> tuple[np.ndarray, np.nd
     if n == 1:
         return a.diagonal().copy(), r
     fro = max(float(np.linalg.norm(a)), 1e-300)
-    for _ in range(max_sweeps):
+    for _ in range(_JACOBI_MAX_SWEEPS):
         # off-diagonal norm measured entrywise (a sum-of-squares difference
         # would cancel catastrophically near convergence)
         off = float(np.linalg.norm(a - np.diag(a.diagonal())))
@@ -363,7 +364,7 @@ def jacobi_eigen(A: np.ndarray, max_sweeps: int = 60) -> tuple[np.ndarray, np.nd
                 rot_q = s * r[:, p] + c * r[:, q]
                 r[:, p], r[:, q] = rot_p, rot_q
     else:
-        raise EigenConvergenceError(f"no convergence after {max_sweeps} sweeps")
+        raise EigenConvergenceError(f"no convergence after {_JACOBI_MAX_SWEEPS} sweeps")
     w = a.diagonal().copy()
     order = np.argsort(-w, kind="stable")
     return w[order], r[:, order]

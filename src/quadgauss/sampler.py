@@ -29,8 +29,8 @@ from .counter import (
     DEFAULT_TAU,
     EngineTooLargeError,
     PrefixCDFTable,
+    _checked_grid,
     count,
-    default_trunc_radius,
 )
 from .grid import GridSpec
 from .numerics import LOG_ZERO, Rng, truncated_normal_sample
@@ -38,7 +38,6 @@ from .quadform import (
     ConstantPolynomialError,
     DecoupledConstraint,
     QuadraticForm,
-    RoundingConfig,
     decouple,
     normalize,
     round_coefficients,
@@ -139,7 +138,8 @@ class PtfSampler:
     The table is built once, here; the first draw checks the counted mass
     against the floor.  With ``exact_filter`` draws are rejected until the
     original polynomial is nonnegative at the output; the residual bias of
-    the unfiltered stream is bounded by the rounding slack.
+    the unfiltered stream is bounded by the rounding slack.  A bad setting
+    raises ValueError before any work.
     """
 
     def __init__(
@@ -153,8 +153,7 @@ class PtfSampler:
         floor: float | None = None,
         retry_limit: int = 100,
     ):
-        if not (0.0 < eps <= 1.0):
-            raise ValueError(f"eps must lie in (0, 1], got {eps}")
+        cfg, self.spec, self._floor = _checked_grid(q, eps, tau, trunc_B, gamma, floor)
         if retry_limit < 0:
             raise ValueError(f"retry_limit must be >= 0, got {retry_limit}")
         self.original = q
@@ -163,7 +162,6 @@ class PtfSampler:
         self.filter_rejections = 0
         dc = decouple(q) if isinstance(q, QuadraticForm) else q
         self._n = dc.n
-        self._floor = float(floor) if floor is not None else 2.0 ** (-4 * dc.n)
         self._floor_checked = False
         try:
             nz = normalize(dc)
@@ -175,11 +173,7 @@ class PtfSampler:
             return
         self.constant = False
         self.normalized = nz
-        self.rounded = round_coefficients(nz, RoundingConfig(gamma=gamma, tau=tau))
-        b_radius = (
-            float(trunc_B) if trunc_B is not None else default_trunc_radius(dc.n, eps)
-        )
-        self.spec = GridSpec(tau=tau, B=b_radius, n=dc.n)
+        self.rounded = round_coefficients(nz, cfg)
         self.rotation = dc.rotation
         self.table = PrefixCDFTable.for_sampling(self.rounded, self.spec, self.eps)
 

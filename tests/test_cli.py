@@ -116,6 +116,7 @@ class TestBadInput:
             ["densify", "--n-pos", "1.5"],
             ["geninstance", "--w0", "2", "--w", "1,1,2", "--c", "-inf"],
             ["count", "--no-such-flag"],
+            ["count", "--trunc-B", "inf"],
         ],
     )
     def test_bad_flag_exit_1(self, chi2_instance, capsys, argv):
@@ -152,6 +153,15 @@ class TestBadInput:
         assert code == 1
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "decoupled" in captured.err
+
+    def test_densify_zero_mass_target_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "neg.json"
+        save_instance(QuadraticForm(A=np.zeros((2, 2)), b=np.zeros(2), c=-1.0), str(path))
+        code = cli.main(["densify", "--instance", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "positive region" in captured.err
 
     def test_coarse_gamma_on_constant_instance_counts(self, const_pos_instance, capsys):
         # a constant polynomial is answered exactly, before any rounding

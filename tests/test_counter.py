@@ -592,6 +592,20 @@ class TestCountPtfGaussian:
         assert default_trunc_radius(2, 0.05) >= 2
         assert default_trunc_radius(8, 0.05) == 8
 
+    @pytest.mark.parametrize(
+        "kwargs", [{"eps": 0.0}, {"eps": 5.0}, {"tau": 0.3}, {"trunc_B": 0.3}]
+    )
+    def test_bad_settings_rejected_before_work(self, monkeypatch, kwargs):
+        # a constant instance is answered without a grid, so only an up-front
+        # check catches these settings
+        def no_decouple(q):
+            raise AssertionError("decouple ran before the settings were checked")
+
+        monkeypatch.setattr(counter, "decouple", no_decouple)
+        q = QuadraticForm(A=np.zeros((2, 2)), b=np.zeros(2), c=1.0)
+        with pytest.raises(ValueError):
+            count_ptf_gaussian(q, **kwargs)
+
 
 class TestMcCount:
     def test_constant_positive(self):

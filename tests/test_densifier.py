@@ -19,7 +19,7 @@ from quadgauss.densifier import (
     weights_from_quadratic,
 )
 from quadgauss.numerics import Rng
-from quadgauss.quadform import QuadraticForm, evaluate, sign_at
+from quadgauss.quadform import DecoupledConstraint, QuadraticForm, evaluate, sign_at
 
 
 class TestFeatureMap:
@@ -208,6 +208,14 @@ class TestDensify:
             densify(_planted_source(f, Rng(5)), 0.00196, cfg, Rng(6))
         assert any(e["event"] == "terminate" for e in err.value.transcript)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"eps": 0.0}, {"delta": 0.0}, {"delta": 1.5}, {"mistake_budget": -1}, {"n_pos": 0}],
+    )
+    def test_config_rejects_out_of_range(self, kwargs):
+        with pytest.raises(ValueError):
+            DensifierConfig(**kwargs)
+
     def test_n_pos_floor_enforced(self):
         f = QuadraticForm(A=-np.eye(2), b=np.zeros(2), c=2.0)
         cfg = DensifierConfig(eps=0.1, delta=0.1, n_pos=10)
@@ -261,6 +269,17 @@ class TestPlantedExperiment:
         a, b = pos(3), pos(3)
         assert np.all(a[:, 0] >= 4.0) and np.all(b[:, 0] >= 4.0)
         assert not np.any(np.isin(b, a))
+
+    def test_decoupled_target_rejected_before_work(self, monkeypatch):
+        def no_count(*args, **kwargs):
+            raise AssertionError("the target was counted before it was checked")
+
+        monkeypatch.setattr(densifier, "count_ptf_gaussian", no_count)
+        dc = DecoupledConstraint(
+            lam=np.array([0.5, 0.5]), mu=np.zeros(2), theta=1.0, rotation=np.eye(2)
+        )
+        with pytest.raises(ValueError, match="decoupled"):
+            planted_experiment(dc, DensifierConfig(), Rng(0))
 
     def test_constant_positive_target(self):
         f = QuadraticForm(A=np.zeros((2, 2)), b=np.zeros(2), c=1.0)

@@ -222,6 +222,20 @@ class TestRegionSamplingDeg2:
         assert rate >= floor
 
 
+@pytest.mark.parametrize("c", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "generate, inst",
+    [
+        (gen_deg2_cube_instance, W_35),
+        (alpha_beta_deg2, W_35),
+        (gen_deg4_gauss_instance, SubsetSumInstance(w0=2, w=(1, 1, 2), variant="pm1")),
+    ],
+)
+def test_non_finite_c_rejected(generate, inst, c):
+    with pytest.raises(ValueError, match="^c must be finite"):
+        generate(inst, c)
+
+
 class TestDeg4Construction:
     INST = SubsetSumInstance(w0=2, w=(1, 1, 2), variant="pm1")
 

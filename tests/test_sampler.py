@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from quadgauss import sampler
 from quadgauss.counter import PrefixCDFTable
 from quadgauss.grid import GridSpec
 from quadgauss.numerics import Rng
@@ -232,6 +233,20 @@ class TestPtfSampler:
         with pytest.raises(ValueError, match="retry_limit"):
             PtfSampler(q, 0.25, retry_limit=-1)
         PtfSampler(q, 0.25, tau=2.0**-4, retry_limit=0).sample(Rng(9), exact_filter=True)
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"eps": 0.0}, {"eps": 5.0}, {"tau": 0.3}, {"trunc_B": 0.3}]
+    )
+    def test_bad_settings_rejected_before_work(self, monkeypatch, kwargs):
+        # a constant instance needs no grid, so only an up-front check
+        # catches these settings
+        def no_decouple(q):
+            raise AssertionError("decouple ran before the settings were checked")
+
+        monkeypatch.setattr(sampler, "decouple", no_decouple)
+        q = QuadraticForm(A=np.zeros((2, 2)), b=np.zeros(2), c=1.0)
+        with pytest.raises(ValueError):
+            PtfSampler(q, **kwargs)
 
     def test_seed_determinism(self):
         q = QuadraticForm(A=-np.eye(2), b=np.zeros(2), c=2.0)

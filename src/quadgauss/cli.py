@@ -69,7 +69,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _emit(doc: dict) -> None:
-    sys.stdout.write(json.dumps(doc, sort_keys=True) + "\n")
+    sys.stdout.write(json.dumps(doc, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _load(path: str) -> QuadraticForm | DecoupledConstraint:

@@ -52,7 +52,6 @@ from .quadform import (
     QuadraticForm,
     RoundingConfig,
     decouple,
-    gaussian_variance,
     normalize,
     round_coefficients,
     sign_at,
@@ -82,6 +81,9 @@ _BRUTEFORCE_LIMIT = 10_000_000
 # are formed _PAIR_BLOCK at a time
 _PAIR_LIMIT = 85_000_000
 _PAIR_BLOCK = 1 << 16
+# grid points per coordinate; each pmf, support row and cell-mass array has
+# this many entries, and they are built before the pair guard can run
+_POINTS_LIMIT = 1 << 20
 # window edges are quantiles of every _SAMPLE_STRIDE-th atom of each side
 _SAMPLE_STRIDE = 32
 
@@ -534,6 +536,11 @@ class PrefixCDFTable:
         n = dc.n
         if spec.n != n:
             raise ValueError("constraint and grid dimensions disagree")
+        if spec.points_per_coord > _POINTS_LIMIT:
+            raise EngineTooLargeError(
+                f"grid has {spec.points_per_coord} points per coordinate, beyond "
+                f"the size guard of {_POINTS_LIMIT}; use a coarser tau or a smaller B"
+            )
         kappa = spec.value(np.arange(spec.points_per_coord))
         support = dc.lam[:, None] * kappa * kappa + dc.mu[:, None] * kappa
         log_cell = _log_cell_masses(spec.tau, spec.B)
@@ -631,68 +638,24 @@ def count(
 
 @dataclass(frozen=True)
 class CountResult:
-    """Counting answer with its error-budget ledger.
+    """A count and the accuracy that certifies it.
 
-    ``slack`` entries are conservative diagnostic bounds on the probability
-    mass that each pipeline stage (coefficient rounding, grid discretization,
-    tail truncation) may have moved across the acceptance boundary; they are
-    reported, not folded into ``estimate``.
+    ``estimate`` lies within (1 +- eps) of the grid mass of the rounded,
+    truncated instance: coefficients snapped to the gamma lattice, and each
+    coordinate floored onto the grid of step tau and radius B, whose end
+    cells absorb the tails.  The gap from that grid mass to the Gaussian
+    mass of the original instance is not bounded here.  ``below_floor``
+    flags an estimate below ``floor`` = 2^(-4n); it is reported, not
+    suppressed.
     """
 
     estimate: float
     eps: float
-    slack_rounding: float
-    slack_discretization: float
-    slack_truncation: float
     below_floor: bool
     floor: float
 
-    @property
-    def log_estimate(self) -> float:
-        return math.log(self.estimate) if self.estimate > 0.0 else LOG_ZERO
-
     def to_dict(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "log_estimate": self.log_estimate,
-            "eps": self.eps,
-            "slack": {
-                "rounding": self.slack_rounding,
-                "discretization": self.slack_discretization,
-                "truncation": self.slack_truncation,
-            },
-            "below_floor": self.below_floor,
-        }
-
-
-def _rounding_slack(nz: DecoupledConstraint, rounded: DecoupledConstraint) -> float:
-    diff = DecoupledConstraint(
-        lam=nz.lam - rounded.lam,
-        mu=nz.mu - rounded.mu,
-        theta=0.0,
-        rotation=nz.rotation,
-    )
-    var = gaussian_variance(diff)
-    # sign-flip probability of a unit-variance quadratic under a var-sized
-    # perturbation: anticoncentration gives ~ d * var^(1/(3d)) with d = 2
-    return min(1.0, 2.0 * var ** (1.0 / 6.0)) if var > 0.0 else 0.0
-
-
-def _discretization_slack(rounded: DecoupledConstraint, spec: GridSpec) -> float:
-    tau, b = spec.tau, spec.B
-    dq = tau * float(
-        np.sum(np.abs(rounded.lam) * (2.0 * b + tau) + np.abs(rounded.mu))
-    )
-    var = gaussian_variance(rounded)
-    if var <= 0.0:
-        return 0.0
-    return min(1.0, 2.0 * math.sqrt(dq / math.sqrt(var)))
-
-
-def _truncation_slack(spec: GridSpec) -> float:
-    from .numerics import std_normal_cdf
-
-    return min(1.0, 2.0 * spec.n * std_normal_cdf(-spec.B))
+        return {"estimate": self.estimate, "eps": self.eps, "below_floor": self.below_floor}
 
 
 def _checked_grid(
@@ -701,7 +664,7 @@ def _checked_grid(
     tau: float,
     trunc_B: float | None,
     gamma: float,
-    floor: float | None,
+    floor: float | None = None,
 ) -> tuple[RoundingConfig, GridSpec, float]:
     """Check ``eps`` and build the rounding config, the grid (radius
     ``trunc_B``, default ``default_trunc_radius``) and the floor (default
@@ -723,41 +686,26 @@ def count_ptf_gaussian(
     tau: float = DEFAULT_TAU,
     trunc_B: float | None = None,
     gamma: float = DEFAULT_GAMMA,
-    floor: float | None = None,
 ) -> CountResult:
-    """Estimate Pr_{G ~ N(0,I)}[sign(q(G)) = +1] to within (1 +- eps), up to
-    the reported discretization/rounding/truncation slack.
+    """Estimate Pr_{G ~ N(0,I)}[sign(q(G)) = +1].
 
-    Pipeline: decouple -> normalize -> round coefficients -> discrete count
-    on the full grid.  Constant polynomials are answered exactly.  Estimates
-    below ``floor`` (default 2^(-4n)) are flagged, not suppressed.  A bad
-    setting raises ValueError before any work.
+    Pipeline: decouple -> normalize -> round coefficients to the ``gamma``
+    lattice -> count on the grid of step ``tau`` and radius ``trunc_B``
+    (default ``default_trunc_radius``).  The estimate is within (1 +- eps)
+    of the grid mass of that rounded, truncated instance; the gap to the
+    Gaussian mass of ``q`` is not bounded (see ``CountResult``).  Constant
+    polynomials are answered exactly.  Estimates below 2^(-4n) are flagged,
+    not suppressed.  A bad setting raises ValueError before any work.
     """
-    cfg, spec, floor_value = _checked_grid(q, eps, tau, trunc_B, gamma, floor)
+    cfg, spec, floor = _checked_grid(q, eps, tau, trunc_B, gamma)
     dc = decouple(q) if isinstance(q, QuadraticForm) else q
     try:
         nz = normalize(dc)
     except ConstantPolynomialError as err:
-        return CountResult(
-            estimate=err.mass,
-            eps=eps,
-            slack_rounding=0.0,
-            slack_discretization=0.0,
-            slack_truncation=0.0,
-            below_floor=err.mass < floor_value,
-            floor=floor_value,
-        )
-    rounded = round_coefficients(nz, cfg)
-    estimate = count(rounded, spec, eps)
-    return CountResult(
-        estimate=estimate,
-        eps=eps,
-        slack_rounding=_rounding_slack(nz, rounded),
-        slack_discretization=_discretization_slack(rounded, spec),
-        slack_truncation=_truncation_slack(spec),
-        below_floor=estimate < floor_value,
-        floor=floor_value,
-    )
+        estimate = err.mass
+    else:
+        estimate = count(round_coefficients(nz, cfg), spec, eps)
+    return CountResult(estimate=estimate, eps=eps, below_floor=estimate < floor, floor=floor)
 
 
 _Z99 = 2.5758293035489004  # two-sided 99% normal quantile

@@ -334,7 +334,7 @@ def densify(
             feed(pool[j], feats[j], feats_raw[j], +1, "pos_mistake", rounds)
             continue
         g = hypothesis()
-        res = count_ptf_gaussian(g, cfg.delta, floor=0.0)
+        res = count_ptf_gaussian(g, cfg.delta)
         transcript.append(
             {"step": rounds, "event": "count", "estimate": res.estimate}
         )
@@ -429,7 +429,7 @@ def planted_experiment(
             f"not a decoupled or other instance ({type(f).__name__})"
         )
     cfg = cfg.resolve(f.n)
-    count_res = count_ptf_gaussian(f, cfg.eps / 3.0, floor=0.0)
+    count_res = count_ptf_gaussian(f, cfg.eps / 3.0)
     p_est = count_res.estimate
     if p_est <= 0.0:
         raise ValueError("target has no measurable positive region")

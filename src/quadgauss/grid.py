@@ -57,7 +57,7 @@ class GridSpec:
         if self.n < 1:
             raise ValueError("dimension must be >= 1")
         ratio = B / tau
-        if ratio != math.floor(ratio):
+        if not ratio.is_integer():
             raise ValueError(f"B/tau must be integral, got {ratio}")
 
     @property

@@ -161,7 +161,9 @@ class RoundingConfig:
     Both must be exact powers of two in (0, 1): coefficient rounding step
     ``gamma`` and grid step ``tau``.  Power-of-two steps keep every product
     lam'*kappa^2 + mu'*kappa exactly representable, which the counting engine
-    relies on for collision-free support merging.
+    relies on for collision-free support merging.  ``gamma`` must also be at
+    least 2^-1022, the smallest normal double: below it, rounding divides a
+    coefficient by gamma and overflows.
     """
 
     gamma: float
@@ -175,6 +177,8 @@ class RoundingConfig:
             exp = math.log2(v)
             if exp != math.floor(exp):
                 raise ValueError(f"{name} must be an exact power of 2, got {v}")
+        if self.gamma < 2.0**-1022:
+            raise ValueError(f"gamma must be at least 2^-1022, got {self.gamma}")
         object.__setattr__(self, "gamma", float(self.gamma))
         object.__setattr__(self, "tau", float(self.tau))
 

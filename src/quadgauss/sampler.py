@@ -136,10 +136,13 @@ class PtfSampler:
     rotate back.
 
     The table is built once, here; the first draw checks the counted mass
-    against the floor.  With ``exact_filter`` draws are rejected until the
-    original polynomial is nonnegative at the output; the residual bias of
-    the unfiltered stream is bounded by the rounding slack.  A bad setting
-    raises ValueError before any work.
+    against ``floor`` (default 2^(-4n)).  Draws lie within total variation
+    eps of N(0, I) conditioned on the rounded, truncated instance: the union
+    of the grid cells whose grid point satisfies the rounded constraint, each
+    cell lifted exactly.  The gap to N(0, I) conditioned on ``q`` itself is
+    not bounded.  With ``exact_filter`` draws are rejected until the original
+    polynomial is nonnegative at the output.  A bad setting raises
+    ValueError before any work.
     """
 
     def __init__(

@@ -38,7 +38,7 @@ class TestCount:
         assert code == 0
         doc = json.loads(out)
         assert doc["estimate"] == pytest.approx(0.6321205588285577, rel=0.03)
-        assert set(doc) == {"estimate", "log_estimate", "eps", "slack", "below_floor"}
+        assert set(doc) == {"estimate", "eps", "below_floor"}
 
     def test_constant_positive(self, const_pos_instance, capsys):
         code, out = run_inproc(["count", "--instance", const_pos_instance], capsys)
@@ -82,6 +82,22 @@ class TestCount:
         assert code == 2
         assert json.loads(out)["below_floor"] is True
 
+    def test_zero_estimate_prints_strict_json(self, tmp_path, capsys):
+        # x1 >= 6 at default flags counts exactly 0; stdout stays standard
+        # JSON, with no -Infinity or NaN token
+        path = tmp_path / "x6.json"
+        save_instance(
+            QuadraticForm(A=np.zeros((1, 1)), b=np.array([1.0]), c=-6.0), str(path)
+        )
+        code, out = run_inproc(["count", "--instance", str(path)], capsys)
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        assert code == 2
+        doc = json.loads(out, parse_constant=reject)
+        assert doc == {"below_floor": True, "eps": 0.05, "estimate": 0.0}
+
 
 class TestBadInput:
     @pytest.mark.parametrize(
@@ -117,6 +133,7 @@ class TestBadInput:
             ["geninstance", "--w0", "2", "--w", "1,1,2", "--c", "-inf"],
             ["count", "--no-such-flag"],
             ["count", "--trunc-B", "inf"],
+            ["count", "--tau", "5e-324"],
         ],
     )
     def test_bad_flag_exit_1(self, chi2_instance, capsys, argv):
@@ -162,6 +179,24 @@ class TestBadInput:
         assert code == 1
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "positive region" in captured.err
+
+    def test_oversized_grid_refused_before_work(self, chi2_instance, capsys):
+        # tau 2^-20 gives 8.4M points per coordinate: refused by the size
+        # guard, not built
+        code = cli.main(["count", "--instance", chi2_instance, "--tau", str(2.0**-20)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: grid has 8388609 points per coordinate")
+
+    @pytest.mark.parametrize("command", ["count", "sample"])
+    def test_subnormal_gamma_names_its_bound(self, chi2_instance, capsys, command):
+        code = cli.main([command, "--instance", chi2_instance, "--gamma", "5e-324"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: gamma must be at least 2^-1022")
+        assert "coarse" not in captured.err
 
     def test_coarse_gamma_on_constant_instance_counts(self, const_pos_instance, capsys):
         # a constant polynomial is answered exactly, before any rounding

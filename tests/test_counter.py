@@ -23,6 +23,7 @@ from quadgauss.counter import (
 from quadgauss.grid import GridSpec, support_and_log_pmf
 from quadgauss.numerics import LOG_ZERO, Rng
 from quadgauss.quadform import DecoupledConstraint, QuadraticForm
+from quadgauss.sampler import PtfSampler
 
 import oracles
 
@@ -578,15 +579,8 @@ class TestCountPtfGaussian:
     def test_result_schema(self):
         q = QuadraticForm(A=-np.eye(2), b=np.zeros(2), c=2.0)
         doc = count_ptf_gaussian(q, 0.05).to_dict()
-        assert set(doc) == {"estimate", "log_estimate", "eps", "slack", "below_floor"}
-        assert set(doc["slack"]) == {"rounding", "discretization", "truncation"}
+        assert set(doc) == {"estimate", "eps", "below_floor"}
         json.dumps(doc)  # serializable
-
-    def test_slack_fields_bounded(self):
-        q = QuadraticForm(A=-np.eye(2), b=np.zeros(2), c=2.0)
-        res = count_ptf_gaussian(q, 0.05)
-        for v in (res.slack_rounding, res.slack_discretization, res.slack_truncation):
-            assert 0.0 <= v <= 1.0
 
     def test_default_radius(self):
         assert default_trunc_radius(2, 0.05) >= 2
@@ -605,6 +599,21 @@ class TestCountPtfGaussian:
         q = QuadraticForm(A=np.zeros((2, 2)), b=np.zeros(2), c=1.0)
         with pytest.raises(ValueError):
             count_ptf_gaussian(q, **kwargs)
+
+    @pytest.mark.parametrize("build", [count_ptf_gaussian, PtfSampler])
+    def test_oversized_grid_refused_before_pmfs(self, monkeypatch, build):
+        # 2B/tau + 1 points per coordinate past the guard: no pmf or cell
+        # mass is built
+        def no_pmf(*args):
+            raise AssertionError("a pmf was built before the size guard")
+
+        monkeypatch.setattr(counter, "support_and_log_pmf", no_pmf)
+        monkeypatch.setattr(counter, "_log_cell_masses", no_pmf)
+        q = QuadraticForm(A=-np.eye(2), b=np.zeros(2), c=2.0)
+        spec_points = 2 * 4 * 2**20 + 1
+        assert spec_points > counter._POINTS_LIMIT
+        with pytest.raises(EngineTooLargeError, match=f"grid has {spec_points} points"):
+            build(q, tau=2.0**-20, trunc_B=4.0)
 
 
 class TestMcCount:

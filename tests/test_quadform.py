@@ -234,6 +234,17 @@ class TestRoundCoefficients:
         with pytest.raises(ValueError):
             RoundingConfig(gamma=0.5, tau=1.5)
 
+    def test_smallest_normal_gamma_rounds_without_overflow(self):
+        # gamma = 2^-1022 still rounds a unit-norm constraint exactly; one
+        # step below, lam / gamma could overflow, so the config refuses it
+        dc = normalize(
+            DecoupledConstraint(lam=np.array([0.6]), mu=np.array([0.8]), theta=0.0, rotation=np.eye(1))
+        )
+        out = round_coefficients(dc, RoundingConfig(gamma=2.0**-1022, tau=0.5))
+        assert np.array_equal(out.lam, dc.lam) and np.array_equal(out.mu, dc.mu)
+        with pytest.raises(ValueError, match=r"^gamma must be at least 2\^-1022"):
+            RoundingConfig(gamma=2.0**-1023, tau=0.5)
+
 
 class TestGaussianVariance:
     def test_pure_square(self):

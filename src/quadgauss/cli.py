@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -95,6 +96,7 @@ def cmd_count(args: argparse.Namespace) -> int:
 def cmd_sample(args: argparse.Namespace) -> int:
     if args.samples < 0:
         raise _UsageError(f"--samples must be >= 0, got {args.samples}")
+    rng = Rng(args.seed)
     sampler = PtfSampler(
         _load(args.instance),
         args.eps,
@@ -103,7 +105,6 @@ def cmd_sample(args: argparse.Namespace) -> int:
         gamma=args.gamma,
         retry_limit=args.filter_retries,
     )
-    rng = Rng(args.seed)
     for _ in range(args.samples):
         x = sampler.sample(rng, exact_filter=args.filter)
         if args.json:
@@ -134,6 +135,17 @@ def cmd_geninstance(args: argparse.Namespace) -> int:
     return 0
 
 
+def _open_transcript(path: str | None):
+    """The --transcript file, opened before the run so that a bad path
+    fails at once."""
+    if path is None:
+        return nullcontext()
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise _UsageError(f"cannot write transcript: {exc}") from exc
+
+
 def cmd_densify(args: argparse.Namespace) -> int:
     cfg = DensifierConfig(
         eps=args.eps,
@@ -142,15 +154,11 @@ def cmd_densify(args: argparse.Namespace) -> int:
         n_pos=args.n_pos,
     )
     inst = _load(args.instance)
+    rng = Rng(args.seed)
     try:
-        report = planted_experiment(
-            inst, cfg, Rng(args.seed), transcript_path=args.transcript
-        )
+        with _open_transcript(args.transcript) as fh:
+            report = planted_experiment(inst, cfg, rng, transcript=fh)
     except (BudgetExhaustedError, KappaFlipError) as exc:
-        if args.transcript:
-            with open(args.transcript, "w", encoding="utf-8") as fh:
-                for event in exc.transcript:
-                    fh.write(json.dumps(event, sort_keys=True) + "\n")
         error = "budget-exhausted" if isinstance(exc, BudgetExhaustedError) else "kappa-flip"
         _emit({"error": error, "detail": str(exc)})
         return 4

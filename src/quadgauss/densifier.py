@@ -29,6 +29,7 @@ import json
 import math
 from contextlib import closing
 from dataclasses import dataclass, field, replace
+from typing import TextIO
 
 import numpy as np
 
@@ -411,17 +412,23 @@ def _sampler_positives(f: QuadraticForm, eps: float, rng: Rng):
     return source
 
 
+def _write_transcript(fh: TextIO | None, events: list[dict]) -> None:
+    if fh is not None:
+        fh.writelines(json.dumps(e, sort_keys=True) + "\n" for e in events)
+
+
 def planted_experiment(
     f: QuadraticForm,
     cfg: DensifierConfig,
     rng: Rng,
     n_validation: int = 4000,
-    transcript_path: str | None = None,
+    transcript: TextIO | None = None,
 ) -> dict:
     """End-to-end run against a known target: generate positives, densify,
     then measure (a) how much of the target's mass the hypothesis covers and
     (b) how dense the target is inside the hypothesis, both by Monte Carlo.
-    The transcript can optionally be written out as JSON lines.
+    ``transcript``, a text stream, receives the run's events as JSON lines,
+    also when the run ends in BudgetExhaustedError or KappaFlipError.
     """
     if not isinstance(f, QuadraticForm):
         raise ValueError(
@@ -440,10 +447,12 @@ def planted_experiment(
     else:
         pos = _sampler_positives(f, cfg.eps, rng.derive(2))
 
-    result = densify(pos, p_hat, cfg, rng.derive(3), f_oracle=lambda pts: sign_at(f, pts))
-    if transcript_path:
-        with open(transcript_path, "w", encoding="utf-8") as fh:
-            fh.write(result.transcript_jsonl() + "\n")
+    try:
+        result = densify(pos, p_hat, cfg, rng.derive(3), f_oracle=lambda pts: sign_at(f, pts))
+    except (BudgetExhaustedError, KappaFlipError) as exc:
+        _write_transcript(transcript, exc.transcript)
+        raise
+    _write_transcript(transcript, result.transcript)
     g = result.hypothesis
 
     # (a) coverage of the target's conditioned distribution by g

@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import gammaln
 
 from .numerics import Rng
@@ -121,7 +120,10 @@ def _lambda_deg2(inst: SubsetSumInstance, c: float) -> tuple[float, float]:
     if not math.isfinite(c):
         raise ValueError(f"c must be finite, got {c}")
     m_factor = c * inst.n
-    return m_factor, m_factor * inst.w_norm
+    lam = m_factor * inst.w_norm
+    if not math.isfinite(2.0 * lam):  # beta's denominator is about 2 lam
+        raise ValueError(f"c = {c} overflows the penalty lam = c n ||w||; use a smaller c")
+    return m_factor, lam
 
 
 def gen_deg2_cube_instance(
@@ -147,12 +149,14 @@ def alpha_beta_deg2(inst: SubsetSumInstance, c: float = 4.0) -> tuple[float, flo
     (sign is +1 within it, around solutions), both in L1 distance.
 
     alpha solves X(1-X) = 1/(2 lam); beta * ||w|| solves X^2 + M X = 1/2.
+    Both are the small roots, written without subtracting nearly equal
+    numbers, so they keep full precision at large c.
     """
     m_factor, lam = _lambda_deg2(inst, c)
     if lam <= 2.0:
         raise ValueError(f"penalty lam = {lam} must exceed 2; increase c")
-    alpha = 0.5 * (1.0 - math.sqrt(1.0 - 2.0 / lam))
-    beta = (math.sqrt(m_factor * m_factor + 2.0) - m_factor) / (2.0 * inst.w_norm)
+    alpha = (1.0 / lam) / (1.0 + math.sqrt(1.0 - 2.0 / lam))
+    beta = 1.0 / (inst.w_norm * (math.hypot(m_factor, math.sqrt(2.0)) + m_factor))
     if not (beta < alpha < 0.5):
         raise ValueError(f"radius ordering violated (beta={beta}, alpha={alpha})")
     return alpha, beta
@@ -286,8 +290,13 @@ def _radii_deg4(quartic: QuarticForm) -> tuple[float, float]:
     alpha solves 4(1-X)^2 X^2 = 1/(2 lam); beta is the smallest positive
     solution of (||w||^2 + lam (2+X)^2) X^2 = 1/2.
     """
+    # Imported here, not at module top: scipy.optimize adds ~90 ms and ~23 MB
+    # to every process, and only degree-4 instances need a root solve.
+    from scipy.optimize import brentq
+
     lam = quartic.lam
-    alpha = 0.5 * (1.0 - math.sqrt(1.0 - math.sqrt(2.0 / lam)))
+    s = math.sqrt(2.0 / lam)
+    alpha = 0.5 * s / (1.0 + math.sqrt(1.0 - s))
     wn2 = quartic.w_norm**2
 
     def g(x: float) -> float:
@@ -309,6 +318,8 @@ def gen_deg4_gauss_instance(
     if c < 1.0:
         raise ValueError("c must be >= 1")
     lam = c * inst.n * max(inst.w_norm**2, float(inst.n))
+    if not math.isfinite(10.0 * lam):  # the beta solve evaluates up to 10 lam
+        raise ValueError(f"c = {c} overflows the penalty lam = c n max(||w||^2, n); use a smaller c")
     if lam <= 2.0:
         raise ValueError(f"penalty lam = {lam} must exceed 2")
     quartic = QuarticForm(w0=inst.w0, w=inst.w, lam=lam)

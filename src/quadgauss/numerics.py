@@ -22,6 +22,7 @@ depend on the worker count.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import threading
 from collections import deque
@@ -185,7 +186,13 @@ class Rng:
     """
 
     def __init__(self, seed: int, _spawn_key: tuple[int, ...] = ()):
-        self.seed = int(seed)
+        try:
+            seed = operator.index(seed)
+        except TypeError:
+            raise ValueError(f"seed must be an integer, got {seed!r}") from None
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
+        self.seed = seed
         self.spawn_key = tuple(int(k) for k in _spawn_key)
         self._gen = _philox(self.seed, self.spawn_key)
 

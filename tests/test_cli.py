@@ -327,6 +327,13 @@ class TestSample:
         )
         assert code == 3
 
+    def test_negative_seed_exit_1(self, chi2_instance, capsys):
+        code = cli.main(["sample", "--instance", chi2_instance, "--seed", "-1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: seed must be >= 0, got -1\n"
+
 
 class TestGeninstance:
     def test_cube01_example(self, capsys):
@@ -349,6 +356,25 @@ class TestGeninstance:
         )
         assert code == 0
         assert json.loads(out)["solutions"] == []
+
+    def test_large_c_keeps_radius_order(self, capsys):
+        # the textbook radius formulas put beta above alpha here
+        code, out = run_inproc(
+            ["geninstance", "--w0", "3", "--w", "1,2,4", "--c", "1e6"], capsys
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert 0.0 < doc["beta"] < doc["alpha"]
+
+    @pytest.mark.parametrize("variant", ["cube01", "pm1"])
+    def test_overflowing_c_names_c(self, capsys, variant):
+        code = cli.main(
+            ["geninstance", "--variant", variant, "--w0", "2", "--w", "1,1,2", "--c", "1e308"]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: c = 1e+308 overflows the penalty")
 
     def test_invalid_weights_exit_1(self, capsys):
         code, _ = run_inproc(
@@ -430,6 +456,25 @@ class TestDensifyCommand:
         assert events[-1]["event"] == "terminate"
 
 
+    @pytest.mark.parametrize("where", ["missing_dir", "directory"])
+    def test_bad_transcript_path_fails_before_work(
+        self, tmp_path, capsys, monkeypatch, chi2_instance, where
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("planted_experiment ran")
+
+        monkeypatch.setattr(cli, "planted_experiment", never)
+        path = tmp_path / "no" / "t.jsonl" if where == "missing_dir" else tmp_path
+        code = cli.main(
+            ["densify", "--instance", chi2_instance, "--transcript", str(path)]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write transcript: ")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
 class TestValidate:
     def test_exit_zero_and_reports(self, capsys):
         code, out = run_inproc(["validate"], capsys)
@@ -456,6 +501,22 @@ class TestSubprocessEntry:
         r2 = subprocess.run(argv, capture_output=True, text=True)
         assert r1.returncode == 0
         assert r1.stdout == r2.stdout
+
+    def test_import_loads_no_root_solver(self):
+        # scipy.optimize costs every process ~90 ms and ~23 MB; only the
+        # degree-4 radius solve may load it
+        r = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, quadgauss.cli; "
+                "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))",
+            ],
+            capture_output=True,
+            text=True,
+        )
+        assert r.returncode == 0, r.stderr
+        assert r.stdout == "[]\n"
 
     def test_help_documents_flags(self):
         r = subprocess.run(

@@ -1,5 +1,6 @@
 import itertools
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -141,6 +142,35 @@ class TestRadiiDeg2:
         with pytest.raises(ValueError):
             alpha_beta_deg2(inst, 0.5)
 
+    @pytest.mark.parametrize("inst", [W_35, SubsetSumInstance(w0=3, w=(1, 2, 4))])
+    @pytest.mark.parametrize("c", [4.0, 1e3, 1e6, 1e9])
+    def test_radii_match_extended_precision(self, inst, c):
+        # the small roots of both defining equations, in 80 digits from the
+        # same float M and lam; the textbook forms lost 1.8e-10 at c = 1e3
+        alpha, beta = alpha_beta_deg2(inst, c)
+        m_factor = c * inst.n
+        with localcontext() as ctx:
+            ctx.prec = 80
+            m, lam, wn = Decimal(m_factor), Decimal(m_factor * inst.w_norm), Decimal(inst.w_norm)
+            want_alpha = (1 - (1 - 2 / lam).sqrt()) / 2
+            want_beta = ((m * m + 2).sqrt() - m) / (2 * wn)
+            assert abs(Decimal(alpha) / want_alpha - 1) <= Decimal("1e-15")
+            assert abs(Decimal(beta) / want_beta - 1) <= Decimal("1e-15")
+        assert beta < alpha
+
+
+@pytest.mark.parametrize(
+    "generate, inst",
+    [
+        (alpha_beta_deg2, W_35),
+        (gen_deg2_cube_instance, W_35),
+        (gen_deg4_gauss_instance, SubsetSumInstance(w0=2, w=(1, 1, 2), variant="pm1")),
+    ],
+)
+def test_overflowing_c_rejected(generate, inst):
+    with pytest.raises(ValueError, match=r"^c = 1e\+308 overflows the penalty"):
+        generate(inst, 1e308)
+
 
 class TestClassifyDeg2:
     def test_solution_itself(self):
@@ -264,6 +294,19 @@ class TestDeg4Construction:
     def test_lambda_formula(self):
         quartic, _, _ = gen_deg4_gauss_instance(self.INST, 4.0)
         assert quartic.lam == 4.0 * 3 * max(self.INST.w_norm**2, 3.0)
+
+    @pytest.mark.parametrize("c", [4.0, 1e3, 1e6, 1e9])
+    def test_alpha_matches_extended_precision(self, c):
+        quartic, alpha, _ = gen_deg4_gauss_instance(self.INST, c)
+        with localcontext() as ctx:
+            ctx.prec = 80
+            want = (1 - (1 - (2 / Decimal(quartic.lam)).sqrt()).sqrt()) / 2
+            assert abs(Decimal(alpha) / want - 1) <= Decimal("1e-15")
+
+    def test_beta_pinned(self):
+        # brentq's root, bit for bit: moving its import must not change it
+        _, _, beta = gen_deg4_gauss_instance(self.INST, 4.0)
+        assert beta.hex() == "0x1.4b450ff2661f3p-5"
 
     def test_no_counterexamples_sweep(self):
         gen = np.random.default_rng(7)

@@ -203,6 +203,18 @@ class TestRng:
             Rng(9).derive(1).derive(2).uniform(10), Rng(9).derive(2).derive(1).uniform(10)
         )
 
+    @pytest.mark.parametrize("seed", [1.5, 1.0, "1", None])
+    def test_rejects_non_integral_seed(self, seed):
+        with pytest.raises(ValueError, match="^seed must be an integer"):
+            Rng(seed)
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1"):
+            Rng(-1)
+
+    def test_numpy_integer_seed(self):
+        assert np.array_equal(Rng(np.int64(3)).normal(5), Rng(3).normal(5))
+
 
 def _serial_blocks(rng, n, size, first, total):
     # the definition normal_blocks must reproduce, one block at a time

@@ -16,8 +16,10 @@ kept atom at a bounded additive cost.  Masses are stored as logs; pair masses
 and cumulative sums are formed in linear space scaled by each call's largest
 mass, and whatever falls too far below it for a double is summed in log
 space instead.  A convolution forms its pairs one window of values at a
-time and merges them as it goes, so its memory does not grow with the
-number of pairs.
+time and merges them as it goes; each window is sorted on the shared worker
+pool while the caller merges the one before it, so at most two windows are
+alive at once.  Every window is sorted whole and merged in value order, so
+results do not depend on the worker count.
 
 ``PrefixCDFTable`` keeps the CDFs P_0, ..., P_{n-1} of the prefix sums
 Y_1 + ... + Y_j: P_0 is the point mass at 0, P_1 the exact CDF of Y_1, and
@@ -39,13 +41,14 @@ bit-identical outputs.
 from __future__ import annotations
 
 import math
+from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import GridSpec, _log_cell_masses, support_and_log_pmf, support_and_pmf
-from .numerics import LOG_ZERO, Rng, log_sum, normal_blocks
+from .numerics import LOG_ZERO, Rng, _worker_pool, log_sum, normal_blocks
 from .quadform import (
     ConstantPolynomialError,
     DecoupledConstraint,
@@ -201,7 +204,7 @@ def _merge_stream(chunks, top: float, eps_step: float, log_floor: float = LOG_ZE
     target, in_log = log_floor - top, True  # the next kept atom's cumulative exceeds it
     for values, p, starts, log_terms in chunks:
         n = values.size
-        cum = np.add.reduceat(p, starts)
+        cum = p.copy() if n == p.size else np.add.reduceat(p, starts)
         cum[0] += cum_prev
         np.cumsum(cum, out=cum)
         cum_prev = cum[-1]
@@ -238,9 +241,11 @@ def _merge_stream(chunks, top: float, eps_step: float, log_floor: float = LOG_ZE
             run_log, pending = LOG_ZERO, False
         if len(runs) > len(kept):
             run_log, pending = np.logaddexp(run_log, runs[-1]), True
-        last = values[-1:]
+        last = values[-1]
+        # let the chunk go before the next one is formed
+        del values, p, starts, log_terms, cum, runs
     if pending:
-        kept_v.append(last)
+        kept_v.append(np.array([last]))
         kept_lp.append(np.array([run_log]))
     return np.concatenate(kept_v), np.concatenate(kept_lp) + top
 
@@ -284,7 +289,14 @@ def _pair_windows(values, la, atom_v, lb):
     values, the pair masses exp(la[a] + lb[b]) in value order, where each
     value's run begins, and the pair log masses.  Window edges are
     quantiles of a sub-grid of the pairs; each pair falls in one window by
-    its rounded value, so equal values never straddle two windows."""
+    its rounded value, so equal values never straddle two windows.
+
+    A window's pair values and masses are formed here and sorted on the
+    shared worker pool, one window ahead: while a worker sorts window w + 1,
+    the caller merges window w.  At most two windows are alive at once, and
+    every window is sorted whole, so the chunks do not depend on the worker
+    count.  Pairs that fit one window are sorted here.  Closing the
+    generator cancels a sort not yet started."""
     m, k = values.size, atom_v.size
     pa, pb = np.exp(la), np.exp(lb)
     windows = -(-m * k // _PAIR_BLOCK)
@@ -292,33 +304,64 @@ def _pair_windows(values, la, atom_v, lb):
     if windows > 1:
         sample = np.sort(np.add.outer(atom_v[::_SAMPLE_STRIDE], values[::_SAMPLE_STRIDE]), axis=None)
         edges = np.unique(sample[np.arange(1, windows) * sample.size // windows])
+    pool = _worker_pool()[0] if len(edges) else None
+
+    def chunk(v, p, ends, offset, order):
+        v, p = v[order], p[order]
+        new = np.empty(v.size, dtype=bool)
+        new[0] = True
+        np.not_equal(v[1:], v[:-1], out=new[1:])
+        starts = np.flatnonzero(new)
+
+        def log_terms(pos):
+            # pair i of the window is (a, b) = (i - offset[b], row of i)
+            i = order[pos]
+            b = ends.searchsorted(i, "right")
+            return la[i - offset[b]] + lb[b]
+
+        return v[starts], p, starts, log_terms
+
+    def sorted_chunk(v, p, ends, offset, sort):
+        return chunk(v, p, ends, offset, sort.result())
+
+    ahead: deque = deque()  # windows sorting on the pool, with their sort
     lo = np.zeros(k, dtype=np.intp)
-    for t in [*edges, None]:
-        hi = np.full(k, m, dtype=np.intp) if t is None else _row_splits(values, atom_v, t)
-        size = hi - lo
-        total = int(size.sum())
-        if total:
+    try:
+        for t in [*edges, None]:
+            hi = np.full(k, m, dtype=np.intp) if t is None else _row_splits(values, atom_v, t)
+            size = hi - lo
+            ends = np.cumsum(size)
+            offset = ends - size - lo
+            lo = hi
+            total = int(ends[-1])
+            if not total:
+                continue
             b = np.repeat(np.arange(k), size)
-            a = np.arange(total) - np.repeat(np.cumsum(size) - size - lo, size)
+            a = np.arange(total) - np.repeat(offset, size)
             v = atom_v[b] + values[a]
-            order = np.argsort(v)
-            v, a, b = v[order], a[order], b[order]
-            del order
-            new = np.empty(total, dtype=bool)
-            new[0] = True
-            np.not_equal(v[1:], v[:-1], out=new[1:])
-            starts = np.flatnonzero(new)
-            yield v[starts], pb[b] * pa[a], starts, lambda pos: la[a[pos]] + lb[b[pos]]
-        lo = hi
+            p = pb[b] * pa[a]
+            del a, b
+            if pool is None:
+                yield chunk(v, p, ends, offset, np.argsort(v))
+                continue
+            ahead.append((v, p, ends, offset, pool.submit(np.argsort, v)))
+            del v, p
+            if len(ahead) > 1:
+                yield sorted_chunk(*ahead.popleft())
+        while ahead:
+            yield sorted_chunk(*ahead.popleft())
+    finally:
+        for *_, sort in ahead:
+            sort.cancel()
 
 
 def _convolve_sparsify(values, logp, atom_v, atom_lp, eps_step: float, log_floor: float = LOG_ZERO):
     """The law of the sum of two independent variables given as ascending
     (values, log masses), sparsified at ``eps_step`` and ``log_floor`` as
     ``_sparsify`` would sparsify their exact convolution.  Pairs are formed,
-    sorted and merged one window of values at a time, so memory does not
-    grow with the number of pairs.  Pair masses are formed and summed in
-    linear space, scaled by the largest pair mass."""
+    sorted and merged one window of values at a time (``_pair_windows``).
+    Pair masses are formed and summed in linear space, scaled by the largest
+    pair mass."""
     top_a, top_b = logp.max(), atom_lp.max()
     windows = _pair_windows(values, logp - top_a, atom_v, atom_lp - top_b)
     return _merge_stream(windows, top_a + top_b, eps_step, log_floor)

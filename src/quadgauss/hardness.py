@@ -157,9 +157,19 @@ def alpha_beta_deg2(inst: SubsetSumInstance, c: float = 4.0) -> tuple[float, flo
         raise ValueError(f"penalty lam = {lam} must exceed 2; increase c")
     alpha = (1.0 / lam) / (1.0 + math.sqrt(1.0 - 2.0 / lam))
     beta = 1.0 / (inst.w_norm * (math.hypot(m_factor, math.sqrt(2.0)) + m_factor))
-    if not (beta < alpha < 0.5):
-        raise ValueError(f"radius ordering violated (beta={beta}, alpha={alpha})")
+    _check_radii_apart(c, alpha, beta)
     return alpha, beta
+
+
+def _check_radii_apart(c: float, alpha: float, beta: float) -> None:
+    """Refuse radii that rounding has made equal.  Exactly, beta < 1/(2 lam)
+    < alpha at degree 2 and beta < 1/sqrt(8 lam) < alpha at degree 4, but
+    their relative gap shrinks with lam until both round to one double."""
+    if not beta < alpha:
+        raise ValueError(
+            f"at c = {c:g} the radii alpha and beta are equal in double precision "
+            f"(alpha={alpha!r}, beta={beta!r}); use a smaller c"
+        )
 
 
 @dataclass(frozen=True)
@@ -323,9 +333,14 @@ def gen_deg4_gauss_instance(
     if lam <= 2.0:
         raise ValueError(f"penalty lam = {lam} must exceed 2")
     quartic = QuarticForm(w0=inst.w0, w=inst.w, lam=lam)
-    alpha, beta = _radii_deg4(quartic)
-    if not (beta < alpha):
-        raise ValueError(f"radius ordering violated (beta={beta}, alpha={alpha})")
+    try:
+        alpha, beta = _radii_deg4(quartic)
+    except RuntimeError:  # brentq runs out of steps as beta nears alpha
+        raise ValueError(
+            f"at c = {c:g} the beta solve does not converge: the radii alpha and beta "
+            "are too close to tell apart in double precision; use a smaller c"
+        ) from None
+    _check_radii_apart(c, alpha, beta)
     return quartic, alpha, beta
 
 

@@ -16,7 +16,8 @@ Everything in this module is pure given explicit inputs.  ``Rng`` is the one
 stateful object: a splittable counter-based (Philox) stream, single-owner by
 convention.  ``normal_blocks`` draws blocks of normals on at most two worker
 threads; each block is fixed by its child stream, so the output does not
-depend on the worker count.
+depend on the worker count.  The counter sorts its pair windows on the same
+threads.
 """
 
 from __future__ import annotations
@@ -220,15 +221,17 @@ _POOL: tuple[int, ThreadPoolExecutor, int] | None = None  # (pid, pool, workers)
 _POOL_LOCK = threading.Lock()
 
 
-def _draw_pool() -> tuple[ThreadPoolExecutor, int]:
-    """The block-draw pool, started on first use (again after a fork): one
-    worker per CPU this process may run on, at most 2."""
+def _worker_pool() -> tuple[ThreadPoolExecutor, int]:
+    """The shared worker pool, started on first use (again after a fork):
+    one worker per CPU this process may run on, at most 2.  It fills the
+    blocks of :func:`normal_blocks` and sorts the counter's pair windows;
+    no task on it waits for another."""
     global _POOL
     with _POOL_LOCK:
         if _POOL is None or _POOL[0] != os.getpid():
             cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
             workers = min(2, cpus or 1)
-            pool = ThreadPoolExecutor(workers, thread_name_prefix="quadgauss-normal")
+            pool = ThreadPoolExecutor(workers, thread_name_prefix="quadgauss-worker")
             _POOL = (os.getpid(), pool, workers)
         return _POOL[1], _POOL[2]
 
@@ -247,7 +250,7 @@ def normal_blocks(rng: Rng, n: int, size: int, first: int = 0, total: int | None
     """
     if size < 1 or n < 1 or (total is not None and total < 0):
         raise ValueError("normal_blocks needs size, n >= 1 and total >= 0")
-    pool, workers = _draw_pool()
+    pool, workers = _worker_pool()
     end = math.inf if total is None else total
     slots = workers if total is None else min(workers, -(-total // size))
     bufs = [np.empty((min(size, end), n)) for _ in range(slots)]

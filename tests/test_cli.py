@@ -376,6 +376,24 @@ class TestGeninstance:
         assert captured.out == ""
         assert captured.err.startswith("error: c = 1e+308 overflows the penalty")
 
+    @pytest.mark.parametrize(
+        "variant, c, cause",
+        [
+            ("cube01", "1e15", "are equal in double precision"),
+            ("pm1", "1e29", "are equal in double precision"),
+            ("pm1", "1e30", "the beta solve does not converge"),
+        ],
+    )
+    def test_merged_radii_name_c(self, capsys, variant, c, cause):
+        # exactly beta < alpha, but at this c both round to one double
+        code = cli.main(["geninstance", "--variant", variant, "--w0", "3", "--w", "1,2,4", "--c", c])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: at c = {float(c):g} ")
+        assert cause in captured.err
+        assert captured.err.rstrip().endswith("use a smaller c")
+
     def test_invalid_weights_exit_1(self, capsys):
         code, _ = run_inproc(
             ["geninstance", "--variant", "cube01", "--w0", "1", "--w=-3,5"], capsys

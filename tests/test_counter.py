@@ -1,6 +1,9 @@
 import json
 import math
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -21,7 +24,7 @@ from quadgauss.counter import (
     mc_count,
 )
 from quadgauss.grid import GridSpec, support_and_log_pmf
-from quadgauss.numerics import LOG_ZERO, Rng
+from quadgauss.numerics import LOG_ZERO, Rng, normal_blocks
 from quadgauss.quadform import DecoupledConstraint, QuadraticForm
 from quadgauss.sampler import PtfSampler
 
@@ -540,6 +543,103 @@ class TestAnswerRelativeFloor:
         for q, est in zip((bench_style(5), cube_style(4)), estimates):
             assert count_ptf_gaussian(q).estimate == pytest.approx(est, rel=1e-3)
         assert with_floor <= 0.7 * formed[0]
+
+
+class CountingPool(ThreadPoolExecutor):
+    """A worker pool that counts the tasks submitted to it."""
+
+    def __init__(self, workers):
+        super().__init__(workers, thread_name_prefix="test-worker")
+        self.submitted = 0
+
+    def submit(self, fn, *args):
+        self.submitted += 1
+        return super().submit(fn, *args)
+
+
+class TestPooledSort:
+    """Pair windows sort on the worker pool, one window ahead of the merge."""
+
+    def test_output_does_not_depend_on_worker_count(self, monkeypatch, install_pool):
+        monkeypatch.setattr(counter, "_PAIR_BLOCK", 1 << 12)
+        gen = np.random.default_rng(21)
+        a, b = (random_lattice_pmf(gen, 600) for _ in range(2))
+        q = bench_style(4)
+        results = []
+        for workers in (1, 2):
+            pool = install_pool(CountingPool(workers), workers)
+            conv = _convolve_sparsify(*a, *b, 1e-3)
+            est = count_ptf_gaussian(q).estimate
+            assert pool.submitted > 10
+            results.append((conv, est))
+        (v1, lp1), est1 = results[0]
+        (v2, lp2), est2 = results[1]
+        assert np.array_equal(v1, v2) and np.array_equal(lp1, lp2)
+        assert est1.hex() == est2.hex()
+
+    def test_close_leaves_no_sort_pending(self, monkeypatch, lazy_pool):
+        # the sort submitted one window ahead stays pending until the
+        # generator closes
+        monkeypatch.setattr(counter, "_PAIR_BLOCK", 97)
+        gen = np.random.default_rng(22)
+        a, b = (random_lattice_pmf(gen, 200) for _ in range(2))
+        windows = _pair_windows(*a, *b)
+        next(windows)
+        windows.close()
+        assert [f.done() for f in lazy_pool.futures] == [True, True]
+        assert [f.cancelled() for f in lazy_pool.futures] == [False, True]
+
+    def test_sort_error_reaches_caller(self, monkeypatch, install_pool):
+        class SortError(Exception):
+            pass
+
+        error = SortError("sort failed")
+        real = np.argsort
+
+        def failing_off_the_caller(*args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                raise error
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(counter, "_PAIR_BLOCK", 1 << 12)
+        monkeypatch.setattr(np, "argsort", failing_off_the_caller)
+        install_pool(ThreadPoolExecutor(2), 2)
+        with pytest.raises(SortError) as info:
+            count_ptf_gaussian(bench_style(4))
+        assert info.value is error
+
+    def test_concurrent_counts_next_to_block_draws(self, monkeypatch):
+        # more callers than workers, block draws on the same pool, and
+        # threads switching as often as possible
+        monkeypatch.setattr(counter, "_PAIR_BLOCK", 1 << 12)
+        forms = [bench_style(n) for n in (3, 4, 3, 4)]
+        want = [count_ptf_gaussian(q).estimate for q in forms]
+        want_blocks = [b.copy() for b in normal_blocks(Rng(5), 3, 256, total=256 * 40)]
+        counts: dict[int, float] = {}
+        draws: dict[int, list] = {}
+
+        def run_count(k):
+            counts[k] = count_ptf_gaussian(forms[k]).estimate
+
+        def run_draws(k):
+            draws[k] = [b.copy() for b in normal_blocks(Rng(5), 3, 256, total=256 * 40)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run_count, args=(k,)) for k in range(4)]
+            threads += [threading.Thread(target=run_draws, args=(k,)) for k in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert [counts.get(k) for k in range(4)] == want
+        for k in range(2):
+            assert len(draws[k]) == len(want_blocks)
+            assert all(np.array_equal(x, y) for x, y in zip(draws[k], want_blocks))
 
 
 class TestCountPtfGaussian:

@@ -1,8 +1,6 @@
 import math
-import os
 import sys
 import threading
-from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -253,39 +251,17 @@ class TestNormalBlocks:
         assert np.array_equal(first, again)
         assert np.array_equal(first, rng.derive(0).normal((16, 2)))
 
-    def test_close_cancels_pending_blocks(self, monkeypatch):
-        # a pool whose tasks run only when their result is read, so a block
-        # that nobody reads stays pending until the generator is closed
-        class LazyFuture(Future):
-            def __init__(self, fn, args):
-                super().__init__()
-                self.task = (fn, args)
-
-            def result(self, timeout=None):
-                if self.set_running_or_notify_cancel():
-                    fn, args = self.task
-                    self.set_result(fn(*args))
-                return super().result(timeout)
-
-        class LazyPool:
-            def __init__(self):
-                self.futures = []
-
-            def submit(self, fn, *args):
-                self.futures.append(LazyFuture(fn, args))
-                return self.futures[-1]
-
-        pool = LazyPool()
-        monkeypatch.setattr(numerics, "_POOL", (os.getpid(), pool, 2))
+    def test_close_cancels_pending_blocks(self, lazy_pool):
+        # a block that nobody reads stays pending until the generator is closed
         gen = normal_blocks(Rng(1), 2, 16, total=16 * 10)
         assert np.array_equal(next(gen), Rng(1).derive(0).normal((16, 2)))
         gen.close()
-        assert [f.cancelled() for f in pool.futures] == [False, True]
+        assert [f.cancelled() for f in lazy_pool.futures] == [False, True]
 
     def test_one_worker_pool(self, monkeypatch):
         monkeypatch.setattr(numerics, "_POOL", None)
         monkeypatch.setattr(numerics.os, "sched_getaffinity", lambda pid: {0})
-        pool, workers = numerics._draw_pool()
+        pool, workers = numerics._worker_pool()
         try:
             assert workers == 1
             rng = Rng(4)
@@ -299,7 +275,7 @@ class TestNormalBlocks:
     def test_at_most_two_workers(self, monkeypatch):
         monkeypatch.setattr(numerics, "_POOL", None)
         monkeypatch.setattr(numerics.os, "sched_getaffinity", lambda pid: set(range(64)))
-        pool, workers = numerics._draw_pool()
+        pool, workers = numerics._worker_pool()
         pool.shutdown()
         assert workers == 2
 

@@ -303,7 +303,9 @@ def _pair_windows(values, la, atom_v, lb):
     edges = []
     if windows > 1:
         sample = np.sort(np.add.outer(atom_v[::_SAMPLE_STRIDE], values[::_SAMPLE_STRIDE]), axis=None)
-        edges = np.unique(sample[np.arange(1, windows) * sample.size // windows])
+        edges = sample[np.arange(1, windows) * sample.size // windows]
+        # unique by hand: np.unique would import numpy.ma on the first count
+        edges = edges[np.concatenate(([True], edges[1:] != edges[:-1]))]
     pool = _worker_pool()[0] if len(edges) else None
 
     def chunk(v, p, ends, offset, order):

@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .numerics import Rng
 from .quadform import QuadraticForm, sign_at
@@ -436,9 +435,7 @@ def region_mass_mc(
         return est, half
     if measure == "gaussian":
         x = _l2_ball_proposals(z, radius, n_samples, rng)
-        log_vol = 0.5 * n * math.log(math.pi) + n * math.log(radius) - float(
-            gammaln(0.5 * n + 1.0)
-        )
+        log_vol = 0.5 * n * math.log(math.pi) + n * math.log(radius) - math.lgamma(0.5 * n + 1.0)
         dens = np.exp(-0.5 * np.sum(x * x, axis=1) - 0.5 * n * math.log(2 * math.pi))
         wts = np.where(_ptf_pos(f, x), dens, 0.0) * math.exp(log_vol)
         est = float(np.mean(wts))

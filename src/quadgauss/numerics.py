@@ -1,12 +1,16 @@
 """Scalar numerical primitives shared by every other module.
 
-Gaussian CDF machinery is routed through ``scipy.special`` (the ``ndtr``
-family), i.e. the published Cephes rational approximations of erf/erfc with
-tail-safe complementary evaluation; interval masses are assembled so that no
-catastrophic cancellation occurs in either tail.  Cumulative probabilities
-destined for the counting engine live in the log domain (natural log, with
-``-inf`` as the exact-zero sentinel) because products of per-coordinate atom
-masses underflow native floats long before they become irrelevant.
+The normal CDF family (Phi, log Phi, Phi^-1 and Phi^-1 of a log) is built
+here on the standard library: libm's ``erf``/``erfc`` evaluated on the
+complementary tail, an asymptotic series for log Phi below -20,
+``statistics.NormalDist.inv_cdf`` (Wichura's AS241) for the quantile, and
+Newton steps on log Phi for quantiles of logs below -700.  Each takes and
+returns one float, so the sampler's lift builds no arrays.  Interval masses
+are assembled so that no catastrophic cancellation occurs in either tail.
+Cumulative probabilities destined for the counting engine live in the log
+domain (natural log, with ``-inf`` as the exact-zero sentinel) because
+products of per-coordinate atom masses underflow native floats long before
+they become irrelevant.
 
 The symmetric eigensolver is a classical cyclic Jacobi iteration: it is
 deterministic, has no platform-dependent branching, and at the matrix sizes
@@ -28,9 +32,9 @@ import os
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr, ndtri, ndtri_exp
 
 __all__ = [
     "LOG_ZERO",
@@ -49,11 +53,71 @@ __all__ = [
 
 LOG_ZERO = float("-inf")
 
+_SQRT2 = math.sqrt(2.0)
 _SQRT2PI = math.sqrt(2.0 * math.pi)
+_SQRT1_2 = math.sqrt(0.5)
+_LOG_SQRT2PI = math.log(_SQRT2PI)
+_STD_NORMAL = NormalDist()
+# ndtri_exp's switch to the upper quantile: log Phi(x) above this means
+# Phi(x) > 1 - e^-2, where 1 - Phi(x) = -expm1(y) is the accurate argument.
+_UPPER_LOG = math.log1p(-math.exp(-2.0))
 
 # Nodes/weights of 8-point Gauss-Legendre on [-1, 1], used only for very thin
 # intervals where the erfc difference would cancel.
 _GL_NODES = np.polynomial.legendre.leggauss(8)
+
+
+def _ndtr(x: float) -> float:
+    """Phi(x): erf near 0, libm erfc on the complementary tail elsewhere."""
+    if abs(x) < 1.0:
+        return 0.5 + 0.5 * math.erf(x * _SQRT1_2)
+    tail = 0.5 * math.erfc(abs(x) * _SQRT1_2)
+    return 1.0 - tail if x > 0.0 else tail
+
+
+def _log_ndtr(x: float) -> float:
+    """log Phi(x), accurate far below the float range of Phi(x)."""
+    if x > -1.0:
+        return math.log1p(-_ndtr(-x))
+    if x > -20.0:
+        return math.log(_ndtr(x))
+    # log Phi(x) = -x^2/2 - log(-x) - log sqrt(2 pi)
+    #              + log sum_k (-1)^k (2k-1)!! / x^(2k)
+    inv = 1.0 / (x * x)
+    total = term = 1.0
+    k = 1
+    while total + term != total:
+        term *= -(2 * k - 1) * inv
+        total += term
+        k += 1
+    return -0.5 * x * x - math.log(-x) - _LOG_SQRT2PI + math.log(total)
+
+
+def _ndtri(p: float) -> float:
+    """Phi^-1(p), with 0 -> -inf and 1 -> +inf."""
+    if p <= 0.0:
+        return -math.inf
+    if p >= 1.0:
+        return math.inf
+    return _STD_NORMAL.inv_cdf(p)
+
+
+def _ndtri_exp(y: float) -> float:
+    """The x with log Phi(x) = y, for y <= 0."""
+    if y > _UPPER_LOG:
+        return -_ndtri(-math.expm1(y))
+    if y > -700.0:
+        return _ndtri(math.exp(y))
+    if y == LOG_ZERO:
+        return -math.inf
+    # Start from -x^2/2 - log(-x sqrt(2 pi)) = y, whose relative error is
+    # below 1e-5 here; each Newton step on log Phi squares it.
+    t = -2.0 * y
+    x = -math.sqrt(t - math.log(2.0 * math.pi * t))
+    for _ in range(3):
+        lp = _log_ndtr(x)
+        x -= (lp - y) * math.exp(lp + 0.5 * x * x + _LOG_SQRT2PI)
+    return x
 
 
 def std_normal_cdf(x: float) -> float:
@@ -64,7 +128,7 @@ def std_normal_cdf(x: float) -> float:
     x = float(x)
     if not math.isfinite(x):
         raise ValueError("std_normal_cdf requires finite x")
-    return float(ndtr(x))
+    return _ndtr(x)
 
 
 def _validate_interval(a: float, b: float) -> tuple[float, float]:
@@ -98,19 +162,18 @@ def interval_mass(a: float, b: float) -> float:
     if a == b:
         return 0.0
     if a <= 0.0 <= b:
-        # Opposite tails: the two contributions add, so no cancellation.
-        return float(ndtr(b) - ndtr(a)) if (np.isinf(a) or np.isinf(b)) else float(
-            0.5 * (math.erf(b / math.sqrt(2)) + math.erf(-a / math.sqrt(2)))
-        )
+        # Opposite tails: the two contributions add, so no cancellation
+        # (erf(+-inf) = +-1).
+        return 0.5 * (math.erf(b / _SQRT2) + math.erf(-a / _SQRT2))
     if a >= 0.0:
         lo, hi = a, b
     else:
         lo, hi = -b, -a  # mirror the left tail onto the right
     # Survival-function difference: both terms small, result same order.
-    mass = float(ndtr(-lo) - ndtr(-hi))
+    mass = _ndtr(-lo) - _ndtr(-hi)
     if not math.isinf(hi):
         # Thin deep cells: fall back to direct quadrature of the pdf.
-        if 0.0 < mass < 1e-3 * float(ndtr(-lo)):
+        if 0.0 < mass < 1e-3 * _ndtr(-lo):
             return _thin_interval_mass(lo, hi)
         if mass == 0.0 and hi > lo:
             return _thin_interval_mass(lo, hi)
@@ -161,12 +224,10 @@ def log_interval_mass(a: float, b: float) -> float:
         m = interval_mass(a, b)
         return math.log(m) if m > 0.0 else LOG_ZERO
     if a >= 0.0:
-        lsa = float(log_ndtr(-a))  # log S(a), the larger one
-        lsb = float(log_ndtr(-b))
+        lsa = _log_ndtr(-a)  # log S(a), the larger one
+        lsb = _log_ndtr(-b)
         return log_sub(lsa, lsb)
-    lfa = float(log_ndtr(a))
-    lfb = float(log_ndtr(b))
-    return log_sub(lfb, lfa)
+    return log_sub(_log_ndtr(b), _log_ndtr(a))
 
 
 def _philox(seed: int, spawn_key: tuple[int, ...]) -> np.random.Generator:
@@ -280,15 +341,25 @@ def normal_blocks(rng: Rng, n: int, size: int, first: int = 0, total: int | None
             fut.cancel()
 
 
-def _truncated_right_tail(lo: float, hi: float, u: np.ndarray) -> np.ndarray:
-    # Inverse-CDF in survival space for 0 <= lo < hi, accurate arbitrarily
+def _right_tail_quantile(lo: float, hi: float, u: float) -> float:
+    # Inverse CDF in survival space for 0 <= lo < hi, accurate arbitrarily
     # deep: S_x = S(lo) * (1 - u*(1 - S(hi)/S(lo))), inverted through
-    # ndtri_exp on log S_x.
-    lsa = float(log_ndtr(-lo))
-    lsb = float(log_ndtr(-hi)) if not math.isinf(hi) else LOG_ZERO
-    ratio = math.exp(lsb - lsa) if lsb != LOG_ZERO else 0.0
-    log_sx = lsa + np.log1p(-u * (1.0 - ratio))
-    return -ndtri_exp(log_sx)
+    # _ndtri_exp on log S_x.
+    lsa = _log_ndtr(-lo)
+    ratio = math.exp(_log_ndtr(-hi) - lsa)  # 0 when hi = inf
+    return -_ndtri_exp(lsa + math.log1p(-u * (1.0 - ratio)))
+
+
+def _cell_quantile(a: float, b: float, u: float) -> float:
+    """The u-quantile of N(0,1) conditioned on [a, b), clamped into it."""
+    if a >= 0.0:
+        x = _right_tail_quantile(a, b, u)
+    elif b <= 0.0:
+        x = -_right_tail_quantile(-b, -a, 1.0 - u)
+    else:
+        fa = _ndtr(a)
+        x = _ndtri(fa + u * (_ndtr(b) - fa))
+    return max(min(x, math.nextafter(b, -math.inf)), a)
 
 
 def truncated_normal_sample(a: float, b: float, rng: Rng, size=None):
@@ -296,28 +367,17 @@ def truncated_normal_sample(a: float, b: float, rng: Rng, size=None):
 
     Endpoints may be infinite.  The law is exact up to float resolution even
     for cells deep in the tails (the inversion runs in log-survival space).
-    Returns a scalar when ``size`` is None, else an ndarray.
+    Returns a float when ``size`` is None, else an ndarray.
     """
     a, b = _validate_interval(a, b)
     if a == b:
         raise ValueError("degenerate interval has zero mass")
     if not (interval_mass(a, b) > 0.0) and not (log_interval_mass(a, b) > LOG_ZERO):
         raise ValueError(f"zero-mass interval [{a}, {b})")
-    scalar = size is None
-    u = np.atleast_1d(rng.uniform(1 if scalar else size)).astype(float)
-    if a >= 0.0:
-        x = _truncated_right_tail(a, b, u)
-    elif b <= 0.0:
-        x = -_truncated_right_tail(-b, -a, 1.0 - u)
-    else:
-        fa = float(ndtr(a)) if not math.isinf(a) else 0.0
-        fb = float(ndtr(b)) if not math.isinf(b) else 1.0
-        x = ndtri(fa + u * (fb - fa))
-    if not math.isinf(b):
-        np.minimum(x, np.nextafter(b, -math.inf), out=x)
-    if not math.isinf(a):
-        np.maximum(x, a, out=x)
-    return float(x[0]) if scalar else x.reshape(size)
+    if size is None:
+        return _cell_quantile(a, b, rng.uniform())
+    u = rng.uniform(size)
+    return np.array([_cell_quantile(a, b, v) for v in u.ravel().tolist()]).reshape(u.shape)
 
 
 class EigenConvergenceError(RuntimeError):

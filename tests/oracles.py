@@ -1,16 +1,22 @@
 """Independent reference implementations used to freeze expected values.
 
 Nothing here imports the package under test: CDFs come from an erf power
-series or libm's erfc, eigenpairs from the 2x2 closed form, chi-square CDFs
-from their elementary closed forms, discrete pmfs from direct cell
-enumeration, and the counting engine's kernels from a log-space
-implementation that never leaves the log domain.
+series, libm's erfc, or a 50-digit ``decimal`` evaluation (the erf series
+near 0, Laplace's continued fraction for the Mills ratio in the tails),
+eigenpairs from the 2x2 closed form, chi-square CDFs from their elementary
+closed forms, discrete pmfs from direct cell enumeration, and the counting
+engine's kernels from a log-space implementation that never leaves the log
+domain.  The package computes Phi with libm's erfc too, so a check of Phi
+itself against ``phi_erfc`` or ``phi_interval`` tests only how the terms are
+assembled; checks of the CDF values use the ``decimal`` functions.
 """
 
 from __future__ import annotations
 
+import decimal
 import itertools
 import math
+from decimal import Decimal
 
 import numpy as np
 
@@ -49,15 +55,99 @@ def phi_interval(a: float, b: float) -> float:
     return 0.5 * (math.erfc(a / SQRT2) - math.erfc(b / SQRT2))
 
 
-def normal_pdf(x: float) -> float:
-    return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+# 50 digits with an unbounded exponent, so that Phi(-1e5) = e^-5e9 is a
+# number; results are good to 40 digits.
+_DEC = decimal.Context(prec=50, Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX)
+_PI = Decimal("3.14159265358979323846264338327950288419716939937510")
+_MILLS_TERMS = 400  # Laplace's fraction is good to 50 digits from t = 3 on
+
+
+def _dec(x) -> Decimal:
+    return x if isinstance(x, Decimal) else Decimal(float(x))
+
+
+def _log_pdf_dec(x: Decimal) -> Decimal:
+    return -x * x / 2 - (2 * _PI).ln() / 2
+
+
+def _erf_dec(z: Decimal) -> Decimal:
+    """erf(z) by its Maclaurin series; 50 digits for |z| <= 3/sqrt(2)."""
+    total = term = z
+    k = 0
+    while abs(term) > Decimal("1e-60"):
+        term *= -z * z / (k + 1)
+        k += 1
+        total += term / (2 * k + 1)
+    return 2 / _PI.sqrt() * total
+
+
+def _log_mills_dec(t: Decimal) -> Decimal:
+    """log R(t), R(t) = (1 - Phi(t)) / pdf(t), for t >= 3, from Laplace's
+    continued fraction R(t) = 1/(t + 1/(t + 2/(t + 3/(t + ...))))."""
+    f = t
+    for k in range(_MILLS_TERMS, 0, -1):
+        f = t + k / f
+    return -f.ln()
+
+
+def log_phi_dec(x) -> Decimal:
+    """log Phi(x) to 40 digits for any float or Decimal x, infinities
+    included."""
+    with decimal.localcontext(_DEC):
+        x = _dec(x)
+        if x.is_infinite():
+            return Decimal(0) if x > 0 else Decimal("-Infinity")
+        if abs(x) <= 3:
+            return ((1 + _erf_dec(x / Decimal(2).sqrt())) / 2).ln()
+        if x < 0:
+            return _log_pdf_dec(x) + _log_mills_dec(-x)
+        # log(1 - s) = -sum s^k / k with s = 1 - Phi(x) < 0.0014
+        s = (_log_pdf_dec(x) + _log_mills_dec(x)).exp()
+        total, power, k = Decimal(0), s, 1
+        while power > Decimal("1e-60") * s:
+            total -= power / k
+            power *= s
+            k += 1
+        return total
+
+
+def phi_dec(x) -> Decimal:
+    """Phi(x) to 40 digits relative, in both tails."""
+    with decimal.localcontext(_DEC):
+        return log_phi_dec(x).exp()
+
+
+def phi_interval_dec(a: float, b: float) -> Decimal:
+    """Phi(b) - Phi(a) to 40 digits, each tail mirrored so that the two
+    terms are its survival values."""
+    with decimal.localcontext(_DEC):
+        if a >= 0.0:
+            return phi_dec(-a) - phi_dec(-b)
+        if b <= 0.0:
+            return phi_dec(b) - phi_dec(a)
+        return 1 - phi_dec(a) - phi_dec(-b)
+
+
+def phi_inverse_dec(log_p, x0: float) -> float:
+    """The x with log Phi(x) = log_p, by 50-digit Newton steps on log Phi
+    from a nearby start x0 (log Phi is concave, so Newton cannot cycle)."""
+    with decimal.localcontext(_DEC):
+        x, y = _dec(x0), _dec(log_p)
+        for _ in range(100):
+            lp = log_phi_dec(x)
+            step = (lp - y) / (_log_pdf_dec(x) - lp).exp()
+            x -= step
+            if abs(step) <= Decimal("1e-45") * max(1, abs(x)):
+                return float(x)
+    raise ArithmeticError(f"no convergence from x0 = {x0}")
 
 
 def truncated_mean(a: float, b: float) -> float:
-    """Mean of N(0,1) restricted to [a, b] (moment formula)."""
-    pa = 0.0 if a == -math.inf else normal_pdf(a)
-    pb = 0.0 if b == math.inf else normal_pdf(b)
-    return (pa - pb) / phi_interval(a, b)
+    """Mean of N(0,1) restricted to [a, b] (moment formula, 40 digits)."""
+    with decimal.localcontext(_DEC):
+        pa = Decimal(0) if math.isinf(a) else _log_pdf_dec(_dec(a)).exp()
+        pb = Decimal(0) if math.isinf(b) else _log_pdf_dec(_dec(b)).exp()
+        return float((pa - pb) / phi_interval_dec(a, b))
 
 
 def eig2_closed(a11: float, a12: float, a22: float):

@@ -520,21 +520,33 @@ class TestSubprocessEntry:
         assert r1.returncode == 0
         assert r1.stdout == r2.stdout
 
-    def test_import_loads_no_root_solver(self):
-        # scipy.optimize costs every process ~90 ms and ~23 MB; only the
-        # degree-4 radius solve may load it
+    def test_commands_load_no_scipy(self, chi2_instance):
+        # scipy costs every process ~100 ms and ~24 MB; only the degree-4
+        # radius solve may load it (scipy.optimize)
+        script = (
+            "import sys, contextlib, io, quadgauss.cli as cli\n"
+            "for argv in sys.argv[1:]:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.main(argv.split()) == 0, argv\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        )
+        commands = [
+            f"count --instance {chi2_instance}",
+            f"sample --instance {chi2_instance} --filter --samples 3",
+            f"densify --instance {chi2_instance}",
+        ]
         r = subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                "import sys, quadgauss.cli; "
-                "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))",
-            ],
+            [sys.executable, "-c", script, *commands], capture_output=True, text=True
+        )
+        assert r.returncode == 0, r.stderr
+        assert r.stdout == "[]\n"
+        r = subprocess.run(
+            [sys.executable, "-m", "quadgauss.cli", "geninstance", "--variant", "pm1", "--w0", "2", "--w", "1,1,2"],
             capture_output=True,
             text=True,
         )
         assert r.returncode == 0, r.stderr
-        assert r.stdout == "[]\n"
+        assert json.loads(r.stdout)["variant"] == "pm1"
 
     def test_help_documents_flags(self):
         r = subprocess.run(

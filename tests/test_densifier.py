@@ -245,8 +245,8 @@ class TestPlantedExperiment:
         )
         assert rep == {
             "n": 3,
-            "p_estimate": 0.001361162791277045,
-            "p_hat": 0.0014065348843196133,
+            "p_estimate": 0.0013611627912770425,
+            "p_hat": 0.0014065348843196107,
             "mistakes": 0,
             "rounds": 0,
             "gamma": 4.098360655737705e-05,

@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -58,7 +59,7 @@ class TestIntervalMass:
 
     def test_deep_tail_relative_accuracy(self):
         got = interval_mass(8.0, 9.0)
-        want = oracles.phi_interval(8.0, 9.0)
+        want = float(oracles.phi_interval_dec(8.0, 9.0))
         assert 0.0 < got < 1e-14
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -77,9 +78,84 @@ class TestIntervalMass:
     def test_log_variant_deep(self):
         # far beyond float range: only the log value is representable
         lv = log_interval_mass(40.0, 41.0)
-        # leading asymptotics: log Phi(-40) ~ -0.5*40^2 - log(40 sqrt(2 pi))
-        assert -810.0 < lv < -790.0
+        want = float(oracles.phi_interval_dec(40.0, 41.0).ln())
+        assert lv == pytest.approx(want, rel=1e-12)
         assert math.exp(lv) == 0.0  # underflows linearly, by design
+
+
+def _rel_err(got: float, want: float) -> float:
+    return abs(got - want) / abs(want)
+
+
+def _near(edge: float, h: float) -> list[float]:
+    """The edge, its float neighbours, and 40 points spaced h around it."""
+    pts = [edge + k * h for k in range(-20, 21)]
+    return sorted(pts + [math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf)])
+
+
+class TestNormalFamily:
+    """The four scalar primitives against the 50-digit oracle, on both sides
+    of every branch edge (x = -1, +-1 and -20; y = log1p(-e^-2) and -700)."""
+
+    def test_ndtr_relative_error(self):
+        xs = _near(-1.0, 1e-10) + _near(1.0, 1e-10) + list(np.linspace(-37.0, 37.0, 149))
+        worst = max(_rel_err(numerics._ndtr(x), float(oracles.phi_dec(x))) for x in xs)
+        assert worst <= 5e-13
+
+    def test_log_ndtr_relative_error(self):
+        xs = _near(-1.0, 1e-10) + _near(-20.0, 1e-10)
+        xs += list(np.linspace(-40.0, 37.0, 155)) + list(-np.logspace(1.5, 8, 27))
+        worst = max(_rel_err(numerics._log_ndtr(x), float(oracles.log_phi_dec(x))) for x in xs)
+        assert worst <= 5e-13
+
+    def test_ndtri_relative_error(self):
+        ps = list(np.logspace(-300, -0.01, 121)) + list(1.0 - np.logspace(-16, -0.5, 31)) + [0.5]
+        for p in ps:
+            got = numerics._ndtri(p)
+            want = oracles.phi_inverse_dec(Decimal(p).ln(), got)
+            assert abs(got - want) <= 5e-13 * max(abs(want), 1.0), p
+
+    def test_ndtri_exp_relative_error(self):
+        ys = _near(numerics._UPPER_LOG, 1e-10) + _near(-700.0, 1e-9)
+        ys += [-720.0, -745.5, -800.0] + list(-np.logspace(-17, 5, 45))  # exp(-745.5) == 0
+        for y in ys:
+            got = numerics._ndtri_exp(y)
+            want = oracles.phi_inverse_dec(y, got)
+            assert abs(got - want) <= 5e-13 * max(abs(want), 1.0), y
+
+    @pytest.mark.parametrize(
+        "fn, edge, h",
+        [
+            ("_ndtr", -1.0, 1e-10),
+            ("_ndtr", 1.0, 1e-10),
+            ("_log_ndtr", -1.0, 1e-10),
+            ("_log_ndtr", -20.0, 1e-10),
+            ("_ndtri_exp", numerics._UPPER_LOG, 1e-10),
+            ("_ndtri_exp", -700.0, 1e-9),
+        ],
+    )
+    def test_monotone_across_branch_edge(self, fn, edge, h):
+        # h is wide enough that the true change per step is far above the
+        # rounding error of either branch
+        f = getattr(numerics, fn)
+        vals = [f(t) for t in np.linspace(edge - 20 * h, edge + 20 * h, 41)]
+        assert all(lo < hi for lo, hi in zip(vals, vals[1:]))
+
+    def test_log_ndtr_inverts_ndtri_exp(self):
+        for y in -np.logspace(-17, 5, 221):
+            assert numerics._log_ndtr(numerics._ndtri_exp(y)) == pytest.approx(y, rel=5e-13)
+
+    def test_ndtri_inverts_ndtr(self):
+        # above 0, 1 - Phi(x) is rounded away in Phi(x) itself
+        for x in np.linspace(-37.0, 0.0, 149):
+            assert numerics._ndtri(numerics._ndtr(x)) == pytest.approx(x, rel=5e-13, abs=1e-15)
+
+    def test_edge_values(self):
+        inf = math.inf
+        assert (numerics._ndtr(-inf), numerics._ndtr(0.0), numerics._ndtr(inf)) == (0.0, 0.5, 1.0)
+        assert (numerics._log_ndtr(-inf), numerics._log_ndtr(inf)) == (-inf, 0.0)
+        assert (numerics._ndtri(0.0), numerics._ndtri(0.5), numerics._ndtri(1.0)) == (-inf, 0.0, inf)
+        assert (numerics._ndtri_exp(-inf), numerics._ndtri_exp(0.0)) == (-inf, inf)
 
 
 class TestTruncatedNormal:
@@ -115,6 +191,17 @@ class TestTruncatedNormal:
             want = oracles.truncated_mean(a, b)
             se = np.std(x) / math.sqrt(x.size)
             assert abs(np.mean(x) - want) <= 3.5 * se
+
+    @pytest.mark.parametrize("a, b", [(40.0, 40.5), (-40.5, -40.0)])
+    def test_cells_past_the_quantile_newton_branch(self, a, b):
+        # log S(40) = -804.6 < -700: the inversion runs Newton steps
+        r = Rng(6)
+        x = truncated_normal_sample(a, b, r, size=20_000)
+        assert np.all((x >= a) & (x < b))
+        want = oracles.truncated_mean(a, b)
+        se = np.std(x) / math.sqrt(x.size)
+        assert abs(np.mean(x) - want) <= 4 * se
+        assert isinstance(truncated_normal_sample(a, b, r), float)
 
     def test_rejects_degenerate(self):
         with pytest.raises(ValueError):

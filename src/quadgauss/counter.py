@@ -30,7 +30,7 @@ sum_kappa cell(kappa) * P_{n-1}(theta - lam_n kappa^2 - mu_n kappa).
 ``count`` reports that mass at the geometric midpoint of P_{n-1}'s budget,
 which certifies a (1 +- eps) answer; at n <= 2 nothing is compressed and the
 mass is exact up to float roundoff.  The sampler draws coordinates n, n-1,
-..., 1 in turn from the same weights, from a table built at a finer step.
+..., 1 in turn from the same weights, from a table built at its own step.
 Everything is pure and deterministic: two runs on identical inputs produce
 bit-identical outputs.
 
@@ -460,15 +460,11 @@ def compressed_tail_cdf(pmfs, eps_step, collect: list | None = None) -> Compress
 
 def _coarse_log_mass(factors, support: np.ndarray, log_cell: np.ndarray, theta: float) -> float:
     """log of a lower bound on the grid mass at theta: ``factors`` (the
-    first n - 1 coordinates) sparsified again at step 1 and chained at step
-    1, then summed over the last coordinate's ``support`` values with cell
+    first n - 1 coordinates) chained by ``compressed_tail_cdf`` at step 1,
+    then summed over the last coordinate's ``support`` values with cell
     masses ``log_cell``.  Every merge lower-bounds the CDF it replaces, so
     the result lower-bounds the exact mass."""
-    chain = [_sparsify(v, lp, 1.0) for v, lp in factors]
-    values, logp = chain[0]
-    for atom_v, atom_lp in chain[1:]:
-        values, logp = _convolve_sparsify(values, logp, atom_v, atom_lp, 1.0)
-    cdf = _finalize_cdf(values, logp, 2.0 ** (2 * len(chain) - 1))
+    cdf = compressed_tail_cdf(factors, 1.0)
     return log_sum(log_cell + cdf.log_query(theta - support))
 
 
@@ -489,48 +485,51 @@ class PrefixCDFTable:
     coordinate i+1 weighs kappa by cell(kappa) * P_i(t - support[i][kappa])
     (``log_weights(i, t)``).
 
-    Accuracy.  P_1 is exact.  For j >= 2, P_j comes out of
-    ``compressed_tail_cdf`` over the first n - 1 coordinates.  A rightward
-    merge at step e, of a factor before it is convolved or of the running
-    sum after, leaves a pointwise lower bound within a (1 + e) factor of the
-    CDF it replaces, and convolving with an independent variable keeps both
-    properties.  So P_j <= F_j <= beta_j * P_j, where F_j is the exact CDF
-    and beta_j = (1 + e)^(m_j), with m_j the number of merges behind P_j:
-    one per convolution and one per sparsified factor among coordinates
-    1..j, so m_j = 2j - 1.
+    Accuracy.  One number carries every table's guarantee: the last CDF's
+    ``err_budget`` beta = (1 + e)^(2n - 3), where e is the merge step.  P_1
+    is exact.  For j >= 2, P_j comes out of ``compressed_tail_cdf`` over the
+    first n - 1 coordinates.  A rightward merge at step e, of a factor
+    before it is convolved or of the running sum after, leaves a pointwise
+    lower bound within a (1 + e) factor of the CDF it replaces, and
+    convolving with an independent variable keeps both properties.  So
+    P_j <= F_j <= (1 + e)^(2j - 1) P_j, where F_j is the exact CDF: one
+    merge per convolution and one per sparsified factor among coordinates
+    1..j.  For P_{n-1} that is beta.
 
-    Counting (``for_count``) takes e = eps/(2 m_{n-1}) = eps/(2(2n - 3)), so
-    beta = beta_{n-1} <= exp(eps/2), and merges every left tail relative to
-    the answer F = F(theta), the exact grid mass at theta.  A coarse pass
-    chains the same sparsified factors, merged again at step 1, and reads
-    their mass L at theta; L <= F, since every merge lower-bounds.  Each
-    merge of the table then starts its walk at delta = eps' L/(8n), with
-    eps' = min(eps, 1/2): the mass whose cumulative total is at most delta
-    merges into the first kept atom, which keeps its exact cumulative mass.
-    Such a merge leaves F' <= F <= (1 + e) F' + delta, as left of the first
-    kept atom F <= delta, and convolving with a probability law keeps this
-    without growing delta.  Over the 2n - 3 merges, and then summing over
-    the last coordinate's cells (total mass at most 1), the table mass M at
-    theta satisfies M <= F <= beta (M + (2n - 3) delta), where
-    (2n - 3) delta <= eps' L/4 <= eps' F/4.  So F <= beta M/(1 - r) with
-    r = beta eps'/4, and the midpoint sqrt(beta) M satisfies
-    (1 - r)/sqrt(beta) <= sqrt(beta) M/F <= sqrt(beta): both ends lie within
-    [1/(1 + eps), 1 + eps] for every eps in (0, 1] (the cap eps' <= 1/2
-    keeps r small enough near eps = 1).  When every convolution fits one
-    pair window, the floor would save no work, so neither the coarse pass
-    nor the floor runs, and delta = 0.  Sampling tables have no floor.
+    Counting (``for_count``) takes e = eps/(2(2n - 3)), so beta <= exp(eps/2),
+    and merges every left tail relative to the answer F = F(theta), the
+    exact grid mass at theta.  A coarse pass runs ``compressed_tail_cdf`` on
+    the same sparsified factors at step 1 and reads their mass L at theta;
+    L <= F, since every merge lower-bounds.  Each merge of the table then
+    starts its walk at delta = eps' L/(8n), with eps' = min(eps, 1/2): the
+    mass whose cumulative total is at most delta merges into the first kept
+    atom, which keeps its exact cumulative mass.  Such a merge leaves
+    F' <= F <= (1 + e) F' + delta, as left of the first kept atom F <= delta,
+    and convolving with a probability law keeps this without growing delta.
+    Over the 2n - 3 merges, and then summing over the last coordinate's
+    cells (total mass at most 1), the table mass M at theta satisfies
+    M <= F <= beta (M + (2n - 3) delta), where (2n - 3) delta <= eps' L/4 <=
+    eps' F/4.  So F <= beta M/(1 - r) with r = beta eps'/4, and the midpoint
+    sqrt(beta) M satisfies (1 - r)/sqrt(beta) <= sqrt(beta) M/F <=
+    sqrt(beta): both ends lie within [1/(1 + eps), 1 + eps] for every eps in
+    (0, 1] (the cap eps' <= 1/2 keeps r small enough near eps = 1).  When
+    every convolution fits one pair window, the floor would save no work,
+    so neither the coarse pass nor the floor runs, and delta = 0.
 
-    Sampling: a point's probability under the sampler is the product over
-    j of its coordinate-j weight divided by the sum of the coordinate-j
-    weights.  The numerator's P_{j-1} and the denominator (the same weights
-    summed, a lower bound of F_j(t)) both lower-bound their exact values
-    within beta_{j-1}, so their quotient, coordinate j's factor, is within
-    beta_{j-1} either way of its exact conditional.  With
-    beta_0 = beta_1 = 1, the product over j = 3..n puts every grid point's
-    probability within (1 + e)^K of the exact conditional law, where
-    K = m_2 + ... + m_{n-1} = (n-1)^2 - 1.  With e from
-    (1 + e)^K = 1/(1 - eps), every point's ratio lies in
-    [1 - eps, 1/(1 - eps)], so the total variation distance is at most eps.
+    Sampling (``for_sampling``) takes e with beta = 1/(1 - eps), and no
+    floor.  Write t_n = theta and t_{j-1} = t_j - s_j(kappa_j), with s_j =
+    ``support[j-1]``.  Coordinate j weighs kappa_j by cell(kappa_j)
+    P_{j-1}(t_{j-1}) over Z_j(t_j), the sum of its weights, which is the
+    exact convolution of P_{j-1} with Y_j's law.  Pair coordinate j's
+    numerator P_{j-1}(t_{j-1}) with coordinate (j - 1)'s denominator
+    Z_{j-1}(t_{j-1}): as P_0(t_0) = 1[accept] and Z_1 = P_1, a point's
+    probability is prod cell * 1[accept] * prod_{i=2..n-1} (P_i/Z_i)(t_i) /
+    Z_n(theta).  P_i/Z_i lies in [(1 + e)^-3, 1] for i = 2, as the chain also
+    sparsifies coordinate 1's factor, and in [(1 + e)^-2, 1] for i >= 3, so
+    the product lies in [1/beta, 1]; the exact law divides by F(theta), and
+    F(theta)/Z_n(theta) lies in [1, beta].  So every grid point's ratio to
+    the exact conditional law lies in [1/beta, beta] = [1 - eps, 1/(1 - eps)],
+    and the total variation distance is at most eps.
     """
 
     cdfs: tuple[CompressedCDF, ...]
@@ -560,7 +559,7 @@ class PrefixCDFTable:
         nothing is compressed and the draws are exact."""
         if not (0.0 < eps <= 1.0):
             raise ValueError(f"eps must lie in (0, 1], got {eps}")
-        k = max((dc.n - 1) ** 2 - 1, 1)
+        k = max(2 * dc.n - 3, 1)
         step = math.expm1(-math.log1p(-eps) / k) if eps < 1.0 else math.inf
         return cls._build(dc, spec, step)
 

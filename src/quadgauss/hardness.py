@@ -44,7 +44,6 @@ __all__ = [
     "sample_region_gauss_deg4",
     "region_mass_mc",
     "instance_to_dict",
-    "instance_from_dict",
 ]
 
 _Z99 = 2.5758293035489004
@@ -451,12 +450,3 @@ def instance_to_dict(inst: SubsetSumInstance, c: float) -> dict:
         "w": list(inst.w),
         "c": float(c),
     }
-
-
-def instance_from_dict(doc: dict) -> tuple[SubsetSumInstance, float]:
-    inst = SubsetSumInstance(
-        w0=int(doc["w0"]),
-        w=tuple(int(v) for v in doc["w"]),
-        variant=str(doc["variant"]),
-    )
-    return inst, float(doc.get("c", 4.0))

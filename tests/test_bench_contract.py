@@ -1,14 +1,18 @@
 """The benchmark's tracer (bench/tracing.py) wraps library functions by the
 names the program looks them up by.  A name it cannot find is skipped and its
 per-layer metrics are reported absent, so a rename or deletion in the library
-would go unnoticed by the package tests; check the names here."""
+would go unnoticed by the package tests; check the names here, and that
+the tracer still drives a count and a draw."""
 
 import importlib
 import importlib.util
 import inspect
 from pathlib import Path
 
-from quadgauss import counter
+import numpy as np
+
+from quadgauss import QuadraticForm, Rng, count_ptf_gaussian, counter
+from quadgauss.sampler import PtfSampler
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -36,3 +40,21 @@ def test_every_wrapped_name_resolves():
 def test_tail_cdf_takes_collect():
     # the tracer counts pairs and kept atoms through this argument
     assert "collect" in inspect.signature(counter.compressed_tail_cdf).parameters
+
+
+def test_tracer_drives_count_and_draw():
+    # the tracer calls the wrapped functions with the argument shapes it
+    # assumes; a default-flag n = 3 count engages the floor and its coarse
+    # pass, which chains through compressed_tail_cdf as well
+    tracer = load_tracing().Tracer()
+    q = QuadraticForm(A=-np.eye(3) + 0.1, b=np.array([0.3, -0.2, 0.1]), c=3.0)
+    with tracer.installed():
+        count_ptf_gaussian(q)
+        chains = tracer.by_name()["counter.tail_cdf"]["calls"]
+        PtfSampler(q, 0.1, tau=2.0**-4, trunc_B=3.0).sample(Rng(0))
+    assert tracer.absent == {}
+    assert chains == 2  # the count's table and its coarse pass
+    assert tracer.counts["counter.pairs"] > 0
+    rows = tracer.by_name()
+    for name in ("counter.count", "sampler.draw"):
+        assert rows[name]["calls"] == 1

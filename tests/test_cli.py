@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from quadgauss import cli, densifier
-from quadgauss.quadform import QuadraticForm, save_instance
+from quadgauss.quadform import DecoupledConstraint, QuadraticForm, save_instance
 
 
 @pytest.fixture
@@ -240,26 +240,35 @@ class TestSample:
         )
         assert code == 0 and out == ""
 
-    def test_points_satisfy_filter(self, chi2_instance, capsys):
-        code, out = run_inproc(
-            [
-                "sample",
-                "--instance",
-                chi2_instance,
-                "--samples",
-                "50",
-                "--filter",
-                "--tau",
-                str(2.0**-5),
-                "--trunc-B",
-                "4",
-            ],
-            capsys,
+    def test_points_satisfy_filter(self, chi2_instance, tmp_path, capsys):
+        dc = DecoupledConstraint(
+            lam=np.array([0.5, 0.25]), mu=np.array([0.25, 0.0]), theta=1.0, rotation=np.eye(2)
         )
-        assert code == 0
-        pts = np.array([[float(v) for v in line.split()] for line in out.splitlines()])
-        assert pts.shape == (50, 2)
-        assert np.all(np.sum(pts**2, axis=1) <= 2.0)
+        dc_instance = str(tmp_path / "dec.json")
+        save_instance(dc, dc_instance)
+        for path, accepts in (
+            (chi2_instance, lambda pts: np.sum(pts**2, axis=1) <= 2.0),
+            (dc_instance, dc.accepts),
+        ):
+            code, out = run_inproc(
+                [
+                    "sample",
+                    "--instance",
+                    path,
+                    "--samples",
+                    "50",
+                    "--filter",
+                    "--tau",
+                    str(2.0**-5),
+                    "--trunc-B",
+                    "4",
+                ],
+                capsys,
+            )
+            assert code == 0
+            pts = np.array([[float(v) for v in line.split()] for line in out.splitlines()])
+            assert pts.shape == (50, 2)
+            assert np.all(accepts(pts))
 
     def test_fixed_seed_reproduces(self, chi2_instance, capsys):
         argv = [

@@ -517,7 +517,7 @@ class TestAnswerRelativeFloor:
             dc = lattice_constraint(gen, n)
             for eps in (0.05, 0.5, 1.0):
                 table = PrefixCDFTable.for_sampling(dc, spec, eps)
-                k = (n - 1) ** 2 - 1
+                k = 2 * n - 3
                 step = math.expm1(-math.log1p(-eps) / k) if eps < 1.0 else math.inf
                 pmfs = [
                     support_and_log_pmf(float(dc.lam[j]), float(dc.mu[j]), spec)

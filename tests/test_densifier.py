@@ -270,6 +270,43 @@ class TestPlantedExperiment:
         assert np.all(a[:, 0] >= 4.0) and np.all(b[:, 0] >= 4.0)
         assert not np.any(np.isin(b, a))
 
+    def test_low_mass_target_draws_positives_from_sampler(self, monkeypatch):
+        # mass 8.8e-5 < 1e-4 picks the sampler source; it is above gamma/2,
+        # so the run stops at round 0
+        sources = []
+        monkeypatch.setattr(
+            densifier,
+            "_sampler_positives",
+            lambda *args: sources.append(args) or _sampler_positives(*args),
+        )
+        f = QuadraticForm(A=np.zeros((2, 2)), b=np.array([1.0, 0.0]), c=-3.75)
+        rep = planted_experiment(f, DensifierConfig(eps=0.1, delta=0.1), Rng(3), n_validation=500)
+        assert len(sources) == 1
+        assert rep["p_estimate"] < 1e-4
+        assert rep["rounds"] == 0 and rep["mistakes"] == 0
+        assert rep["agreement"] == 1.0 and rep["passed_a"]
+
+    def test_thin_hypothesis_checked_through_sampler(self, monkeypatch):
+        # a hypothesis of mass below 1e-2 gets its density draws from a
+        # sampler; every point of x1 >= 3 lies in the target x1 >= 1
+        thin = QuadraticForm(A=np.zeros((2, 2)), b=np.array([1.0, 0.0]), c=-3.0)
+        monkeypatch.setattr(
+            densifier, "densify", lambda *args, **kwargs: densifier.DensifyResult(thin, [])
+        )
+        samplers = []
+
+        class Recording(densifier.PtfSampler):
+            def __init__(self, q, *args, **kwargs):
+                samplers.append(q)
+                super().__init__(q, *args, **kwargs)
+
+        monkeypatch.setattr(densifier, "PtfSampler", Recording)
+        f = QuadraticForm(A=np.zeros((2, 2)), b=np.array([1.0, 0.0]), c=-1.0)
+        rep = planted_experiment(f, DensifierConfig(eps=0.1, delta=0.1), Rng(4), n_validation=500)
+        assert samplers == [thin]
+        assert rep["density"] == 1.0 and rep["passed_b"]
+        assert rep["agreement"] < 0.1 and not rep["passed_a"]
+
     def test_decoupled_target_rejected_before_work(self, monkeypatch):
         def no_count(*args, **kwargs):
             raise AssertionError("the target was counted before it was checked")

@@ -15,7 +15,6 @@ from quadgauss.hardness import (
     classify_point_deg4,
     gen_deg2_cube_instance,
     gen_deg4_gauss_instance,
-    instance_from_dict,
     instance_to_dict,
     region_mass_mc,
     sample_region_gauss_deg4,
@@ -67,8 +66,8 @@ class TestSubsetSumInstance:
     def test_serialization_roundtrip(self):
         doc = instance_to_dict(W_35, 4.0)
         assert doc == {"variant": "cube01", "w0": 8, "w": [3, 5], "c": 4.0}
-        inst, c = instance_from_dict(doc)
-        assert inst == W_35 and c == 4.0
+        inst = SubsetSumInstance(w0=doc["w0"], w=tuple(doc["w"]), variant=doc["variant"])
+        assert inst == W_35
 
 
 class TestDeg2Construction:

@@ -16,8 +16,10 @@ from quadgauss.quadform import (
     gaussian_variance,
     instance_from_dict,
     instance_to_dict,
+    load_instance,
     normalize,
     round_coefficients,
+    save_instance,
     sign_at,
 )
 
@@ -293,11 +295,14 @@ class TestInstanceIO:
         q2 = instance_from_dict(json.loads(json.dumps(doc)))
         assert np.allclose(q2.A, q.A) and np.allclose(q2.b, q.b) and q2.c == q.c
 
-    def test_decoupled_form(self):
-        doc = {"decoupled": {"lambda": [1.0, 0.5], "mu": [0.0, 0.0], "theta": 2.0}}
+    def test_decoupled_form(self, tmp_path):
+        doc = {"decoupled": {"lambda": [1.0, 0.5], "mu": [0.0, -0.25], "theta": 2.0}}
         dc = instance_from_dict(doc)
         assert isinstance(dc, DecoupledConstraint)
         assert np.allclose(dc.rotation, np.eye(2))
+        path = str(tmp_path / "dec.json")
+        save_instance(dc, path)
+        assert instance_to_dict(load_instance(path)) == doc
 
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):

@@ -106,6 +106,33 @@ class TestEnumerateDistribution:
             assert truth is not None
             assert 1.0 - eps <= prob / truth <= 1.0 / (1.0 - eps)
 
+    @pytest.mark.parametrize("n, tau", [(4, 0.25), (5, 0.5)])
+    def test_per_point_ratio_linear_budget(self, n, tau):
+        # the table's step spends 2n - 3 merges; every reachable point stays
+        # within the last CDF's budget beta = 1/(1 - eps) of the exact law
+        spec = GridSpec(tau=tau, B=2.0, n=n)
+        dropped = 0
+        for seed in (1, 2):
+            gen = np.random.default_rng(seed)
+            lam, mu = (np.rint(gen.normal(size=n) * 16.0) / 16.0 for _ in range(2))
+            dc = DecoupledConstraint(lam=lam, mu=mu, theta=float(gen.normal() * n), rotation=np.eye(n))
+            exact = oracles.conditional_pmf(dc.lam, dc.mu, dc.theta, spec.tau, spec.B)
+            for eps in (0.05, 0.3, 0.7):
+                table = PrefixCDFTable.for_sampling(dc, spec, eps)
+                beta = table.cdfs[-1].err_budget
+                assert beta == pytest.approx(1.0 / (1.0 - eps), rel=1e-12)
+                sums = np.zeros(1)
+                for j in range(1, n):
+                    sums = np.unique(np.add.outer(sums, table.support[j - 1]))
+                    dropped += sums.size - table.cdfs[j].values.size
+                dist = enumerate_sampler_distribution(dc, spec, eps)
+                assert len(dist.probs) == len(exact)
+                truth = np.array([exact[tuple(pt)] for pt in dist.points])
+                ratio = dist.probs / truth
+                assert np.all((1.0 / beta <= ratio) & (ratio <= beta))
+                assert 0.5 * np.abs(dist.probs - truth).sum() <= eps
+        assert dropped > 0  # atoms were merged
+
     def test_single_point_region_mass_one(self):
         spec = GridSpec(tau=0.5, B=1.0, n=1)
         dc = DecoupledConstraint(

@@ -35,7 +35,7 @@ import numpy as np
 
 from .counter import count_ptf_gaussian, mc_count
 from .numerics import Rng, normal_blocks
-from .quadform import QuadraticForm, sign_at
+from .quadform import QuadraticForm, coordinate_box, decouple, sign_at
 from .sampler import PtfSampler
 
 __all__ = [
@@ -366,37 +366,53 @@ def densify(
         rounds += 1
 
 
-def _rejection_sample(
-    q: QuadraticForm, k: int, rng: Rng, first: int, limit: int, what: str
-) -> tuple[np.ndarray, int]:
-    """The first k points with sign(q) = +1 among blocks of 2^15 normals, block
-    i drawn from ``rng.derive(i)`` for i = first, first + 1, ...; returns them
-    with the index of the first unused block.  Raises once ``limit`` is
-    passed."""
-    kept: list[np.ndarray] = []
-    got = 0
-    i = first
-    with closing(normal_blocks(rng, q.n, 1 << 15, first=first)) as blocks:
-        while got < k:
-            g = next(blocks)
-            i += 1
-            keep = g[np.asarray(sign_at(q, g)) == 1]
-            if keep.size:
-                kept.append(keep)
-                got += keep.shape[0]
-            if i > limit:
-                raise RuntimeError(f"{what} rejection sampling starved")
-    return np.concatenate(kept)[:k], i
+# Proposals per block of the rejection sources.
+_BLOCK = 1 << 15
 
 
-def _rejection_positives(f: QuadraticForm, rng: Rng):
-    """Positive source by rejection: each call continues with the next block."""
-    next_block = 10_000
+def _rejection_sample(q: QuadraticForm, rng: Rng, first: int, limit: int, what: str):
+    """Source of points with sign(q) = +1, by exact rejection from the box.
+
+    q's decoupled form p(R y) = theta - sum_i (lam_i y_i^2 + mu_i y_i) gives a box
+    (``coordinate_box``) that contains its region.  Blocks of 2^15
+    proposals y come from N(0, I) conditioned on that box, block i from
+    ``rng.derive(i)`` for i = first, first + 1, ... < limit (see
+    :func:`normal_blocks`); each x = R y is kept when sign(q, x) = +1.  The
+    kept points are i.i.d. from the Gaussian conditioned on q's region, up
+    to float rounding: the box holds the whole region, so the indicator is
+    the exact acceptance probability.  With an unbounded box the proposals
+    are plain normals, rotated.
+
+    ``source(k)`` returns the next k kept points, so successive calls
+    continue one stream and never repeat a point; ``source(a)`` then
+    ``source(b)`` returns the rows of ``source(a + b)``.  Raises
+    RuntimeError once the blocks below ``limit`` are spent.
+    """
+    dc = decouple(q)
+    lo, hi = coordinate_box(dc)
+    rot_t = dc.rotation.T
+    rest = np.empty((0, q.n))
+    block = first
 
     def source(k: int) -> np.ndarray:
-        nonlocal next_block
-        pts, next_block = _rejection_sample(f, k, rng, next_block, 10_000 + 40_000, "positive")
-        return pts
+        nonlocal rest, block
+        parts, got = [rest], rest.shape[0]
+        if got < k:
+            with closing(normal_blocks(rng, q.n, _BLOCK, first=block, lo=lo, hi=hi)) as blocks:
+                while got < k:
+                    if block >= limit:
+                        raise RuntimeError(f"{what} rejection sampling starved")
+                    x = next(blocks) @ rot_t
+                    block += 1
+                    keep = x[np.asarray(sign_at(q, x)) == 1]
+                    parts.append(keep)
+                    got += keep.shape[0]
+        # no copy when one array holds every point; the result and the
+        # surplus are views of it
+        full = [p for p in parts if p.size]
+        out = full[0] if len(full) == 1 else np.concatenate(parts)
+        rest = out[k:]
+        return out[:k]
 
     return source
 
@@ -443,7 +459,7 @@ def planted_experiment(
     p_hat = min(p_est * (1.0 + cfg.eps / 3.0), 1.0)
 
     if p_est >= 1e-4:
-        pos = _rejection_positives(f, rng.derive(1))
+        pos = _rejection_sample(f, rng.derive(1), 10_000, 50_000, "positive")
     else:
         pos = _sampler_positives(f, cfg.eps, rng.derive(2))
 
@@ -463,9 +479,7 @@ def planted_experiment(
     # (b) density of the target inside g's region
     g_mass, _ = mc_count(g, 1 << 16, rng.derive(4))
     if g_mass >= 1e-2:
-        neg_pool, _ = _rejection_sample(
-            g, n_validation, rng, 50_000, 50_000 + 20_000, "hypothesis"
-        )
+        neg_pool = _rejection_sample(g, rng, 50_000, 70_000, "hypothesis")(n_validation)
     else:
         g_sampler = PtfSampler(g, cfg.eps, floor=0.0)
         neg_pool = g_sampler.sample_batch(n_validation, rng.derive(5))

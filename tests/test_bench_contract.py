@@ -2,7 +2,7 @@
 names the program looks them up by.  A name it cannot find is skipped and its
 per-layer metrics are reported absent, so a rename or deletion in the library
 would go unnoticed by the package tests; check the names here, and that
-the tracer still drives a count and a draw."""
+the tracer still drives a count, a draw and a densifier run."""
 
 import importlib
 import importlib.util
@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from quadgauss import QuadraticForm, Rng, count_ptf_gaussian, counter
+from quadgauss.densifier import DensifierConfig, planted_experiment
 from quadgauss.sampler import PtfSampler
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
@@ -58,3 +59,17 @@ def test_tracer_drives_count_and_draw():
     rows = tracer.by_name()
     for name in ("counter.count", "sampler.draw"):
         assert rows[name]["calls"] == 1
+
+
+def test_tracer_drives_planted_run():
+    # the densify-planted layers: the wrapped densifier names must be the
+    # ones planted_experiment calls
+    tracer = load_tracing().Tracer()
+    disc = QuadraticForm(A=-np.eye(2), b=np.zeros(2), c=0.2107)
+    with tracer.installed():
+        planted_experiment(disc, DensifierConfig(eps=0.1, delta=0.1), Rng(1), n_validation=3000)
+    assert tracer.absent == {}
+    rows = tracer.by_name()
+    for name in ("densifier.densify", "densifier.count", "densifier.mc_count", "quadform.sign_at"):
+        assert rows[name]["calls"] >= 1, name
+    assert tracer.counts["quadform.sign_at_points"] > 0

@@ -465,12 +465,28 @@ class TestDensifyCommand:
 
 
     def test_kappa_flip_exit_4(self, tmp_path, capsys, monkeypatch):
-        # the CLI has no --kappa flag; a coarse lattice (kappa = 1) makes
-        # rounding flip the learner's prediction on fed points
-        monkeypatch.setattr(densifier, "_KAPPA", 1.0)
+        # the CLI has no --kappa flag, so rounding is replaced by one that
+        # flips by construction.  Every pool point rounds to P = (4, 0), so
+        # what is learned does not depend on the positive stream.  Each
+        # negative after the first keeps its draw as the rounded point and
+        # has its raw point moved onto the first negative, which the learner
+        # already rejects: rounding carries the fed point across the
+        # hypothesis.  x1 >= 3.5 is thin enough that round 1 is reached.
+        real = densifier._round_kappa
+        negatives = []
+
+        def across(x):
+            if x.ndim == 2:
+                return np.broadcast_to([4.0, 0.0], x.shape).copy()
+            negatives.append(real(x))
+            if len(negatives) > 1:
+                x[:] = negatives[0]
+            return negatives[-1]
+
+        monkeypatch.setattr(densifier, "_round_kappa", across)
         path = tmp_path / "thin.json"
         save_instance(
-            QuadraticForm(A=np.zeros((2, 2)), b=np.array([1.0, 0.0]), c=-2.9),
+            QuadraticForm(A=np.zeros((2, 2)), b=np.array([1.0, 0.0]), c=-3.5),
             str(path),
         )
         transcript = tmp_path / "run.jsonl"
@@ -481,7 +497,7 @@ class TestDensifyCommand:
         assert doc["error"] == "kappa-flip" and "kappa rounding flipped" in doc["detail"]
         events = [json.loads(line) for line in transcript.read_text().splitlines()]
         assert events[-1]["event"] == "terminate"
-
+        assert len(negatives) > 1
 
     @pytest.mark.parametrize("where", ["missing_dir", "directory"])
     def test_bad_transcript_path_fails_before_work(

@@ -13,6 +13,7 @@ from quadgauss.densifier import (
     densify,
     feature_dim,
     feature_map,
+    _rejection_sample,
     _sampler_positives,
     planted_experiment,
     quadratic_from_weights,
@@ -323,3 +324,66 @@ class TestPlantedExperiment:
         rep = planted_experiment(f, DensifierConfig(eps=0.1, delta=0.1), Rng(12))
         assert rep["agreement"] == 1.0
         assert rep["density"] == 1.0
+
+
+THIN3 = QuadraticForm(A=np.zeros((3, 3)), b=np.array([1.0, 0.0, 0.0]), c=-3.0)
+
+
+class TestRejectionSource:
+    def test_calls_continue_one_stream(self):
+        # 20,000 + 20,000 disc points cross a block of 2^15 proposals
+        f = QuadraticForm(A=-np.eye(2), b=np.zeros(2), c=0.2107)
+        pos = _rejection_sample(f, Rng(21), 10, 100, "positive")
+        a, b = pos(20_000), pos(20_000)
+        whole = _rejection_sample(f, Rng(21), 10, 100, "positive")(40_000)
+        assert np.array_equal(np.concatenate([a, b]), whole)
+        assert not np.any(np.isin(b[:, 0], a[:, 0]))
+        assert np.all(np.asarray(sign_at(f, whole)) == 1)
+
+    def test_starves_past_the_block_limit(self):
+        pos = _rejection_sample(THIN3, Rng(22), 5, 6, "positive")
+        pos(30_000)
+        with pytest.raises(RuntimeError, match="positive rejection sampling starved"):
+            pos(30_000)
+
+    def test_thin3_positives_follow_the_conditioned_law(self):
+        k = 60_000
+        x = _rejection_sample(THIN3, Rng(23), 0, 100, "positive")(k)
+        assert np.all(x[:, 0] >= 3.0)
+        # E[G | G >= 3] = phi(3) / (1 - Phi(3)); the variance there is 0.0705
+        mills = 3.283098654930434
+        assert abs(x[:, 0].mean() - mills) <= 4.0 * math.sqrt(0.0705 / k)
+        assert np.all(np.abs(x[:, 1:].mean(axis=0)) <= 4.0 / math.sqrt(k))
+        assert np.all(np.abs(x[:, 1:].var(axis=0) - 1.0) <= 4.0 * math.sqrt(2.0 / k))
+
+    def test_rotated_target_matches_plain_rejection(self):
+        # a shifted ellipse off the axes: the box lives in rotated
+        # coordinates, so a wrong rotation would bias the moments
+        c, s = math.cos(0.6), math.sin(0.6)
+        rot = np.array([[c, -s], [s, c]])
+        f = QuadraticForm(A=-rot @ np.diag([1.0, 4.0]) @ rot.T, b=np.array([0.8, -0.5]), c=0.3)
+        lo, hi = densifier.coordinate_box(densifier.decouple(f))
+        assert np.isfinite(lo).all() and np.isfinite(hi).all()
+        k = 40_000
+        box = _rejection_sample(f, Rng(24), 0, 100, "positive")(k)
+        g = np.random.default_rng(24).normal(size=(2_000_000, 2))
+        plain = g[np.asarray(sign_at(f, g)) == 1][:k]
+        assert plain.shape[0] == k
+        se = np.sqrt(box.var(axis=0) / k + plain.var(axis=0) / k)
+        assert np.all(np.abs(box.mean(axis=0) - plain.mean(axis=0)) <= 4.5 * se)
+        se2 = np.sqrt(((box**2).var(axis=0) + (plain**2).var(axis=0)) / k)
+        assert np.all(np.abs((box**2).mean(axis=0) - (plain**2).mean(axis=0)) <= 4.5 * se2)
+
+    def test_thin3_experiment_draws_few_points(self, monkeypatch):
+        # box proposals accept almost every point; rejection from all of
+        # R^3 would test about n / p = 10M points for the same run
+        tested = []
+
+        def counting(q, x):
+            tested.append(1 if np.ndim(x) == 1 else np.shape(x)[0])
+            return sign_at(q, x)
+
+        monkeypatch.setattr(densifier, "sign_at", counting)
+        rep = planted_experiment(THIN3, DensifierConfig(eps=0.1, delta=0.1), Rng(25), n_validation=3000)
+        assert rep["agreement"] == 1.0
+        assert sum(tested) <= 200_000

@@ -72,10 +72,10 @@ class SubsetSumInstance:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.w0 < 0 or any(v < 0 for v in self.w):
             raise ValueError("weights and target must be nonnegative integers")
-        if any(v > _MAX_WEIGHT for v in self.w) or self.w0 > _MAX_WEIGHT * len(self.w):
-            raise ValueError(f"weights beyond 2^60 are not supported at desk scale")
         if len(self.w) < 1:
             raise ValueError("need at least one weight")
+        if any(v > _MAX_WEIGHT for v in self.w) or self.w0 > _MAX_WEIGHT * len(self.w):
+            raise ValueError("weights beyond 2^60 are not supported at desk scale")
 
     @property
     def n(self) -> int:
@@ -86,13 +86,14 @@ class SubsetSumInstance:
         return math.sqrt(sum(v * v for v in self.w))
 
     def is_solution(self, z) -> bool:
-        z = [int(round(float(v))) for v in np.atleast_1d(z)]
+        """True when each entry of z is exactly a domain value and w.z = w0."""
+        z = np.atleast_1d(z).tolist()
         if len(z) != self.n:
             raise ValueError("dimension mismatch")
         dom = (0, 1) if self.variant == "cube01" else (-1, 1)
         if any(v not in dom for v in z):
             return False
-        return sum(wi * zi for wi, zi in zip(self.w, z)) == self.w0
+        return sum(wi * int(zi) for wi, zi in zip(self.w, z)) == self.w0
 
     def solutions(self) -> list[tuple[int, ...]]:
         """All solutions, via meet-in-the-middle over the two halves."""
@@ -161,12 +162,13 @@ def alpha_beta_deg2(inst: SubsetSumInstance, c: float = 4.0) -> tuple[float, flo
 
 def _check_radii_apart(c: float, alpha: float, beta: float) -> None:
     """Refuse radii that rounding has made equal.  Exactly, beta < 1/(2 lam)
-    < alpha at degree 2 and beta < 1/sqrt(8 lam) < alpha at degree 4, but
-    their relative gap shrinks with lam until both round to one double."""
-    if not beta < alpha:
+    < alpha at degree 2 and beta < 1/sqrt(8 lam) < alpha at degree 4, but the
+    gap shrinks with lam below the ulp or so that each radius is off by, so a
+    gap of two ulps or less is rounding, not separation."""
+    if not alpha - beta > 2.0 * math.ulp(alpha):
         raise ValueError(
             f"at c = {c:g} the radii alpha and beta are equal in double precision "
-            f"(alpha={alpha!r}, beta={beta!r}); use a smaller c"
+            f"up to rounding (alpha={alpha!r}, beta={beta!r}); use a smaller c"
         )
 
 
@@ -295,13 +297,12 @@ class QuarticForm:
 def _radii_deg4(quartic: QuarticForm) -> tuple[float, float]:
     """Cluster radii (alpha, beta) of the quartic form, in the L2 metric.
 
-    alpha solves 4(1-X)^2 X^2 = 1/(2 lam); beta is the smallest positive
-    solution of (||w||^2 + lam (2+X)^2) X^2 = 1/2.
+    alpha solves 4(1-X)^2 X^2 = 1/(2 lam); beta is the one root in [0, 1] of
+    g(X) = (||w||^2 + lam (2+X)^2) X^2 - 1/2, which increases there from
+    g(0) = -1/2 to g(1) > 0.  Bisection keeps g(lo) < 0 <= g(hi) until lo and
+    hi are adjacent doubles, and beta is hi: the double just above the last
+    sign change of g as evaluated in floats.
     """
-    # Imported here, not at module top: scipy.optimize adds ~90 ms and ~23 MB
-    # to every process, and only degree-4 instances need a root solve.
-    from scipy.optimize import brentq
-
     lam = quartic.lam
     s = math.sqrt(2.0 / lam)
     alpha = 0.5 * s / (1.0 + math.sqrt(1.0 - s))
@@ -310,8 +311,13 @@ def _radii_deg4(quartic: QuarticForm) -> tuple[float, float]:
     def g(x: float) -> float:
         return (wn2 + lam * (2.0 + x) ** 2) * x * x - 0.5
 
-    beta = float(brentq(g, 0.0, 1.0, xtol=1e-300, rtol=8.9e-16))
-    return alpha, beta
+    lo, hi = 0.0, 1.0
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if g(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return alpha, hi
 
 
 def gen_deg4_gauss_instance(
@@ -331,13 +337,7 @@ def gen_deg4_gauss_instance(
     if lam <= 2.0:
         raise ValueError(f"penalty lam = {lam} must exceed 2")
     quartic = QuarticForm(w0=inst.w0, w=inst.w, lam=lam)
-    try:
-        alpha, beta = _radii_deg4(quartic)
-    except RuntimeError:  # brentq runs out of steps as beta nears alpha
-        raise ValueError(
-            f"at c = {c:g} the beta solve does not converge: the radii alpha and beta "
-            "are too close to tell apart in double precision; use a smaller c"
-        ) from None
+    alpha, beta = _radii_deg4(quartic)
     _check_radii_apart(c, alpha, beta)
     return quartic, alpha, beta
 

@@ -390,7 +390,7 @@ class TestGeninstance:
         [
             ("cube01", "1e15", "are equal in double precision"),
             ("pm1", "1e29", "are equal in double precision"),
-            ("pm1", "1e30", "the beta solve does not converge"),
+            ("pm1", "1e30", "are equal in double precision"),
         ],
     )
     def test_merged_radii_name_c(self, capsys, variant, c, cause):
@@ -546,8 +546,7 @@ class TestSubprocessEntry:
         assert r1.stdout == r2.stdout
 
     def test_commands_load_no_scipy(self, chi2_instance):
-        # scipy costs every process ~100 ms and ~24 MB; only the degree-4
-        # radius solve may load it (scipy.optimize)
+        # scipy would cost every process ~100 ms and ~24 MB; no command needs it
         script = (
             "import sys, contextlib, io, quadgauss.cli as cli\n"
             "for argv in sys.argv[1:]:\n"
@@ -559,6 +558,8 @@ class TestSubprocessEntry:
             f"count --instance {chi2_instance}",
             f"sample --instance {chi2_instance} --filter --samples 3",
             f"densify --instance {chi2_instance}",
+            "geninstance --variant pm1 --w0 2 --w 1,1,2",
+            "validate",
         ]
         r = subprocess.run(
             [sys.executable, "-c", script, *commands], capture_output=True, text=True

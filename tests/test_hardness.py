@@ -63,6 +63,18 @@ class TestSubsetSumInstance:
         with pytest.raises(ValueError):
             SubsetSumInstance(w0=1, w=(-1, 2))
 
+    @pytest.mark.parametrize("w0", [0, 1])
+    def test_rejects_empty_weights(self, w0):
+        with pytest.raises(ValueError, match="^need at least one weight$"):
+            SubsetSumInstance(w0=w0, w=())
+
+    def test_near_solution_is_not_solution(self):
+        # (0.6, 1, 0) rounds to the solution (1, 1, 0) but is not one
+        inst = SubsetSumInstance(w0=8, w=(3, 5, 7))
+        assert inst.is_solution((1, 1, 0))
+        assert inst.is_solution(np.array([1.0, 1.0, 0.0]))
+        assert not inst.is_solution((0.6, 1, 0))
+
     def test_serialization_roundtrip(self):
         doc = instance_to_dict(W_35, 4.0)
         assert doc == {"variant": "cube01", "w0": 8, "w": [3, 5], "c": 4.0}
@@ -231,6 +243,11 @@ class TestRegionSamplingDeg2:
         with pytest.raises(ValueError):
             sample_region_uniform_deg2((0, 1), W_35, 4.0, Rng(0))
 
+    def test_rejects_near_solution(self):
+        inst = SubsetSumInstance(w0=8, w=(3, 5, 7))
+        with pytest.raises(ValueError, match="^z is not a solution"):
+            sample_region_uniform_deg2((0.6, 1, 0), inst, rng=Rng(0))
+
     def test_acceptance_rate(self):
         # proposals on the full L1 ball; accepted fraction should clear the
         # inner-ball-to-cube heuristic (beta/alpha)^n / 4
@@ -296,16 +313,48 @@ class TestDeg4Construction:
 
     @pytest.mark.parametrize("c", [4.0, 1e3, 1e6, 1e9])
     def test_alpha_matches_extended_precision(self, c):
-        quartic, alpha, _ = gen_deg4_gauss_instance(self.INST, c)
+        # beta: the root of g(X) = (||w||^2 + lam (2+X)^2) X^2 - 1/2, bisected
+        # in 80 digits from the same float lam
+        quartic, alpha, beta = gen_deg4_gauss_instance(self.INST, c)
         with localcontext() as ctx:
             ctx.prec = 80
-            want = (1 - (1 - (2 / Decimal(quartic.lam)).sqrt()).sqrt()) / 2
+            lam, wn2 = Decimal(quartic.lam), Decimal(quartic.w_norm**2)
+            want = (1 - (1 - (2 / lam).sqrt()).sqrt()) / 2
             assert abs(Decimal(alpha) / want - 1) <= Decimal("1e-15")
+            lo, hi = Decimal(0), Decimal(1)
+            for _ in range(300):
+                mid = (lo + hi) / 2
+                if (wn2 + lam * (2 + mid) ** 2) * mid * mid < Decimal("0.5"):
+                    lo = mid
+                else:
+                    hi = mid
+            assert abs(Decimal(beta) / hi - 1) <= Decimal("1e-15")
+
+    @pytest.mark.parametrize("c", [4.0, 1e3, 1e6, 1e9])
+    def test_beta_brackets_float_sign_change(self, c):
+        # beta is the double just above the last sign change of g in floats
+        quartic, _, beta = gen_deg4_gauss_instance(self.INST, c)
+        wn2, lam = quartic.w_norm**2, quartic.lam
+
+        def g(x):
+            return (wn2 + lam * (2.0 + x) ** 2) * x * x - 0.5
+
+        assert g(math.nextafter(beta, 0.0)) < 0.0 <= g(beta)
 
     def test_beta_pinned(self):
-        # brentq's root, bit for bit: moving its import must not change it
+        # the bisection's root, bit for bit: a rewrite of the solve must not
+        # move it
         _, _, beta = gen_deg4_gauss_instance(self.INST, 4.0)
         assert beta.hex() == "0x1.4b450ff2661f3p-5"
+
+    def test_merged_radii_refused(self):
+        # above c ~ 1e29 at w = (1, 2, 4) the exact radii are under an ulp
+        # apart; rounding still leaves them an ulp apart at some c, such as
+        # the first value here, and those must be refused too
+        inst = SubsetSumInstance(w0=3, w=(1, 2, 4), variant="pm1")
+        for c in [2.9226465274858423e29, *np.logspace(29, 200, 400)]:
+            with pytest.raises(ValueError, match=r"use a smaller c$"):
+                gen_deg4_gauss_instance(inst, float(c))
 
     def test_no_counterexamples_sweep(self):
         gen = np.random.default_rng(7)
@@ -329,6 +378,12 @@ class TestDeg4Construction:
 
 class TestRegionSamplingDeg4:
     INST = SubsetSumInstance(w0=2, w=(1, 1, 2), variant="pm1")
+
+    def test_rejects_near_solution(self):
+        # (0.9, -1, 1) rounds to the solution (1, -1, 1) but is not one
+        quartic, _, _ = gen_deg4_gauss_instance(self.INST, 4.0)
+        with pytest.raises(ValueError, match="^z is not a solution"):
+            sample_region_gauss_deg4((0.9, -1, 1), quartic, Rng(0))
 
     def test_postconditions(self):
         quartic, alpha, _ = gen_deg4_gauss_instance(self.INST, 4.0)

@@ -44,6 +44,7 @@ import math
 from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -64,6 +65,7 @@ __all__ = [
     "CompressedCDF",
     "CountResult",
     "EngineTooLargeError",
+    "FloorError",
     "PrefixCDFTable",
     "DEFAULT_TAU",
     "DEFAULT_GAMMA",
@@ -93,6 +95,10 @@ _SAMPLE_STRIDE = 32
 
 class EngineTooLargeError(RuntimeError):
     """The requested convolution exceeds the configured size guards."""
+
+
+class FloorError(RuntimeError):
+    """The acceptance region's counted mass is below the reporting floor."""
 
 
 def default_trunc_radius(n: int, eps: float) -> int:
@@ -630,6 +636,27 @@ class PrefixCDFTable:
         """log of the lower-bound mass at theta; off by at most the last
         CDF's ``err_budget``."""
         return log_sum(self.log_weights(self.n - 1, self.theta))
+
+    def cumulative_weights(self, j: int, t: float) -> np.ndarray:
+        """Cumulative weights of coordinate j+1's grid values given the
+        threshold ``t``, scaled by the largest: the inverse CDF a draw reads
+        that coordinate from.  Raises FloorError when no grid value has
+        weight."""
+        lw = self.log_weights(j, t)
+        top = lw.max()
+        if top == LOG_ZERO:
+            raise FloorError("no grid point lies in the acceptance region")
+        return np.cumsum(np.exp(lw - top))
+
+    @cached_property
+    def last_coordinate_cum(self) -> np.ndarray:
+        """``cumulative_weights`` of coordinate n, the first one a draw
+        takes.  Its threshold is always theta, so it is built once, on the
+        first draw, and a count table never builds it.  An empty region
+        raises FloorError here on every draw, since a raise caches nothing."""
+        cum = self.cumulative_weights(self.n - 1, self.theta)
+        cum.setflags(write=False)
+        return cum
 
 
 def exact_tail_bruteforce(dc: DecoupledConstraint, spec: GridSpec) -> float:

@@ -76,22 +76,12 @@ class GridSpec:
         """Grid value at index (0 maps to -B); exact for power-of-two tau."""
         return (np.asarray(index) - self.half_index) * self.tau
 
-    def index_of(self, kappa) -> np.ndarray:
-        idx = np.rint(np.asarray(kappa, dtype=float) / self.tau).astype(int)
-        idx = idx + self.half_index
-        val = self.value(idx)
-        if not np.all(val == np.asarray(kappa, dtype=float)):
-            raise ValueError("value is not on the grid")
-        if np.any(idx < 0) or np.any(idx >= self.points_per_coord):
-            raise ValueError("value lies outside the grid range")
-        return idx
-
     def cell_bounds(self, index: int) -> tuple[float, float]:
         """Continuous interval owned by the grid point at ``index``."""
         m = self.points_per_coord
         if not 0 <= index < m:
             raise ValueError(f"index {index} out of range [0, {m})")
-        v = float(self.value(index))
+        v = (index - self.half_index) * self.tau
         left = -math.inf if index == 0 else v
         right = math.inf if index == m - 1 else v + self.tau
         return left, right

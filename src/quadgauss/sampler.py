@@ -9,12 +9,17 @@ P_{j-1} is the table's CDF of Y_1 + ... + Y_{j-1}, by inverse CDF over its
 grid values.  The table is built once per sampler at a step size derived
 from (n, eps) that keeps every grid point's probability within
 [1 - eps, 1/(1 - eps)] of the exact conditional law, so the total variation
-error is at most eps (see ``PrefixCDFTable``).
+error is at most eps (see ``PrefixCDFTable``).  Coordinate n's threshold is
+always theta, so its inverse CDF is built once per table, on the first draw;
+each later draw pays one ``searchsorted`` for it and rebuilds only the
+weights of coordinates n-1, ..., 1.
 
 The continuous lift is exact, not approximate: conditioned on the grid
 point, each coordinate of the underlying Gaussian is distributed as N(0,1)
 restricted to the grid point's owning cell, so lifting with truncated
-normals inverts the discretization in law.
+normals inverts the discretization in law.  The lift reads each cell from
+the grid index kappa/tau + B/tau, in float arithmetic that is exact
+for a power-of-two tau.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from .counter import (
     DEFAULT_GAMMA,
     DEFAULT_TAU,
     EngineTooLargeError,
+    FloorError,
     PrefixCDFTable,
     _checked_grid,
     count,
@@ -55,28 +61,23 @@ __all__ = [
 ]
 
 
-class FloorError(RuntimeError):
-    """The acceptance region's counted mass is below the reporting floor."""
-
-
 class FilterRetryError(RuntimeError):
     """exact_filter rejected every draw within the retry limit."""
 
 
 def sample_grid_point(table: PrefixCDFTable, rng: Rng) -> np.ndarray:
     """Draw one grid point from the table: coordinates n, n-1, ..., 1 in
-    turn, each by inverse CDF over its grid values."""
+    turn, each by inverse CDF over its grid values.  Coordinate n's inverse
+    CDF does not depend on the draw and comes from the table's cache."""
     idx = np.empty(table.n, dtype=int)
     t = table.theta
+    cum = table.last_coordinate_cum
     for j in range(table.n - 1, -1, -1):
-        lw = table.log_weights(j, t)
-        top = lw.max()
-        if top == LOG_ZERO:
-            raise FloorError("no grid point lies in the acceptance region")
-        cum = np.cumsum(np.exp(lw - top))
         i = int(np.searchsorted(cum, rng.uniform() * cum[-1], side="right"))
         idx[j] = i
         t -= table.support[j, i]
+        if j:
+            cum = table.cumulative_weights(j - 1, t)
     return table.kappa[idx]
 
 
@@ -122,10 +123,14 @@ def lift_to_continuous(kappa: np.ndarray, spec: GridSpec, rng: Rng) -> np.ndarra
     """Invert the discretization in law: given [G]_tau = kappa, each
     coordinate is N(0,1) restricted to kappa's owning cell ([kappa, kappa+tau)
     inside the grid, the unbounded tail at the caps)."""
-    idx = spec.index_of(np.atleast_1d(np.asarray(kappa, dtype=float)))
-    out = np.empty(idx.shape[0])
-    for j, i in enumerate(idx):
-        left, right = spec.cell_bounds(int(i))
+    values = np.atleast_1d(np.asarray(kappa, dtype=float)).tolist()
+    out = np.empty(len(values))
+    for j, v in enumerate(values):
+        # exact: tau is a power of two, so v / tau is an integer on the grid
+        k = v / spec.tau
+        if not k.is_integer():
+            raise ValueError(f"value {v} is not on the grid")
+        left, right = spec.cell_bounds(int(k) + spec.half_index)
         out[j] = truncated_normal_sample(left, right, rng)
     return out
 

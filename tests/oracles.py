@@ -271,3 +271,26 @@ def sparsify_log(values, logp, eps_step, log_floor=-math.inf):
     kept = np.asarray(kept)
     starts = np.concatenate(([0], kept[:-1] + 1))
     return values[kept], np.logaddexp.reduceat(logp, starts)
+
+
+def draw_grid_point(cdfs, support, log_cell, kappa, theta: float, rng):
+    """One draw by the prefix-CDF recursion, rebuilding every coordinate's
+    weights on every draw: coordinates n, ..., 1 in turn, coordinate j+1
+    weighing grid value i by log_cell[i] + log P_j(t - support[j][i]), with
+    P_j the step CDF given as (anchor values, log cumulative masses) in
+    ``cdfs[j]``.  Returns None when no grid value has weight."""
+    idx = np.empty(len(cdfs), dtype=int)
+    t = theta
+    for j in range(len(cdfs) - 1, -1, -1):
+        values, log_cum = cdfs[j]
+        x = np.asarray(t, dtype=float)[..., None] - support[j]
+        pos = np.searchsorted(values, x, side="right")
+        lw = log_cell + np.where(pos == 0, -math.inf, log_cum[pos - 1])
+        top = lw.max()
+        if top == -math.inf:
+            return None
+        cum = np.cumsum(np.exp(lw - top))
+        i = int(np.searchsorted(cum, rng.uniform() * cum[-1], side="right"))
+        idx[j] = i
+        t -= support[j, i]
+    return kappa[idx]

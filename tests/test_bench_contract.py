@@ -52,13 +52,16 @@ def test_tracer_drives_count_and_draw():
     with tracer.installed():
         count_ptf_gaussian(q)
         chains = tracer.by_name()["counter.tail_cdf"]["calls"]
-        PtfSampler(q, 0.1, tau=2.0**-4, trunc_B=3.0).sample(Rng(0))
+        PtfSampler(q, 0.1, tau=2.0**-4, trunc_B=3.0).sample_batch(3, Rng(0))
     assert tracer.absent == {}
     assert chains == 2  # the count's table and its coarse pass
     assert tracer.counts["counter.pairs"] > 0
     rows = tracer.by_name()
-    for name in ("counter.count", "sampler.draw"):
-        assert rows[name]["calls"] == 1
+    assert rows["counter.count"]["calls"] == 1  # the first draw's floor check
+    # each draw goes through the wrapped grid point and lift, so that
+    # sampler.grid_point_s and sampler.lift_s keep measuring the draw
+    for name in ("sampler.draw", "sampler.grid_point", "sampler.lift"):
+        assert rows[name]["calls"] == 3, name
 
 
 def test_tracer_drives_planted_run():

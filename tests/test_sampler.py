@@ -62,11 +62,14 @@ class TestSampleGridPoint:
         dc = DecoupledConstraint(
             lam=np.array([0.0]), mu=np.array([1.0]), theta=-10.0, rotation=np.eye(1)
         )
-        with pytest.raises(FloorError):
-            sample_grid_point(PrefixCDFTable.for_sampling(dc, spec, 0.1), Rng(0))
+        table = PrefixCDFTable.for_sampling(dc, spec, 0.1)
         s = PtfSampler(dc, 0.1, tau=0.5, trunc_B=2.0)
-        with pytest.raises(FloorError):
-            s.sample(Rng(0))
+        # on every draw, not only the first: the empty case is never cached
+        for _ in range(2):
+            with pytest.raises(FloorError):
+                sample_grid_point(table, Rng(0))
+            with pytest.raises(FloorError):
+                s.sample(Rng(0))
 
     def test_seed_determinism(self):
         spec = GridSpec(tau=0.25, B=2.0, n=2)
@@ -74,6 +77,34 @@ class TestSampleGridPoint:
         a = [tuple(sample_grid_point(table, Rng(7))) for _ in range(5)]
         b = [tuple(sample_grid_point(table, Rng(7))) for _ in range(5)]
         assert a == b
+
+    @pytest.mark.parametrize(
+        "lam, mu, theta",
+        [
+            ([-0.5], [0.25], -0.5),
+            ([-0.5, -0.25], [0.125, 0.0], -1.0),
+            ([-0.40625, -0.796875, -0.21875], [-0.5625, 0.140625, 0.953125], -1.0),
+        ],
+    )
+    def test_draws_match_per_draw_reference(self, lam, mu, theta):
+        # coordinate n's cached inverse CDF must give the very draws of a
+        # loop that rebuilds every coordinate's weights on every draw
+        n = len(lam)
+        dc = DecoupledConstraint(
+            lam=np.array(lam), mu=np.array(mu), theta=theta, rotation=np.eye(n)
+        )
+        spec = GridSpec(tau=0.25, B=2.0, n=n)
+        table = PrefixCDFTable.for_sampling(dc, spec, 0.1)
+        if n == 3:  # atoms were merged
+            exact_sums = np.unique(np.add.outer(table.support[0], table.support[1]))
+            assert table.cdfs[2].values.size < exact_sums.size
+        cdfs = [(c.values, c.log_cum) for c in table.cdfs]
+        mine, ref = Rng(8), Rng(8)
+        got = np.array([sample_grid_point(table, mine) for _ in range(500)])
+        args = (cdfs, table.support, table.log_cell, table.kappa, table.theta, ref)
+        want = np.array([oracles.draw_grid_point(*args) for _ in range(500)])
+        assert np.array_equal(got, want)
+        assert np.all(np.any(got == -spec.B, axis=0)) and np.all(np.any(got == spec.B, axis=0))
 
 
 class TestEnumerateDistribution:
@@ -192,6 +223,25 @@ class TestLift:
             want = oracles.truncated_mean(a, b)
             se = ys.std() / math.sqrt(ys.size)
             assert abs(ys.mean() - want) <= 3.5 * se
+
+    def test_off_grid_value_refused(self):
+        spec = GridSpec(tau=0.5, B=1.0, n=1)
+        with pytest.raises(ValueError, match="not on the grid"):
+            lift_to_continuous(np.array([0.3]), spec, Rng(0))
+
+    def test_value_beyond_B_refused(self):
+        spec = GridSpec(tau=0.5, B=1.0, n=2)
+        for kappa in ([1.5, 0.0], [0.0, -1.5]):
+            with pytest.raises(ValueError, match="out of range"):
+                lift_to_continuous(np.array(kappa), spec, Rng(0))
+
+    def test_lower_cap_owns_left_tail(self):
+        spec = GridSpec(tau=0.5, B=1.0, n=1)
+        assert spec.cell_bounds(0) == (-math.inf, -0.5)
+        r = Rng(3)
+        ys = [lift_to_continuous(np.array([-1.0]), spec, r)[0] for _ in range(200)]
+        assert all(y < -0.5 for y in ys)
+        assert min(ys) < -1.0  # the cap reaches past -B
 
 
 class TestPtfSampler:

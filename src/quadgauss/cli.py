@@ -1,5 +1,5 @@
 """Command-line front end: counting, sampling, instance generation,
-densification, and validation, all seed-reproducible.
+densification, and validation, all fixed by their flags (and --seed).
 
 Commands load their input and call the library, which checks its own
 settings; ``main`` writes any error they raise as one ``error: <message>``
@@ -66,7 +66,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tau", type=float, default=DEFAULT_TAU, help="grid step (power of 2)")
     p.add_argument("--trunc-B", type=float, default=None, help="grid truncation radius")
     p.add_argument("--gamma", type=float, default=DEFAULT_GAMMA, help="coefficient rounding step")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="random seed")
 
 
 def _emit(doc: dict) -> None:
@@ -194,6 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("sample", help="draw points from the conditioned Gaussian")
     _add_common(ps)
+    ps.add_argument("--seed", type=int, default=DEFAULT_SEED, help="random seed")
     ps.add_argument("--samples", type=int, default=1, help="number of points")
     ps.add_argument("--filter", action="store_true", help="reject draws violating the original polynomial")
     ps.add_argument("--filter-retries", type=int, default=100, help="exact-filter retry limit")

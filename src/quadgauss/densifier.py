@@ -370,7 +370,7 @@ def densify(
 _BLOCK = 1 << 15
 
 
-def _rejection_sample(q: QuadraticForm, rng: Rng, first: int, limit: int, what: str):
+def _rejection_sample(q: QuadraticForm, rng: Rng, first: int, limit: int):
     """Source of points with sign(q) = +1, by exact rejection from the box.
 
     q's decoupled form p(R y) = theta - sum_i (lam_i y_i^2 + mu_i y_i) gives a box
@@ -401,7 +401,7 @@ def _rejection_sample(q: QuadraticForm, rng: Rng, first: int, limit: int, what: 
             with closing(normal_blocks(rng, q.n, _BLOCK, first=block, lo=lo, hi=hi)) as blocks:
                 while got < k:
                     if block >= limit:
-                        raise RuntimeError(f"{what} rejection sampling starved")
+                        raise RuntimeError("positive rejection sampling starved")
                     x = next(blocks) @ rot_t
                     block += 1
                     keep = x[np.asarray(sign_at(q, x)) == 1]
@@ -440,9 +440,13 @@ def planted_experiment(
     n_validation: int = 4000,
     transcript: TextIO | None = None,
 ) -> dict:
-    """End-to-end run against a known target: generate positives, densify,
-    then measure (a) how much of the target's mass the hypothesis covers and
-    (b) how dense the target is inside the hypothesis, both by Monte Carlo.
+    """End-to-end run against a known target f: generate positives, densify,
+    then measure (a) ``agreement``, the fraction of n_validation fresh
+    positives (the only validation draws) that the hypothesis g accepts, and
+    (b) ``density`` = mass(f & g) / mass(g), drawing nothing from g: for
+    joint = p * agreement (p = ``p_estimate``) and M = max(mc_count(g), joint),
+    density = joint / M (0 if joint is 0); by the delta method on the two 99%
+    half-widths, density_ci = sqrt((p * agreement_ci)^2 + (density * M_ci)^2) / M.
     ``transcript``, a text stream, receives the run's events as JSON lines,
     also when the run ends in BudgetExhaustedError or KappaFlipError.
     """
@@ -459,7 +463,7 @@ def planted_experiment(
     p_hat = min(p_est * (1.0 + cfg.eps / 3.0), 1.0)
 
     if p_est >= 1e-4:
-        pos = _rejection_sample(f, rng.derive(1), 10_000, 50_000, "positive")
+        pos = _rejection_sample(f, rng.derive(1), 10_000, 50_000)
     else:
         pos = _sampler_positives(f, cfg.eps, rng.derive(2))
 
@@ -477,14 +481,13 @@ def planted_experiment(
     agree_ci = 2.576 * math.sqrt(max(agree * (1 - agree), 0.0) / n_validation)
 
     # (b) density of the target inside g's region
-    g_mass, _ = mc_count(g, 1 << 16, rng.derive(4))
-    if g_mass >= 1e-2:
-        neg_pool = _rejection_sample(g, rng, 50_000, 70_000, "hypothesis")(n_validation)
-    else:
-        g_sampler = PtfSampler(g, cfg.eps, floor=0.0)
-        neg_pool = g_sampler.sample_batch(n_validation, rng.derive(5))
-    density = float(np.mean(np.asarray(sign_at(f, neg_pool)) == 1))
-    density_ci = 2.576 * math.sqrt(max(density * (1 - density), 0.0) / n_validation)
+    g_mass, g_ci = mc_count(g, 1 << 16, rng.derive(4))
+    joint = p_est * agree
+    density, density_ci = 0.0, 0.0
+    if joint > 0.0:
+        mass = max(g_mass, joint)
+        density = joint / mass
+        density_ci = math.hypot(p_est * agree_ci, density * g_ci) / mass
 
     return {
         "n": f.n,

@@ -271,9 +271,6 @@ class Rng:
     def exponential(self, size=None):
         return self._gen.standard_exponential(size)
 
-    def integers(self, low, high=None, size=None):
-        return self._gen.integers(low, high=high, size=size)
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"Rng(seed={self.seed}, spawn_key={self.spawn_key})"
 

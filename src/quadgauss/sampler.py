@@ -180,7 +180,6 @@ class PtfSampler:
             self.rotation = np.eye(dc.n)
             return
         self.constant = False
-        self.normalized = nz
         self.rounded = round_coefficients(nz, cfg)
         self.rotation = dc.rotation
         self.table = PrefixCDFTable.for_sampling(self.rounded, self.spec, self.eps)

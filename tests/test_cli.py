@@ -134,6 +134,8 @@ class TestBadInput:
             ["count", "--no-such-flag"],
             ["count", "--trunc-B", "inf"],
             ["count", "--tau", "5e-324"],
+            # count draws nothing, so it takes no seed
+            ["count", "--seed", "1"],
         ],
     )
     def test_bad_flag_exit_1(self, chi2_instance, capsys, argv):
@@ -434,6 +436,19 @@ class TestDensifyCommand:
         assert code == 0
         doc = json.loads(out)
         assert doc["passed_a"] and doc["passed_b"]
+
+    def test_thin_target_density_resolved_below_gamma(self, tmp_path, capsys):
+        # x1 >= 4 has mass 3.2e-5; the density test stops the run at round 1,
+        # which only guarantees density about gamma/2.  Criterion (b),
+        # p * agreement / mass(g), resolves that density (6.6e-5), far
+        # below 1/n_validation, and it misses the gamma bar
+        path = tmp_path / "x1ge4.json"
+        path.write_text('{"n": 2, "A": [[0,0],[0,0]], "b": [1, 0], "c": -4}')
+        code, out = run_inproc(["densify", "--instance", str(path), "--seed", "1"], capsys)
+        doc = json.loads(out)
+        assert doc["rounds"] == 1 and doc["passed_a"]
+        assert 0.0 < doc["density"] < doc["gamma"]
+        assert not doc["passed_b"] and code == 4
 
     def test_zero_budget_on_nontrivial_target(self, tmp_path, capsys):
         # mistake budget 0 with a target too thin for the round-zero density

@@ -19,6 +19,7 @@ from quadgauss.densifier import (
     quadratic_from_weights,
     weights_from_quadratic,
 )
+from quadgauss.counter import mc_count
 from quadgauss.numerics import Rng
 from quadgauss.quadform import DecoupledConstraint, QuadraticForm, evaluate, sign_at
 
@@ -254,8 +255,9 @@ class TestPlantedExperiment:
             "mistake_budget": 3050,
             "agreement": 1.0,
             "agreement_ci": 0.0,
-            "density": 0.0016666666666666668,
-            "density_ci": 0.0019184363385802473,
+            # agreement 1.0 and g = +1 everywhere (MC mass exactly 1)
+            "density": 0.0013611627912770425,
+            "density_ci": 0.0,
             "kappa_flip_fraction": 0.0,
             "passed_a": True,
             "passed_b": True,
@@ -287,26 +289,48 @@ class TestPlantedExperiment:
         assert rep["rounds"] == 0 and rep["mistakes"] == 0
         assert rep["agreement"] == 1.0 and rep["passed_a"]
 
-    def test_thin_hypothesis_checked_through_sampler(self, monkeypatch):
-        # a hypothesis of mass below 1e-2 gets its density draws from a
-        # sampler; every point of x1 >= 3 lies in the target x1 >= 1
+    def _thin_hypothesis_run(self, monkeypatch):
+        # the learner's output is replaced by g = x1 >= 3 for the target
+        # f = x1 >= 1; every point of g lies in f
         thin = QuadraticForm(A=np.zeros((2, 2)), b=np.array([1.0, 0.0]), c=-3.0)
         monkeypatch.setattr(
             densifier, "densify", lambda *args, **kwargs: densifier.DensifyResult(thin, [])
         )
-        samplers = []
+        sources, samplers = [], []
+
+        def recording_source(q, *args):
+            sources.append(q)
+            return _rejection_sample(q, *args)
 
         class Recording(densifier.PtfSampler):
             def __init__(self, q, *args, **kwargs):
                 samplers.append(q)
                 super().__init__(q, *args, **kwargs)
 
+        monkeypatch.setattr(densifier, "_rejection_sample", recording_source)
         monkeypatch.setattr(densifier, "PtfSampler", Recording)
         f = QuadraticForm(A=np.zeros((2, 2)), b=np.array([1.0, 0.0]), c=-1.0)
-        rep = planted_experiment(f, DensifierConfig(eps=0.1, delta=0.1), Rng(4), n_validation=500)
-        assert samplers == [thin]
+        rep = planted_experiment(f, DensifierConfig(eps=0.1, delta=0.1), Rng(4))
+        # only the target's positives are drawn; nothing is drawn from g
+        assert sources == [f] and samplers == []
+        assert 0.0 < rep["agreement"] < 0.1 and not rep["passed_a"]
+        return thin, rep
+
+    def test_density_from_agreement_and_hypothesis_mass(self, monkeypatch):
+        thin, rep = self._thin_hypothesis_run(monkeypatch)
+        joint = rep["p_estimate"] * rep["agreement"]
+        g_mass, _ = mc_count(thin, 1 << 16, Rng(4).derive(4))
+        # mass(g) = mass(f & g) here, so MC's mass(g) may fall below joint
+        # (it does at this seed) and the max keeps density at most 1
+        assert rep["density"] == joint / max(g_mass, joint)
+        assert 0.0 <= rep["density"] <= 1.0
+
+    def test_density_with_no_hypothesis_hits(self, monkeypatch):
+        # an MC mass of 0 under a positive joint mass is clamped to it
+        monkeypatch.setattr(densifier, "mc_count", lambda *args: (0.0, 0.0))
+        _, rep = self._thin_hypothesis_run(monkeypatch)
         assert rep["density"] == 1.0 and rep["passed_b"]
-        assert rep["agreement"] < 0.1 and not rep["passed_a"]
+        assert math.isfinite(rep["density_ci"])
 
     def test_decoupled_target_rejected_before_work(self, monkeypatch):
         def no_count(*args, **kwargs):
@@ -333,22 +357,22 @@ class TestRejectionSource:
     def test_calls_continue_one_stream(self):
         # 20,000 + 20,000 disc points cross a block of 2^15 proposals
         f = QuadraticForm(A=-np.eye(2), b=np.zeros(2), c=0.2107)
-        pos = _rejection_sample(f, Rng(21), 10, 100, "positive")
+        pos = _rejection_sample(f, Rng(21), 10, 100)
         a, b = pos(20_000), pos(20_000)
-        whole = _rejection_sample(f, Rng(21), 10, 100, "positive")(40_000)
+        whole = _rejection_sample(f, Rng(21), 10, 100)(40_000)
         assert np.array_equal(np.concatenate([a, b]), whole)
         assert not np.any(np.isin(b[:, 0], a[:, 0]))
         assert np.all(np.asarray(sign_at(f, whole)) == 1)
 
     def test_starves_past_the_block_limit(self):
-        pos = _rejection_sample(THIN3, Rng(22), 5, 6, "positive")
+        pos = _rejection_sample(THIN3, Rng(22), 5, 6)
         pos(30_000)
         with pytest.raises(RuntimeError, match="positive rejection sampling starved"):
             pos(30_000)
 
     def test_thin3_positives_follow_the_conditioned_law(self):
         k = 60_000
-        x = _rejection_sample(THIN3, Rng(23), 0, 100, "positive")(k)
+        x = _rejection_sample(THIN3, Rng(23), 0, 100)(k)
         assert np.all(x[:, 0] >= 3.0)
         # E[G | G >= 3] = phi(3) / (1 - Phi(3)); the variance there is 0.0705
         mills = 3.283098654930434
@@ -365,7 +389,7 @@ class TestRejectionSource:
         lo, hi = densifier.coordinate_box(densifier.decouple(f))
         assert np.isfinite(lo).all() and np.isfinite(hi).all()
         k = 40_000
-        box = _rejection_sample(f, Rng(24), 0, 100, "positive")(k)
+        box = _rejection_sample(f, Rng(24), 0, 100)(k)
         g = np.random.default_rng(24).normal(size=(2_000_000, 2))
         plain = g[np.asarray(sign_at(f, g)) == 1][:k]
         assert plain.shape[0] == k

@@ -1,7 +1,11 @@
-"""The README's Python examples run as written."""
+"""The README's Python examples run as written, and its CLI examples use
+flags the parser accepts."""
 
 import re
+import shlex
 from pathlib import Path
+
+from quadgauss import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -15,3 +19,17 @@ def test_python_blocks_run():
         # pad with newlines so a traceback points at the README's own line
         source = "\n" * text.count("\n", 0, m.start(1)) + m.group(1)
         exec(compile(source, str(README), "exec"), namespace)
+
+
+def test_cli_block_parses():
+    # parse only: a flag renamed or removed in the CLI fails here until the
+    # README follows; no command runs and no instance file is read
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("\n## CLI\n"):]
+    block = re.search(r"^```sh\n(.*?)^```", section, re.M | re.S).group(1)
+    lines = [line for line in block.splitlines() if line.startswith("quadgauss ")]
+    assert len(lines) >= 5
+    parser = cli.build_parser()
+    for line in lines:
+        argv = shlex.split(line, comments=True)[1:]
+        parser.parse_args(argv)

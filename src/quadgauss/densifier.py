@@ -7,13 +7,13 @@ positives from the sample pool are fed with label +1 until the pool is
 covered; then the hypothesis region's Gaussian mass is counted to within
 (1 +- delta), and either the caller's target mass estimate p_hat is already
 a gamma/2 fraction of it (terminate: the hypothesis is dense enough) or a
-fresh point is drawn from the hypothesis region by a sampler built for that
-hypothesis and fed with label -1, which is correct with probability
-1 - gamma per draw since the target occupies less than a gamma fraction of
-the hypothesis.  With mistake budget M, gamma = 1/(8M) and at most 4M + 16
-negatives are drawn.  Points are discretized to a lattice of step
-``_KAPPA`` before entering the learner; how often that rounding flips the
-hypothesis sign is tracked and must stay below 1%.
+fresh point drawn from the Gaussian conditioned on the hypothesis (by
+``_region_source``, as target positives are) is fed with label -1, which is
+correct with probability 1 - gamma per draw since the target occupies less
+than a gamma fraction of the hypothesis.  With mistake budget M,
+gamma = 1/(8M) and at most 4M + 16 negatives are drawn.  Points are rounded
+to the lattice of step ``_KAPPA`` before entering the learner; how often that
+flips the hypothesis sign is tracked and must stay below 1%.
 
 The learner is a central-cut ellipsoid over weight space: predict with the
 center, cut on each violated constraint, and keep cutting until the center
@@ -34,7 +34,7 @@ from typing import TextIO
 import numpy as np
 
 from .counter import count_ptf_gaussian, mc_count
-from .numerics import Rng, normal_blocks
+from .numerics import Rng, log_interval_mass, normal_blocks
 from .quadform import QuadraticForm, coordinate_box, decouple, sign_at
 from .sampler import PtfSampler
 
@@ -182,9 +182,6 @@ class EllipsoidLearner:
 
 # Points fed to the learner are rounded to this lattice first.
 _KAPPA = 2.0**-16
-# Accuracy and grid step of the sampler that draws negatives from the hypothesis.
-_SAMPLE_EPS = 0.25
-_SAMPLE_TAU = 2.0**-5
 
 
 @dataclass(frozen=True)
@@ -293,18 +290,14 @@ def densify(
     pool = np.asarray(pos_source(int(cfg.n_pos)), dtype=float)
     learner = EllipsoidLearner(feature_dim(n))
     max_rounds = 4 * cfg.mistake_budget + 16
-    pool_disc = _round_kappa(pool)
-    feats_raw = feature_map(pool)
-    feats = feature_map(pool_disc)
+    feats = feature_map(_round_kappa(pool))
     transcript: list[dict] = []
     fed = 0
     flips = 0
 
-    def hypothesis() -> QuadraticForm:
-        return quadratic_from_weights(learner.weights, n)
-
-    def feed(raw_x: np.ndarray, disc_feat: np.ndarray, raw_feat: np.ndarray, label: int, event: str, step: int) -> None:
+    def feed(raw_x: np.ndarray, disc_feat: np.ndarray, label: int, event: str, step: int) -> None:
         nonlocal fed, flips
+        raw_feat = feature_map(raw_x)
         pred_disc = learner.predict(disc_feat / np.linalg.norm(disc_feat))
         pred_raw = learner.predict(raw_feat / np.linalg.norm(raw_feat))
         if pred_disc != pred_raw:
@@ -332,17 +325,13 @@ def densify(
         bad = np.flatnonzero(preds == -1)
         if bad.size:
             j = int(bad[0])
-            feed(pool[j], feats[j], feats_raw[j], +1, "pos_mistake", rounds)
+            feed(pool[j], feats[j], +1, "pos_mistake", rounds)
             continue
-        g = hypothesis()
+        g = quadratic_from_weights(learner.weights, n)
         res = count_ptf_gaussian(g, cfg.delta)
-        transcript.append(
-            {"step": rounds, "event": "count", "estimate": res.estimate}
-        )
+        transcript.append({"step": rounds, "event": "count", "estimate": res.estimate})
         if p_hat >= 0.5 * cfg.gamma * res.estimate:
-            transcript.append(
-                {"step": rounds, "event": "terminate", "reason": "density"}
-            )
+            transcript.append({"step": rounds, "event": "terminate", "reason": "density"})
             flip_frac = flips / fed if fed else 0.0
             if flip_frac > 0.01:
                 raise KappaFlipError(
@@ -360,23 +349,26 @@ def densify(
             raise BudgetExhaustedError(
                 f"round budget {max_rounds} exhausted", transcript
             )
-        x = PtfSampler(g, _SAMPLE_EPS, tau=_SAMPLE_TAU, floor=0.0).sample(rng.derive(rounds))
-        xd = _round_kappa(x)
-        feed(x, feature_map(xd), feature_map(x), -1, "neg_feed", rounds)
+        x = _region_source(g, res.estimate, cfg.eps, rng.derive(rounds))(1)[0]
+        feed(x, feature_map(_round_kappa(x)), -1, "neg_feed", rounds)
         rounds += 1
 
 
-# Proposals per block of the rejection sources.
+# Proposals per block of the rejection source; its blocks come from the
+# child streams _FIRST_BLOCK, _FIRST_BLOCK + 1, ... < _BLOCK_LIMIT.
 _BLOCK = 1 << 15
+_FIRST_BLOCK, _BLOCK_LIMIT = 10_000, 50_000
+# Least expected acceptance rate mass / mass(box) of the rejection source.
+_MIN_ACCEPT = 1e-4
 
 
-def _rejection_sample(q: QuadraticForm, rng: Rng, first: int, limit: int):
+def _rejection_sample(q: QuadraticForm, rotation: np.ndarray, lo, hi, rng: Rng):
     """Source of points with sign(q) = +1, by exact rejection from the box.
 
-    q's decoupled form p(R y) = theta - sum_i (lam_i y_i^2 + mu_i y_i) gives a box
-    (``coordinate_box``) that contains its region.  Blocks of 2^15
-    proposals y come from N(0, I) conditioned on that box, block i from
-    ``rng.derive(i)`` for i = first, first + 1, ... < limit (see
+    q's decoupled form p(R y) = theta - sum_i (lam_i y_i^2 + mu_i y_i), with
+    R = ``rotation``, has its region inside the box [lo, hi]
+    (``coordinate_box``).  Blocks of 2^15 proposals y come from N(0, I)
+    conditioned on that box, block i from ``rng.derive(i)`` (see
     :func:`normal_blocks`); each x = R y is kept when sign(q, x) = +1.  The
     kept points are i.i.d. from the Gaussian conditioned on q's region, up
     to float rounding: the box holds the whole region, so the indicator is
@@ -386,13 +378,11 @@ def _rejection_sample(q: QuadraticForm, rng: Rng, first: int, limit: int):
     ``source(k)`` returns the next k kept points, so successive calls
     continue one stream and never repeat a point; ``source(a)`` then
     ``source(b)`` returns the rows of ``source(a + b)``.  Raises
-    RuntimeError once the blocks below ``limit`` are spent.
+    RuntimeError once the blocks below _BLOCK_LIMIT are spent.
     """
-    dc = decouple(q)
-    lo, hi = coordinate_box(dc)
-    rot_t = dc.rotation.T
+    rot_t = rotation.T
     rest = np.empty((0, q.n))
-    block = first
+    block = _FIRST_BLOCK
 
     def source(k: int) -> np.ndarray:
         nonlocal rest, block
@@ -400,8 +390,8 @@ def _rejection_sample(q: QuadraticForm, rng: Rng, first: int, limit: int):
         if got < k:
             with closing(normal_blocks(rng, q.n, _BLOCK, first=block, lo=lo, hi=hi)) as blocks:
                 while got < k:
-                    if block >= limit:
-                        raise RuntimeError("positive rejection sampling starved")
+                    if block >= _BLOCK_LIMIT:
+                        raise RuntimeError("box rejection sampling starved")
                     x = next(blocks) @ rot_t
                     block += 1
                     keep = x[np.asarray(sign_at(q, x)) == 1]
@@ -417,15 +407,23 @@ def _rejection_sample(q: QuadraticForm, rng: Rng, first: int, limit: int):
     return source
 
 
-def _sampler_positives(f: QuadraticForm, eps: float, rng: Rng):
-    """Positive source through a sampler: every call continues the one stream
-    ``rng``, so later calls return fresh points."""
-    sampler = PtfSampler(f, eps, floor=0.0)
+def _region_source(q: QuadraticForm, mass: float, eps: float, rng: Rng):
+    """Source of points from N(0, I) conditioned on sign(q) = +1, whose
+    Gaussian mass is about ``mass``; ``source(k)`` returns the next k points.
 
-    def source(k: int) -> np.ndarray:
-        return sampler.sample_batch(k, rng, exact_filter=True)
-
-    return source
+    mass(box) / mass is the expected number of box proposals per kept point,
+    mass(box) being the product of the box's side masses.  When it is at
+    most 1 / _MIN_ACCEPT, this is :func:`_rejection_sample` on ``rng.derive(1)``;
+    else every call continues one ``PtfSampler(q, eps, floor=0.0)`` stream on
+    ``rng.derive(2)``, drawn with the exact filter.
+    """
+    dc = decouple(q)
+    lo, hi = coordinate_box(dc)
+    log_box = sum(log_interval_mass(a, b) for a, b in zip(lo.tolist(), hi.tolist()))
+    if mass >= _MIN_ACCEPT * math.exp(log_box):
+        return _rejection_sample(q, dc.rotation, lo, hi, rng.derive(1))
+    sampler, stream = PtfSampler(q, eps, floor=0.0), rng.derive(2)
+    return lambda k: sampler.sample_batch(k, stream, exact_filter=True)
 
 
 def _write_transcript(fh: TextIO | None, events: list[dict]) -> None:
@@ -442,11 +440,14 @@ def planted_experiment(
 ) -> dict:
     """End-to-end run against a known target f: generate positives, densify,
     then measure (a) ``agreement``, the fraction of n_validation fresh
-    positives (the only validation draws) that the hypothesis g accepts, and
+    positives (the only validation draws) that the hypothesis g accepts, with
+    ``agreement_ci`` the larger distance from it to a 99% Wilson bound, and
     (b) ``density`` = mass(f & g) / mass(g), drawing nothing from g: for
     joint = p * agreement (p = ``p_estimate``) and M = max(mc_count(g), joint),
     density = joint / M (0 if joint is 0); by the delta method on the two 99%
     half-widths, density_ci = sqrt((p * agreement_ci)^2 + (density * M_ci)^2) / M.
+    The learner stops once p_hat >= gamma/2 * mass(g), but (b) passes only at
+    density >= gamma, so a run that met the stopping rule can fail (b).
     ``transcript``, a text stream, receives the run's events as JSON lines,
     also when the run ends in BudgetExhaustedError or KappaFlipError.
     """
@@ -456,16 +457,12 @@ def planted_experiment(
             f"not a decoupled or other instance ({type(f).__name__})"
         )
     cfg = cfg.resolve(f.n)
-    count_res = count_ptf_gaussian(f, cfg.eps / 3.0)
-    p_est = count_res.estimate
+    p_est = count_ptf_gaussian(f, cfg.eps / 3.0).estimate
     if p_est <= 0.0:
         raise ValueError("target has no measurable positive region")
     p_hat = min(p_est * (1.0 + cfg.eps / 3.0), 1.0)
 
-    if p_est >= 1e-4:
-        pos = _rejection_sample(f, rng.derive(1), 10_000, 50_000)
-    else:
-        pos = _sampler_positives(f, cfg.eps, rng.derive(2))
+    pos = _region_source(f, p_est, cfg.eps, rng)
 
     try:
         result = densify(pos, p_hat, cfg, rng.derive(3), f_oracle=lambda pts: sign_at(f, pts))
@@ -478,7 +475,9 @@ def planted_experiment(
     # (a) coverage of the target's conditioned distribution by g
     fresh = pos(n_validation)
     agree = float(np.mean(np.asarray(sign_at(g, fresh)) == 1))
-    agree_ci = 2.576 * math.sqrt(max(agree * (1 - agree), 0.0) / n_validation)
+    z2 = 2.576**2 / n_validation
+    center = (agree + z2 / 2.0) / (1.0 + z2)
+    agree_ci = abs(center - agree) + math.sqrt(z2 * agree * (1.0 - agree) + z2 * z2 / 4.0) / (1.0 + z2)
 
     # (b) density of the target inside g's region
     g_mass, g_ci = mc_count(g, 1 << 16, rng.derive(4))

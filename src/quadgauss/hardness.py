@@ -221,6 +221,20 @@ def _simplex_displacements(n: int, radius: float, k: int, rng: Rng) -> np.ndarra
     return radius * e[:, :n] / np.sum(e, axis=1, keepdims=True)
 
 
+def _first_accepted(propose, retry_limit: int, advice: str = "") -> np.ndarray:
+    """First accepted proposal, trying chunks of 256: ``propose(k)`` returns
+    k proposals and their acceptance mask.  Raises RegionSamplingError once
+    ``retry_limit`` proposals are spent, its message ending in ``advice``."""
+    tried = 0
+    while tried < retry_limit:
+        x, ok = propose(256)
+        hit = np.flatnonzero(ok)
+        if hit.size:
+            return x[hit[0]]
+        tried += 256
+    raise RegionSamplingError(f"no accepted proposal in {retry_limit} tries{advice}")
+
+
 def sample_region_uniform_deg2(
     z,
     inst: SubsetSumInstance,
@@ -238,21 +252,15 @@ def sample_region_uniform_deg2(
     z = np.asarray(z, dtype=float)
     alpha, _ = alpha_beta_deg2(inst, c)
     _, f = gen_deg2_cube_instance(inst, c)
-    chunk = 256
-    tried = 0
-    while tried < retry_limit:
-        d = _simplex_displacements(inst.n, alpha, chunk, rng)
-        signs = np.where(rng.uniform((chunk, inst.n)) < 0.5, -1.0, 1.0)
+
+    def propose(k: int) -> tuple[np.ndarray, np.ndarray]:
+        d = _simplex_displacements(inst.n, alpha, k, rng)
+        signs = np.where(rng.uniform((k, inst.n)) < 0.5, -1.0, 1.0)
         x = z + signs * d
         ok = np.all((x >= 0.0) & (x <= 1.0), axis=1)
-        ok &= np.asarray(sign_at(f, x)) == 1
-        hit = np.flatnonzero(ok)
-        if hit.size:
-            return x[hit[0]]
-        tried += chunk
-    raise RegionSamplingError(
-        f"no accepted proposal in {retry_limit} tries; c may be too small"
-    )
+        return x, ok & (np.asarray(sign_at(f, x)) == 1)
+
+    return _first_accepted(propose, retry_limit, "; c may be too small")
 
 
 @dataclass(frozen=True)
@@ -375,19 +383,14 @@ def sample_region_gauss_deg4(
     z = np.asarray(z, dtype=float)
     alpha, _ = _radii_deg4(quartic)
     r_min = max(0.0, float(np.linalg.norm(z)) - alpha)
-    chunk = 256
-    tried = 0
-    while tried < retry_limit:
-        x = _l2_ball_proposals(z, alpha, chunk, rng)
-        sq = np.sum(x * x, axis=1)
-        accept_p = np.exp(-0.5 * (sq - r_min * r_min))
-        ok = rng.uniform(chunk) <= accept_p
-        ok &= np.asarray(quartic.ptf_sign(x)) == 1
-        hit = np.flatnonzero(ok)
-        if hit.size:
-            return x[hit[0]]
-        tried += chunk
-    raise RegionSamplingError(f"no accepted proposal in {retry_limit} tries")
+
+    def propose(k: int) -> tuple[np.ndarray, np.ndarray]:
+        x = _l2_ball_proposals(z, alpha, k, rng)
+        accept_p = np.exp(-0.5 * (np.sum(x * x, axis=1) - r_min * r_min))
+        ok = rng.uniform(k) <= accept_p
+        return x, ok & (np.asarray(quartic.ptf_sign(x)) == 1)
+
+    return _first_accepted(propose, retry_limit)
 
 
 def _ptf_pos(f, x: np.ndarray) -> np.ndarray:

@@ -76,3 +76,18 @@ def test_tracer_drives_planted_run():
     for name in ("densifier.densify", "densifier.count", "densifier.mc_count", "quadform.sign_at"):
         assert rows[name]["calls"] >= 1, name
     assert tracer.counts["quadform.sign_at_points"] > 0
+
+
+def test_tracer_drives_negative_rounds():
+    # the benchmark's planted runs all stop at round 0; x1 >= 4 leaves it,
+    # so this is where the traced negative draws are checked: they come
+    # from box rejection, and each round counts its hypothesis
+    tracer = load_tracing().Tracer()
+    x1_ge_4 = QuadraticForm(A=np.zeros((2, 2)), b=np.array([1.0, 0.0]), c=-4.0)
+    with tracer.installed():
+        rep = planted_experiment(x1_ge_4, DensifierConfig(eps=0.1, delta=0.1), Rng(1), n_validation=3000)
+    assert rep["rounds"] >= 1
+    assert tracer.absent == {}
+    rows = tracer.by_name()
+    assert rows["sampler.init"]["calls"] == 0
+    assert rows["densifier.count"]["calls"] >= 2

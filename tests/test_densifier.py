@@ -13,15 +13,20 @@ from quadgauss.densifier import (
     densify,
     feature_dim,
     feature_map,
+    _region_source,
     _rejection_sample,
-    _sampler_positives,
     planted_experiment,
     quadratic_from_weights,
     weights_from_quadratic,
 )
-from quadgauss.counter import mc_count
+from quadgauss.counter import count_ptf_gaussian, mc_count
 from quadgauss.numerics import Rng
 from quadgauss.quadform import DecoupledConstraint, QuadraticForm, evaluate, sign_at
+from test_acceptance import _c7_targets
+
+C7_TARGETS = _c7_targets()
+# |x|^2 >= 20: its box is all of R^2
+RING = QuadraticForm(A=np.eye(2), b=np.zeros(2), c=-20.0)
 
 
 class TestFeatureMap:
@@ -164,22 +169,39 @@ class TestDensify:
         # the full event stream of a run that leaves round 0: pool mistakes,
         # hypothesis counts, a negative draw and the density stop
         _, _, res = self._learning_run()
-        assert res.rounds == 1 and res.mistakes == 2
+        assert res.rounds == 1 and res.mistakes == 3
         digest = hashlib.sha256(res.transcript_jsonl().encode()).hexdigest()
-        assert digest == "1baa7096a03c03cd4a0be96bd3571c5e97f1a34c0990df9f61eb4f6cfa9f7c86"
+        assert digest == "388c01504480ff7bbfaf3807ae6d16401282a8682faffe354b96a7c8fe08262b"
+
+    def test_negative_round_on_sampler_branch(self, monkeypatch):
+        # a least acceptance rate above 1 sends every region to the sampler;
+        # a p_hat below the target's mass keeps the run going past the
+        # constant round-0 hypothesis, so tables for learned g are drawn from
+        monkeypatch.setattr(densifier, "_MIN_ACCEPT", 2.0)
+        drawn = []
+
+        class Recording(densifier.PtfSampler):
+            def sample(self, rng, exact_filter=False):
+                x = super().sample(rng, exact_filter)
+                drawn.append((self.original, self.constant, exact_filter, x))
+                return x
+
+        monkeypatch.setattr(densifier, "PtfSampler", Recording)
+        f = QuadraticForm(A=np.zeros((2, 2)), b=np.array([1.0, 0.0]), c=-2.9)
+        cfg = DensifierConfig(eps=0.2, delta=0.2, mistake_budget=30, n_pos=1000)
+        res = densify(_planted_source(f, Rng(5)), 3e-4, cfg, Rng(6))
+        negs = [e for e in res.transcript if e["event"] == "neg_feed"]
+        assert len(negs) == len(drawn) == res.rounds
+        assert sum(not constant for _, constant, _, _ in drawn) >= 2
+        for e, (g, _, exact_filter, x) in zip(negs, drawn):
+            assert exact_filter and e["x"] == x.tolist()
+            assert sign_at(g, x) == 1
 
     def test_budget_exhaustion_reports_transcript(self, monkeypatch):
         # every negative draw is the same point; once it has been fed, the
         # learner stays consistent with it, so later rounds make no mistake
         # and only the round budget 4M + 16 = 36 can end the run
-        class FixedPointSampler:
-            def __init__(self, g, *args, **kwargs):
-                pass
-
-            def sample(self, rng):
-                return np.array([-5.0, 0.0])
-
-        monkeypatch.setattr(densifier, "PtfSampler", FixedPointSampler)
+        monkeypatch.setattr(densifier, "_region_source", lambda *args: lambda k: np.array([[-5.0, 0.0]]))
         f = QuadraticForm(A=np.zeros((2, 2)), b=np.array([1.0, 0.0]), c=-2.9)
         cfg = DensifierConfig(eps=0.2, delta=0.2, mistake_budget=5, n_pos=1000)
         with pytest.raises(BudgetExhaustedError, match="round budget 36 exhausted") as err:
@@ -225,6 +247,28 @@ class TestDensify:
             densify(_planted_source(f, Rng(15)), 0.64, cfg, Rng(16))
 
 
+def _recording_samplers(monkeypatch) -> list:
+    """The forms that densifier builds a PtfSampler for, from now on."""
+    samplers = []
+
+    class Recording(densifier.PtfSampler):
+        def __init__(self, q, *args, **kwargs):
+            samplers.append(q)
+            super().__init__(q, *args, **kwargs)
+
+    monkeypatch.setattr(densifier, "PtfSampler", Recording)
+    return samplers
+
+
+def _recording_rejections(monkeypatch) -> list:
+    """The forms that densifier builds a rejection source for, from now on."""
+    sources = []
+    monkeypatch.setattr(
+        densifier, "_rejection_sample", lambda q, *args: sources.append(q) or _rejection_sample(q, *args)
+    )
+    return sources
+
+
 class TestPlantedExperiment:
     def test_dense_disc_target(self):
         f = QuadraticForm(A=-np.eye(2), b=np.zeros(2), c=0.2107)
@@ -254,40 +298,59 @@ class TestPlantedExperiment:
             "gamma": 4.098360655737705e-05,
             "mistake_budget": 3050,
             "agreement": 1.0,
-            "agreement_ci": 0.0,
-            # agreement 1.0 and g = +1 everywhere (MC mass exactly 1)
+            # 1 - the 99% Wilson lower bound at 3000 of 3000
+            "agreement_ci": 0.0022070435178642247,
+            # agreement 1.0 and g = +1 everywhere (MC mass exactly 1), so
+            # density = p and density_ci = p * agreement_ci
             "density": 0.0013611627912770425,
-            "density_ci": 0.0,
+            "density_ci": 3.0041455152459714e-06,
             "kappa_flip_fraction": 0.0,
             "passed_a": True,
             "passed_b": True,
             "transcript_events": 2,
         }
 
-    def test_sampler_positives_are_fresh_across_calls(self):
-        # the low-mass positive source continues one stream: a second call
-        # must not replay the first call's points
-        f = QuadraticForm(A=np.zeros((2, 2)), b=np.array([1.0, 0.0]), c=-4.0)
-        pos = _sampler_positives(f, 0.1, Rng(2).derive(2))
+    def test_sampler_positives_are_fresh_across_calls(self, monkeypatch):
+        # the sampler branch continues one stream: a second call must not
+        # replay the first call's points
+        samplers = _recording_samplers(monkeypatch)
+        pos = _region_source(RING, 2.0e-5, 0.1, Rng(2))
         a, b = pos(3), pos(3)
-        assert np.all(a[:, 0] >= 4.0) and np.all(b[:, 0] >= 4.0)
+        assert samplers == [RING]
+        assert np.all(np.sum(a * a, axis=1) >= 20.0) and np.all(np.sum(b * b, axis=1) >= 20.0)
         assert not np.any(np.isin(b, a))
 
     def test_low_mass_target_draws_positives_from_sampler(self, monkeypatch):
-        # mass 8.8e-5 < 1e-4 picks the sampler source; it is above gamma/2,
-        # so the run stops at round 0
-        sources = []
-        monkeypatch.setattr(
-            densifier,
-            "_sampler_positives",
-            lambda *args: sources.append(args) or _sampler_positives(*args),
-        )
+        # |x|^2 >= 20 has its box all of R^2 and a counted mass of 2.0e-5,
+        # so by that count one box proposal in 5e4 would be kept: the
+        # positives come from one sampler, and the negatives, from learned
+        # hypotheses of far larger mass, by rejection
+        samplers = _recording_samplers(monkeypatch)
+        rep = planted_experiment(RING, DensifierConfig(eps=0.1, delta=0.1), Rng(3), n_validation=500)
+        assert samplers == [RING]
+        assert rep["p_estimate"] < densifier._MIN_ACCEPT  # a box of mass 1
+        assert rep["rounds"] > 0 and rep["mistakes"] <= rep["mistake_budget"]
+        assert rep["agreement"] == 1.0 and rep["passed_a"]
+
+    def test_box_bounded_low_mass_target_draws_by_rejection(self, monkeypatch):
+        # x1 >= 3.75 has mass 8.8e-5, but its box [3.75, inf) x R holds
+        # nothing else, so every box proposal is kept and no sampler is built;
+        # the mass is above gamma/2, so the run stops at round 0
+        samplers = _recording_samplers(monkeypatch)
         f = QuadraticForm(A=np.zeros((2, 2)), b=np.array([1.0, 0.0]), c=-3.75)
         rep = planted_experiment(f, DensifierConfig(eps=0.1, delta=0.1), Rng(3), n_validation=500)
-        assert len(sources) == 1
+        assert samplers == []
         assert rep["p_estimate"] < 1e-4
         assert rep["rounds"] == 0 and rep["mistakes"] == 0
         assert rep["agreement"] == 1.0 and rep["passed_a"]
+
+    def test_c7_targets_draw_by_rejection(self, monkeypatch):
+        # the densify-planted benchmark times box rejection on these targets
+        sources, samplers = _recording_rejections(monkeypatch), _recording_samplers(monkeypatch)
+        cfg = DensifierConfig(eps=0.1, delta=0.1)
+        for f in C7_TARGETS:
+            _region_source(f, count_ptf_gaussian(f, cfg.eps / 3.0).estimate, cfg.eps, Rng(1))
+        assert sources == C7_TARGETS and samplers == []
 
     def _thin_hypothesis_run(self, monkeypatch):
         # the learner's output is replaced by g = x1 >= 3 for the target
@@ -296,19 +359,7 @@ class TestPlantedExperiment:
         monkeypatch.setattr(
             densifier, "densify", lambda *args, **kwargs: densifier.DensifyResult(thin, [])
         )
-        sources, samplers = [], []
-
-        def recording_source(q, *args):
-            sources.append(q)
-            return _rejection_sample(q, *args)
-
-        class Recording(densifier.PtfSampler):
-            def __init__(self, q, *args, **kwargs):
-                samplers.append(q)
-                super().__init__(q, *args, **kwargs)
-
-        monkeypatch.setattr(densifier, "_rejection_sample", recording_source)
-        monkeypatch.setattr(densifier, "PtfSampler", Recording)
+        sources, samplers = _recording_rejections(monkeypatch), _recording_samplers(monkeypatch)
         f = QuadraticForm(A=np.zeros((2, 2)), b=np.array([1.0, 0.0]), c=-1.0)
         rep = planted_experiment(f, DensifierConfig(eps=0.1, delta=0.1), Rng(4))
         # only the target's positives are drawn; nothing is drawn from g
@@ -353,26 +404,32 @@ class TestPlantedExperiment:
 THIN3 = QuadraticForm(A=np.zeros((3, 3)), b=np.array([1.0, 0.0, 0.0]), c=-3.0)
 
 
+def _box_source(q, rng):
+    dc = densifier.decouple(q)
+    return _rejection_sample(q, dc.rotation, *densifier.coordinate_box(dc), rng)
+
+
 class TestRejectionSource:
     def test_calls_continue_one_stream(self):
         # 20,000 + 20,000 disc points cross a block of 2^15 proposals
         f = QuadraticForm(A=-np.eye(2), b=np.zeros(2), c=0.2107)
-        pos = _rejection_sample(f, Rng(21), 10, 100)
+        pos = _box_source(f, Rng(21))
         a, b = pos(20_000), pos(20_000)
-        whole = _rejection_sample(f, Rng(21), 10, 100)(40_000)
+        whole = _box_source(f, Rng(21))(40_000)
         assert np.array_equal(np.concatenate([a, b]), whole)
         assert not np.any(np.isin(b[:, 0], a[:, 0]))
         assert np.all(np.asarray(sign_at(f, whole)) == 1)
 
-    def test_starves_past_the_block_limit(self):
-        pos = _rejection_sample(THIN3, Rng(22), 5, 6)
+    def test_starves_past_the_block_limit(self, monkeypatch):
+        monkeypatch.setattr(densifier, "_BLOCK_LIMIT", densifier._FIRST_BLOCK + 1)
+        pos = _box_source(THIN3, Rng(22))
         pos(30_000)
-        with pytest.raises(RuntimeError, match="positive rejection sampling starved"):
+        with pytest.raises(RuntimeError, match="box rejection sampling starved"):
             pos(30_000)
 
     def test_thin3_positives_follow_the_conditioned_law(self):
         k = 60_000
-        x = _rejection_sample(THIN3, Rng(23), 0, 100)(k)
+        x = _box_source(THIN3, Rng(23))(k)
         assert np.all(x[:, 0] >= 3.0)
         # E[G | G >= 3] = phi(3) / (1 - Phi(3)); the variance there is 0.0705
         mills = 3.283098654930434
@@ -389,7 +446,7 @@ class TestRejectionSource:
         lo, hi = densifier.coordinate_box(densifier.decouple(f))
         assert np.isfinite(lo).all() and np.isfinite(hi).all()
         k = 40_000
-        box = _rejection_sample(f, Rng(24), 0, 100)(k)
+        box = _box_source(f, Rng(24))(k)
         g = np.random.default_rng(24).normal(size=(2_000_000, 2))
         plain = g[np.asarray(sign_at(f, g)) == 1][:k]
         assert plain.shape[0] == k

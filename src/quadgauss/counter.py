@@ -49,7 +49,7 @@ from functools import cached_property
 import numpy as np
 
 from .grid import GridSpec, _log_cell_masses, support_and_log_pmf, support_and_pmf
-from .numerics import LOG_ZERO, Rng, _worker_pool, log_sum, normal_blocks
+from .numerics import LOG_ZERO, Rng, _checked_int, _worker_pool, log_sum, normal_blocks
 from .quadform import (
     ConstantPolynomialError,
     DecoupledConstraint,
@@ -794,9 +794,16 @@ def mc_count(
     (see :func:`normal_blocks`, which fills blocks on at most 2 worker
     threads), so the estimate depends only on (seed, n_samples, chunk), not
     on the worker count or on how blocks are scheduled.
+
+    A constant form (A = 0, b = 0) is answered exactly and draws nothing:
+    (1.0, 0.0) when c >= 0, else (0.0, 0.0), which is what sampling gives,
+    since every point has sign(c).  ``n_samples`` and ``chunk`` must be
+    integers >= 1, for every form; otherwise ValueError.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    n_samples = _checked_int("n_samples", n_samples, 1)
+    chunk = _checked_int("chunk", chunk, 1)
+    if q.is_constant:
+        return (1.0 if q.c >= 0.0 else 0.0), 0.0
     hits = 0
     for g in normal_blocks(rng, q.n, chunk, total=n_samples):
         hits += int(np.count_nonzero(np.asarray(sign_at(q, g)) == 1))

@@ -34,7 +34,7 @@ from typing import TextIO
 import numpy as np
 
 from .counter import count_ptf_gaussian, mc_count
-from .numerics import Rng, log_interval_mass, normal_blocks
+from .numerics import Rng, _checked_int, log_interval_mass, normal_blocks
 from .quadform import QuadraticForm, coordinate_box, decouple, sign_at
 from .sampler import PtfSampler
 
@@ -192,7 +192,8 @@ class DensifierConfig:
 
     Everything else follows from these: the density bar ``gamma`` = 1/(8M),
     a cap of 4M + 16 negative rounds, and a hypothesis count to within
-    (1 +- delta).  A field out of range raises ValueError."""
+    (1 +- delta).  A field out of range, or an ``n_pos`` or
+    ``mistake_budget`` that is not an integer, raises ValueError."""
 
     eps: float = 0.1
     delta: float = 0.1
@@ -203,10 +204,10 @@ class DensifierConfig:
         for name, v in (("eps", self.eps), ("delta", self.delta)):
             if not (0.0 < v < 1.0):
                 raise ValueError(f"{name} must lie in (0, 1), got {v}")
-        if self.n_pos is not None and self.n_pos < 1:
-            raise ValueError(f"n_pos must be >= 1, got {self.n_pos}")
-        if self.mistake_budget is not None and self.mistake_budget < 0:
-            raise ValueError(f"mistake_budget must be >= 0, got {self.mistake_budget}")
+        for name, least in (("n_pos", 1), ("mistake_budget", 0)):
+            v = getattr(self, name)
+            if v is not None:
+                object.__setattr__(self, name, _checked_int(name, v, least))
 
     def resolve(self, n: int) -> "DensifierConfig":
         m = feature_dim(n)
@@ -441,11 +442,17 @@ def planted_experiment(
     """End-to-end run against a known target f: generate positives, densify,
     then measure (a) ``agreement``, the fraction of n_validation fresh
     positives (the only validation draws) that the hypothesis g accepts, with
-    ``agreement_ci`` the larger distance from it to a 99% Wilson bound, and
-    (b) ``density`` = mass(f & g) / mass(g), drawing nothing from g: for
-    joint = p * agreement (p = ``p_estimate``) and M = max(mc_count(g), joint),
-    density = joint / M (0 if joint is 0); by the delta method on the two 99%
-    half-widths, density_ci = sqrt((p * agreement_ci)^2 + (density * M_ci)^2) / M.
+    ``agreement_ci`` the larger distance from it to a 99% Wilson bound at
+    n_validation, and (b) ``density`` = mass(f & g) / mass(g), drawing nothing
+    from g: for joint = p * agreement (p = ``p_estimate``) and
+    M = max(mc_count(g), joint), density = joint / M (0 if joint is 0); by the
+    delta method on the two 99% half-widths,
+    density_ci = sqrt((p * agreement_ci)^2 + (density * M_ci)^2) / M.
+    A constant g (A = 0, b = 0; g = R^n when c >= 0) is measured exactly and
+    draws nothing: its agreement is 1.0 or 0.0 with no validation draws, and
+    ``mc_count`` answers its mass without sampling; ``agreement_ci`` is still
+    the Wilson half-width at n_validation, so reports match the sampled ones.
+    ``n_validation`` must be an integer >= 1, else ValueError before any work.
     The learner stops once p_hat >= gamma/2 * mass(g), but (b) passes only at
     density >= gamma, so a run that met the stopping rule can fail (b).
     ``transcript``, a text stream, receives the run's events as JSON lines,
@@ -456,6 +463,7 @@ def planted_experiment(
             "planted_experiment needs a quadratic-form target (A, b, c), "
             f"not a decoupled or other instance ({type(f).__name__})"
         )
+    n_validation = _checked_int("n_validation", n_validation, 1)
     cfg = cfg.resolve(f.n)
     p_est = count_ptf_gaussian(f, cfg.eps / 3.0).estimate
     if p_est <= 0.0:
@@ -472,9 +480,12 @@ def planted_experiment(
     _write_transcript(transcript, result.transcript)
     g = result.hypothesis
 
-    # (a) coverage of the target's conditioned distribution by g
-    fresh = pos(n_validation)
-    agree = float(np.mean(np.asarray(sign_at(g, fresh)) == 1))
+    # (a) coverage of the target's conditioned distribution by g; a constant
+    # g gives every fresh point sign(c), so it needs none
+    if g.is_constant:
+        agree = 1.0 if g.c >= 0.0 else 0.0
+    else:
+        agree = float(np.mean(np.asarray(sign_at(g, pos(n_validation))) == 1))
     z2 = 2.576**2 / n_validation
     center = (agree + z2 / 2.0) / (1.0 + z2)
     agree_ci = abs(center - agree) + math.sqrt(z2 * agree * (1.0 - agree) + z2 * z2 / 4.0) / (1.0 + z2)

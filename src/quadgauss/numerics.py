@@ -230,6 +230,18 @@ def log_interval_mass(a: float, b: float) -> float:
     return log_sub(_log_ndtr(b), _log_ndtr(a))
 
 
+def _checked_int(name: str, value, least: int) -> int:
+    """``value`` as an int; ValueError unless it is an integer >= ``least``
+    (``operator.index`` decides, so 2.0 is refused and numpy ints pass)."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value
+
+
 def _philox(seed: int, spawn_key: tuple[int, ...]) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=seed, spawn_key=spawn_key)
     return np.random.Generator(np.random.Philox(ss))
@@ -248,13 +260,7 @@ class Rng:
     """
 
     def __init__(self, seed: int, _spawn_key: tuple[int, ...] = ()):
-        try:
-            seed = operator.index(seed)
-        except TypeError:
-            raise ValueError(f"seed must be an integer, got {seed!r}") from None
-        if seed < 0:
-            raise ValueError(f"seed must be >= 0, got {seed}")
-        self.seed = seed
+        self.seed = _checked_int("seed", seed, 0)
         self.spawn_key = tuple(int(k) for k in _spawn_key)
         self._gen = _philox(self.seed, self.spawn_key)
 

@@ -90,6 +90,11 @@ class QuadraticForm:
     def n(self) -> int:
         return self.A.shape[0]
 
+    @property
+    def is_constant(self) -> bool:
+        """A = 0 and b = 0: sign(q) is sign(c) at every point, sign(0) = +1."""
+        return not (self.A.any() or self.b.any())
+
 
 def evaluate(q: QuadraticForm, x: np.ndarray) -> float | np.ndarray:
     """p(x); accepts a single point of shape (n,) or a batch (..., n)."""

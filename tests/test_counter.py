@@ -722,6 +722,45 @@ class TestMcCount:
         est, ci = mc_count(q, 1000, Rng(0))
         assert est == 1.0 and ci == 0.0
 
+    @pytest.mark.parametrize("c, mass", [(2.5, 1.0), (0.0, 1.0), (-0.0, 1.0), (-1e-300, 0.0)])
+    def test_constant_forms_draw_nothing(self, monkeypatch, c, mass):
+        # every point has sign(c), with sign(0) = +1, so the answer is exact
+        def no_blocks(*args, **kwargs):
+            raise AssertionError("a constant form drew a block")
+
+        monkeypatch.setattr(counter, "normal_blocks", no_blocks)
+        q = QuadraticForm(A=np.zeros((3, 3)), b=np.zeros(3), c=c)
+        assert mc_count(q, 1 << 16, Rng(0)) == (mass, 0.0)
+
+    def test_constant_answer_matches_sampling(self, monkeypatch):
+        forms = [QuadraticForm(A=np.zeros((2, 2)), b=np.zeros(2), c=c) for c in (1.0, 0.0, -1.0)]
+        exact = [mc_count(q, 5000, Rng(1)) for q in forms]
+        # with the shortcut off, the same forms are sampled
+        monkeypatch.setattr(QuadraticForm, "is_constant", property(lambda self: False))
+        assert exact == [mc_count(q, 5000, Rng(1)) for q in forms] == [
+            (1.0, 0.0), (1.0, 0.0), (0.0, 0.0)
+        ]
+
+    @pytest.mark.parametrize("kwargs", [
+        {"n_samples": 1e4}, {"n_samples": 2.5}, {"n_samples": 0}, {"n_samples": -3},
+        {"n_samples": "100"}, {"chunk": 1024.0}, {"chunk": 0}, {"chunk": -1},
+    ])
+    @pytest.mark.parametrize("c", [1.0, -1.0])
+    def test_bad_counts_rejected_for_every_form(self, kwargs, c):
+        # a constant form (b = 0) is checked before its exact answer
+        for b in (np.zeros(2), np.array([1.0, 0.0])):
+            q = QuadraticForm(A=np.zeros((2, 2)), b=b, c=c)
+            args = {"n_samples": 1000, **kwargs}
+            name = next(iter(kwargs))
+            with pytest.raises(ValueError, match=f"^{name} must be"):
+                mc_count(q, rng=Rng(0), **args)
+
+    def test_numpy_integer_counts_accepted(self):
+        q = QuadraticForm(A=-np.eye(2), b=np.zeros(2), c=2.0)
+        assert mc_count(q, np.int64(5000), Rng(3), chunk=np.int32(1024)) == mc_count(
+            q, 5000, Rng(3), chunk=1024
+        )
+
     def test_halfspace_half(self):
         q = QuadraticForm(A=np.zeros((1, 1)), b=np.array([1.0]), c=0.0)
         est, ci = mc_count(q, 1 << 16, Rng(1))

@@ -240,6 +240,19 @@ class TestDensify:
         with pytest.raises(ValueError):
             DensifierConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs", [{"n_pos": 5000.7}, {"n_pos": 5000.0}, {"mistake_budget": 2.5}, {"mistake_budget": "8"}]
+    )
+    def test_config_rejects_non_integer_counts(self, kwargs):
+        name = next(iter(kwargs))
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            DensifierConfig(**kwargs)
+
+    def test_config_keeps_numpy_integer_counts_as_int(self):
+        cfg = DensifierConfig(n_pos=np.int64(5000), mistake_budget=np.int32(8)).resolve(2)
+        assert (cfg.n_pos, cfg.mistake_budget) == (5000, 8)
+        assert type(cfg.n_pos) is int and type(cfg.mistake_budget) is int
+
     def test_n_pos_floor_enforced(self):
         f = QuadraticForm(A=-np.eye(2), b=np.zeros(2), c=2.0)
         cfg = DensifierConfig(eps=0.1, delta=0.1, n_pos=10)
@@ -267,6 +280,18 @@ def _recording_rejections(monkeypatch) -> list:
         densifier, "_rejection_sample", lambda q, *args: sources.append(q) or _rejection_sample(q, *args)
     )
     return sources
+
+
+def _recording_requests(monkeypatch) -> list:
+    """(form, k) for every request to a region source densifier builds."""
+    requests = []
+
+    def recording(q, *args):
+        source = _region_source(q, *args)
+        return lambda k: requests.append((q, k)) or source(k)
+
+    monkeypatch.setattr(densifier, "_region_source", recording)
+    return requests
 
 
 class TestPlantedExperiment:
@@ -393,6 +418,39 @@ class TestPlantedExperiment:
         )
         with pytest.raises(ValueError, match="decoupled"):
             planted_experiment(dc, DensifierConfig(), Rng(0))
+
+    @pytest.mark.parametrize("n_validation", [0, -5, 2.5])
+    def test_bad_validation_count_rejected_before_work(self, monkeypatch, n_validation):
+        def no_count(*args, **kwargs):
+            raise AssertionError("the target was counted before n_validation was checked")
+
+        monkeypatch.setattr(densifier, "count_ptf_gaussian", no_count)
+        f = QuadraticForm(A=-np.eye(2), b=np.zeros(2), c=0.2107)
+        with pytest.raises(ValueError, match="^n_validation must be"):
+            planted_experiment(f, DensifierConfig(eps=0.1, delta=0.1), Rng(0), n_validation=n_validation)
+
+    def test_constant_hypothesis_draws_no_validation_points(self, monkeypatch):
+        # every C7 target stops at round 0 with g = R^n: its agreement is
+        # exact, so the target source serves the peek and the pool only
+        requests = _recording_requests(monkeypatch)
+        f = C7_TARGETS[0]
+        cfg = DensifierConfig(eps=0.1, delta=0.1)
+        rep = planted_experiment(f, cfg, Rng(1), n_validation=3000)
+        assert rep["rounds"] == 0 and rep["agreement"] == 1.0
+        assert requests == [(f, 1), (f, cfg.resolve(f.n).n_pos)]
+        # the Wilson half-width is still the one at n_validation
+        assert rep["agreement_ci"] == pytest.approx(2.576**2 / (3000 + 2.576**2), rel=1e-12)
+
+    def test_learning_run_still_draws_validation_points(self, monkeypatch):
+        # x1 >= 4 leaves round 0; its hypothesis is not constant, so the
+        # agreement is still measured on n_validation fresh target points
+        requests = _recording_requests(monkeypatch)
+        f = QuadraticForm(A=np.zeros((2, 2)), b=np.array([1.0, 0.0]), c=-4.0)
+        cfg = DensifierConfig(eps=0.1, delta=0.1)
+        rep = planted_experiment(f, cfg, Rng(1), n_validation=3000)
+        assert rep["rounds"] >= 1
+        assert [k for q, k in requests if q is f] == [1, cfg.resolve(f.n).n_pos, 3000]
+        assert sum(1 for q, _ in requests if q is not f) == rep["rounds"]
 
     def test_constant_positive_target(self):
         f = QuadraticForm(A=np.zeros((2, 2)), b=np.zeros(2), c=1.0)

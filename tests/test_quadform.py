@@ -91,6 +91,14 @@ class TestSignAt:
         q = QuadraticForm(A=np.zeros((1, 1)), b=np.zeros(1), c=2.0)
         assert sign_at(q, np.zeros(1)) == 1
 
+    def test_is_constant_only_when_A_and_b_vanish(self):
+        z = np.zeros((2, 2))
+        assert QuadraticForm(A=z, b=np.zeros(2), c=-3.0).is_constant
+        assert QuadraticForm(A=-z, b=-np.zeros(2), c=0.0).is_constant  # -0.0 is zero
+        assert not QuadraticForm(A=z, b=np.array([0.0, 1e-300]), c=0.0).is_constant
+        off = np.array([[0.0, 1e-300], [1e-300, 0.0]])
+        assert not QuadraticForm(A=off, b=np.zeros(2), c=0.0).is_constant
+
 
 class TestDecouple:
     def test_already_diagonal(self):

@@ -4,9 +4,12 @@ The loop (after De, Diakonikolas and Servedio, 2015) maintains an online
 halfspace learner over the degree-2 monomial expansion (so its linear
 hypotheses are exactly degree-2 threshold functions).  Misclassified
 positives from the sample pool are fed with label +1 until the pool is
-covered; then the hypothesis region's Gaussian mass is counted to within
-(1 +- delta), and either the caller's target mass estimate p_hat is already
-a gamma/2 fraction of it (terminate: the hypothesis is dense enough) or a
+covered.  The pool is drawn only when a hypothesis could reject one of its
+points: the starting hypothesis, +1 everywhere, covers any pool, so a run
+that stops at round 0 never draws it.  Once the pool is covered, the
+hypothesis region's Gaussian mass is counted to within (1 +- delta), and
+either the caller's target mass estimate p_hat is already a gamma/2
+fraction of it (terminate: the hypothesis is dense enough) or a
 fresh point drawn from the Gaussian conditioned on the hypothesis (by
 ``_region_source``, as target positives are) is fed with label -1, which is
 correct with probability 1 - gamma per draw since the target occupies less
@@ -274,24 +277,30 @@ def densify(
     """Run the densifier loop against a stream of positive examples.
 
     ``pos_source(k)`` must return k fresh draws from the target-conditioned
-    Gaussian as an array (k, n).  ``p_hat`` is the caller's estimate of the
-    target mass, which the density termination test compares against.
-    ``f_oracle`` (batch points -> +-1), when given, is used only to annotate
-    the transcript with true labels.
+    Gaussian as an array (k, n).  It is called once for a 1-point peek that
+    reads n, then at most once for the ``n_pos``-point pool, at the first
+    hypothesis that is not +1 everywhere; a run that stops at round 0 draws
+    only the peek.  ``p_hat`` is the caller's estimate of the target mass,
+    which the density termination test compares against.  ``f_oracle``
+    (batch points -> +-1), when given, is used only to annotate the
+    transcript with true labels.
 
     Returns the hypothesis as a quadratic form whose sign agrees with the
     learner, plus the full event transcript.  Raises BudgetExhaustedError if
-    the budgets run out before the density test passes.
+    the budgets run out before the density test passes, and ValueError for
+    a ``p_hat`` outside (0, 1] (before the peek) or a pool whose shape is
+    not (n_pos, n).
     """
+    if not (0.0 < p_hat <= 1.0):
+        raise ValueError(f"p_hat must lie in (0, 1], got {p_hat}")
     peek = np.asarray(pos_source(1), dtype=float)
     if peek.ndim != 2:
         raise ValueError("pos_source must return a (k, n) array")
     n = peek.shape[1]
     cfg = cfg.resolve(n)
-    pool = np.asarray(pos_source(int(cfg.n_pos)), dtype=float)
     learner = EllipsoidLearner(feature_dim(n))
     max_rounds = 4 * cfg.mistake_budget + 16
-    feats = feature_map(_round_kappa(pool))
+    pool = feats = None
     transcript: list[dict] = []
     fed = 0
     flips = 0
@@ -322,13 +331,24 @@ def densify(
             raise BudgetExhaustedError(
                 f"mistake budget {cfg.mistake_budget} exhausted", transcript
             )
-        preds = np.where(feats @ learner.weights >= 0.0, 1, -1)
-        bad = np.flatnonzero(preds == -1)
-        if bad.size:
-            j = int(bad[0])
-            feed(pool[j], feats[j], +1, "pos_mistake", rounds)
-            continue
         g = quadratic_from_weights(learner.weights, n)
+        # a constant g with c >= 0 has feats @ w = c >= 0 on every pool
+        # point, so it covers the pool without reading it
+        if not (g.is_constant and g.c >= 0.0):
+            if feats is None:
+                pool = np.asarray(pos_source(cfg.n_pos), dtype=float)
+                if pool.shape != (cfg.n_pos, n):
+                    raise ValueError(
+                        f"pos_source({cfg.n_pos}) returned shape {pool.shape}, "
+                        f"expected ({cfg.n_pos}, {n})"
+                    )
+                feats = feature_map(_round_kappa(pool))
+            preds = np.where(feats @ learner.weights >= 0.0, 1, -1)
+            bad = np.flatnonzero(preds == -1)
+            if bad.size:
+                j = int(bad[0])
+                feed(pool[j], feats[j], +1, "pos_mistake", rounds)
+                continue
         res = count_ptf_gaussian(g, cfg.delta)
         transcript.append({"step": rounds, "event": "count", "estimate": res.estimate})
         if p_hat >= 0.5 * cfg.gamma * res.estimate:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Rng
+from .numerics import Rng, _checked_int
 from .quadform import QuadraticForm, sign_at
 
 __all__ = [
@@ -417,10 +417,9 @@ def region_mass_mc(
     gaussian: proposal uniform on the L2 ball, reweighted by the Gaussian
     density times the ball volume.
     """
+    n_samples = _checked_int("n_samples", n_samples, 1)
     z = np.asarray(z, dtype=float)
     n = z.shape[0]
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
     if measure == "cube-uniform":
         if not np.all((z == 0.0) | (z == 1.0)):
             raise ValueError("cube-uniform cluster centers must be cube vertices")

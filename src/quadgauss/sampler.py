@@ -39,7 +39,7 @@ from .counter import (
     count,
 )
 from .grid import GridSpec
-from .numerics import LOG_ZERO, Rng, truncated_normal_sample
+from .numerics import LOG_ZERO, Rng, _checked_int, truncated_normal_sample
 from .quadform import (
     ConstantPolynomialError,
     DecoupledConstraint,
@@ -214,6 +214,7 @@ class PtfSampler:
     def sample_batch(
         self, k: int, rng: Rng, exact_filter: bool = False
     ) -> np.ndarray:
+        k = _checked_int("k", k, 0)
         out = np.empty((k, self._n))
         for i in range(k):
             out[i] = self.sample(rng, exact_filter=exact_filter)

@@ -134,6 +134,40 @@ class TestDensify:
         events = [e["event"] for e in res.transcript]
         assert events == ["count", "terminate"]
 
+    def test_round_zero_stop_draws_only_the_peek(self):
+        # the all-plus hypothesis covers any pool, so a run that stops at
+        # round zero never asks the source for one
+        f = QuadraticForm(A=-np.eye(2), b=np.zeros(2), c=2.0)
+        inner = _planted_source(f, Rng(3))
+        requests = []
+
+        def source(k):
+            if requests:
+                raise AssertionError(f"{k} points requested after the peek")
+            requests.append(k)
+            return inner(k)
+
+        res = densify(source, 0.64, DensifierConfig(eps=0.2, delta=0.2, n_pos=1000), Rng(4))
+        assert res.rounds == 0 and requests == [1]
+
+    @pytest.mark.parametrize("p_hat", [0.0, -0.5, 1.5, math.inf, math.nan])
+    def test_p_hat_out_of_range_rejected_before_peek(self, p_hat):
+        def no_source(k):
+            raise AssertionError("the source was read before p_hat was checked")
+
+        with pytest.raises(ValueError, match=r"^p_hat must lie in \(0, 1\], got"):
+            densify(no_source, p_hat, DensifierConfig(), Rng(0))
+
+    def test_short_pool_rejected(self):
+        # p_hat below gamma/2 takes the run past round zero, where the
+        # learned hypothesis needs the pool, and the source comes up short
+        f = QuadraticForm(A=np.zeros((2, 2)), b=np.array([1.0, 0.0]), c=-2.9)
+        inner = _planted_source(f, Rng(5))
+        cfg = DensifierConfig(eps=0.2, delta=0.2, mistake_budget=30, n_pos=1000)
+        shape = r"^pos_source\(1000\) returned shape \(999, 2\), expected \(1000, 2\)"
+        with pytest.raises(ValueError, match=shape):
+            densify(lambda k: inner(k)[: max(k - 1, 1)], 3e-4, cfg, Rng(6))
+
     @staticmethod
     def _learning_run():
         # a target thin enough that the all-plus hypothesis fails the
@@ -430,14 +464,15 @@ class TestPlantedExperiment:
             planted_experiment(f, DensifierConfig(eps=0.1, delta=0.1), Rng(0), n_validation=n_validation)
 
     def test_constant_hypothesis_draws_no_validation_points(self, monkeypatch):
-        # every C7 target stops at round 0 with g = R^n: its agreement is
-        # exact, so the target source serves the peek and the pool only
+        # every C7 target stops at round 0 with g = R^n, which covers any
+        # pool and makes the agreement exact, so the target source serves
+        # the peek only
         requests = _recording_requests(monkeypatch)
         f = C7_TARGETS[0]
         cfg = DensifierConfig(eps=0.1, delta=0.1)
         rep = planted_experiment(f, cfg, Rng(1), n_validation=3000)
         assert rep["rounds"] == 0 and rep["agreement"] == 1.0
-        assert requests == [(f, 1), (f, cfg.resolve(f.n).n_pos)]
+        assert requests == [(f, 1)]
         # the Wilson half-width is still the one at n_validation
         assert rep["agreement_ci"] == pytest.approx(2.576**2 / (3000 + 2.576**2), rel=1e-12)
 

@@ -21,7 +21,7 @@ from quadgauss.hardness import (
     sample_region_uniform_deg2,
 )
 from quadgauss.numerics import Rng
-from quadgauss.quadform import evaluate, sign_at
+from quadgauss.quadform import QuadraticForm, evaluate, sign_at
 
 W_35 = SubsetSumInstance(w0=8, w=(3, 5), variant="cube01")
 
@@ -474,3 +474,10 @@ class TestRegionMassMc:
             for other in sols:
                 if other != z:
                     assert np.sum(np.abs(x - np.asarray(other, float))) > beta
+
+    @pytest.mark.parametrize("measure", ["cube-uniform", "gaussian"])
+    @pytest.mark.parametrize("n_samples", [2.5, 1e4, -1, 0])
+    def test_bad_sample_count_rejected(self, measure, n_samples):
+        disc = QuadraticForm(A=-np.eye(2), b=np.zeros(2), c=1.0)
+        with pytest.raises(ValueError, match="^n_samples must be"):
+            region_mass_mc(disc, np.array([0.0, 1.0]), 0.5, measure, n_samples, Rng(15))

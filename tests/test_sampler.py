@@ -288,6 +288,13 @@ class TestPtfSampler:
         pts = s.sample_batch(5000, Rng(8))
         assert abs(pts.mean()) < 0.05
 
+    @pytest.mark.parametrize("k", [2.5, -1])
+    def test_sample_batch_rejects_bad_counts(self, k):
+        s = PtfSampler(QuadraticForm(A=-np.eye(2), b=np.zeros(2), c=2.0), 0.1, tau=2.0**-5, trunc_B=4.0)
+        with pytest.raises(ValueError, match="^k must be"):
+            s.sample_batch(k, Rng(9))
+        assert s.sample_batch(0, Rng(9)).shape == (0, 2)
+
     def test_empty_region_floor_error(self):
         q = QuadraticForm(A=np.zeros((2, 2)), b=np.zeros(2), c=-1.0)
         with pytest.raises(FloorError):

@@ -27,12 +27,12 @@ P_2, ..., P_{n-1} the per-step output of one ``compressed_tail_cdf`` run over
 the first n - 1 coordinates.  The last coordinate is summed over its grid
 values, so the table's mass at theta is
 sum_kappa cell(kappa) * P_{n-1}(theta - lam_n kappa^2 - mu_n kappa).
-``count`` reports that mass at the geometric midpoint of P_{n-1}'s budget,
-which certifies a (1 +- eps) answer; at n <= 2 nothing is compressed and the
-mass is exact up to float roundoff.  The sampler draws coordinates n, n-1,
-..., 1 in turn from the same weights, from a table built at its own step.
-Everything is pure and deterministic: two runs on identical inputs produce
-bit-identical outputs.
+``mass()`` reads it at the geometric midpoint of P_{n-1}'s budget, which
+certifies ``count``'s (1 +- eps) answer (exact up to float roundoff at n <= 2,
+where nothing is compressed).  The sampler draws coordinates n, ..., 1 in
+turn from the same weights, from one table built at its own step, whose
+``mass()`` is its floor check.  Everything is pure and deterministic: two
+runs on identical inputs produce bit-identical outputs.
 
 ``exact_tail_bruteforce`` is the independent oracle: a dense convolution in
 80-bit extended precision, feasible up to ~1e7 grid points.
@@ -632,10 +632,15 @@ class PrefixCDFTable:
         t = np.asarray(t, dtype=float)[..., None]
         return self.log_cell + self.cdfs[j].log_query(t - self.support[j])
 
-    def log_mass(self) -> float:
-        """log of the lower-bound mass at theta; off by at most the last
-        CDF's ``err_budget``."""
-        return log_sum(self.log_weights(self.n - 1, self.theta))
+    def mass(self) -> float:
+        """The mass at theta read at the geometric midpoint of the last CDF's
+        ``err_budget``, capped at 1: within (1 +- eps) of the exact grid mass
+        for ``for_count`` at eps, but 1 for any non-empty region when the
+        budget is infinite (``for_sampling`` at eps = 1)."""
+        lm = log_sum(self.log_weights(self.n - 1, self.theta))
+        if lm == LOG_ZERO:
+            return 0.0
+        return min(math.exp(lm + 0.5 * math.log(self.cdfs[-1].err_budget)), 1.0)
 
     def cumulative_weights(self, j: int, t: float) -> np.ndarray:
         """Cumulative weights of coordinate j+1's grid values given the
@@ -700,11 +705,7 @@ def count(
     ``PrefixCDFTable``)."""
     if not (0.0 < eps <= 1.0):
         raise ValueError(f"eps must lie in (0, 1], got {eps}")
-    table = PrefixCDFTable.for_count(dc, spec, eps)
-    lm = table.log_mass()
-    if lm == LOG_ZERO:
-        return 0.0
-    return min(math.exp(lm + 0.5 * math.log(table.cdfs[-1].err_budget)), 1.0)
+    return PrefixCDFTable.for_count(dc, spec, eps).mass()
 
 
 @dataclass(frozen=True)
@@ -738,8 +739,8 @@ def _checked_grid(
     floor: float | None = None,
 ) -> tuple[RoundingConfig, GridSpec, float]:
     """Check ``eps`` and build the rounding config, the grid (radius
-    ``trunc_B``, default ``default_trunc_radius``) and the floor (default
-    2^(-4n)) that counting and sampling share.  It runs before any
+    ``trunc_B``, default ``default_trunc_radius``) and the floor (in [0, 1],
+    default 2^(-4n)) that counting and sampling share.  It runs before any
     decoupling work, so a bad setting raises ValueError at once."""
     if not (0.0 < eps <= 1.0):
         raise ValueError(f"eps must lie in (0, 1], got {eps}")
@@ -747,7 +748,21 @@ def _checked_grid(
     b_radius = float(trunc_B) if trunc_B is not None else default_trunc_radius(q.n, eps)
     spec = GridSpec(tau=tau, B=b_radius, n=q.n)
     floor_value = float(floor) if floor is not None else 2.0 ** (-4 * q.n)
+    if not (0.0 <= floor_value <= 1.0):
+        raise ValueError(f"floor must lie in [0, 1], got {floor}")
     return cfg, spec, floor_value
+
+
+def _prepare(q: QuadraticForm | DecoupledConstraint, cfg: RoundingConfig):
+    """``(decoupled, rounded, mass)`` for ``q``: decoupled unless it already
+    is, then normalized and rounded by ``cfg``.  A constant form has
+    ``rounded`` None and its exact ``mass``, 0 or 1; any other ``mass`` None."""
+    dc = decouple(q) if isinstance(q, QuadraticForm) else q
+    try:
+        nz = normalize(dc)
+    except ConstantPolynomialError as err:
+        return dc, None, err.mass
+    return dc, round_coefficients(nz, cfg), None
 
 
 def count_ptf_gaussian(
@@ -769,13 +784,9 @@ def count_ptf_gaussian(
     not suppressed.  A bad setting raises ValueError before any work.
     """
     cfg, spec, floor = _checked_grid(q, eps, tau, trunc_B, gamma)
-    dc = decouple(q) if isinstance(q, QuadraticForm) else q
-    try:
-        nz = normalize(dc)
-    except ConstantPolynomialError as err:
-        estimate = err.mass
-    else:
-        estimate = count(round_coefficients(nz, cfg), spec, eps)
+    _, rounded, estimate = _prepare(q, cfg)
+    if rounded is not None:
+        estimate = count(rounded, spec, eps)
     return CountResult(estimate=estimate, eps=eps, below_floor=estimate < floor, floor=floor)
 
 

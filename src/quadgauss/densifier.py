@@ -38,7 +38,7 @@ import numpy as np
 
 from .counter import count_ptf_gaussian, mc_count
 from .numerics import Rng, _checked_int, log_interval_mass, normal_blocks
-from .quadform import QuadraticForm, coordinate_box, decouple, sign_at
+from .quadform import DecoupledConstraint, QuadraticForm, coordinate_box, decouple, sign_at
 from .sampler import PtfSampler
 
 __all__ = [
@@ -349,7 +349,8 @@ def densify(
                 j = int(bad[0])
                 feed(pool[j], feats[j], +1, "pos_mistake", rounds)
                 continue
-        res = count_ptf_gaussian(g, cfg.delta)
+        dc = decouple(g)
+        res = count_ptf_gaussian(dc, cfg.delta)
         transcript.append({"step": rounds, "event": "count", "estimate": res.estimate})
         if p_hat >= 0.5 * cfg.gamma * res.estimate:
             transcript.append({"step": rounds, "event": "terminate", "reason": "density"})
@@ -370,7 +371,7 @@ def densify(
             raise BudgetExhaustedError(
                 f"round budget {max_rounds} exhausted", transcript
             )
-        x = _region_source(g, res.estimate, cfg.eps, rng.derive(rounds))(1)[0]
+        x = _region_source(g, dc, res.estimate, cfg.eps, rng.derive(rounds))(1)[0]
         feed(x, feature_map(_round_kappa(x)), -1, "neg_feed", rounds)
         rounds += 1
 
@@ -428,9 +429,10 @@ def _rejection_sample(q: QuadraticForm, rotation: np.ndarray, lo, hi, rng: Rng):
     return source
 
 
-def _region_source(q: QuadraticForm, mass: float, eps: float, rng: Rng):
+def _region_source(q: QuadraticForm, dc: DecoupledConstraint, mass: float, eps: float, rng: Rng):
     """Source of points from N(0, I) conditioned on sign(q) = +1, whose
-    Gaussian mass is about ``mass``; ``source(k)`` returns the next k points.
+    decoupled form is ``dc`` and whose Gaussian mass is about ``mass``;
+    ``source(k)`` returns the next k points.
 
     mass(box) / mass is the expected number of box proposals per kept point,
     mass(box) being the product of the box's side masses.  When it is at
@@ -438,7 +440,6 @@ def _region_source(q: QuadraticForm, mass: float, eps: float, rng: Rng):
     else every call continues one ``PtfSampler(q, eps, floor=0.0)`` stream on
     ``rng.derive(2)``, drawn with the exact filter.
     """
-    dc = decouple(q)
     lo, hi = coordinate_box(dc)
     log_box = sum(log_interval_mass(a, b) for a, b in zip(lo.tolist(), hi.tolist()))
     if mass >= _MIN_ACCEPT * math.exp(log_box):
@@ -485,12 +486,13 @@ def planted_experiment(
         )
     n_validation = _checked_int("n_validation", n_validation, 1)
     cfg = cfg.resolve(f.n)
-    p_est = count_ptf_gaussian(f, cfg.eps / 3.0).estimate
+    dc = decouple(f)
+    p_est = count_ptf_gaussian(dc, cfg.eps / 3.0).estimate
     if p_est <= 0.0:
         raise ValueError("target has no measurable positive region")
     p_hat = min(p_est * (1.0 + cfg.eps / 3.0), 1.0)
 
-    pos = _region_source(f, p_est, cfg.eps, rng)
+    pos = _region_source(f, dc, p_est, cfg.eps, rng)
 
     try:
         result = densify(pos, p_hat, cfg, rng.derive(3), f_oracle=lambda pts: sign_at(f, pts))

@@ -231,9 +231,11 @@ def log_interval_mass(a: float, b: float) -> float:
 
 
 def _checked_int(name: str, value, least: int) -> int:
-    """``value`` as an int; ValueError unless it is an integer >= ``least``
-    (``operator.index`` decides, so 2.0 is refused and numpy ints pass)."""
+    """``value`` as an int: an integer >= ``least`` and not a bool, else
+    ValueError (``operator.index`` decides, so 2.0 fails and numpy ints pass)."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         value = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None

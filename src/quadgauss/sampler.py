@@ -9,9 +9,10 @@ P_{j-1} is the table's CDF of Y_1 + ... + Y_{j-1}, by inverse CDF over its
 grid values.  The table is built once per sampler at a step size derived
 from (n, eps) that keeps every grid point's probability within
 [1 - eps, 1/(1 - eps)] of the exact conditional law, so the total variation
-error is at most eps (see ``PrefixCDFTable``).  Coordinate n's threshold is
-always theta, so its inverse CDF is built once per table, on the first draw;
-each later draw pays one ``searchsorted`` for it and rebuilds only the
+error is at most eps (see ``PrefixCDFTable``); the same table's mass is the
+floor check, so a sampler builds no other table.  Coordinate n's threshold
+is always theta, so its inverse CDF is built once per table, on the first
+draw; each later draw pays one ``searchsorted`` for it and rebuilds only the
 weights of coordinates n-1, ..., 1.
 
 The continuous lift is exact, not approximate: conditioned on the grid
@@ -36,19 +37,15 @@ from .counter import (
     FloorError,
     PrefixCDFTable,
     _checked_grid,
-    count,
+    _prepare,
 )
 from .grid import GridSpec
 from .numerics import LOG_ZERO, Rng, _checked_int, truncated_normal_sample
-from .quadform import (
-    ConstantPolynomialError,
-    DecoupledConstraint,
-    QuadraticForm,
-    decouple,
-    normalize,
-    round_coefficients,
-    sign_at,
-)
+from .quadform import DecoupledConstraint, QuadraticForm, sign_at
+
+# Not called here: bench/tracing.py's WRAPS wraps these names on this module.
+from .counter import count  # noqa: F401
+from .quadform import decouple, round_coefficients  # noqa: F401
 
 __all__ = [
     "FloorError",
@@ -140,14 +137,16 @@ class PtfSampler:
     round -> prefix-CDF table -> grid point -> exact continuous lift ->
     rotate back.
 
-    The table is built once, here; the first draw checks the counted mass
-    against ``floor`` (default 2^(-4n)).  Draws lie within total variation
-    eps of N(0, I) conditioned on the rounded, truncated instance: the union
-    of the grid cells whose grid point satisfies the rounded constraint, each
-    cell lifted exactly.  The gap to N(0, I) conditioned on ``q`` itself is
-    not bounded.  With ``exact_filter`` draws are rejected until the original
+    The table is built once, here, and its own mass (``PrefixCDFTable.mass``)
+    is checked against ``floor`` (default 2^(-4n)), so FloorError comes
+    before any draw.  Draws lie within total variation eps of N(0, I)
+    conditioned on the rounded, truncated instance: the union of the grid
+    cells whose grid point satisfies the rounded constraint, each cell
+    lifted exactly.  The gap to N(0, I) conditioned on ``q`` itself is not
+    bounded.  With ``exact_filter`` draws are rejected until the original
     polynomial is nonnegative at the output.  A bad setting raises
-    ValueError before any work.
+    ValueError before any work; eps must lie in (0, 1), as eps = 1 bounds
+    nothing.
     """
 
     def __init__(
@@ -161,28 +160,20 @@ class PtfSampler:
         floor: float | None = None,
         retry_limit: int = 100,
     ):
-        cfg, self.spec, self._floor = _checked_grid(q, eps, tau, trunc_B, gamma, floor)
-        if retry_limit < 0:
-            raise ValueError(f"retry_limit must be >= 0, got {retry_limit}")
+        cfg, self.spec, floor = _checked_grid(q, eps, tau, trunc_B, gamma, floor)
+        if eps >= 1.0:
+            raise ValueError(f"eps must lie in (0, 1) for sampling, got {eps}")
+        self.retry_limit = _checked_int("retry_limit", retry_limit, 0)
         self.original = q
         self.eps = float(eps)
-        self.retry_limit = int(retry_limit)
         self.filter_rejections = 0
-        dc = decouple(q) if isinstance(q, QuadraticForm) else q
-        self._n = dc.n
-        self._floor_checked = False
-        try:
-            nz = normalize(dc)
-        except ConstantPolynomialError as err:
-            if err.mass == 0.0:
-                raise FloorError("the acceptance region is empty") from err
-            self.constant = True
-            self.rotation = np.eye(dc.n)
-            return
-        self.constant = False
-        self.rounded = round_coefficients(nz, cfg)
+        dc, self.rounded, mass = _prepare(q, cfg)
         self.rotation = dc.rotation
-        self.table = PrefixCDFTable.for_sampling(self.rounded, self.spec, self.eps)
+        if self.rounded is not None:  # else q is constant, of exact mass 0 or 1
+            self.table = PrefixCDFTable.for_sampling(self.rounded, self.spec, self.eps)
+            mass = self.table.mass()
+        if mass < floor or mass == 0.0:
+            raise FloorError(f"acceptance mass {mass} is zero or below the floor {floor}")
 
     def _original_accepts(self, x: np.ndarray, y: np.ndarray) -> bool:
         if isinstance(self.original, QuadraticForm):
@@ -190,15 +181,8 @@ class PtfSampler:
         return bool(self.original.accepts(y))
 
     def sample(self, rng: Rng, exact_filter: bool = False) -> np.ndarray:
-        if self.constant:
-            return rng.normal(self._n)
-        if not self._floor_checked:
-            mass = count(self.rounded, self.spec, self.eps)
-            if mass < self._floor or mass == 0.0:
-                raise FloorError(
-                    f"counted acceptance mass {mass} is below the floor {self._floor}"
-                )
-            self._floor_checked = True
+        if self.rounded is None:
+            return rng.normal(self.spec.n)
         attempts = self.retry_limit + 1 if exact_filter else 1
         for _ in range(attempts):
             kappa = sample_grid_point(self.table, rng)
@@ -215,7 +199,7 @@ class PtfSampler:
         self, k: int, rng: Rng, exact_filter: bool = False
     ) -> np.ndarray:
         k = _checked_int("k", k, 0)
-        out = np.empty((k, self._n))
+        out = np.empty((k, self.spec.n))
         for i in range(k):
             out[i] = self.sample(rng, exact_filter=exact_filter)
         return out

@@ -4,6 +4,7 @@ per-layer metrics are reported absent, so a rename or deletion in the library
 would go unnoticed by the package tests; check the names here, and that
 the tracer still drives a count, a draw and a densifier run."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from quadgauss import QuadraticForm, Rng, count_ptf_gaussian, counter
+from quadgauss import QuadraticForm, Rng, count_ptf_gaussian, counter, sampler
 from quadgauss.densifier import DensifierConfig, planted_experiment
 from quadgauss.sampler import PtfSampler
 
@@ -38,6 +39,22 @@ def test_every_wrapped_name_resolves():
     assert wraps and not missing
 
 
+def test_wrapped_sampler_names_without_call_sites():
+    # the sampler calls none of these names; it keeps them importable only
+    # because the tracer wraps them there, so their spans read 0.  Dropping
+    # them from the tracer empties this set; a new dead name shows up here
+    called = {
+        node.func.id
+        for node in ast.walk(ast.parse(Path(sampler.__file__).read_text()))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+    wrapped = {
+        path for module_name, path, *_ in load_tracing().WRAPS
+        if module_name == "quadgauss.sampler" and "." not in path
+    }
+    assert wrapped - called == {"count", "decouple", "round_coefficients"}
+
+
 def test_tail_cdf_takes_collect():
     # the tracer counts pairs and kept atoms through this argument
     assert "collect" in inspect.signature(counter.compressed_tail_cdf).parameters
@@ -57,7 +74,8 @@ def test_tracer_drives_count_and_draw():
     assert chains == 2  # the count's table and its coarse pass
     assert tracer.counts["counter.pairs"] > 0
     rows = tracer.by_name()
-    assert rows["counter.count"]["calls"] == 1  # the first draw's floor check
+    # the sampler checks its floor against its own table, so it never counts
+    assert rows["counter.count"]["calls"] == 0
     # each draw goes through the wrapped grid point and lift, so that
     # sampler.grid_point_s and sampler.lift_s keep measuring the draw
     for name in ("sampler.draw", "sampler.grid_point", "sampler.lift"):

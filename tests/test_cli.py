@@ -136,6 +136,8 @@ class TestBadInput:
             ["count", "--tau", "5e-324"],
             # count draws nothing, so it takes no seed
             ["count", "--seed", "1"],
+            # a sampler at eps = 1 would bound nothing
+            ["sample", "--eps", "1"],
         ],
     )
     def test_bad_flag_exit_1(self, chi2_instance, capsys, argv):

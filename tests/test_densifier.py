@@ -1,10 +1,11 @@
 import hashlib
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from quadgauss import densifier
+from quadgauss import densifier, quadform
 from quadgauss.densifier import (
     BudgetExhaustedError,
     DensifierConfig,
@@ -21,7 +22,7 @@ from quadgauss.densifier import (
 )
 from quadgauss.counter import count_ptf_gaussian, mc_count
 from quadgauss.numerics import Rng
-from quadgauss.quadform import DecoupledConstraint, QuadraticForm, evaluate, sign_at
+from quadgauss.quadform import DecoupledConstraint, QuadraticForm, decouple, evaluate, sign_at
 from test_acceptance import _c7_targets
 
 C7_TARGETS = _c7_targets()
@@ -217,7 +218,7 @@ class TestDensify:
         class Recording(densifier.PtfSampler):
             def sample(self, rng, exact_filter=False):
                 x = super().sample(rng, exact_filter)
-                drawn.append((self.original, self.constant, exact_filter, x))
+                drawn.append((self.original, self.rounded is None, exact_filter, x))
                 return x
 
         monkeypatch.setattr(densifier, "PtfSampler", Recording)
@@ -369,11 +370,25 @@ class TestPlantedExperiment:
             "transcript_events": 2,
         }
 
+    def test_each_form_decoupled_once(self, monkeypatch):
+        # x1 >= 4 at seed 1 takes one negative round, so it meets 3 forms:
+        # the target and the hypotheses of rounds 0 and 1; decouple is
+        # counted under every name the package looks it up by
+        forms = []
+        original = quadform.decouple
+        for name, module in list(sys.modules.items()):
+            if name.startswith("quadgauss") and getattr(module, "decouple", None) is original:
+                monkeypatch.setattr(module, "decouple", lambda q: forms.append(q) or original(q))
+        f = QuadraticForm(A=np.zeros((2, 2)), b=np.array([1.0, 0.0]), c=-4.0)
+        rep = planted_experiment(f, DensifierConfig(eps=0.1, delta=0.1), Rng(1), n_validation=3000)
+        assert rep["rounds"] == 1
+        assert len(forms) == 3 and len({id(q) for q in forms}) == 3 and forms[0] is f
+
     def test_sampler_positives_are_fresh_across_calls(self, monkeypatch):
         # the sampler branch continues one stream: a second call must not
         # replay the first call's points
         samplers = _recording_samplers(monkeypatch)
-        pos = _region_source(RING, 2.0e-5, 0.1, Rng(2))
+        pos = _region_source(RING, decouple(RING), 2.0e-5, 0.1, Rng(2))
         a, b = pos(3), pos(3)
         assert samplers == [RING]
         assert np.all(np.sum(a * a, axis=1) >= 20.0) and np.all(np.sum(b * b, axis=1) >= 20.0)
@@ -408,7 +423,7 @@ class TestPlantedExperiment:
         sources, samplers = _recording_rejections(monkeypatch), _recording_samplers(monkeypatch)
         cfg = DensifierConfig(eps=0.1, delta=0.1)
         for f in C7_TARGETS:
-            _region_source(f, count_ptf_gaussian(f, cfg.eps / 3.0).estimate, cfg.eps, Rng(1))
+            _region_source(f, decouple(f), count_ptf_gaussian(f, cfg.eps / 3.0).estimate, cfg.eps, Rng(1))
         assert sources == C7_TARGETS and samplers == []
 
     def _thin_hypothesis_run(self, monkeypatch):

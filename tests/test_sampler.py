@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from quadgauss import sampler
-from quadgauss.counter import PrefixCDFTable
+from quadgauss import counter
+from quadgauss.counter import PrefixCDFTable, count, exact_tail_bruteforce
 from quadgauss.grid import GridSpec
 from quadgauss.numerics import Rng
 from quadgauss.quadform import DecoupledConstraint, QuadraticForm, sign_at
@@ -63,13 +63,13 @@ class TestSampleGridPoint:
             lam=np.array([0.0]), mu=np.array([1.0]), theta=-10.0, rotation=np.eye(1)
         )
         table = PrefixCDFTable.for_sampling(dc, spec, 0.1)
-        s = PtfSampler(dc, 0.1, tau=0.5, trunc_B=2.0)
         # on every draw, not only the first: the empty case is never cached
         for _ in range(2):
             with pytest.raises(FloorError):
                 sample_grid_point(table, Rng(0))
-            with pytest.raises(FloorError):
-                s.sample(Rng(0))
+        # the sampler reads the same table's mass when it is built
+        with pytest.raises(FloorError):
+            PtfSampler(dc, 0.1, tau=0.5, trunc_B=2.0)
 
     def test_seed_determinism(self):
         spec = GridSpec(tau=0.25, B=2.0, n=2)
@@ -327,10 +327,64 @@ class TestPtfSampler:
         def no_decouple(q):
             raise AssertionError("decouple ran before the settings were checked")
 
-        monkeypatch.setattr(sampler, "decouple", no_decouple)
+        monkeypatch.setattr(counter, "decouple", no_decouple)
         q = QuadraticForm(A=np.zeros((2, 2)), b=np.zeros(2), c=1.0)
         with pytest.raises(ValueError):
             PtfSampler(q, **kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"floor": math.nan},
+            {"floor": -1.0},
+            {"floor": 5.0},
+            {"floor": math.inf},
+            {"retry_limit": 2.5},
+            {"retry_limit": True},
+            {"eps": 1.0},
+        ],
+    )
+    def test_bad_floor_retries_and_eps_rejected_before_work(self, monkeypatch, kwargs):
+        def no_decouple(q):
+            raise AssertionError("decouple ran before the settings were checked")
+
+        monkeypatch.setattr(counter, "decouple", no_decouple)
+        q = QuadraticForm(A=-np.eye(2), b=np.zeros(2), c=2.0)
+        with pytest.raises(ValueError, match=f"^{next(iter(kwargs))} must"):
+            PtfSampler(q, **{"eps": 0.1, **kwargs})
+
+    def test_eps_one_kept_by_count_and_bare_table(self):
+        # only the sampler needs eps < 1: its floor check reads the table's
+        # midpoint, which an infinite budget puts at 1
+        spec = GridSpec(tau=0.25, B=2.0, n=3)
+        table = PrefixCDFTable.for_sampling(SKEW3, spec, 1.0)
+        assert table.mass() == 1.0
+        assert 0.0 < count(SKEW3, spec, 1.0) < 1.0
+
+    def test_one_table_per_sampler(self, monkeypatch):
+        # the floor check reads the sampling table: no count table is built,
+        # neither here nor on the first draw
+        def no_count_table(*args, **kwargs):
+            raise AssertionError("a count table was built")
+
+        monkeypatch.setattr(PrefixCDFTable, "for_count", no_count_table)
+        q = QuadraticForm(A=-np.eye(3) + 0.1, b=np.array([0.3, -0.2, 0.1]), c=3.0)
+        s = PtfSampler(q, 0.1, tau=2.0**-4, trunc_B=3.0)
+        assert s.sample(Rng(0)).shape == (3,)
+
+    @pytest.mark.parametrize("n, tau", [(3, 0.25), (4, 0.5)])
+    def test_floor_mass_within_half_the_budget(self, n, tau):
+        # the sampling table's mass() lies within sqrt(beta) = (1 - eps)^(-1/2)
+        # of the exact grid mass either way
+        spec = GridSpec(tau=tau, B=2.0, n=n)
+        gen = np.random.default_rng(n)
+        for _ in range(3):
+            lam, mu = (np.rint(gen.normal(size=n) * 16.0) / 16.0 for _ in range(2))
+            dc = DecoupledConstraint(lam=lam, mu=mu, theta=float(gen.normal() * n), rotation=np.eye(n))
+            exact = exact_tail_bruteforce(dc, spec)
+            for eps in (0.1, 0.5):
+                ratio = PrefixCDFTable.for_sampling(dc, spec, eps).mass() / exact
+                assert math.sqrt(1.0 - eps) <= ratio <= 1.0 / math.sqrt(1.0 - eps)
 
     def test_seed_determinism(self):
         q = QuadraticForm(A=-np.eye(2), b=np.zeros(2), c=2.0)

@@ -4,9 +4,10 @@ The loop (after De, Diakonikolas and Servedio, 2015) maintains an online
 halfspace learner over the degree-2 monomial expansion (so its linear
 hypotheses are exactly degree-2 threshold functions).  Misclassified
 positives from the sample pool are fed with label +1 until the pool is
-covered.  The pool is drawn only when a hypothesis could reject one of its
+covered.  The dimension n comes from a zero-point request to the positive
+source, and the pool is drawn only when a hypothesis could reject one of its
 points: the starting hypothesis, +1 everywhere, covers any pool, so a run
-that stops at round 0 never draws it.  Once the pool is covered, the
+that stops at round 0 draws no point at all.  Once the pool is covered, the
 hypothesis region's Gaussian mass is counted to within (1 +- delta), and
 either the caller's target mass estimate p_hat is already a gamma/2
 fraction of it (terminate: the hypothesis is dense enough) or a
@@ -277,26 +278,27 @@ def densify(
     """Run the densifier loop against a stream of positive examples.
 
     ``pos_source(k)`` must return k fresh draws from the target-conditioned
-    Gaussian as an array (k, n).  It is called once for a 1-point peek that
-    reads n, then at most once for the ``n_pos``-point pool, at the first
-    hypothesis that is not +1 everywhere; a run that stops at round 0 draws
-    only the peek.  ``p_hat`` is the caller's estimate of the target mass,
-    which the density termination test compares against.  ``f_oracle``
-    (batch points -> +-1), when given, is used only to annotate the
-    transcript with true labels.
+    Gaussian as an array (k, n).  It is called once with k = 0, whose (0, n)
+    reply gives n; then, at the first hypothesis that is not +1 everywhere,
+    once with 1 (a point that is discarded) and once with ``n_pos`` for the
+    pool.  A run that stops at round 0 therefore draws no point.  ``p_hat`` is
+    the caller's estimate of the target mass, which the density termination
+    test compares against.  ``f_oracle`` (batch points -> +-1), when given, is
+    used only to annotate the transcript with true labels.
 
     Returns the hypothesis as a quadratic form whose sign agrees with the
     learner, plus the full event transcript.  Raises BudgetExhaustedError if
     the budgets run out before the density test passes, and ValueError for
-    a ``p_hat`` outside (0, 1] (before the peek) or a pool whose shape is
+    a ``p_hat`` outside (0, 1] (before any request), a zero-point reply that
+    is not (0, n) with n >= 1 (before any count), or a pool whose shape is
     not (n_pos, n).
     """
     if not (0.0 < p_hat <= 1.0):
         raise ValueError(f"p_hat must lie in (0, 1], got {p_hat}")
-    peek = np.asarray(pos_source(1), dtype=float)
-    if peek.ndim != 2:
-        raise ValueError("pos_source must return a (k, n) array")
-    n = peek.shape[1]
+    shape = np.shape(pos_source(0))
+    if len(shape) != 2 or shape[0] != 0 or shape[1] < 1:
+        raise ValueError(f"pos_source(0) returned shape {shape}, expected (0, n)")
+    n = shape[1]
     cfg = cfg.resolve(n)
     learner = EllipsoidLearner(feature_dim(n))
     max_rounds = 4 * cfg.mistake_budget + 16
@@ -336,6 +338,7 @@ def densify(
         # point, so it covers the pool without reading it
         if not (g.is_constant and g.c >= 0.0):
             if feats is None:
+                pos_source(1)  # discarded, so pools and transcripts match a 1-point peek of n
                 pool = np.asarray(pos_source(cfg.n_pos), dtype=float)
                 if pool.shape != (cfg.n_pos, n):
                     raise ValueError(
@@ -399,8 +402,10 @@ def _rejection_sample(q: QuadraticForm, rotation: np.ndarray, lo, hi, rng: Rng):
 
     ``source(k)`` returns the next k kept points, so successive calls
     continue one stream and never repeat a point; ``source(a)`` then
-    ``source(b)`` returns the rows of ``source(a + b)``.  Raises
-    RuntimeError once the blocks below _BLOCK_LIMIT are spent.
+    ``source(b)`` returns the rows of ``source(a + b)``; ``source(0)``
+    draws no block.  Raises RuntimeError once the blocks below _BLOCK_LIMIT
+    are spent, and ValueError, before any draw, for a k that is not an
+    integer >= 0.
     """
     rot_t = rotation.T
     rest = np.empty((0, q.n))
@@ -408,6 +413,7 @@ def _rejection_sample(q: QuadraticForm, rotation: np.ndarray, lo, hi, rng: Rng):
 
     def source(k: int) -> np.ndarray:
         nonlocal rest, block
+        k = _checked_int("k", k, 0)
         parts, got = [rest], rest.shape[0]
         if got < k:
             with closing(normal_blocks(rng, q.n, _BLOCK, first=block, lo=lo, hi=hi)) as blocks:

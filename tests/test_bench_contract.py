@@ -84,22 +84,24 @@ def test_tracer_drives_count_and_draw():
 
 def test_tracer_drives_planted_run():
     # the densify-planted layers: the wrapped densifier names must be the
-    # ones planted_experiment calls
+    # ones planted_experiment calls.  The disc stops at round 0 with
+    # g = R^n, so it draws no point and tests no sign
     tracer = load_tracing().Tracer()
     disc = QuadraticForm(A=-np.eye(2), b=np.zeros(2), c=0.2107)
     with tracer.installed():
         planted_experiment(disc, DensifierConfig(eps=0.1, delta=0.1), Rng(1), n_validation=3000)
     assert tracer.absent == {}
     rows = tracer.by_name()
-    for name in ("densifier.densify", "densifier.count", "densifier.mc_count", "quadform.sign_at"):
+    for name in ("densifier.densify", "densifier.count", "densifier.mc_count"):
         assert rows[name]["calls"] >= 1, name
-    assert tracer.counts["quadform.sign_at_points"] > 0
+    assert rows["quadform.sign_at"]["calls"] == 0
+    assert tracer.counts["quadform.sign_at_points"] == 0
 
 
 def test_tracer_drives_negative_rounds():
     # the benchmark's planted runs all stop at round 0; x1 >= 4 leaves it,
-    # so this is where the traced negative draws are checked: they come
-    # from box rejection, and each round counts its hypothesis
+    # so this is where the traced draws and negative rounds are checked:
+    # they come from box rejection, and each round counts its hypothesis
     tracer = load_tracing().Tracer()
     x1_ge_4 = QuadraticForm(A=np.zeros((2, 2)), b=np.array([1.0, 0.0]), c=-4.0)
     with tracer.installed():
@@ -109,3 +111,5 @@ def test_tracer_drives_negative_rounds():
     rows = tracer.by_name()
     assert rows["sampler.init"]["calls"] == 0
     assert rows["densifier.count"]["calls"] >= 2
+    assert rows["quadform.sign_at"]["calls"] >= 1
+    assert tracer.counts["quadform.sign_at_points"] > 0

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from quadgauss import densifier, quadform
+from quadgauss import counter, densifier, numerics, quadform
 from quadgauss.densifier import (
     BudgetExhaustedError,
     DensifierConfig,
@@ -108,6 +108,8 @@ def _planted_source(f, rng, chunk=1 << 14):
     state = {"i": 0}
 
     def source(k):
+        if k == 0:
+            return np.empty((0, f.n))
         out = []
         got = 0
         while got < k:
@@ -135,29 +137,52 @@ class TestDensify:
         events = [e["event"] for e in res.transcript]
         assert events == ["count", "terminate"]
 
-    def test_round_zero_stop_draws_only_the_peek(self):
+    def test_round_zero_stop_draws_nothing(self):
         # the all-plus hypothesis covers any pool, so a run that stops at
-        # round zero never asks the source for one
+        # round zero never asks the source for one; n comes from a
+        # zero-point request
         f = QuadraticForm(A=-np.eye(2), b=np.zeros(2), c=2.0)
         inner = _planted_source(f, Rng(3))
         requests = []
 
         def source(k):
             if requests:
-                raise AssertionError(f"{k} points requested after the peek")
+                raise AssertionError(f"{k} points requested after the zero-point request")
             requests.append(k)
             return inner(k)
 
         res = densify(source, 0.64, DensifierConfig(eps=0.2, delta=0.2, n_pos=1000), Rng(4))
-        assert res.rounds == 0 and requests == [1]
+        assert res.rounds == 0 and requests == [0]
 
     @pytest.mark.parametrize("p_hat", [0.0, -0.5, 1.5, math.inf, math.nan])
     def test_p_hat_out_of_range_rejected_before_peek(self, p_hat):
+        # the peek is the zero-point request that gives n; no request at all
+        # may come before p_hat is checked
         def no_source(k):
             raise AssertionError("the source was read before p_hat was checked")
 
         with pytest.raises(ValueError, match=r"^p_hat must lie in \(0, 1\], got"):
             densify(no_source, p_hat, DensifierConfig(), Rng(0))
+
+    @pytest.mark.parametrize(
+        "reply, shape",
+        [
+            (lambda k: np.zeros((1, 2)), r"\(1, 2\)"),  # ignores k
+            (lambda k: np.zeros((k + 5, 3)), r"\(5, 3\)"),  # ignores k
+            (lambda k: np.zeros(2), r"\(2,\)"),
+            (lambda k: np.zeros(k), r"\(0,\)"),
+            (lambda k: np.empty((0, 0)), r"\(0, 0\)"),
+        ],
+        ids=["one-row", "k-plus-five-rows", "one-dim", "one-dim-empty", "no-columns"],
+    )
+    def test_bad_zero_point_reply_rejected_before_count(self, monkeypatch, reply, shape):
+        def no_count(*args, **kwargs):
+            raise AssertionError("a hypothesis was counted before the reply was checked")
+
+        monkeypatch.setattr(densifier, "count_ptf_gaussian", no_count)
+        message = rf"^pos_source\(0\) returned shape {shape}, expected \(0, n\)$"
+        with pytest.raises(ValueError, match=message):
+            densify(reply, 0.5, DensifierConfig(eps=0.2, delta=0.2, n_pos=1000), Rng(0))
 
     def test_short_pool_rejected(self):
         # p_hat below gamma/2 takes the run past round zero, where the
@@ -481,13 +506,13 @@ class TestPlantedExperiment:
     def test_constant_hypothesis_draws_no_validation_points(self, monkeypatch):
         # every C7 target stops at round 0 with g = R^n, which covers any
         # pool and makes the agreement exact, so the target source serves
-        # the peek only
+        # only the zero-point request that gives n
         requests = _recording_requests(monkeypatch)
         f = C7_TARGETS[0]
         cfg = DensifierConfig(eps=0.1, delta=0.1)
         rep = planted_experiment(f, cfg, Rng(1), n_validation=3000)
         assert rep["rounds"] == 0 and rep["agreement"] == 1.0
-        assert requests == [(f, 1)]
+        assert requests == [(f, 0)]
         # the Wilson half-width is still the one at n_validation
         assert rep["agreement_ci"] == pytest.approx(2.576**2 / (3000 + 2.576**2), rel=1e-12)
 
@@ -499,8 +524,21 @@ class TestPlantedExperiment:
         cfg = DensifierConfig(eps=0.1, delta=0.1)
         rep = planted_experiment(f, cfg, Rng(1), n_validation=3000)
         assert rep["rounds"] >= 1
-        assert [k for q, k in requests if q is f] == [1, cfg.resolve(f.n).n_pos, 3000]
+        # n from a zero-point request, then one discarded point and the pool
+        assert [k for q, k in requests if q is f] == [0, 1, cfg.resolve(f.n).n_pos, 3000]
         assert sum(1 for q, _ in requests if q is not f) == rep["rounds"]
+
+    def test_round_zero_run_draws_no_block(self, monkeypatch):
+        # a run that stops at round 0 draws no proposal block anywhere: not
+        # for n, the pool, the validation points or the mass of g = R^n
+        def no_blocks(*args, **kwargs):
+            raise AssertionError("a block of normals was drawn")
+
+        monkeypatch.setattr(densifier, "normal_blocks", no_blocks)
+        monkeypatch.setattr(counter, "normal_blocks", no_blocks)
+        for f in C7_TARGETS:
+            rep = planted_experiment(f, DensifierConfig(eps=0.1, delta=0.1), Rng(1), n_validation=3000)
+            assert rep["rounds"] == 0
 
     def test_constant_positive_target(self):
         f = QuadraticForm(A=np.zeros((2, 2)), b=np.zeros(2), c=1.0)
@@ -527,6 +565,31 @@ class TestRejectionSource:
         assert np.array_equal(np.concatenate([a, b]), whole)
         assert not np.any(np.isin(b[:, 0], a[:, 0]))
         assert np.all(np.asarray(sign_at(f, whole)) == 1)
+
+    @pytest.mark.parametrize("k", [-1, 2.5, True])
+    def test_bad_count_rejected_before_a_block(self, monkeypatch, k):
+        def no_blocks(*args, **kwargs):
+            raise AssertionError("a block was drawn before k was checked")
+
+        pos = _box_source(THIN3, Rng(26))
+        monkeypatch.setattr(densifier, "normal_blocks", no_blocks)
+        with pytest.raises(ValueError, match="^k must be"):
+            pos(k)
+
+    def test_zero_points_draw_no_block(self, monkeypatch):
+        blocks = []
+
+        def recording(*args, **kwargs):
+            blocks.append(args)
+            return numerics.normal_blocks(*args, **kwargs)
+
+        monkeypatch.setattr(densifier, "normal_blocks", recording)
+        pos = _box_source(THIN3, Rng(27))
+        empty = pos(0)
+        assert empty.shape == (0, 3) and blocks == []
+        # the zero-point request leaves the stream where it was
+        assert np.array_equal(pos(500), _box_source(THIN3, Rng(27))(500))
+        assert len(blocks) == 2  # the wrapper sees the two sources' draws
 
     def test_starves_past_the_block_limit(self, monkeypatch):
         monkeypatch.setattr(densifier, "_BLOCK_LIMIT", densifier._FIRST_BLOCK + 1)

@@ -49,7 +49,7 @@ from functools import cached_property
 import numpy as np
 
 from .grid import GridSpec, _log_cell_masses, support_and_log_pmf, support_and_pmf
-from .numerics import LOG_ZERO, Rng, _checked_int, _worker_pool, log_sum, normal_blocks
+from .numerics import LOG_ZERO, Rng, _checked_int, _wilson_half_width, _worker_pool, log_sum, normal_blocks
 from .quadform import (
     ConstantPolynomialError,
     DecoupledConstraint,
@@ -560,13 +560,12 @@ class PrefixCDFTable:
         cls, dc: DecoupledConstraint, spec: GridSpec, eps: float
     ) -> "PrefixCDFTable":
         """Table whose draws are within eps of the exact conditional law in
-        total variation, point by point within [1 - eps, 1/(1 - eps)]; eps = 1
-        bounds nothing and merges as far as the sparsifier goes.  At n <= 2
-        nothing is compressed and the draws are exact."""
-        if not (0.0 < eps <= 1.0):
-            raise ValueError(f"eps must lie in (0, 1], got {eps}")
-        k = max(2 * dc.n - 3, 1)
-        step = math.expm1(-math.log1p(-eps) / k) if eps < 1.0 else math.inf
+        total variation, point by point within [1 - eps, 1/(1 - eps)].  At
+        n <= 2 nothing is compressed and the draws are exact.  An eps outside
+        (0, 1) raises ValueError: eps = 1 would bound nothing."""
+        if not (0.0 < eps < 1.0):
+            raise ValueError(f"eps must lie in (0, 1) for sampling, got {eps}")
+        step = math.expm1(-math.log1p(-eps) / max(2 * dc.n - 3, 1))
         return cls._build(dc, spec, step)
 
     @classmethod
@@ -635,8 +634,8 @@ class PrefixCDFTable:
     def mass(self) -> float:
         """The mass at theta read at the geometric midpoint of the last CDF's
         ``err_budget``, capped at 1: within (1 +- eps) of the exact grid mass
-        for ``for_count`` at eps, but 1 for any non-empty region when the
-        budget is infinite (``for_sampling`` at eps = 1)."""
+        for ``for_count`` at eps, and within (1 - eps)^(+-1/2) of it for
+        ``for_sampling`` at eps."""
         lm = log_sum(self.log_weights(self.n - 1, self.theta))
         if lm == LOG_ZERO:
             return 0.0
@@ -790,34 +789,25 @@ def count_ptf_gaussian(
     return CountResult(estimate=estimate, eps=eps, below_floor=estimate < floor, floor=floor)
 
 
-_Z99 = 2.5758293035489004  # two-sided 99% normal quantile
+def mc_count(q: QuadraticForm, n_samples: int, rng: Rng) -> tuple[float, float]:
+    """Monte Carlo frequency of sign(q(G)) = +1 with a 99% CI half-width:
+    the larger distance to its Wilson bounds, which is not 0 at 0 or all hits.
 
-
-def mc_count(
-    q: QuadraticForm,
-    n_samples: int,
-    rng: Rng,
-    chunk: int = 1 << 16,
-) -> tuple[float, float]:
-    """Monte Carlo frequency of sign(q(G)) = +1 with a 99% CI half-width.
-
-    Block i of ``chunk`` draws comes from the child stream ``rng.derive(i)``
-    (see :func:`normal_blocks`, which fills blocks on at most 2 worker
-    threads), so the estimate depends only on (seed, n_samples, chunk), not
-    on the worker count or on how blocks are scheduled.
+    Block i of 2^16 rows (the last one shorter) comes from the child stream
+    ``rng.derive(i)`` (see :func:`normal_blocks`, which fills blocks on at
+    most 2 worker threads), so the estimate depends only on (seed,
+    n_samples), not on the worker count or on how blocks are scheduled.
 
     A constant form (A = 0, b = 0) is answered exactly and draws nothing:
-    (1.0, 0.0) when c >= 0, else (0.0, 0.0), which is what sampling gives,
-    since every point has sign(c).  ``n_samples`` and ``chunk`` must be
-    integers >= 1, for every form; otherwise ValueError.
+    (1.0, 0.0) when c >= 0, else (0.0, 0.0); the estimate is what sampling
+    gives, since every point has sign(c).  ``n_samples`` must be an integer
+    >= 1, for every form; otherwise ValueError.
     """
     n_samples = _checked_int("n_samples", n_samples, 1)
-    chunk = _checked_int("chunk", chunk, 1)
     if q.is_constant:
         return (1.0 if q.c >= 0.0 else 0.0), 0.0
     hits = 0
-    for g in normal_blocks(rng, q.n, chunk, total=n_samples):
+    for g in normal_blocks(rng, q.n, 1 << 16, total=n_samples):
         hits += int(np.count_nonzero(np.asarray(sign_at(q, g)) == 1))
     p = hits / n_samples
-    half = _Z99 * math.sqrt(max(p * (1.0 - p), 0.0) / n_samples)
-    return p, half
+    return p, _wilson_half_width(p, n_samples)

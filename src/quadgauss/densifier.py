@@ -23,8 +23,9 @@ The learner is a central-cut ellipsoid over weight space: predict with the
 center, cut on each violated constraint, and keep cutting until the center
 is consistent with every example fed so far.  Each cut shrinks the
 ellipsoid volume by e^(-1/(2(m+1))), so when some halfspace separates the
-examples with margin at least ``margin_floor``, the total number of cuts
-(hence of mistakes) is at most ~2 m (m+1) ln(1/margin_floor).
+examples with margin at least ``_MARGIN_FLOOR`` = 1e-6, the total number of
+cuts (hence of mistakes) is at most ~2 m (m+1) ln(1/_MARGIN_FLOOR), the
+learner's ``cut_budget`` and the default mistake budget M.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from typing import TextIO
 import numpy as np
 
 from .counter import count_ptf_gaussian, mc_count
-from .numerics import Rng, _checked_int, log_interval_mass, normal_blocks
+from .numerics import Rng, _checked_int, _wilson_half_width, log_interval_mass, normal_blocks
 from .quadform import DecoupledConstraint, QuadraticForm, coordinate_box, decouple, sign_at
 from .sampler import PtfSampler
 
@@ -111,32 +112,32 @@ class MarginError(RuntimeError):
     constraints fed so far."""
 
 
+_MARGIN_FLOOR = 1e-6  # least margin the learner assumes a separating halfspace has
+
+
 class EllipsoidLearner:
     """Online halfspace learner by central-cut ellipsoid over weight space.
 
     predict() uses the center with sign(0) = +1; update() records the
     example, counts a mistake when the prediction was wrong, and applies
     central cuts until the center is consistent with everything recorded.
+    More than ``cut_budget`` cuts raise MarginError.
     """
 
-    def __init__(self, dim: int, margin_floor: float = 1e-6):
+    def __init__(self, dim: int):
         if dim < 2:
             raise ValueError("ellipsoid learner needs dimension >= 2")
         self.dim = dim
-        self.margin_floor = float(margin_floor)
         self.center = np.zeros(dim)
         self.shape = np.eye(dim)
         self.mistakes = 0
         self.cuts = 0
-        self.cut_budget = int(math.ceil(2.0 * dim * (dim + 1) * math.log(1.0 / margin_floor))) + dim
+        self.cut_budget = int(math.ceil(2.0 * dim * (dim + 1) * math.log(1.0 / _MARGIN_FLOOR))) + dim
         self._examples: list[tuple[np.ndarray, int]] = []
 
     @property
     def weights(self) -> np.ndarray:
         return self.center.copy()
-
-    def mistake_bound(self) -> int:
-        return self.cut_budget
 
     def predict(self, v: np.ndarray) -> int:
         return 1 if float(self.center @ v) >= 0.0 else -1
@@ -162,7 +163,7 @@ class EllipsoidLearner:
         if self.cuts > self.cut_budget:
             raise MarginError(
                 f"cut budget {self.cut_budget} exhausted; no consistent halfspace "
-                f"with margin {self.margin_floor} appears to exist"
+                f"with margin {_MARGIN_FLOOR} appears to exist"
             )
 
     def update(self, v: np.ndarray, label: int) -> None:
@@ -217,7 +218,7 @@ class DensifierConfig:
         m = feature_dim(n)
         budget = self.mistake_budget
         if budget is None:
-            budget = EllipsoidLearner(m).mistake_bound()
+            budget = EllipsoidLearner(m).cut_budget
         pos_floor = int(math.ceil((m * m + math.log(1.0 / self.delta)) / self.eps**2))
         n_pos = self.n_pos if self.n_pos is not None else pos_floor
         if n_pos < pos_floor:
@@ -279,12 +280,12 @@ def densify(
 
     ``pos_source(k)`` must return k fresh draws from the target-conditioned
     Gaussian as an array (k, n).  It is called once with k = 0, whose (0, n)
-    reply gives n; then, at the first hypothesis that is not +1 everywhere,
-    once with 1 (a point that is discarded) and once with ``n_pos`` for the
-    pool.  A run that stops at round 0 therefore draws no point.  ``p_hat`` is
-    the caller's estimate of the target mass, which the density termination
-    test compares against.  ``f_oracle`` (batch points -> +-1), when given, is
-    used only to annotate the transcript with true labels.
+    reply gives n, and then once with ``n_pos`` for the pool, at the first
+    hypothesis that is not +1 everywhere.  A run that stops at round 0
+    therefore draws no point.  ``p_hat`` is the caller's estimate of the
+    target mass, which the density termination test compares against.
+    ``f_oracle`` (batch points -> +-1), when given, is used only to annotate
+    the transcript with true labels.
 
     Returns the hypothesis as a quadratic form whose sign agrees with the
     learner, plus the full event transcript.  Raises BudgetExhaustedError if
@@ -338,7 +339,6 @@ def densify(
         # point, so it covers the pool without reading it
         if not (g.is_constant and g.c >= 0.0):
             if feats is None:
-                pos_source(1)  # discarded, so pools and transcripts match a 1-point peek of n
                 pool = np.asarray(pos_source(cfg.n_pos), dtype=float)
                 if pool.shape != (cfg.n_pos, n):
                     raise ValueError(
@@ -514,9 +514,7 @@ def planted_experiment(
         agree = 1.0 if g.c >= 0.0 else 0.0
     else:
         agree = float(np.mean(np.asarray(sign_at(g, pos(n_validation))) == 1))
-    z2 = 2.576**2 / n_validation
-    center = (agree + z2 / 2.0) / (1.0 + z2)
-    agree_ci = abs(center - agree) + math.sqrt(z2 * agree * (1.0 - agree) + z2 * z2 / 4.0) / (1.0 + z2)
+    agree_ci = _wilson_half_width(agree, n_validation)
 
     # (b) density of the target inside g's region
     g_mass, g_ci = mc_count(g, 1 << 16, rng.derive(4))

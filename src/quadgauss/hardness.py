@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Rng, _checked_int
+from .numerics import _Z99, Rng, _checked_int
 from .quadform import QuadraticForm, sign_at
 
 __all__ = [
@@ -46,7 +46,7 @@ __all__ = [
     "instance_to_dict",
 ]
 
-_Z99 = 2.5758293035489004
+_REGION_TRIES = 200_000  # proposals a region sampler tries before it gives up
 _MAX_WEIGHT = 2**60
 _MITM_LIMIT = 24
 
@@ -221,18 +221,18 @@ def _simplex_displacements(n: int, radius: float, k: int, rng: Rng) -> np.ndarra
     return radius * e[:, :n] / np.sum(e, axis=1, keepdims=True)
 
 
-def _first_accepted(propose, retry_limit: int, advice: str = "") -> np.ndarray:
+def _first_accepted(propose, advice: str = "") -> np.ndarray:
     """First accepted proposal, trying chunks of 256: ``propose(k)`` returns
     k proposals and their acceptance mask.  Raises RegionSamplingError once
-    ``retry_limit`` proposals are spent, its message ending in ``advice``."""
+    ``_REGION_TRIES`` proposals are spent, its message ending in ``advice``."""
     tried = 0
-    while tried < retry_limit:
+    while tried < _REGION_TRIES:
         x, ok = propose(256)
         hit = np.flatnonzero(ok)
         if hit.size:
             return x[hit[0]]
         tried += 256
-    raise RegionSamplingError(f"no accepted proposal in {retry_limit} tries{advice}")
+    raise RegionSamplingError(f"no accepted proposal in {_REGION_TRIES} tries{advice}")
 
 
 def sample_region_uniform_deg2(
@@ -240,11 +240,11 @@ def sample_region_uniform_deg2(
     inst: SubsetSumInstance,
     c: float = 4.0,
     rng: Rng | None = None,
-    retry_limit: int = 200_000,
 ) -> np.ndarray:
     """Uniform draw from the satisfying cluster around the solution z:
     propose uniformly on the L1 ball of radius alpha (simplex plus random
-    signs), keep proposals inside the cube with PTF value +1."""
+    signs), keep proposals inside the cube with PTF value +1.  Raises
+    RegionSamplingError when none of 200,000 proposals is kept."""
     if rng is None:
         raise ValueError("an Rng is required")
     if not inst.is_solution(z):
@@ -260,7 +260,7 @@ def sample_region_uniform_deg2(
         ok = np.all((x >= 0.0) & (x <= 1.0), axis=1)
         return x, ok & (np.asarray(sign_at(f, x)) == 1)
 
-    return _first_accepted(propose, retry_limit, "; c may be too small")
+    return _first_accepted(propose, "; c may be too small")
 
 
 @dataclass(frozen=True)
@@ -372,11 +372,11 @@ def sample_region_gauss_deg4(
     z,
     quartic: QuarticForm,
     rng: Rng,
-    retry_limit: int = 200_000,
 ) -> np.ndarray:
     """Draw from N(0,1)^n restricted to the cluster around the solution z:
     propose uniformly on the L2 ball of radius alpha, thin by the Gaussian
-    density (normalized by its maximum over the ball), keep PTF value +1."""
+    density (normalized by its maximum over the ball), keep PTF value +1.
+    Raises RegionSamplingError when none of 200,000 proposals is kept."""
     inst = SubsetSumInstance(w0=quartic.w0, w=quartic.w, variant="pm1")
     if not inst.is_solution(z):
         raise ValueError("z is not a solution of the instance")
@@ -390,7 +390,7 @@ def sample_region_gauss_deg4(
         ok = rng.uniform(k) <= accept_p
         return x, ok & (np.asarray(quartic.ptf_sign(x)) == 1)
 
-    return _first_accepted(propose, retry_limit)
+    return _first_accepted(propose)
 
 
 def _ptf_pos(f, x: np.ndarray) -> np.ndarray:

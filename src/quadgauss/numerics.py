@@ -131,6 +131,17 @@ def std_normal_cdf(x: float) -> float:
     return _ndtr(x)
 
 
+_Z99 = 2.5758293035489004  # two-sided 99% normal quantile
+
+
+def _wilson_half_width(p: float, n: int) -> float:
+    """Larger distance from a success fraction ``p`` of ``n`` trials to the
+    ends of its 99% Wilson score interval; above 0 for every p, also 0 and 1."""
+    z2 = _Z99 * _Z99 / n
+    center = (p + z2 / 2.0) / (1.0 + z2)
+    return abs(center - p) + math.sqrt(z2 * p * (1.0 - p) + z2 * z2 / 4.0) / (1.0 + z2)
+
+
 def _validate_interval(a: float, b: float) -> tuple[float, float]:
     a = float(a)
     b = float(b)

@@ -24,8 +24,8 @@ from quadgauss.counter import (
     mc_count,
 )
 from quadgauss.grid import GridSpec, support_and_log_pmf
-from quadgauss.numerics import LOG_ZERO, Rng, normal_blocks
-from quadgauss.quadform import DecoupledConstraint, QuadraticForm
+from quadgauss.numerics import LOG_ZERO, Rng, _wilson_half_width, normal_blocks
+from quadgauss.quadform import DecoupledConstraint, QuadraticForm, sign_at
 from quadgauss.sampler import PtfSampler
 
 import oracles
@@ -515,10 +515,9 @@ class TestAnswerRelativeFloor:
         for n in (3, 4, 5):
             spec = GridSpec(tau=0.25, B=2.0, n=n)
             dc = lattice_constraint(gen, n)
-            for eps in (0.05, 0.5, 1.0):
+            for eps in (0.05, 0.5, 0.9):
                 table = PrefixCDFTable.for_sampling(dc, spec, eps)
-                k = 2 * n - 3
-                step = math.expm1(-math.log1p(-eps) / k) if eps < 1.0 else math.inf
+                step = math.expm1(-math.log1p(-eps) / (2 * n - 3))
                 pmfs = [
                     support_and_log_pmf(float(dc.lam[j]), float(dc.mu[j]), spec)
                     for j in range(n - 1)
@@ -735,15 +734,25 @@ class TestMcCount:
     def test_constant_answer_matches_sampling(self, monkeypatch):
         forms = [QuadraticForm(A=np.zeros((2, 2)), b=np.zeros(2), c=c) for c in (1.0, 0.0, -1.0)]
         exact = [mc_count(q, 5000, Rng(1)) for q in forms]
-        # with the shortcut off, the same forms are sampled
+        # with the shortcut off, the same forms are sampled: the estimates
+        # agree, and only the sampled ones carry a Wilson half-width
         monkeypatch.setattr(QuadraticForm, "is_constant", property(lambda self: False))
-        assert exact == [mc_count(q, 5000, Rng(1)) for q in forms] == [
-            (1.0, 0.0), (1.0, 0.0), (0.0, 0.0)
-        ]
+        sampled = [mc_count(q, 5000, Rng(1)) for q in forms]
+        assert [e for e, _ in exact] == [e for e, _ in sampled] == [1.0, 1.0, 0.0]
+        assert all(ci == 0.0 for _, ci in exact)
+        assert all(ci > 0.0 for _, ci in sampled)
+
+    @pytest.mark.parametrize("c, mass", [(-5.0, 0.0), (5.0, 1.0)])
+    def test_no_hits_or_all_hits_keep_a_half_width(self, c, mass):
+        # x1 >= 5 has no hit in 2^16 draws and x1 >= -5 no miss; the 99%
+        # Wilson half-width there is z^2 / (n + z^2), about 1.0e-4
+        q = QuadraticForm(A=np.zeros((2, 2)), b=np.array([1.0, 0.0]), c=c)
+        z2 = 2.5758293035489004**2
+        assert mc_count(q, 1 << 16, Rng(1)) == (mass, pytest.approx(z2 / ((1 << 16) + z2), rel=1e-12))
 
     @pytest.mark.parametrize("kwargs", [
         {"n_samples": 1e4}, {"n_samples": 2.5}, {"n_samples": 0}, {"n_samples": -3},
-        {"n_samples": "100"}, {"chunk": 1024.0}, {"chunk": 0}, {"chunk": -1},
+        {"n_samples": "100"}, {"n_samples": True}, {"n_samples": None}, {"n_samples": np.float64(100.0)},
     ])
     @pytest.mark.parametrize("c", [1.0, -1.0])
     def test_bad_counts_rejected_for_every_form(self, kwargs, c):
@@ -757,9 +766,7 @@ class TestMcCount:
 
     def test_numpy_integer_counts_accepted(self):
         q = QuadraticForm(A=-np.eye(2), b=np.zeros(2), c=2.0)
-        assert mc_count(q, np.int64(5000), Rng(3), chunk=np.int32(1024)) == mc_count(
-            q, 5000, Rng(3), chunk=1024
-        )
+        assert mc_count(q, np.int64(5000), Rng(3)) == mc_count(q, 5000, Rng(3))
 
     def test_halfspace_half(self):
         q = QuadraticForm(A=np.zeros((1, 1)), b=np.array([1.0]), c=0.0)
@@ -777,18 +784,17 @@ class TestMcCount:
         b = mc_count(q, 30_000, Rng(3))
         assert a == b
 
-    def test_chunking_invariance(self):
-        q = QuadraticForm(A=-np.eye(2), b=np.zeros(2), c=2.0)
-        a = mc_count(q, 10_000, Rng(4), chunk=1 << 16)
-        b = mc_count(q, 10_000, Rng(4), chunk=1 << 16)
-        assert a == b
-
     def test_pinned_values(self):
-        # recorded with serial block draws; threaded block draws must agree
+        # threaded block draws equal the same 2^16-row blocks drawn serially
+        # here, block i from Rng(seed).derive(i); 70,001 rows end in a short
+        # second block
         chi2 = QuadraticForm(A=-np.eye(2), b=np.zeros(2), c=2.0)
-        assert mc_count(chi2, 70_001, Rng(3), chunk=1 << 12) == (
-            0.6338623733946658,
-            0.0046901272370572745,
-        )
         thin3 = QuadraticForm(A=np.zeros((3, 3)), b=np.array([1.0, 0.0, 0.0]), c=-3.0)
-        assert mc_count(thin3, 100_000, Rng(7)) == (0.00148, 0.00031313118484105855)
+        for q, n_samples, seed in ((chi2, 70_001, 3), (thin3, 100_000, 7)):
+            hits = 0
+            for i, start in enumerate(range(0, n_samples, 1 << 16)):
+                g = Rng(seed).derive(i).normal((min(1 << 16, n_samples - start), q.n))
+                hits += int(np.count_nonzero(np.asarray(sign_at(q, g)) == 1))
+            p = hits / n_samples
+            assert mc_count(q, n_samples, Rng(seed)) == (p, _wilson_half_width(p, n_samples))
+        assert mc_count(thin3, 100_000, Rng(7))[0] == 0.00148

@@ -75,10 +75,10 @@ class TestLearners:
     def test_ellipsoid_mistake_bound_on_separable_stream(self):
         gen = np.random.default_rng(1)
         dim = 6
-        learner = EllipsoidLearner(dim, margin_floor=1e-4)
+        learner = EllipsoidLearner(dim)
         for v, label in separable_stream(gen, dim, 400):
             learner.update(v, label)
-        assert learner.mistakes <= learner.mistake_bound()
+        assert learner.mistakes <= learner.cut_budget
         # consistency with everything fed so far
         for v, label in learner._examples:
             assert learner.predict(v) == label
@@ -231,7 +231,7 @@ class TestDensify:
         _, _, res = self._learning_run()
         assert res.rounds == 1 and res.mistakes == 3
         digest = hashlib.sha256(res.transcript_jsonl().encode()).hexdigest()
-        assert digest == "388c01504480ff7bbfaf3807ae6d16401282a8682faffe354b96a7c8fe08262b"
+        assert digest == "3b29c087dbade2df27a6da39cf9b22c58de28a936beb7d9ec6b0eefdd7617068"
 
     def test_negative_round_on_sampler_branch(self, monkeypatch):
         # a least acceptance rate above 1 sends every region to the sampler;
@@ -283,14 +283,23 @@ class TestDensify:
             assert event["event"] in allowed
 
     def test_coarse_kappa_raises_typed_error(self, monkeypatch):
-        # kappa = 1 rounds fed points so coarsely that the learner's
-        # prediction flips on a third of them
-        monkeypatch.setattr(densifier, "_KAPPA", 1.0)
-        f = QuadraticForm(A=np.zeros((2, 2)), b=np.array([1.0, 0.0]), c=-2.9)
+        # kappa = 4 rounds every point of the target x >= 6 (n = 1) to 8, so
+        # the learner sees the same pool whatever is drawn.  Once it has fed
+        # the round-0 negative (rounded to 0) and one pool point, it rejects
+        # only about (-1.0, 0.9).  A negative then drawn with |x| < 2 is +1
+        # raw but rounds to 0, which it rejects: about 6 in 7 of them flip,
+        # while those rounded to +-4 carry the run to its density stop
+        monkeypatch.setattr(densifier, "_KAPPA", 4.0)
+        f = QuadraticForm(A=np.zeros((1, 1)), b=np.array([1.0]), c=-6.0)
+        p = 0.5 * math.erfc(6.0 / math.sqrt(2.0))
         cfg = DensifierConfig(eps=0.2, delta=0.2, mistake_budget=30, n_pos=1000)
-        with pytest.raises(KappaFlipError, match="kappa rounding flipped") as err:
-            densify(_planted_source(f, Rng(5)), 0.00196, cfg, Rng(6))
-        assert any(e["event"] == "terminate" for e in err.value.transcript)
+        for seed in (5, 7):
+            pos = _region_source(f, decouple(f), p, 0.2, Rng(seed))
+            with pytest.raises(KappaFlipError, match="kappa rounding flipped") as err:
+                densify(pos, 1.05 * p, cfg, Rng(seed + 1))
+            assert err.value.transcript[-1]["event"] == "terminate"
+            fed_pool = [e["x"] for e in err.value.transcript if e["event"] == "pos_mistake"]
+            assert fed_pool and np.all(densifier._round_kappa(np.array(fed_pool)) == 8.0)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -384,11 +393,11 @@ class TestPlantedExperiment:
             "mistake_budget": 3050,
             "agreement": 1.0,
             # 1 - the 99% Wilson lower bound at 3000 of 3000
-            "agreement_ci": 0.0022070435178642247,
+            "agreement_ci": 0.0022067516772727967,
             # agreement 1.0 and g = +1 everywhere (MC mass exactly 1), so
             # density = p and density_ci = p * agreement_ci
             "density": 0.0013611627912770425,
-            "density_ci": 3.0041455152459714e-06,
+            "density_ci": 3.003748272691935e-06,
             "kappa_flip_fraction": 0.0,
             "passed_a": True,
             "passed_b": True,
@@ -514,7 +523,8 @@ class TestPlantedExperiment:
         assert rep["rounds"] == 0 and rep["agreement"] == 1.0
         assert requests == [(f, 0)]
         # the Wilson half-width is still the one at n_validation
-        assert rep["agreement_ci"] == pytest.approx(2.576**2 / (3000 + 2.576**2), rel=1e-12)
+        z2 = 2.5758293035489004**2
+        assert rep["agreement_ci"] == pytest.approx(z2 / (3000 + z2), rel=1e-12)
 
     def test_learning_run_still_draws_validation_points(self, monkeypatch):
         # x1 >= 4 leaves round 0; its hypothesis is not constant, so the
@@ -524,8 +534,8 @@ class TestPlantedExperiment:
         cfg = DensifierConfig(eps=0.1, delta=0.1)
         rep = planted_experiment(f, cfg, Rng(1), n_validation=3000)
         assert rep["rounds"] >= 1
-        # n from a zero-point request, then one discarded point and the pool
-        assert [k for q, k in requests if q is f] == [0, 1, cfg.resolve(f.n).n_pos, 3000]
+        # n from a zero-point request, then the pool
+        assert [k for q, k in requests if q is f] == [0, cfg.resolve(f.n).n_pos, 3000]
         assert sum(1 for q, _ in requests if q is not f) == rep["rounds"]
 
     def test_round_zero_run_draws_no_block(self, monkeypatch):

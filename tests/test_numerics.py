@@ -271,6 +271,16 @@ class TestLogProb:
         assert got == pytest.approx(math.log(want), rel=1e-10)
 
 
+class TestWilsonHalfWidth:
+    @pytest.mark.parametrize("p, n", [(0.0, 10), (0.3, 50), (1.0, 3000), (0.00148, 100_000)])
+    def test_farther_end_of_the_score_interval(self, p, n):
+        # the 99% Wilson interval's ends are the roots t of
+        # (t - p)^2 = z^2 t (1 - t) / n
+        a = 2.5758293035489004**2 / n
+        ends = np.roots([1.0 + a, -(2.0 * p + a), p * p])
+        assert numerics._wilson_half_width(p, n) == pytest.approx(max(abs(ends - p)), rel=1e-12)
+
+
 class TestRng:
     def test_seed_reproducibility(self):
         a = Rng(123).normal(1000)

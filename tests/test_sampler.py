@@ -353,12 +353,12 @@ class TestPtfSampler:
         with pytest.raises(ValueError, match=f"^{next(iter(kwargs))} must"):
             PtfSampler(q, **{"eps": 0.1, **kwargs})
 
-    def test_eps_one_kept_by_count_and_bare_table(self):
-        # only the sampler needs eps < 1: its floor check reads the table's
-        # midpoint, which an infinite budget puts at 1
+    def test_eps_one_refused_by_sampling_table_kept_by_count(self):
+        # a sampling table at eps = 1 would bound nothing; a count at eps = 1
+        # is still a (1 +- 1) answer
         spec = GridSpec(tau=0.25, B=2.0, n=3)
-        table = PrefixCDFTable.for_sampling(SKEW3, spec, 1.0)
-        assert table.mass() == 1.0
+        with pytest.raises(ValueError, match=r"^eps must lie in \(0, 1\) for sampling, got 1.0"):
+            PrefixCDFTable.for_sampling(SKEW3, spec, 1.0)
         assert 0.0 < count(SKEW3, spec, 1.0) < 1.0
 
     def test_one_table_per_sampler(self, monkeypatch):

@@ -7,7 +7,10 @@ factor before it enters and the running distribution after every step.  A
 greedy walk over the cumulative distribution keeps an atom whenever the
 cumulative mass has grown by more than a (1 + eps_step) factor since the
 last kept atom, and merges the mass of dropped atoms into the next kept atom
-to their right.  Merging rightward makes the compressed CDF F' a pointwise
+to their right.  Where the walk keeps many of a block's atoms it follows a
+jump table, every atom's next one from one vectorized search; in the wide
+windows of large convolutions, where it keeps few, it takes one search per
+kept atom.  Merging rightward makes the compressed CDF F' a pointwise
 lower bound of the running CDF F with F <= (1 + eps_step) * F', so after k
 merges the exact CDF is bracketed within a known factor
 ``err_budget = (1 + eps_step)^k``.  Count tables also start each walk at a
@@ -183,6 +186,48 @@ def _log_cumsum(logp: np.ndarray) -> np.ndarray:
     return out
 
 
+# The greedy walk crosses a block of at most _JUMP_BLOCK atoms by a jump table
+# (one vectorized search gives every atom's next one) when its bound on the
+# atoms kept there is at least 1/_JUMP_RATIO of the block, and by one search
+# per kept atom otherwise.
+_JUMP_BLOCK = 1 << 10
+_JUMP_RATIO = 16
+
+
+def _greedy_walk(cum: np.ndarray, i: int, eps_step: float, log_space: bool, kept: list) -> int:
+    """The greedy walk over the nondecreasing cumulative masses ``cum`` from
+    position i: keep i, then jump to the first position whose cumulative
+    exceeds cum[i] * (1 + eps_step), or cum[i] + log1p(eps_step) when
+    ``log_space``, until the walk leaves ``cum``.  Appends the kept
+    positions to ``kept`` and returns where the walk left.
+
+    From position i at most 1 + log(cum[j] / cum[i]) / log1p(eps_step)
+    atoms up to j are kept.  Where that bound is dense in a block, every
+    atom's next one comes from one vectorized ``searchsorted`` and the walk
+    follows the table; where it is sparse (a wide convolution window, where
+    a table would cost more than the searches it saves) the walk takes one
+    scalar search per kept atom.  Both compare the same floats, so the kept
+    positions do not depend on the route."""
+    thresh = math.log1p(eps_step)
+    step = (lambda c: c + thresh) if log_space else (lambda c: c * (1.0 + eps_step))
+    n = cum.size
+    while i < n:
+        end = min(i + _JUMP_BLOCK, n)
+        last = float(cum[end - 1])
+        span = last - cum[i] if log_space else math.log(last / cum[i])
+        if (1.0 + span / thresh) * _JUMP_RATIO >= end - i:
+            nxt = cum.searchsorted(step(cum[i:end]), "right").tolist()
+            start = i
+            while i < end:
+                kept.append(i)
+                i = nxt[i - start]
+        else:
+            while i < end:
+                kept.append(i)
+                i = int(cum.searchsorted(step(cum[i]), "right"))
+    return i
+
+
 def _merge_stream(chunks, top: float, eps_step: float, log_floor: float = LOG_ZERO):
     """Greedy rightward merge over a distribution given in ascending chunks.
 
@@ -198,10 +243,14 @@ def _merge_stream(chunks, top: float, eps_step: float, log_floor: float = LOG_ZE
     atom to their right, so kept anchors retain their exact cumulative
     mass.  Returns the kept (values, log masses).
 
-    The walk compares scaled linear cumulative sums; over the leading sums
-    below ``_LINEAR_FLOOR`` it compares their logs instead.  The cumulative
-    sum, the pending run and the next threshold carry over from chunk to
-    chunk, so the result does not depend on where the chunks split."""
+    The walk (``_greedy_walk``) compares scaled linear cumulative sums; over
+    the leading sums below ``_LINEAR_FLOOR`` it compares their logs instead.
+    It follows a jump table where it keeps many atoms of a chunk, as in
+    sparsified factors and small windows, and keeps one search per kept
+    atom in the wide windows of large convolutions, where it keeps few.
+    The cumulative sum, the pending run and the next threshold carry over
+    from chunk to chunk, so the result does not depend on where the chunks
+    split."""
     thresh = math.log1p(eps_step)
     grow = 1.0 + eps_step
     kept_v, kept_lp = [], []
@@ -223,20 +272,20 @@ def _merge_stream(chunks, top: float, eps_step: float, log_floor: float = LOG_ZE
             log_cum_prev = log_head[-1]
         kept = []
         if in_log:
-            i = int(log_head.searchsorted(target, "right")) if head else 0
-            while i < head:
-                kept.append(i)
-                target = log_head[i] + thresh
-                i = int(log_head.searchsorted(target, "right"))
+            i = 0
+            if head:
+                i = _greedy_walk(log_head, int(log_head.searchsorted(target, "right")), eps_step, True, kept)
+                if kept:
+                    target = log_head[kept[-1]] + thresh
             if i < n:  # the walk leaves the head in this chunk
                 in_log, target = False, math.exp(target)
                 i = max(head, int(cum.searchsorted(target, "right")))
         else:
             i = int(cum.searchsorted(target, "right"))
-        while i < n:
-            kept.append(i)
-            target = cum[i] * grow
-            i = int(cum.searchsorted(target, "right"))
+        in_head = len(kept)
+        _greedy_walk(cum, i, eps_step, False, kept)
+        if len(kept) > in_head:
+            target = cum[kept[-1]] * grow
         ends = np.asarray(kept, dtype=np.intp)
         ends = ends[ends < n - 1] + 1
         runs = _run_log_sums(p, np.concatenate(([0], starts[ends])), log_terms)
@@ -753,15 +802,20 @@ def _checked_grid(
 
 
 def _prepare(q: QuadraticForm | DecoupledConstraint, cfg: RoundingConfig):
-    """``(decoupled, rounded, mass)`` for ``q``: decoupled unless it already
-    is, then normalized and rounded by ``cfg``.  A constant form has
-    ``rounded`` None and its exact ``mass``, 0 or 1; any other ``mass`` None."""
-    dc = decouple(q) if isinstance(q, QuadraticForm) else q
+    """``(rounded, mass)`` for ``q``: decoupled unless it already is, then
+    normalized and rounded by ``cfg``; ``rounded`` keeps the rotation.  A
+    constant form has ``rounded`` None and its exact ``mass``, 0 or 1; any
+    other ``mass`` None.  A constant ``QuadraticForm`` (A = 0, b = 0) is
+    answered from the sign of c without decoupling."""
+    if isinstance(q, QuadraticForm):
+        if q.is_constant:
+            return None, 1.0 if q.c >= 0.0 else 0.0
+        q = decouple(q)
     try:
-        nz = normalize(dc)
+        nz = normalize(q)
     except ConstantPolynomialError as err:
-        return dc, None, err.mass
-    return dc, round_coefficients(nz, cfg), None
+        return None, err.mass
+    return round_coefficients(nz, cfg), None
 
 
 def count_ptf_gaussian(
@@ -779,11 +833,12 @@ def count_ptf_gaussian(
     (default ``default_trunc_radius``).  The estimate is within (1 +- eps)
     of the grid mass of that rounded, truncated instance; the gap to the
     Gaussian mass of ``q`` is not bounded (see ``CountResult``).  Constant
-    polynomials are answered exactly.  Estimates below 2^(-4n) are flagged,
-    not suppressed.  A bad setting raises ValueError before any work.
+    polynomials are answered exactly, a constant ``QuadraticForm`` without
+    decoupling.  Estimates below 2^(-4n) are flagged, not suppressed.  A
+    bad setting raises ValueError before any work.
     """
     cfg, spec, floor = _checked_grid(q, eps, tau, trunc_B, gamma)
-    _, rounded, estimate = _prepare(q, cfg)
+    rounded, estimate = _prepare(q, cfg)
     if rounded is not None:
         estimate = count(rounded, spec, eps)
     return CountResult(estimate=estimate, eps=eps, below_floor=estimate < floor, floor=floor)

@@ -8,7 +8,8 @@ covered.  The dimension n comes from a zero-point request to the positive
 source, and the pool is drawn only when a hypothesis could reject one of its
 points: the starting hypothesis, +1 everywhere, covers any pool, so a run
 that stops at round 0 draws no point at all.  Once the pool is covered, the
-hypothesis region's Gaussian mass is counted to within (1 +- delta), and
+hypothesis region's Gaussian mass is counted to within (1 +- delta) (the
+constant starting hypothesis exactly, without decoupling it), and
 either the caller's target mass estimate p_hat is already a gamma/2
 fraction of it (terminate: the hypothesis is dense enough) or a
 fresh point drawn from the Gaussian conditioned on the hypothesis (by
@@ -282,8 +283,11 @@ def densify(
     Gaussian as an array (k, n).  It is called once with k = 0, whose (0, n)
     reply gives n, and then once with ``n_pos`` for the pool, at the first
     hypothesis that is not +1 everywhere.  A run that stops at round 0
-    therefore draws no point.  ``p_hat`` is the caller's estimate of the
-    target mass, which the density termination test compares against.
+    therefore draws no point.  A constant hypothesis is counted exactly
+    and decoupled only when a negative is drawn from it, so a run that
+    stops at round 0 makes no eigensolve either.  ``p_hat`` is the caller's
+    estimate of the target mass, which the density termination test
+    compares against.
     ``f_oracle`` (batch points -> +-1), when given, is used only to annotate
     the transcript with true labels.
 
@@ -352,7 +356,9 @@ def densify(
                 j = int(bad[0])
                 feed(pool[j], feats[j], +1, "pos_mistake", rounds)
                 continue
-        dc = decouple(g)
+        # a constant g is counted without decoupling, and decoupled only
+        # when a negative is drawn from it
+        dc = g if g.is_constant else decouple(g)
         res = count_ptf_gaussian(dc, cfg.delta)
         transcript.append({"step": rounds, "event": "count", "estimate": res.estimate})
         if p_hat >= 0.5 * cfg.gamma * res.estimate:
@@ -374,6 +380,8 @@ def densify(
             raise BudgetExhaustedError(
                 f"round budget {max_rounds} exhausted", transcript
             )
+        if dc is g:
+            dc = decouple(g)
         x = _region_source(g, dc, res.estimate, cfg.eps, rng.derive(rounds))(1)[0]
         feed(x, feature_map(_round_kappa(x)), -1, "neg_feed", rounds)
         rounds += 1

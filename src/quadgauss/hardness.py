@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import _Z99, Rng, _checked_int
+from .numerics import _Z99, Rng, _checked_int, _wilson_half_width
 from .quadform import QuadraticForm, sign_at
 
 __all__ = [
@@ -413,7 +413,9 @@ def region_mass_mc(
     satisfying cluster within ``radius`` of the Boolean point z.
 
     cube-uniform: importance proposal uniform on the inward L1 simplex at a
-    cube vertex, whose Lebesgue volume radius^n/n! is known exactly.
+    cube vertex, whose Lebesgue volume radius^n/n! is known exactly; the
+    half-width is that volume times the Wilson half-width of the hit
+    fraction, so it is not 0 when every proposal hits or none does.
     gaussian: proposal uniform on the L2 ball, reweighted by the Gaussian
     density times the ball volume.
     """
@@ -432,8 +434,7 @@ def region_mass_mc(
         hit = _ptf_pos(f, x)
         p = float(np.mean(hit))
         est = vol * p
-        half = _Z99 * vol * math.sqrt(max(p * (1.0 - p), 0.0) / n_samples)
-        return est, half
+        return est, vol * _wilson_half_width(p, n_samples)
     if measure == "gaussian":
         x = _l2_ball_proposals(z, radius, n_samples, rng)
         log_vol = 0.5 * n * math.log(math.pi) + n * math.log(radius) - math.lgamma(0.5 * n + 1.0)

@@ -32,6 +32,7 @@ import os
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from functools import cached_property
 from statistics import NormalDist
 
 import numpy as np
@@ -270,16 +271,25 @@ class Rng:
     consumers, derive children instead.  Block draws through
     :func:`normal_blocks` use at most 2 worker threads, and their output does
     not depend on the worker count.
+
+    The Philox generator is built on the first ``uniform``, ``normal`` or
+    ``exponential`` call, so a stream used only as a ``derive`` parent or as
+    the seed and key of :func:`normal_blocks` never builds one.
     """
 
     def __init__(self, seed: int, _spawn_key: tuple[int, ...] = ()):
         self.seed = _checked_int("seed", seed, 0)
         self.spawn_key = tuple(int(k) for k in _spawn_key)
-        self._gen = _philox(self.seed, self.spawn_key)
+
+    @cached_property
+    def _gen(self) -> np.random.Generator:
+        return _philox(self.seed, self.spawn_key)
 
     def derive(self, index: int) -> "Rng":
-        """Independent child stream; deterministic in (seed, path, index)."""
-        return Rng(self.seed, self.spawn_key + (int(index),))
+        """Independent child stream; deterministic in (seed, path, index).
+        ``index`` must be an integer >= 0, else ValueError here, not at the
+        child's first draw."""
+        return Rng(self.seed, self.spawn_key + (_checked_int("index", index, 0),))
 
     def uniform(self, size=None):
         return self._gen.random(size)

@@ -167,9 +167,9 @@ class PtfSampler:
         self.original = q
         self.eps = float(eps)
         self.filter_rejections = 0
-        dc, self.rounded, mass = _prepare(q, cfg)
-        self.rotation = dc.rotation
+        self.rounded, mass = _prepare(q, cfg)
         if self.rounded is not None:  # else q is constant, of exact mass 0 or 1
+            self.rotation = self.rounded.rotation
             self.table = PrefixCDFTable.for_sampling(self.rounded, self.spec, self.eps)
             mass = self.table.mass()
         if mass < floor or mass == 0.0:

@@ -544,6 +544,74 @@ class TestAnswerRelativeFloor:
         assert with_floor <= 0.7 * formed[0]
 
 
+def by_each_route(monkeypatch, kernel, *args):
+    """``kernel(*args)`` with every block of the greedy walk crossed by one
+    search per kept atom (``_JUMP_RATIO`` 0), then by jump table (inf); the
+    two results must be bit-identical."""
+    results = []
+    for ratio in (0.0, math.inf):
+        monkeypatch.setattr(counter, "_JUMP_RATIO", ratio)
+        results.append(kernel(*args))
+    (scalar_v, scalar_lp), (table_v, table_lp) = results
+    assert np.array_equal(scalar_v, table_v)
+    assert np.array_equal(scalar_lp, table_lp)
+    return table_v, table_lp
+
+
+class TestWalkRoutes:
+    """The greedy walk keeps the same atoms by jump table and by scalar
+    steps, across chunk carries, jump blocks and floors in the log head."""
+
+    @pytest.mark.parametrize("block, jump_block", [(61, 7), (97, 1 << 10)])
+    def test_routes_agree_with_log_space_reference(self, monkeypatch, block, jump_block):
+        # 7-atom jump blocks: a table walk crosses many blocks per chunk
+        monkeypatch.setattr(counter, "_PAIR_BLOCK", block)
+        monkeypatch.setattr(counter, "_SAMPLE_STRIDE", 1)
+        monkeypatch.setattr(counter, "_JUMP_BLOCK", jump_block)
+        gen = np.random.default_rng(23)
+        for _ in range(8):
+            a = random_lattice_pmf(gen, int(gen.integers(2, 100)))
+            b = random_lattice_pmf(gen, int(gen.integers(2, 100)))
+            exact = oracles.convolve_log(*a, *b)
+            for log_floor in (LOG_ZERO, *floors_between_cumulatives(gen, exact[1], 2)):
+                for eps_step in (1e-3, 1e-2, 0.3):
+                    want_v, want_lp = oracles.sparsify_log(*exact, eps_step, log_floor)
+                    for kernel, args in ((_convolve_sparsify, (*a, *b)), (_sparsify, exact)):
+                        got_v, got_lp = by_each_route(monkeypatch, kernel, *args, eps_step, log_floor)
+                        assert np.array_equal(got_v, want_v)
+                        np.testing.assert_allclose(got_lp, want_lp, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("jump_block", [3, 1 << 10])
+    def test_routes_agree_at_exact_ties(self, monkeypatch, jump_block):
+        # masses 1, 1, 2, 4, ... have cumulative sums 2^i, so at step 1 each
+        # next threshold equals a cumulative exactly; that atom has not grown
+        # by more than the step, so every other atom merges
+        monkeypatch.setattr(counter, "_JUMP_BLOCK", jump_block)
+        p = np.concatenate(([1.0], 2.0 ** np.arange(20)))
+        values = np.arange(p.size, dtype=float)
+        chunk = (values, p, np.arange(p.size), lambda pos: np.log(p[pos]))
+        got_v, got_lp = by_each_route(monkeypatch, counter._merge_stream, [chunk], 0.0, 1.0)
+        assert np.array_equal(got_v, values[::2])
+        np.testing.assert_allclose(np.exp(got_lp), [1.0, *(3.0 * 2.0 ** np.arange(0, 19, 2))])
+
+    @pytest.mark.parametrize("block", [61, 97, 1 << 16])
+    def test_routes_agree_with_floors_in_the_log_head(self, monkeypatch, block):
+        # B = 40: the walk starts in the log-space head and leaves it for the
+        # linear part, in one chunk or across many
+        monkeypatch.setattr(counter, "_PAIR_BLOCK", block)
+        monkeypatch.setattr(counter, "_SAMPLE_STRIDE", 1 if block < 1 << 16 else 32)
+        spec = GridSpec(tau=0.5, B=40.0, n=2)
+        f1 = support_and_log_pmf(-0.5, 0.25, spec)
+        f2 = support_and_log_pmf(-0.25, 0.0, spec)
+        exact = oracles.convolve_log(*f1, *f2)
+        for log_floor in (LOG_ZERO, -1100.0, -900.0, -720.0, -30.0):
+            want_v, want_lp = oracles.sparsify_log(*exact, 1e-3, log_floor)
+            for kernel, args in ((_convolve_sparsify, (*f1, *f2)), (_sparsify, exact)):
+                got_v, got_lp = by_each_route(monkeypatch, kernel, *args, 1e-3, log_floor)
+                assert np.array_equal(got_v, want_v)
+                np.testing.assert_allclose(got_lp, want_lp, rtol=1e-13, atol=1e-12)
+
+
 class CountingPool(ThreadPoolExecutor):
     """A worker pool that counts the tasks submitted to it."""
 

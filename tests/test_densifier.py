@@ -550,6 +550,27 @@ class TestPlantedExperiment:
             rep = planted_experiment(f, DensifierConfig(eps=0.1, delta=0.1), Rng(1), n_validation=3000)
             assert rep["rounds"] == 0
 
+    def test_round_zero_run_builds_no_generator_and_one_eigensolve(self, monkeypatch):
+        # each stream of a round-0 run is only a derive parent or a block
+        # seed, so none builds its generator; the target's decouple is the
+        # one eigensolve, as g = R^n is counted without decoupling
+        calls = {"philox": 0, "jacobi": 0}
+
+        def counting(name, real):
+            def counted(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return counted
+
+        monkeypatch.setattr(numerics, "_philox", counting("philox", numerics._philox))
+        monkeypatch.setattr(quadform, "jacobi_eigen", counting("jacobi", quadform.jacobi_eigen))
+        for f in C7_TARGETS:
+            calls.update(philox=0, jacobi=0)
+            rep = planted_experiment(f, DensifierConfig(eps=0.1, delta=0.1), Rng(1), n_validation=3000)
+            assert rep["rounds"] == 0
+            assert calls == {"philox": 0, "jacobi": 1}
+
     def test_constant_positive_target(self):
         f = QuadraticForm(A=np.zeros((2, 2)), b=np.zeros(2), c=1.0)
         rep = planted_experiment(f, DensifierConfig(eps=0.1, delta=0.1), Rng(12))

@@ -20,7 +20,7 @@ from quadgauss.hardness import (
     sample_region_gauss_deg4,
     sample_region_uniform_deg2,
 )
-from quadgauss.numerics import Rng
+from quadgauss.numerics import Rng, _wilson_half_width
 from quadgauss.quadform import QuadraticForm, evaluate, sign_at
 
 W_35 = SubsetSumInstance(w0=8, w=(3, 5), variant="cube01")
@@ -474,6 +474,17 @@ class TestRegionMassMc:
             for other in sols:
                 if other != z:
                     assert np.sum(np.abs(x - np.asarray(other, float))) > beta
+
+    def test_all_hits_keep_a_half_width(self):
+        # every point of the inner L1 ball of radius beta at (1, 1) satisfies
+        # f, so all 4096 proposals hit; the Wald half-width read 0 there
+        _, f = gen_deg2_cube_instance(W_35)
+        _, beta = alpha_beta_deg2(W_35)
+        est, ci = region_mass_mc(f, (1, 1), beta, "cube-uniform", 4096, Rng(0))
+        vol = beta * beta / 2.0
+        assert est == pytest.approx(vol, rel=1e-12)
+        assert ci == pytest.approx(vol * _wilson_half_width(1.0, 4096), rel=1e-12)
+        assert ci > 0.0
 
     @pytest.mark.parametrize("measure", ["cube-uniform", "gaussian"])
     @pytest.mark.parametrize("n_samples", [2.5, 1e4, -1, 0])

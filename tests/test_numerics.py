@@ -311,6 +311,24 @@ class TestRng:
     def test_numpy_integer_seed(self):
         assert np.array_equal(Rng(np.int64(3)).normal(5), Rng(3).normal(5))
 
+    def test_generator_built_on_first_draw(self, monkeypatch):
+        built = []
+        real = numerics._philox
+        monkeypatch.setattr(numerics, "_philox", lambda *args: built.append(args) or real(*args))
+        rng = Rng(5).derive(2)
+        assert built == []
+        got = rng.normal(8)
+        assert built == [(5, (2,))]
+        ss = np.random.SeedSequence(5, spawn_key=(2,))
+        assert np.array_equal(got, np.random.Generator(np.random.Philox(ss)).standard_normal(8))
+        rng.uniform(3)
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("index", [-1, 2.5])
+    def test_derive_rejects_bad_index(self, index):
+        with pytest.raises(ValueError, match="^index must be"):
+            Rng(1).derive(index)
+
 
 def _serial_blocks(rng, n, size, first, total):
     # the definition normal_blocks must reproduce, one block at a time

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from quadgauss import counter
+from quadgauss import counter, quadform
 from quadgauss.counter import PrefixCDFTable, count, exact_tail_bruteforce
 from quadgauss.grid import GridSpec
 from quadgauss.numerics import Rng
@@ -287,6 +287,16 @@ class TestPtfSampler:
         s = PtfSampler(q, 0.1)
         pts = s.sample_batch(5000, Rng(8))
         assert abs(pts.mean()) < 0.05
+
+    def test_constant_form_draws_normals_without_decoupling(self, monkeypatch):
+        def no_eigensolve(A):
+            raise AssertionError("a constant form was decoupled")
+
+        monkeypatch.setattr(quadform, "jacobi_eigen", no_eigensolve)
+        q = QuadraticForm(A=np.zeros((3, 3)), b=np.zeros(3), c=0.0)
+        pts = PtfSampler(q, 0.1).sample_batch(4, Rng(8))
+        ref = Rng(8)
+        assert np.array_equal(pts, [ref.normal(3) for _ in range(4)])
 
     @pytest.mark.parametrize("k", [2.5, -1])
     def test_sample_batch_rejects_bad_counts(self, k):

@@ -46,7 +46,6 @@ from .quadform import (
     RoundingConfig,
     decouple,
     evaluate,
-    gaussian_variance,
     load_instance,
     normalize,
     round_coefficients,
@@ -89,7 +88,6 @@ __all__ = [
     "evaluate",
     "exact_tail_bruteforce",
     "feature_map",
-    "gaussian_variance",
     "gen_deg2_cube_instance",
     "gen_deg4_gauss_instance",
     "interval_mass",

@@ -24,8 +24,6 @@ import json
 import sys
 from contextlib import nullcontext
 
-import numpy as np
-
 from . import hardness
 from .counter import (
     DEFAULT_EPS,
@@ -235,7 +233,6 @@ _EXIT_CODES = (
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        np.seterr(all="ignore")  # log-domain arithmetic trips benign under/overflow
         return args.func(args)
     except tuple(kind for kind, _ in _EXIT_CODES) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -143,9 +143,6 @@ class CompressedCDF:
         out = np.where(idx == 0, LOG_ZERO, self.log_cum[idx - 1])
         return out if out.ndim else float(out)
 
-    def query(self, t):
-        return np.exp(self.log_query(t))
-
 
 # A linear-space sum scaled by the call's largest mass keeps double precision
 # once it reaches this floor: each term it may have lost to underflow is

@@ -262,9 +262,6 @@ class DensifyResult:
     kappa_flip_fraction: float = 0.0
     density_estimate: float = 1.0
 
-    def transcript_jsonl(self) -> str:
-        return "\n".join(json.dumps(e, sort_keys=True) for e in self.transcript)
-
 
 def _round_kappa(x: np.ndarray) -> np.ndarray:
     return np.rint(np.asarray(x, dtype=float) / _KAPPA) * _KAPPA

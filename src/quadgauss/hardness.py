@@ -238,15 +238,13 @@ def _first_accepted(propose, advice: str = "") -> np.ndarray:
 def sample_region_uniform_deg2(
     z,
     inst: SubsetSumInstance,
-    c: float = 4.0,
-    rng: Rng | None = None,
+    c: float,
+    rng: Rng,
 ) -> np.ndarray:
     """Uniform draw from the satisfying cluster around the solution z:
     propose uniformly on the L1 ball of radius alpha (simplex plus random
     signs), keep proposals inside the cube with PTF value +1.  Raises
     RegionSamplingError when none of 200,000 proposals is kept."""
-    if rng is None:
-        raise ValueError("an Rng is required")
     if not inst.is_solution(z):
         raise ValueError("z is not a solution of the instance")
     z = np.asarray(z, dtype=float)
@@ -417,7 +415,10 @@ def region_mass_mc(
     half-width is that volume times the Wilson half-width of the hit
     fraction, so it is not 0 when every proposal hits or none does.
     gaussian: proposal uniform on the L2 ball, reweighted by the Gaussian
-    density times the ball volume.
+    density times the ball volume, with a Wald half-width from the weights'
+    spread.  When no proposal hits, that spread is 0, so the half-width is
+    the largest weight (the volume times the density at the ball's point
+    nearest 0) times the Wilson half-width of 0 hits.
     """
     n_samples = _checked_int("n_samples", n_samples, 1)
     z = np.asarray(z, dtype=float)
@@ -438,8 +439,14 @@ def region_mass_mc(
     if measure == "gaussian":
         x = _l2_ball_proposals(z, radius, n_samples, rng)
         log_vol = 0.5 * n * math.log(math.pi) + n * math.log(radius) - math.lgamma(0.5 * n + 1.0)
-        dens = np.exp(-0.5 * np.sum(x * x, axis=1) - 0.5 * n * math.log(2 * math.pi))
-        wts = np.where(_ptf_pos(f, x), dens, 0.0) * math.exp(log_vol)
+        log_norm = -0.5 * n * math.log(2 * math.pi)
+        hit = _ptf_pos(f, x)
+        if not hit.any():
+            near = max(float(np.linalg.norm(z)) - radius, 0.0)
+            top = math.exp(log_vol + log_norm - 0.5 * near * near)
+            return 0.0, top * _wilson_half_width(0.0, n_samples)
+        dens = np.exp(-0.5 * np.sum(x * x, axis=1) + log_norm)
+        wts = np.where(hit, dens, 0.0) * math.exp(log_vol)
         est = float(np.mean(wts))
         half = _Z99 * float(np.std(wts)) / math.sqrt(n_samples)
         return est, half

@@ -475,22 +475,19 @@ def _cell_quantile(a: float, b: float, u: float) -> float:
     return max(min(x, math.nextafter(b, -math.inf)), a)
 
 
-def truncated_normal_sample(a: float, b: float, rng: Rng, size=None):
-    """Draw from N(0,1) conditioned on [a, b), by inverse CDF.
+def truncated_normal_sample(a: float, b: float, rng: Rng) -> float:
+    """One draw from N(0,1) conditioned on [a, b), by inverse CDF of one
+    ``rng.uniform()``.
 
     Endpoints may be infinite.  The law is exact up to float resolution even
     for cells deep in the tails (the inversion runs in log-survival space).
-    Returns a float when ``size`` is None, else an ndarray.
     """
     a, b = _validate_interval(a, b)
     if a == b:
         raise ValueError("degenerate interval has zero mass")
     if not (interval_mass(a, b) > 0.0) and not (log_interval_mass(a, b) > LOG_ZERO):
         raise ValueError(f"zero-mass interval [{a}, {b})")
-    if size is None:
-        return _cell_quantile(a, b, rng.uniform())
-    u = rng.uniform(size)
-    return np.array([_cell_quantile(a, b, v) for v in u.ravel().tolist()]).reshape(u.shape)
+    return _cell_quantile(a, b, rng.uniform())
 
 
 class EigenConvergenceError(RuntimeError):

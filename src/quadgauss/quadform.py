@@ -9,10 +9,12 @@ sampling) works with.  Under a standard normal input the rotated coordinates
 are again independent standard normals, so the decoupled constraint is a sum
 of independent one-dimensional pieces.
 
-``normalize`` rescales so sum(lam^2 + mu^2) = 1 and ``round_coefficients``
-snaps lam, mu onto the lattice gamma*Z; both leave the acceptance region
-unchanged up to the documented perturbation bounds.  ``coordinate_box``
-bounds the region coordinate by coordinate, in closed form.
+``normalize`` rescales so sum(lam^2 + mu^2) = 1, at any finite scale of
+the input, and ``round_coefficients`` snaps lam, mu onto the lattice
+gamma*Z; both leave the acceptance region unchanged up to the documented
+perturbation bounds.  Whether a constraint is normalized is read from its
+coefficients, not stored with them.  ``coordinate_box`` bounds the region
+coordinate by coordinate, in closed form.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ __all__ = [
     "coordinate_box",
     "normalize",
     "round_coefficients",
-    "gaussian_variance",
     "instance_to_dict",
     "instance_from_dict",
     "load_instance",
@@ -45,11 +46,11 @@ __all__ = [
 
 
 class ConstantPolynomialError(ValueError):
-    """The constraint has no variable part; the caller should answer from
-    the sign of the constant directly."""
+    """The constraint has no variable part, or one that is negligible beside
+    theta; the caller should answer from the sign of the constant directly."""
 
     def __init__(self, theta: float):
-        super().__init__("constant polynomial: all of lambda, mu are zero")
+        super().__init__("constant polynomial: lambda, mu are zero or negligible beside theta")
         self.theta = float(theta)
         #: Gaussian measure of the acceptance region (0 or 1 exactly).
         self.mass = 1.0 if theta >= 0.0 else 0.0
@@ -118,13 +119,16 @@ def sign_at(q: QuadraticForm, x: np.ndarray) -> int | np.ndarray:
 @dataclass(frozen=True)
 class DecoupledConstraint:
     """Acceptance region 'sum_i lam_i y_i^2 + mu_i y_i <= theta' in rotated
-    coordinates y, with x = rotation @ y mapping back to the original space."""
+    coordinates y, with x = rotation @ y mapping back to the original space.
+
+    Every value is finite and the shapes agree, or ValueError.  Any scale of
+    (lam, mu, theta) describes the same region; ``normalize`` picks the one
+    with sum(lam^2 + mu^2) = 1, which ``round_coefficients`` checks."""
 
     lam: np.ndarray
     mu: np.ndarray
     theta: float
     rotation: np.ndarray
-    normalized: bool = False
 
     def __post_init__(self) -> None:
         lam = _readonly(np.atleast_1d(self.lam))
@@ -139,10 +143,6 @@ class DecoupledConstraint:
             raise ValueError("lambda, mu, rotation have inconsistent shapes")
         if not (all(np.isfinite(a).all() for a in (lam, mu, rot)) and math.isfinite(self.theta)):
             raise ValueError("lambda, mu, theta and rotation must be finite")
-        if self.normalized:
-            total = float(np.sum(lam**2) + np.sum(mu**2))
-            if abs(total - 1.0) > 1e-10:
-                raise ValueError(f"normalized flag set but sum of squares = {total}")
 
     @property
     def n(self) -> int:
@@ -197,9 +197,7 @@ def decouple(q: QuadraticForm) -> DecoupledConstraint:
     {R y : sum_i (-w_i) y_i^2 + (-R^T b)_i y_i <= c}.
     """
     w, r = jacobi_eigen(q.A)
-    return DecoupledConstraint(
-        lam=-w, mu=-(r.T @ q.b), theta=q.c, rotation=r, normalized=False
-    )
+    return DecoupledConstraint(lam=-w, mu=-(r.T @ q.b), theta=q.c, rotation=r)
 
 
 # Outward margin of each finite end of a coordinate box, relative to the end:
@@ -264,24 +262,30 @@ def coordinate_box(dc: DecoupledConstraint) -> tuple[np.ndarray, np.ndarray]:
 
 
 def normalize(dc: DecoupledConstraint) -> DecoupledConstraint:
-    """Scale (lam, mu, theta) so that sum(lam^2 + mu^2) = 1.
+    """Scale (lam, mu, theta) so that sum(lam^2 + mu^2) = 1 to within a few
+    roundings, with the region unchanged.
 
-    Raises ConstantPolynomialError when all coefficients vanish; the error
-    carries the 0/1 answer derived from the sign of theta.
+    The coefficients are first divided by the power of two at the largest
+    |coefficient|, which is exact, so no square overflows or underflows to
+    0 at any finite scale and the result is the same as without that step.
+    Raises ConstantPolynomialError when all coefficients vanish, or when
+    the scaled theta overflows, so that the region holds all or none of the
+    Gaussian mass in floats; the error carries the 0/1 answer derived from
+    the sign of theta.
     """
-    total = float(np.sum(dc.lam**2) + np.sum(dc.mu**2))
-    if total == 0.0:
+    top = max(float(np.max(np.abs(dc.lam))), float(np.max(np.abs(dc.mu))))
+    if top == 0.0:
         raise ConstantPolynomialError(dc.theta)
-    s = 1.0 / math.sqrt(total)
-    out = replace(
-        dc, lam=dc.lam * s, mu=dc.mu * s, theta=dc.theta * s, normalized=False
-    )
-    # Renormalize once more against float drift before stamping the flag.
-    t2 = float(np.sum(out.lam**2) + np.sum(out.mu**2))
-    if abs(t2 - 1.0) > 1e-12:
-        s2 = 1.0 / math.sqrt(t2)
-        out = replace(out, lam=out.lam * s2, mu=out.mu * s2, theta=out.theta * s2)
-    return replace(out, normalized=True)
+    e = -math.frexp(top)[1]
+    lam, mu = np.ldexp(dc.lam, e), np.ldexp(dc.mu, e)
+    s = 1.0 / math.sqrt(float(np.sum(lam**2) + np.sum(mu**2)))
+    try:
+        theta = math.ldexp(dc.theta * s, e)
+    except OverflowError:
+        theta = math.inf
+    if math.isinf(theta):
+        raise ConstantPolynomialError(dc.theta)
+    return replace(dc, lam=lam * s, mu=mu * s, theta=theta)
 
 
 def round_coefficients(
@@ -289,12 +293,13 @@ def round_coefficients(
 ) -> DecoupledConstraint:
     """Snap lam and mu to the nearest integral multiples of gamma.
 
-    Requires a normalized input and n*gamma^2 <= 1/4; under that precondition
+    Requires a normalized input, |sum(lam^2 + mu^2) - 1| <= 1e-10 as
+    ``normalize`` leaves it, and n*gamma^2 <= 1/4; under that precondition
     the rounded coefficients certify 1/2 <= sum(lam'^2 + mu'^2) <= 3/2 and
     the total squared perturbation is at most n*gamma^2/2.  theta is left
-    untouched.
+    untouched.  Either precondition failing raises ValueError.
     """
-    if not dc.normalized:
+    if abs(float(np.sum(dc.lam**2) + np.sum(dc.mu**2)) - 1.0) > 1e-10:
         raise ValueError("round_coefficients requires a normalized constraint")
     g = cfg.gamma
     if dc.n * g * g > 0.25:
@@ -306,16 +311,7 @@ def round_coefficients(
         raise ValueError(
             f"rounded coefficient mass {total} escaped [1/2, 3/2]; gamma too coarse"
         )
-    return replace(dc, lam=lam, mu=mu, normalized=False)
-
-
-def gaussian_variance(dc: DecoupledConstraint) -> float:
-    """Variance of sum_i lam_i G_i^2 + mu_i G_i under independent N(0,1).
-
-    Each summand splits into orthogonal Hermite components of variances
-    2*lam_i^2 and mu_i^2.
-    """
-    return float(np.sum(2.0 * dc.lam**2 + dc.mu**2))
+    return replace(dc, lam=lam, mu=mu)
 
 
 # --- instance (de)serialization, shared with the CLI ---------------------

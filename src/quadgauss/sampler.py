@@ -209,16 +209,10 @@ def sample_ptf_gaussian(
     q: QuadraticForm | DecoupledConstraint,
     eps: float,
     rng: Rng,
-    k: int | None = None,
+    k: int,
     exact_filter: bool = False,
     **kwargs,
 ) -> np.ndarray:
-    """One-shot convenience wrapper around :class:`PtfSampler`.
-
-    Returns a single point of shape (n,) when ``k`` is None, else a (k, n)
-    batch drawn from one shared pipeline.
-    """
-    sampler = PtfSampler(q, eps, **kwargs)
-    if k is None:
-        return sampler.sample(rng, exact_filter=exact_filter)
-    return sampler.sample_batch(k, rng, exact_filter=exact_filter)
+    """One-shot convenience wrapper around :class:`PtfSampler`: a (k, n)
+    batch drawn from one pipeline built with ``kwargs``."""
+    return PtfSampler(q, eps, **kwargs).sample_batch(k, rng, exact_filter=exact_filter)

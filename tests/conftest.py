@@ -8,8 +8,6 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-np.seterr(all="ignore")
-
 
 @pytest.fixture
 def rng():

@@ -82,6 +82,27 @@ class TestCount:
         assert code == 2
         assert json.loads(out)["below_floor"] is True
 
+    @pytest.mark.parametrize("s", [1e-200, 1e-100, 1e100, 1e200])
+    def test_scaled_region_counts_like_unscaled(self, tmp_path, capsys, s):
+        # s*x^2 - s >= 0 is x^2 >= 1 at every scale; at 1e+-200 the squares
+        # of the coefficients overflow or underflow to 0
+        def estimate(scale):
+            path = tmp_path / f"scaled{scale}.json"
+            save_instance(
+                QuadraticForm(A=np.full((1, 1), scale), b=np.zeros(1), c=-scale), str(path)
+            )
+            code, out = run_inproc(["count", "--instance", str(path)], capsys)
+            assert code == 0
+            return json.loads(out)["estimate"]
+
+        assert estimate(s) == pytest.approx(estimate(1.0), rel=1e-12)
+
+    def test_main_leaves_numpy_error_state_alone(self, chi2_instance, capsys):
+        with np.errstate(all="warn"):
+            code, _ = run_inproc(["count", "--instance", chi2_instance], capsys)
+            assert code == 0
+            assert set(np.geterr().values()) == {"warn"}
+
     def test_zero_estimate_prints_strict_json(self, tmp_path, capsys):
         # x1 >= 6 at default flags counts exactly 0; stdout stays standard
         # JSON, with no -Infinity or NaN token

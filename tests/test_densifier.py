@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import sys
 
@@ -230,7 +231,8 @@ class TestDensify:
         # hypothesis counts, a negative draw and the density stop
         _, _, res = self._learning_run()
         assert res.rounds == 1 and res.mistakes == 3
-        digest = hashlib.sha256(res.transcript_jsonl().encode()).hexdigest()
+        jsonl = "\n".join(json.dumps(e, sort_keys=True) for e in res.transcript)
+        digest = hashlib.sha256(jsonl.encode()).hexdigest()
         assert digest == "3b29c087dbade2df27a6da39cf9b22c58de28a936beb7d9ec6b0eefdd7617068"
 
     def test_negative_round_on_sampler_branch(self, monkeypatch):
@@ -271,14 +273,12 @@ class TestDensify:
         assert sum(e["mistake"] for e in negs) == 1
 
     def test_transcript_schema(self):
-        import json
-
         f = QuadraticForm(A=-np.eye(2), b=np.zeros(2), c=2.0)
         cfg = DensifierConfig(eps=0.2, delta=0.2, n_pos=1000)
         res = densify(_planted_source(f, Rng(13)), 0.64, cfg, Rng(14))
         allowed = {"pos_mistake", "neg_feed", "count", "terminate"}
-        for line in res.transcript_jsonl().splitlines():
-            event = json.loads(line)
+        for e in res.transcript:
+            event = json.loads(json.dumps(e, sort_keys=True))
             assert isinstance(event["step"], int)
             assert event["event"] in allowed
 

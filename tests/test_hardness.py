@@ -246,7 +246,7 @@ class TestRegionSamplingDeg2:
     def test_rejects_near_solution(self):
         inst = SubsetSumInstance(w0=8, w=(3, 5, 7))
         with pytest.raises(ValueError, match="^z is not a solution"):
-            sample_region_uniform_deg2((0.6, 1, 0), inst, rng=Rng(0))
+            sample_region_uniform_deg2((0.6, 1, 0), inst, 4.0, rng=Rng(0))
 
     def test_acceptance_rate(self):
         # proposals on the full L1 ball; accepted fraction should clear the
@@ -484,6 +484,16 @@ class TestRegionMassMc:
         vol = beta * beta / 2.0
         assert est == pytest.approx(vol, rel=1e-12)
         assert ci == pytest.approx(vol * _wilson_half_width(1.0, 4096), rel=1e-12)
+        assert ci > 0.0
+
+    def test_gaussian_no_hits_keep_a_half_width(self):
+        # -|x|^2 - 1 is never satisfied; every weight is at most the disc's
+        # area times the density at its point nearest 0, (0, 0.5)
+        never = QuadraticForm(A=-np.eye(2), b=np.zeros(2), c=-1.0)
+        est, ci = region_mass_mc(never, (0, 1), 0.5, "gaussian", 4096, Rng(0))
+        top = math.pi * 0.25 * math.exp(-0.125) / (2.0 * math.pi)
+        assert est == 0.0
+        assert ci == pytest.approx(top * _wilson_half_width(0.0, 4096), rel=1e-12)
         assert ci > 0.0
 
     @pytest.mark.parametrize("measure", ["cube-uniform", "gaussian"])

@@ -64,6 +64,21 @@ class TestIntervalMass:
         assert 0.0 < got < 1e-14
         assert got == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("a, b", [(5.0, 5.0001), (3.0, 3.00001), (8.0, 8.0 + 1e-6)])
+    def test_thin_tail_cell_by_quadrature(self, monkeypatch, a, b):
+        # the survival difference would lose leading digits on these cells
+        calls = []
+        quad = numerics._thin_interval_mass
+
+        def spy(lo, hi):
+            calls.append((lo, hi))
+            return quad(lo, hi)
+
+        monkeypatch.setattr(numerics, "_thin_interval_mass", spy)
+        got = interval_mass(a, b)
+        assert calls == [(a, b)]
+        assert got == pytest.approx(float(oracles.phi_interval_dec(a, b)), rel=1e-12)
+
     def test_rejects_reversed(self):
         with pytest.raises(ValueError):
             interval_mass(1.0, 0.0)
@@ -159,27 +174,32 @@ class TestNormalFamily:
         assert (numerics._ndtri_exp(-inf), numerics._ndtri_exp(0.0)) == (-inf, inf)
 
 
+def _draws(a, b, rng, k):
+    """k draws in a row from one stream, the way the lift makes them."""
+    return np.array([truncated_normal_sample(a, b, rng) for _ in range(k)])
+
+
 class TestTruncatedNormal:
     def test_unconstrained_matches_normal_law(self):
         r = Rng(1)
-        x = truncated_normal_sample(-math.inf, math.inf, r, size=200_000)
+        x = _draws(-math.inf, math.inf, r, 200_000)
         assert abs(np.mean(x)) < 0.01
         assert abs(np.std(x) - 1.0) < 0.01
 
     def test_half_normal_mean(self):
         r = Rng(2)
-        x = truncated_normal_sample(0.0, math.inf, r, size=1_000_000)
+        x = _draws(0.0, math.inf, r, 1_000_000)
         assert np.all(x >= 0.0)
         assert abs(np.mean(x) - math.sqrt(2.0 / math.pi)) < 0.01
 
     def test_support_containment(self):
         r = Rng(3)
-        x = truncated_normal_sample(3.0, 4.0, r, size=10_000)
+        x = _draws(3.0, 4.0, r, 10_000)
         assert np.all((x >= 3.0) & (x < 4.0))
 
     def test_deep_tail_support_and_mean(self):
         r = Rng(4)
-        x = truncated_normal_sample(10.0, 10.5, r, size=50_000)
+        x = _draws(10.0, 10.5, r, 50_000)
         assert np.all((x >= 10.0) & (x < 10.5))
         want = oracles.truncated_mean(10.0, 10.5)
         se = np.std(x) / math.sqrt(x.size)
@@ -188,7 +208,7 @@ class TestTruncatedNormal:
     def test_cell_means_match_moment_formula(self):
         r = Rng(5)
         for a, b in [(-0.25, 0.0), (0.5, 0.75), (-2.0, -1.75), (2.0, math.inf)]:
-            x = truncated_normal_sample(a, b, r, size=100_000)
+            x = _draws(a, b, r, 100_000)
             want = oracles.truncated_mean(a, b)
             se = np.std(x) / math.sqrt(x.size)
             assert abs(np.mean(x) - want) <= 3.5 * se
@@ -197,7 +217,7 @@ class TestTruncatedNormal:
     def test_cells_past_the_quantile_newton_branch(self, a, b):
         # log S(40) = -804.6 < -700: the inversion runs Newton steps
         r = Rng(6)
-        x = truncated_normal_sample(a, b, r, size=20_000)
+        x = _draws(a, b, r, 20_000)
         assert np.all((x >= a) & (x < b))
         want = oracles.truncated_mean(a, b)
         se = np.std(x) / math.sqrt(x.size)
@@ -496,7 +516,7 @@ class TestTruncatedBlocks:
         assert np.all((block >= self.LO) & (block < self.HI))
         bar = 1.95 * math.sqrt(2.0 / k)  # KS critical value at level 1e-3
         for j, (lo, hi, _) in enumerate(_TRUNCATED_COLUMNS):
-            ref = truncated_normal_sample(lo, hi, Rng(100 + j), size=k)
+            ref = _draws(lo, hi, Rng(100 + j), k)
             assert _ks_distance(block[:, j], ref) < bar, (lo, hi)
             se = math.sqrt(ref.var() / k)
             assert abs(block[:, j].mean() - oracles.truncated_mean(lo, hi)) <= 4.0 * se, (lo, hi)

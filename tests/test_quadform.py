@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from quadgauss.hardness import SubsetSumInstance, gen_deg2_cube_instance
-from quadgauss.numerics import Rng
 from quadgauss.quadform import (
     ConstantPolynomialError,
     DecoupledConstraint,
@@ -14,7 +13,6 @@ from quadgauss.quadform import (
     coordinate_box,
     decouple,
     evaluate,
-    gaussian_variance,
     instance_from_dict,
     instance_to_dict,
     load_instance,
@@ -154,7 +152,7 @@ class TestNormalize:
         assert np.allclose(nz.lam, [0.6, 0.0])
         assert np.allclose(nz.mu, [0.8, 0.0])
         assert nz.theta == pytest.approx(2.0)
-        assert nz.normalized
+        assert float(np.sum(nz.lam**2 + nz.mu**2)) == pytest.approx(1.0, abs=1e-15)
 
     def test_already_normalized_unchanged(self):
         dc = DecoupledConstraint(
@@ -162,6 +160,29 @@ class TestNormalize:
         )
         nz = normalize(dc)
         assert np.allclose(nz.lam, dc.lam) and np.allclose(nz.mu, dc.mu)
+
+    @pytest.mark.parametrize("k", [-1000, -700, -300, 300, 700, 1020])
+    def test_power_of_two_scale_is_bit_identical(self, k):
+        # squares of these coefficients overflow or underflow to 0 at most
+        # of these scales; the result must not see the scale at all
+        gen = np.random.default_rng(11)
+        lam, mu = gen.normal(size=4), gen.normal(size=4)
+        want = normalize(DecoupledConstraint(lam=lam, mu=mu, theta=0.3, rotation=np.eye(4)))
+        s = 2.0**k
+        got = normalize(DecoupledConstraint(lam=lam * s, mu=mu * s, theta=0.3 * s, rotation=np.eye(4)))
+        for a, b in ((got.lam, want.lam), (got.mu, want.mu), (got.theta, want.theta)):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "lam, theta, mass", [(1e-200, 1e300, 1.0), (-1e-200, -1e300, 0.0), (1e-100, -1e300, 0.0)]
+    )
+    def test_theta_beyond_float_range_answers_from_its_sign(self, lam, theta, mass):
+        # the region is y^2 <= 1e500 (all of R), y^2 >= 1e500 or y^2 <= -1e400
+        # (empty): theta / |lam| is beyond the float range
+        dc = DecoupledConstraint(lam=np.array([lam]), mu=np.zeros(1), theta=theta, rotation=np.eye(1))
+        with pytest.raises(ConstantPolynomialError) as err:
+            normalize(dc)
+        assert err.value.mass == mass
 
     def test_constant_raises_with_answer(self):
         dc = DecoupledConstraint(lam=np.zeros(2), mu=np.zeros(2), theta=-1.0, rotation=np.eye(2))
@@ -197,7 +218,6 @@ class TestRoundCoefficients:
             mu=np.array([0.8, 0.0]),
             theta=0.0,
             rotation=np.eye(2),
-            normalized=True,
         )
         out = round_coefficients(dc, cfg)
         assert np.allclose(out.lam, [0.5, 0.0])
@@ -234,7 +254,6 @@ class TestRoundCoefficients:
             mu=np.full(8, math.sqrt(1 / 16.0)),
             theta=0.0,
             rotation=np.eye(8),
-            normalized=True,
         )
         with pytest.raises(ValueError):
             round_coefficients(dc, RoundingConfig(gamma=0.5, tau=0.5))
@@ -255,29 +274,6 @@ class TestRoundCoefficients:
         assert np.array_equal(out.lam, dc.lam) and np.array_equal(out.mu, dc.mu)
         with pytest.raises(ValueError, match=r"^gamma must be at least 2\^-1022"):
             RoundingConfig(gamma=2.0**-1023, tau=0.5)
-
-
-class TestGaussianVariance:
-    def test_pure_square(self):
-        dc = DecoupledConstraint(lam=np.array([1.0]), mu=np.array([0.0]), theta=0.0, rotation=np.eye(1))
-        assert gaussian_variance(dc) == 2.0  # Var(chi2_1)
-
-    def test_pure_linear(self):
-        dc = DecoupledConstraint(lam=np.array([0.0]), mu=np.array([1.0]), theta=0.0, rotation=np.eye(1))
-        assert gaussian_variance(dc) == 1.0
-
-    def test_mixed(self):
-        dc = DecoupledConstraint(lam=np.array([1.0]), mu=np.array([1.0]), theta=0.0, rotation=np.eye(1))
-        assert gaussian_variance(dc) == 3.0
-
-    def test_monte_carlo_cross_check(self):
-        dc = DecoupledConstraint(
-            lam=np.array([0.7, -0.3]), mu=np.array([0.2, 0.9]), theta=0.0, rotation=np.eye(2)
-        )
-        g = Rng(8).normal((400_000, 2))
-        vals = dc.value(g)
-        mc = float(np.var(vals))
-        assert mc == pytest.approx(gaussian_variance(dc), rel=0.02)
 
 
 class TestSignStability:

@@ -535,7 +535,12 @@ class PrefixCDFTable:
     at every grid value ``kappa``, and ``log_cell`` the log mass of each
     grid value.  Given the threshold t left for coordinates 1..i+1,
     coordinate i+1 weighs kappa by cell(kappa) * P_i(t - support[i][kappa])
-    (``log_weights(i, t)``).
+    (``log_weights(i, t)``).  Two of these laws do not depend on the draw,
+    so the sampler reads them from inverse CDFs cached on its first draw,
+    which a count table never builds: coordinate n's at theta
+    (``last_coordinate_cum``), and coordinate 1's for every t at once, as
+    the cell masses in support order (``first_coordinate_cdf``).  A draw
+    rebuilds the weights of coordinates n-1, ..., 2 only.
 
     Accuracy.  One number carries every table's guarantee: the last CDF's
     ``err_budget`` beta = (1 + e)^(2n - 3), where e is the merge step.  P_1
@@ -707,6 +712,37 @@ class PrefixCDFTable:
         cum = self.cumulative_weights(self.n - 1, self.theta)
         cum.setflags(write=False)
         return cum
+
+    @cached_property
+    def first_coordinate_cdf(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Coordinate 1's inverse CDF for every threshold at once: its grid
+        indices in stable order of ``support[0]``, that sorted support, and
+        the log cumulative cell masses in that order.  As P_0 is the point
+        mass at 0, coordinate 1 weighs kappa by cell(kappa) exactly when
+        support[0][kappa] <= t (a float difference has the sign of the exact
+        one), so its law given t is the cell masses over a prefix of this
+        order.  Built on the first draw at n >= 2; a count table never
+        builds it."""
+        order = np.argsort(self.support[0], kind="stable")
+        arrays = (order, self.support[0][order], _log_cumsum(self.log_cell[order]))
+        for a in arrays:
+            a.setflags(write=False)
+        return arrays
+
+    def first_coordinate_index(self, t: float, u: float) -> int:
+        """Coordinate 1's grid index given the threshold ``t`` and a uniform
+        ``u`` in [0, 1), by inverse CDF in support order in O(log m): the
+        cumulative mass of the indices with support <= t, scaled by u, is
+        compared in log space, so a far-tail region cannot underflow.  Raises
+        FloorError when no grid value lies in the region."""
+        order, support, log_cum = self.first_coordinate_cdf
+        c = int(support.searchsorted(t, "right"))
+        if c == 0:
+            raise FloorError("no grid point lies in the acceptance region")
+        target = log_cum[c - 1] + (math.log(u) if u > 0.0 else LOG_ZERO)
+        # searching the first c - 1 entries keeps a target that rounds up to
+        # the region's total on its last index
+        return int(order[log_cum[: c - 1].searchsorted(target, "right")])
 
 
 def exact_tail_bruteforce(dc: DecoupledConstraint, spec: GridSpec) -> float:

@@ -454,25 +454,18 @@ def normal_blocks(
                 fut.exception()
 
 
-def _right_tail_quantile(lo: float, hi: float, u: float) -> float:
-    # Inverse CDF in survival space for 0 <= lo < hi, accurate arbitrarily
-    # deep: S_x = S(lo) * (1 - u*(1 - S(hi)/S(lo))), inverted through
-    # _ndtri_exp on log S_x.
-    lsa = _log_ndtr(-lo)
-    ratio = math.exp(_log_ndtr(-hi) - lsa)  # 0 when hi = inf
+def _right_tail_quantile(lsa: float, lsb: float, u: float) -> float:
+    # Inverse CDF in survival space on [lo, hi) for 0 <= lo < hi, from
+    # lsa = log S(lo) and lsb = log S(hi), accurate arbitrarily deep:
+    # S_x = S(lo) * (1 - u*(1 - S(hi)/S(lo))), inverted through _ndtri_exp on
+    # log S_x.
+    ratio = math.exp(lsb - lsa)  # 0 when hi = inf
     return -_ndtri_exp(lsa + math.log1p(-u * (1.0 - ratio)))
 
 
-def _cell_quantile(a: float, b: float, u: float) -> float:
-    """The u-quantile of N(0,1) conditioned on [a, b), clamped into it."""
-    if a >= 0.0:
-        x = _right_tail_quantile(a, b, u)
-    elif b <= 0.0:
-        x = -_right_tail_quantile(-b, -a, 1.0 - u)
-    else:
-        fa = _ndtr(a)
-        x = _ndtri(fa + u * (_ndtr(b) - fa))
-    return max(min(x, math.nextafter(b, -math.inf)), a)
+def _require_mass(a: float, b: float) -> None:
+    if not (interval_mass(a, b) > 0.0) and not (log_interval_mass(a, b) > LOG_ZERO):
+        raise ValueError(f"zero-mass interval [{a}, {b})")
 
 
 def truncated_normal_sample(a: float, b: float, rng: Rng) -> float:
@@ -481,13 +474,28 @@ def truncated_normal_sample(a: float, b: float, rng: Rng) -> float:
 
     Endpoints may be infinite.  The law is exact up to float resolution even
     for cells deep in the tails (the inversion runs in log-survival space).
+    An interval of zero mass raises ValueError before the uniform is drawn.
     """
     a, b = _validate_interval(a, b)
     if a == b:
         raise ValueError("degenerate interval has zero mass")
-    if not (interval_mass(a, b) > 0.0) and not (log_interval_mass(a, b) > LOG_ZERO):
-        raise ValueError(f"zero-mass interval [{a}, {b})")
-    return _cell_quantile(a, b, rng.uniform())
+    if a >= 0.0 or b <= 0.0:
+        # a one-sided interval, mirrored into the right tail as [lo, hi); its
+        # log survival values show that it has mass whenever they differ
+        lo, hi = (a, b) if a >= 0.0 else (-b, -a)
+        lsa, lsb = _log_ndtr(-lo), _log_ndtr(-hi)
+        if not lsa > lsb:
+            _require_mass(a, b)
+        u = rng.uniform()
+        if a >= 0.0:
+            x = _right_tail_quantile(lsa, lsb, u)
+        else:
+            x = -_right_tail_quantile(lsa, lsb, 1.0 - u)
+    else:
+        _require_mass(a, b)
+        fa = _ndtr(a)
+        x = _ndtri(fa + rng.uniform() * (_ndtr(b) - fa))
+    return max(min(x, math.nextafter(b, -math.inf)), a)
 
 
 class EigenConvergenceError(RuntimeError):

@@ -10,10 +10,15 @@ grid values.  The table is built once per sampler at a step size derived
 from (n, eps) that keeps every grid point's probability within
 [1 - eps, 1/(1 - eps)] of the exact conditional law, so the total variation
 error is at most eps (see ``PrefixCDFTable``); the same table's mass is the
-floor check, so a sampler builds no other table.  Coordinate n's threshold
-is always theta, so its inverse CDF is built once per table, on the first
-draw; each later draw pays one ``searchsorted`` for it and rebuilds only the
-weights of coordinates n-1, ..., 1.
+floor check, so a sampler builds no other table.  Two inverse CDFs are
+built once per table, on the first draw.  Coordinate n's threshold is always
+theta, so its inverse CDF is fixed.  Coordinate 1 weighs kappa by cell(kappa)
+when its value lam_1 kappa^2 + mu_1 kappa is at most t and by 0 otherwise,
+as P_0 is the point mass at 0; so with its grid values sorted by that value,
+its law given any t is the cell masses over a prefix of the order, read from
+one log cumulative sum.  Each later draw pays one ``searchsorted`` for
+coordinate n, two for coordinate 1, and rebuilds only the weights of
+coordinates n-1, ..., 2.
 
 The continuous lift is exact, not approximate: conditioned on the grid
 point, each coordinate of the underlying Gaussian is distributed as N(0,1)
@@ -64,17 +69,24 @@ class FilterRetryError(RuntimeError):
 
 def sample_grid_point(table: PrefixCDFTable, rng: Rng) -> np.ndarray:
     """Draw one grid point from the table: coordinates n, n-1, ..., 1 in
-    turn, each by inverse CDF over its grid values.  Coordinate n's inverse
-    CDF does not depend on the draw and comes from the table's cache."""
+    turn, each by inverse CDF of one uniform.  Two of the inverse CDFs do not
+    depend on the draw and come from the table's cache: coordinate n's, at
+    theta, and coordinate 1's, in support order for every threshold.  So
+    only coordinates n-1, ..., 2 rebuild their weights; at n = 1 the single
+    coordinate is coordinate n."""
     idx = np.empty(table.n, dtype=int)
     t = table.theta
     cum = table.last_coordinate_cum
-    for j in range(table.n - 1, -1, -1):
+    for j in range(table.n - 1, 0, -1):
         i = int(np.searchsorted(cum, rng.uniform() * cum[-1], side="right"))
         idx[j] = i
         t -= table.support[j, i]
-        if j:
+        if j > 1:
             cum = table.cumulative_weights(j - 1, t)
+    if table.n == 1:
+        idx[0] = np.searchsorted(cum, rng.uniform() * cum[-1], side="right")
+    else:
+        idx[0] = table.first_coordinate_index(t, rng.uniform())
     return table.kappa[idx]
 
 

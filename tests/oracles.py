@@ -278,10 +278,13 @@ def draw_grid_point(cdfs, support, log_cell, kappa, theta: float, rng):
     weights on every draw: coordinates n, ..., 1 in turn, coordinate j+1
     weighing grid value i by log_cell[i] + log P_j(t - support[j][i]), with
     P_j the step CDF given as (anchor values, log cumulative masses) in
-    ``cdfs[j]``.  Returns None when no grid value has weight."""
-    idx = np.empty(len(cdfs), dtype=int)
+    ``cdfs[j]``.  At n >= 2 coordinate 1's inverse CDF runs over its grid
+    values in stable order of ``support[0]``, the others' in grid order.
+    Returns None when no grid value has weight."""
+    n = len(cdfs)
+    idx = np.empty(n, dtype=int)
     t = theta
-    for j in range(len(cdfs) - 1, -1, -1):
+    for j in range(n - 1, -1, -1):
         values, log_cum = cdfs[j]
         x = np.asarray(t, dtype=float)[..., None] - support[j]
         pos = np.searchsorted(values, x, side="right")
@@ -289,8 +292,9 @@ def draw_grid_point(cdfs, support, log_cell, kappa, theta: float, rng):
         top = lw.max()
         if top == -math.inf:
             return None
-        cum = np.cumsum(np.exp(lw - top))
-        i = int(np.searchsorted(cum, rng.uniform() * cum[-1], side="right"))
+        order = np.argsort(support[0], kind="stable") if j == 0 and n > 1 else np.arange(lw.size)
+        cum = np.cumsum(np.exp(lw[order] - top))
+        i = order[int(np.searchsorted(cum, rng.uniform() * cum[-1], side="right"))]
         idx[j] = i
         t -= support[j, i]
     return kappa[idx]

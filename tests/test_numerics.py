@@ -228,6 +228,42 @@ class TestTruncatedNormal:
         with pytest.raises(ValueError):
             truncated_normal_sample(1.0, 1.0, Rng(0))
 
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (math.nan, 1.0),
+            (0.0, math.nan),
+            (2.0, 1.0),
+            (math.inf, math.inf),
+            (1e300, math.inf),
+            (-math.inf, -1e300),
+            (0.0, 5e-324),
+            (-5e-324, 0.0),
+        ],
+    )
+    def test_zero_mass_refused_before_the_uniform(self, a, b):
+        r, ref = Rng(0), Rng(0)
+        with pytest.raises(ValueError):
+            truncated_normal_sample(a, b, r)
+        assert r.uniform() == ref.uniform()
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (40.0, 40.5),
+            (-40.5, -40.0),
+            (5.0, math.nextafter(5.0, math.inf)),
+            (38.5, math.nextafter(38.5, math.inf)),
+            (-1e-320, 1e-320),
+            (0.0, 1e-300),
+        ],
+    )
+    def test_tiny_or_far_intervals_keep_their_mass(self, a, b):
+        # in each a float Phi difference underflows or cancels, but the mass
+        # is positive, so the draw lands in [a, b)
+        x = _draws(a, b, Rng(0), 50)
+        assert np.all((x >= a) & (x < b))
+
 
 class TestJacobiEigen:
     def test_identity(self):

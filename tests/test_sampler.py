@@ -6,7 +6,7 @@ import pytest
 from quadgauss import counter, quadform
 from quadgauss.counter import PrefixCDFTable, count, exact_tail_bruteforce
 from quadgauss.grid import GridSpec
-from quadgauss.numerics import Rng
+from quadgauss.numerics import LOG_ZERO, Rng
 from quadgauss.quadform import DecoupledConstraint, QuadraticForm, sign_at
 from quadgauss.sampler import (
     FilterRetryError,
@@ -87,8 +87,9 @@ class TestSampleGridPoint:
         ],
     )
     def test_draws_match_per_draw_reference(self, lam, mu, theta):
-        # coordinate n's cached inverse CDF must give the very draws of a
-        # loop that rebuilds every coordinate's weights on every draw
+        # the cached inverse CDFs of coordinates n and 1 must give the very
+        # draws of a loop that rebuilds every coordinate's weights on every
+        # draw, with coordinate 1's in support order
         n = len(lam)
         dc = DecoupledConstraint(
             lam=np.array(lam), mu=np.array(mu), theta=theta, rotation=np.eye(n)
@@ -105,6 +106,107 @@ class TestSampleGridPoint:
         want = np.array([oracles.draw_grid_point(*args) for _ in range(500)])
         assert np.array_equal(got, want)
         assert np.all(np.any(got == -spec.B, axis=0)) and np.all(np.any(got == spec.B, axis=0))
+
+
+class _FixedRng:
+    """Stands in for Rng: every uniform() is ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def uniform(self):
+        return self.u
+
+
+def _table2(lam1, mu1, B=2.0, tau=0.25, theta=0.0):
+    """n = 2 sampling table whose coordinate 1 has the given coefficients."""
+    dc = DecoupledConstraint(
+        lam=np.array([lam1, -0.5]), mu=np.array([mu1, 0.25]), theta=theta, rotation=np.eye(2)
+    )
+    return PrefixCDFTable.for_sampling(dc, GridSpec(tau=tau, B=B, n=2), 0.1)
+
+
+class TestFirstCoordinateCDF:
+    @pytest.mark.parametrize(
+        "lam1, mu1, B",
+        [
+            (0.5, 0.25, 2.0),  # lam > 0
+            (-0.75, 0.125, 2.0),  # lam < 0
+            (0.0, -0.5, 2.0),  # lam = 0
+            (0.5, 0.0, 2.0),  # mirrored support ties
+            (-1.0, 0.0, 40.0),  # far tails first, mirrored
+        ],
+    )
+    def test_law_matches_rebuilt_weights(self, lam1, mu1, B):
+        table = _table2(lam1, mu1, B=B)
+        order, s, log_cum = table.first_coordinate_cdf
+        np.testing.assert_array_equal(s, np.sort(table.support[0]))
+        ts = [s[0], s[1], s[s.size // 3], 0.5 * (s[s.size // 2] + s[s.size // 2 + 1]), s[-1], s[-1] + 1.0]
+        if B == 40.0:
+            ts.append(-38.0**2)  # only |kappa| >= 38: log masses near -720
+        for t in ts:
+            lw = table.log_weights(0, t)
+            lw -= np.logaddexp.reduce(lw)
+            c = int(np.count_nonzero(table.support[0] <= t))
+            assert np.all(lw[order[:c]] > LOG_ZERO) and np.all(lw[order[c:]] == LOG_ZERO)
+            # the CDF in support order, to 1e-12 relative (compared as logs,
+            # since far-tail values lie below float range)
+            log_cdf = log_cum[:c] - log_cum[c - 1]
+            want_cdf = np.logaddexp.accumulate(lw[order[:c]])
+            np.testing.assert_allclose(log_cdf, want_cdf, rtol=0.0, atol=1e-12)
+            got = np.zeros(lw.size)
+            got[order[:c]] = np.diff(np.exp(log_cdf), prepend=0.0)
+            np.testing.assert_allclose(got, np.exp(lw), rtol=1e-12, atol=1e-12)
+
+    def test_zero_uniform_picks_the_first_index_in_the_region(self):
+        for lam1, mu1 in ((0.5, 0.0), (-0.5, 0.0), (0.0, 1.0)):
+            table = _table2(lam1, mu1, theta=-0.5)
+            kappa = sample_grid_point(table, _FixedRng(0.0))
+            i2 = int(np.flatnonzero(table.last_coordinate_cum > 0.0)[0])
+            t = table.theta - table.support[1, i2]
+            inside = np.flatnonzero(table.support[0] <= t)
+            i1 = inside[np.argmin(table.support[0][inside])]  # first of any tie
+            assert np.array_equal(kappa, table.kappa[[i1, i2]])
+
+    def test_far_tail_draws_stay_in_the_region(self):
+        # coordinate 1 must take |kappa| >= 38 on a B = 40 grid, where every
+        # cell mass is far below float range
+        dc = DecoupledConstraint(
+            lam=np.array([-1.0, 0.0]), mu=np.zeros(2), theta=-38.0**2, rotation=np.eye(2)
+        )
+        table = PrefixCDFTable.for_sampling(dc, GridSpec(tau=0.25, B=40.0, n=2), 0.1)
+        r = Rng(5)
+        got = np.array([sample_grid_point(table, r)[0] for _ in range(400)])
+        assert np.all(np.abs(got) >= 38.0)
+        # a uniform just below 1 rounds the log target up to the region's total
+        top = sample_grid_point(table, _FixedRng(math.nextafter(1.0, 0.0)))[0]
+        assert abs(top) >= 38.0
+
+    @pytest.mark.parametrize("dc, n, weights", [(DISC, 2, 0), (SKEW3, 3, 1)])
+    def test_draw_rebuilds_only_the_middle_coordinates(self, monkeypatch, dc, n, weights):
+        calls = {"weights": 0, "query": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            PrefixCDFTable, "cumulative_weights", counted("weights", PrefixCDFTable.cumulative_weights)
+        )
+        monkeypatch.setattr(
+            counter.CompressedCDF, "log_query", counted("query", counter.CompressedCDF.log_query)
+        )
+        table = PrefixCDFTable.for_sampling(dc, GridSpec(tau=0.25, B=2.0, n=n), 0.1)
+        r = Rng(4)
+        sample_grid_point(table, r)  # builds both cached inverse CDFs
+        for _ in range(20):
+            calls.update(weights=0, query=0)
+            sample_grid_point(table, r)
+            assert calls["weights"] == weights
+            assert calls["query"] == weights
 
 
 class TestEnumerateDistribution:

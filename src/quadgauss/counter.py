@@ -553,25 +553,32 @@ class PrefixCDFTable:
     merge per convolution and one per sparsified factor among coordinates
     1..j.  For P_{n-1} that is beta.
 
-    Counting (``for_count``) takes e = eps/(2(2n - 3)), so beta <= exp(eps/2),
+    Counting (``for_count``) takes e = eps/(2n - 3), so beta <= exp(eps),
     and merges every left tail relative to the answer F = F(theta), the
     exact grid mass at theta.  A coarse pass runs ``compressed_tail_cdf`` on
     the same sparsified factors at step 1 and reads their mass L at theta;
     L <= F, since every merge lower-bounds.  Each merge of the table then
-    starts its walk at delta = eps' L/(8n), with eps' = min(eps, 1/2): the
+    starts its walk at delta = eps' L/(32n), with eps' = min(eps, 1/2): the
     mass whose cumulative total is at most delta merges into the first kept
     atom, which keeps its exact cumulative mass.  Such a merge leaves
     F' <= F <= (1 + e) F' + delta, as left of the first kept atom F <= delta,
     and convolving with a probability law keeps this without growing delta.
     Over the 2n - 3 merges, and then summing over the last coordinate's
     cells (total mass at most 1), the table mass M at theta satisfies
-    M <= F <= beta (M + (2n - 3) delta), where (2n - 3) delta <= eps' L/4 <=
-    eps' F/4.  So F <= beta M/(1 - r) with r = beta eps'/4, and the midpoint
-    sqrt(beta) M satisfies (1 - r)/sqrt(beta) <= sqrt(beta) M/F <=
-    sqrt(beta): both ends lie within [1/(1 + eps), 1 + eps] for every eps in
-    (0, 1] (the cap eps' <= 1/2 keeps r small enough near eps = 1).  When
-    every convolution fits one pair window, the floor would save no work,
-    so neither the coarse pass nor the floor runs, and delta = 0.
+    M <= F <= beta (M + (2n - 3) delta), where (2n - 3) delta <= eps' L/16 <=
+    eps' F/16.  So F <= beta M/(1 - r) with r = beta eps'/16 <= exp(1)/32 <
+    0.085, and the midpoint sqrt(beta) M satisfies (1 - r)/sqrt(beta) <=
+    sqrt(beta) M/F <= sqrt(beta).  Both ends lie within [1/(1 + eps),
+    1 + eps] for every eps = x in (0, 1].  The upper end: sqrt(beta) <=
+    exp(x/2) <= 1 + x, as exp(x/2) - 1 - x is convex and not positive at
+    x = 0 and x = 1.  The lower end needs f(x) = log(1 + x) - x/2 +
+    log(1 - r) >= 0.  For x <= 1/2, r <= exp(1/2) x/16 < 0.104 x and
+    log(1 - r) >= -r/(1 - r) > -0.109 x, so with log(1 + x) >= x - x^2/2,
+    f(x) >= x (0.39 - x/2) > 0.  For x in [1/2, 1], log(1 + x) - x/2 is
+    increasing, so f(x) >= log(3/2) - 1/4 + log(1 - 0.085) > 0.155 - 0.089.
+    (The cap eps' <= 1/2 keeps r small near eps = 1.)  When every
+    convolution fits one pair window, the floor would save no work, so
+    neither the coarse pass nor the floor runs, and delta = 0.
 
     Sampling (``for_sampling``) takes e with beta = 1/(1 - eps), and no
     floor.  Write t_n = theta and t_{j-1} = t_j - s_j(kappa_j), with s_j =
@@ -603,8 +610,8 @@ class PrefixCDFTable:
         within (1 +- eps) of the exact mass; its left tails merge below a
         floor relative to that mass (see the class docstring)."""
         n = dc.n
-        step = eps / (2.0 * max(2 * n - 3, 1))
-        return cls._build(dc, spec, step, math.log(min(eps, 0.5) / (8.0 * n)))
+        step = eps / max(2 * n - 3, 1)
+        return cls._build(dc, spec, step, math.log(min(eps, 0.5) / (32.0 * n)))
 
     @classmethod
     def for_sampling(
@@ -780,10 +787,10 @@ def count(
     """Deterministic estimate of Pr[sum_i Y_i <= theta] on the grid with a
     certified multiplicative error factor of at most (1 + eps).
 
-    The count table merges each left tail below an absolute floor of about
-    eps/(8n) times a coarse lower bound on the answer, so its atoms span only
-    the mass range the answer needs; sampling tables keep every tail (see
-    ``PrefixCDFTable``)."""
+    The count table merges each left tail below an absolute floor of
+    min(eps, 1/2)/(32n) times a coarse lower bound on the answer, so its
+    atoms span only the mass range the answer needs; sampling tables keep
+    every tail (see ``PrefixCDFTable``)."""
     if not (0.0 < eps <= 1.0):
         raise ValueError(f"eps must lie in (0, 1], got {eps}")
     return PrefixCDFTable.for_count(dc, spec, eps).mass()

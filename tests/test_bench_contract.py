@@ -62,10 +62,10 @@ def test_tail_cdf_takes_collect():
 
 def test_tracer_drives_count_and_draw():
     # the tracer calls the wrapped functions with the argument shapes it
-    # assumes; a default-flag n = 3 count engages the floor and its coarse
+    # assumes; a default-flag n = 4 count engages the floor and its coarse
     # pass, which chains through compressed_tail_cdf as well
     tracer = load_tracing().Tracer()
-    q = QuadraticForm(A=-np.eye(3) + 0.1, b=np.array([0.3, -0.2, 0.1]), c=3.0)
+    q = QuadraticForm(A=-np.eye(4) + 0.1, b=np.array([0.3, -0.2, 0.1, 0.05]), c=4.0)
     with tracer.installed():
         count_ptf_gaussian(q)
         chains = tracer.by_name()["counter.tail_cdf"]["calls"]

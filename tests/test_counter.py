@@ -462,7 +462,7 @@ class TestAnswerRelativeFloor:
 
     def test_count_within_eps_of_bruteforce(self, monkeypatch):
         # small windows so that the floor engages on small grids
-        monkeypatch.setattr(counter, "_PAIR_BLOCK", 61)
+        monkeypatch.setattr(counter, "_PAIR_BLOCK", 41)
         coarse = []
         real = counter._coarse_log_mass
 
@@ -500,7 +500,7 @@ class TestAnswerRelativeFloor:
         gen = np.random.default_rng(24)
         spec = GridSpec(tau=0.25, B=2.0, n=4)
         dc = lattice_constraint(gen, 4)
-        step = 0.05 / (2.0 * 5)
+        step = 0.05 / 5
         got = PrefixCDFTable.for_count(dc, spec, 0.05)
         want = PrefixCDFTable._build(dc, spec, step)
         for a, b in zip(got.cdfs, want.cdfs):
@@ -542,6 +542,35 @@ class TestAnswerRelativeFloor:
         for q, est in zip((bench_style(5), cube_style(4)), estimates):
             assert count_ptf_gaussian(q).estimate == pytest.approx(est, rel=1e-3)
         assert with_floor <= 0.7 * formed[0]
+
+    def test_default_count_forms_under_half_the_pairs(self, monkeypatch):
+        # machine-independent: pairs formed, the coarse pass included.  A
+        # merge step of eps/(2(2n - 3)) with a floor of eps' L/(8n), half the
+        # certified budget, formed 2,548,413 pairs on this count
+        formed = pair_counter(monkeypatch)
+        count_ptf_gaussian(bench_style(5))
+        assert 0 < formed[0] <= 2_548_413 // 2
+
+    def test_certificate_holds_for_every_eps_and_n(self, monkeypatch):
+        # the class docstring's arithmetic, on the step and floor that
+        # for_count passes to _build: with beta = (1 + step)^(2n - 3) and
+        # r = beta (2n - 3) delta/L, the midpoint's two ends sqrt(beta) and
+        # (1 - r)/sqrt(beta) lie within [1/(1 + eps), 1 + eps]
+        seen = {}
+
+        def capture(cls, dc, spec, eps_step, log_floor_frac=None):
+            seen.update(step=eps_step, log_floor_frac=log_floor_frac)
+
+        monkeypatch.setattr(PrefixCDFTable, "_build", classmethod(capture))
+        grid = np.concatenate((np.geomspace(1e-6, 1.0, 1000), np.linspace(0.0, 1.0, 1001)[1:], [0.5]))
+        for n in range(3, 65):
+            dc = DecoupledConstraint(lam=np.ones(n), mu=np.zeros(n), theta=0.0, rotation=np.eye(n))
+            for eps in grid.tolist():
+                PrefixCDFTable.for_count(dc, None, eps)
+                beta = (1.0 + seen["step"]) ** (2 * n - 3)
+                r = beta * (2 * n - 3) * math.exp(seen["log_floor_frac"])
+                assert math.sqrt(beta) <= 1.0 + eps
+                assert (1.0 - r) / math.sqrt(beta) >= 1.0 / (1.0 + eps)
 
 
 def by_each_route(monkeypatch, kernel, *args):
@@ -781,6 +810,44 @@ class TestCountPtfGaussian:
         assert spec_points > counter._POINTS_LIMIT
         with pytest.raises(EngineTooLargeError, match=f"grid has {spec_points} points"):
             build(q, tau=2.0**-20, trunc_B=4.0)
+
+
+def decoupled(q):
+    """(lam, mu, theta) with q(x) >= 0 iff sum lam_i y_i^2 + mu_i y_i <= theta
+    for y = V^T x, from numpy's eigendecomposition of -A = V diag(lam) V^T."""
+    lam, vecs = np.linalg.eigh(-q.A)
+    return lam, -vecs.T @ q.b, q.c
+
+
+class TestExactGaussianMass:
+    """``oracles.gaussian_mass`` against closed forms, then as the reference
+    for default-flag counts."""
+
+    @pytest.mark.parametrize("t", [0.5, 3.0, 8.0])
+    def test_matches_chi_square_3(self, t):
+        for scale in (1.0, 2.5):
+            got = oracles.gaussian_mass([scale] * 3, [0.0] * 3, scale * t, tol=1e-6)
+            assert got == pytest.approx(oracles.chi2_cdf(t, 3), rel=0.0, abs=1e-9)
+
+    def test_matches_chi_square_8(self):
+        # 1 - e^(-x/2) sum_{j < 4} (x/2)^j / j!
+        for x in (2.0, 8.0, 20.0):
+            want = 1.0 - math.exp(-x / 2) * math.fsum((x / 2) ** j / math.factorial(j) for j in range(4))
+            assert oracles.gaussian_mass([1.0] * 8, [0.0] * 8, x) == pytest.approx(want, rel=0.0, abs=1e-12)
+
+    def test_matches_normal_tails(self):
+        # a halfspace mu . y <= theta has mass Phi(theta/|mu|)
+        for mu, theta in (([-1.0, 0.0, 0.0], -4.2), ([0.6, -0.8, 0.0], -4.2), ([0.3, 0.4], 1.0)):
+            want = oracles.phi_erfc(theta / math.hypot(*mu))
+            assert oracles.gaussian_mass([0.0] * len(mu), mu, theta) == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("n", [8, 10, 12])
+    def test_default_count_within_eps_of_exact_mass(self, n):
+        # n = 12 also pins that the size guard admits this size
+        q = bench_style(n)
+        exact = oracles.gaussian_mass(*decoupled(q))
+        res = count_ptf_gaussian(q)
+        assert 1.0 / (1.0 + res.eps) <= res.estimate / exact <= 1.0 + res.eps
 
 
 class TestMcCount:

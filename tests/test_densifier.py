@@ -385,8 +385,8 @@ class TestPlantedExperiment:
         )
         assert rep == {
             "n": 3,
-            "p_estimate": 0.0013611627912770425,
-            "p_hat": 0.0014065348843196107,
+            "p_estimate": 0.0013724587121840587,
+            "p_hat": 0.0014182073359235274,
             "mistakes": 0,
             "rounds": 0,
             "gamma": 4.098360655737705e-05,
@@ -396,8 +396,8 @@ class TestPlantedExperiment:
             "agreement_ci": 0.0022067516772727967,
             # agreement 1.0 and g = +1 everywhere (MC mass exactly 1), so
             # density = p and density_ci = p * agreement_ci
-            "density": 0.0013611627912770425,
-            "density_ci": 3.003748272691935e-06,
+            "density": 0.0013724587121840587,
+            "density_ci": 3.028675565099834e-06,
             "kappa_flip_fraction": 0.0,
             "passed_a": True,
             "passed_b": True,

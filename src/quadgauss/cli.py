@@ -8,8 +8,8 @@ line on stderr.  Exit codes:
 - 0: success, and --help.
 - 1: malformed or oversized input: a usage error (an unknown, missing or
   unparsable flag, an unreadable instance, a negative --samples), a setting
-  the library rejects with ValueError, or an instance beyond the engine's
-  size guards.
+  the library rejects with ValueError (a --tau that is not a power of 2 in
+  (0, 1], for one), or an instance beyond the engine's size guards.
 - 2: a counted mass below the floor (``count`` still prints its result).
 - 3: the exact filter rejected every draw within --filter-retries.
 - 4: validation or densification failed, including an exhausted mistake
@@ -27,7 +27,6 @@ from contextlib import nullcontext
 from . import hardness
 from .counter import (
     DEFAULT_EPS,
-    DEFAULT_GAMMA,
     DEFAULT_TAU,
     EngineTooLargeError,
     count_ptf_gaussian,
@@ -63,7 +62,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eps", type=float, default=DEFAULT_EPS, help="accuracy target")
     p.add_argument("--tau", type=float, default=DEFAULT_TAU, help="grid step (power of 2)")
     p.add_argument("--trunc-B", type=float, default=None, help="grid truncation radius")
-    p.add_argument("--gamma", type=float, default=DEFAULT_GAMMA, help="coefficient rounding step")
 
 
 def _emit(doc: dict) -> None:
@@ -78,9 +76,7 @@ def _load(path: str) -> QuadraticForm | DecoupledConstraint:
 
 
 def cmd_count(args: argparse.Namespace) -> int:
-    res = count_ptf_gaussian(
-        _load(args.instance), args.eps, tau=args.tau, trunc_B=args.trunc_B, gamma=args.gamma
-    )
+    res = count_ptf_gaussian(_load(args.instance), args.eps, tau=args.tau, trunc_B=args.trunc_B)
     _emit(res.to_dict())
     if res.below_floor:
         sys.stderr.write(
@@ -99,7 +95,6 @@ def cmd_sample(args: argparse.Namespace) -> int:
         args.eps,
         tau=args.tau,
         trunc_B=args.trunc_B,
-        gamma=args.gamma,
         retry_limit=args.filter_retries,
     )
     for _ in range(args.samples):

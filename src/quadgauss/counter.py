@@ -57,12 +57,13 @@ from .quadform import (
     ConstantPolynomialError,
     DecoupledConstraint,
     QuadraticForm,
-    RoundingConfig,
     decouple,
     normalize,
-    round_coefficients,
     sign_at,
 )
+
+# Not called here: bench/tracing.py's WRAPS wraps this name on this module.
+from .quadform import round_coefficients  # noqa: F401
 
 __all__ = [
     "CompressedCDF",
@@ -71,7 +72,6 @@ __all__ = [
     "FloorError",
     "PrefixCDFTable",
     "DEFAULT_TAU",
-    "DEFAULT_GAMMA",
     "DEFAULT_EPS",
     "default_trunc_radius",
     "exact_tail_bruteforce",
@@ -81,7 +81,6 @@ __all__ = [
 ]
 
 DEFAULT_TAU = 2.0**-8
-DEFAULT_GAMMA = 2.0**-20
 DEFAULT_EPS = 0.05
 
 _BRUTEFORCE_LIMIT = 10_000_000
@@ -637,9 +636,7 @@ class PrefixCDFTable:
         """Table for ``dc`` on ``spec``; P_2..P_{n-1} come from
         ``compressed_tail_cdf`` at ``eps_step``, floored at
         exp(log_floor_frac) times the coarse mass at theta when
-        ``log_floor_frac`` is given.  Coefficients are expected to be rounded
-        (integral multiples of one lattice step) so that support values
-        collide exactly."""
+        ``log_floor_frac`` is given."""
         n = dc.n
         if spec.n != n:
             raise ValueError("constraint and grid dimensions disagree")
@@ -800,13 +797,12 @@ def count(
 class CountResult:
     """A count and the accuracy that certifies it.
 
-    ``estimate`` lies within (1 +- eps) of the grid mass of the rounded,
-    truncated instance: coefficients snapped to the gamma lattice, and each
-    coordinate floored onto the grid of step tau and radius B, whose end
-    cells absorb the tails.  The gap from that grid mass to the Gaussian
-    mass of the original instance is not bounded here.  ``below_floor``
-    flags an estimate below ``floor`` = 2^(-4n); it is reported, not
-    suppressed.
+    ``estimate`` lies within (1 +- eps) of the grid mass of the truncated
+    instance: the normalized constraint with each coordinate floored onto
+    the grid of step tau and radius B, whose end cells absorb the tails.
+    The gap from that grid mass to the Gaussian mass of the original
+    instance is not bounded here.  ``below_floor`` flags an estimate below
+    ``floor`` = 2^(-4n); it is reported, not suppressed.
     """
 
     estimate: float
@@ -823,39 +819,36 @@ def _checked_grid(
     eps: float,
     tau: float,
     trunc_B: float | None,
-    gamma: float,
     floor: float | None = None,
-) -> tuple[RoundingConfig, GridSpec, float]:
-    """Check ``eps`` and build the rounding config, the grid (radius
-    ``trunc_B``, default ``default_trunc_radius``) and the floor (in [0, 1],
-    default 2^(-4n)) that counting and sampling share.  It runs before any
-    decoupling work, so a bad setting raises ValueError at once."""
+) -> tuple[GridSpec, float]:
+    """Check ``eps`` and build the grid (radius ``trunc_B``, default
+    ``default_trunc_radius``) and the floor (in [0, 1], default 2^(-4n))
+    that counting and sampling share.  It runs before any decoupling work,
+    so a bad setting raises ValueError at once."""
     if not (0.0 < eps <= 1.0):
         raise ValueError(f"eps must lie in (0, 1], got {eps}")
-    cfg = RoundingConfig(gamma=gamma, tau=tau)
     b_radius = float(trunc_B) if trunc_B is not None else default_trunc_radius(q.n, eps)
     spec = GridSpec(tau=tau, B=b_radius, n=q.n)
     floor_value = float(floor) if floor is not None else 2.0 ** (-4 * q.n)
     if not (0.0 <= floor_value <= 1.0):
         raise ValueError(f"floor must lie in [0, 1], got {floor}")
-    return cfg, spec, floor_value
+    return spec, floor_value
 
 
-def _prepare(q: QuadraticForm | DecoupledConstraint, cfg: RoundingConfig):
-    """``(rounded, mass)`` for ``q``: decoupled unless it already is, then
-    normalized and rounded by ``cfg``; ``rounded`` keeps the rotation.  A
-    constant form has ``rounded`` None and its exact ``mass``, 0 or 1; any
-    other ``mass`` None.  A constant ``QuadraticForm`` (A = 0, b = 0) is
-    answered from the sign of c without decoupling."""
+def _prepare(q: QuadraticForm | DecoupledConstraint):
+    """``(normalized, mass)`` for ``q``: decoupled unless it already is,
+    then normalized; ``normalized`` keeps the rotation.  A constant form
+    has ``normalized`` None and its exact ``mass``, 0 or 1; any other
+    ``mass`` None.  A constant ``QuadraticForm`` (A = 0, b = 0) is answered
+    from the sign of c without decoupling."""
     if isinstance(q, QuadraticForm):
         if q.is_constant:
             return None, 1.0 if q.c >= 0.0 else 0.0
         q = decouple(q)
     try:
-        nz = normalize(q)
+        return normalize(q), None
     except ConstantPolynomialError as err:
         return None, err.mass
-    return round_coefficients(nz, cfg), None
 
 
 def count_ptf_gaussian(
@@ -864,23 +857,22 @@ def count_ptf_gaussian(
     *,
     tau: float = DEFAULT_TAU,
     trunc_B: float | None = None,
-    gamma: float = DEFAULT_GAMMA,
 ) -> CountResult:
     """Estimate Pr_{G ~ N(0,I)}[sign(q(G)) = +1].
 
-    Pipeline: decouple -> normalize -> round coefficients to the ``gamma``
-    lattice -> count on the grid of step ``tau`` and radius ``trunc_B``
-    (default ``default_trunc_radius``).  The estimate is within (1 +- eps)
-    of the grid mass of that rounded, truncated instance; the gap to the
-    Gaussian mass of ``q`` is not bounded (see ``CountResult``).  Constant
-    polynomials are answered exactly, a constant ``QuadraticForm`` without
-    decoupling.  Estimates below 2^(-4n) are flagged, not suppressed.  A
-    bad setting raises ValueError before any work.
+    Pipeline: decouple -> normalize -> count on the grid of step ``tau``
+    and radius ``trunc_B`` (default ``default_trunc_radius``).  The
+    estimate is within (1 +- eps) of the grid mass of that truncated
+    instance; the gap to the Gaussian mass of ``q`` is not bounded (see
+    ``CountResult``).  Constant polynomials are answered exactly, a
+    constant ``QuadraticForm`` without decoupling.  Estimates below
+    2^(-4n) are flagged, not suppressed.  A bad setting raises ValueError
+    before any work.
     """
-    cfg, spec, floor = _checked_grid(q, eps, tau, trunc_B, gamma)
-    rounded, estimate = _prepare(q, cfg)
-    if rounded is not None:
-        estimate = count(rounded, spec, eps)
+    spec, floor = _checked_grid(q, eps, tau, trunc_B)
+    normalized, estimate = _prepare(q)
+    if normalized is not None:
+        estimate = count(normalized, spec, eps)
     return CountResult(estimate=estimate, eps=eps, below_floor=estimate < floor, floor=floor)
 
 

@@ -7,10 +7,9 @@ Each coordinate of a standard normal G is floored onto the grid
 coordinate masses sum to exactly 1.
 
 ``support_and_pmf`` pushes a coordinate through xi -> a*xi^2 + b*xi and
-returns the exact pmf of the image; when a and b are integral multiples of a
-power-of-two step gamma (and tau is a power of two), every support value is
-an exactly representable multiple of gamma*tau^2, so equal values collide
-exactly and the support merge is unambiguous.
+returns the exact pmf of the image, one atom per distinct value.  The
+counter's merge is correct whether or not values of different coordinates
+collide, so a and b may be any finite doubles.
 """
 
 from __future__ import annotations
@@ -112,7 +111,7 @@ def support_and_log_pmf(
     order = np.argsort(values, kind="stable")
     values = values[order]
     logp = _log_cell_masses(spec.tau, spec.B)[order]
-    # merge exact collisions (the support is a lattice, equality is exact)
+    # merge values equal as doubles (xi and -xi when b = 0, for one)
     starts = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
     merged = np.logaddexp.reduceat(logp, starts)
     return values[starts], merged

@@ -10,9 +10,10 @@ are again independent standard normals, so the decoupled constraint is a sum
 of independent one-dimensional pieces.
 
 ``normalize`` rescales so sum(lam^2 + mu^2) = 1, at any finite scale of
-the input, and ``round_coefficients`` snaps lam, mu onto the lattice
-gamma*Z; both leave the acceptance region unchanged up to the documented
-perturbation bounds.  Whether a constraint is normalized is read from its
+the input, leaving the acceptance region unchanged; counting and sampling
+work on that normalized form.  ``round_coefficients`` snaps lam, mu onto
+the lattice gamma*Z within a documented perturbation bound; the pipeline
+does not use it.  Whether a constraint is normalized is read from its
 coefficients, not stored with them.  ``coordinate_box`` bounds the region
 coordinate by coordinate, in closed form.
 """
@@ -163,14 +164,13 @@ class DecoupledConstraint:
 
 @dataclass(frozen=True)
 class RoundingConfig:
-    """Lattice steps used by the discrete pipeline.
+    """Lattice steps for ``round_coefficients``.
 
     Both must be exact powers of two in (0, 1): coefficient rounding step
     ``gamma`` and grid step ``tau``.  Power-of-two steps keep every product
-    lam'*kappa^2 + mu'*kappa exactly representable, which the counting engine
-    relies on for collision-free support merging.  ``gamma`` must also be at
-    least 2^-1022, the smallest normal double: below it, rounding divides a
-    coefficient by gamma and overflows.
+    lam'*kappa^2 + mu'*kappa exactly representable.  ``gamma`` must also be
+    at least 2^-1022, the smallest normal double: below it, rounding divides
+    a coefficient by gamma and overflows.
     """
 
     gamma: float

@@ -36,7 +36,6 @@ import numpy as np
 
 from .counter import (
     DEFAULT_EPS,
-    DEFAULT_GAMMA,
     DEFAULT_TAU,
     EngineTooLargeError,
     FloorError,
@@ -146,19 +145,19 @@ def lift_to_continuous(kappa: np.ndarray, spec: GridSpec, rng: Rng) -> np.ndarra
 
 class PtfSampler:
     """Prepared sampling pipeline for one PTF: decouple -> normalize ->
-    round -> prefix-CDF table -> grid point -> exact continuous lift ->
-    rotate back.
+    prefix-CDF table -> grid point -> exact continuous lift -> rotate back.
 
     The table is built once, here, and its own mass (``PrefixCDFTable.mass``)
     is checked against ``floor`` (default 2^(-4n)), so FloorError comes
     before any draw.  Draws lie within total variation eps of N(0, I)
-    conditioned on the rounded, truncated instance: the union of the grid
-    cells whose grid point satisfies the rounded constraint, each cell
-    lifted exactly.  The gap to N(0, I) conditioned on ``q`` itself is not
-    bounded.  With ``exact_filter`` draws are rejected until the original
-    polynomial is nonnegative at the output.  A bad setting raises
-    ValueError before any work; eps must lie in (0, 1), as eps = 1 bounds
-    nothing.
+    conditioned on the truncated instance: the union of the grid cells
+    whose grid point satisfies the normalized constraint, each cell lifted
+    exactly.  The gap to N(0, I) conditioned on ``q`` itself is not
+    bounded.  ``rounded`` holds that normalized constraint (None for a
+    constant form), with the rotation that maps draws back.  With
+    ``exact_filter`` draws are rejected until the original polynomial is
+    nonnegative at the output.  A bad setting raises ValueError before any
+    work; eps must lie in (0, 1), as eps = 1 bounds nothing.
     """
 
     def __init__(
@@ -168,18 +167,17 @@ class PtfSampler:
         *,
         tau: float = DEFAULT_TAU,
         trunc_B: float | None = None,
-        gamma: float = DEFAULT_GAMMA,
         floor: float | None = None,
         retry_limit: int = 100,
     ):
-        cfg, self.spec, floor = _checked_grid(q, eps, tau, trunc_B, gamma, floor)
+        self.spec, floor = _checked_grid(q, eps, tau, trunc_B, floor)
         if eps >= 1.0:
             raise ValueError(f"eps must lie in (0, 1) for sampling, got {eps}")
         self.retry_limit = _checked_int("retry_limit", retry_limit, 0)
         self.original = q
         self.eps = float(eps)
         self.filter_rejections = 0
-        self.rounded, mass = _prepare(q, cfg)
+        self.rounded, mass = _prepare(q)
         if self.rounded is not None:  # else q is constant, of exact mass 0 or 1
             self.rotation = self.rounded.rotation
             self.table = PrefixCDFTable.for_sampling(self.rounded, self.spec, self.eps)

@@ -40,19 +40,25 @@ def test_every_wrapped_name_resolves():
 
 
 def test_wrapped_sampler_names_without_call_sites():
-    # the sampler calls none of these names; it keeps them importable only
-    # because the tracer wraps them there, so their spans read 0.  Dropping
-    # them from the tracer empties this set; a new dead name shows up here
-    called = {
-        node.func.id
-        for node in ast.walk(ast.parse(Path(sampler.__file__).read_text()))
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-    }
-    wrapped = {
-        path for module_name, path, *_ in load_tracing().WRAPS
-        if module_name == "quadgauss.sampler" and "." not in path
-    }
-    assert wrapped - called == {"count", "decouple", "round_coefficients"}
+    # each module calls none of its names here; it keeps them importable
+    # only because the tracer wraps them there, so their spans read 0.
+    # Dropping them from the tracer empties these sets; a new dead name
+    # shows up here
+    wraps = load_tracing().WRAPS
+    for module, dead in (
+        (sampler, {"count", "decouple", "round_coefficients"}),
+        (counter, {"round_coefficients"}),
+    ):
+        called = {
+            node.func.id
+            for node in ast.walk(ast.parse(Path(module.__file__).read_text()))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        }
+        wrapped = {
+            path for module_name, path, *_ in wraps
+            if module_name == module.__name__ and "." not in path
+        }
+        assert wrapped - called == dead, module.__name__
 
 
 def test_tail_cdf_takes_collect():

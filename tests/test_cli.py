@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -97,6 +98,14 @@ class TestCount:
 
         assert estimate(s) == pytest.approx(estimate(1.0), rel=1e-12)
 
+    def test_unit_tau_counts_the_grid_mass(self, chi2_instance, capsys):
+        # tau = 1 is a power of 2 in (0, 1]; at B = 4 the grid points of
+        # x1^2 + x2^2 <= 2 are {-1, 0, 1}^2, whose cells cover [-1, 2)^2
+        code, out = run_inproc(["count", "--instance", chi2_instance, "--tau", "1"], capsys)
+        assert code == 0
+        side = 0.5 * (math.erf(2.0 / math.sqrt(2.0)) - math.erf(-1.0 / math.sqrt(2.0)))
+        assert json.loads(out)["estimate"] == pytest.approx(side * side, rel=1e-12)
+
     def test_main_leaves_numpy_error_state_alone(self, chi2_instance, capsys):
         with np.errstate(all="warn"):
             code, _ = run_inproc(["count", "--instance", chi2_instance], capsys)
@@ -129,9 +138,12 @@ class TestBadInput:
             ["sample", "--samples", "-3"],
             ["count", "--tau", "0.3"],
             ["sample", "--tau", "0.3"],
-            ["count", "--gamma", "0.3"],
-            ["count", "--gamma", "2"],
+            # tau must be a power of 2 in (0, 1]
+            ["count", "--tau", "2"],
+            ["sample", "--tau", "2"],
             ["count", "--trunc-B", "0.3"],
+            # coefficients are not rounded, so there is no --gamma flag:
+            # argparse refuses it as unknown
             ["count", "--gamma", "0.5"],
             ["sample", "--gamma", "0.5"],
             ["densify", "--eps", "0"],
@@ -213,23 +225,6 @@ class TestBadInput:
         assert code == 1
         assert captured.out == ""
         assert captured.err.startswith("error: grid has 8388609 points per coordinate")
-
-    @pytest.mark.parametrize("command", ["count", "sample"])
-    def test_subnormal_gamma_names_its_bound(self, chi2_instance, capsys, command):
-        code = cli.main([command, "--instance", chi2_instance, "--gamma", "5e-324"])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert captured.err.startswith("error: gamma must be at least 2^-1022")
-        assert "coarse" not in captured.err
-
-    def test_coarse_gamma_on_constant_instance_counts(self, const_pos_instance, capsys):
-        # a constant polynomial is answered exactly, before any rounding
-        code, out = run_inproc(
-            ["count", "--gamma", "0.5", "--instance", const_pos_instance], capsys
-        )
-        assert code == 0
-        assert json.loads(out)["estimate"] == 1.0
 
     @pytest.mark.parametrize("command", ["count", "sample"])
     def test_non_finite_instance_exit_1(self, tmp_path, capsys, command):
@@ -360,6 +355,17 @@ class TestSample:
             capsys,
         )
         assert code == 3
+
+    def test_unit_tau_draws_lift(self, chi2_instance, capsys):
+        # tau = 1: each draw lifts into a cell of [-1, 2)^2, up to the
+        # rotation decouple picks for -I
+        code, out = run_inproc(
+            ["sample", "--instance", chi2_instance, "--tau", "1", "--samples", "5", "--json"], capsys
+        )
+        assert code == 0
+        points = np.array([json.loads(line)["x"] for line in out.splitlines()])
+        assert points.shape == (5, 2)
+        assert np.all(np.hypot(points[:, 0], points[:, 1]) < math.sqrt(8.0))
 
     def test_negative_seed_exit_1(self, chi2_instance, capsys):
         code = cli.main(["sample", "--instance", chi2_instance, "--seed", "-1"])
@@ -619,5 +625,6 @@ class TestSubprocessEntry:
             text=True,
         )
         assert r.returncode == 0
-        for flag in ("--eps", "--tau", "--trunc-B", "--gamma", "--seed", "--samples", "--filter", "--json", "--instance"):
+        for flag in ("--eps", "--tau", "--trunc-B", "--seed", "--samples", "--filter", "--json", "--instance"):
             assert flag in r.stdout
+        assert "--gamma" not in r.stdout

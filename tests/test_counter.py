@@ -10,6 +10,7 @@ import pytest
 
 from quadgauss import counter, hardness
 from quadgauss.counter import (
+    DEFAULT_TAU,
     CountResult,
     EngineTooLargeError,
     PrefixCDFTable,
@@ -25,7 +26,7 @@ from quadgauss.counter import (
 )
 from quadgauss.grid import GridSpec, support_and_log_pmf
 from quadgauss.numerics import LOG_ZERO, Rng, _wilson_half_width, normal_blocks
-from quadgauss.quadform import DecoupledConstraint, QuadraticForm, sign_at
+from quadgauss.quadform import DecoupledConstraint, QuadraticForm, decouple, normalize, sign_at
 from quadgauss.sampler import PtfSampler
 
 import oracles
@@ -778,6 +779,20 @@ class TestCountPtfGaussian:
         assert set(doc) == {"estimate", "eps", "below_floor"}
         json.dumps(doc)  # serializable
 
+    def test_counts_and_samples_the_normalized_form(self):
+        # the bench form's normalized coefficients lie off the 2^-20
+        # lattice, so any rounding stage would move them; the count and the
+        # sampler's table both take normalize(decouple(q)) as it is
+        q = bench_style(5)
+        nz = normalize(decouple(q))
+        lattice = 2.0**-20
+        assert not np.array_equal(nz.lam, np.rint(nz.lam / lattice) * lattice)
+        spec = GridSpec(tau=DEFAULT_TAU, B=default_trunc_radius(5, 0.05), n=5)
+        assert count_ptf_gaussian(q, 0.05).estimate == count(nz, spec, 0.05)
+        held = PtfSampler(q, 0.1, tau=2.0**-4, trunc_B=3.0).rounded
+        assert np.array_equal(held.lam, nz.lam) and np.array_equal(held.mu, nz.mu)
+        assert held.theta == nz.theta
+
     def test_default_radius(self):
         assert default_trunc_radius(2, 0.05) >= 2
         assert default_trunc_radius(8, 0.05) == 8
@@ -848,6 +863,14 @@ class TestExactGaussianMass:
         exact = oracles.gaussian_mass(*decoupled(q))
         res = count_ptf_gaussian(q)
         assert 1.0 / (1.0 + res.eps) <= res.estimate / exact <= 1.0 + res.eps
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_matches_monte_carlo_beyond_the_counter(self, n):
+        # default count refuses these sizes, so 2^20 draws are the check;
+        # their 99% half-width is about 0.00125
+        q = bench_style(n)
+        est, half = mc_count(q, 1 << 20, Rng(n))
+        assert abs(oracles.gaussian_mass(*decoupled(q)) - est) <= half
 
 
 class TestMcCount:

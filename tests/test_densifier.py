@@ -233,7 +233,7 @@ class TestDensify:
         assert res.rounds == 1 and res.mistakes == 3
         jsonl = "\n".join(json.dumps(e, sort_keys=True) for e in res.transcript)
         digest = hashlib.sha256(jsonl.encode()).hexdigest()
-        assert digest == "3b29c087dbade2df27a6da39cf9b22c58de28a936beb7d9ec6b0eefdd7617068"
+        assert digest == "fc950be976efa1a65bd39dcf7ba8e7c72deefe651ac0c4d79a9d08090ed6ec7d"
 
     def test_negative_round_on_sampler_branch(self, monkeypatch):
         # a least acceptance rate above 1 sends every region to the sampler;

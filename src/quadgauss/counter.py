@@ -4,25 +4,29 @@ the prefix-CDF table that serves both counting and sampling.
 
 The engine convolves the per-coordinate pmfs sequentially, sparsifying each
 factor before it enters and the running distribution after every step.  A
-greedy walk over the cumulative distribution keeps an atom whenever the
-cumulative mass has grown by more than a (1 + eps_step) factor since the
-last kept atom, and merges the mass of dropped atoms into the next kept atom
-to their right.  Where the walk keeps many of a block's atoms it follows a
-jump table, every atom's next one from one vectorized search; in the wide
-windows of large convolutions, where it keeps few, it takes one search per
-kept atom.  Merging rightward makes the compressed CDF F' a pointwise
-lower bound of the running CDF F with F <= (1 + eps_step) * F', so after k
-merges the exact CDF is bracketed within a known factor
-``err_budget = (1 + eps_step)^k``.  Count tables also start each walk at a
-floor relative to the answer, which merges the far left tail into the first
-kept atom at a bounded additive cost.  Masses are stored as logs; pair masses
-and cumulative sums are formed in linear space scaled by each call's largest
+merge keeps some atoms and merges the mass of the dropped atoms into the
+next kept atom to their right, so that every dropped atom after a kept atom
+x has cumulative mass below (1 + eps_step) F(x).  A factor is sorted, and is
+merged greedily: an atom is kept once the cumulative mass has grown by more
+than a (1 + eps_step) factor since the last kept atom, every atom's
+successor coming from one vectorized search.  The running sum of a
+convolution is merged at fixed thresholds c_k = base * (1 + eps_step)^k:
+for each, the first atom whose cumulative mass exceeds it is kept, and the
+last atom.  Fixed thresholds need the order of the pairs only where a
+threshold falls, so a convolution forms its pairs one window of values at a
+time, sums their masses into value bins, and sorts only the pairs of the
+bins a threshold falls in.  Merging rightward makes the compressed CDF F' a
+pointwise lower bound of the running CDF F with F <= (1 + eps_step) * F',
+so after k merges the exact CDF is bracketed within a known factor
+``err_budget = (1 + eps_step)^k``.  Count tables also merge at a floor
+relative to the answer (the greedy walk starts past it, and it is the base
+of the thresholds), which merges the far left tail into the first kept atom
+at a bounded additive cost.  Masses are stored as logs; pair masses and
+cumulative sums are formed in linear space scaled by each call's largest
 mass, and whatever falls too far below it for a double is summed in log
-space instead.  A convolution forms its pairs one window of values at a
-time and merges them as it goes; each window is sorted on the shared worker
-pool while the caller merges the one before it, so at most two windows are
-alive at once.  Every window is sorted whole and merged in value order, so
-results do not depend on the worker count.
+space instead.  One window of pairs is alive at a time, and the merge
+carries its state from window to window, so results do not depend on where
+the windows split.
 
 ``PrefixCDFTable`` keeps the CDFs P_0, ..., P_{n-1} of the prefix sums
 Y_1 + ... + Y_j: P_0 is the point mass at 0, P_1 the exact CDF of Y_1, and
@@ -44,7 +48,6 @@ runs on identical inputs produce bit-identical outputs.
 from __future__ import annotations
 
 import math
-from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
@@ -52,7 +55,7 @@ from functools import cached_property
 import numpy as np
 
 from .grid import GridSpec, _log_cell_masses, support_and_log_pmf, support_and_pmf
-from .numerics import LOG_ZERO, Rng, _checked_int, _wilson_half_width, _worker_pool, log_sum, normal_blocks
+from .numerics import LOG_ZERO, Rng, _checked_int, _wilson_half_width, log_sum, normal_blocks
 from .quadform import (
     ConstantPolynomialError,
     DecoupledConstraint,
@@ -182,130 +185,29 @@ def _log_cumsum(logp: np.ndarray) -> np.ndarray:
     return out
 
 
-# The greedy walk crosses a block of at most _JUMP_BLOCK atoms by a jump table
-# (one vectorized search gives every atom's next one) when its bound on the
-# atoms kept there is at least 1/_JUMP_RATIO of the block, and by one search
-# per kept atom otherwise.
-_JUMP_BLOCK = 1 << 10
-_JUMP_RATIO = 16
-
-
-def _greedy_walk(cum: np.ndarray, i: int, eps_step: float, log_space: bool, kept: list) -> int:
-    """The greedy walk over the nondecreasing cumulative masses ``cum`` from
-    position i: keep i, then jump to the first position whose cumulative
-    exceeds cum[i] * (1 + eps_step), or cum[i] + log1p(eps_step) when
-    ``log_space``, until the walk leaves ``cum``.  Appends the kept
-    positions to ``kept`` and returns where the walk left.
-
-    From position i at most 1 + log(cum[j] / cum[i]) / log1p(eps_step)
-    atoms up to j are kept.  Where that bound is dense in a block, every
-    atom's next one comes from one vectorized ``searchsorted`` and the walk
-    follows the table; where it is sparse (a wide convolution window, where
-    a table would cost more than the searches it saves) the walk takes one
-    scalar search per kept atom.  Both compare the same floats, so the kept
-    positions do not depend on the route."""
-    thresh = math.log1p(eps_step)
-    step = (lambda c: c + thresh) if log_space else (lambda c: c * (1.0 + eps_step))
-    n = cum.size
-    while i < n:
-        end = min(i + _JUMP_BLOCK, n)
-        last = float(cum[end - 1])
-        span = last - cum[i] if log_space else math.log(last / cum[i])
-        if (1.0 + span / thresh) * _JUMP_RATIO >= end - i:
-            nxt = cum.searchsorted(step(cum[i:end]), "right").tolist()
-            start = i
-            while i < end:
-                kept.append(i)
-                i = nxt[i - start]
-        else:
-            while i < end:
-                kept.append(i)
-                i = int(cum.searchsorted(step(cum[i]), "right"))
-    return i
-
-
-def _merge_stream(chunks, top: float, eps_step: float, log_floor: float = LOG_ZERO):
-    """Greedy rightward merge over a distribution given in ascending chunks.
-
-    Each chunk is ``(values, p, starts, log_terms)``: distinct ascending
-    values, each of mass the sum of ``p`` over its run of terms (the runs
-    begin at ``starts``), ``p`` scaled by exp(-top), and ``log_terms(pos)``
-    the logs of ``p`` at ``pos`` without underflow; every chunk lies right
-    of the one before.  The first atom kept is the first whose cumulative
-    mass exceeds exp(log_floor) (the first atom when there is no floor);
-    after it, an atom is kept once the cumulative mass has grown by more
-    than a (1 + eps_step) factor since the last kept one, the last atom is
-    always kept, and the mass of dropped atoms merges into the next kept
-    atom to their right, so kept anchors retain their exact cumulative
-    mass.  Returns the kept (values, log masses).
-
-    The walk (``_greedy_walk``) compares scaled linear cumulative sums; over
-    the leading sums below ``_LINEAR_FLOOR`` it compares their logs instead.
-    It follows a jump table where it keeps many atoms of a chunk, as in
-    sparsified factors and small windows, and keeps one search per kept
-    atom in the wide windows of large convolutions, where it keeps few.
-    The cumulative sum, the pending run and the next threshold carry over
-    from chunk to chunk, so the result does not depend on where the chunks
-    split."""
-    thresh = math.log1p(eps_step)
-    grow = 1.0 + eps_step
-    kept_v, kept_lp = [], []
-    cum_prev, log_cum_prev = 0.0, LOG_ZERO
-    run_log, pending = LOG_ZERO, False  # the merged run not yet kept
-    target, in_log = log_floor - top, True  # the next kept atom's cumulative exceeds it
-    for values, p, starts, log_terms in chunks:
-        n = values.size
-        cum = p.copy() if n == p.size else np.add.reduceat(p, starts)
-        cum[0] += cum_prev
-        np.cumsum(cum, out=cum)
-        cum_prev = cum[-1]
-        head = int(cum.searchsorted(_LINEAR_FLOOR))
-        if head:
-            end = starts[head] if head < n else p.size
-            log_head = np.logaddexp.reduceat(log_terms(np.arange(end)), starts[:head])
-            log_head[0] = np.logaddexp(log_cum_prev, log_head[0])
-            np.logaddexp.accumulate(log_head, out=log_head)
-            log_cum_prev = log_head[-1]
-        kept = []
-        if in_log:
-            i = 0
-            if head:
-                i = _greedy_walk(log_head, int(log_head.searchsorted(target, "right")), eps_step, True, kept)
-                if kept:
-                    target = log_head[kept[-1]] + thresh
-            if i < n:  # the walk leaves the head in this chunk
-                in_log, target = False, math.exp(target)
-                i = max(head, int(cum.searchsorted(target, "right")))
-        else:
-            i = int(cum.searchsorted(target, "right"))
-        in_head = len(kept)
-        _greedy_walk(cum, i, eps_step, False, kept)
-        if len(kept) > in_head:
-            target = cum[kept[-1]] * grow
-        ends = np.asarray(kept, dtype=np.intp)
-        ends = ends[ends < n - 1] + 1
-        runs = _run_log_sums(p, np.concatenate(([0], starts[ends])), log_terms)
-        if kept:
-            runs[0] = np.logaddexp(run_log, runs[0])
-            kept_v.append(values[kept])
-            kept_lp.append(runs[: len(kept)])
-            run_log, pending = LOG_ZERO, False
-        if len(runs) > len(kept):
-            run_log, pending = np.logaddexp(run_log, runs[-1]), True
-        last = values[-1]
-        # let the chunk go before the next one is formed
-        del values, p, starts, log_terms, cum, runs
-    if pending:
-        kept_v.append(np.array([last]))
-        kept_lp.append(np.array([run_log]))
-    return np.concatenate(kept_v), np.concatenate(kept_lp) + top
+def _crossings(log_cum, log_base: float, thresh: float):
+    """How many thresholds log_base + k*thresh, k >= 0, lie strictly below
+    each log cumulative mass: the rank of the last threshold an atom's
+    cumulative has passed.  A cumulative equal to a threshold has not
+    passed it."""
+    return np.maximum(np.ceil((log_cum - log_base) / thresh), 0.0)
 
 
 def _sparsify(values: np.ndarray, logp: np.ndarray, eps_step: float, log_floor: float = LOG_ZERO):
-    """Merge atoms rightward while consecutive cumulative masses stay within
-    a (1 + eps_step) ratio, and the cumulative mass up to exp(log_floor) into
-    the first kept atom; kept anchors retain their exact cumulative mass
-    (``_merge_stream`` on one chunk)."""
+    """Greedy rightward merge of a sorted support: keep the first atom whose
+    cumulative mass exceeds exp(log_floor) (the first atom when there is no
+    floor), then the first atom whose cumulative mass exceeds (1 + eps_step)
+    times the last kept one's, and so on, and always keep the last atom; the
+    mass of dropped atoms merges into the next kept atom to their right, so
+    kept anchors retain their exact cumulative mass.  Cumulatives are
+    compared in log space, and every atom's successor comes from one
+    ``searchsorted``.
+
+    Factors are merged greedily, not at ``_merge_stream``'s fixed
+    thresholds: their atoms are about as dense as the thresholds, where
+    fixed thresholds keep up to twice as many atoms (14% more on a 2561-atom
+    default-flag pmf), and every pair a later convolution forms is a product
+    of them."""
     live = logp > LOG_ZERO
     if not np.all(live):
         values, logp = values[live], logp[live]
@@ -313,8 +215,162 @@ def _sparsify(values: np.ndarray, logp: np.ndarray, eps_step: float, log_floor: 
         raise ValueError("empty distribution")
     top = logp.max()
     lp = logp - top
-    chunk = (values, np.exp(lp), np.arange(values.size), lambda pos: lp[pos])
-    return _merge_stream([chunk], top, eps_step, log_floor)
+    log_cum = _log_cumsum(lp)
+    nxt = log_cum.searchsorted(log_cum + math.log1p(eps_step), "right").tolist()
+    i = int(log_cum.searchsorted(log_floor - top, "right"))
+    kept = []
+    while i < lp.size:
+        kept.append(i)
+        i = nxt[i]
+    if not kept or kept[-1] != lp.size - 1:
+        kept.append(lp.size - 1)
+    ends = np.asarray(kept)
+    runs = _run_log_sums(np.exp(lp), np.concatenate(([0], ends[:-1] + 1)), lambda pos: lp[pos])
+    return values[ends], runs + top
+
+
+# A window's pairs are summed into about one value bin per _BIN_PAIRS pairs;
+# only the bins a threshold falls in (and the few the log-space paths need)
+# are sorted.
+_BIN_PAIRS = 8
+
+
+def _merge_stream(windows, top: float, eps_step: float, log_floor: float = LOG_ZERO):
+    """Rightward merge of a distribution given in windows of unsorted terms,
+    at the thresholds c_k = base * (1 + eps_step)^k, k >= 0: for each c_k the
+    first atom whose cumulative mass exceeds it is kept (one equal to it is
+    not), the last atom is always kept, and the mass of dropped atoms merges
+    into the next kept atom to their right, so kept anchors retain their
+    exact cumulative mass.  ``base`` is exp(log_floor); with no floor it is
+    the first atom's mass times (1 + eps_step), and the first atom is kept,
+    which is the rule for a base just below it.  Between two kept atoms
+    every atom has F <= c_(k+1) < (1 + eps_step) F of the left one.  Returns
+    the kept (values, log masses).
+
+    Each window is ``(v, p, lo, hi, log_terms)``: term values ``v`` with
+    lo <= v <= hi and masses ``p`` scaled by exp(-top), in any order, and
+    ``log_terms(pos)`` the logs of ``p`` at ``pos`` without underflow.  An
+    atom is a distinct value, of mass the sum of its terms.  Every value of
+    a window lies left of the next window's values; the first window's
+    ``lo`` is its smallest value and the last window's ``hi`` its largest.
+
+    A window's masses are summed into about one bin of equal width per
+    ``_BIN_PAIRS`` terms, and the cumulative mass at each bin edge gives the
+    number of thresholds passed there (``_crossings``).  Only the terms of
+    the bins where that number grows are sorted, to place each kept atom
+    exactly: their atoms' cumulatives start from the bin's start and the
+    bin's last atom takes the count at its end, so each threshold lands on
+    an atom of the bin it was counted in.  A merged run sums whole bins and
+    sorted atoms.  Bins that start below ``_LINEAR_FLOOR`` are sorted too,
+    and their atoms take cumulatives from the terms' logs; so are bins of
+    mass below it, so that a run summing below it can be redone from its
+    terms' logs.  The cumulative mass, the threshold count and the pending
+    run carry from window to window."""
+    thresh = math.log1p(eps_step)
+    base = None if log_floor == LOG_ZERO else log_floor - top
+    kept_v, kept_lp = [], []
+    cum_prev, log_cum_prev, k_prev = 0.0, LOG_ZERO, 0.0
+    run_log, pending = LOG_ZERO, False  # the merged run not yet kept
+    for v, p, lo, hi, log_terms in windows:
+        keep_first = base is None
+        if keep_first:
+            base = float(np.logaddexp.reduce(log_terms(np.flatnonzero(v == lo)))) + thresh
+        # cells of equal width from lo; a value at hi (up to rounding) falls
+        # in one more bin of its own
+        cells = v.size // _BIN_PAIRS
+        n_bins = cells + 1
+        width = (hi - lo) / cells if cells else 0.0
+        if width > 0.0:
+            x = v - lo
+            x /= width
+            bins = x.astype(np.intp)
+            del x
+        else:
+            bins = np.zeros(v.size, dtype=np.intp)
+        mass = np.bincount(bins, weights=p, minlength=n_bins)
+        cum = np.empty(n_bins + 1)  # the cumulative mass at each bin edge
+        cum[0] = cum_prev
+        cum[1:] = mass
+        np.cumsum(cum, out=cum)
+        head = int(cum.searchsorted(_LINEAR_FLOOR))  # bins that start in the log head
+        edge_k = _crossings(np.log(cum[head:]), base, thresh)
+        sort = mass < _LINEAR_FLOOR
+        sort[:head] = True
+        sort[head:] |= edge_k[1:] > edge_k[:-1]
+        sel = np.flatnonzero(sort[bins])
+        sv = v[sel]
+        order = np.argsort(sv)
+        sel, sv = sel[order], sv[order]
+        new = np.empty(sel.size, dtype=bool)
+        new[:1] = True
+        np.not_equal(sv[1:], sv[:-1], out=new[1:])
+        starts = np.flatnonzero(new)
+        atom_v = sv[starts]
+        atom_p = np.add.reduceat(p[sel], starts)
+        atom_bin = bins[sel[starts]]
+        n_atoms = atom_v.size
+        new_bin = np.empty(n_atoms, dtype=bool)  # an atom that starts a bin
+        new_bin[:1] = True
+        np.not_equal(atom_bin[1:], atom_bin[:-1], out=new_bin[1:])
+        k = np.empty(n_atoms)
+        in_head = int(atom_bin.searchsorted(head))
+        if in_head:
+            end = starts[in_head] if in_head < n_atoms else sel.size
+            log_cum = np.logaddexp.reduceat(log_terms(sel[:end]), starts[:in_head])
+            log_cum[0] = np.logaddexp(log_cum_prev, log_cum[0])
+            np.logaddexp.accumulate(log_cum, out=log_cum)
+            log_cum_prev = log_cum[-1]
+            k[:in_head] = _crossings(log_cum, base, thresh)
+        if in_head < n_atoms:
+            # the cumulative within each bin, from the bin's start
+            b, bp = atom_bin[in_head:], atom_p[in_head:]
+            cs = np.cumsum(bp)
+            before = np.where(new_bin[in_head:], cs - bp, 0.0)
+            cs -= np.maximum.accumulate(before, out=before)
+            k[in_head:] = _crossings(np.log(cum[b] + cs), base, thresh)
+        # the last atom of a bin that ends in the linear range takes the count
+        # at the bin's end: its cumulative, summed in another order, may
+        # round to the other side of a threshold, which would then land on
+        # no atom
+        last = np.append(new_bin[1:], True) & (atom_bin >= head - 1)
+        k[last] = edge_k[atom_bin[last] + 1 - head]
+        kept = np.empty(n_atoms, dtype=bool)
+        if n_atoms:
+            kept[0] = keep_first or k[0] > k_prev
+            np.greater(k[1:], k[:-1], out=kept[1:])
+        k_prev = edge_k[-1] if edge_k.size else k[-1]
+        cum_prev = cum[-1]
+        ends = np.flatnonzero(kept)
+        # runs[r] is the mass merged into the r-th kept atom; the last run
+        # follows the window's last kept atom
+        run_of = np.cumsum(kept) - kept
+        runs = np.add.reduceat(np.where(sort, 0.0, mass), np.concatenate(([0], atom_bin[ends])))
+        runs += np.bincount(run_of, weights=atom_p, minlength=ends.size + 1)
+        low = runs < _LINEAR_FLOOR
+        with np.errstate(divide="ignore"):
+            np.log(runs, out=runs)
+        if low.any():
+            # such a run holds sorted atoms only: every unsorted bin weighs more
+            term_run = run_of[np.cumsum(new) - 1]
+            pos = np.flatnonzero(low[term_run])
+            if pos.size:
+                r = term_run[pos]
+                g = np.flatnonzero(np.concatenate(([True], r[1:] != r[:-1])))
+                runs[r[g]] = np.logaddexp.reduceat(log_terms(sel[pos]), g)
+        if ends.size:
+            runs[0] = np.logaddexp(run_log, runs[0])
+            kept_v.append(atom_v[ends])
+            kept_lp.append(runs[: ends.size])
+            run_log, pending = LOG_ZERO, False
+        if not ends.size or ends[-1] < n_atoms - 1 or not sort[atom_bin[ends[-1]] + 1 :].all():
+            run_log, pending = np.logaddexp(run_log, runs[-1]), True
+        last = hi
+        # let the window go before the next one is formed
+        del v, p, log_terms, bins, sel, sv, order
+    if pending:
+        kept_v.append(np.array([last]))
+        kept_lp.append(np.array([run_log]))
+    return np.concatenate(kept_v), np.concatenate(kept_lp) + top
 
 
 def _row_splits(values, atom_v, t):
@@ -335,19 +391,14 @@ def _row_splits(values, atom_v, t):
 
 
 def _pair_windows(values, la, atom_v, lb):
-    """The pairs of two ascending supports, in ascending chunks of about
-    ``_PAIR_BLOCK`` pairs for ``_merge_stream``: each chunk's distinct pair
-    values, the pair masses exp(la[a] + lb[b]) in value order, where each
-    value's run begins, and the pair log masses.  Window edges are
-    quantiles of a sub-grid of the pairs; each pair falls in one window by
-    its rounded value, so equal values never straddle two windows.
-
-    A window's pair values and masses are formed here and sorted on the
-    shared worker pool, one window ahead: while a worker sorts window w + 1,
-    the caller merges window w.  At most two windows are alive at once, and
-    every window is sorted whole, so the chunks do not depend on the worker
-    count.  Pairs that fit one window are sorted here.  Closing the
-    generator cancels a sort not yet started."""
+    """The pairs of two ascending supports, one window of values of about
+    ``_PAIR_BLOCK`` pairs at a time, as ``_merge_stream`` takes them: the
+    window's pair values and masses exp(la[a] + lb[b]), unsorted, bounds on
+    its values, and the pair log masses.  Window edges are quantiles of a
+    sub-grid of the pairs; each pair falls in one window by its rounded
+    value, so equal values never straddle two windows.  Rounding is
+    monotone, so the first window's lower bound, values[0] + atom_v[0], is
+    its smallest value and the last window's upper bound its largest."""
     m, k = values.size, atom_v.size
     pa, pb = np.exp(la), np.exp(lb)
     windows = -(-m * k // _PAIR_BLOCK)
@@ -357,64 +408,42 @@ def _pair_windows(values, la, atom_v, lb):
         edges = sample[np.arange(1, windows) * sample.size // windows]
         # unique by hand: np.unique would import numpy.ma on the first count
         edges = edges[np.concatenate(([True], edges[1:] != edges[:-1]))]
-    pool = _worker_pool()[0] if len(edges) else None
+    lower = values[0] + atom_v[0]
+    done = np.zeros(k, dtype=np.intp)
+    for t in [*edges, None]:
+        split = np.full(k, m, dtype=np.intp) if t is None else _row_splits(values, atom_v, t)
+        size = split - done
+        ends = np.cumsum(size)
+        offset = ends - size - done
+        done = split
+        upper = values[-1] + atom_v[-1] if t is None else t
+        total = int(ends[-1])
+        if total:
+            a = np.arange(total)
+            a -= np.repeat(offset, size)
+            v = np.repeat(atom_v, size)
+            v += values[a]
+            p = np.repeat(pb, size)
+            p *= pa[a]
+            del a
 
-    def chunk(v, p, ends, offset, order):
-        v, p = v[order], p[order]
-        new = np.empty(v.size, dtype=bool)
-        new[0] = True
-        np.not_equal(v[1:], v[:-1], out=new[1:])
-        starts = np.flatnonzero(new)
+            def log_terms(pos, ends=ends, offset=offset):
+                # pair i of the window is (a, b) = (i - offset[b], row of i)
+                b = ends.searchsorted(pos, "right")
+                return la[pos - offset[b]] + lb[b]
 
-        def log_terms(pos):
-            # pair i of the window is (a, b) = (i - offset[b], row of i)
-            i = order[pos]
-            b = ends.searchsorted(i, "right")
-            return la[i - offset[b]] + lb[b]
-
-        return v[starts], p, starts, log_terms
-
-    def sorted_chunk(v, p, ends, offset, sort):
-        return chunk(v, p, ends, offset, sort.result())
-
-    ahead: deque = deque()  # windows sorting on the pool, with their sort
-    lo = np.zeros(k, dtype=np.intp)
-    try:
-        for t in [*edges, None]:
-            hi = np.full(k, m, dtype=np.intp) if t is None else _row_splits(values, atom_v, t)
-            size = hi - lo
-            ends = np.cumsum(size)
-            offset = ends - size - lo
-            lo = hi
-            total = int(ends[-1])
-            if not total:
-                continue
-            b = np.repeat(np.arange(k), size)
-            a = np.arange(total) - np.repeat(offset, size)
-            v = atom_v[b] + values[a]
-            p = pb[b] * pa[a]
-            del a, b
-            if pool is None:
-                yield chunk(v, p, ends, offset, np.argsort(v))
-                continue
-            ahead.append((v, p, ends, offset, pool.submit(np.argsort, v)))
+            yield v, p, lower, upper, log_terms
             del v, p
-            if len(ahead) > 1:
-                yield sorted_chunk(*ahead.popleft())
-        while ahead:
-            yield sorted_chunk(*ahead.popleft())
-    finally:
-        for *_, sort in ahead:
-            sort.cancel()
+        lower = upper
 
 
 def _convolve_sparsify(values, logp, atom_v, atom_lp, eps_step: float, log_floor: float = LOG_ZERO):
     """The law of the sum of two independent variables given as ascending
-    (values, log masses), sparsified at ``eps_step`` and ``log_floor`` as
-    ``_sparsify`` would sparsify their exact convolution.  Pairs are formed,
-    sorted and merged one window of values at a time (``_pair_windows``).
-    Pair masses are formed and summed in linear space, scaled by the largest
-    pair mass."""
+    (values, log masses), merged at the thresholds of ``eps_step`` and
+    ``log_floor`` (``_merge_stream``).  Pairs are formed and merged one
+    window of values at a time (``_pair_windows``), and sorted only where a
+    threshold falls.  Pair masses are formed and summed in linear space,
+    scaled by the largest pair mass."""
     top_a, top_b = logp.max(), atom_lp.max()
     windows = _pair_windows(values, logp - top_a, atom_v, atom_lp - top_b)
     return _merge_stream(windows, top_a + top_b, eps_step, log_floor)
@@ -439,9 +468,10 @@ def _log_spread(logp: np.ndarray) -> float:
 
 def _pair_bounds(factors, eps_step: float) -> list[float]:
     """Upper bounds on the pairs each convolution of ``factors`` forms when
-    the running sum is sparsified at ``eps_step``: greedy sparsification
-    keeps at most 2 + (log-range)/log1p(eps_step) anchors, and the log-range
-    of a sum is at most the sum of its factors' ``_log_spread``."""
+    the running sum is merged at ``eps_step``: the threshold merge keeps at
+    most 2 + (log-range)/log1p(eps_step) atoms, one more with a floor below
+    the first atom (the thresholds below its mass all keep it), and the
+    log-range of a sum is at most the sum of its factors' ``_log_spread``."""
     thresh = math.log1p(eps_step)
     atoms = float(factors[0][0].size)
     spread = _log_spread(factors[0][1])
@@ -478,8 +508,9 @@ def compressed_tail_cdf(pmfs, eps_step, collect: list | None = None) -> Compress
 
     ``eps_step`` may be a ``_FlooredStep``: then, unless every convolution
     fits one pair window (where merging more saves nothing), each factor is
-    sparsified again from its pmf and every merge starts its walk at the
-    floor delta, which also lets the exact CDF exceed the bound by an
+    sparsified again from its pmf and every merge keeps no atom up to the
+    floor delta (the greedy walk starts past it, and it is the base of the
+    thresholds), which also lets the exact CDF exceed the bound by an
     additive (2j - 1) * err_budget * delta."""
     step, log_floor = eps_step, None
     if isinstance(eps_step, _FlooredStep):
@@ -545,9 +576,14 @@ class PrefixCDFTable:
     ``err_budget`` beta = (1 + e)^(2n - 3), where e is the merge step.  P_1
     is exact.  For j >= 2, P_j comes out of ``compressed_tail_cdf`` over the
     first n - 1 coordinates.  A rightward merge at step e, of a factor
-    before it is convolved or of the running sum after, leaves a pointwise
-    lower bound within a (1 + e) factor of the CDF it replaces, and
-    convolving with an independent variable keeps both properties.  So
+    before it is convolved (greedy) or of the running sum after (at the
+    fixed thresholds c_k = base (1 + e)^k), keeps anchors with their exact
+    cumulative mass, and every atom between two kept ones has F < (1 + e)
+    times the left one's: for the thresholds, an atom between the first
+    atoms past c_k and c_(k+1) has F <= c_(k+1) = (1 + e) c_k.  So the
+    merge leaves a pointwise lower bound within a (1 + e) factor of the CDF
+    it replaces, and convolving with an independent variable keeps both
+    properties.  So
     P_j <= F_j <= (1 + e)^(2j - 1) P_j, where F_j is the exact CDF: one
     merge per convolution and one per sparsified factor among coordinates
     1..j.  For P_{n-1} that is beta.
@@ -557,9 +593,10 @@ class PrefixCDFTable:
     exact grid mass at theta.  A coarse pass runs ``compressed_tail_cdf`` on
     the same sparsified factors at step 1 and reads their mass L at theta;
     L <= F, since every merge lower-bounds.  Each merge of the table then
-    starts its walk at delta = eps' L/(32n), with eps' = min(eps, 1/2): the
-    mass whose cumulative total is at most delta merges into the first kept
-    atom, which keeps its exact cumulative mass.  Such a merge leaves
+    keeps no atom up to delta = eps' L/(32n), with eps' = min(eps, 1/2): the
+    greedy walk starts at the first atom past it, and the thresholds start
+    at it.  The mass whose cumulative total is at most delta merges into the
+    first kept atom, which keeps its exact cumulative mass.  Such a merge leaves
     F' <= F <= (1 + e) F' + delta, as left of the first kept atom F <= delta,
     and convolving with a probability law keeps this without growing delta.
     Over the 2n - 3 merges, and then summing over the last coordinate's

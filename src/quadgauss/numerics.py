@@ -21,7 +21,7 @@ stateful object: a splittable counter-based (Philox) stream, single-owner by
 convention.  ``normal_blocks`` draws blocks of normals on at most two worker
 threads, optionally with columns conditioned on intervals; each block is
 fixed by its child stream, so the output does not depend on the worker
-count.  The counter sorts its pair windows on the same threads.
+count.
 """
 
 from __future__ import annotations
@@ -311,8 +311,7 @@ _POOL_LOCK = threading.Lock()
 def _worker_pool() -> tuple[ThreadPoolExecutor, int]:
     """The shared worker pool, started on first use (again after a fork):
     one worker per CPU this process may run on, at most 2.  It fills the
-    blocks of :func:`normal_blocks` and sorts the counter's pair windows;
-    no task on it waits for another."""
+    blocks of :func:`normal_blocks`; no task on it waits for another."""
     global _POOL
     with _POOL_LOCK:
         if _POOL is None or _POOL[0] != os.getpid():
@@ -520,10 +519,13 @@ def jacobi_eigen(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     scale = max(1.0, float(np.max(np.abs(A)))) if A.size else 1.0
     if float(np.max(np.abs(A - A.T))) > 1e-12 * scale:
         raise ValueError("matrix is not symmetric within tolerance 1e-12")
-    a = 0.5 * (A + A.T)
+    # divided by the power of two at its largest entry, which is exact, so
+    # that no norm below overflows or underflows at any scale
+    e = -math.frexp(float(np.max(np.abs(A))) if A.size else 0.0)[1]
+    a = 0.5 * (np.ldexp(A, e) + np.ldexp(A.T, e))
     r = np.eye(n)
     if n == 1:
-        return a.diagonal().copy(), r
+        return np.ldexp(a.diagonal(), -e), r
     fro = max(float(np.linalg.norm(a)), 1e-300)
     for _ in range(_JACOBI_MAX_SWEEPS):
         # off-diagonal norm measured entrywise (a sum-of-squares difference
@@ -553,6 +555,6 @@ def jacobi_eigen(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 r[:, p], r[:, q] = rot_p, rot_q
     else:
         raise EigenConvergenceError(f"no convergence after {_JACOBI_MAX_SWEEPS} sweeps")
-    w = a.diagonal().copy()
+    w = np.ldexp(a.diagonal(), -e)
     order = np.argsort(-w, kind="stable")
     return w[order], r[:, order]

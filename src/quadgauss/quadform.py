@@ -195,9 +195,21 @@ def decouple(q: QuadraticForm) -> DecoupledConstraint:
 
     With A = R diag(w) R^T the region {x : p(x) >= 0} equals
     {R y : sum_i (-w_i) y_i^2 + (-R^T b)_i y_i <= c}.
+
+    An eigenvalue within the solver's stopping tolerance of 0, |w_i| <=
+    1e-14 ||A||_F, is set to exactly 0, and so is a linear term with
+    |(R^T b)_i| <= 1e-14 ||b||.  A rank-deficient A given in a rotated basis
+    otherwise leaves about +-1e-17 on its null space: the counter then
+    convolves a full grid pmf for that coordinate rather than a point mass,
+    and ``coordinate_box`` takes the whole line for every coordinate once
+    such a lam is negative.
     """
     w, r = jacobi_eigen(q.A)
-    return DecoupledConstraint(lam=-w, mu=-(r.T @ q.b), theta=q.c, rotation=r)
+    lam, mu = -w, -(r.T @ q.b)
+    # math.hypot scales, so the norms neither overflow nor underflow
+    lam[np.abs(lam) <= 1e-14 * math.hypot(*q.A.ravel())] = 0.0
+    mu[np.abs(mu) <= 1e-14 * math.hypot(*q.b)] = 0.0
+    return DecoupledConstraint(lam=lam, mu=mu, theta=q.c, rotation=r)
 
 
 # Outward margin of each finite end of a coordinate box, relative to the end:

@@ -283,7 +283,7 @@ def convolve_log(values, logp, atom_v, atom_lp):
     return v[starts], np.logaddexp.reduceat(lp, starts)
 
 
-def sparsify_log(values, logp, eps_step, log_floor=-math.inf):
+def greedy_sparsify_log(values, logp, eps_step, log_floor=-math.inf):
     """Greedy rightward merge in log space: the first atom kept is the first
     whose log cumulative mass exceeds ``log_floor``; after it, keep an atom
     once the log cumulative mass has grown by more than log1p(eps_step)
@@ -301,6 +301,30 @@ def sparsify_log(values, logp, eps_step, log_floor=-math.inf):
     if not kept or kept[-1] != m - 1:
         kept.append(m - 1)
     kept = np.asarray(kept)
+    starts = np.concatenate(([0], kept[:-1] + 1))
+    return values[kept], np.logaddexp.reduceat(logp, starts)
+
+
+def sparsify_log(values, logp, eps_step, log_floor=-math.inf):
+    """Threshold merge in log space, at the log thresholds log_base + k *
+    log1p(eps_step), k >= 0: for each, keep the first atom whose log
+    cumulative mass exceeds it, and always keep the last atom.  log_base
+    is ``log_floor``; with no floor it is the first atom's log mass plus
+    log1p(eps_step), and the first atom is kept."""
+    live = logp > -math.inf
+    values, logp = values[live], logp[live]
+    m = values.size
+    thresh = math.log1p(eps_step)
+    cum = np.logaddexp.accumulate(logp)
+    if log_floor == -math.inf:
+        log_base, kept = logp[0] + thresh, [0]
+    else:
+        log_base, kept = log_floor, []
+    steps = max(0, math.ceil((cum[-1] - log_base) / thresh) + 1)
+    thresholds = log_base + np.arange(steps) * thresh
+    thresholds = thresholds[thresholds < cum[-1]]
+    kept = np.concatenate((kept, np.searchsorted(cum, thresholds, side="right"), [m - 1]))
+    kept = np.unique(kept.astype(int))
     starts = np.concatenate(([0], kept[:-1] + 1))
     return values[kept], np.logaddexp.reduceat(logp, starts)
 

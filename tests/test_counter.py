@@ -3,13 +3,13 @@ import math
 import sys
 import threading
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from quadgauss import counter, hardness
 from quadgauss.counter import (
+    DEFAULT_EPS,
     DEFAULT_TAU,
     CountResult,
     EngineTooLargeError,
@@ -30,6 +30,7 @@ from quadgauss.quadform import DecoupledConstraint, QuadraticForm, decouple, nor
 from quadgauss.sampler import PtfSampler
 
 import oracles
+from test_quadform import rotated_null_form
 
 
 def lattice_constraint(gen, n, step=2.0**-4):
@@ -210,24 +211,33 @@ class TestKernels:
 
     @pytest.mark.parametrize("step", [2.0**-6, 0.1])
     def test_pair_windows_partition_the_convolution(self, monkeypatch, step):
-        # small windows: every pair lands in exactly one, in value order; at
-        # step 0.1 pair sums round, and equal sums must share a window
+        # small windows: every pair lands in exactly one, within the window's
+        # bounds and left of the next window's pairs; at step 0.1 pair sums
+        # round, and equal sums must share a window
         monkeypatch.setattr(counter, "_PAIR_BLOCK", 97)
         monkeypatch.setattr(counter, "_SAMPLE_STRIDE", 1)
         gen = np.random.default_rng(11)
         for _ in range(20):
             a = random_lattice_pmf(gen, int(gen.integers(1, 300)), step)
             b = random_lattice_pmf(gen, int(gen.integers(1, 300)), step)
-            chunks = [
-                (v, np.logaddexp.reduceat(log_terms(np.arange(p.size)), starts))
-                for v, p, starts, log_terms in _pair_windows(a[0], a[1], b[0], b[1])
-            ]
-            assert len(chunks) > 1 or a[0].size * b[0].size <= 97
-            got_v = np.concatenate([v for v, _ in chunks])
-            got_lp = np.concatenate([lp for _, lp in chunks])
+            windows = list(_pair_windows(a[0], a[1], b[0], b[1]))
+            assert len(windows) > 1 or a[0].size * b[0].size <= 97
+            assert windows[0][2] == windows[0][0].min()
+            assert windows[-1][3] == windows[-1][0].max()
+            got_v, got_lp, right = [], [], -math.inf
+            for v, p, lo, hi, log_terms in windows:
+                assert right < v.min() and lo <= v.min() and v.max() <= hi
+                right = v.max()
+                lp = log_terms(np.arange(v.size))
+                np.testing.assert_allclose(p, np.exp(lp), rtol=1e-13)
+                order = np.argsort(v, kind="stable")
+                v, lp = v[order], lp[order]
+                starts = np.flatnonzero(np.concatenate(([True], v[1:] != v[:-1])))
+                got_v.append(v[starts])
+                got_lp.append(np.logaddexp.reduceat(lp, starts))
             want_v, want_lp = oracles.convolve_log(*a, *b)
-            assert np.array_equal(got_v, want_v)
-            np.testing.assert_allclose(got_lp, want_lp, rtol=0.0, atol=1e-12)
+            assert np.array_equal(np.concatenate(got_v), want_v)
+            np.testing.assert_allclose(np.concatenate(got_lp), want_lp, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("block, stride", [(97, 1), (1 << 16, 32)])
     def test_convolve_matches_log_space_reference(self, monkeypatch, block, stride):
@@ -256,6 +266,7 @@ class TestKernels:
         finally:
             tracemalloc.stop()
         assert peak < 32e6
+
     def test_sparsify_matches_log_space_reference(self):
         gen = np.random.default_rng(12)
         for _ in range(20):
@@ -264,9 +275,84 @@ class TestKernels:
             )
             for eps_step in (1e-3, 1e-2, 0.3):
                 got_v, got_lp = _sparsify(v, lp, eps_step)
-                want_v, want_lp = oracles.sparsify_log(v, lp, eps_step)
+                want_v, want_lp = oracles.greedy_sparsify_log(v, lp, eps_step)
                 assert np.array_equal(got_v, want_v)
                 np.testing.assert_allclose(got_lp, want_lp, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("block", [16, 1 << 16])
+    def test_cumulative_equal_to_a_threshold_is_not_kept(self, monkeypatch, block):
+        # 64 atoms of mass 1: the cumulatives 1, 2, ..., 64 are exact, and so
+        # is the floor 20 at log(20), which is also the first threshold c_0.
+        # The atom whose cumulative equals it has not passed it, for the
+        # greedy walk and the threshold merge alike; a floor one ulp lower
+        # keeps that atom.  Atom 20 lies past the window merge's log head
+        monkeypatch.setattr(counter, "_PAIR_BLOCK", block)
+        monkeypatch.setattr(counter, "_SAMPLE_STRIDE", 1)
+        values, logp = np.arange(64.0), np.zeros(64)
+        point = (np.zeros(1), np.zeros(1))
+        at = math.log(20.0)
+        for log_floor, first in ((at, 20.0), (math.nextafter(at, -math.inf), 19.0)):
+            for got_v, got_lp in (
+                _sparsify(values, logp, 0.5, log_floor),
+                _convolve_sparsify(values, logp, *point, 0.5, log_floor),
+            ):
+                assert got_v[0] == first
+                assert math.exp(got_lp[0]) == pytest.approx(first + 1.0, rel=1e-15)
+
+    def test_threshold_counted_in_a_bin_lands_on_its_atoms(self):
+        # one window of 32 terms in 5 bins of width 10.  Bin 1 holds masses
+        # 1, 2^-53, 2^-53 at values 10, 11, 12, listed small ones first:
+        # summed in that order they give 1 + 2^-52, in value order 1.  The
+        # floor sits between the two cumulatives, so the threshold counted
+        # at bin 1's end must land on its last atom.  Bin 2 (mass 0.9) holds
+        # no threshold and stays unsorted; had the threshold moved on to
+        # bin 3, nothing would be kept below 35, where F reaches 1.9 times
+        # the floor
+        t = 2.0**-53
+        v = np.array([0.0, 11.0, 12.0, 10.0, 25.0, 35.0] + [40.0] * 26)
+        p = np.array([2.0**-10, t, t, 1.0, 0.9, 10.0] + [1.0] * 26)
+        window = (v, p, 0.0, 40.0, lambda pos: np.log(p[pos]))
+        ahead, behind = 2.0**-10 + (t + t + 1.0), 2.0**-10 + 1.0
+        assert ahead > behind
+        log_floor = 0.5 * (math.log(ahead) + math.log(behind))
+        got_v, got_lp = counter._merge_stream([window], 0.0, 1.0, log_floor)
+        assert got_v[0] == 12.0
+        exact_v = np.unique(v)
+        exact = np.array([p[v <= x].sum() for x in exact_v])
+        merged = np.cumsum(np.exp(got_lp))
+        idx = np.searchsorted(got_v, exact_v, side="right")
+        approx = np.where(idx > 0, merged[idx - 1], 0.0)
+        assert np.all(exact <= 2.0 * approx * (1.0 + 1e-12) + math.exp(log_floor))
+
+    @pytest.mark.parametrize("block", [61, 97])
+    def test_threshold_merge_brackets_every_atom(self, monkeypatch, block):
+        # the rule itself, not a reference: at every atom of the exact
+        # convolution F' <= F <= (1 + e) F' + delta, and the merge keeps at
+        # most 2 + log(F_total/base)/log1p(e) atoms, where base is the floor
+        # delta, or the first atom's mass with no floor
+        monkeypatch.setattr(counter, "_PAIR_BLOCK", block)
+        monkeypatch.setattr(counter, "_SAMPLE_STRIDE", 1)
+        gen = np.random.default_rng(31)
+        for _ in range(12):
+            a = random_lattice_pmf(gen, int(gen.integers(2, 300)))
+            b = random_lattice_pmf(gen, int(gen.integers(2, 300)))
+            exact_v, exact_lp = oracles.convolve_log(*a, *b)
+            exact = np.cumsum(np.exp(exact_lp))
+            for log_floor in (LOG_ZERO, *floors_between_cumulatives(gen, exact_lp, 3)):
+                delta = math.exp(log_floor)
+                base = delta if delta > 0.0 else exact[0]
+                for eps_step in (1e-3, 0.3):
+                    for got_v, got_lp in (
+                        _convolve_sparsify(*a, *b, eps_step, log_floor),
+                        _sparsify(exact_v, exact_lp, eps_step, log_floor),
+                    ):
+                        idx = np.searchsorted(got_v, exact_v, side="right")
+                        merged = np.cumsum(np.exp(got_lp))
+                        approx = np.where(idx > 0, merged[idx - 1], 0.0)
+                        assert np.all(approx <= exact * (1.0 + 1e-12))
+                        assert np.all(exact <= (1.0 + eps_step) * approx * (1.0 + 1e-12) + delta)
+                        spread = max(math.log(exact[-1] / base), 0.0)
+                        assert got_v.size <= 2.0 + spread / math.log1p(eps_step)
 
     def test_sparsify_merges_after_tiny_leading_atom(self):
         # the log-range is dominated by the first atom, yet the 1000 equal
@@ -290,7 +376,7 @@ class TestKernels:
         values = np.arange(5.0)
         logp = np.array([-693.2, -696.0, 0.0, 0.0, 0.0])
         got_v, got_lp = _sparsify(values, logp, 0.1)
-        want_v, want_lp = oracles.sparsify_log(values, logp, 0.1)
+        want_v, want_lp = oracles.greedy_sparsify_log(values, logp, 0.1)
         assert np.array_equal(want_v, [0.0, 2.0, 3.0, 4.0])
         assert np.array_equal(got_v, want_v)
         np.testing.assert_allclose(got_lp, want_lp, rtol=0.0, atol=1e-12)
@@ -310,11 +396,12 @@ class TestKernels:
         )
         exact = oracles.convolve_log(*f1, *f2)
         assert exact[1].max() - exact[1].min() > 1000.0
-        want_v, want_lp = oracles.sparsify_log(*exact, 1e-3)
+        want_v, want_lp = oracles.greedy_sparsify_log(*exact, 1e-3)
         got_v, got_lp = _sparsify(*exact, 1e-3)
         assert np.array_equal(got_v, want_v)
         np.testing.assert_allclose(got_lp, want_lp, rtol=1e-13)
         # in small windows the log-space head and runs carry across windows
+        want_v, want_lp = oracles.sparsify_log(*exact, 1e-3)
         for block, stride in ((1 << 16, 32), (61, 1)):
             monkeypatch.setattr(counter, "_PAIR_BLOCK", block)
             monkeypatch.setattr(counter, "_SAMPLE_STRIDE", stride)
@@ -435,11 +522,11 @@ class TestAnswerRelativeFloor:
             exact = oracles.convolve_log(*a, *b)
             for log_floor in floors_between_cumulatives(gen, exact[1], 4):
                 for eps_step in (1e-3, 0.3):
-                    want_v, want_lp = oracles.sparsify_log(*exact, eps_step, log_floor)
-                    for got_v, got_lp in (
-                        _convolve_sparsify(*a, *b, eps_step, log_floor),
-                        _sparsify(*exact, eps_step, log_floor),
+                    for (got_v, got_lp), reference in (
+                        (_convolve_sparsify(*a, *b, eps_step, log_floor), oracles.sparsify_log),
+                        (_sparsify(*exact, eps_step, log_floor), oracles.greedy_sparsify_log),
                     ):
+                        want_v, want_lp = reference(*exact, eps_step, log_floor)
                         assert np.array_equal(got_v, want_v)
                         np.testing.assert_allclose(got_lp, want_lp, rtol=0.0, atol=1e-12)
 
@@ -454,7 +541,7 @@ class TestAnswerRelativeFloor:
         f2 = support_and_log_pmf(-0.25, 0.0, spec)
         exact = oracles.convolve_log(*f1, *f2)
         gen = np.random.default_rng(22)
-        floors = (-1100.0, -900.0, -720.0, -30.0, *floors_between_cumulatives(gen, exact[1], 4))
+        floors = (LOG_ZERO, -1100.0, -900.0, -720.0, -30.0, *floors_between_cumulatives(gen, exact[1], 4))
         for log_floor in floors:
             want_v, want_lp = oracles.sparsify_log(*exact, 1e-3, log_floor)
             got_v, got_lp = _convolve_sparsify(*f1, *f2, 1e-3, log_floor)
@@ -552,6 +639,33 @@ class TestAnswerRelativeFloor:
         count_ptf_gaussian(bench_style(5))
         assert 0 < formed[0] <= 2_548_413 // 2
 
+    def test_default_count_sorts_under_a_fifth_of_its_pairs(self, monkeypatch):
+        # machine-independent: a merge sorts only the value bins a threshold
+        # falls in (and the log-space head), not whole pair windows
+        formed = pair_counter(monkeypatch)
+        sorted_terms = [0]
+        real = np.argsort
+
+        def counted(a, *args, **kwargs):
+            sorted_terms[0] += np.size(a)
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", counted)
+        count_ptf_gaussian(bench_style(5))
+        assert 0 < sorted_terms[0] <= formed[0] / 5
+
+    def test_null_coordinate_forms_no_pair_window(self, monkeypatch):
+        # A = Q diag(-1, -1, 0) Q^T in a rotated basis: the null coordinate
+        # is an exact point mass, so the count convolves two grid pmfs and a
+        # point (183 pairs); roundoff of 1e-17 there made it 70,981 pairs
+        formed = pair_counter(monkeypatch)
+        q = rotated_null_form()
+        estimate = count_ptf_gaussian(q).estimate
+        assert 0 < formed[0] <= 200
+        # the same region without its null direction
+        plane = QuadraticForm(A=-np.eye(2), b=np.array([0.3, 0.3]), c=2.0)
+        assert estimate == pytest.approx(count_ptf_gaussian(plane).estimate, rel=2 * DEFAULT_EPS)
+
     def test_certificate_holds_for_every_eps_and_n(self, monkeypatch):
         # the class docstring's arithmetic, on the step and floor that
         # for_count passes to _build: with beta = (1 + step)^(2n - 3) and
@@ -574,136 +688,9 @@ class TestAnswerRelativeFloor:
                 assert (1.0 - r) / math.sqrt(beta) >= 1.0 / (1.0 + eps)
 
 
-def by_each_route(monkeypatch, kernel, *args):
-    """``kernel(*args)`` with every block of the greedy walk crossed by one
-    search per kept atom (``_JUMP_RATIO`` 0), then by jump table (inf); the
-    two results must be bit-identical."""
-    results = []
-    for ratio in (0.0, math.inf):
-        monkeypatch.setattr(counter, "_JUMP_RATIO", ratio)
-        results.append(kernel(*args))
-    (scalar_v, scalar_lp), (table_v, table_lp) = results
-    assert np.array_equal(scalar_v, table_v)
-    assert np.array_equal(scalar_lp, table_lp)
-    return table_v, table_lp
-
-
-class TestWalkRoutes:
-    """The greedy walk keeps the same atoms by jump table and by scalar
-    steps, across chunk carries, jump blocks and floors in the log head."""
-
-    @pytest.mark.parametrize("block, jump_block", [(61, 7), (97, 1 << 10)])
-    def test_routes_agree_with_log_space_reference(self, monkeypatch, block, jump_block):
-        # 7-atom jump blocks: a table walk crosses many blocks per chunk
-        monkeypatch.setattr(counter, "_PAIR_BLOCK", block)
-        monkeypatch.setattr(counter, "_SAMPLE_STRIDE", 1)
-        monkeypatch.setattr(counter, "_JUMP_BLOCK", jump_block)
-        gen = np.random.default_rng(23)
-        for _ in range(8):
-            a = random_lattice_pmf(gen, int(gen.integers(2, 100)))
-            b = random_lattice_pmf(gen, int(gen.integers(2, 100)))
-            exact = oracles.convolve_log(*a, *b)
-            for log_floor in (LOG_ZERO, *floors_between_cumulatives(gen, exact[1], 2)):
-                for eps_step in (1e-3, 1e-2, 0.3):
-                    want_v, want_lp = oracles.sparsify_log(*exact, eps_step, log_floor)
-                    for kernel, args in ((_convolve_sparsify, (*a, *b)), (_sparsify, exact)):
-                        got_v, got_lp = by_each_route(monkeypatch, kernel, *args, eps_step, log_floor)
-                        assert np.array_equal(got_v, want_v)
-                        np.testing.assert_allclose(got_lp, want_lp, rtol=0.0, atol=1e-12)
-
-    @pytest.mark.parametrize("jump_block", [3, 1 << 10])
-    def test_routes_agree_at_exact_ties(self, monkeypatch, jump_block):
-        # masses 1, 1, 2, 4, ... have cumulative sums 2^i, so at step 1 each
-        # next threshold equals a cumulative exactly; that atom has not grown
-        # by more than the step, so every other atom merges
-        monkeypatch.setattr(counter, "_JUMP_BLOCK", jump_block)
-        p = np.concatenate(([1.0], 2.0 ** np.arange(20)))
-        values = np.arange(p.size, dtype=float)
-        chunk = (values, p, np.arange(p.size), lambda pos: np.log(p[pos]))
-        got_v, got_lp = by_each_route(monkeypatch, counter._merge_stream, [chunk], 0.0, 1.0)
-        assert np.array_equal(got_v, values[::2])
-        np.testing.assert_allclose(np.exp(got_lp), [1.0, *(3.0 * 2.0 ** np.arange(0, 19, 2))])
-
-    @pytest.mark.parametrize("block", [61, 97, 1 << 16])
-    def test_routes_agree_with_floors_in_the_log_head(self, monkeypatch, block):
-        # B = 40: the walk starts in the log-space head and leaves it for the
-        # linear part, in one chunk or across many
-        monkeypatch.setattr(counter, "_PAIR_BLOCK", block)
-        monkeypatch.setattr(counter, "_SAMPLE_STRIDE", 1 if block < 1 << 16 else 32)
-        spec = GridSpec(tau=0.5, B=40.0, n=2)
-        f1 = support_and_log_pmf(-0.5, 0.25, spec)
-        f2 = support_and_log_pmf(-0.25, 0.0, spec)
-        exact = oracles.convolve_log(*f1, *f2)
-        for log_floor in (LOG_ZERO, -1100.0, -900.0, -720.0, -30.0):
-            want_v, want_lp = oracles.sparsify_log(*exact, 1e-3, log_floor)
-            for kernel, args in ((_convolve_sparsify, (*f1, *f2)), (_sparsify, exact)):
-                got_v, got_lp = by_each_route(monkeypatch, kernel, *args, 1e-3, log_floor)
-                assert np.array_equal(got_v, want_v)
-                np.testing.assert_allclose(got_lp, want_lp, rtol=1e-13, atol=1e-12)
-
-
-class CountingPool(ThreadPoolExecutor):
-    """A worker pool that counts the tasks submitted to it."""
-
-    def __init__(self, workers):
-        super().__init__(workers, thread_name_prefix="test-worker")
-        self.submitted = 0
-
-    def submit(self, fn, *args):
-        self.submitted += 1
-        return super().submit(fn, *args)
-
-
 class TestPooledSort:
-    """Pair windows sort on the worker pool, one window ahead of the merge."""
-
-    def test_output_does_not_depend_on_worker_count(self, monkeypatch, install_pool):
-        monkeypatch.setattr(counter, "_PAIR_BLOCK", 1 << 12)
-        gen = np.random.default_rng(21)
-        a, b = (random_lattice_pmf(gen, 600) for _ in range(2))
-        q = bench_style(4)
-        results = []
-        for workers in (1, 2):
-            pool = install_pool(CountingPool(workers), workers)
-            conv = _convolve_sparsify(*a, *b, 1e-3)
-            est = count_ptf_gaussian(q).estimate
-            assert pool.submitted > 10
-            results.append((conv, est))
-        (v1, lp1), est1 = results[0]
-        (v2, lp2), est2 = results[1]
-        assert np.array_equal(v1, v2) and np.array_equal(lp1, lp2)
-        assert est1.hex() == est2.hex()
-
-    def test_close_leaves_no_sort_pending(self, monkeypatch, lazy_pool):
-        # the sort submitted one window ahead stays pending until the
-        # generator closes
-        monkeypatch.setattr(counter, "_PAIR_BLOCK", 97)
-        gen = np.random.default_rng(22)
-        a, b = (random_lattice_pmf(gen, 200) for _ in range(2))
-        windows = _pair_windows(*a, *b)
-        next(windows)
-        windows.close()
-        assert [f.done() for f in lazy_pool.futures] == [True, True]
-        assert [f.cancelled() for f in lazy_pool.futures] == [False, True]
-
-    def test_sort_error_reaches_caller(self, monkeypatch, install_pool):
-        class SortError(Exception):
-            pass
-
-        error = SortError("sort failed")
-        real = np.argsort
-
-        def failing_off_the_caller(*args, **kwargs):
-            if threading.current_thread() is not threading.main_thread():
-                raise error
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(counter, "_PAIR_BLOCK", 1 << 12)
-        monkeypatch.setattr(np, "argsort", failing_off_the_caller)
-        install_pool(ThreadPoolExecutor(2), 2)
-        with pytest.raises(SortError) as info:
-            count_ptf_gaussian(bench_style(4))
-        assert info.value is error
+    """Counts run on any thread, next to block draws on the shared worker
+    pool, and give the answers they give alone."""
 
     def test_concurrent_counts_next_to_block_draws(self, monkeypatch):
         # more callers than workers, block draws on the same pool, and

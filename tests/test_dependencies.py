@@ -1,5 +1,7 @@
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -34,3 +36,22 @@ def test_declared_dependencies_are_numpy():
     with open(ROOT / "pyproject.toml", "rb") as fh:
         deps = tomllib.load(fh)["project"]["dependencies"]
     assert [re.match(r"[A-Za-z0-9_.-]+", d).group() for d in deps] == ["numpy"]
+
+
+def test_default_count_leaves_numpy_ma_unloaded():
+    # numpy.ma (which np.unique imports) adds about 1 MB of resident memory;
+    # a default count at n = 4 must not load it
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from quadgauss.counter import count_ptf_gaussian\n"
+        "from quadgauss.quadform import QuadraticForm\n"
+        "gen = np.random.default_rng(4)\n"
+        "big = gen.standard_normal((4, 4))\n"
+        "q = QuadraticForm(A=-np.eye(4) + 0.15 * (big + big.T), b=0.3 * gen.standard_normal(4), c=4.0)\n"
+        "assert 0.0 < count_ptf_gaussian(q).estimate < 1.0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

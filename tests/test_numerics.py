@@ -291,6 +291,19 @@ class TestJacobiEigen:
             (w1, w2), _ = oracles.eig2_closed(a11, a12, a22)
             assert np.allclose(w, [w1, w2], rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_scale_equivariant(self, scale):
+        # the matrix is iterated divided by a power of two, so its norms
+        # neither underflow nor overflow: the eigenvalues scale with it (the
+        # diagonal came back unrotated at both scales)
+        gen = np.random.default_rng(13)
+        m = gen.normal(size=(4, 4))
+        a = 0.5 * (m + m.T)
+        w, r = jacobi_eigen(a)
+        ws, rs = jacobi_eigen(a * scale)
+        np.testing.assert_allclose(ws / scale, w, rtol=1e-12)
+        np.testing.assert_allclose(np.abs(rs), np.abs(r), atol=1e-10)
+
     def test_reconstruction_and_orthonormality(self):
         gen = np.random.default_rng(12)
         for n in range(1, 9):

@@ -143,6 +143,53 @@ class TestDecouple:
             assert (evaluate(q, x) >= 0.0) == bool(dc.accepts(y))
 
 
+def haar(seed, n):
+    z, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+    return z * np.sign(np.diag(r))
+
+
+def rotated_null_form():
+    """A = Q diag(-1, -1, 0) Q^T, b = Q (0.3, 0.3, 0), c = 2: one null
+    direction, given in a rotated basis."""
+    q = haar(0, 3)
+    a = q @ np.diag([-1.0, -1.0, 0.0]) @ q.T
+    return QuadraticForm(A=0.5 * (a + a.T), b=q @ np.array([0.3, 0.3, 0.0]), c=2.0)
+
+
+class TestDecoupleRoundoff:
+    """Eigenvalues and linear terms within the solver's tolerance of 0 are
+    exactly 0."""
+
+    @pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
+    def test_null_coordinate_is_exactly_zero(self, scale):
+        # the tolerance scales with A and b, whose squares would overflow or
+        # underflow at 1e+-200
+        q = rotated_null_form()
+        dc = decouple(QuadraticForm(A=scale * q.A, b=scale * q.b, c=scale * q.c))
+        null = int(np.argmin(np.abs(dc.lam)))
+        assert dc.lam[null] == 0.0 and dc.mu[null] == 0.0
+        assert np.sort(dc.lam) / scale == pytest.approx([0.0, 1.0, 1.0], abs=1e-14)
+        assert np.count_nonzero(dc.mu) == 2
+
+    def test_rotated_rank_one_box_is_finite_on_its_axis(self):
+        # -(u.x)^2 + 1 >= 0 is the slab |u.x| <= 1: the box is finite along u
+        gen = np.random.default_rng(5)
+        for _ in range(20):
+            u = gen.normal(size=3)
+            dc = decouple(QuadraticForm(A=-np.outer(u, u) / (u @ u), b=np.zeros(3), c=1.0))
+            axis = int(np.argmax(dc.lam))
+            assert np.array_equal(np.delete(dc.lam, axis), [0.0, 0.0])
+            lo, hi = coordinate_box(dc)
+            assert hi[axis] == pytest.approx(1.0, rel=1e-8) and lo[axis] == pytest.approx(-1.0, rel=1e-8)
+
+    def test_genuine_small_terms_are_kept(self):
+        # 1e-12 relative to ||A|| lies far above the tolerance
+        q = QuadraticForm(A=np.diag([-1.0, -1e-12]), b=np.array([0.0, 1e-12]), c=1.0)
+        dc = decouple(q)
+        assert sorted(dc.lam.tolist()) == pytest.approx([1e-12, 1.0], rel=1e-12)
+        assert np.count_nonzero(dc.mu) == 1
+
+
 class TestNormalize:
     def test_scales_to_unit(self):
         dc = DecoupledConstraint(

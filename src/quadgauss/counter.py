@@ -925,8 +925,13 @@ def mc_count(q: QuadraticForm, n_samples: int, rng: Rng) -> tuple[float, float]:
     A constant form (A = 0, b = 0) is answered exactly and draws nothing:
     (1.0, 0.0) when c >= 0, else (0.0, 0.0); the estimate is what sampling
     gives, since every point has sign(c).  ``n_samples`` must be an integer
-    >= 1, for every form; otherwise ValueError.
+    >= 1, for every form, and ``q`` a ``QuadraticForm`` (a decoupled
+    constraint has no sign to test); otherwise ValueError before any draw.
     """
+    if not isinstance(q, QuadraticForm):
+        raise ValueError(
+            f"mc_count needs a quadratic form (A, b, c), not {type(q).__name__}"
+        )
     n_samples = _checked_int("n_samples", n_samples, 1)
     if q.is_constant:
         return (1.0 if q.c >= 0.0 else 0.0), 0.0

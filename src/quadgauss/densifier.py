@@ -12,10 +12,12 @@ hypothesis region's Gaussian mass is counted to within (1 +- delta) (the
 constant starting hypothesis exactly, without decoupling it), and
 either the caller's target mass estimate p_hat is already a gamma/2
 fraction of it (terminate: the hypothesis is dense enough) or a
-fresh point drawn from the Gaussian conditioned on the hypothesis (by
-``_region_source``, as target positives are) is fed with label -1, which is
-correct with probability 1 - gamma per draw since the target occupies less
-than a gamma fraction of the hypothesis.  With mistake budget M,
+fresh point drawn from the Gaussian conditioned on the hypothesis is fed
+with label -1, which is correct with probability 1 - gamma per draw since
+the target occupies less than a gamma fraction of the hypothesis.  Target
+positives and hypothesis negatives alike come from
+``sampler.region_source``, exact rejection from a tilted Gaussian; the
+densifier builds no sampling table.  With mistake budget M,
 gamma = 1/(8M) and at most 4M + 16 negatives are drawn.  Points are rounded
 to the lattice of step ``_KAPPA`` before entering the learner; how often that
 flips the hypothesis sign is tracked and must stay below 1%.
@@ -33,16 +35,15 @@ from __future__ import annotations
 
 import json
 import math
-from contextlib import closing
 from dataclasses import dataclass, field, replace
 from typing import TextIO
 
 import numpy as np
 
 from .counter import count_ptf_gaussian, mc_count
-from .numerics import Rng, _checked_int, _wilson_half_width, log_interval_mass, normal_blocks
-from .quadform import DecoupledConstraint, QuadraticForm, coordinate_box, decouple, sign_at
-from .sampler import PtfSampler
+from .numerics import Rng, _checked_int, _wilson_half_width
+from .quadform import QuadraticForm, decouple, sign_at
+from .sampler import region_source
 
 __all__ = [
     "feature_dim",
@@ -379,84 +380,9 @@ def densify(
             )
         if dc is g:
             dc = decouple(g)
-        x = _region_source(g, dc, res.estimate, cfg.eps, rng.derive(rounds))(1)[0]
+        x = region_source(g, dc, rng.derive(rounds))(1)[0]
         feed(x, feature_map(_round_kappa(x)), -1, "neg_feed", rounds)
         rounds += 1
-
-
-# Proposals per block of the rejection source; its blocks come from the
-# child streams _FIRST_BLOCK, _FIRST_BLOCK + 1, ... < _BLOCK_LIMIT.
-_BLOCK = 1 << 15
-_FIRST_BLOCK, _BLOCK_LIMIT = 10_000, 50_000
-# Least expected acceptance rate mass / mass(box) of the rejection source.
-_MIN_ACCEPT = 1e-4
-
-
-def _rejection_sample(q: QuadraticForm, rotation: np.ndarray, lo, hi, rng: Rng):
-    """Source of points with sign(q) = +1, by exact rejection from the box.
-
-    q's decoupled form p(R y) = theta - sum_i (lam_i y_i^2 + mu_i y_i), with
-    R = ``rotation``, has its region inside the box [lo, hi]
-    (``coordinate_box``).  Blocks of 2^15 proposals y come from N(0, I)
-    conditioned on that box, block i from ``rng.derive(i)`` (see
-    :func:`normal_blocks`); each x = R y is kept when sign(q, x) = +1.  The
-    kept points are i.i.d. from the Gaussian conditioned on q's region, up
-    to float rounding: the box holds the whole region, so the indicator is
-    the exact acceptance probability.  With an unbounded box the proposals
-    are plain normals, rotated.
-
-    ``source(k)`` returns the next k kept points, so successive calls
-    continue one stream and never repeat a point; ``source(a)`` then
-    ``source(b)`` returns the rows of ``source(a + b)``; ``source(0)``
-    draws no block.  Raises RuntimeError once the blocks below _BLOCK_LIMIT
-    are spent, and ValueError, before any draw, for a k that is not an
-    integer >= 0.
-    """
-    rot_t = rotation.T
-    rest = np.empty((0, q.n))
-    block = _FIRST_BLOCK
-
-    def source(k: int) -> np.ndarray:
-        nonlocal rest, block
-        k = _checked_int("k", k, 0)
-        parts, got = [rest], rest.shape[0]
-        if got < k:
-            with closing(normal_blocks(rng, q.n, _BLOCK, first=block, lo=lo, hi=hi)) as blocks:
-                while got < k:
-                    if block >= _BLOCK_LIMIT:
-                        raise RuntimeError("box rejection sampling starved")
-                    x = next(blocks) @ rot_t
-                    block += 1
-                    keep = x[np.asarray(sign_at(q, x)) == 1]
-                    parts.append(keep)
-                    got += keep.shape[0]
-        # no copy when one array holds every point; the result and the
-        # surplus are views of it
-        full = [p for p in parts if p.size]
-        out = full[0] if len(full) == 1 else np.concatenate(parts)
-        rest = out[k:]
-        return out[:k]
-
-    return source
-
-
-def _region_source(q: QuadraticForm, dc: DecoupledConstraint, mass: float, eps: float, rng: Rng):
-    """Source of points from N(0, I) conditioned on sign(q) = +1, whose
-    decoupled form is ``dc`` and whose Gaussian mass is about ``mass``;
-    ``source(k)`` returns the next k points.
-
-    mass(box) / mass is the expected number of box proposals per kept point,
-    mass(box) being the product of the box's side masses.  When it is at
-    most 1 / _MIN_ACCEPT, this is :func:`_rejection_sample` on ``rng.derive(1)``;
-    else every call continues one ``PtfSampler(q, eps, floor=0.0)`` stream on
-    ``rng.derive(2)``, drawn with the exact filter.
-    """
-    lo, hi = coordinate_box(dc)
-    log_box = sum(log_interval_mass(a, b) for a, b in zip(lo.tolist(), hi.tolist()))
-    if mass >= _MIN_ACCEPT * math.exp(log_box):
-        return _rejection_sample(q, dc.rotation, lo, hi, rng.derive(1))
-    sampler, stream = PtfSampler(q, eps, floor=0.0), rng.derive(2)
-    return lambda k: sampler.sample_batch(k, stream, exact_filter=True)
 
 
 def _write_transcript(fh: TextIO | None, events: list[dict]) -> None:
@@ -503,7 +429,7 @@ def planted_experiment(
         raise ValueError("target has no measurable positive region")
     p_hat = min(p_est * (1.0 + cfg.eps / 3.0), 1.0)
 
-    pos = _region_source(f, dc, p_est, cfg.eps, rng)
+    pos = region_source(f, dc, rng.derive(1))
 
     try:
         result = densify(pos, p_hat, cfg, rng.derive(3), f_oracle=lambda pts: sign_at(f, pts))

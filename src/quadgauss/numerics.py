@@ -19,9 +19,8 @@ used here (n <= a few dozen) is as accurate as anything LAPACK would return.
 Everything in this module is pure given explicit inputs.  ``Rng`` is the one
 stateful object: a splittable counter-based (Philox) stream, single-owner by
 convention.  ``normal_blocks`` draws blocks of normals on at most two worker
-threads, optionally with columns conditioned on intervals; each block is
-fixed by its child stream, so the output does not depend on the worker
-count.
+threads; each block is fixed by its child stream, so the output does not
+depend on the worker count.
 """
 
 from __future__ import annotations
@@ -269,8 +268,9 @@ class Rng:
     so sharded Monte Carlo is reproducible no matter how work is divided.
     A stream is single-owner: never share one instance across concurrent
     consumers, derive children instead.  Block draws through
-    :func:`normal_blocks` use at most 2 worker threads, and their output does
-    not depend on the worker count.
+    :func:`normal_blocks` (``mc_count`` and the region source of
+    ``sampler``) use at most 2 worker threads, and their output does not
+    depend on the worker count.
 
     The Philox generator is built on the first ``uniform``, ``normal`` or
     ``exponential`` call, so a stream used only as a ``derive`` parent or as
@@ -322,70 +322,12 @@ def _worker_pool() -> tuple[ThreadPoolExecutor, int]:
         return _POOL[1], _POOL[2]
 
 
-def _column_plan(a: float, b: float) -> tuple:
-    """How to draw N(0,1) conditioned on [a, b) by rejection: the proposal
-    with the highest acceptance rate among a plain normal, a uniform on
-    [a, b) (finite intervals) and Robert's (1995) exponential on a one-sided
-    tail.  Returns (kind, sign, a', b', rate), where a', b' = a, b or, when
-    b <= 0, the mirrored -b, -a (then sign = -1 and draws are negated)."""
-    a, b = _validate_interval(a, b)
-    log_mass = log_interval_mass(a, b)
-    if log_mass == LOG_ZERO:
-        raise ValueError(f"zero-mass interval [{a}, {b})")
-    sign = 1.0
-    if b <= 0.0:
-        a, b, sign = -b, -a, -1.0
-    # log acceptance rate of each proposal
-    rates = {"normal": log_mass}
-    near = max(a, 0.0)  # the point of [a, b) where the density peaks
-    if math.isfinite(b - a):
-        rates["uniform"] = log_mass + 0.5 * near * near + _LOG_SQRT2PI - math.log(b - a)
-    if a >= 0.0:
-        alpha = 0.5 * (a + math.sqrt(a * a + 4.0))
-        rates["exponential"] = log_mass + math.log(alpha) + _LOG_SQRT2PI + alpha * a - 0.5 * alpha * alpha
-    kind = max(rates, key=rates.get)
-    return kind, sign, a, b, math.exp(rates[kind])
-
-
-# Proposals per rejection batch: small batches keep the workers' temporaries
-# small.
-_PROPOSALS = 1 << 12
-
-
-def _fill_truncated(gen: np.random.Generator, out: np.ndarray, plan: tuple) -> None:
-    """Fill ``out`` (1-d, may be strided) with i.i.d. draws by the rejection
-    ``plan``; the accepted proposals are kept in order."""
-    kind, sign, a, b, rate = plan
-    near = max(a, 0.0)
-    alpha = 0.5 * (a + math.sqrt(a * a + 4.0))
-    got = 0
-    while got < out.size:
-        k = min(int(1.1 * (out.size - got) / rate) + 16, _PROPOSALS)
-        if kind == "normal":
-            z = gen.standard_normal(k)
-            ok = (z >= a) & (z < b)
-        elif kind == "uniform":
-            z = a + (b - a) * gen.random(k)
-            ok = (z < b) & (gen.random(k) <= np.exp(0.5 * (near * near - z * z)))
-        else:
-            z = a + gen.standard_exponential(k) / alpha
-            ok = (z < b) & (gen.random(k) <= np.exp(-0.5 * (z - alpha) ** 2))
-        if sign < 0.0:
-            ok &= z > a  # z = a would give -a = hi, outside [lo, hi)
-        z = z[ok]
-        take = min(z.size, out.size - got)
-        out[got : got + take] = sign * z[:take]
-        got += take
-
-
 def normal_blocks(
     rng: Rng,
     n: int,
     size: int,
     first: int = 0,
     total: int | None = None,
-    lo: np.ndarray | None = None,
-    hi: np.ndarray | None = None,
 ):
     """Yield standard-normal blocks of ``size`` rows and ``n`` columns.
 
@@ -398,24 +340,9 @@ def normal_blocks(
     what must be kept.  A worker's exception is raised here; closing the
     generator cancels the blocks not yet started and waits for those being
     filled.
-
-    With per-column bounds ``lo``, ``hi`` (arrays of n, +-inf for an open
-    end), column j is N(0,1) conditioned on [lo_j, hi_j).  Block i then
-    still comes from ``rng.derive(first + i)`` alone: the plain block above
-    is drawn first, so unbounded columns are its columns, and then each
-    bounded column in turn is overwritten by exact vectorised rejection (an
-    exponential proposal on a tail, as in Robert 1995, a uniform one on a
-    short interval, plain normals otherwise).  Raises ValueError on an empty
-    or zero-mass interval.
     """
     if size < 1 or n < 1 or (total is not None and total < 0):
         raise ValueError("normal_blocks needs size, n >= 1 and total >= 0")
-    lo = np.full(n, -np.inf) if lo is None else np.asarray(lo, dtype=float)
-    hi = np.full(n, np.inf) if hi is None else np.asarray(hi, dtype=float)
-    if lo.shape != (n,) or hi.shape != (n,):
-        raise ValueError(f"lo and hi must have shape ({n},)")
-    bounded = np.isfinite(lo) | np.isfinite(hi)
-    plans = [(j, _column_plan(lo[j], hi[j])) for j in np.flatnonzero(bounded)]
     pool, workers = _worker_pool()
     end = math.inf if total is None else total
     slots = workers if total is None else min(workers, -(-total // size))
@@ -423,10 +350,7 @@ def normal_blocks(
     seed, key = rng.seed, rng.spawn_key
 
     def fill(buf: np.ndarray, index: int) -> np.ndarray:
-        gen = _philox(seed, key + (first + index,))
-        gen.standard_normal(out=buf)
-        for j, plan in plans:
-            _fill_truncated(gen, buf[:, j], plan)
+        _philox(seed, key + (first + index,)).standard_normal(out=buf)
         return buf
 
     pending: deque = deque()

@@ -14,8 +14,7 @@ the input, leaving the acceptance region unchanged; counting and sampling
 work on that normalized form.  ``round_coefficients`` snaps lam, mu onto
 the lattice gamma*Z within a documented perturbation bound; the pipeline
 does not use it.  Whether a constraint is normalized is read from its
-coefficients, not stored with them.  ``coordinate_box`` bounds the region
-coordinate by coordinate, in closed form.
+coefficients, not stored with them.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ __all__ = [
     "evaluate",
     "sign_at",
     "decouple",
-    "coordinate_box",
     "normalize",
     "round_coefficients",
     "instance_to_dict",
@@ -201,8 +199,8 @@ def decouple(q: QuadraticForm) -> DecoupledConstraint:
     |(R^T b)_i| <= 1e-14 ||b||.  A rank-deficient A given in a rotated basis
     otherwise leaves about +-1e-17 on its null space: the counter then
     convolves a full grid pmf for that coordinate rather than a point mass,
-    and ``coordinate_box`` takes the whole line for every coordinate once
-    such a lam is negative.
+    and a negative one leaves the region unbounded, so that
+    ``sampler.region_source`` takes an empty region for a thin one.
     """
     w, r = jacobi_eigen(q.A)
     lam, mu = -w, -(r.T @ q.b)
@@ -210,67 +208,6 @@ def decouple(q: QuadraticForm) -> DecoupledConstraint:
     lam[np.abs(lam) <= 1e-14 * math.hypot(*q.A.ravel())] = 0.0
     mu[np.abs(mu) <= 1e-14 * math.hypot(*q.b)] = 0.0
     return DecoupledConstraint(lam=lam, mu=mu, theta=q.c, rotation=r)
-
-
-# Outward margin of each finite end of a coordinate box, relative to the end:
-# it covers the few roundings of the root formulas.
-_BOX_PAD = 1e-9
-_EPS = float(np.finfo(float).eps)
-
-
-def _root_interval(lam: float, mu: float, r: float) -> tuple[float, float]:
-    """{y : lam y^2 + mu y <= r} for lam >= 0 as (lo, hi), which is
-    (inf, -inf) when the set is empty or a single point."""
-    if lam == 0.0:
-        if mu > 0.0:
-            return -math.inf, r / mu
-        if mu < 0.0:
-            return r / mu, math.inf
-        return (-math.inf, math.inf) if r >= 0.0 else (math.inf, -math.inf)
-    # raise the discriminant by its rounding bound, so the roots can only
-    # move outward
-    d = mu * mu + 4.0 * lam * r
-    d += 4.0 * _EPS * (mu * mu + 4.0 * lam * abs(r))
-    if d <= 0.0:
-        return math.inf, -math.inf
-    q = -0.5 * (mu + math.copysign(math.sqrt(d), mu))
-    return min(q / lam, -r / q), max(q / lam, -r / q)
-
-
-def coordinate_box(dc: DecoupledConstraint) -> tuple[np.ndarray, np.ndarray]:
-    """Bounds (lo, hi) per rotated coordinate whose box contains the region
-    sum_i lam_i y_i^2 + mu_i y_i <= theta; an unbounded end is +-inf.
-
-    With m_j = min over y of lam_j y^2 + mu_j y, which is -mu_j^2/(4 lam_j)
-    when lam_j > 0, 0 when lam_j = mu_j = 0 and -inf otherwise, every point
-    of the region has lam_i y_i^2 + mu_i y_i <= r_i = theta - sum_{j != i} m_j.
-    Coordinate i gets the interval of that set, or the whole line when the
-    set is not one interval (lam_i < 0) or r_i = +inf.  The roots come from
-    q = -(mu + sign(mu) sqrt(d))/2 as q/lam and -r/q, which does not cancel;
-    r_i and the discriminant are raised by their rounding bounds and each
-    finite end is widened by a relative 1e-9, so rounding can only enlarge
-    the box.  Raises ValueError when an interval is empty or a single point:
-    the region then has Gaussian mass 0.
-    """
-    lam, mu, n = dc.lam, dc.mu, dc.n
-    m = np.zeros(n)
-    up = lam > 0.0
-    m[up] = -mu[up] ** 2 / (4.0 * lam[up])
-    m[(lam < 0.0) | ((lam == 0.0) & (mu != 0.0))] = -np.inf
-    lo = np.full(n, -np.inf)
-    hi = np.full(n, np.inf)
-    for i in range(n):
-        rest = np.delete(m, i)
-        if lam[i] < 0.0 or np.isneginf(rest).any():
-            continue
-        size = abs(dc.theta) + float(np.sum(np.abs(rest)))
-        r = dc.theta - float(np.sum(rest)) + 2.0 * (n + 3) * _EPS * size
-        a, b = _root_interval(float(lam[i]), float(mu[i]), r)
-        if not a < b:
-            raise ValueError(f"the region has Gaussian mass 0: coordinate {i} admits no interval")
-        lo[i] = a - _BOX_PAD * abs(a)
-        hi[i] = b + _BOX_PAD * abs(b)
-    return lo, hi
 
 
 def normalize(dc: DecoupledConstraint) -> DecoupledConstraint:

@@ -26,10 +26,16 @@ restricted to the grid point's owning cell, so lifting with truncated
 normals inverts the discretization in law.  The lift reads each cell from
 the grid index kappa/tau + B/tau, in float arithmetic that is exact
 for a power-of-two tau.
+
+``region_source`` is the other route, with no table and no grid: exact
+rejection from an exponentially tilted Gaussian (Siegmund 1976).  It is how
+the densifier draws its positives and negatives.
 """
 
 from __future__ import annotations
 
+import math
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,8 +50,8 @@ from .counter import (
     _prepare,
 )
 from .grid import GridSpec
-from .numerics import LOG_ZERO, Rng, _checked_int, truncated_normal_sample
-from .quadform import DecoupledConstraint, QuadraticForm, sign_at
+from .numerics import LOG_ZERO, Rng, _checked_int, normal_blocks, truncated_normal_sample
+from .quadform import ConstantPolynomialError, DecoupledConstraint, QuadraticForm, normalize, sign_at
 
 # Not called here: bench/tracing.py's WRAPS wraps these names on this module.
 from .counter import count  # noqa: F401
@@ -59,6 +65,7 @@ __all__ = [
     "enumerate_sampler_distribution",
     "lift_to_continuous",
     "sample_ptf_gaussian",
+    "region_source",
 ]
 
 
@@ -226,3 +233,145 @@ def sample_ptf_gaussian(
     """One-shot convenience wrapper around :class:`PtfSampler`: a (k, n)
     batch drawn from one pipeline built with ``kwargs``."""
     return PtfSampler(q, eps, **kwargs).sample_batch(k, rng, exact_filter=exact_filter)
+
+
+# Proposals per block of a region source; its blocks come from the child
+# streams _FIRST_BLOCK, _FIRST_BLOCK + 1, ... < _BLOCK_LIMIT.
+_BLOCK = 1 << 15
+_FIRST_BLOCK, _BLOCK_LIMIT = 10_000, 50_000
+
+
+def _tilt(dc: DecoupledConstraint) -> float:
+    """The tilt c >= 0 of a region source: the minimiser over
+    c in [0, c_max) of the Chernoff bound log M(-c) + c theta on the mass of
+    Q(y) = sum_i lam_i y_i^2 + mu_i y_i <= theta under N(0, I), where
+    log M(-c) = log E e^(-cQ) = sum_i -log(1 + 2c lam_i)/2 +
+    c^2 mu_i^2 / (2(1 + 2c lam_i)) and c_max = -1/(2 min lam) (inf when
+    no lam is negative).
+
+    The bound is convex, with derivative theta - E_c[Q] under the tilted law
+    (see :func:`region_source`), so c is found by bisection on the sign of
+    that derivative, to a relative 1e-9.  It is 0 (plain rejection) when
+    sum(lam) = E[Q] <= theta.  Any c in [0, c_max) gives exact draws; this
+    one makes the expected acceptance, mass / bound, largest.  The search
+    starts from c = 1, the scale of a normalized form.
+    """
+    lam, mu, theta = dc.lam, dc.mu, dc.theta
+
+    def slope(c: float) -> float:
+        # theta - E_c[Q], with E_c[Q] = sum lam/d - c mu^2 (1 + c lam)/d^2,
+        # d = 1 + 2 c lam, in factors that stay finite; +inf past c_max
+        d = 1.0 + 2.0 * c * lam
+        if d.min() <= 0.0:
+            return math.inf
+        return theta - float(np.sum(lam / d - (c * mu / d) * mu * ((1.0 + c * lam) / d)))
+
+    if slope(0.0) >= 0.0:
+        return 0.0
+    least = float(lam.min())
+    hi = -0.5 / least if least < 0.0 else 1.0
+    # with no lam < 0, the slope tends to theta - min Q > 0 or to +inf
+    while least >= 0.0 and hi < 2.0**1000 and slope(hi) < 0.0:
+        hi *= 2.0
+    lo = 0.0
+    while hi - lo > 1e-9 * hi:
+        mid = 0.5 * (lo + hi)
+        if slope(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _tilted_keep(q: QuadraticForm, dc: DecoupledConstraint, c: float, z: np.ndarray) -> np.ndarray:
+    """The points that a region source with tilt ``c`` keeps from one block
+    ``z`` of standard normals: n columns, plus two more when c > 0.
+
+    Column i gives y_i = z_i / sqrt(d_i) - c mu_i / d_i with
+    d_i = 1 + 2c lam_i, a draw from N(-c mu_i / d_i, 1 / d_i), and
+    x = R y is kept when sign(q, x) = +1 and, for c > 0, when
+    E = (z_n^2 + z_(n+1)^2) / 2, an Exp(1) draw, is at least
+    c (theta - Q(y)): that happens with probability e^(-c(theta - Q(y))),
+    capped at 1.
+    """
+    n = dc.n
+    d = 1.0 + 2.0 * c * dc.lam
+    y = z[:, :n] / np.sqrt(d) - c * dc.mu / d
+    x = y @ dc.rotation.T
+    keep = np.asarray(sign_at(q, x)) == 1
+    if c > 0.0:
+        e = 0.5 * (z[:, n] ** 2 + z[:, n + 1] ** 2)
+        keep &= e >= c * (dc.theta - dc.value(y))
+    return x[keep]
+
+
+def region_source(q: QuadraticForm, dc: DecoupledConstraint, rng: Rng):
+    """Source of points from N(0, I) conditioned on sign(q) = +1, by exact
+    rejection from an exponentially tilted Gaussian; ``dc`` is
+    ``decouple(q)``, the region Q(y) = sum_i lam_i y_i^2 + mu_i y_i <= theta
+    with x = R y.
+
+    For c >= 0 with every 1 + 2c lam_i > 0, the law proportional to
+    phi(y) e^(-cQ(y)) is the product of N(-c mu_i/(1 + 2c lam_i),
+    1/(1 + 2c lam_i)).  A proposal from it is kept with probability
+    e^(-c(theta - Q(y))) when x = R y lies in the region (see
+    :func:`_tilted_keep`), and 0 otherwise.  The density of N(0, I) over
+    that of the proposal is proportional to e^(cQ(y)), at most e^(c theta)
+    in the region, so the kept points are exactly N(0, I) conditioned on
+    the region, up to float rounding.  One proposal in M(-c) e^(c theta) /
+    mass is kept, M(-c) = E e^(-cQ); c = :func:`_tilt` makes that Chernoff
+    bound least, and by Bahadur-Rao the acceptance is then polynomial, not
+    exponential, in how thin the region is.
+
+    Blocks of 2^15 proposals come from ``normal_blocks`` on ``rng``, block
+    i from ``rng.derive(_FIRST_BLOCK + i)``.  ``source(k)`` returns the next
+    k kept points, so successive calls continue one stream and never repeat
+    a point; ``source(a)`` then ``source(b)`` returns the rows of
+    ``source(a + b)``.  The tilt is found on the first request for k >= 1:
+    building the source and ``source(0)`` search and draw nothing.  Q is
+    taken in its normalized form (``normalize``); a form that is constant
+    in floats keeps ``dc`` and gets c = 0.  Raises ValueError here when the
+    region is empty or lies in a hyperplane (theta <= min Q),
+    RuntimeError once the blocks below _BLOCK_LIMIT are spent, and
+    ValueError, before any draw, for a k that is not an integer >= 0.
+    """
+    try:
+        dc = normalize(dc)
+    except ConstantPolynomialError as err:
+        if err.mass == 0.0:
+            raise ValueError("the region has Gaussian mass 0: Q is constant above theta") from None
+    lam, mu = dc.lam.tolist(), dc.mu.tolist()
+    if not any(v < 0.0 or (v == 0.0 and m != 0.0) for v, m in zip(lam, mu)):
+        # Q is bounded below; its minimum holds only on a set of mass 0
+        # unless lam = 0, where it holds everywhere
+        low = -math.fsum(m * m / (4.0 * v) for v, m in zip(lam, mu) if v > 0.0)
+        if dc.theta < low or (dc.theta == low and any(lam)):
+            raise ValueError(f"the region has Gaussian mass 0: theta {dc.theta} is at most min Q")
+    rest = np.empty((0, dc.n))
+    block = _FIRST_BLOCK
+    tilt = None
+
+    def source(k: int) -> np.ndarray:
+        nonlocal rest, block, tilt
+        k = _checked_int("k", k, 0)
+        parts, got = [rest], rest.shape[0]
+        if got < k:
+            if tilt is None:
+                tilt = _tilt(dc)
+            cols = dc.n + 2 if tilt > 0.0 else dc.n
+            with closing(normal_blocks(rng, cols, _BLOCK, first=block)) as blocks:
+                while got < k:
+                    if block >= _BLOCK_LIMIT:
+                        raise RuntimeError("tilted rejection sampling starved")
+                    keep = _tilted_keep(q, dc, tilt, next(blocks))
+                    block += 1
+                    parts.append(keep)
+                    got += keep.shape[0]
+        # no copy when one array holds every point; the result and the
+        # surplus are views of it
+        full = [p for p in parts if p.size]
+        out = full[0] if len(full) == 1 else np.concatenate(parts)
+        rest = out[k:]
+        return out[:k]
+
+    return source

@@ -107,7 +107,7 @@ def test_tracer_drives_planted_run():
 def test_tracer_drives_negative_rounds():
     # the benchmark's planted runs all stop at round 0; x1 >= 4 leaves it,
     # so this is where the traced draws and negative rounds are checked:
-    # they come from box rejection, and each round counts its hypothesis
+    # they come from tilted rejection, and each round counts its hypothesis
     tracer = load_tracing().Tracer()
     x1_ge_4 = QuadraticForm(A=np.zeros((2, 2)), b=np.array([1.0, 0.0]), c=-4.0)
     with tracer.installed():

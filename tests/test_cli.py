@@ -469,7 +469,7 @@ class TestDensifyCommand:
     def test_thin_target_density_resolved_below_gamma(self, tmp_path, capsys):
         # x1 >= 4 has mass 3.2e-5; the density test stops the run at round 1,
         # which only guarantees density about gamma/2.  Criterion (b),
-        # p * agreement / mass(g), resolves that density (6.2e-5 at seed 3),
+        # p * agreement / mass(g), resolves that density (7.7e-5 at seed 3),
         # far below 1/n_validation, and it misses the gamma bar
         path = tmp_path / "x1ge4.json"
         path.write_text('{"n": 2, "A": [[0,0],[0,0]], "b": [1, 0], "c": -4}')

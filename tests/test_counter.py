@@ -909,6 +909,16 @@ class TestMcCount:
             with pytest.raises(ValueError, match=f"^{name} must be"):
                 mc_count(q, rng=Rng(0), **args)
 
+    def test_decoupled_form_rejected_before_a_draw(self, monkeypatch):
+        # a decoupled constraint has no (A, b, c) to test signs with
+        def no_blocks(*args, **kwargs):
+            raise AssertionError("a block was drawn before the form was checked")
+
+        monkeypatch.setattr(counter, "normal_blocks", no_blocks)
+        dc = decouple(QuadraticForm(A=-np.eye(2), b=np.zeros(2), c=2.0))
+        with pytest.raises(ValueError, match="DecoupledConstraint"):
+            mc_count(dc, 100, Rng(0))
+
     def test_numpy_integer_counts_accepted(self):
         q = QuadraticForm(A=-np.eye(2), b=np.zeros(2), c=2.0)
         assert mc_count(q, np.int64(5000), Rng(3)) == mc_count(q, 5000, Rng(3))

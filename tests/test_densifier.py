@@ -2,11 +2,12 @@ import hashlib
 import json
 import math
 import sys
+from contextlib import closing
 
 import numpy as np
 import pytest
 
-from quadgauss import counter, densifier, numerics, quadform
+from quadgauss import counter, densifier, numerics, quadform, sampler
 from quadgauss.densifier import (
     BudgetExhaustedError,
     DensifierConfig,
@@ -15,8 +16,6 @@ from quadgauss.densifier import (
     densify,
     feature_dim,
     feature_map,
-    _region_source,
-    _rejection_sample,
     planted_experiment,
     quadratic_from_weights,
     weights_from_quadratic,
@@ -24,10 +23,11 @@ from quadgauss.densifier import (
 from quadgauss.counter import count_ptf_gaussian, mc_count
 from quadgauss.numerics import Rng
 from quadgauss.quadform import DecoupledConstraint, QuadraticForm, decouple, evaluate, sign_at
+from quadgauss.sampler import _tilted_keep, region_source
 from test_acceptance import _c7_targets
 
 C7_TARGETS = _c7_targets()
-# |x|^2 >= 20: its box is all of R^2
+# |x|^2 >= 20, of mass 4.5e-5
 RING = QuadraticForm(A=np.eye(2), b=np.zeros(2), c=-20.0)
 
 
@@ -227,43 +227,22 @@ class TestDensify:
         assert np.mean(np.asarray(sign_at(res.hypothesis, fresh)) == 1) >= 0.6
 
     def test_learning_path_transcript_pinned(self):
-        # the full event stream of a run that leaves round 0: pool mistakes,
-        # hypothesis counts, a negative draw and the density stop
+        # the full event stream of a run that leaves round 0: hypothesis
+        # counts, a negative draw, a pool mistake and the density stop
         _, _, res = self._learning_run()
-        assert res.rounds == 1 and res.mistakes == 3
+        assert res.rounds == 1 and res.mistakes == 2
+        assert [e["event"] for e in res.transcript] == [
+            "count", "neg_feed", "pos_mistake", "count", "terminate"
+        ]
         jsonl = "\n".join(json.dumps(e, sort_keys=True) for e in res.transcript)
         digest = hashlib.sha256(jsonl.encode()).hexdigest()
-        assert digest == "fc950be976efa1a65bd39dcf7ba8e7c72deefe651ac0c4d79a9d08090ed6ec7d"
-
-    def test_negative_round_on_sampler_branch(self, monkeypatch):
-        # a least acceptance rate above 1 sends every region to the sampler;
-        # a p_hat below the target's mass keeps the run going past the
-        # constant round-0 hypothesis, so tables for learned g are drawn from
-        monkeypatch.setattr(densifier, "_MIN_ACCEPT", 2.0)
-        drawn = []
-
-        class Recording(densifier.PtfSampler):
-            def sample(self, rng, exact_filter=False):
-                x = super().sample(rng, exact_filter)
-                drawn.append((self.original, self.rounded is None, exact_filter, x))
-                return x
-
-        monkeypatch.setattr(densifier, "PtfSampler", Recording)
-        f = QuadraticForm(A=np.zeros((2, 2)), b=np.array([1.0, 0.0]), c=-2.9)
-        cfg = DensifierConfig(eps=0.2, delta=0.2, mistake_budget=30, n_pos=1000)
-        res = densify(_planted_source(f, Rng(5)), 3e-4, cfg, Rng(6))
-        negs = [e for e in res.transcript if e["event"] == "neg_feed"]
-        assert len(negs) == len(drawn) == res.rounds
-        assert sum(not constant for _, constant, _, _ in drawn) >= 2
-        for e, (g, _, exact_filter, x) in zip(negs, drawn):
-            assert exact_filter and e["x"] == x.tolist()
-            assert sign_at(g, x) == 1
+        assert digest == "bb8bb0ff37623e68088e0a9c1779f1739a6fb7266dd253d70371a44fb1f88ecc"
 
     def test_budget_exhaustion_reports_transcript(self, monkeypatch):
         # every negative draw is the same point; once it has been fed, the
         # learner stays consistent with it, so later rounds make no mistake
         # and only the round budget 4M + 16 = 36 can end the run
-        monkeypatch.setattr(densifier, "_region_source", lambda *args: lambda k: np.array([[-5.0, 0.0]]))
+        monkeypatch.setattr(densifier, "region_source", lambda *args: lambda k: np.array([[-5.0, 0.0]]))
         f = QuadraticForm(A=np.zeros((2, 2)), b=np.array([1.0, 0.0]), c=-2.9)
         cfg = DensifierConfig(eps=0.2, delta=0.2, mistake_budget=5, n_pos=1000)
         with pytest.raises(BudgetExhaustedError, match="round budget 36 exhausted") as err:
@@ -294,7 +273,7 @@ class TestDensify:
         p = 0.5 * math.erfc(6.0 / math.sqrt(2.0))
         cfg = DensifierConfig(eps=0.2, delta=0.2, mistake_budget=30, n_pos=1000)
         for seed in (5, 7):
-            pos = _region_source(f, decouple(f), p, 0.2, Rng(seed))
+            pos = region_source(f, decouple(f), Rng(seed))
             with pytest.raises(KappaFlipError, match="kappa rounding flipped") as err:
                 densify(pos, 1.05 * p, cfg, Rng(seed + 1))
             assert err.value.transcript[-1]["event"] == "terminate"
@@ -330,36 +309,43 @@ class TestDensify:
 
 
 def _recording_samplers(monkeypatch) -> list:
-    """The forms that densifier builds a PtfSampler for, from now on."""
+    """The forms that a PtfSampler is built for, from now on."""
     samplers = []
+    init = sampler.PtfSampler.__init__
 
-    class Recording(densifier.PtfSampler):
-        def __init__(self, q, *args, **kwargs):
-            samplers.append(q)
-            super().__init__(q, *args, **kwargs)
+    def recording(self, q, *args, **kwargs):
+        samplers.append(q)
+        init(self, q, *args, **kwargs)
 
-    monkeypatch.setattr(densifier, "PtfSampler", Recording)
+    monkeypatch.setattr(sampler.PtfSampler, "__init__", recording)
     return samplers
 
 
-def _recording_rejections(monkeypatch) -> list:
-    """The forms that densifier builds a rejection source for, from now on."""
+def _recording_sources(monkeypatch) -> list:
+    """The forms that densifier builds a region source for, from now on."""
     sources = []
     monkeypatch.setattr(
-        densifier, "_rejection_sample", lambda q, *args: sources.append(q) or _rejection_sample(q, *args)
+        densifier, "region_source", lambda q, *args: sources.append(q) or region_source(q, *args)
     )
     return sources
 
 
 def _recording_requests(monkeypatch) -> list:
-    """(form, k) for every request to a region source densifier builds."""
+    """(form, k, points) for every request to a region source densifier
+    builds."""
     requests = []
 
     def recording(q, *args):
-        source = _region_source(q, *args)
-        return lambda k: requests.append((q, k)) or source(k)
+        source = region_source(q, *args)
 
-    monkeypatch.setattr(densifier, "_region_source", recording)
+        def request(k):
+            out = source(k)
+            requests.append((q, k, out))
+            return out
+
+        return request
+
+    monkeypatch.setattr(densifier, "region_source", recording)
     return requests
 
 
@@ -419,46 +405,43 @@ class TestPlantedExperiment:
         assert len(forms) == 3 and len({id(q) for q in forms}) == 3 and forms[0] is f
 
     def test_sampler_positives_are_fresh_across_calls(self, monkeypatch):
-        # the sampler branch continues one stream: a second call must not
-        # replay the first call's points
+        # the region source continues one stream: a second call must not
+        # replay the first call's points, and no table is built
         samplers = _recording_samplers(monkeypatch)
-        pos = _region_source(RING, decouple(RING), 2.0e-5, 0.1, Rng(2))
+        pos = region_source(RING, decouple(RING), Rng(2))
         a, b = pos(3), pos(3)
-        assert samplers == [RING]
+        assert samplers == []
         assert np.all(np.sum(a * a, axis=1) >= 20.0) and np.all(np.sum(b * b, axis=1) >= 20.0)
         assert not np.any(np.isin(b, a))
 
     def test_low_mass_target_draws_positives_from_sampler(self, monkeypatch):
-        # |x|^2 >= 20 has its box all of R^2 and a counted mass of 2.0e-5,
-        # so by that count one box proposal in 5e4 would be kept: the
-        # positives come from one sampler, and the negatives, from learned
-        # hypotheses of far larger mass, by rejection
+        # |x|^2 >= 20 has mass 4.5e-5 and no bounded coordinate; the tilted
+        # source keeps about 1 proposal in 30 and builds no table, for the
+        # positives or for the negatives from learned hypotheses
         samplers = _recording_samplers(monkeypatch)
+        requests = _recording_requests(monkeypatch)
         rep = planted_experiment(RING, DensifierConfig(eps=0.1, delta=0.1), Rng(3), n_validation=500)
-        assert samplers == [RING]
-        assert rep["p_estimate"] < densifier._MIN_ACCEPT  # a box of mass 1
+        assert samplers == []
         assert rep["rounds"] > 0 and rep["mistakes"] <= rep["mistake_budget"]
         assert rep["agreement"] == 1.0 and rep["passed_a"]
+        negatives = [(g, x) for g, k, x in requests if g is not RING]
+        assert len(negatives) == rep["rounds"]
+        for g, x in negatives:
+            assert x.shape == (1, 2) and sign_at(g, x[0]) == 1
 
     def test_box_bounded_low_mass_target_draws_by_rejection(self, monkeypatch):
-        # x1 >= 3.75 has mass 8.8e-5, but its box [3.75, inf) x R holds
-        # nothing else, so every box proposal is kept and no sampler is built;
-        # the mass is above gamma/2, so the run stops at round 0
+        # x1 >= 3.75 has mass 8.8e-5, inside the box [3.75, inf) x R; its
+        # points come by rejection and no sampler is built.  The mass is
+        # above gamma/2, so a planted run stops at round 0 and draws none
         samplers = _recording_samplers(monkeypatch)
         f = QuadraticForm(A=np.zeros((2, 2)), b=np.array([1.0, 0.0]), c=-3.75)
+        x = region_source(f, decouple(f), Rng(3))(500)
+        assert np.all(x[:, 0] >= 3.75)
         rep = planted_experiment(f, DensifierConfig(eps=0.1, delta=0.1), Rng(3), n_validation=500)
         assert samplers == []
         assert rep["p_estimate"] < 1e-4
         assert rep["rounds"] == 0 and rep["mistakes"] == 0
         assert rep["agreement"] == 1.0 and rep["passed_a"]
-
-    def test_c7_targets_draw_by_rejection(self, monkeypatch):
-        # the densify-planted benchmark times box rejection on these targets
-        sources, samplers = _recording_rejections(monkeypatch), _recording_samplers(monkeypatch)
-        cfg = DensifierConfig(eps=0.1, delta=0.1)
-        for f in C7_TARGETS:
-            _region_source(f, decouple(f), count_ptf_gaussian(f, cfg.eps / 3.0).estimate, cfg.eps, Rng(1))
-        assert sources == C7_TARGETS and samplers == []
 
     def _thin_hypothesis_run(self, monkeypatch):
         # the learner's output is replaced by g = x1 >= 3 for the target
@@ -467,7 +450,7 @@ class TestPlantedExperiment:
         monkeypatch.setattr(
             densifier, "densify", lambda *args, **kwargs: densifier.DensifyResult(thin, [])
         )
-        sources, samplers = _recording_rejections(monkeypatch), _recording_samplers(monkeypatch)
+        sources, samplers = _recording_sources(monkeypatch), _recording_samplers(monkeypatch)
         f = QuadraticForm(A=np.zeros((2, 2)), b=np.array([1.0, 0.0]), c=-1.0)
         rep = planted_experiment(f, DensifierConfig(eps=0.1, delta=0.1), Rng(4))
         # only the target's positives are drawn; nothing is drawn from g
@@ -521,7 +504,7 @@ class TestPlantedExperiment:
         cfg = DensifierConfig(eps=0.1, delta=0.1)
         rep = planted_experiment(f, cfg, Rng(1), n_validation=3000)
         assert rep["rounds"] == 0 and rep["agreement"] == 1.0
-        assert requests == [(f, 0)]
+        assert [(q, k) for q, k, _ in requests] == [(f, 0)]
         # the Wilson half-width is still the one at n_validation
         z2 = 2.5758293035489004**2
         assert rep["agreement_ci"] == pytest.approx(z2 / (3000 + z2), rel=1e-12)
@@ -535,8 +518,8 @@ class TestPlantedExperiment:
         rep = planted_experiment(f, cfg, Rng(1), n_validation=3000)
         assert rep["rounds"] >= 1
         # n from a zero-point request, then the pool
-        assert [k for q, k in requests if q is f] == [0, cfg.resolve(f.n).n_pos, 3000]
-        assert sum(1 for q, _ in requests if q is not f) == rep["rounds"]
+        assert [k for q, k, _ in requests if q is f] == [0, cfg.resolve(f.n).n_pos, 3000]
+        assert sum(1 for q, _, _ in requests if q is not f) == rep["rounds"]
 
     def test_round_zero_run_draws_no_block(self, monkeypatch):
         # a run that stops at round 0 draws no proposal block anywhere: not
@@ -544,7 +527,7 @@ class TestPlantedExperiment:
         def no_blocks(*args, **kwargs):
             raise AssertionError("a block of normals was drawn")
 
-        monkeypatch.setattr(densifier, "normal_blocks", no_blocks)
+        monkeypatch.setattr(sampler, "normal_blocks", no_blocks)
         monkeypatch.setattr(counter, "normal_blocks", no_blocks)
         for f in C7_TARGETS:
             rep = planted_experiment(f, DensifierConfig(eps=0.1, delta=0.1), Rng(1), n_validation=3000)
@@ -581,57 +564,92 @@ class TestPlantedExperiment:
 THIN3 = QuadraticForm(A=np.zeros((3, 3)), b=np.array([1.0, 0.0, 0.0]), c=-3.0)
 
 
-def _box_source(q, rng):
-    dc = densifier.decouple(q)
-    return _rejection_sample(q, dc.rotation, *densifier.coordinate_box(dc), rng)
+def _source(q, rng):
+    return region_source(q, decouple(q), rng)
+
+
+def _acceptance(q, rows=1 << 16):
+    """Fraction of one block of proposals that q's tilted source keeps."""
+    dc = decouple(q)
+    c = sampler._tilt(dc)
+    z = next(numerics.normal_blocks(Rng(30), dc.n + 2, rows, total=rows))
+    return _tilted_keep(q, dc, c, z).shape[0] / rows
+
+
+def _random_constraint(gen, n):
+    """A nonempty decoupled region whose coefficients mix the cases the tilt
+    search treats apart: lam > 0, lam = 0, lam < 0, lam = 1e-17, and mu = 0."""
+    kind = gen.choice([1.0, 0.0, 1e-17, -1.0], p=[0.5, 0.2, 0.2, 0.1], size=n)
+    lam = kind * gen.uniform(0.2, 3.0, size=n)
+    mu = gen.normal(size=n) * (gen.random(n) < 0.7)
+    up = lam > 0.1  # a 1e-17 y^2 term acts as its linear part near the origin
+    floor = float(np.sum(-mu[up] ** 2 / (4.0 * lam[up])))
+    theta = floor + float(gen.uniform(0.5, 5.0))
+    return DecoupledConstraint(lam=lam, mu=mu, theta=theta, rotation=np.eye(n))
+
+
+
+
+def _no_blocks(*args, **kwargs):
+    raise AssertionError("a block was drawn")
 
 
 class TestRejectionSource:
     def test_calls_continue_one_stream(self):
         # 20,000 + 20,000 disc points cross a block of 2^15 proposals
         f = QuadraticForm(A=-np.eye(2), b=np.zeros(2), c=0.2107)
-        pos = _box_source(f, Rng(21))
+        pos = _source(f, Rng(21))
         a, b = pos(20_000), pos(20_000)
-        whole = _box_source(f, Rng(21))(40_000)
+        whole = _source(f, Rng(21))(40_000)
         assert np.array_equal(np.concatenate([a, b]), whole)
         assert not np.any(np.isin(b[:, 0], a[:, 0]))
         assert np.all(np.asarray(sign_at(f, whole)) == 1)
 
     @pytest.mark.parametrize("k", [-1, 2.5, True])
     def test_bad_count_rejected_before_a_block(self, monkeypatch, k):
-        def no_blocks(*args, **kwargs):
-            raise AssertionError("a block was drawn before k was checked")
-
-        pos = _box_source(THIN3, Rng(26))
-        monkeypatch.setattr(densifier, "normal_blocks", no_blocks)
+        pos = _source(THIN3, Rng(26))
+        monkeypatch.setattr(sampler, "normal_blocks", _no_blocks)
         with pytest.raises(ValueError, match="^k must be"):
             pos(k)
 
     def test_zero_points_draw_no_block(self, monkeypatch):
-        blocks = []
+        # building a source and asking it for 0 points neither searches
+        # for the tilt nor draws a block
+        blocks, tilts = [], []
 
         def recording(*args, **kwargs):
             blocks.append(args)
             return numerics.normal_blocks(*args, **kwargs)
 
-        monkeypatch.setattr(densifier, "normal_blocks", recording)
-        pos = _box_source(THIN3, Rng(27))
+        monkeypatch.setattr(sampler, "normal_blocks", recording)
+        monkeypatch.setattr(sampler, "_tilt", lambda dc, tilt=sampler._tilt: tilts.append(dc) or tilt(dc))
+        pos = _source(THIN3, Rng(27))
         empty = pos(0)
-        assert empty.shape == (0, 3) and blocks == []
+        assert empty.shape == (0, 3) and blocks == [] and tilts == []
         # the zero-point request leaves the stream where it was
-        assert np.array_equal(pos(500), _box_source(THIN3, Rng(27))(500))
-        assert len(blocks) == 2  # the wrapper sees the two sources' draws
+        assert np.array_equal(pos(500), _source(THIN3, Rng(27))(500))
+        # the wrapper sees the two sources' draws, each tilted once
+        assert len(blocks) == 2 and len(tilts) == 2
+
+    @pytest.mark.parametrize("theta", [-1.0, 0.0])
+    def test_empty_region_raises(self, monkeypatch, theta):
+        # y1^2 + y2^2 <= theta is empty (theta < 0) or the origin (theta = 0)
+        monkeypatch.setattr(sampler, "normal_blocks", _no_blocks)
+        q = QuadraticForm(A=-np.eye(2), b=np.zeros(2), c=theta)
+        with pytest.raises(ValueError, match="mass 0"):
+            _source(q, Rng(0))
 
     def test_starves_past_the_block_limit(self, monkeypatch):
-        monkeypatch.setattr(densifier, "_BLOCK_LIMIT", densifier._FIRST_BLOCK + 1)
-        pos = _box_source(THIN3, Rng(22))
-        pos(30_000)
-        with pytest.raises(RuntimeError, match="box rejection sampling starved"):
+        # one block of 2^15 thin3 proposals keeps about 4,000 points
+        monkeypatch.setattr(sampler, "_BLOCK_LIMIT", sampler._FIRST_BLOCK + 1)
+        pos = _source(THIN3, Rng(22))
+        pos(2_000)
+        with pytest.raises(RuntimeError, match="rejection sampling starved"):
             pos(30_000)
 
     def test_thin3_positives_follow_the_conditioned_law(self):
-        k = 60_000
-        x = _box_source(THIN3, Rng(23))(k)
+        k = 30_000
+        x = _source(THIN3, Rng(23))(k)
         assert np.all(x[:, 0] >= 3.0)
         # E[G | G >= 3] = phi(3) / (1 - Phi(3)); the variance there is 0.0705
         mills = 3.283098654930434
@@ -639,34 +657,82 @@ class TestRejectionSource:
         assert np.all(np.abs(x[:, 1:].mean(axis=0)) <= 4.0 / math.sqrt(k))
         assert np.all(np.abs(x[:, 1:].var(axis=0) - 1.0) <= 4.0 * math.sqrt(2.0 / k))
 
+    def test_deep_halfspace_mean(self):
+        # x1 >= 4.2 at n = 3: E[G | G >= 4.2] = phi(4.2) / Phi(-4.2)
+        k = 20_000
+        f = QuadraticForm(A=np.zeros((3, 3)), b=np.array([1.0, 0.0, 0.0]), c=-4.2)
+        x = _source(f, Rng(31))(k)
+        assert np.all(x[:, 0] >= 4.2)
+        assert abs(x[:, 0].mean() - 4.4166) <= 4.0 * math.sqrt(x[:, 0].var() / k)
+
+    def test_ring_excess_is_exponential(self):
+        # |y|^2 >= 20 at n = 2: |y|^2 is Exp with mean 2, so the excess
+        # over 20 is too, with sd 2
+        k = 8_000
+        x = _source(RING, Rng(32))(k)
+        excess = np.sum(x * x, axis=1) - 20.0
+        assert np.all(excess >= 0.0)
+        assert abs(excess.mean() - 2.0) <= 4.0 * 2.0 / math.sqrt(k)
+
     def test_rotated_target_matches_plain_rejection(self):
-        # a shifted ellipse off the axes: the box lives in rotated
+        # a shifted ellipse off the axes: the tilt lives in rotated
         # coordinates, so a wrong rotation would bias the moments
         c, s = math.cos(0.6), math.sin(0.6)
         rot = np.array([[c, -s], [s, c]])
         f = QuadraticForm(A=-rot @ np.diag([1.0, 4.0]) @ rot.T, b=np.array([0.8, -0.5]), c=0.3)
-        lo, hi = densifier.coordinate_box(densifier.decouple(f))
-        assert np.isfinite(lo).all() and np.isfinite(hi).all()
         k = 40_000
-        box = _box_source(f, Rng(24))(k)
+        tilted = _source(f, Rng(24))(k)
         g = np.random.default_rng(24).normal(size=(2_000_000, 2))
         plain = g[np.asarray(sign_at(f, g)) == 1][:k]
         assert plain.shape[0] == k
-        se = np.sqrt(box.var(axis=0) / k + plain.var(axis=0) / k)
-        assert np.all(np.abs(box.mean(axis=0) - plain.mean(axis=0)) <= 4.5 * se)
-        se2 = np.sqrt(((box**2).var(axis=0) + (plain**2).var(axis=0)) / k)
-        assert np.all(np.abs((box**2).mean(axis=0) - (plain**2).mean(axis=0)) <= 4.5 * se2)
+        se = np.sqrt(tilted.var(axis=0) / k + plain.var(axis=0) / k)
+        assert np.all(np.abs(tilted.mean(axis=0) - plain.mean(axis=0)) <= 4.5 * se)
+        se2 = np.sqrt(((tilted**2).var(axis=0) + (plain**2).var(axis=0)) / k)
+        assert np.all(np.abs((tilted**2).mean(axis=0) - (plain**2).mean(axis=0)) <= 4.5 * se2)
 
-    def test_thin3_experiment_draws_few_points(self, monkeypatch):
-        # box proposals accept almost every point; rejection from all of
-        # R^3 would test about n / p = 10M points for the same run
-        tested = []
+    @pytest.mark.parametrize("seed", range(24))
+    def test_random_forms_match_plain_rejection(self, seed):
+        # lam > 0, lam = 0, lam < 0 and lam = 1e-17 mixed, with and without
+        # a linear term: every kept point is in the region, and the means
+        # agree with plain rejection
+        gen = np.random.default_rng(seed)
+        dc = _random_constraint(gen, int(gen.integers(1, 5)))
+        q = QuadraticForm(A=-np.diag(dc.lam), b=-dc.mu, c=dc.theta)
+        g = gen.normal(size=(1 << 16, dc.n))
+        plain = g[np.asarray(sign_at(q, g)) == 1]
+        k = min(plain.shape[0], 4_000)
+        assert k > 100
+        tilted = region_source(q, dc, Rng(seed))(k)
+        assert np.all(np.asarray(sign_at(q, tilted)) == 1)
+        se = np.sqrt(tilted.var(axis=0) / k + plain.var(axis=0) / plain.shape[0])
+        assert np.all(np.abs(tilted.mean(axis=0) - plain.mean(axis=0)) <= 4.5 * se)
 
-        def counting(q, x):
-            tested.append(1 if np.ndim(x) == 1 else np.shape(x)[0])
-            return sign_at(q, x)
+    def test_deep_halfspace_acceptance(self):
+        # x1 >= 4: c = 4, and mass / bound = Phi(-4) e^8 = 0.0944; the kept
+        # fraction of 2^18 proposals lies in the 99% binomial interval
+        f = QuadraticForm(A=np.zeros((2, 2)), b=np.array([1.0, 0.0]), c=-4.0)
+        assert sampler._tilt(decouple(f)) == pytest.approx(4.0, rel=1e-8)
+        rows = 1 << 18
+        p = 0.5 * math.erfc(4.0 / math.sqrt(2.0)) * math.exp(8.0)
+        assert abs(_acceptance(f, rows) - p) <= 2.5758293035489004 * math.sqrt(p * (1.0 - p) / rows)
 
-        monkeypatch.setattr(densifier, "sign_at", counting)
-        rep = planted_experiment(THIN3, DensifierConfig(eps=0.1, delta=0.1), Rng(25), n_validation=3000)
-        assert rep["agreement"] == 1.0
-        assert sum(tested) <= 200_000
+    def test_thin3_keeps_one_proposal_in_ten(self):
+        # predicted Phi(-3) e^4.5 = 0.122; plain rejection keeps 1 in 741
+        assert _acceptance(THIN3) >= 0.1
+
+    def test_shell_draws_take_few_blocks(self, monkeypatch):
+        # |x|^2 >= 16 (n = 2) has mass 3.4e-4: plain rejection would spend
+        # about 640 blocks of 2^15 on 7000 points
+        blocks = []
+
+        def counting(*args, **kwargs):
+            with closing(numerics.normal_blocks(*args, **kwargs)) as inner:
+                for block in inner:
+                    blocks.append(block.shape[0])
+                    yield block
+
+        monkeypatch.setattr(sampler, "normal_blocks", counting)
+        shell = QuadraticForm(A=np.eye(2), b=np.zeros(2), c=-16.0)
+        x = _source(shell, Rng(33))(7_000)
+        assert x.shape == (7_000, 2)
+        assert len(blocks) <= 8 and set(blocks) == {sampler._BLOCK}

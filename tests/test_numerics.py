@@ -529,74 +529,3 @@ class TestNormalBlocks:
             next(normal_blocks(Rng(0), 2, 0))
         with pytest.raises(ValueError):
             next(normal_blocks(Rng(0), 2, 8, total=-1))
-
-
-def _ks_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Two-sample Kolmogorov-Smirnov statistic."""
-    a, b = np.sort(a), np.sort(b)
-    both = np.concatenate([a, b])
-    fa = np.searchsorted(a, both, side="right") / a.size
-    fb = np.searchsorted(b, both, side="right") / b.size
-    return float(np.max(np.abs(fa - fb)))
-
-
-# (lo, hi, proposal the column plan picks)
-_TRUNCATED_COLUMNS = [
-    (3.0, math.inf, "exponential"),
-    (8.0, math.inf, "exponential"),
-    (-0.46, 0.46, "uniform"),
-    (1.0, 1.001, "uniform"),
-    (-math.inf, -4.0, "exponential"),
-    (-1.0, 3.0, "normal"),
-]
-
-
-class TestTruncatedBlocks:
-    LO = np.array([c[0] for c in _TRUNCATED_COLUMNS])
-    HI = np.array([c[1] for c in _TRUNCATED_COLUMNS])
-
-    def test_plan_picks_each_proposal(self):
-        for lo, hi, kind in _TRUNCATED_COLUMNS:
-            assert numerics._column_plan(lo, hi)[0] == kind
-
-    def test_columns_match_inverse_cdf_draws(self):
-        k = 20_000
-        block = next(normal_blocks(Rng(3), len(self.LO), k, total=k, lo=self.LO, hi=self.HI))
-        assert np.all((block >= self.LO) & (block < self.HI))
-        bar = 1.95 * math.sqrt(2.0 / k)  # KS critical value at level 1e-3
-        for j, (lo, hi, _) in enumerate(_TRUNCATED_COLUMNS):
-            ref = _draws(lo, hi, Rng(100 + j), k)
-            assert _ks_distance(block[:, j], ref) < bar, (lo, hi)
-            se = math.sqrt(ref.var() / k)
-            assert abs(block[:, j].mean() - oracles.truncated_mean(lo, hi)) <= 4.0 * se, (lo, hi)
-
-    def test_one_and_two_workers_agree(self, monkeypatch):
-        def blocks(cpus):
-            monkeypatch.setattr(numerics, "_POOL", None)
-            monkeypatch.setattr(numerics.os, "sched_getaffinity", lambda pid: set(range(cpus)))
-            pool, workers = numerics._worker_pool()
-            try:
-                assert workers == cpus
-                gen = normal_blocks(Rng(4), 6, 400, first=2, total=1500, lo=self.LO, hi=self.HI)
-                return [b.copy() for b in gen]
-            finally:
-                pool.shutdown()
-
-        one, two = blocks(1), blocks(2)
-        assert [b.shape[0] for b in one] == [400, 400, 400, 300]
-        assert all(np.array_equal(a, b) for a, b in zip(one, two))
-
-    def test_unbounded_columns_are_the_plain_block(self):
-        rng = Rng(5).derive(2)
-        want = _serial_blocks(rng, 3, 64, 7, 64 * 3)
-        inf = np.full(3, math.inf)
-        got = [b.copy() for b in normal_blocks(rng, 3, 64, first=7, total=64 * 3, lo=-inf, hi=inf)]
-        assert all(np.array_equal(a, b) for a, b in zip(got, want))
-        lo = np.array([-math.inf, 2.0, -math.inf])
-        for a, b in zip(normal_blocks(rng, 3, 64, first=7, total=64 * 3, lo=lo, hi=inf), want):
-            assert np.array_equal(a[:, [0, 2]], b[:, [0, 2]]) and np.all(a[:, 1] >= 2.0)
-
-    @pytest.mark.parametrize("lo, hi", [(1.0, 1.0), (2.0, 1.0), (40.0, 40.0 + 1e-300)])
-    def test_empty_or_zero_mass_column_raises(self, lo, hi):
-        with pytest.raises(ValueError):
-            next(normal_blocks(Rng(0), 2, 8, lo=np.array([lo, -math.inf]), hi=np.array([hi, math.inf])))

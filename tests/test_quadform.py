@@ -10,7 +10,6 @@ from quadgauss.quadform import (
     DecoupledConstraint,
     QuadraticForm,
     RoundingConfig,
-    coordinate_box,
     decouple,
     evaluate,
     instance_from_dict,
@@ -171,16 +170,15 @@ class TestDecoupleRoundoff:
         assert np.sort(dc.lam) / scale == pytest.approx([0.0, 1.0, 1.0], abs=1e-14)
         assert np.count_nonzero(dc.mu) == 2
 
-    def test_rotated_rank_one_box_is_finite_on_its_axis(self):
-        # -(u.x)^2 + 1 >= 0 is the slab |u.x| <= 1: the box is finite along u
+    def test_rotated_rank_one_has_exact_zeros_off_its_axis(self):
+        # -(u.x)^2 + 1 >= 0 is the slab |u.x| <= 1: one lam of 1 along u
         gen = np.random.default_rng(5)
         for _ in range(20):
             u = gen.normal(size=3)
             dc = decouple(QuadraticForm(A=-np.outer(u, u) / (u @ u), b=np.zeros(3), c=1.0))
             axis = int(np.argmax(dc.lam))
             assert np.array_equal(np.delete(dc.lam, axis), [0.0, 0.0])
-            lo, hi = coordinate_box(dc)
-            assert hi[axis] == pytest.approx(1.0, rel=1e-8) and lo[axis] == pytest.approx(-1.0, rel=1e-8)
+            assert dc.lam[axis] == pytest.approx(1.0, rel=1e-12)
 
     def test_genuine_small_terms_are_kept(self):
         # 1e-12 relative to ||A|| lies far above the tolerance
@@ -373,99 +371,3 @@ class TestInstanceIO:
     def test_non_finite_rejected(self, doc):
         with pytest.raises(ValueError, match="finite"):
             instance_from_dict(doc)
-
-
-def _random_constraint(gen, n):
-    """A nonempty decoupled region whose coefficients mix the cases the box
-    treats apart: lam > 0, lam = 0, lam < 0, lam = 1e-17, and mu = 0."""
-    kind = gen.choice([1.0, 0.0, 1e-17, -1.0], p=[0.5, 0.2, 0.2, 0.1], size=n)
-    lam = kind * gen.uniform(0.2, 3.0, size=n)
-    mu = gen.normal(size=n) * (gen.random(n) < 0.7)
-    up = lam > 0.1  # a 1e-17 y^2 term acts as its linear part near the origin
-    floor = float(np.sum(-mu[up] ** 2 / (4.0 * lam[up])))
-    theta = floor + float(gen.uniform(0.5, 5.0))
-    return DecoupledConstraint(lam=lam, mu=mu, theta=theta, rotation=np.eye(n))
-
-
-class TestCoordinateBox:
-    def test_c7_boxes(self):
-        pad = 1e-8
-        disc = decouple(QuadraticForm(A=-np.eye(2), b=np.zeros(2), c=0.2107))
-        lo, hi = coordinate_box(disc)
-        assert np.allclose(hi, math.sqrt(0.2107), rtol=pad) and np.allclose(lo, -hi)
-        half = decouple(QuadraticForm(A=np.zeros((2, 2)), b=np.array([1.0, 0.0]), c=-1.0))
-        assert coordinate_box(half)[0][0] == pytest.approx(1.0, rel=pad)
-        assert np.isinf(coordinate_box(half)[0][1]) and np.isinf(coordinate_box(half)[1]).all()
-        band = decouple(QuadraticForm(A=np.diag([-1.0, 0.0]), b=np.zeros(2), c=0.5))
-        lo, hi = coordinate_box(band)
-        axis = int(np.argmax(band.lam))  # the lam = 1 axis
-        assert band.lam[axis] == 1.0
-        assert hi[axis] == pytest.approx(math.sqrt(0.5), rel=pad)
-        assert lo[axis] == pytest.approx(-hi[axis], rel=1e-14)
-        assert np.isinf(lo[1 - axis]) and np.isinf(hi[1 - axis])
-        shell = decouple(QuadraticForm(A=np.eye(2), b=np.zeros(2), c=-9.2))
-        assert np.isinf(np.concatenate(coordinate_box(shell))).all()
-        thin3 = decouple(QuadraticForm(A=np.zeros((3, 3)), b=np.array([1.0, 0.0, 0.0]), c=-3.0))
-        lo, hi = coordinate_box(thin3)
-        assert lo[0] == pytest.approx(3.0, rel=pad) and lo[0] <= 3.0
-        assert np.isinf(lo[1:]).all() and np.isinf(hi).all()
-
-    def test_small_lambda_root_without_cancellation(self):
-        # 1e-17 y^2 - y <= 3 holds on [-3, ~1e17]; the textbook root formula
-        # loses the -3 end to cancellation and would cut y = -2.5 out
-        dc = DecoupledConstraint(
-            lam=np.array([1e-17, 0.0]), mu=np.array([-1.0, 0.0]), theta=3.0, rotation=np.eye(2)
-        )
-        lo, hi = coordinate_box(dc)
-        assert dc.accepts(np.array([-2.5, 0.0]))
-        assert lo[0] == pytest.approx(-3.0, rel=1e-8) and lo[0] <= -3.0
-        assert hi[0] == pytest.approx(1e17, rel=1e-8)
-        assert np.isinf(lo[1]) and np.isinf(hi[1])
-
-    @pytest.mark.parametrize("seed", range(24))
-    def test_contains_rejection_draws(self, seed):
-        gen = np.random.default_rng(seed)
-        dc = _random_constraint(gen, int(gen.integers(1, 5)))
-        lo, hi = coordinate_box(dc)
-        y = gen.normal(size=(40_000, dc.n))
-        y = y[dc.accepts(y)]
-        assert y.shape[0] > 100
-        assert np.all((y >= lo) & (y <= hi))
-
-    def test_contains_rank_deficient_rejection_draws(self):
-        # jacobi_eigen leaves rounding-size eigenvalues on the null space
-        gen = np.random.default_rng(7)
-        v = np.linalg.qr(gen.normal(size=(4, 4)))[0]
-        A = -(v[:, :2] * [1.0, 2.5]) @ v[:, :2].T
-        q = QuadraticForm(A=0.5 * (A + A.T), b=v[:, 0] * 0.4, c=1.5)
-        dc = decouple(q)
-        lo, hi = coordinate_box(dc)
-        x = gen.normal(size=(40_000, 4))
-        x = x[np.asarray(sign_at(q, x)) == 1]
-        y = x @ dc.rotation
-        assert x.shape[0] > 100
-        assert np.all((y >= lo) & (y <= hi))
-
-    def test_ends_are_tight(self):
-        # with every other coordinate at its minimiser, the region reaches
-        # each end of the box to within the padding
-        dc = DecoupledConstraint(
-            lam=np.array([1.0, 2.0, 0.5]), mu=np.array([0.3, 0.0, -1.0]), theta=2.0,
-            rotation=np.eye(3),
-        )
-        lo, hi = coordinate_box(dc)
-        centre = -dc.mu / (2.0 * dc.lam)
-        for i in range(3):
-            for end, inward in ((lo[i], 1.0), (hi[i], -1.0)):
-                y = centre.copy()
-                y[i] = end + inward * 1e-6
-                assert dc.accepts(y)
-                y[i] = end - inward * 1e-6
-                assert not dc.accepts(y)
-
-    @pytest.mark.parametrize("theta", [-1.0, 0.0])
-    def test_empty_region_raises(self, theta):
-        # y1^2 + y2^2 <= theta is empty (theta < 0) or the origin (theta = 0)
-        dc = DecoupledConstraint(lam=np.ones(2), mu=np.zeros(2), theta=theta, rotation=np.eye(2))
-        with pytest.raises(ValueError, match="mass 0"):
-            coordinate_box(dc)

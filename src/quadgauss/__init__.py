@@ -36,7 +36,6 @@ from .hardness import (
 from .numerics import (
     Rng,
     interval_mass,
-    jacobi_eigen,
     std_normal_cdf,
     truncated_normal_sample,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "gen_deg2_cube_instance",
     "gen_deg4_gauss_instance",
     "interval_mass",
-    "jacobi_eigen",
     "lift_to_continuous",
     "load_instance",
     "mc_count",

@@ -852,24 +852,16 @@ class CountResult:
 
 
 def _checked_grid(
-    q: QuadraticForm | DecoupledConstraint,
-    eps: float,
-    tau: float,
-    trunc_B: float | None,
-    floor: float | None = None,
+    q: QuadraticForm | DecoupledConstraint, eps: float, tau: float, trunc_B: float | None
 ) -> tuple[GridSpec, float]:
     """Check ``eps`` and build the grid (radius ``trunc_B``, default
-    ``default_trunc_radius``) and the floor (in [0, 1], default 2^(-4n))
-    that counting and sampling share.  It runs before any decoupling work,
-    so a bad setting raises ValueError at once."""
+    ``default_trunc_radius``) and the floor 2^(-4n) that counting and
+    sampling share.  It runs before any decoupling work, so a bad setting
+    raises ValueError at once."""
     if not (0.0 < eps <= 1.0):
         raise ValueError(f"eps must lie in (0, 1], got {eps}")
     b_radius = float(trunc_B) if trunc_B is not None else default_trunc_radius(q.n, eps)
-    spec = GridSpec(tau=tau, B=b_radius, n=q.n)
-    floor_value = float(floor) if floor is not None else 2.0 ** (-4 * q.n)
-    if not (0.0 <= floor_value <= 1.0):
-        raise ValueError(f"floor must lie in [0, 1], got {floor}")
-    return spec, floor_value
+    return GridSpec(tau=tau, B=b_radius, n=q.n), 2.0 ** (-4 * q.n)
 
 
 def _prepare(q: QuadraticForm | DecoupledConstraint):

@@ -10,11 +10,8 @@ are assembled so that no catastrophic cancellation occurs in either tail.
 Cumulative probabilities destined for the counting engine live in the log
 domain (natural log, with ``-inf`` as the exact-zero sentinel) because
 products of per-coordinate atom masses underflow native floats long before
-they become irrelevant.
-
-The symmetric eigensolver is a classical cyclic Jacobi iteration: it is
-deterministic, has no platform-dependent branching, and at the matrix sizes
-used here (n <= a few dozen) is as accurate as anything LAPACK would return.
+they become irrelevant.  There is no eigensolver here:
+``quadform.decouple`` takes its eigenpairs from numpy's ``linalg.eigh``.
 
 Everything in this module is pure given explicit inputs.  ``Rng`` is the one
 stateful object: a splittable counter-based (Philox) stream, single-owner by
@@ -40,12 +37,10 @@ __all__ = [
     "LOG_ZERO",
     "Rng",
     "normal_blocks",
-    "EigenConvergenceError",
     "std_normal_cdf",
     "interval_mass",
     "log_interval_mass",
     "truncated_normal_sample",
-    "jacobi_eigen",
     "log_sum",
     "log_sub",
     "log1mexp",
@@ -419,66 +414,3 @@ def truncated_normal_sample(a: float, b: float, rng: Rng) -> float:
         fa = _ndtr(a)
         x = _ndtri(fa + rng.uniform() * (_ndtr(b) - fa))
     return max(min(x, math.nextafter(b, -math.inf)), a)
-
-
-class EigenConvergenceError(RuntimeError):
-    """Jacobi sweeps failed to drive the off-diagonal to zero."""
-
-
-_JACOBI_MAX_SWEEPS = 60
-
-
-def jacobi_eigen(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
-
-    Returns ``(w, R)`` with eigenvalues ``w`` sorted descending and
-    orthonormal columns ``R`` such that A = R diag(w) R^T to a relative
-    Frobenius residual of 1e-10.  Rejects input that is not symmetric to
-    1e-12 (relative to its magnitude).
-    """
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    n = A.shape[0]
-    scale = max(1.0, float(np.max(np.abs(A)))) if A.size else 1.0
-    if float(np.max(np.abs(A - A.T))) > 1e-12 * scale:
-        raise ValueError("matrix is not symmetric within tolerance 1e-12")
-    # divided by the power of two at its largest entry, which is exact, so
-    # that no norm below overflows or underflows at any scale
-    e = -math.frexp(float(np.max(np.abs(A))) if A.size else 0.0)[1]
-    a = 0.5 * (np.ldexp(A, e) + np.ldexp(A.T, e))
-    r = np.eye(n)
-    if n == 1:
-        return np.ldexp(a.diagonal(), -e), r
-    fro = max(float(np.linalg.norm(a)), 1e-300)
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        # off-diagonal norm measured entrywise (a sum-of-squares difference
-        # would cancel catastrophically near convergence)
-        off = float(np.linalg.norm(a - np.diag(a.diagonal())))
-        if off <= 1e-14 * fro:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-18 * fro:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rot_p = c * a[:, p] - s * a[:, q]
-                rot_q = s * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = rot_p, rot_q
-                rot_p = c * a[p, :] - s * a[q, :]
-                rot_q = s * a[p, :] + c * a[q, :]
-                a[p, :], a[q, :] = rot_p, rot_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                rot_p = c * r[:, p] - s * r[:, q]
-                rot_q = s * r[:, p] + c * r[:, q]
-                r[:, p], r[:, q] = rot_p, rot_q
-    else:
-        raise EigenConvergenceError(f"no convergence after {_JACOBI_MAX_SWEEPS} sweeps")
-    w = np.ldexp(a.diagonal(), -e)
-    order = np.argsort(-w, kind="stable")
-    return w[order], r[:, order]

@@ -25,8 +25,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .numerics import jacobi_eigen
-
 __all__ = [
     "QuadraticForm",
     "DecoupledConstraint",
@@ -188,25 +186,44 @@ class RoundingConfig:
         object.__setattr__(self, "tau", float(self.tau))
 
 
+def _snap_negligible(v: np.ndarray, ref: np.ndarray) -> None:
+    """Set each entry of ``v`` with |v_i| <= 1e-14 ||ref||_F to exactly 0.
+
+    Both are first divided by the power of two at the largest |ref| entry,
+    which is exact, so the norm does not overflow at any finite scale."""
+    e = -math.frexp(float(np.max(np.abs(ref))))[1]
+    v[np.abs(np.ldexp(v, e)) <= 1e-14 * np.linalg.norm(np.ldexp(ref, e))] = 0.0
+
+
 def decouple(q: QuadraticForm) -> DecoupledConstraint:
     """Rotate p into a sum of independent univariate quadratics.
 
-    With A = R diag(w) R^T the region {x : p(x) >= 0} equals
+    With A = R diag(w) R^T from LAPACK (``np.linalg.eigh``, which reads one
+    triangle of A and scales it internally, so any finite A is solved) and w
+    sorted descending, the region {x : p(x) >= 0} equals
     {R y : sum_i (-w_i) y_i^2 + (-R^T b)_i y_i <= c}.
 
-    An eigenvalue within the solver's stopping tolerance of 0, |w_i| <=
-    1e-14 ||A||_F, is set to exactly 0, and so is a linear term with
-    |(R^T b)_i| <= 1e-14 ||b||.  A rank-deficient A given in a rotated basis
-    otherwise leaves about +-1e-17 on its null space: the counter then
-    convolves a full grid pmf for that coordinate rather than a point mass,
-    and a negative one leaves the region unbounded, so that
-    ``sampler.region_source`` takes an empty region for a thin one.
+    An eigenvalue within the solver's backward error of 0 (about n eps ||A||,
+    under 3.6e-15 ||A||_F at n = 32), |w_i| <= 1e-14 ||A||_F, is set to
+    exactly 0, and so is a linear term with |(R^T b)_i| <= 1e-14 ||b||.  A
+    rank-deficient A given in a rotated basis otherwise leaves about +-1e-17
+    on its null space: the counter then convolves a full grid pmf for that
+    coordinate rather than a point mass, and a negative one leaves the
+    region unbounded, so that ``sampler.region_source`` takes an empty
+    region for a thin one.  An eigenvalue or linear term beyond the float
+    range raises ValueError.
     """
-    w, r = jacobi_eigen(q.A)
-    lam, mu = -w, -(r.T @ q.b)
-    # math.hypot scales, so the norms neither overflow nor underflow
-    lam[np.abs(lam) <= 1e-14 * math.hypot(*q.A.ravel())] = 0.0
-    mu[np.abs(mu) <= 1e-14 * math.hypot(*q.b)] = 0.0
+    w, r = np.linalg.eigh(q.A)
+    order = np.argsort(-w, kind="stable")
+    lam, r = -w[order], r[:, order]
+    with np.errstate(over="ignore"):  # reported by the ValueError below
+        mu = -(r.T @ q.b)
+    if not (np.isfinite(lam).all() and np.isfinite(mu).all()):
+        raise ValueError(
+            "an eigenvalue of A or a coefficient of R^T b overflows the float range"
+        )
+    _snap_negligible(lam, q.A)
+    _snap_negligible(mu, q.b)
     return DecoupledConstraint(lam=lam, mu=mu, theta=q.c, rotation=r)
 
 

@@ -155,7 +155,7 @@ class PtfSampler:
     prefix-CDF table -> grid point -> exact continuous lift -> rotate back.
 
     The table is built once, here, and its own mass (``PrefixCDFTable.mass``)
-    is checked against ``floor`` (default 2^(-4n)), so FloorError comes
+    is checked against the floor 2^(-4n), so FloorError comes
     before any draw.  Draws lie within total variation eps of N(0, I)
     conditioned on the truncated instance: the union of the grid cells
     whose grid point satisfies the normalized constraint, each cell lifted
@@ -174,10 +174,9 @@ class PtfSampler:
         *,
         tau: float = DEFAULT_TAU,
         trunc_B: float | None = None,
-        floor: float | None = None,
         retry_limit: int = 100,
     ):
-        self.spec, floor = _checked_grid(q, eps, tau, trunc_B, floor)
+        self.spec, floor = _checked_grid(q, eps, tau, trunc_B)
         if eps >= 1.0:
             raise ValueError(f"eps must lie in (0, 1) for sampling, got {eps}")
         self.retry_limit = _checked_int("retry_limit", retry_limit, 0)

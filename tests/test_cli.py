@@ -237,6 +237,20 @@ class TestBadInput:
         assert captured.err.startswith("error: ") and "finite" in captured.err
 
     @pytest.mark.parametrize("command", ["count", "sample"])
+    def test_overflowing_eigenvalue_exit_1(self, tmp_path, capsys, command):
+        # every entry is finite, but A's eigenvalue -3e308 is not
+        path = tmp_path / "big.json"
+        big = -1.5e308
+        save_instance(QuadraticForm(A=np.full((2, 2), big), b=np.zeros(2), c=1.0), str(path))
+        code = cli.main([command, "--instance", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (
+            "error: an eigenvalue of A or a coefficient of R^T b overflows the float range\n"
+        )
+
+    @pytest.mark.parametrize("command", ["count", "sample"])
     def test_oversized_instance_exit_1(self, tmp_path, capsys, command):
         # n = 16 with default flags: the first convolution trips the size guard
         gen = np.random.default_rng(16)

@@ -236,7 +236,7 @@ class TestDensify:
         ]
         jsonl = "\n".join(json.dumps(e, sort_keys=True) for e in res.transcript)
         digest = hashlib.sha256(jsonl.encode()).hexdigest()
-        assert digest == "bb8bb0ff37623e68088e0a9c1779f1739a6fb7266dd253d70371a44fb1f88ecc"
+        assert digest == "44aa505998dbb6dd13ff74414062a68938538a65a04059a3fb47f74e72378542"
 
     def test_budget_exhaustion_reports_transcript(self, monkeypatch):
         # every negative draw is the same point; once it has been fed, the
@@ -537,7 +537,7 @@ class TestPlantedExperiment:
         # each stream of a round-0 run is only a derive parent or a block
         # seed, so none builds its generator; the target's decouple is the
         # one eigensolve, as g = R^n is counted without decoupling
-        calls = {"philox": 0, "jacobi": 0}
+        calls = {"philox": 0, "decouple": 0}
 
         def counting(name, real):
             def counted(*args):
@@ -547,12 +547,13 @@ class TestPlantedExperiment:
             return counted
 
         monkeypatch.setattr(numerics, "_philox", counting("philox", numerics._philox))
-        monkeypatch.setattr(quadform, "jacobi_eigen", counting("jacobi", quadform.jacobi_eigen))
+        for module in (densifier, counter):
+            monkeypatch.setattr(module, "decouple", counting("decouple", quadform.decouple))
         for f in C7_TARGETS:
-            calls.update(philox=0, jacobi=0)
+            calls.update(philox=0, decouple=0)
             rep = planted_experiment(f, DensifierConfig(eps=0.1, delta=0.1), Rng(1), n_validation=3000)
             assert rep["rounds"] == 0
-            assert calls == {"philox": 0, "jacobi": 1}
+            assert calls == {"philox": 0, "decouple": 1}
 
     def test_constant_positive_target(self):
         f = QuadraticForm(A=np.zeros((2, 2)), b=np.zeros(2), c=1.0)

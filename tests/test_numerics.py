@@ -12,7 +12,6 @@ from quadgauss.numerics import (
     LOG_ZERO,
     Rng,
     interval_mass,
-    jacobi_eigen,
     log_interval_mass,
     log_sum,
     normal_blocks,
@@ -263,72 +262,6 @@ class TestTruncatedNormal:
         # is positive, so the draw lands in [a, b)
         x = _draws(a, b, Rng(0), 50)
         assert np.all((x >= a) & (x < b))
-
-
-class TestJacobiEigen:
-    def test_identity(self):
-        w, r = jacobi_eigen(np.eye(2))
-        assert np.allclose(w, [1.0, 1.0])
-        assert np.allclose(r.T @ r, np.eye(2), atol=1e-12)
-
-    def test_diagonal(self):
-        w, r = jacobi_eigen(np.diag([3.0, 2.0]))
-        assert np.allclose(w, [3.0, 2.0])
-        assert np.allclose(np.abs(r), np.eye(2), atol=1e-12)
-
-    def test_offdiagonal_closed_form(self):
-        w, r = jacobi_eigen(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        (w1, w2), (v1, v2) = oracles.eig2_closed(0.0, 1.0, 0.0)
-        assert np.allclose(w, [w1, w2], atol=1e-14)
-        for col, v in ((r[:, 0], v1), (r[:, 1], v2)):
-            assert min(np.linalg.norm(col - v), np.linalg.norm(col + v)) < 1e-12
-
-    def test_random_closed_form_2x2(self):
-        gen = np.random.default_rng(11)
-        for _ in range(50):
-            a11, a12, a22 = gen.normal(size=3) * 3.0
-            w, _ = jacobi_eigen(np.array([[a11, a12], [a12, a22]]))
-            (w1, w2), _ = oracles.eig2_closed(a11, a12, a22)
-            assert np.allclose(w, [w1, w2], rtol=1e-12, atol=1e-12)
-
-    @pytest.mark.parametrize("scale", [1e-200, 1e200])
-    def test_scale_equivariant(self, scale):
-        # the matrix is iterated divided by a power of two, so its norms
-        # neither underflow nor overflow: the eigenvalues scale with it (the
-        # diagonal came back unrotated at both scales)
-        gen = np.random.default_rng(13)
-        m = gen.normal(size=(4, 4))
-        a = 0.5 * (m + m.T)
-        w, r = jacobi_eigen(a)
-        ws, rs = jacobi_eigen(a * scale)
-        np.testing.assert_allclose(ws / scale, w, rtol=1e-12)
-        np.testing.assert_allclose(np.abs(rs), np.abs(r), atol=1e-10)
-
-    def test_reconstruction_and_orthonormality(self):
-        gen = np.random.default_rng(12)
-        for n in range(1, 9):
-            for _ in range(10):
-                m = gen.normal(size=(n, n))
-                a = 0.5 * (m + m.T)
-                w, r = jacobi_eigen(a)
-                scale = max(np.linalg.norm(a), 1e-30)
-                assert np.linalg.norm(a - r @ np.diag(w) @ r.T) <= 1e-10 * scale
-                assert np.linalg.norm(r.T @ r - np.eye(n)) <= 1e-10
-                assert np.all(np.diff(w) <= 1e-12)
-
-    def test_eigh_oracle_agreement(self):
-        gen = np.random.default_rng(13)
-        for _ in range(30):
-            n = int(gen.integers(2, 8))
-            m = gen.normal(size=(n, n))
-            a = 0.5 * (m + m.T)
-            w, _ = jacobi_eigen(a)
-            ref = np.sort(np.linalg.eigvalsh(a))[::-1]
-            assert np.allclose(w, ref, rtol=1e-10, atol=1e-10)
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
-            jacobi_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 class TestLogProb:

@@ -1,9 +1,12 @@
+import importlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from quadgauss.counter import count_ptf_gaussian
 from quadgauss.hardness import SubsetSumInstance, gen_deg2_cube_instance
 from quadgauss.quadform import (
     ConstantPolynomialError,
@@ -20,6 +23,8 @@ from quadgauss.quadform import (
     save_instance,
     sign_at,
 )
+
+import oracles
 
 
 def random_form(gen, n):
@@ -140,6 +145,118 @@ class TestDecouple:
             y = gen.normal(size=3)
             x = dc.rotation @ y
             assert (evaluate(q, x) >= 0.0) == bool(dc.accepts(y))
+
+
+def bench_instance(monkeypatch, seed, n):
+    """The instance of ``bench/workloads.py``, imported as ``bench/test_smoke.py``
+    imports it."""
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "bench"))
+    return importlib.import_module("workloads").bench_instance(seed, n)
+
+
+def eigenpairs(a):
+    """(lam, R) of decouple on x^T a x: lam are the eigenvalues of -a."""
+    dc = decouple(QuadraticForm(A=a, b=np.zeros(a.shape[0]), c=0.0))
+    return dc.lam, dc.rotation
+
+
+class TestDecoupleEigenpairs:
+    """decouple's eigenpairs: A = R diag(-lam) R^T, lam ascending."""
+
+    def test_identity(self):
+        lam, r = eigenpairs(np.eye(2))
+        assert np.allclose(lam, [-1.0, -1.0])
+        assert np.allclose(r.T @ r, np.eye(2), atol=1e-12)
+
+    def test_diagonal(self):
+        lam, r = eigenpairs(np.diag([3.0, 2.0]))
+        assert np.allclose(lam, [-3.0, -2.0])
+        assert np.allclose(np.abs(r), np.eye(2), atol=1e-12)
+
+    def test_offdiagonal_closed_form(self):
+        lam, r = eigenpairs(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        (w1, w2), (v1, v2) = oracles.eig2_closed(0.0, 1.0, 0.0)
+        assert np.allclose(lam, [-w1, -w2], atol=1e-14)
+        for col, v in ((r[:, 0], v1), (r[:, 1], v2)):
+            assert min(np.linalg.norm(col - v), np.linalg.norm(col + v)) < 1e-12
+
+    def test_random_closed_form_2x2(self):
+        gen = np.random.default_rng(11)
+        for _ in range(50):
+            a11, a12, a22 = gen.normal(size=3) * 3.0
+            lam, _ = eigenpairs(np.array([[a11, a12], [a12, a22]]))
+            (w1, w2), _ = oracles.eig2_closed(a11, a12, a22)
+            assert np.allclose(lam, [-w1, -w2], rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_scale_equivariant(self, scale):
+        # the eigenvalues scale with A, and the snap tolerance with them
+        gen = np.random.default_rng(13)
+        m = gen.normal(size=(4, 4))
+        a = 0.5 * (m + m.T)
+        lam, r = eigenpairs(a)
+        lams, rs = eigenpairs(a * scale)
+        np.testing.assert_allclose(lams / scale, lam, rtol=1e-12)
+        np.testing.assert_allclose(np.abs(rs), np.abs(r), atol=1e-10)
+
+    def test_reconstruction_and_orthonormality(self, monkeypatch):
+        gen = np.random.default_rng(12)
+        mats = [bench_instance(monkeypatch, 1, 32).A]
+        for n in range(1, 9):
+            for _ in range(10):
+                m = gen.normal(size=(n, n))
+                mats.append(0.5 * (m + m.T))
+        for a in mats:
+            lam, r = eigenpairs(a)
+            n = a.shape[0]
+            scale = max(np.linalg.norm(a), 1e-30)
+            assert np.linalg.norm(a - r @ np.diag(-lam) @ r.T) <= 1e-10 * scale
+            assert np.linalg.norm(r.T @ r - np.eye(n)) <= 1e-10
+            assert np.all(np.diff(lam) >= 0.0)
+
+    @pytest.mark.parametrize(
+        "a",
+        [[[1e308, 0.0], [0.0, -1e308]], [[0.0, 1e308], [1e308, 0.0]]],
+        ids=["diagonal", "offdiagonal"],
+    )
+    def test_norm_beyond_float_range(self, a):
+        # ||A||_F overflows while every eigenvalue is finite: no coefficient
+        # snaps to 0, and nothing warns (a RuntimeWarning fails the suite)
+        lam, r = eigenpairs(np.array(a))
+        assert lam.tolist() == pytest.approx([-1e308, 1e308], rel=1e-15)
+        assert np.allclose(r.T @ r, np.eye(2), atol=1e-12)
+
+
+class TestDecoupleOverflow:
+    def test_huge_finite_eigenvalues_are_kept(self):
+        # -1e308 |x|^2 + 1 >= 0 is the ball |x|^2 <= 1e-308, of mass about 0
+        # (an overflowing snap tolerance once read it as the constant 1)
+        q = QuadraticForm(A=-1e308 * np.eye(4), b=np.zeros(4), c=1.0)
+        assert decouple(q).lam.tolist() == [1e308] * 4
+        res = count_ptf_gaussian(q)
+        assert res.below_floor and res.estimate < 1e-10
+
+    def test_huge_finite_linear_terms_are_kept(self):
+        # the half-plane x1 + x2 >= 0, of mass 1/2
+        q = QuadraticForm(A=np.zeros((2, 2)), b=np.array([1.5e308, 1.5e308]), c=0.0)
+        assert np.all(decouple(q).mu == -q.b)
+        res = count_ptf_gaussian(q)
+        assert res.estimate == pytest.approx(0.5, rel=res.eps)
+        smaller = QuadraticForm(A=q.A, b=q.b / 1.5e8, c=0.0)
+        assert res.estimate == pytest.approx(count_ptf_gaussian(smaller).estimate, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            ([[-1.5e308, -1.5e308], [-1.5e308, -1.5e308]], [0.0, 0.0]),
+            ([[0.0, 1e-300], [1e-300, 0.0]], [1.5e308, 1.5e308]),
+        ],
+        ids=["eigenvalue", "linear-term"],
+    )
+    def test_overflowing_coefficient_raises(self, a, b):
+        q = QuadraticForm(A=np.array(a), b=np.array(b), c=1.0)
+        with pytest.raises(ValueError, match="overflows the float range"):
+            decouple(q)
 
 
 def haar(seed, n):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from quadgauss import counter, quadform
+from quadgauss import counter
 from quadgauss.counter import PrefixCDFTable, count, exact_tail_bruteforce
 from quadgauss.grid import GridSpec
 from quadgauss.numerics import LOG_ZERO, Rng
@@ -391,10 +391,10 @@ class TestPtfSampler:
         assert abs(pts.mean()) < 0.05
 
     def test_constant_form_draws_normals_without_decoupling(self, monkeypatch):
-        def no_eigensolve(A):
+        def no_decouple(q):
             raise AssertionError("a constant form was decoupled")
 
-        monkeypatch.setattr(quadform, "jacobi_eigen", no_eigensolve)
+        monkeypatch.setattr(counter, "decouple", no_decouple)
         q = QuadraticForm(A=np.zeros((3, 3)), b=np.zeros(3), c=0.0)
         pts = PtfSampler(q, 0.1).sample_batch(4, Rng(8))
         ref = Rng(8)
@@ -413,13 +413,11 @@ class TestPtfSampler:
             PtfSampler(q, 0.1)
 
     def test_filter_retry_error(self):
-        # acceptance sliver much thinner than a grid cell: the grid accepts
-        # the cell but nearly every lift violates the original polynomial
-        tau = 2.0**-4
-        q = QuadraticForm(
-            A=np.array([[-1.0]]), b=np.array([tau * 0.01]), c=0.0
-        )
-        s = PtfSampler(q, 0.25, tau=tau, trunc_B=2.0, floor=0.0, retry_limit=2)
+        # acceptance sliver x(0.005 - x) >= 0, far thinner than a grid cell:
+        # the grid accepts the cell at 0 (table mass 0.19, above the floor
+        # 2^-4), but nearly every lift of it violates the original polynomial
+        q = QuadraticForm(A=np.array([[-1.0]]), b=np.array([0.005]), c=0.0)
+        s = PtfSampler(q, 0.25, tau=0.5, trunc_B=2.0, retry_limit=2)
         with pytest.raises(FilterRetryError):
             s.sample(Rng(9), exact_filter=True)
 
@@ -447,10 +445,6 @@ class TestPtfSampler:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"floor": math.nan},
-            {"floor": -1.0},
-            {"floor": 5.0},
-            {"floor": math.inf},
             {"retry_limit": 2.5},
             {"retry_limit": True},
             {"eps": 1.0},

@@ -28,16 +28,23 @@ space instead.  One window of pairs is alive at a time, and the merge
 carries its state from window to window, so results do not depend on where
 the windows split.
 
-``PrefixCDFTable`` keeps the CDFs P_0, ..., P_{n-1} of the prefix sums
-Y_1 + ... + Y_j: P_0 is the point mass at 0, P_1 the exact CDF of Y_1, and
-P_2, ..., P_{n-1} the per-step output of one ``compressed_tail_cdf`` run over
-the first n - 1 coordinates.  The last coordinate is summed over its grid
-values, so the table's mass at theta is
-sum_kappa cell(kappa) * P_{n-1}(theta - lam_n kappa^2 - mu_n kappa).
-``mass()`` reads it at the geometric midpoint of P_{n-1}'s budget, which
-certifies ``count``'s (1 +- eps) answer (exact up to float roundoff at n <= 2,
-where nothing is compressed).  The sampler draws coordinates n, ..., 1 in
-turn from the same weights, from one table built at its own step, whose
+``PrefixCDFTable`` keeps the CDFs of the prefix sums Y_1 + ... + Y_j: P_0
+is the point mass at 0, P_1 the exact CDF of Y_1, and the rest the per-step
+output of one ``compressed_tail_cdf`` run.  Its mass at theta reads the last
+CDF P in pairs over a tail of two atom lists b and c:
+sum_(b, c) mass(b) mass(c) P(theta - (v_b + v_c)).  A count table at n >= 4
+chains only the first n - 2 coordinates, and its tail is the last two
+coordinates' sparsified factors: they are read at once, by sorted lookups
+into P_{n-2}, a meet-in-the-middle evaluation (as in Horowitz and Sahni's
+subset-sum algorithm) that replaces the last and largest convolution.  The
+merges behind the mass stay 2n - 3: 2n - 5 in the chain and one per tail
+factor.  Other tables chain the first n - 1 coordinates, and their tail
+pairs coordinate n's grid values, with their cell masses, with the point
+mass at 0, which sums P_{n-1} over coordinate n's cells.  ``mass()`` reads
+the sum at the geometric midpoint of the table's budget, which certifies
+``count``'s (1 +- eps) answer (exact up to float roundoff at n <= 2, where
+nothing is compressed).  The sampler draws coordinates n, ..., 1 in turn
+from the same weights, from one table built at its own step, whose
 ``mass()`` is its floor check.  Everything is pure and deterministic: two
 runs on identical inputs produce bit-identical outputs.
 
@@ -193,7 +200,9 @@ def _crossings(log_cum, log_base: float, thresh: float):
     return np.maximum(np.ceil((log_cum - log_base) / thresh), 0.0)
 
 
-def _sparsify(values: np.ndarray, logp: np.ndarray, eps_step: float, log_floor: float = LOG_ZERO):
+def _sparsify(
+    values: np.ndarray, logp: np.ndarray, eps_step: float, log_floor: float = LOG_ZERO, unfloored=None
+):
     """Greedy rightward merge of a sorted support: keep the first atom whose
     cumulative mass exceeds exp(log_floor) (the first atom when there is no
     floor), then the first atom whose cumulative mass exceeds (1 + eps_step)
@@ -201,7 +210,9 @@ def _sparsify(values: np.ndarray, logp: np.ndarray, eps_step: float, log_floor: 
     mass of dropped atoms merges into the next kept atom to their right, so
     kept anchors retain their exact cumulative mass.  Cumulatives are
     compared in log space, and every atom's successor comes from one
-    ``searchsorted``.
+    ``searchsorted``.  When the walk starts at the first atom it is the walk
+    without a floor, and ``unfloored``, that walk's result if given, is
+    returned as it is.
 
     Factors are merged greedily, not at ``_merge_stream``'s fixed
     thresholds: their atoms are about as dense as the thresholds, where
@@ -216,8 +227,10 @@ def _sparsify(values: np.ndarray, logp: np.ndarray, eps_step: float, log_floor: 
     top = logp.max()
     lp = logp - top
     log_cum = _log_cumsum(lp)
-    nxt = log_cum.searchsorted(log_cum + math.log1p(eps_step), "right").tolist()
     i = int(log_cum.searchsorted(log_floor - top, "right"))
+    if i == 0 and unfloored is not None:
+        return unfloored
+    nxt = log_cum.searchsorted(log_cum + math.log1p(eps_step), "right").tolist()
     kept = []
     while i < lp.size:
         kept.append(i)
@@ -466,33 +479,64 @@ def _log_spread(logp: np.ndarray) -> float:
     return float(np.logaddexp.reduce(logp) - logp[0])
 
 
-def _pair_bounds(factors, eps_step: float) -> list[float]:
-    """Upper bounds on the pairs each convolution of ``factors`` forms when
-    the running sum is merged at ``eps_step``: the threshold merge keeps at
-    most 2 + (log-range)/log1p(eps_step) atoms, one more with a floor below
-    the first atom (the thresholds below its mass all keep it), and the
-    log-range of a sum is at most the sum of its factors' ``_log_spread``."""
+def _too_large(what: str, sizes: tuple[float, float]) -> EngineTooLargeError:
+    return EngineTooLargeError(
+        f"{what} may form up to {sizes[0] * sizes[1]:.3g} pairs ({sizes[0]:.0f} x "
+        f"{sizes[1]:.0f} atoms), beyond the size guard; use a coarser grid or larger eps"
+    )
+
+
+def _guarded_factors(pmfs, eps_step: float, tail: int) -> tuple[list, float]:
+    """``pmfs`` sparsified at ``eps_step``, each one only once the work
+    before it has passed the size guard, and the most pairs one step forms.
+
+    The first ``len(pmfs) - tail`` factors are chained: convolution j pairs
+    the running sum with factor j + 1, and factor j + 2 is sparsified only
+    once that is admitted.  The threshold merge keeps at most 2 +
+    (log-range)/log1p(eps_step) atoms of a running sum, one more with a
+    floor below the first atom (the thresholds below its mass all keep it),
+    and the log-range of a sum is at most the sum of its factors'
+    ``_log_spread``.  The last ``tail`` factors (none or two) are read in
+    pairs of atoms, and those lookups are guarded too."""
     thresh = math.log1p(eps_step)
+    chain = len(pmfs) - tail
+    factors = [_sparsify(*pmfs[0], eps_step)]
     atoms = float(factors[0][0].size)
     spread = _log_spread(factors[0][1])
-    bounds = []
-    for v, lp in factors[1:]:
-        bounds.append(atoms * v.size)
-        spread += _log_spread(lp)
-        atoms = min(bounds[-1], 3.0 + spread / thresh)
-    return bounds
+    worst = 0.0
+    for j in range(1, chain):
+        factors.append(_sparsify(*pmfs[j], eps_step))
+        size = factors[j][0].size
+        if atoms * size > _PAIR_LIMIT:
+            raise _too_large(f"convolution step {j}", (atoms, size))
+        worst = max(worst, atoms * size)
+        spread += _log_spread(factors[j][1])
+        atoms = min(atoms * size, 3.0 + spread / thresh)
+    if tail:
+        factors += [_sparsify(*pmf, eps_step) for pmf in pmfs[chain:]]
+        sizes = tuple(float(v.size) for v, _ in factors[chain:])
+        if sizes[0] * sizes[1] > _PAIR_LIMIT:
+            raise _too_large("the last two coordinates' lookups", sizes)
+        worst = max(worst, sizes[0] * sizes[1])
+    return factors, worst
 
 
 @dataclass(frozen=True)
 class _FlooredStep:
     """A per-merge ``step`` with an answer-relative floor for
-    ``compressed_tail_cdf``: ``log_floor(factors)`` is called with the
-    factors sparsified at ``step`` once they have passed the size guard, and
-    returns log delta, the cumulative mass up to which every left tail
-    merges into its first kept atom."""
+    ``compressed_tail_cdf``, and a count table's tail.
+
+    ``tail`` holds, on the way in, the pmfs of the coordinates that are read
+    in pairs of atoms rather than convolved (none, or the last two), and on
+    the way out their sparsified, floored factors.  ``log_floor(factors)``
+    is called with every factor (the tail's last) sparsified at ``step``
+    once all have passed the size guard, and returns log delta, the
+    cumulative mass up to which every left tail merges into its first kept
+    atom."""
 
     step: float
     log_floor: Callable[[list], float]
+    tail: list
 
 
 def compressed_tail_cdf(pmfs, eps_step, collect: list | None = None) -> CompressedCDF:
@@ -503,32 +547,30 @@ def compressed_tail_cdf(pmfs, eps_step, collect: list | None = None) -> Compress
     2j - 1 merges lie behind the j-th prefix sum, so its compressed CDF
     lower-bounds the exact CDF and stays within its ``err_budget`` =
     (1 + eps_step)^(2j - 1) of it; ``collect`` receives one per prefix sum.
-    All pair counts are checked against the size guard before the first
-    convolution.
+    Each factor is sparsified only once the convolutions before it have
+    passed the size guard, so a refusal comes before any convolution.
 
-    ``eps_step`` may be a ``_FlooredStep``: then, unless every convolution
-    fits one pair window (where merging more saves nothing), each factor is
-    sparsified again from its pmf and every merge keeps no atom up to the
-    floor delta (the greedy walk starts past it, and it is the base of the
-    thresholds), which also lets the exact CDF exceed the bound by an
-    additive (2j - 1) * err_budget * delta."""
-    step, log_floor = eps_step, None
+    ``eps_step`` may be a ``_FlooredStep``: then its tail's factors are
+    sparsified and guarded with the others, and unless every convolution
+    and the tail's lookups fit one pair window (where merging more saves
+    nothing), every merge keeps no atom up to the floor delta (the greedy
+    walk starts past it, and it is the base of the thresholds), which also
+    lets the exact CDF exceed the bound by an additive (2j - 1) *
+    err_budget * delta.  A factor whose first atom lies above the floor is
+    kept as it was sparsified without it."""
+    step, log_floor, tail = eps_step, None, []
     if isinstance(eps_step, _FlooredStep):
-        step, log_floor = eps_step.step, eps_step.log_floor
-    factors = [_sparsify(v, lp, step) for v, lp in pmfs]
-    bounds = _pair_bounds(factors, step)
-    for j, pairs in enumerate(bounds, start=1):
-        if pairs > _PAIR_LIMIT:
-            raise EngineTooLargeError(
-                f"convolution step {j} may form up to {pairs:.3g} pairs "
-                f"({pairs / factors[j][0].size:.0f} x {factors[j][0].size} "
-                f"atoms), beyond the size guard; use a coarser grid or larger eps"
-            )
+        step, log_floor, tail = eps_step.step, eps_step.log_floor, eps_step.tail
+    pmfs = [*pmfs, *tail]
+    factors, worst = _guarded_factors(pmfs, step, len(tail))
     floor = LOG_ZERO
-    if log_floor is not None and max(bounds, default=0.0) > _PAIR_BLOCK:
+    if log_floor is not None and worst > _PAIR_BLOCK:
         floor = log_floor(factors)
         if floor > LOG_ZERO:
-            factors = [_sparsify(v, lp, step, floor) for v, lp in pmfs]
+            factors = [_sparsify(v, lp, step, floor, f) for (v, lp), f in zip(pmfs, factors)]
+    if tail:
+        tail[:] = factors[-len(tail) :]
+        del factors[-len(tail) :]
     values, logp = factors[0]
     for j, (atom_v, atom_lp) in enumerate(factors[1:], start=1):
         if collect is not None:
@@ -540,19 +582,55 @@ def compressed_tail_cdf(pmfs, eps_step, collect: list | None = None) -> Compress
     return out
 
 
-def _coarse_log_mass(factors, support: np.ndarray, log_cell: np.ndarray, theta: float) -> float:
+def _tail_log_mass(cdf: CompressedCDF, tail, theta: float) -> float:
+    """log of sum_(b, c) e^(lb + lc) F'(theta - (vb + vc)), F' = ``cdf``:
+    the mass at theta of the chain's sum plus two independent variables,
+    ``tail`` = (vb, lb, vc, lc), each given by its values and log masses.
+
+    It takes one ``searchsorted`` per block of about ``_PAIR_BLOCK``
+    lookups, whole rows of b, with c in descending order so that a row's
+    thresholds ascend.  With more than one c it sums in linear space, scaled
+    by the largest mass of each list and of F', and a sum below
+    ``_LINEAR_FLOOR`` is redone in log space: a term lost to underflow
+    weighs less than 2^-1074 of the scale.  With c the point mass at 0 (the
+    grid tail) the terms are the last coordinate's ``log_weights`` at theta,
+    summed in log space as they are."""
+    vb, lb, vc, lc = tail
+    vc, lc = vc[::-1], lc[::-1]
+    rows = max(1, _PAIR_BLOCK // vc.size)
+    blocks = range(0, vb.size, rows)
+
+    def lookups(r):
+        return cdf.values.searchsorted(theta - (vb[r : r + rows, None] + vc), "right")
+
+    if vc.size > 1:
+        tops = (lb.max(), lc.max(), cdf.log_cum[-1])
+        f = np.concatenate(([0.0], np.exp(cdf.log_cum - tops[2])))
+        pb, pc = np.exp(lb - tops[0]), np.exp(lc - tops[1])
+        total = sum(float(pb[r : r + rows] @ (f[lookups(r)] @ pc)) for r in blocks)
+        if total >= _LINEAR_FLOOR:
+            return math.log(total) + sum(tops)
+    log_f = np.concatenate(([LOG_ZERO], cdf.log_cum))
+    parts = [log_sum(lb[r : r + rows, None] + lc + log_f[lookups(r)]) for r in blocks]
+    return parts[0] if len(parts) == 1 else log_sum(parts)
+
+
+def _coarse_log_mass(factors, tail, theta: float) -> float:
     """log of a lower bound on the grid mass at theta: ``factors`` (the
     first n - 1 coordinates) chained by ``compressed_tail_cdf`` at step 1,
-    then summed over the last coordinate's ``support`` values with cell
-    masses ``log_cell``.  Every merge lower-bounds the CDF it replaces, so
+    then summed over ``tail``, the last coordinate's grid tail
+    (``_tail_log_mass``).  Every merge lower-bounds the CDF it replaces, so
     the result lower-bounds the exact mass."""
-    cdf = compressed_tail_cdf(factors, 1.0)
-    return log_sum(log_cell + cdf.log_query(theta - support))
+    return _tail_log_mass(compressed_tail_cdf(factors, 1.0), tail, theta)
 
 
 _POINT_MASS_AT_ZERO = CompressedCDF(
     values=np.zeros(1), log_cum=np.zeros(1), err_budget=1.0
 )
+
+# the share s < 1 of the lower end's slack that a count's floor spends (see
+# ``PrefixCDFTable``); the rest keeps the certificate clear of rounding
+_FLOOR_SHARE = 0.9
 
 
 @dataclass(frozen=True)
@@ -572,49 +650,58 @@ class PrefixCDFTable:
     the cell masses in support order (``first_coordinate_cdf``).  A draw
     rebuilds the weights of coordinates n-1, ..., 2 only.
 
-    Accuracy.  One number carries every table's guarantee: the last CDF's
-    ``err_budget`` beta = (1 + e)^(2n - 3), where e is the merge step.  P_1
-    is exact.  For j >= 2, P_j comes out of ``compressed_tail_cdf`` over the
-    first n - 1 coordinates.  A rightward merge at step e, of a factor
-    before it is convolved (greedy) or of the running sum after (at the
-    fixed thresholds c_k = base (1 + e)^k), keeps anchors with their exact
-    cumulative mass, and every atom between two kept ones has F < (1 + e)
-    times the left one's: for the thresholds, an atom between the first
-    atoms past c_k and c_(k+1) has F <= c_(k+1) = (1 + e) c_k.  So the
-    merge leaves a pointwise lower bound within a (1 + e) factor of the CDF
-    it replaces, and convolving with an independent variable keeps both
-    properties.  So
-    P_j <= F_j <= (1 + e)^(2j - 1) P_j, where F_j is the exact CDF: one
-    merge per convolution and one per sparsified factor among coordinates
-    1..j.  For P_{n-1} that is beta.
+    The table's mass at theta reads the last CDF P = ``cdfs[-1]`` in pairs
+    over its ``tail``, two lists (vb, lb) and (vc, lc) of values and log
+    masses: sum_(b, c) e^(lb + lc) P(theta - (vb + vc)) (``_tail_log_mass``).
+    A sampling table, and a count table at n <= 3, holds P_0, ..., P_{n-1};
+    its tail pairs coordinate n's grid values, with their cell masses, with
+    the point mass at 0, which sums P_{n-1} over coordinate n's cells.  A
+    count table at n >= 4 holds P_0, ..., P_{n-2}, and its tail is the last
+    two coordinates' sparsified factors: the last two coordinates are read
+    at once, by lookups into P_{n-2}, instead of being convolved.  Such a
+    table cannot be drawn from.
+
+    Accuracy.  One number carries every table's guarantee: ``err_budget``
+    beta = (1 + e)^(2n - 3), where e is the merge step.  P_1 is exact.  For
+    j >= 2, P_j comes out of ``compressed_tail_cdf``.  A rightward merge at
+    step e, of a factor before it is convolved (greedy) or of the running
+    sum after (at the fixed thresholds c_k = base (1 + e)^k), keeps anchors
+    with their exact cumulative mass, and every atom between two kept ones
+    has F < (1 + e) times the left one's: for the thresholds, an atom
+    between the first atoms past c_k and c_(k+1) has F <= c_(k+1) = (1 + e)
+    c_k.  So the merge leaves a pointwise lower bound within a (1 + e)
+    factor of the CDF it replaces, and convolving with an independent
+    variable keeps both properties.  So P_j <= F_j <= (1 + e)^(2j - 1) P_j,
+    where F_j is the exact CDF: one merge per convolution and one per
+    sparsified factor among coordinates 1..j.  The tail adds one merge per
+    sparsified factor it holds, so 2n - 3 merges lie behind the table's
+    mass M either way: 2(n - 1) - 1 with the grid tail, 2(n - 2) - 1 + 2
+    with the last two factors.  So M <= F <= beta M, where F is the exact
+    grid mass at theta.
 
     Counting (``for_count``) takes e = eps/(2n - 3), so beta <= exp(eps),
-    and merges every left tail relative to the answer F = F(theta), the
-    exact grid mass at theta.  A coarse pass runs ``compressed_tail_cdf`` on
-    the same sparsified factors at step 1 and reads their mass L at theta;
-    L <= F, since every merge lower-bounds.  Each merge of the table then
-    keeps no atom up to delta = eps' L/(32n), with eps' = min(eps, 1/2): the
-    greedy walk starts at the first atom past it, and the thresholds start
-    at it.  The mass whose cumulative total is at most delta merges into the
-    first kept atom, which keeps its exact cumulative mass.  Such a merge leaves
-    F' <= F <= (1 + e) F' + delta, as left of the first kept atom F <= delta,
-    and convolving with a probability law keeps this without growing delta.
-    Over the 2n - 3 merges, and then summing over the last coordinate's
-    cells (total mass at most 1), the table mass M at theta satisfies
-    M <= F <= beta (M + (2n - 3) delta), where (2n - 3) delta <= eps' L/16 <=
-    eps' F/16.  So F <= beta M/(1 - r) with r = beta eps'/16 <= exp(1)/32 <
-    0.085, and the midpoint sqrt(beta) M satisfies (1 - r)/sqrt(beta) <=
-    sqrt(beta) M/F <= sqrt(beta).  Both ends lie within [1/(1 + eps),
-    1 + eps] for every eps = x in (0, 1].  The upper end: sqrt(beta) <=
-    exp(x/2) <= 1 + x, as exp(x/2) - 1 - x is convex and not positive at
-    x = 0 and x = 1.  The lower end needs f(x) = log(1 + x) - x/2 +
-    log(1 - r) >= 0.  For x <= 1/2, r <= exp(1/2) x/16 < 0.104 x and
-    log(1 - r) >= -r/(1 - r) > -0.109 x, so with log(1 + x) >= x - x^2/2,
-    f(x) >= x (0.39 - x/2) > 0.  For x in [1/2, 1], log(1 + x) - x/2 is
-    increasing, so f(x) >= log(3/2) - 1/4 + log(1 - 0.085) > 0.155 - 0.089.
-    (The cap eps' <= 1/2 keeps r small near eps = 1.)  When every
-    convolution fits one pair window, the floor would save no work, so
-    neither the coarse pass nor the floor runs, and delta = 0.
+    and merges every left tail relative to F.  A coarse pass chains the
+    first n - 1 sparsified factors at step 1, sums the result over
+    coordinate n's grid cells and reads its mass L at theta; L <= F, since
+    every merge lower-bounds.  Each merge of the table then keeps no atom up
+    to delta = s L (1 - sqrt(beta)/(1 + eps))/(beta (2n - 3)), with s =
+    ``_FLOOR_SHARE`` < 1: the greedy walk starts at the first atom past it,
+    and the thresholds start at it.  The mass whose
+    cumulative total is at most delta merges into the first kept atom, which
+    keeps its exact cumulative mass.  Such a merge leaves F' <= F <= (1 + e)
+    F' + delta, as left of the first kept atom F <= delta, and convolving
+    with a probability law keeps this without growing delta.  Over the
+    2n - 3 merges, M <= F <= beta (M + (2n - 3) delta) <= beta M + r F, with
+    r = s (1 - sqrt(beta)/(1 + eps)), as L <= F.  So F <= beta M/(1 - r),
+    and the midpoint sqrt(beta) M satisfies (1 - r)/sqrt(beta) <= sqrt(beta)
+    M/F <= sqrt(beta).  Both ends lie within [1/(1 + eps), 1 + eps] for
+    every eps = x in (0, 1].  The upper end: sqrt(beta) <= exp(x/2) <=
+    1 + x, as exp(x/2) - 1 - x is convex and not positive at x = 0 and
+    x = 1.  The lower end, (1 - r)/sqrt(beta) >= 1/(1 + eps), is (1 - s)
+    (1 - sqrt(beta)/(1 + eps)) >= 0, which holds as sqrt(beta) <= 1 + eps.
+    When every convolution and the tail's lookups fit one pair window, the
+    floor would save no work, so neither the coarse pass nor the floor
+    runs, and delta = 0.
 
     Sampling (``for_sampling``) takes e with beta = 1/(1 - eps), and no
     floor.  Write t_n = theta and t_{j-1} = t_j - s_j(kappa_j), with s_j =
@@ -637,6 +724,8 @@ class PrefixCDFTable:
     log_cell: np.ndarray
     kappa: np.ndarray
     theta: float
+    tail: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    err_budget: float
 
     @classmethod
     def for_count(
@@ -644,10 +733,14 @@ class PrefixCDFTable:
     ) -> "PrefixCDFTable":
         """Table whose mass at theta, read at the midpoint of its budget, is
         within (1 +- eps) of the exact mass; its left tails merge below a
-        floor relative to that mass (see the class docstring)."""
-        n = dc.n
-        step = eps / max(2 * n - 3, 1)
-        return cls._build(dc, spec, step, math.log(min(eps, 0.5) / (32.0 * n)))
+        floor relative to that mass, and at n >= 4 its last two coordinates
+        are read in pairs (see the class docstring)."""
+        merges = max(2 * dc.n - 3, 1)
+        step = eps / merges
+        half_log_beta = 0.5 * merges * math.log1p(step)
+        slack = -math.expm1(half_log_beta - math.log1p(eps))  # 1 - sqrt(beta)/(1 + eps)
+        log_floor_frac = math.log(_FLOOR_SHARE * slack) - 2.0 * half_log_beta - math.log(merges)
+        return cls._build(dc, spec, step, log_floor_frac)
 
     @classmethod
     def for_sampling(
@@ -670,10 +763,11 @@ class PrefixCDFTable:
         eps_step: float,
         log_floor_frac: float | None = None,
     ) -> "PrefixCDFTable":
-        """Table for ``dc`` on ``spec``; P_2..P_{n-1} come from
-        ``compressed_tail_cdf`` at ``eps_step``, floored at
-        exp(log_floor_frac) times the coarse mass at theta when
-        ``log_floor_frac`` is given."""
+        """Table for ``dc`` on ``spec``; its CDFs from P_2 on come from
+        ``compressed_tail_cdf`` at ``eps_step``.  Given ``log_floor_frac``
+        it is a count table: floored at exp(log_floor_frac) times the coarse
+        mass at theta, and at n >= 4 its tail is the last two coordinates'
+        factors."""
         n = dc.n
         if spec.n != n:
             raise ValueError("constraint and grid dimensions disagree")
@@ -686,35 +780,46 @@ class PrefixCDFTable:
         support = dc.lam[:, None] * kappa * kappa + dc.mu[:, None] * kappa
         log_cell = _log_cell_masses(spec.tau, spec.B)
         theta = float(dc.theta)
-        cdfs = [_POINT_MASS_AT_ZERO]
-        if n >= 2:
-            pmfs = [
-                support_and_log_pmf(float(dc.lam[j]), float(dc.mu[j]), spec)
-                for j in range(n - 1)
-            ]
+        point = _POINT_MASS_AT_ZERO
+        grid_tail = (support[n - 1], log_cell, point.values, point.log_cum)
+        pairs = log_floor_frac is not None and n >= 4
+        chain = n - 2 if pairs else n - 1
+        pmfs = [
+            support_and_log_pmf(float(dc.lam[j]), float(dc.mu[j]), spec)
+            for j in range(n if pairs else n - 1)
+        ]
+        cdfs, tail = [point], grid_tail
+        if chain >= 1:
             cdfs.append(_finalize_cdf(*pmfs[0], 1.0))
-            if n >= 3:
-                merge = eps_step
-                if log_floor_frac is not None:
-                    merge = _FlooredStep(
-                        eps_step,
-                        lambda factors: log_floor_frac
-                        + _coarse_log_mass(factors, support[n - 1], log_cell, theta),
-                    )
-                steps: list[CompressedCDF] = []
-                compressed_tail_cdf(pmfs, merge, collect=steps)
-                cdfs.extend(steps[1:])
+        if chain >= 2:
+            merge = eps_step
+            if log_floor_frac is not None:
+                merge = _FlooredStep(
+                    eps_step,
+                    lambda factors: log_floor_frac
+                    + _coarse_log_mass(factors[: n - 1], grid_tail, theta),
+                    pmfs[chain:],
+                )
+            steps: list[CompressedCDF] = []
+            compressed_tail_cdf(pmfs[:chain], merge, collect=steps)
+            cdfs.extend(steps[1:])
+            if pairs:
+                (vb, lb), (vc, lc) = merge.tail
+                tail = (vb, lb, vc, lc)
+        budget = (1.0 + eps_step) ** (2 * n - 3) if pairs else cdfs[-1].err_budget
         return cls(
             cdfs=tuple(cdfs),
             support=support,
             log_cell=log_cell,
             kappa=kappa,
             theta=theta,
+            tail=tail,
+            err_budget=budget,
         )
 
     @property
     def n(self) -> int:
-        return len(self.cdfs)
+        return len(self.support)
 
     def log_weights(self, j: int, t) -> np.ndarray:
         """Log weight of every grid value of coordinate j+1 given the
@@ -724,14 +829,14 @@ class PrefixCDFTable:
         return self.log_cell + self.cdfs[j].log_query(t - self.support[j])
 
     def mass(self) -> float:
-        """The mass at theta read at the geometric midpoint of the last CDF's
+        """The mass at theta read at the geometric midpoint of the table's
         ``err_budget``, capped at 1: within (1 +- eps) of the exact grid mass
         for ``for_count`` at eps, and within (1 - eps)^(+-1/2) of it for
         ``for_sampling`` at eps."""
-        lm = log_sum(self.log_weights(self.n - 1, self.theta))
+        lm = _tail_log_mass(self.cdfs[-1], self.tail, self.theta)
         if lm == LOG_ZERO:
             return 0.0
-        return min(math.exp(lm + 0.5 * math.log(self.cdfs[-1].err_budget)), 1.0)
+        return min(math.exp(lm + 0.5 * math.log(self.err_budget)), 1.0)
 
     def cumulative_weights(self, j: int, t: float) -> np.ndarray:
         """Cumulative weights of coordinate j+1's grid values given the
@@ -821,10 +926,11 @@ def count(
     """Deterministic estimate of Pr[sum_i Y_i <= theta] on the grid with a
     certified multiplicative error factor of at most (1 + eps).
 
-    The count table merges each left tail below an absolute floor of
-    min(eps, 1/2)/(32n) times a coarse lower bound on the answer, so its
-    atoms span only the mass range the answer needs; sampling tables keep
-    every tail (see ``PrefixCDFTable``)."""
+    The count table merges each left tail below an absolute floor of a
+    coarse lower bound L on the answer times s (1 - sqrt(beta)/(1 + eps))/
+    (beta (2n - 3)), s = ``_FLOOR_SHARE``, so its atoms span only the mass
+    range the answer needs; sampling tables keep every tail (see
+    ``PrefixCDFTable``)."""
     if not (0.0 < eps <= 1.0):
         raise ValueError(f"eps must lie in (0, 1], got {eps}")
     return PrefixCDFTable.for_count(dc, spec, eps).mass()

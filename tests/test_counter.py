@@ -467,6 +467,40 @@ class TestKernels:
         with pytest.raises(GuardPassed):
             count_ptf_gaussian(q, tau=2.0**-5, trunc_B=4.0)
 
+    def test_refusal_sparsifies_only_the_factors_it_reads(self, monkeypatch):
+        # the default n = 32 count is refused at convolution step 1, whose
+        # bound reads the first two factors: the other 29 pmfs of 16,385
+        # points are never sparsified
+        calls = []
+        real = counter._sparsify
+
+        def spy(*args):
+            calls.append(args[0].size)
+            return real(*args)
+
+        monkeypatch.setattr(counter, "_sparsify", spy)
+        with pytest.raises(EngineTooLargeError, match="convolution step 1 "):
+            count_ptf_gaussian(bench_style(32))
+        assert len(calls) == 2
+
+    def test_size_guard_counts_the_tail_lookups(self, monkeypatch):
+        # two point-mass coordinates chain in one pair; the last two
+        # coordinates' lookups are what the guard refuses, before the chain
+        # convolves
+        def no_convolution(*args):
+            raise AssertionError("a convolution ran before the size guard fired")
+
+        monkeypatch.setattr(counter, "_convolve_sparsify", no_convolution)
+        monkeypatch.setattr(counter, "_PAIR_LIMIT", 1000)
+        dc = DecoupledConstraint(
+            lam=np.array([0.0, 0.0, -0.5, -0.5]),
+            mu=np.array([0.0, 0.0, 0.25, 0.125]),
+            theta=0.0,
+            rotation=np.eye(4),
+        )
+        with pytest.raises(EngineTooLargeError, match="last two coordinates' lookups"):
+            count(dc, GridSpec(tau=2.0**-4, B=4.0, n=4), 0.05)
+
 
 def floors_between_cumulatives(gen, logp, k):
     """k log floors halfway between consecutive log cumulative masses that
@@ -686,6 +720,103 @@ class TestAnswerRelativeFloor:
                 r = beta * (2 * n - 3) * math.exp(seen["log_floor_frac"])
                 assert math.sqrt(beta) <= 1.0 + eps
                 assert (1.0 - r) / math.sqrt(beta) >= 1.0 / (1.0 + eps)
+
+
+class TestTail:
+    """Count tables at n >= 4 read their last two coordinates by lookups into
+    the CDF of the others, instead of convolving them."""
+
+    def test_default_count_convolves_n_minus_3_times(self, monkeypatch):
+        # machine-independent: the fine chain stops two coordinates early.
+        # Convolving the last coordinate too, this count formed 996,293 pairs,
+        # the coarse pass included
+        formed = pair_counter(monkeypatch)
+        steps = []
+        real = counter._convolve_sparsify
+
+        def spy(*args):
+            steps.append(args[4])
+            return real(*args)
+
+        monkeypatch.setattr(counter, "_convolve_sparsify", spy)
+        count_ptf_gaussian(bench_style(5))
+        assert sum(step < 1.0 for step in steps) == 5 - 3
+        assert 0 < formed[0] <= 0.6 * 996_293
+
+    @pytest.mark.parametrize("n, theta", [(4, -90.0), (5, -100.0)])
+    def test_deep_tail_sums_in_log_space(self, monkeypatch, n, theta):
+        # sum of mu kappa >= -theta with every |kappa| <= 25: the mass at
+        # theta lies ~1000 nats below the tail's largest pair, so the
+        # linear-space sum falls below _LINEAR_FLOOR and is redone in log
+        # space; the exact law is convolved in log space
+        shapes = []
+        real = counter.log_sum
+
+        def spy(log_terms):
+            shapes.append(np.shape(log_terms))
+            return real(log_terms)
+
+        monkeypatch.setattr(counter, "log_sum", spy)
+        spec = GridSpec(tau=1.0, B=25.0, n=n)
+        dc = DecoupledConstraint(lam=np.zeros(n), mu=-np.ones(n), theta=theta, rotation=np.eye(n))
+        table = PrefixCDFTable.for_count(dc, spec, 0.05)
+        assert len(table.cdfs) == n - 1 and table.err_budget == (1.0 + 0.05 / (2 * n - 3)) ** (2 * n - 3)
+        got = counter._tail_log_mass(table.cdfs[-1], table.tail, dc.theta)
+        assert any(len(s) == 2 and s[1] > 1 for s in shapes)
+        pmf = support_and_log_pmf(0.0, -1.0, spec)
+        v, lp = pmf
+        for _ in range(n - 1):
+            v, lp = oracles.convolve_log(v, lp, *pmf)
+        exact = float(np.logaddexp.reduce(lp[v <= theta]))
+        assert exact < -1000.0
+        assert abs(got + 0.5 * math.log(table.err_budget) - exact) <= math.log1p(0.05)
+
+    def test_tail_lookups_run_in_row_blocks(self):
+        # a far-tail region on a wide grid keeps ~2500 atoms in each tail
+        # factor: 6.2M lookups, whose thresholds alone would take 50 MB at
+        # once
+        dc = DecoupledConstraint(
+            lam=np.full(4, -0.5), mu=np.array([0.3, 0.2, 0.1, 0.4]), theta=-60.0, rotation=np.eye(4)
+        )
+        table = PrefixCDFTable.for_count(dc, GridSpec(tau=2.0**-8, B=16.0, n=4), 0.05)
+        assert table.tail[0].size * table.tail[2].size > 5_000_000
+        tracemalloc.start()
+        try:
+            mass = table.mass()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 0.0 < mass < 1e-20
+        assert peak < 8e6
+
+    def test_floored_factor_reuses_its_unfloored_walk(self, monkeypatch):
+        # a floor below a factor's first atom starts the walk there, where it
+        # is the unfloored walk: that factor is reused, and recomputing it
+        # gives the same arrays
+        reused = []
+        real = counter._sparsify
+
+        def spy(values, logp, eps_step, log_floor=LOG_ZERO, unfloored=None):
+            out = real(values, logp, eps_step, log_floor, unfloored)
+            if unfloored is not None and out is unfloored:
+                fresh = real(values, logp, eps_step, log_floor)
+                assert np.array_equal(out[0], fresh[0]) and np.array_equal(out[1], fresh[1])
+                reused.append(values.size)
+            return out
+
+        monkeypatch.setattr(counter, "_sparsify", spy)
+        for q in (bench_style(4), bench_style(5), cube_style(4)):
+            count_ptf_gaussian(q)
+        assert reused
+        values, logp = random_lattice_pmf(np.random.default_rng(26), 300)
+        unfloored = real(values, logp, 0.01)
+        below = logp[0] - 1.0
+        assert real(values, logp, 0.01, below, unfloored) is unfloored
+        above = float(np.logaddexp.reduce(logp[:10]))
+        got = real(values, logp, 0.01, above, unfloored)
+        want = real(values, logp, 0.01, above)
+        assert got is not unfloored and got[0][0] > values[0]
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 class TestPooledSort:

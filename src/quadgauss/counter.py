@@ -48,8 +48,15 @@ from the same weights, from one table built at its own step, whose
 ``mass()`` is its floor check.  Everything is pure and deterministic: two
 runs on identical inputs produce bit-identical outputs.
 
+``count`` reads only the live coordinates, those with lam or mu nonzero.
+A null coordinate has Y = 0 on every grid cell, and its cells sum to 1, so
+the mass at theta is that of the live coordinates' sum, counted on the grid
+of the same tau and B in their dimension k.  Sampling tables keep every
+coordinate, as a draw needs all of them.
+
 ``exact_tail_bruteforce`` is the independent oracle: a dense convolution in
-80-bit extended precision, feasible up to ~1e7 grid points.
+80-bit extended precision, feasible up to ~1e7 grid points; it keeps every
+coordinate.
 """
 
 from __future__ import annotations
@@ -926,13 +933,25 @@ def count(
     """Deterministic estimate of Pr[sum_i Y_i <= theta] on the grid with a
     certified multiplicative error factor of at most (1 + eps).
 
-    The count table merges each left tail below an absolute floor of a
-    coarse lower bound L on the answer times s (1 - sqrt(beta)/(1 + eps))/
-    (beta (2n - 3)), s = ``_FLOOR_SHARE``, so its atoms span only the mass
-    range the answer needs; sampling tables keep every tail (see
-    ``PrefixCDFTable``)."""
+    Once the dimensions of ``dc`` and ``spec`` agree (else ValueError), the
+    null coordinates (lam = mu = 0) are dropped: each adds 0 on every grid
+    cell, and its cells sum to 1.  The k live coordinates are counted on the
+    grid of the same tau and B in dimension k, behind 2k - 3 merges, with
+    nothing compressed at k <= 2; a form with none live is counted as it
+    is, exactly, since its sum is 0.  The count table merges each left tail
+    below an absolute floor of a coarse lower bound L on the answer times
+    s (1 - sqrt(beta)/(1 + eps))/(beta (2k - 3)), s = ``_FLOOR_SHARE``, so
+    its atoms span only the mass range the answer needs; sampling tables
+    keep every tail and every coordinate (see ``PrefixCDFTable``)."""
     if not (0.0 < eps <= 1.0):
         raise ValueError(f"eps must lie in (0, 1], got {eps}")
+    if spec.n != dc.n:
+        raise ValueError("constraint and grid dimensions disagree")
+    live = (dc.lam != 0.0) | (dc.mu != 0.0)
+    k = int(np.count_nonzero(live))
+    if 0 < k < dc.n:
+        dc = DecoupledConstraint(lam=dc.lam[live], mu=dc.mu[live], theta=dc.theta, rotation=np.eye(k))
+        spec = GridSpec(tau=spec.tau, B=spec.B, n=k)
     return PrefixCDFTable.for_count(dc, spec, eps).mass()
 
 
@@ -945,7 +964,9 @@ class CountResult:
     the grid of step tau and radius B, whose end cells absorb the tails.
     The gap from that grid mass to the Gaussian mass of the original
     instance is not bounded here.  ``below_floor`` flags an estimate below
-    ``floor`` = 2^(-4n); it is reported, not suppressed.
+    ``floor`` = 2^(-4n); it is reported, not suppressed.  The count reads
+    only the live coordinates (see ``count``), but B and the floor come
+    from the full dimension n.
     """
 
     estimate: float

@@ -156,7 +156,9 @@ class PtfSampler:
 
     The table is built once, here, and its own mass (``PrefixCDFTable.mass``)
     is checked against the floor 2^(-4n), so FloorError comes
-    before any draw.  Draws lie within total variation eps of N(0, I)
+    before any draw.  The table keeps every coordinate, null ones (lam =
+    mu = 0) included, which ``count`` drops: a draw takes each of them.
+    Draws lie within total variation eps of N(0, I)
     conditioned on the truncated instance: the union of the grid cells
     whose grid point satisfies the normalized constraint, each cell lifted
     exactly.  The gap to N(0, I) conditioned on ``q`` itself is not

@@ -83,6 +83,18 @@ class TestCount:
         assert code == 2
         assert json.loads(out)["below_floor"] is True
 
+    def test_null_coordinates_are_not_counted(self, tmp_path, capsys):
+        # x1 >= 3 in R^3: the count drops the two null coordinates and reads
+        # x1's grid cells [3, inf) with nothing compressed
+        path = tmp_path / "thin3.json"
+        save_instance(
+            QuadraticForm(A=np.zeros((3, 3)), b=np.array([1.0, 0.0, 0.0]), c=-3.0), str(path)
+        )
+        code, out = run_inproc(["count", "--instance", str(path)], capsys)
+        assert code == 0
+        upper_tail = 0.5 * math.erfc(3.0 / math.sqrt(2.0))
+        assert json.loads(out)["estimate"] == pytest.approx(upper_tail, rel=1e-12)
+
     @pytest.mark.parametrize("s", [1e-200, 1e-100, 1e100, 1e200])
     def test_scaled_region_counts_like_unscaled(self, tmp_path, capsys, s):
         # s*x^2 - s >= 0 is x^2 >= 1 at every scale; at 1e+-200 the squares

@@ -201,6 +201,96 @@ class TestCount:
             count(dc, spec, 0.0)
 
 
+def with_nulls(gen, mask):
+    """A constraint with a null coordinate (lam = mu = 0) wherever ``mask``
+    has a 0 and a live one elsewhere: lam = 0 at an "m", mu = 0 at an "l",
+    both nonzero at a "1"; and the same constraint on its live coordinates
+    alone.  theta >= 0, so the grid point 0 lies in the region."""
+    codes = np.array([c for c in mask if c != "0"])
+    live = np.array([c != "0" for c in mask])
+
+    def lattice(zero):
+        size = 0.25 + np.rint(np.abs(gen.normal(size=codes.size)) * 16) / 16
+        return np.where(zero, 0.0, gen.choice([-1.0, 1.0], codes.size) * size)
+
+    reduced = DecoupledConstraint(
+        lam=lattice(codes == "m"),
+        mu=lattice(codes == "l"),
+        theta=abs(float(gen.normal())) * codes.size,
+        rotation=np.eye(codes.size),
+    )
+    lam, mu = np.zeros(live.size), np.full(live.size, -0.0)
+    lam[live], mu[live] = reduced.lam, reduced.mu
+    full = DecoupledConstraint(lam=lam, mu=mu, theta=reduced.theta, rotation=np.eye(live.size))
+    return full, reduced
+
+
+class TestNullCoordinates:
+    """A count reads only the coordinates with lam or mu nonzero: a null
+    coordinate adds 0 on every grid cell, and its cells sum to 1."""
+
+    @pytest.mark.parametrize(
+        "mask",
+        ["001", "010", "100", "0m", "l0", "0011", "1001", "1100", "0m0l"]
+        + ["001111", "110011", "111100", "0m01l01"],
+    )
+    def test_counts_like_the_live_coordinates_alone(self, mask):
+        dc, reduced = with_nulls(np.random.default_rng([ord(c) for c in mask]), mask)
+        spec = GridSpec(tau=DEFAULT_TAU, B=4.0, n=dc.n)
+        got = count(dc, spec)
+        assert got > 0.0
+        # the live coordinates' own table, built without the reduction
+        spec_k = GridSpec(tau=DEFAULT_TAU, B=4.0, n=reduced.n)
+        assert got == PrefixCDFTable.for_count(reduced, spec_k, DEFAULT_EPS).mass()
+
+    @pytest.mark.parametrize("mask", ["010", "1001", "10110", "110011"])
+    def test_builds_pmfs_for_live_coordinates_only(self, monkeypatch, mask):
+        # at k <= 2 live coordinates nothing is compressed, so no chain runs
+        built, chains = [], []
+        pmf, chain = counter.support_and_log_pmf, counter.compressed_tail_cdf
+
+        def pmf_spy(a, b, spec):
+            built.append((a, b, spec.n))
+            return pmf(a, b, spec)
+
+        def chain_spy(*args, **kwargs):
+            chains.append(len(args[0]))
+            return chain(*args, **kwargs)
+
+        monkeypatch.setattr(counter, "support_and_log_pmf", pmf_spy)
+        monkeypatch.setattr(counter, "compressed_tail_cdf", chain_spy)
+        dc, reduced = with_nulls(np.random.default_rng(8), mask)
+        k = reduced.n
+        count(dc, GridSpec(tau=DEFAULT_TAU, B=4.0, n=dc.n))
+        assert len(built) <= k
+        assert all((a != 0.0 or b != 0.0) and n == k for a, b, n in built)
+        assert (chains == []) == (k <= 2)
+        assert all(size < k for size in chains)
+
+    @pytest.mark.parametrize("null", [0, 1, 2])
+    def test_matches_bruteforce_on_the_full_grid(self, null):
+        gen = np.random.default_rng(30 + null)
+        spec = GridSpec(tau=2.0**-4, B=3.0, n=3)
+        for _ in range(3):
+            dc, _ = with_nulls(gen, "".join("0" if j == null else "1" for j in range(3)))
+            exact = exact_tail_bruteforce(dc, spec)
+            assert exact > 0.0
+            for eps in (0.3, 0.05):
+                ratio = count(dc, spec, eps) / exact
+                assert 1.0 / (1.0 + eps) - 1e-9 <= ratio <= 1.0 + eps + 1e-9
+
+    def test_dimension_check_comes_before_the_reduction(self):
+        dc, reduced = with_nulls(np.random.default_rng(12), "101")
+        with pytest.raises(ValueError, match="dimensions disagree"):
+            count(dc, GridSpec(tau=DEFAULT_TAU, B=4.0, n=reduced.n))
+
+    @pytest.mark.parametrize("theta, mass", [(0.0, 1.0), (0.5, 1.0), (-0.5, 0.0)])
+    def test_all_null_constraint_counts_its_constant_sum(self, theta, mass):
+        # nothing is dropped: the full table of point masses at 0 is exact
+        dc = DecoupledConstraint(lam=np.zeros(3), mu=np.zeros(3), theta=theta, rotation=np.eye(3))
+        assert count(dc, GridSpec(tau=DEFAULT_TAU, B=4.0, n=3)) == mass
+
+
 def random_lattice_pmf(gen, size, step=2.0**-6):
     values = np.unique(gen.integers(-400, 400, size=size)) * step
     return values, gen.normal(size=values.size) * 3.0 - 4.0
@@ -484,22 +574,26 @@ class TestKernels:
         assert len(calls) == 2
 
     def test_size_guard_counts_the_tail_lookups(self, monkeypatch):
-        # two point-mass coordinates chain in one pair; the last two
-        # coordinates' lookups are what the guard refuses, before the chain
-        # convolves
+        # four live coordinates on a 5-point grid: the chain's one step pairs
+        # two 3-atom factors (9 pairs) and the last two coordinates' lookups
+        # pair two 5-atom factors (25), so a limit of 24 refuses the lookups
+        # alone, before the chain convolves
         def no_convolution(*args):
             raise AssertionError("a convolution ran before the size guard fired")
 
-        monkeypatch.setattr(counter, "_convolve_sparsify", no_convolution)
-        monkeypatch.setattr(counter, "_PAIR_LIMIT", 1000)
+        spec = GridSpec(tau=0.5, B=1.0, n=4)
         dc = DecoupledConstraint(
-            lam=np.array([0.0, 0.0, -0.5, -0.5]),
-            mu=np.array([0.0, 0.0, 0.25, 0.125]),
-            theta=0.0,
+            lam=np.array([1.0, 1.0, -0.5, 0.5]),
+            mu=np.array([0.0, 0.0, 0.125, 0.375]),
+            theta=0.5,
             rotation=np.eye(4),
         )
+        monkeypatch.setattr(counter, "_PAIR_LIMIT", 25)
+        assert count(dc, spec, 0.05) > 0.0
+        monkeypatch.setattr(counter, "_PAIR_LIMIT", 24)
+        monkeypatch.setattr(counter, "_convolve_sparsify", no_convolution)
         with pytest.raises(EngineTooLargeError, match="last two coordinates' lookups"):
-            count(dc, GridSpec(tau=2.0**-4, B=4.0, n=4), 0.05)
+            count(dc, spec, 0.05)
 
 
 def floors_between_cumulatives(gen, logp, k):
@@ -689,16 +783,18 @@ class TestAnswerRelativeFloor:
         assert 0 < sorted_terms[0] <= formed[0] / 5
 
     def test_null_coordinate_forms_no_pair_window(self, monkeypatch):
-        # A = Q diag(-1, -1, 0) Q^T in a rotated basis: the null coordinate
-        # is an exact point mass, so the count convolves two grid pmfs and a
-        # point (183 pairs); roundoff of 1e-17 there made it 70,981 pairs
+        # A = Q diag(-1, -1, 0) Q^T in a rotated basis: decouple snaps the
+        # null coordinate to exactly 0 (roundoff of 1e-17 there once made
+        # the count form 70,981 pairs), and the count reads the two live
+        # coordinates with no convolution
         formed = pair_counter(monkeypatch)
-        q = rotated_null_form()
-        estimate = count_ptf_gaussian(q).estimate
-        assert 0 < formed[0] <= 200
-        # the same region without its null direction
+        estimate = count_ptf_gaussian(rotated_null_form()).estimate
+        assert formed[0] == 0
+        # the same region without its null direction: both are exact grid
+        # masses in 2-D, on grids rotated apart, so they differ only by where
+        # the cells fall (6.8e-4 relative)
         plane = QuadraticForm(A=-np.eye(2), b=np.array([0.3, 0.3]), c=2.0)
-        assert estimate == pytest.approx(count_ptf_gaussian(plane).estimate, rel=2 * DEFAULT_EPS)
+        assert estimate == pytest.approx(count_ptf_gaussian(plane).estimate, rel=DEFAULT_TAU)
 
     def test_certificate_holds_for_every_eps_and_n(self, monkeypatch):
         # the class docstring's arithmetic, on the step and floor that

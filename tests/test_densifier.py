@@ -364,15 +364,17 @@ class TestPlantedExperiment:
         assert rep["density"] >= 1.0 / (8.0 * rep["mistake_budget"])
 
     def test_thin3_report_pinned(self):
-        # recorded with serial block draws; threaded block draws must agree
+        # recorded with serial block draws; threaded block draws must agree.
+        # The two null coordinates are not counted, so p_estimate is the grid
+        # mass of x1 >= 3, the cells [3, inf): Phi(-3)
         f = QuadraticForm(A=np.zeros((3, 3)), b=np.array([1.0, 0.0, 0.0]), c=-3.0)
         rep = planted_experiment(
             f, DensifierConfig(eps=0.1, delta=0.1), Rng(1).derive(4), n_validation=3000
         )
         assert rep == {
             "n": 3,
-            "p_estimate": 0.0013724587121840587,
-            "p_hat": 0.0014182073359235274,
+            "p_estimate": 0.0013498980316300926,
+            "p_hat": 0.0013948946326844292,
             "mistakes": 0,
             "rounds": 0,
             "gamma": 4.098360655737705e-05,
@@ -382,8 +384,8 @@ class TestPlantedExperiment:
             "agreement_ci": 0.0022067516772727967,
             # agreement 1.0 and g = +1 everywhere (MC mass exactly 1), so
             # density = p and density_ci = p * agreement_ci
-            "density": 0.0013724587121840587,
-            "density_ci": 3.028675565099834e-06,
+            "density": 0.0013498980316300926,
+            "density_ci": 2.978889745446954e-06,
             "kappa_flip_fraction": 0.0,
             "passed_a": True,
             "passed_b": True,

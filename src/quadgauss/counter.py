@@ -1,6 +1,6 @@
 """Deterministic multiplicative-accuracy estimation of Pr[sum_i Y_i <= theta]
 for independent per-coordinate variables Y_i = lam_i*[G]^2 + mu_i*[G], and
-the prefix-CDF table that serves both counting and sampling.
+the prefix-CDF table the sampler draws from.
 
 The engine convolves the per-coordinate pmfs sequentially, sparsifying each
 factor before it enters and the running distribution after every step.  A
@@ -18,35 +18,36 @@ time, sums their masses into value bins, and sorts only the pairs of the
 bins a threshold falls in.  Merging rightward makes the compressed CDF F' a
 pointwise lower bound of the running CDF F with F <= (1 + eps_step) * F',
 so after k merges the exact CDF is bracketed within a known factor
-``err_budget = (1 + eps_step)^k``.  Count tables also merge at a floor
-relative to the answer (the greedy walk starts past it, and it is the base
-of the thresholds), which merges the far left tail into the first kept atom
-at a bounded additive cost.  Masses are stored as logs; pair masses and
+``err_budget = (1 + eps_step)^k``.  A count also merges at a floor relative
+to the answer (the greedy walk starts past it, and it is the base of the
+thresholds), which merges the far left tail into the first kept atom at a
+bounded additive cost.  Masses are stored as logs; pair masses and
 cumulative sums are formed in linear space scaled by each call's largest
 mass, and whatever falls too far below it for a double is summed in log
 space instead.  One window of pairs is alive at a time, and the merge
 carries its state from window to window, so results do not depend on where
 the windows split.
 
-``PrefixCDFTable`` keeps the CDFs of the prefix sums Y_1 + ... + Y_j: P_0
-is the point mass at 0, P_1 the exact CDF of Y_1, and the rest the per-step
-output of one ``compressed_tail_cdf`` run.  Its mass at theta reads the last
-CDF P in pairs over a tail of two atom lists b and c:
-sum_(b, c) mass(b) mass(c) P(theta - (v_b + v_c)).  A count table at n >= 4
-chains only the first n - 2 coordinates, and its tail is the last two
-coordinates' sparsified factors: they are read at once, by sorted lookups
-into P_{n-2}, a meet-in-the-middle evaluation (as in Horowitz and Sahni's
-subset-sum algorithm) that replaces the last and largest convolution.  The
-merges behind the mass stay 2n - 3: 2n - 5 in the chain and one per tail
-factor.  Other tables chain the first n - 1 coordinates, and their tail
-pairs coordinate n's grid values, with their cell masses, with the point
-mass at 0, which sums P_{n-1} over coordinate n's cells.  ``mass()`` reads
-the sum at the geometric midpoint of the table's budget, which certifies
-``count``'s (1 +- eps) answer (exact up to float roundoff at n <= 2, where
-nothing is compressed).  The sampler draws coordinates n, ..., 1 in turn
-from the same weights, from one table built at its own step, whose
-``mass()`` is its floor check.  Everything is pure and deterministic: two
-runs on identical inputs produce bit-identical outputs.
+``compressed_tail_cdf`` is the chain that counting and sampling share: it
+convolves factors its caller has sparsified and guarded
+(``_guarded_factors``).  ``count`` reads the mass at theta off the chain's
+last CDF P in pairs over a tail of two atom lists b and c:
+sum_(b, c) mass(b) mass(c) P(theta - (v_b + v_c)) (``_tail_log_mass``).  At
+n >= 4 it chains only the first n - 2 coordinates, and its tail is the last
+two coordinates' sparsified factors: they are read at once, by sorted
+lookups into P_{n-2}, a meet-in-the-middle evaluation (as in Horowitz and
+Sahni's subset-sum algorithm) that replaces the last and largest
+convolution.  The merges behind the mass stay 2n - 3: 2n - 5 in the chain
+and one per tail factor.  At n <= 3 it chains the first n - 1 coordinates,
+and its tail pairs coordinate n's grid values, with their cell masses, with
+the point mass at 0, which sums P_{n-1} over coordinate n's cells.  The
+mass read at the geometric midpoint of the budget is ``count``'s (1 +- eps)
+answer (exact up to float roundoff at n <= 2, where nothing is compressed);
+a count builds no table.  ``PrefixCDFTable`` keeps the CDFs of the prefix
+sums Y_1 + ... + Y_j, one chain at the sampler's own step, and the sampler
+draws coordinates n, ..., 1 in turn from them; its ``mass()`` is the
+sampler's floor check.  Everything is pure and deterministic: two runs on
+identical inputs produce bit-identical outputs.
 
 ``count`` reads only the live coordinates, those with lam or mu nonzero.
 A null coordinate has Y = 0 on every grid cell, and its cells sum to 1, so
@@ -62,7 +63,6 @@ coordinate.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -131,8 +131,8 @@ class CompressedCDF:
 
     The represented step function lower-bounds the CDF it was compressed
     from; the true CDF never exceeds it by more than the multiplicative
-    ``err_budget``, plus, in a count table with a floor, an additive term
-    (see ``PrefixCDFTable``).
+    ``err_budget``, plus, in a count's chain with a floor, an additive term
+    (see ``count``).
     """
 
     values: np.ndarray
@@ -504,7 +504,9 @@ def _guarded_factors(pmfs, eps_step: float, tail: int) -> tuple[list, float]:
     floor below the first atom (the thresholds below its mass all keep it),
     and the log-range of a sum is at most the sum of its factors'
     ``_log_spread``.  The last ``tail`` factors (none or two) are read in
-    pairs of atoms, and those lookups are guarded too."""
+    pairs of atoms, and those lookups are guarded too.  Callers run this
+    before ``compressed_tail_cdf``, so a refusal comes before any
+    convolution."""
     thresh = math.log1p(eps_step)
     chain = len(pmfs) - tail
     factors = [_sparsify(*pmfs[0], eps_step)]
@@ -530,54 +532,35 @@ def _guarded_factors(pmfs, eps_step: float, tail: int) -> tuple[list, float]:
 
 @dataclass(frozen=True)
 class _FlooredStep:
-    """A per-merge ``step`` with an answer-relative floor for
-    ``compressed_tail_cdf``, and a count table's tail.
-
-    ``tail`` holds, on the way in, the pmfs of the coordinates that are read
-    in pairs of atoms rather than convolved (none, or the last two), and on
-    the way out their sparsified, floored factors.  ``log_floor(factors)``
-    is called with every factor (the tail's last) sparsified at ``step``
-    once all have passed the size guard, and returns log delta, the
-    cumulative mass up to which every left tail merges into its first kept
-    atom."""
+    """A per-merge ``step`` with the floor ``log_floor`` = log delta for
+    ``compressed_tail_cdf``: every merge of the chain keeps no atom up to
+    the cumulative mass delta.  It rides in ``eps_step`` because the
+    benchmark's tracer forwards ``(factors, eps_step, collect=)`` and
+    nothing else."""
 
     step: float
-    log_floor: Callable[[list], float]
-    tail: list
+    log_floor: float
 
 
-def compressed_tail_cdf(pmfs, eps_step, collect: list | None = None) -> CompressedCDF:
-    """Convolve n per-coordinate (values, log pmf) pairs left to right,
-    sparsifying every factor before it is convolved and the running sum
-    after every convolution, each at the per-merge step ``eps_step``.
+def compressed_tail_cdf(factors, eps_step, collect: list | None = None) -> CompressedCDF:
+    """Convolve ascending (values, log masses) factors left to right,
+    merging the running sum after every convolution at the per-merge step
+    ``eps_step``.  The factors come sparsified at that step and admitted by
+    the size guard (``_guarded_factors``); this neither sparsifies nor
+    guards.
 
-    2j - 1 merges lie behind the j-th prefix sum, so its compressed CDF
-    lower-bounds the exact CDF and stays within its ``err_budget`` =
-    (1 + eps_step)^(2j - 1) of it; ``collect`` receives one per prefix sum.
-    Each factor is sparsified only once the convolutions before it have
-    passed the size guard, so a refusal comes before any convolution.
+    2j - 1 merges lie behind the j-th prefix sum, one per factor and one per
+    convolution, so its compressed CDF lower-bounds the exact CDF and stays
+    within its ``err_budget`` = (1 + eps_step)^(2j - 1) of it; ``collect``
+    receives one per prefix sum.
 
-    ``eps_step`` may be a ``_FlooredStep``: then its tail's factors are
-    sparsified and guarded with the others, and unless every convolution
-    and the tail's lookups fit one pair window (where merging more saves
-    nothing), every merge keeps no atom up to the floor delta (the greedy
-    walk starts past it, and it is the base of the thresholds), which also
-    lets the exact CDF exceed the bound by an additive (2j - 1) *
-    err_budget * delta.  A factor whose first atom lies above the floor is
-    kept as it was sparsified without it."""
-    step, log_floor, tail = eps_step, None, []
+    ``eps_step`` may be a ``_FlooredStep``: then every merge keeps no atom
+    up to the floor delta (the thresholds start at it), which also lets the
+    exact CDF exceed the bound by an additive (2j - 1) * err_budget * delta,
+    when the factors were sparsified at the same floor (see ``count``)."""
+    step, floor = eps_step, LOG_ZERO
     if isinstance(eps_step, _FlooredStep):
-        step, log_floor, tail = eps_step.step, eps_step.log_floor, eps_step.tail
-    pmfs = [*pmfs, *tail]
-    factors, worst = _guarded_factors(pmfs, step, len(tail))
-    floor = LOG_ZERO
-    if log_floor is not None and worst > _PAIR_BLOCK:
-        floor = log_floor(factors)
-        if floor > LOG_ZERO:
-            factors = [_sparsify(v, lp, step, floor, f) for (v, lp), f in zip(pmfs, factors)]
-    if tail:
-        tail[:] = factors[-len(tail) :]
-        del factors[-len(tail) :]
+        step, floor = eps_step.step, eps_step.log_floor
     values, logp = factors[0]
     for j, (atom_v, atom_lp) in enumerate(factors[1:], start=1):
         if collect is not None:
@@ -624,106 +607,78 @@ def _tail_log_mass(cdf: CompressedCDF, tail, theta: float) -> float:
 
 def _coarse_log_mass(factors, tail, theta: float) -> float:
     """log of a lower bound on the grid mass at theta: ``factors`` (the
-    first n - 1 coordinates) chained by ``compressed_tail_cdf`` at step 1,
-    then summed over ``tail``, the last coordinate's grid tail
-    (``_tail_log_mass``).  Every merge lower-bounds the CDF it replaces, so
-    the result lower-bounds the exact mass."""
-    return _tail_log_mass(compressed_tail_cdf(factors, 1.0), tail, theta)
+    first n - 1 coordinates) sparsified and chained at step 1, then summed
+    over ``tail``, the last coordinate's grid tail (``_tail_log_mass``).
+    Every merge lower-bounds the CDF it replaces, so the result lower-bounds
+    the exact mass."""
+    coarse, _ = _guarded_factors(factors, 1.0, 0)
+    return _tail_log_mass(compressed_tail_cdf(coarse, 1.0), tail, theta)
 
 
 _POINT_MASS_AT_ZERO = CompressedCDF(
     values=np.zeros(1), log_cum=np.zeros(1), err_budget=1.0
 )
 
-# the share s < 1 of the lower end's slack that a count's floor spends (see
-# ``PrefixCDFTable``); the rest keeps the certificate clear of rounding
-_FLOOR_SHARE = 0.9
+
+def _grid_tail(row: np.ndarray, log_cell: np.ndarray) -> tuple:
+    """The tail that sums a CDF over the last coordinate's cells: its grid
+    values ``row`` with their cell masses, paired with the point mass at 0."""
+    return row, log_cell, _POINT_MASS_AT_ZERO.values, _POINT_MASS_AT_ZERO.log_cum
+
+
+def _midpoint_mass(log_mass: float, err_budget: float) -> float:
+    """exp(``log_mass``) at the geometric midpoint of ``err_budget``, capped
+    at 1; 0 when nothing lies below theta."""
+    if log_mass == LOG_ZERO:
+        return 0.0
+    return min(math.exp(log_mass + 0.5 * math.log(err_budget)), 1.0)
+
+
+def _grid_axis(spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The grid values of one coordinate and their log cell masses, once the
+    grid has passed the per-coordinate size guard."""
+    if spec.points_per_coord > _POINTS_LIMIT:
+        raise EngineTooLargeError(
+            f"grid has {spec.points_per_coord} points per coordinate, beyond "
+            f"the size guard of {_POINTS_LIMIT}; use a coarser tau or a smaller B"
+        )
+    return spec.value(np.arange(spec.points_per_coord)), _log_cell_masses(spec.tau, spec.B)
 
 
 @dataclass(frozen=True)
 class PrefixCDFTable:
-    """Prefix CDFs of the decoupled sum on one grid, read by both ``count``
-    and the sampler.
+    """Prefix CDFs of the decoupled sum on one grid, which the sampler
+    draws from.
 
-    ``cdfs[i]`` is P_i, the CDF of Y_1 + ... + Y_i (P_0 is the point mass at
-    0); ``support[i]`` holds coordinate i+1's value lam kappa^2 + mu kappa
-    at every grid value ``kappa``, and ``log_cell`` the log mass of each
-    grid value.  Given the threshold t left for coordinates 1..i+1,
-    coordinate i+1 weighs kappa by cell(kappa) * P_i(t - support[i][kappa])
-    (``log_weights(i, t)``).  Two of these laws do not depend on the draw,
-    so the sampler reads them from inverse CDFs cached on its first draw,
-    which a count table never builds: coordinate n's at theta
-    (``last_coordinate_cum``), and coordinate 1's for every t at once, as
-    the cell masses in support order (``first_coordinate_cdf``).  A draw
-    rebuilds the weights of coordinates n-1, ..., 2 only.
+    ``cdfs[i]`` is P_i, the CDF of Y_1 + ... + Y_i, for i = 0, ..., n - 1
+    (P_0 is the point mass at 0); ``support[i]`` holds coordinate i+1's
+    value lam kappa^2 + mu kappa at every grid value ``kappa``, and
+    ``log_cell`` the log mass of each grid value.  Given the threshold t left
+    for coordinates 1..i+1, coordinate i+1 weighs kappa by cell(kappa) *
+    P_i(t - support[i][kappa]) (``log_weights(i, t)``).  Two of these laws do
+    not depend on the draw, so the sampler reads them from inverse CDFs
+    cached on its first draw: coordinate n's at theta
+    (``last_coordinate_cum``), and coordinate 1's for every t at once, as the
+    cell masses in support order (``first_coordinate_cdf``).  A draw rebuilds
+    the weights of coordinates n-1, ..., 2 only.  The table's ``mass()`` sums
+    P_{n-1} over coordinate n's cells.
 
-    The table's mass at theta reads the last CDF P = ``cdfs[-1]`` in pairs
-    over its ``tail``, two lists (vb, lb) and (vc, lc) of values and log
-    masses: sum_(b, c) e^(lb + lc) P(theta - (vb + vc)) (``_tail_log_mass``).
-    A sampling table, and a count table at n <= 3, holds P_0, ..., P_{n-1};
-    its tail pairs coordinate n's grid values, with their cell masses, with
-    the point mass at 0, which sums P_{n-1} over coordinate n's cells.  A
-    count table at n >= 4 holds P_0, ..., P_{n-2}, and its tail is the last
-    two coordinates' sparsified factors: the last two coordinates are read
-    at once, by lookups into P_{n-2}, instead of being convolved.  Such a
-    table cannot be drawn from.
-
-    Accuracy.  One number carries every table's guarantee: ``err_budget``
-    beta = (1 + e)^(2n - 3), where e is the merge step.  P_1 is exact.  For
-    j >= 2, P_j comes out of ``compressed_tail_cdf``.  A rightward merge at
-    step e, of a factor before it is convolved (greedy) or of the running
-    sum after (at the fixed thresholds c_k = base (1 + e)^k), keeps anchors
-    with their exact cumulative mass, and every atom between two kept ones
-    has F < (1 + e) times the left one's: for the thresholds, an atom
-    between the first atoms past c_k and c_(k+1) has F <= c_(k+1) = (1 + e)
-    c_k.  So the merge leaves a pointwise lower bound within a (1 + e)
-    factor of the CDF it replaces, and convolving with an independent
-    variable keeps both properties.  So P_j <= F_j <= (1 + e)^(2j - 1) P_j,
-    where F_j is the exact CDF: one merge per convolution and one per
-    sparsified factor among coordinates 1..j.  The tail adds one merge per
-    sparsified factor it holds, so 2n - 3 merges lie behind the table's
-    mass M either way: 2(n - 1) - 1 with the grid tail, 2(n - 2) - 1 + 2
-    with the last two factors.  So M <= F <= beta M, where F is the exact
-    grid mass at theta.
-
-    Counting (``for_count``) takes e = eps/(2n - 3), so beta <= exp(eps),
-    and merges every left tail relative to F.  A coarse pass chains the
-    first n - 1 sparsified factors at step 1, sums the result over
-    coordinate n's grid cells and reads its mass L at theta; L <= F, since
-    every merge lower-bounds.  Each merge of the table then keeps no atom up
-    to delta = s L (1 - sqrt(beta)/(1 + eps))/(beta (2n - 3)), with s =
-    ``_FLOOR_SHARE`` < 1: the greedy walk starts at the first atom past it,
-    and the thresholds start at it.  The mass whose
-    cumulative total is at most delta merges into the first kept atom, which
-    keeps its exact cumulative mass.  Such a merge leaves F' <= F <= (1 + e)
-    F' + delta, as left of the first kept atom F <= delta, and convolving
-    with a probability law keeps this without growing delta.  Over the
-    2n - 3 merges, M <= F <= beta (M + (2n - 3) delta) <= beta M + r F, with
-    r = s (1 - sqrt(beta)/(1 + eps)), as L <= F.  So F <= beta M/(1 - r),
-    and the midpoint sqrt(beta) M satisfies (1 - r)/sqrt(beta) <= sqrt(beta)
-    M/F <= sqrt(beta).  Both ends lie within [1/(1 + eps), 1 + eps] for
-    every eps = x in (0, 1].  The upper end: sqrt(beta) <= exp(x/2) <=
-    1 + x, as exp(x/2) - 1 - x is convex and not positive at x = 0 and
-    x = 1.  The lower end, (1 - r)/sqrt(beta) >= 1/(1 + eps), is (1 - s)
-    (1 - sqrt(beta)/(1 + eps)) >= 0, which holds as sqrt(beta) <= 1 + eps.
-    When every convolution and the tail's lookups fit one pair window, the
-    floor would save no work, so neither the coarse pass nor the floor
-    runs, and delta = 0.
-
-    Sampling (``for_sampling``) takes e with beta = 1/(1 - eps), and no
-    floor.  Write t_n = theta and t_{j-1} = t_j - s_j(kappa_j), with s_j =
-    ``support[j-1]``.  Coordinate j weighs kappa_j by cell(kappa_j)
-    P_{j-1}(t_{j-1}) over Z_j(t_j), the sum of its weights, which is the
-    exact convolution of P_{j-1} with Y_j's law.  Pair coordinate j's
-    numerator P_{j-1}(t_{j-1}) with coordinate (j - 1)'s denominator
-    Z_{j-1}(t_{j-1}): as P_0(t_0) = 1[accept] and Z_1 = P_1, a point's
-    probability is prod cell * 1[accept] * prod_{i=2..n-1} (P_i/Z_i)(t_i) /
-    Z_n(theta).  P_i/Z_i lies in [(1 + e)^-3, 1] for i = 2, as the chain also
-    sparsifies coordinate 1's factor, and in [(1 + e)^-2, 1] for i >= 3, so
-    the product lies in [1/beta, 1]; the exact law divides by F(theta), and
-    F(theta)/Z_n(theta) lies in [1, beta].  So every grid point's ratio to
-    the exact conditional law lies in [1/beta, beta] = [1 - eps, 1/(1 - eps)],
-    and the total variation distance is at most eps.
+    Accuracy.  The table takes the merge step e with beta = (1 + e)^(2n - 3)
+    = 1/(1 - eps), and no floor.  P_1 is exact; for j >= 2, P_j comes out of
+    ``compressed_tail_cdf``, so P_j <= F_j <= (1 + e)^(2j - 1) P_j, where
+    F_j is the exact CDF (see ``count``).  Write t_n = theta and t_{j-1} =
+    t_j - s_j(kappa_j), with s_j = ``support[j-1]``.  Coordinate j weighs
+    kappa_j by cell(kappa_j) P_{j-1}(t_{j-1}) over Z_j(t_j), the sum of its
+    weights, which is the exact convolution of P_{j-1} with Y_j's law.  Pair
+    coordinate j's numerator P_{j-1}(t_{j-1}) with coordinate (j - 1)'s
+    denominator Z_{j-1}(t_{j-1}): as P_0(t_0) = 1[accept] and Z_1 = P_1, a
+    point's probability is prod cell * 1[accept] * prod_{i=2..n-1} (P_i/Z_i)
+    (t_i) / Z_n(theta).  P_i/Z_i lies in [(1 + e)^-3, 1] for i = 2, as the
+    chain also sparsifies coordinate 1's factor, and in [(1 + e)^-2, 1] for
+    i >= 3, so the product lies in [1/beta, 1]; the exact law divides by
+    F(theta), and F(theta)/Z_n(theta) lies in [1, beta].  So every grid
+    point's ratio to the exact conditional law lies in [1/beta, beta] =
+    [1 - eps, 1/(1 - eps)], and the total variation distance is at most eps.
     """
 
     cdfs: tuple[CompressedCDF, ...]
@@ -731,23 +686,6 @@ class PrefixCDFTable:
     log_cell: np.ndarray
     kappa: np.ndarray
     theta: float
-    tail: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-    err_budget: float
-
-    @classmethod
-    def for_count(
-        cls, dc: DecoupledConstraint, spec: GridSpec, eps: float
-    ) -> "PrefixCDFTable":
-        """Table whose mass at theta, read at the midpoint of its budget, is
-        within (1 +- eps) of the exact mass; its left tails merge below a
-        floor relative to that mass, and at n >= 4 its last two coordinates
-        are read in pairs (see the class docstring)."""
-        merges = max(2 * dc.n - 3, 1)
-        step = eps / merges
-        half_log_beta = 0.5 * merges * math.log1p(step)
-        slack = -math.expm1(half_log_beta - math.log1p(eps))  # 1 - sqrt(beta)/(1 + eps)
-        log_floor_frac = math.log(_FLOOR_SHARE * slack) - 2.0 * half_log_beta - math.log(merges)
-        return cls._build(dc, spec, step, log_floor_frac)
 
     @classmethod
     def for_sampling(
@@ -759,69 +697,26 @@ class PrefixCDFTable:
         (0, 1) raises ValueError: eps = 1 would bound nothing."""
         if not (0.0 < eps < 1.0):
             raise ValueError(f"eps must lie in (0, 1) for sampling, got {eps}")
-        step = math.expm1(-math.log1p(-eps) / max(2 * dc.n - 3, 1))
-        return cls._build(dc, spec, step)
-
-    @classmethod
-    def _build(
-        cls,
-        dc: DecoupledConstraint,
-        spec: GridSpec,
-        eps_step: float,
-        log_floor_frac: float | None = None,
-    ) -> "PrefixCDFTable":
-        """Table for ``dc`` on ``spec``; its CDFs from P_2 on come from
-        ``compressed_tail_cdf`` at ``eps_step``.  Given ``log_floor_frac``
-        it is a count table: floored at exp(log_floor_frac) times the coarse
-        mass at theta, and at n >= 4 its tail is the last two coordinates'
-        factors."""
         n = dc.n
+        step = math.expm1(-math.log1p(-eps) / max(2 * n - 3, 1))
         if spec.n != n:
             raise ValueError("constraint and grid dimensions disagree")
-        if spec.points_per_coord > _POINTS_LIMIT:
-            raise EngineTooLargeError(
-                f"grid has {spec.points_per_coord} points per coordinate, beyond "
-                f"the size guard of {_POINTS_LIMIT}; use a coarser tau or a smaller B"
-            )
-        kappa = spec.value(np.arange(spec.points_per_coord))
-        support = dc.lam[:, None] * kappa * kappa + dc.mu[:, None] * kappa
-        log_cell = _log_cell_masses(spec.tau, spec.B)
-        theta = float(dc.theta)
-        point = _POINT_MASS_AT_ZERO
-        grid_tail = (support[n - 1], log_cell, point.values, point.log_cum)
-        pairs = log_floor_frac is not None and n >= 4
-        chain = n - 2 if pairs else n - 1
-        pmfs = [
-            support_and_log_pmf(float(dc.lam[j]), float(dc.mu[j]), spec)
-            for j in range(n if pairs else n - 1)
-        ]
-        cdfs, tail = [point], grid_tail
-        if chain >= 1:
+        kappa, log_cell = _grid_axis(spec)
+        pmfs = [support_and_log_pmf(float(dc.lam[j]), float(dc.mu[j]), spec) for j in range(n - 1)]
+        cdfs = [_POINT_MASS_AT_ZERO]
+        if pmfs:
             cdfs.append(_finalize_cdf(*pmfs[0], 1.0))
-        if chain >= 2:
-            merge = eps_step
-            if log_floor_frac is not None:
-                merge = _FlooredStep(
-                    eps_step,
-                    lambda factors: log_floor_frac
-                    + _coarse_log_mass(factors[: n - 1], grid_tail, theta),
-                    pmfs[chain:],
-                )
+        if len(pmfs) >= 2:
+            factors, _ = _guarded_factors(pmfs, step, 0)
             steps: list[CompressedCDF] = []
-            compressed_tail_cdf(pmfs[:chain], merge, collect=steps)
+            compressed_tail_cdf(factors, step, collect=steps)
             cdfs.extend(steps[1:])
-            if pairs:
-                (vb, lb), (vc, lc) = merge.tail
-                tail = (vb, lb, vc, lc)
-        budget = (1.0 + eps_step) ** (2 * n - 3) if pairs else cdfs[-1].err_budget
         return cls(
             cdfs=tuple(cdfs),
-            support=support,
+            support=dc.lam[:, None] * kappa * kappa + dc.mu[:, None] * kappa,
             log_cell=log_cell,
             kappa=kappa,
-            theta=theta,
-            tail=tail,
-            err_budget=budget,
+            theta=float(dc.theta),
         )
 
     @property
@@ -836,14 +731,12 @@ class PrefixCDFTable:
         return self.log_cell + self.cdfs[j].log_query(t - self.support[j])
 
     def mass(self) -> float:
-        """The mass at theta read at the geometric midpoint of the table's
-        ``err_budget``, capped at 1: within (1 +- eps) of the exact grid mass
-        for ``for_count`` at eps, and within (1 - eps)^(+-1/2) of it for
-        ``for_sampling`` at eps."""
-        lm = _tail_log_mass(self.cdfs[-1], self.tail, self.theta)
-        if lm == LOG_ZERO:
-            return 0.0
-        return min(math.exp(lm + 0.5 * math.log(self.err_budget)), 1.0)
+        """P_{n-1} summed over coordinate n's cells at theta, read at the
+        geometric midpoint of P_{n-1}'s ``err_budget`` and capped at 1:
+        within (1 - eps)^(+-1/2) of the exact grid mass."""
+        last = self.cdfs[-1]
+        tail = _grid_tail(self.support[-1], self.log_cell)
+        return _midpoint_mass(_tail_log_mass(last, tail, self.theta), last.err_budget)
 
     def cumulative_weights(self, j: int, t: float) -> np.ndarray:
         """Cumulative weights of coordinate j+1's grid values given the
@@ -860,8 +753,8 @@ class PrefixCDFTable:
     def last_coordinate_cum(self) -> np.ndarray:
         """``cumulative_weights`` of coordinate n, the first one a draw
         takes.  Its threshold is always theta, so it is built once, on the
-        first draw, and a count table never builds it.  An empty region
-        raises FloorError here on every draw, since a raise caches nothing."""
+        first draw.  An empty region raises FloorError here on every draw,
+        since a raise caches nothing."""
         cum = self.cumulative_weights(self.n - 1, self.theta)
         cum.setflags(write=False)
         return cum
@@ -874,8 +767,7 @@ class PrefixCDFTable:
         mass at 0, coordinate 1 weighs kappa by cell(kappa) exactly when
         support[0][kappa] <= t (a float difference has the sign of the exact
         one), so its law given t is the cell masses over a prefix of this
-        order.  Built on the first draw at n >= 2; a count table never
-        builds it."""
+        order.  Built on the first draw at n >= 2."""
         order = np.argsort(self.support[0], kind="stable")
         arrays = (order, self.support[0][order], _log_cumsum(self.log_cell[order]))
         for a in arrays:
@@ -913,8 +805,6 @@ def exact_tail_bruteforce(dc: DecoupledConstraint, spec: GridSpec) -> float:
         if acc_v is None:
             acc_v, acc_p = v, p
             continue
-        if acc_v.size * v.size > _PAIR_LIMIT:
-            raise EngineTooLargeError("dense convolution exceeds the size guard")
         vv = np.add.outer(acc_v, v).ravel()
         pp = np.multiply.outer(acc_p, p).ravel()
         order = np.argsort(vv, kind="stable")
@@ -927,6 +817,22 @@ def exact_tail_bruteforce(dc: DecoupledConstraint, spec: GridSpec) -> float:
     return float(np.sum(acc_p[:idx]))
 
 
+# the share s < 1 of the lower end's slack that a count's floor spends (see
+# ``count``); the rest keeps the certificate clear of rounding
+_FLOOR_SHARE = 0.9
+
+
+def _count_step(n: int, eps: float) -> tuple[float, float]:
+    """``count``'s merge step e = eps/(2n - 3) at n >= 3 live coordinates,
+    and the log of its floor fraction s (1 - sqrt(beta)/(1 + eps))/(beta
+    (2n - 3)), with beta = (1 + e)^(2n - 3) and s = ``_FLOOR_SHARE``."""
+    merges = 2 * n - 3
+    step = eps / merges
+    half_log_beta = 0.5 * merges * math.log1p(step)
+    slack = -math.expm1(half_log_beta - math.log1p(eps))  # 1 - sqrt(beta)/(1 + eps)
+    return step, math.log(_FLOOR_SHARE * slack) - 2.0 * half_log_beta - math.log(merges)
+
+
 def count(
     dc: DecoupledConstraint, spec: GridSpec, eps: float = DEFAULT_EPS
 ) -> float:
@@ -935,14 +841,50 @@ def count(
 
     Once the dimensions of ``dc`` and ``spec`` agree (else ValueError), the
     null coordinates (lam = mu = 0) are dropped: each adds 0 on every grid
-    cell, and its cells sum to 1.  The k live coordinates are counted on the
-    grid of the same tau and B in dimension k, behind 2k - 3 merges, with
-    nothing compressed at k <= 2; a form with none live is counted as it
-    is, exactly, since its sum is 0.  The count table merges each left tail
-    below an absolute floor of a coarse lower bound L on the answer times
-    s (1 - sqrt(beta)/(1 + eps))/(beta (2k - 3)), s = ``_FLOOR_SHARE``, so
-    its atoms span only the mass range the answer needs; sampling tables
-    keep every tail and every coordinate (see ``PrefixCDFTable``)."""
+    cell, and its cells sum to 1.  The live coordinates are counted on the
+    grid of the same tau and B in their dimension, n below; a form with
+    none live is counted as it is, exactly, since its sum is 0.  At n <= 2
+    nothing is compressed: P_1 is exact, and the mass sums it over
+    coordinate 2's cells.  At n >= 3 the factors are sparsified and guarded
+    (``_guarded_factors``), floored, and chained by ``compressed_tail_cdf``;
+    the mass M sums the chain's last CDF over the tail (see the module
+    docstring) and is read at the midpoint sqrt(beta) M.
+
+    Accuracy.  Take the merge step e = eps/(2n - 3) and beta = (1 + e)^
+    (2n - 3) <= exp(eps).  A rightward merge at step e, of a factor before
+    it is convolved (greedy) or of the running sum after (at the fixed
+    thresholds c_k = base (1 + e)^k), keeps anchors with their exact
+    cumulative mass, and every atom between two kept ones has F < (1 + e)
+    times the left one's: for the thresholds, an atom between the first
+    atoms past c_k and c_(k+1) has F <= c_(k+1) = (1 + e) c_k.  So the merge
+    leaves a pointwise lower bound within a (1 + e) factor of the CDF it
+    replaces, and convolving with an independent variable keeps both
+    properties.  2n - 3 merges lie behind M: 2(n - 1) - 1 in the chain with
+    the grid tail, 2(n - 2) - 1 in the chain and one per tail factor with
+    the last two factors.  So without a floor M <= F <= beta M, where F is
+    the exact grid mass at theta.
+
+    The floor.  A coarse pass (``_coarse_log_mass``) chains the first n - 1
+    sparsified factors at step 1, sums the result over coordinate n's grid
+    cells and reads its mass L at theta; L <= F, since every merge
+    lower-bounds.  Each merge then keeps no atom up to delta = s L (1 -
+    sqrt(beta)/(1 + eps))/(beta (2n - 3)), with s = ``_FLOOR_SHARE`` < 1
+    (``_count_step``): the greedy walk starts at the first atom past it, and
+    the thresholds start at it.  The mass whose cumulative total is at most
+    delta merges into the first kept atom, which keeps its exact cumulative
+    mass.  Such a merge leaves F' <= F <= (1 + e) F' + delta, as left of the
+    first kept atom F <= delta, and convolving with a probability law keeps
+    this without growing delta.  Over the 2n - 3 merges, M <= F <= beta (M +
+    (2n - 3) delta) <= beta M + r F, with r = s (1 - sqrt(beta)/(1 + eps)),
+    as L <= F.  So F <= beta M/(1 - r), and the midpoint sqrt(beta) M
+    satisfies (1 - r)/sqrt(beta) <= sqrt(beta) M/F <= sqrt(beta).  Both ends
+    lie within [1/(1 + eps), 1 + eps] for every eps = x in (0, 1].  The
+    upper end: sqrt(beta) <= exp(x/2) <= 1 + x, as exp(x/2) - 1 - x is
+    convex and not positive at x = 0 and x = 1.  The lower end, (1 - r)/
+    sqrt(beta) >= 1/(1 + eps), is (1 - s)(1 - sqrt(beta)/(1 + eps)) >= 0,
+    which holds as sqrt(beta) <= 1 + eps.  When every convolution and the
+    tail's lookups fit one pair window, the floor would save no work, so
+    neither the coarse pass nor the floor runs, and delta = 0."""
     if not (0.0 < eps <= 1.0):
         raise ValueError(f"eps must lie in (0, 1], got {eps}")
     if spec.n != dc.n:
@@ -952,7 +894,29 @@ def count(
     if 0 < k < dc.n:
         dc = DecoupledConstraint(lam=dc.lam[live], mu=dc.mu[live], theta=dc.theta, rotation=np.eye(k))
         spec = GridSpec(tau=spec.tau, B=spec.B, n=k)
-    return PrefixCDFTable.for_count(dc, spec, eps).mass()
+    n, theta = dc.n, float(dc.theta)
+    kappa, log_cell = _grid_axis(spec)
+    grid_tail = _grid_tail(dc.lam[-1] * kappa * kappa + dc.mu[-1] * kappa, log_cell)
+    pmfs = [
+        support_and_log_pmf(float(dc.lam[j]), float(dc.mu[j]), spec)
+        for j in range(n if n >= 4 else n - 1)
+    ]
+    if n <= 2:
+        cdf = _finalize_cdf(*pmfs[0], 1.0) if pmfs else _POINT_MASS_AT_ZERO
+        return _midpoint_mass(_tail_log_mass(cdf, grid_tail, theta), 1.0)
+    step, log_floor_frac = _count_step(n, eps)
+    factors, worst = _guarded_factors(pmfs, step, 2 if n >= 4 else 0)
+    floor = LOG_ZERO
+    if worst > _PAIR_BLOCK:
+        floor = log_floor_frac + _coarse_log_mass(factors[: n - 1], grid_tail, theta)
+        if floor > LOG_ZERO:
+            factors = [_sparsify(v, lp, step, floor, f) for (v, lp), f in zip(pmfs, factors)]
+    tail = grid_tail
+    if n >= 4:
+        (vb, lb), (vc, lc) = factors[-2:]
+        factors, tail = factors[:-2], (vb, lb, vc, lc)
+    cdf = compressed_tail_cdf(factors, _FlooredStep(step, floor))
+    return _midpoint_mass(_tail_log_mass(cdf, tail, theta), (1.0 + step) ** (2 * n - 3))
 
 
 @dataclass(frozen=True)

@@ -136,6 +136,8 @@ class DecoupledConstraint:
         object.__setattr__(self, "rotation", rot)
         object.__setattr__(self, "theta", float(self.theta))
         n = lam.shape[0]
+        if n < 1:
+            raise ValueError("lambda, mu and rotation must be nonempty")
         if mu.shape != (n,) or rot.shape != (n, n):
             raise ValueError("lambda, mu, rotation have inconsistent shapes")
         if not (all(np.isfinite(a).all() for a in (lam, mu, rot)) and math.isfinite(self.theta)):

@@ -88,6 +88,32 @@ def test_tracer_drives_count_and_draw():
         assert rows[name]["calls"] == 3, name
 
 
+def test_tracer_counts_the_pairs_the_engine_forms(monkeypatch):
+    # the tracer reads pairs as kept atoms times the size of each factor it
+    # sees; default-flag counts at n = 4 and 5 run the coarse pass, the
+    # floor and the tail lookups, and every pair they form comes from a
+    # convolution of an m-atom running sum with a k-atom factor
+    formed = [0]
+    real = counter._convolve_sparsify
+
+    def spy(values, logp, atom_v, atom_lp, *args):
+        formed[0] += values.size * atom_v.size
+        return real(values, logp, atom_v, atom_lp, *args)
+
+    monkeypatch.setattr(counter, "_convolve_sparsify", spy)
+    workloads = load_tracing()
+    for n in (4, 5):
+        gen = np.random.default_rng(n)
+        big = gen.standard_normal((n, n))
+        q = QuadraticForm(A=-np.eye(n) + 0.3 * (big + big.T) / 2.0, b=0.3 * gen.standard_normal(n), c=float(n))
+        tracer = workloads.Tracer()
+        formed[0] = 0
+        with tracer.installed():
+            count_ptf_gaussian(q)
+        assert tracer.absent == {}
+        assert tracer.counts["counter.pairs"] == formed[0] > 0, n
+
+
 def test_tracer_drives_planted_run():
     # the densify-planted layers: the wrapped densifier names must be the
     # ones planted_experiment calls.  The disc stops at round 0 with

@@ -220,6 +220,18 @@ class TestBadInput:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "decoupled" in captured.err
 
+    @pytest.mark.parametrize("command", ["count", "sample"])
+    def test_empty_decoupled_instance_exit_1(self, tmp_path, capsys, command):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"decoupled": {"lambda": [], "mu": [], "theta": 1}}))
+        code = cli.main([command, "--instance", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (
+            "error: cannot read instance: lambda, mu and rotation must be nonempty\n"
+        )
+
     def test_densify_zero_mass_target_exit_1(self, tmp_path, capsys):
         path = tmp_path / "neg.json"
         save_instance(QuadraticForm(A=np.zeros((2, 2)), b=np.zeros(2), c=-1.0), str(path))

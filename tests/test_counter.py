@@ -151,8 +151,9 @@ class TestCount:
             support_and_log_pmf(float(dc.lam[j]), float(dc.mu[j]), spec)
             for j in range(3)
         ]
+        factors, _ = counter._guarded_factors(pmfs, 0.25, 0)
         collected: list = []
-        compressed_tail_cdf(pmfs, 0.25, collect=collected)
+        compressed_tail_cdf(factors, 0.25, collect=collected)
         # exact running convolutions in linear space
         running_v, running_p = None, None
         for k, (v, lp) in enumerate(pmfs):
@@ -239,9 +240,9 @@ class TestNullCoordinates:
         spec = GridSpec(tau=DEFAULT_TAU, B=4.0, n=dc.n)
         got = count(dc, spec)
         assert got > 0.0
-        # the live coordinates' own table, built without the reduction
+        # the live coordinates' own count, which has nothing to reduce
         spec_k = GridSpec(tau=DEFAULT_TAU, B=4.0, n=reduced.n)
-        assert got == PrefixCDFTable.for_count(reduced, spec_k, DEFAULT_EPS).mass()
+        assert got == count(reduced, spec_k, DEFAULT_EPS)
 
     @pytest.mark.parametrize("mask", ["010", "1001", "10110", "110011"])
     def test_builds_pmfs_for_live_coordinates_only(self, monkeypatch, mask):
@@ -503,8 +504,8 @@ class TestKernels:
         table = PrefixCDFTable.for_sampling(dc, spec, 0.05)
         assert table.cdfs[2].values[0] == f1[0][0] + f2[0][0]
         assert table.cdfs[2].log_cum[0] == pytest.approx(f1[1][0] + f2[1][0], rel=1e-13)
-        # a count table merges that pair into its first kept atom, which holds
-        # the exact cumulative mass of the (floored) factors it convolved
+        # a count merges that pair into its first kept atom, which holds the
+        # exact cumulative mass of the (floored) factors it convolved
         calls = []
         real = counter._convolve_sparsify
 
@@ -513,9 +514,10 @@ class TestKernels:
             return real(*args)
 
         monkeypatch.setattr(counter, "_convolve_sparsify", spy)
-        table = PrefixCDFTable.for_count(dc, spec, 0.05)
+        reads = tail_reads(monkeypatch)
+        count(dc, spec, 0.05)
         *factors, _, log_floor = calls[-1]
-        first = table.cdfs[2]
+        first = reads[-1][0]
         assert log_floor > LOG_ZERO
         # both factors were floored too: each first atom holds more than it
         assert factors[1][0] > log_floor and factors[3][0] > log_floor
@@ -621,6 +623,20 @@ def cube_style(n):
     return hardness.gen_deg2_cube_instance(inst)[1]
 
 
+def tail_reads(monkeypatch):
+    """Record every (cdf, tail, theta) ``_tail_log_mass`` reads, with its
+    result: a count's last read is its mass before the midpoint."""
+    reads = []
+    real = counter._tail_log_mass
+
+    def spy(cdf, tail, theta):
+        reads.append((cdf, tail, theta, real(cdf, tail, theta)))
+        return reads[-1][-1]
+
+    monkeypatch.setattr(counter, "_tail_log_mass", spy)
+    return reads
+
+
 def pair_counter(monkeypatch):
     """Count the pairs every convolution forms."""
     formed = [0]
@@ -636,8 +652,8 @@ def pair_counter(monkeypatch):
 
 
 class TestAnswerRelativeFloor:
-    """Count tables merge each left tail below a floor relative to a coarse
-    lower bound on the answer; sampling tables keep every tail."""
+    """Counts merge each left tail below a floor relative to a coarse lower
+    bound on the answer; sampling tables keep every tail."""
 
     @pytest.mark.parametrize("block, stride", [(1 << 16, 32), (61, 1)])
     def test_floored_walk_matches_log_space_reference(self, monkeypatch, block, stride):
@@ -709,22 +725,30 @@ class TestAnswerRelativeFloor:
         assert worst <= 0.05 / 2
 
     def test_no_coarse_pass_when_every_step_fits_one_window(self, monkeypatch):
+        # the count reads the unfloored chain of its first two factors, and
+        # the unfloored last two factors
         def no_coarse(*args):
-            raise AssertionError("the coarse pass ran on a one-window table")
+            raise AssertionError("the coarse pass ran on a one-window count")
 
         monkeypatch.setattr(counter, "_coarse_log_mass", no_coarse)
+        reads = tail_reads(monkeypatch)
         gen = np.random.default_rng(24)
         spec = GridSpec(tau=0.25, B=2.0, n=4)
         dc = lattice_constraint(gen, 4)
         step = 0.05 / 5
-        got = PrefixCDFTable.for_count(dc, spec, 0.05)
-        want = PrefixCDFTable._build(dc, spec, step)
-        for a, b in zip(got.cdfs, want.cdfs):
-            assert np.array_equal(a.values, b.values)
-            assert np.array_equal(a.log_cum, b.log_cum)
+        count(dc, spec, 0.05)
+        pmfs = [support_and_log_pmf(float(dc.lam[j]), float(dc.mu[j]), spec) for j in range(4)]
+        factors, _ = counter._guarded_factors(pmfs, step, 2)
+        want = compressed_tail_cdf(factors[:2], step)
+        assert len(reads) == 1
+        got, tail, _, _ = reads[0]
+        assert np.array_equal(got.values, want.values)
+        assert np.array_equal(got.log_cum, want.log_cum)
+        for a, b in zip(tail, (*factors[2], *factors[3])):
+            assert np.array_equal(a, b)
 
     def test_sampling_table_has_no_floor(self, monkeypatch):
-        # even where a count table's floor engages, a sampling table equals
+        # even where a count's floor engages, a sampling table equals
         # one built straight from the unfloored chain
         monkeypatch.setattr(counter, "_PAIR_BLOCK", 61)
         gen = np.random.default_rng(25)
@@ -738,8 +762,9 @@ class TestAnswerRelativeFloor:
                     support_and_log_pmf(float(dc.lam[j]), float(dc.mu[j]), spec)
                     for j in range(n - 1)
                 ]
+                factors, _ = counter._guarded_factors(pmfs, step, 0)
                 steps = []
-                compressed_tail_cdf(pmfs, step, collect=steps)
+                compressed_tail_cdf(factors, step, collect=steps)
                 assert len(table.cdfs) == len(steps) + 1
                 for got, want in zip(table.cdfs[2:], steps[1:]):
                     assert np.array_equal(got.values, want.values)
@@ -796,31 +821,32 @@ class TestAnswerRelativeFloor:
         plane = QuadraticForm(A=-np.eye(2), b=np.array([0.3, 0.3]), c=2.0)
         assert estimate == pytest.approx(count_ptf_gaussian(plane).estimate, rel=DEFAULT_TAU)
 
-    def test_certificate_holds_for_every_eps_and_n(self, monkeypatch):
-        # the class docstring's arithmetic, on the step and floor that
-        # for_count passes to _build: with beta = (1 + step)^(2n - 3) and
-        # r = beta (2n - 3) delta/L, the midpoint's two ends sqrt(beta) and
-        # (1 - r)/sqrt(beta) lie within [1/(1 + eps), 1 + eps]
-        seen = {}
-
-        def capture(cls, dc, spec, eps_step, log_floor_frac=None):
-            seen.update(step=eps_step, log_floor_frac=log_floor_frac)
-
-        monkeypatch.setattr(PrefixCDFTable, "_build", classmethod(capture))
+    def test_certificate_holds_for_every_eps_and_n(self):
+        # count's docstring arithmetic, on the step and floor fraction it
+        # takes: with beta = (1 + step)^(2n - 3) and r = beta (2n - 3)
+        # delta/L, the midpoint's two ends sqrt(beta) and (1 - r)/sqrt(beta)
+        # lie within [1/(1 + eps), 1 + eps]
         grid = np.concatenate((np.geomspace(1e-6, 1.0, 1000), np.linspace(0.0, 1.0, 1001)[1:], [0.5]))
         for n in range(3, 65):
-            dc = DecoupledConstraint(lam=np.ones(n), mu=np.zeros(n), theta=0.0, rotation=np.eye(n))
             for eps in grid.tolist():
-                PrefixCDFTable.for_count(dc, None, eps)
-                beta = (1.0 + seen["step"]) ** (2 * n - 3)
-                r = beta * (2 * n - 3) * math.exp(seen["log_floor_frac"])
+                step, log_floor_frac = counter._count_step(n, eps)
+                beta = (1.0 + step) ** (2 * n - 3)
+                r = beta * (2 * n - 3) * math.exp(log_floor_frac)
                 assert math.sqrt(beta) <= 1.0 + eps
                 assert (1.0 - r) / math.sqrt(beta) >= 1.0 / (1.0 + eps)
 
 
 class TestTail:
-    """Count tables at n >= 4 read their last two coordinates by lookups into
-    the CDF of the others, instead of convolving them."""
+    """Counts at n >= 4 read their last two coordinates by lookups into the
+    CDF of the others, instead of convolving them, and build no table."""
+
+    def test_count_builds_no_table(self, monkeypatch):
+        def no_table(*args, **kwargs):
+            raise AssertionError("a count built a PrefixCDFTable")
+
+        monkeypatch.setattr(PrefixCDFTable, "__init__", no_table)
+        for n in range(1, 6):
+            assert 0.0 < count_ptf_gaussian(bench_style(n)).estimate < 1.0
 
     def test_default_count_convolves_n_minus_3_times(self, monkeypatch):
         # machine-independent: the fine chain stops two coordinates early.
@@ -853,11 +879,15 @@ class TestTail:
             return real(log_terms)
 
         monkeypatch.setattr(counter, "log_sum", spy)
+        reads = tail_reads(monkeypatch)
         spec = GridSpec(tau=1.0, B=25.0, n=n)
         dc = DecoupledConstraint(lam=np.zeros(n), mu=-np.ones(n), theta=theta, rotation=np.eye(n))
-        table = PrefixCDFTable.for_count(dc, spec, 0.05)
-        assert len(table.cdfs) == n - 1 and table.err_budget == (1.0 + 0.05 / (2 * n - 3)) ** (2 * n - 3)
-        got = counter._tail_log_mass(table.cdfs[-1], table.tail, dc.theta)
+        count(dc, spec, 0.05)
+        step = 0.05 / (2 * n - 3)
+        cdf, _, _, got = reads[-1]
+        # the chain holds the first n - 2 coordinates
+        assert cdf.err_budget == (1.0 + step) ** (2 * (n - 2) - 1)
+        beta = (1.0 + step) ** (2 * n - 3)
         assert any(len(s) == 2 and s[1] > 1 for s in shapes)
         pmf = support_and_log_pmf(0.0, -1.0, spec)
         v, lp = pmf
@@ -865,24 +895,28 @@ class TestTail:
             v, lp = oracles.convolve_log(v, lp, *pmf)
         exact = float(np.logaddexp.reduce(lp[v <= theta]))
         assert exact < -1000.0
-        assert abs(got + 0.5 * math.log(table.err_budget) - exact) <= math.log1p(0.05)
+        assert abs(got + 0.5 * math.log(beta) - exact) <= math.log1p(0.05)
 
-    def test_tail_lookups_run_in_row_blocks(self):
+    def test_tail_lookups_run_in_row_blocks(self, monkeypatch):
         # a far-tail region on a wide grid keeps ~2500 atoms in each tail
         # factor: 6.2M lookups, whose thresholds alone would take 50 MB at
         # once
+        real = counter._tail_log_mass
+        reads = tail_reads(monkeypatch)
         dc = DecoupledConstraint(
             lam=np.full(4, -0.5), mu=np.array([0.3, 0.2, 0.1, 0.4]), theta=-60.0, rotation=np.eye(4)
         )
-        table = PrefixCDFTable.for_count(dc, GridSpec(tau=2.0**-8, B=16.0, n=4), 0.05)
-        assert table.tail[0].size * table.tail[2].size > 5_000_000
+        mass = count(dc, GridSpec(tau=2.0**-8, B=16.0, n=4), 0.05)
+        assert 0.0 < mass < 1e-20
+        cdf, tail, theta, want = reads[-1]
+        assert tail[0].size * tail[2].size > 5_000_000
         tracemalloc.start()
         try:
-            mass = table.mass()
+            got = real(cdf, tail, theta)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert 0.0 < mass < 1e-20
+        assert got == want
         assert peak < 8e6
 
     def test_floored_factor_reuses_its_unfloored_walk(self, monkeypatch):

@@ -471,6 +471,11 @@ class TestInstanceIO:
         save_instance(dc, path)
         assert instance_to_dict(load_instance(path)) == doc
 
+    def test_empty_decoupled_rejected(self):
+        # as an empty A is: with no coordinate there is nothing to count
+        with pytest.raises(ValueError, match="^lambda, mu and rotation must be nonempty$"):
+            instance_from_dict({"decoupled": {"lambda": [], "mu": [], "theta": 1.0}})
+
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):
             instance_from_dict({"n": 2, "A": [[0, 1], [0, 0]], "b": [0, 0], "c": 0})

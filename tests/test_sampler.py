@@ -468,15 +468,20 @@ class TestPtfSampler:
         assert 0.0 < count(SKEW3, spec, 1.0) < 1.0
 
     def test_one_table_per_sampler(self, monkeypatch):
-        # the floor check reads the sampling table: no count table is built,
+        # the floor check reads the sampling table: no other table is built,
         # neither here nor on the first draw
-        def no_count_table(*args, **kwargs):
-            raise AssertionError("a count table was built")
+        built = []
+        real = PrefixCDFTable.__init__
 
-        monkeypatch.setattr(PrefixCDFTable, "for_count", no_count_table)
+        def spy(self, *args, **kwargs):
+            built.append(self)
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(PrefixCDFTable, "__init__", spy)
         q = QuadraticForm(A=-np.eye(3) + 0.1, b=np.array([0.3, -0.2, 0.1]), c=3.0)
         s = PtfSampler(q, 0.1, tau=2.0**-4, trunc_B=3.0)
         assert s.sample(Rng(0)).shape == (3,)
+        assert len(built) == 1 and built[0] is s.table
 
     @pytest.mark.parametrize("n, tau", [(3, 0.25), (4, 0.5)])
     def test_floor_mass_within_half_the_budget(self, n, tau):

@@ -3,51 +3,43 @@ for independent per-coordinate variables Y_i = lam_i*[G]^2 + mu_i*[G], and
 the prefix-CDF table the sampler draws from.
 
 The engine convolves the per-coordinate pmfs sequentially, sparsifying each
-factor before it enters and the running distribution after every step.  A
-merge keeps some atoms and merges the mass of the dropped atoms into the
-next kept atom to their right, so that every dropped atom after a kept atom
-x has cumulative mass below (1 + eps_step) F(x).  A factor is sorted, and is
-merged greedily: an atom is kept once the cumulative mass has grown by more
-than a (1 + eps_step) factor since the last kept atom, every atom's
-successor coming from one vectorized search.  The running sum of a
-convolution is merged at fixed thresholds c_k = base * (1 + eps_step)^k:
-for each, the first atom whose cumulative mass exceeds it is kept, and the
-last atom.  Fixed thresholds need the order of the pairs only where a
-threshold falls, so a convolution forms its pairs one window of values at a
-time, sums their masses into value bins, and sorts only the pairs of the
-bins a threshold falls in.  Merging rightward makes the compressed CDF F' a
-pointwise lower bound of the running CDF F with F <= (1 + eps_step) * F',
-so after k merges the exact CDF is bracketed within a known factor
-``err_budget = (1 + eps_step)^k``.  A count also merges at a floor relative
-to the answer (the greedy walk starts past it, and it is the base of the
-thresholds), which merges the far left tail into the first kept atom at a
-bounded additive cost.  Masses are stored as logs; pair masses and
-cumulative sums are formed in linear space scaled by each call's largest
-mass, and whatever falls too far below it for a double is summed in log
-space instead.  One window of pairs is alive at a time, and the merge
-carries its state from window to window, so results do not depend on where
-the windows split.
+factor before it enters (``_sparsify``, a greedy walk) and the running sum
+after every step (``_merge_stream``, at fixed thresholds c_k = base * (1 +
+eps_step)^k, which need the order of the pairs only where a threshold
+falls).  A merge keeps some atoms and merges the mass of the dropped atoms
+into the next kept atom to their right, so the compressed CDF F' is a
+pointwise lower bound of the CDF F it replaces with F <= (1 + eps_step) F';
+after k merges the exact CDF is bracketed within (1 + eps_step)^k.  The
+proof that reads a CDF counts its merges (``count``, ``PrefixCDFTable``); a
+``CompressedCDF`` carries no budget.  A count also merges at a floor
+relative to the answer, which merges the far left tail into the first kept
+atom at a bounded additive cost.  Masses are stored as logs; pair masses
+and cumulative sums are formed in linear space scaled by each call's
+largest mass, and whatever falls too far below it for a double is summed in
+log space instead.  A convolution forms its pairs one window of values at a
+time, and the merge carries its state from window to window, so results do
+not depend on where the windows split.
 
 ``compressed_tail_cdf`` is the chain that counting and sampling share: it
 convolves factors its caller has sparsified and guarded
-(``_guarded_factors``).  ``count`` reads the mass at theta off the chain's
-last CDF P in pairs over a tail of two atom lists b and c:
-sum_(b, c) mass(b) mass(c) P(theta - (v_b + v_c)) (``_tail_log_mass``).  At
-n >= 4 it chains only the first n - 2 coordinates, and its tail is the last
-two coordinates' sparsified factors: they are read at once, by sorted
-lookups into P_{n-2}, a meet-in-the-middle evaluation (as in Horowitz and
-Sahni's subset-sum algorithm) that replaces the last and largest
-convolution.  The merges behind the mass stay 2n - 3: 2n - 5 in the chain
-and one per tail factor.  At n <= 3 it chains the first n - 1 coordinates,
-and its tail pairs coordinate n's grid values, with their cell masses, with
-the point mass at 0, which sums P_{n-1} over coordinate n's cells.  The
-mass read at the geometric midpoint of the budget is ``count``'s (1 +- eps)
-answer (exact up to float roundoff at n <= 2, where nothing is compressed);
-a count builds no table.  ``PrefixCDFTable`` keeps the CDFs of the prefix
-sums Y_1 + ... + Y_j, one chain at the sampler's own step, and the sampler
-draws coordinates n, ..., 1 in turn from them; its ``mass()`` is the
-sampler's floor check.  Everything is pure and deterministic: two runs on
-identical inputs produce bit-identical outputs.
+(``_guarded_factors``).  The mass at theta is read off the chain's last CDF
+P in one of two ways.  A grid sum adds one coordinate's cells, sum_kappa
+cell(kappa) P(theta - s(kappa)), whose terms are the weights the sampler
+draws that coordinate by, read through ``CompressedCDF.log_query``
+(``_grid_log_mass``): a count at n <= 3, its coarse pass and a sampling
+table's ``mass()`` read coordinate n so.  A count at n >= 4 chains only the
+first n - 2 coordinates and reads the last two coordinates' sparsified
+factors b and c at once, sum_(b, c) mass(b) mass(c) P(theta - (v_b + v_c))
+(``_tail_log_mass``), by sorted lookups into P_{n-2}: a meet-in-the-middle
+evaluation (as in Horowitz and Sahni's subset-sum algorithm) that replaces
+the last and largest convolution.  Either way 2n - 3 merges lie behind a
+count's mass, which read at the geometric midpoint of their budget is its
+(1 +- eps) answer (exact up to float roundoff at n <= 2, where nothing is
+compressed); a count builds no table.  ``PrefixCDFTable`` keeps the CDFs of
+the prefix sums Y_1 + ... + Y_j, one chain at the sampler's own step, and
+the sampler draws coordinates n, ..., 1 in turn from them.  Everything is
+pure and deterministic: two runs on identical inputs produce bit-identical
+outputs.
 
 ``count`` reads only the live coordinates, those with lam or mu nonzero.
 A null coordinate has Y = 0 on every grid cell, and its cells sum to 1, so
@@ -127,31 +119,22 @@ def default_trunc_radius(n: int, eps: float) -> int:
 
 @dataclass(frozen=True)
 class CompressedCDF:
-    """Sparsified CDF: ascending anchor values with log cumulative masses.
-
-    The represented step function lower-bounds the CDF it was compressed
-    from; the true CDF never exceeds it by more than the multiplicative
-    ``err_budget``, plus, in a count's chain with a floor, an additive term
-    (see ``count``).
-    """
+    """A step function: ascending anchor values with strictly increasing
+    logs of their cumulative masses.  Out of a merge it lower-bounds the CDF
+    it replaces, within a factor that the proof reading it bounds."""
 
     values: np.ndarray
     log_cum: np.ndarray
-    err_budget: float
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float)
-        c = np.asarray(self.log_cum, dtype=float)
-        v.setflags(write=False)
-        c.setflags(write=False)
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "log_cum", c)
+        for name in ("values", "log_cum"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+            getattr(self, name).setflags(write=False)
+        v, c = self.values, self.log_cum
         if v.shape != c.shape or v.ndim != 1 or v.size == 0:
             raise ValueError("values and log_cum must be matching 1-d arrays")
         if np.any(np.diff(v) <= 0.0) or np.any(np.diff(c) <= 0.0):
             raise ValueError("anchors must be strictly increasing")
-        if self.err_budget < 1.0:
-            raise ValueError("err_budget must be >= 1")
 
     def log_query(self, t):
         """log F'(t) for a scalar or an array of thresholds."""
@@ -469,7 +452,7 @@ def _convolve_sparsify(values, logp, atom_v, atom_lp, eps_step: float, log_floor
     return _merge_stream(windows, top_a + top_b, eps_step, log_floor)
 
 
-def _finalize_cdf(values, logp, err_budget) -> CompressedCDF:
+def _finalize_cdf(values, logp) -> CompressedCDF:
     cum = _log_cumsum(logp)
     # drop anchors whose mass vanished below float resolution so the
     # cumulative sequence is strictly increasing
@@ -477,7 +460,7 @@ def _finalize_cdf(values, logp, err_budget) -> CompressedCDF:
     last = np.flatnonzero(keep)[-1]
     if last != cum.size - 1:
         cum[last] = cum[-1]
-    return CompressedCDF(values=values[keep], log_cum=cum[keep], err_budget=err_budget)
+    return CompressedCDF(values=values[keep], log_cum=cum[keep])
 
 
 def _log_spread(logp: np.ndarray) -> float:
@@ -545,46 +528,45 @@ class _FlooredStep:
 def compressed_tail_cdf(factors, eps_step, collect: list | None = None) -> CompressedCDF:
     """Convolve ascending (values, log masses) factors left to right,
     merging the running sum after every convolution at the per-merge step
-    ``eps_step``.  The factors come sparsified at that step and admitted by
-    the size guard (``_guarded_factors``); this neither sparsifies nor
-    guards.
-
-    2j - 1 merges lie behind the j-th prefix sum, one per factor and one per
-    convolution, so its compressed CDF lower-bounds the exact CDF and stays
-    within its ``err_budget`` = (1 + eps_step)^(2j - 1) of it; ``collect``
-    receives one per prefix sum.
-
+    ``eps_step``; the factors come sparsified at that step and admitted by
+    the size guard (``_guarded_factors``).  Every merge lower-bounds the
+    CDF it replaces, so each prefix sum's compressed CDF (``collect``
+    receives one per prefix sum) lower-bounds its exact CDF; by how much is
+    for the caller's proof to say, as 2j - 1 merges lie behind the j-th.
     ``eps_step`` may be a ``_FlooredStep``: then every merge keeps no atom
-    up to the floor delta (the thresholds start at it), which also lets the
-    exact CDF exceed the bound by an additive (2j - 1) * err_budget * delta,
-    when the factors were sparsified at the same floor (see ``count``)."""
+    up to the floor delta (the thresholds start at it)."""
     step, floor = eps_step, LOG_ZERO
     if isinstance(eps_step, _FlooredStep):
         step, floor = eps_step.step, eps_step.log_floor
     values, logp = factors[0]
-    for j, (atom_v, atom_lp) in enumerate(factors[1:], start=1):
+    for atom_v, atom_lp in factors[1:]:
         if collect is not None:
-            collect.append(_finalize_cdf(values, logp, (1.0 + step) ** (2 * j - 1)))
+            collect.append(_finalize_cdf(values, logp))
         values, logp = _convolve_sparsify(values, logp, atom_v, atom_lp, step, floor)
-    out = _finalize_cdf(values, logp, (1.0 + step) ** (2 * len(factors) - 1))
+    out = _finalize_cdf(values, logp)
     if collect is not None:
         collect.append(out)
     return out
 
 
+def _grid_log_mass(cdf: CompressedCDF, row: np.ndarray, log_cell: np.ndarray, theta: float) -> float:
+    """log of sum_kappa cell(kappa) F'(theta - row[kappa]), F' = ``cdf``:
+    the mass at theta of F''s sum plus a grid coordinate of values ``row``
+    and log cell masses ``log_cell``, summed in log space over the terms
+    ``PrefixCDFTable.log_weights`` draws that coordinate by."""
+    return log_sum(log_cell + cdf.log_query(theta - row))
+
+
 def _tail_log_mass(cdf: CompressedCDF, tail, theta: float) -> float:
     """log of sum_(b, c) e^(lb + lc) F'(theta - (vb + vc)), F' = ``cdf``:
-    the mass at theta of the chain's sum plus two independent variables,
-    ``tail`` = (vb, lb, vc, lc), each given by its values and log masses.
-
-    It takes one ``searchsorted`` per block of about ``_PAIR_BLOCK``
-    lookups, whole rows of b, with c in descending order so that a row's
-    thresholds ascend.  With more than one c it sums in linear space, scaled
-    by the largest mass of each list and of F', and a sum below
-    ``_LINEAR_FLOOR`` is redone in log space: a term lost to underflow
-    weighs less than 2^-1074 of the scale.  With c the point mass at 0 (the
-    grid tail) the terms are the last coordinate's ``log_weights`` at theta,
-    summed in log space as they are."""
+    the mass at theta of the chain's sum plus a count's last two
+    coordinates at n >= 4, ``tail`` = (vb, lb, vc, lc), their sparsified
+    atoms' values and log masses.  It takes one ``searchsorted`` per block
+    of about ``_PAIR_BLOCK`` lookups, whole rows of b, with c descending so
+    that a row's thresholds ascend, and sums in linear space, scaled by the
+    largest mass of each list and of F'; a sum below ``_LINEAR_FLOOR`` is
+    redone in log space, as a term lost to underflow weighs less than
+    2^-1074 of the scale."""
     vb, lb, vc, lc = tail
     vc, lc = vc[::-1], lc[::-1]
     rows = max(1, _PAIR_BLOCK // vc.size)
@@ -593,45 +575,32 @@ def _tail_log_mass(cdf: CompressedCDF, tail, theta: float) -> float:
     def lookups(r):
         return cdf.values.searchsorted(theta - (vb[r : r + rows, None] + vc), "right")
 
-    if vc.size > 1:
-        tops = (lb.max(), lc.max(), cdf.log_cum[-1])
-        f = np.concatenate(([0.0], np.exp(cdf.log_cum - tops[2])))
-        pb, pc = np.exp(lb - tops[0]), np.exp(lc - tops[1])
-        total = sum(float(pb[r : r + rows] @ (f[lookups(r)] @ pc)) for r in blocks)
-        if total >= _LINEAR_FLOOR:
-            return math.log(total) + sum(tops)
+    tops = (lb.max(), lc.max(), cdf.log_cum[-1])
+    f = np.concatenate(([0.0], np.exp(cdf.log_cum - tops[2])))
+    pb, pc = np.exp(lb - tops[0]), np.exp(lc - tops[1])
+    total = sum(float(pb[r : r + rows] @ (f[lookups(r)] @ pc)) for r in blocks)
+    if total >= _LINEAR_FLOOR:
+        return math.log(total) + sum(tops)
     log_f = np.concatenate(([LOG_ZERO], cdf.log_cum))
-    parts = [log_sum(lb[r : r + rows, None] + lc + log_f[lookups(r)]) for r in blocks]
-    return parts[0] if len(parts) == 1 else log_sum(parts)
+    return log_sum([log_sum(lb[r : r + rows, None] + lc + log_f[lookups(r)]) for r in blocks])
 
 
-def _coarse_log_mass(factors, tail, theta: float) -> float:
+def _coarse_log_mass(factors, row: np.ndarray, log_cell: np.ndarray, theta: float) -> float:
     """log of a lower bound on the grid mass at theta: ``factors`` (the
     first n - 1 coordinates) sparsified and chained at step 1, then summed
-    over ``tail``, the last coordinate's grid tail (``_tail_log_mass``).
-    Every merge lower-bounds the CDF it replaces, so the result lower-bounds
-    the exact mass."""
+    over the last coordinate's cells (``_grid_log_mass``); every merge
+    lower-bounds the CDF it replaces."""
     coarse, _ = _guarded_factors(factors, 1.0, 0)
-    return _tail_log_mass(compressed_tail_cdf(coarse, 1.0), tail, theta)
+    return _grid_log_mass(compressed_tail_cdf(coarse, 1.0), row, log_cell, theta)
 
 
-_POINT_MASS_AT_ZERO = CompressedCDF(
-    values=np.zeros(1), log_cum=np.zeros(1), err_budget=1.0
-)
+_POINT_MASS_AT_ZERO = CompressedCDF(values=np.zeros(1), log_cum=np.zeros(1))  # P_0, the empty sum
 
 
-def _grid_tail(row: np.ndarray, log_cell: np.ndarray) -> tuple:
-    """The tail that sums a CDF over the last coordinate's cells: its grid
-    values ``row`` with their cell masses, paired with the point mass at 0."""
-    return row, log_cell, _POINT_MASS_AT_ZERO.values, _POINT_MASS_AT_ZERO.log_cum
-
-
-def _midpoint_mass(log_mass: float, err_budget: float) -> float:
-    """exp(``log_mass``) at the geometric midpoint of ``err_budget``, capped
+def _midpoint_mass(log_mass: float, beta: float) -> float:
+    """exp(``log_mass``) at the geometric midpoint of [1, ``beta``], capped
     at 1; 0 when nothing lies below theta."""
-    if log_mass == LOG_ZERO:
-        return 0.0
-    return min(math.exp(log_mass + 0.5 * math.log(err_budget)), 1.0)
+    return min(math.exp(log_mass + 0.5 * math.log(beta)), 1.0)
 
 
 def _grid_axis(spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -639,8 +608,8 @@ def _grid_axis(spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     grid has passed the per-coordinate size guard."""
     if spec.points_per_coord > _POINTS_LIMIT:
         raise EngineTooLargeError(
-            f"grid has {spec.points_per_coord} points per coordinate, beyond "
-            f"the size guard of {_POINTS_LIMIT}; use a coarser tau or a smaller B"
+            f"grid has {2.0 * spec.half_index + 1.0:.3g} points per coordinate, beyond "
+            f"the size guard of {_POINTS_LIMIT:.3g}; use a coarser tau or a smaller B"
         )
     return spec.value(np.arange(spec.points_per_coord)), _log_cell_masses(spec.tau, spec.B)
 
@@ -661,20 +630,23 @@ class PrefixCDFTable:
     (``last_coordinate_cum``), and coordinate 1's for every t at once, as the
     cell masses in support order (``first_coordinate_cdf``).  A draw rebuilds
     the weights of coordinates n-1, ..., 2 only.  The table's ``mass()`` sums
-    P_{n-1} over coordinate n's cells.
+    those weights at theta, P_{n-1} over coordinate n's cells
+    (``_grid_log_mass``), and reads the sum at the midpoint of ``beta``.
 
-    Accuracy.  The table takes the merge step e with beta = (1 + e)^(2n - 3)
-    = 1/(1 - eps), and no floor.  P_1 is exact; for j >= 2, P_j comes out of
-    ``compressed_tail_cdf``, so P_j <= F_j <= (1 + e)^(2j - 1) P_j, where
-    F_j is the exact CDF (see ``count``).  Write t_n = theta and t_{j-1} =
-    t_j - s_j(kappa_j), with s_j = ``support[j-1]``.  Coordinate j weighs
-    kappa_j by cell(kappa_j) P_{j-1}(t_{j-1}) over Z_j(t_j), the sum of its
-    weights, which is the exact convolution of P_{j-1} with Y_j's law.  Pair
-    coordinate j's numerator P_{j-1}(t_{j-1}) with coordinate (j - 1)'s
-    denominator Z_{j-1}(t_{j-1}): as P_0(t_0) = 1[accept] and Z_1 = P_1, a
-    point's probability is prod cell * 1[accept] * prod_{i=2..n-1} (P_i/Z_i)
-    (t_i) / Z_n(theta).  P_i/Z_i lies in [(1 + e)^-3, 1] for i = 2, as the
-    chain also sparsifies coordinate 1's factor, and in [(1 + e)^-2, 1] for
+    Accuracy.  The table takes the merge step e with ``beta`` =
+    (1 + e)^(2n - 3) = 1/(1 - eps), and no floor; at n <= 2 nothing is
+    compressed and ``beta`` is 1.  P_1 is exact; for j >= 2, P_j comes out
+    of ``compressed_tail_cdf`` after 2j - 1 merges of step e, so P_j <= F_j
+    <= (1 + e)^(2j - 1) P_j, where F_j is the exact CDF (see ``count``).
+    Write t_n = theta and t_{j-1} = t_j - s_j(kappa_j), with s_j =
+    ``support[j-1]``.  Coordinate j weighs kappa_j by cell(kappa_j)
+    P_{j-1}(t_{j-1}) over Z_j(t_j), the sum of its weights, which is the
+    exact convolution of P_{j-1} with Y_j's law.  Pair coordinate j's
+    numerator P_{j-1}(t_{j-1}) with coordinate (j - 1)'s denominator
+    Z_{j-1}(t_{j-1}): as P_0(t_0) = 1[accept] and Z_1 = P_1, a point's
+    probability is prod cell * 1[accept] * prod_{i=2..n-1} (P_i/Z_i)(t_i) /
+    Z_n(theta).  P_i/Z_i lies in [(1 + e)^-3, 1] for i = 2, as the chain
+    also sparsifies coordinate 1's factor, and in [(1 + e)^-2, 1] for
     i >= 3, so the product lies in [1/beta, 1]; the exact law divides by
     F(theta), and F(theta)/Z_n(theta) lies in [1, beta].  So every grid
     point's ratio to the exact conditional law lies in [1/beta, beta] =
@@ -686,6 +658,7 @@ class PrefixCDFTable:
     log_cell: np.ndarray
     kappa: np.ndarray
     theta: float
+    beta: float
 
     @classmethod
     def for_sampling(
@@ -705,7 +678,7 @@ class PrefixCDFTable:
         pmfs = [support_and_log_pmf(float(dc.lam[j]), float(dc.mu[j]), spec) for j in range(n - 1)]
         cdfs = [_POINT_MASS_AT_ZERO]
         if pmfs:
-            cdfs.append(_finalize_cdf(*pmfs[0], 1.0))
+            cdfs.append(_finalize_cdf(*pmfs[0]))
         if len(pmfs) >= 2:
             factors, _ = _guarded_factors(pmfs, step, 0)
             steps: list[CompressedCDF] = []
@@ -717,6 +690,7 @@ class PrefixCDFTable:
             log_cell=log_cell,
             kappa=kappa,
             theta=float(dc.theta),
+            beta=(1.0 + step) ** (2 * n - 3) if n >= 3 else 1.0,
         )
 
     @property
@@ -732,11 +706,10 @@ class PrefixCDFTable:
 
     def mass(self) -> float:
         """P_{n-1} summed over coordinate n's cells at theta, read at the
-        geometric midpoint of P_{n-1}'s ``err_budget`` and capped at 1:
-        within (1 - eps)^(+-1/2) of the exact grid mass."""
-        last = self.cdfs[-1]
-        tail = _grid_tail(self.support[-1], self.log_cell)
-        return _midpoint_mass(_tail_log_mass(last, tail, self.theta), last.err_budget)
+        geometric midpoint of ``beta`` and capped at 1: within (1 -
+        eps)^(+-1/2) of the exact grid mass."""
+        log_mass = _grid_log_mass(self.cdfs[-1], self.support[-1], self.log_cell, self.theta)
+        return _midpoint_mass(log_mass, self.beta)
 
     def cumulative_weights(self, j: int, t: float) -> np.ndarray:
         """Cumulative weights of coordinate j+1's grid values given the
@@ -795,18 +768,13 @@ def exact_tail_bruteforce(dc: DecoupledConstraint, spec: GridSpec) -> float:
     80-bit accumulation.  Refuses grids beyond ~1e7 points."""
     if spec.total_points > _BRUTEFORCE_LIMIT:
         raise EngineTooLargeError(
-            f"grid has {spec.total_points:.0f} points, beyond the brute-force limit"
+            f"grid has {spec.total_points:.3g} points, beyond the brute-force limit"
         )
-    acc_v: np.ndarray | None = None
-    acc_p: np.ndarray | None = None
-    for j in range(dc.n):
-        v, p = support_and_pmf(float(dc.lam[j]), float(dc.mu[j]), spec)
-        p = p.astype(np.longdouble)
-        if acc_v is None:
-            acc_v, acc_p = v, p
-            continue
+    factors = [support_and_pmf(float(dc.lam[j]), float(dc.mu[j]), spec) for j in range(dc.n)]
+    acc_v, acc_p = factors[0][0], factors[0][1].astype(np.longdouble)
+    for v, p in factors[1:]:
         vv = np.add.outer(acc_v, v).ravel()
-        pp = np.multiply.outer(acc_p, p).ravel()
+        pp = np.multiply.outer(acc_p, p.astype(np.longdouble)).ravel()
         order = np.argsort(vv, kind="stable")
         vv = vv[order]
         pp = pp[order]
@@ -845,10 +813,12 @@ def count(
     grid of the same tau and B in their dimension, n below; a form with
     none live is counted as it is, exactly, since its sum is 0.  At n <= 2
     nothing is compressed: P_1 is exact, and the mass sums it over
-    coordinate 2's cells.  At n >= 3 the factors are sparsified and guarded
-    (``_guarded_factors``), floored, and chained by ``compressed_tail_cdf``;
-    the mass M sums the chain's last CDF over the tail (see the module
-    docstring) and is read at the midpoint sqrt(beta) M.
+    coordinate 2's cells (``_grid_log_mass``).  At n >= 3 the factors are
+    sparsified and guarded (``_guarded_factors``), floored, and chained by
+    ``compressed_tail_cdf``; the mass M sums the chain's last CDF over
+    coordinate n's cells at n = 3, and over the last two coordinates'
+    factors at n >= 4 (``_tail_log_mass``), and is read at the midpoint
+    sqrt(beta) M, with beta from the proof below.
 
     Accuracy.  Take the merge step e = eps/(2n - 3) and beta = (1 + e)^
     (2n - 3) <= exp(eps).  A rightward merge at step e, of a factor before
@@ -859,9 +829,9 @@ def count(
     atoms past c_k and c_(k+1) has F <= c_(k+1) = (1 + e) c_k.  So the merge
     leaves a pointwise lower bound within a (1 + e) factor of the CDF it
     replaces, and convolving with an independent variable keeps both
-    properties.  2n - 3 merges lie behind M: 2(n - 1) - 1 in the chain with
-    the grid tail, 2(n - 2) - 1 in the chain and one per tail factor with
-    the last two factors.  So without a floor M <= F <= beta M, where F is
+    properties.  2n - 3 merges lie behind M: 2(n - 1) - 1 in the chain at
+    n = 3, 2(n - 2) - 1 in the chain and one per tail factor at n >= 4; the
+    grid sum merges nothing.  So without a floor M <= F <= beta M, where F is
     the exact grid mass at theta.
 
     The floor.  A coarse pass (``_coarse_log_mass``) chains the first n - 1
@@ -896,27 +866,27 @@ def count(
         spec = GridSpec(tau=spec.tau, B=spec.B, n=k)
     n, theta = dc.n, float(dc.theta)
     kappa, log_cell = _grid_axis(spec)
-    grid_tail = _grid_tail(dc.lam[-1] * kappa * kappa + dc.mu[-1] * kappa, log_cell)
+    row = dc.lam[-1] * kappa * kappa + dc.mu[-1] * kappa
     pmfs = [
         support_and_log_pmf(float(dc.lam[j]), float(dc.mu[j]), spec)
         for j in range(n if n >= 4 else n - 1)
     ]
     if n <= 2:
-        cdf = _finalize_cdf(*pmfs[0], 1.0) if pmfs else _POINT_MASS_AT_ZERO
-        return _midpoint_mass(_tail_log_mass(cdf, grid_tail, theta), 1.0)
+        cdf = _finalize_cdf(*pmfs[0]) if pmfs else _POINT_MASS_AT_ZERO
+        return _midpoint_mass(_grid_log_mass(cdf, row, log_cell, theta), 1.0)
     step, log_floor_frac = _count_step(n, eps)
     factors, worst = _guarded_factors(pmfs, step, 2 if n >= 4 else 0)
     floor = LOG_ZERO
     if worst > _PAIR_BLOCK:
-        floor = log_floor_frac + _coarse_log_mass(factors[: n - 1], grid_tail, theta)
+        floor = log_floor_frac + _coarse_log_mass(factors[: n - 1], row, log_cell, theta)
         if floor > LOG_ZERO:
             factors = [_sparsify(v, lp, step, floor, f) for (v, lp), f in zip(pmfs, factors)]
-    tail = grid_tail
-    if n >= 4:
-        (vb, lb), (vc, lc) = factors[-2:]
-        factors, tail = factors[:-2], (vb, lb, vc, lc)
-    cdf = compressed_tail_cdf(factors, _FlooredStep(step, floor))
-    return _midpoint_mass(_tail_log_mass(cdf, tail, theta), (1.0 + step) ** (2 * n - 3))
+    cdf = compressed_tail_cdf(factors if n == 3 else factors[:-2], _FlooredStep(step, floor))
+    if n == 3:
+        log_mass = _grid_log_mass(cdf, row, log_cell, theta)
+    else:
+        log_mass = _tail_log_mass(cdf, (*factors[-2], *factors[-1]), theta)
+    return _midpoint_mass(log_mass, (1.0 + step) ** (2 * n - 3))
 
 
 @dataclass(frozen=True)

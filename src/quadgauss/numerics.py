@@ -5,12 +5,15 @@ here on the standard library: libm's ``erf``/``erfc`` evaluated on the
 complementary tail, an asymptotic series for log Phi below -20,
 ``statistics.NormalDist.inv_cdf`` (Wichura's AS241) for the quantile, and
 Newton steps on log Phi for quantiles of logs below -700.  Each takes and
-returns one float, so the sampler's lift builds no arrays.  Interval masses
-are assembled so that no catastrophic cancellation occurs in either tail.
-Cumulative probabilities destined for the counting engine live in the log
-domain (natural log, with ``-inf`` as the exact-zero sentinel) because
-products of per-coordinate atom masses underflow native floats long before
-they become irrelevant.  There is no eigensolver here:
+returns one float, so the sampler's lift builds no arrays.  The Gaussian
+mass of an interval has one implementation, in the log domain
+(``log_interval_mass``): an erf sum across 0, else a difference of log
+survivals, or, for an interval too thin for that, Gauss-Legendre quadrature
+of the pdf shifted so that no node underflows; ``interval_mass`` is its
+exponential.  Cumulative probabilities destined for the counting engine
+live in the log domain (natural log, with ``-inf`` as the exact-zero
+sentinel) because products of per-coordinate atom masses underflow native
+floats long before they become irrelevant.  There is no eigensolver here:
 ``quadform.decouple`` takes its eigenpairs from numpy's ``linalg.eigh``.
 
 Everything in this module is pure given explicit inputs.  ``Rng`` is the one
@@ -49,16 +52,15 @@ __all__ = [
 LOG_ZERO = float("-inf")
 
 _SQRT2 = math.sqrt(2.0)
-_SQRT2PI = math.sqrt(2.0 * math.pi)
 _SQRT1_2 = math.sqrt(0.5)
-_LOG_SQRT2PI = math.log(_SQRT2PI)
+_LOG_SQRT2PI = math.log(math.sqrt(2.0 * math.pi))
 _STD_NORMAL = NormalDist()
 # ndtri_exp's switch to the upper quantile: log Phi(x) above this means
 # Phi(x) > 1 - e^-2, where 1 - Phi(x) = -expm1(y) is the accurate argument.
 _UPPER_LOG = math.log1p(-math.exp(-2.0))
 
 # Nodes/weights of 8-point Gauss-Legendre on [-1, 1], used only for very thin
-# intervals where the erfc difference would cancel.
+# intervals, where the difference of log survivals would cancel.
 _GL_NODES = np.polynomial.legendre.leggauss(8)
 
 
@@ -147,45 +149,6 @@ def _validate_interval(a: float, b: float) -> tuple[float, float]:
     return a, b
 
 
-def _thin_interval_mass(a: float, b: float) -> float:
-    # Gauss-Legendre quadrature of the normal pdf over [a, b]; only used when
-    # the interval is so thin relative to its tail location that the CDF
-    # difference loses the leading digits.
-    nodes, weights = _GL_NODES
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    x = mid + half * nodes
-    return float(half * np.sum(weights * np.exp(-0.5 * x * x)) / _SQRT2PI)
-
-
-def interval_mass(a: float, b: float) -> float:
-    """Phi(b) - Phi(a), computed without cancellation in the tails.
-
-    Endpoints may be infinite.  Relative error stays below ~1e-12 whenever the
-    result exceeds 1e-300.
-    """
-    a, b = _validate_interval(a, b)
-    if a == b:
-        return 0.0
-    if a <= 0.0 <= b:
-        # Opposite tails: the two contributions add, so no cancellation
-        # (erf(+-inf) = +-1).
-        return 0.5 * (math.erf(b / _SQRT2) + math.erf(-a / _SQRT2))
-    if a >= 0.0:
-        lo, hi = a, b
-    else:
-        lo, hi = -b, -a  # mirror the left tail onto the right
-    # Survival-function difference: both terms small, result same order.
-    mass = _ndtr(-lo) - _ndtr(-hi)
-    if not math.isinf(hi):
-        # Thin deep cells: fall back to direct quadrature of the pdf.
-        if 0.0 < mass < 1e-3 * _ndtr(-lo):
-            return _thin_interval_mass(lo, hi)
-        if mass == 0.0 and hi > lo:
-            return _thin_interval_mass(lo, hi)
-    return max(mass, 0.0)
-
-
 def log1mexp(x: float) -> float:
     """log(1 - e^x) for x <= 0, stable on both ends."""
     if x >= 0.0:
@@ -221,19 +184,48 @@ def log_sum(log_terms: np.ndarray) -> float:
     return m + math.log(float(np.sum(np.exp(arr - m))))
 
 
+def _log_thin_mass(lo: float, hi: float) -> float:
+    """log of the normal pdf's integral over [lo, hi), 0 <= lo < hi, by
+    Gauss-Legendre quadrature of the pdf times e^(lo^2/2), which is at most
+    1 there and does not underflow."""
+    nodes, weights = _GL_NODES
+    x = 0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes
+    shifted = float(weights @ np.exp(0.5 * (lo - x) * (lo + x)))
+    return math.log(hi - lo) + math.log(0.5 * shifted) - 0.5 * lo * lo - _LOG_SQRT2PI
+
+
 def log_interval_mass(a: float, b: float) -> float:
-    """log(Phi(b) - Phi(a)), usable for masses far below float range."""
+    """log(Phi(b) - Phi(a)), accurate far below the float range of the mass.
+
+    Across 0 the mass is a sum of two erf terms.  A one-sided interval is
+    mirrored into [lo, hi), lo >= 0, and its mass S(lo) - S(hi) comes from
+    log S(lo) - log S(hi), or, when that is below 1e-3 and would lose
+    leading digits, from quadrature of the pdf.  Endpoints may be infinite.
+    The log is good to about 2e-13 lo^2 absolute beyond lo = 1: the log
+    survivals, near -lo^2/2, carry its rounding, amplified up to 1e3-fold.
+    """
     a, b = _validate_interval(a, b)
     if a == b:
         return LOG_ZERO
     if a <= 0.0 <= b:
-        m = interval_mass(a, b)
+        # erf(+-inf) = +-1
+        m = 0.5 * (math.erf(b / _SQRT2) + math.erf(-a / _SQRT2))
         return math.log(m) if m > 0.0 else LOG_ZERO
-    if a >= 0.0:
-        lsa = _log_ndtr(-a)  # log S(a), the larger one
-        lsb = _log_ndtr(-b)
-        return log_sub(lsa, lsb)
-    return log_sub(_log_ndtr(b), _log_ndtr(a))
+    lo, hi = (a, b) if a >= 0.0 else (-b, -a)
+    lsa, lsb = _log_ndtr(-lo), _log_ndtr(-hi)
+    if lsa - lsb < 1e-3:
+        return _log_thin_mass(lo, hi)
+    return log_sub(lsa, lsb)
+
+
+def interval_mass(a: float, b: float) -> float:
+    """Phi(b) - Phi(a), the exponential of :func:`log_interval_mass`.
+
+    Endpoints may be infinite.  Relative error stays below 3e-10 whenever
+    the result exceeds 1e-300 (3000 seeded intervals of widths 1e-12 to 10
+    starting in [-38, 38], against a 40-digit oracle, measured 9.8e-11).
+    """
+    return math.exp(log_interval_mass(a, b))
 
 
 def _checked_int(name: str, value, least: int) -> int:
@@ -382,7 +374,7 @@ def _right_tail_quantile(lsa: float, lsb: float, u: float) -> float:
 
 
 def _require_mass(a: float, b: float) -> None:
-    if not (interval_mass(a, b) > 0.0) and not (log_interval_mass(a, b) > LOG_ZERO):
+    if not log_interval_mass(a, b) > LOG_ZERO:
         raise ValueError(f"zero-mass interval [{a}, {b})")
 
 
@@ -395,8 +387,6 @@ def truncated_normal_sample(a: float, b: float, rng: Rng) -> float:
     An interval of zero mass raises ValueError before the uniform is drawn.
     """
     a, b = _validate_interval(a, b)
-    if a == b:
-        raise ValueError("degenerate interval has zero mass")
     if a >= 0.0 or b <= 0.0:
         # a one-sided interval, mirrored into the right tail as [lo, hi); its
         # log survival values show that it has mass whenever they differ

@@ -304,22 +304,47 @@ def instance_to_dict(obj: QuadraticForm | DecoupledConstraint) -> dict:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+def _numbers(doc: dict, key: str, depth: int = 0):
+    """Field ``key`` as JSON numbers (no boolean or string): one at depth 0,
+    as a float, or an array at depth 1 or of equal-length arrays at depth 2,
+    as floats; otherwise ValueError naming the field."""
+    if key not in doc:
+        raise ValueError(f"missing field {key!r}")
+    value = doc[key]
+
+    def fits(v, d: int) -> bool:
+        return type(v) in (int, float) if d == 0 else type(v) is list and all(fits(x, d - 1) for x in v)
+
+    if not fits(value, depth) or (depth == 2 and len(set(map(len, value))) > 1):
+        kind = ("a number", "an array of numbers", "an array of equal-length arrays of numbers")[depth]
+        got = f", got {json.dumps(value)}" if depth == 0 else ""
+        raise ValueError(f"field {key!r} must be {kind}{got}")
+    try:
+        return np.asarray(value, dtype=float) if depth else float(value)
+    except OverflowError:
+        raise ValueError(f"field {key!r} holds an integer beyond the float range") from None
+
+
 def instance_from_dict(doc: dict) -> QuadraticForm | DecoupledConstraint:
+    """The instance a JSON object describes: ``{"n", "A", "b", "c"}``, n an
+    integer >= 1, or ``{"decoupled": {"lambda", "mu", "theta"}}``; the other
+    fields hold JSON numbers.  Otherwise ValueError, naming the field."""
+    if type(doc) is not dict:
+        raise ValueError("the instance must be a JSON object")
+    d = doc.get("decoupled", {})
+    if type(d) is not dict:
+        raise ValueError("field 'decoupled' must be a JSON object")
     if "decoupled" in doc:
-        d = doc["decoupled"]
-        lam = np.asarray(d["lambda"], dtype=float)
-        n = lam.shape[0]
-        return DecoupledConstraint(
-            lam=lam,
-            mu=np.asarray(d["mu"], dtype=float),
-            theta=float(d["theta"]),
-            rotation=np.eye(n),
-        )
-    n = int(doc["n"])
-    A = np.asarray(doc["A"], dtype=float)
+        lam = _numbers(d, "lambda", 1)
+        mu, theta = _numbers(d, "mu", 1), _numbers(d, "theta")
+        return DecoupledConstraint(lam=lam, mu=mu, theta=theta, rotation=np.eye(lam.size))
+    n = _numbers(doc, "n")
+    if type(doc["n"]) is not int or n < 1:
+        raise ValueError(f"field 'n' must be an integer >= 1, got {json.dumps(doc['n'])}")
+    A = _numbers(doc, "A", 2)
     if A.shape != (n, n):
-        raise ValueError(f"A has shape {A.shape}, expected ({n}, {n})")
-    return QuadraticForm(A=A, b=np.asarray(doc["b"], dtype=float), c=float(doc["c"]))
+        raise ValueError(f"field 'A' has shape {A.shape}, expected ({doc['n']}, {doc['n']})")
+    return QuadraticForm(A=A, b=_numbers(doc, "b", 1), c=_numbers(doc, "c"))
 
 
 def load_instance(path: str) -> QuadraticForm | DecoupledConstraint:

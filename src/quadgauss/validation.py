@@ -7,6 +7,8 @@ versions of the full test-suite properties: small fixed seeds, small grids.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import grid as g
@@ -43,7 +45,19 @@ def _interval_additivity() -> Check:
         lhs = interval_mass(a, c)
         rhs = interval_mass(a, b) + interval_mass(b, c)
         worst = max(worst, abs(lhs - rhs))
-    return "interval-additivity", worst <= 1e-13, f"max gap = {worst:.2e}"
+    # thin splits deep in both tails, whose masses come from the quadrature:
+    # the parts add up, and each is its width times the pdf at its midpoint
+    worst_rel = 0.0
+    for lo in np.repeat([5.0, 12.0, 20.0, 30.0], 5):
+        w1, w2 = 10.0 ** (rng.uniform(2) * 3.0 - 12.0)  # widths 1e-12 to 1e-9
+        for a, b, c in ((lo, lo + w1, lo + w1 + w2), (-lo - w1 - w2, -lo - w1, -lo)):
+            for x, y in ((a, b), (b, c)):
+                midpoint_rule = (y - x) * math.exp(-0.125 * (x + y) ** 2) / math.sqrt(2.0 * math.pi)
+                worst_rel = max(worst_rel, abs(interval_mass(x, y) / midpoint_rule - 1.0))
+            lhs = interval_mass(a, c)
+            worst_rel = max(worst_rel, abs(lhs - interval_mass(a, b) - interval_mass(b, c)) / lhs)
+    ok = worst <= 1e-13 and worst_rel <= 1e-10
+    return "interval-additivity", ok, f"max gap = {worst:.2e}, deep-tail max relative gap = {worst_rel:.2e}"
 
 
 def _eigen_residuals() -> Check:

@@ -114,6 +114,24 @@ def test_tracer_counts_the_pairs_the_engine_forms(monkeypatch):
         assert tracer.counts["counter.pairs"] == formed[0] > 0, n
 
 
+def test_tracer_sees_the_grid_reads():
+    # every sum of a CDF over a coordinate's grid cells reads it through
+    # CompressedCDF.log_query, which the tracer wraps: one read at n = 1, 2,
+    # the coarse pass and the mass at n = 3, and the coarse pass at n = 4, 5
+    # (whose last two coordinates are read by pair lookups, untraced)
+    reads = []
+    for n in (1, 2, 3, 4, 5):
+        gen = np.random.default_rng(n)
+        big = gen.standard_normal((n, n))
+        q = QuadraticForm(A=-np.eye(n) + 0.3 * (big + big.T) / 2.0, b=0.3 * gen.standard_normal(n), c=float(n))
+        tracer = load_tracing().Tracer()
+        with tracer.installed():
+            count_ptf_gaussian(q)
+        assert tracer.absent == {}
+        reads.append(tracer.by_name()["counter.query"]["calls"])
+    assert reads == [1, 1, 2, 1, 1]
+
+
 def test_tracer_drives_planted_run():
     # the densify-planted layers: the wrapped densifier names must be the
     # ones planted_experiment calls.  The disc stops at round 0 with

@@ -232,6 +232,49 @@ class TestBadInput:
             "error: cannot read instance: lambda, mu and rotation must be nonempty\n"
         )
 
+    @pytest.mark.parametrize("command", ["count", "sample"])
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ('{"n": 2.5, "A": [[-1, 0], [0, -1]], "b": [0, 0], "c": 1}', "field 'n' must be"),
+            ('{"n": "2", "A": [[-1, 0], [0, -1]], "b": [0, 0], "c": 1}', "field 'n' must be"),
+            ('{"n": 2, "A": [[-1, 0], [0, -1]], "b": [0, 0], "c": true}', "field 'c' must be"),
+            ('{"n": 2, "A": [["-1", 0], [0, -1]], "b": [0, 0], "c": 1}', "field 'A' must be"),
+            ('{"n": 2, "A": [[-1, 0], [0, -1]], "b": [0, 0]}', "missing field 'c'"),
+            ('[{"n": 1, "A": [[-1]], "b": [0], "c": 1}]', "the instance must be a JSON object"),
+        ],
+    )
+    def test_wrongly_typed_instance_exit_1(self, tmp_path, capsys, command, text, field):
+        # n = 2.5 was read as 2 and counted with exit 0; a missing key or a
+        # top-level array gave a bare KeyError or TypeError message
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code = cli.main([command, "--instance", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot read instance: ") and field in captured.err
+        assert captured.err.count("\n") == 1
+
+    def test_huge_grid_size_is_printed_in_three_digits(self, chi2_instance, capsys):
+        # B = 1e300 gives 2B/tau + 1 = 5.12e302 points per coordinate
+        code = cli.main(["count", "--instance", chi2_instance, "--trunc-B", "1e300"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == (
+            "error: grid has 5.12e+302 points per coordinate, beyond the size guard "
+            "of 1.05e+06; use a coarser tau or a smaller B\n"
+        )
+
+    def test_grid_beyond_float_range_exit_1(self, chi2_instance, capsys):
+        # 2B/tau + 1 = 2e308 + 1 points per coordinate is no double: the
+        # message prints it as inf rather than fail to format it
+        code = cli.main(["count", "--instance", chi2_instance, "--tau", "1", "--trunc-B", "1e308"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: grid has inf points per coordinate")
+        assert captured.err.count("\n") == 1
+
     def test_densify_zero_mass_target_exit_1(self, tmp_path, capsys):
         path = tmp_path / "neg.json"
         save_instance(QuadraticForm(A=np.zeros((2, 2)), b=np.zeros(2), c=-1.0), str(path))
@@ -248,7 +291,7 @@ class TestBadInput:
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
-        assert captured.err.startswith("error: grid has 8388609 points per coordinate")
+        assert captured.err.startswith("error: grid has 8.39e+06 points per coordinate")
 
     @pytest.mark.parametrize("command", ["count", "sample"])
     def test_non_finite_instance_exit_1(self, tmp_path, capsys, command):

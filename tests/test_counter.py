@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import sys
 import threading
 import tracemalloc
@@ -81,6 +82,13 @@ class TestExactTailBruteforce:
             lam=np.ones(4), mu=np.zeros(4), theta=0.0, rotation=np.eye(4)
         )
         with pytest.raises(EngineTooLargeError):
+            exact_tail_bruteforce(dc, spec)
+
+    def test_size_guard_prints_three_digits(self):
+        # 16385^4 points, not its 17 digits
+        spec = GridSpec(tau=2.0**-10, B=8.0, n=4)
+        dc = DecoupledConstraint(lam=np.ones(4), mu=np.zeros(4), theta=0.0, rotation=np.eye(4))
+        with pytest.raises(EngineTooLargeError, match=r"^grid has 7\.21e\+16 points, beyond"):
             exact_tail_bruteforce(dc, spec)
 
 
@@ -170,14 +178,15 @@ class TestCount:
                 )
                 running_v = vv[starts]
                 running_p = np.add.reduceat(pp, starts)
-            cdf = collected[k]
+            # 2k + 1 merges of step 0.25 lie behind the (k + 1)-th prefix sum
+            cdf, budget = collected[k], 1.25 ** (2 * k + 1)
             exact_cum = np.cumsum(running_p)
             for t in np.linspace(running_v[0] - 0.1, running_v[-1] + 0.1, 97):
                 idx = int(np.searchsorted(running_v, t, side="right"))
                 exact = exact_cum[idx - 1] if idx else 0.0
                 approx = np.exp(cdf.log_query(t))
                 assert approx <= exact + 1e-12
-                assert exact <= cdf.err_budget * approx + 1e-12
+                assert exact <= budget * approx + 1e-12
 
     def test_oracle_equivalence_four_coordinates(self):
         # n = 4 makes two convolutions, each of a sparsified factor
@@ -514,7 +523,7 @@ class TestKernels:
             return real(*args)
 
         monkeypatch.setattr(counter, "_convolve_sparsify", spy)
-        reads = tail_reads(monkeypatch)
+        reads = grid_reads(monkeypatch)
         count(dc, spec, 0.05)
         *factors, _, log_floor = calls[-1]
         first = reads[-1][0]
@@ -634,6 +643,21 @@ def tail_reads(monkeypatch):
         return reads[-1][-1]
 
     monkeypatch.setattr(counter, "_tail_log_mass", spy)
+    return reads
+
+
+def grid_reads(monkeypatch):
+    """Record every (cdf, row, log_cell, theta) ``_grid_log_mass`` reads,
+    with its result: a count's last read at n <= 3 is its mass before the
+    midpoint."""
+    reads = []
+    real = counter._grid_log_mass
+
+    def spy(cdf, row, log_cell, theta):
+        reads.append((cdf, row, log_cell, theta, real(cdf, row, log_cell, theta)))
+        return reads[-1][-1]
+
+    monkeypatch.setattr(counter, "_grid_log_mass", spy)
     return reads
 
 
@@ -769,7 +793,7 @@ class TestAnswerRelativeFloor:
                 for got, want in zip(table.cdfs[2:], steps[1:]):
                     assert np.array_equal(got.values, want.values)
                     assert np.array_equal(got.log_cum, want.log_cum)
-                    assert got.err_budget == want.err_budget
+                assert table.beta == (1.0 + step) ** (2 * n - 3)
 
     def test_floor_cuts_pairs_at_default_flags(self, monkeypatch):
         # machine-independent: pairs formed by default-flag counts, the
@@ -879,14 +903,22 @@ class TestTail:
             return real(log_terms)
 
         monkeypatch.setattr(counter, "log_sum", spy)
+        chained = []
+        real_chain = counter.compressed_tail_cdf
+
+        def chain_spy(factors, eps_step, collect=None):
+            chained.append(len(factors))
+            return real_chain(factors, eps_step, collect)
+
+        monkeypatch.setattr(counter, "compressed_tail_cdf", chain_spy)
         reads = tail_reads(monkeypatch)
         spec = GridSpec(tau=1.0, B=25.0, n=n)
         dc = DecoupledConstraint(lam=np.zeros(n), mu=-np.ones(n), theta=theta, rotation=np.eye(n))
         count(dc, spec, 0.05)
         step = 0.05 / (2 * n - 3)
-        cdf, _, _, got = reads[-1]
-        # the chain holds the first n - 2 coordinates
-        assert cdf.err_budget == (1.0 + step) ** (2 * (n - 2) - 1)
+        _, _, _, got = reads[-1]
+        # the chain the tail reads holds the first n - 2 coordinates
+        assert chained[-1] == n - 2
         beta = (1.0 + step) ** (2 * n - 3)
         assert any(len(s) == 2 and s[1] > 1 for s in shapes)
         pmf = support_and_log_pmf(0.0, -1.0, spec)
@@ -1071,7 +1103,7 @@ class TestCountPtfGaussian:
         q = QuadraticForm(A=-np.eye(2), b=np.zeros(2), c=2.0)
         spec_points = 2 * 4 * 2**20 + 1
         assert spec_points > counter._POINTS_LIMIT
-        with pytest.raises(EngineTooLargeError, match=f"grid has {spec_points} points"):
+        with pytest.raises(EngineTooLargeError, match=re.escape(f"grid has {spec_points:.3g} points")):
             build(q, tau=2.0**-20, trunc_B=4.0)
 
 

@@ -48,6 +48,10 @@ class TestStdNormalCdf:
             std_normal_cdf(float("nan"))
 
 
+# thin intervals deep in the right tail
+THIN_DEEP = [(5.0, 5.0 + 1e-9), (12.0, 12.0 + 1e-11), (24.898121127481282, 24.89812112748252)]
+
+
 class TestIntervalMass:
     def test_whole_line(self):
         assert interval_mass(-math.inf, math.inf) == 1.0
@@ -65,18 +69,42 @@ class TestIntervalMass:
 
     @pytest.mark.parametrize("a, b", [(5.0, 5.0001), (3.0, 3.00001), (8.0, 8.0 + 1e-6)])
     def test_thin_tail_cell_by_quadrature(self, monkeypatch, a, b):
-        # the survival difference would lose leading digits on these cells
+        # the difference of log survivals would lose leading digits on these
+        # cells, so the log-space quadrature gives the mass
         calls = []
-        quad = numerics._thin_interval_mass
+        quad = numerics._log_thin_mass
 
         def spy(lo, hi):
             calls.append((lo, hi))
             return quad(lo, hi)
 
-        monkeypatch.setattr(numerics, "_thin_interval_mass", spy)
+        monkeypatch.setattr(numerics, "_log_thin_mass", spy)
         got = interval_mass(a, b)
         assert calls == [(a, b)]
         assert got == pytest.approx(float(oracles.phi_interval_dec(a, b)), rel=1e-12)
+
+    @pytest.mark.parametrize("a, b", THIN_DEEP + [(-b, -a) for a, b in THIN_DEEP])
+    def test_thin_deep_interval(self, a, b):
+        # thin intervals deep in either tail: the difference of log
+        # survivals alone is off by 1.4e-7, 4.1e-5 and 2.6e-3 on these
+        want = oracles.phi_interval_dec(a, b)
+        assert log_interval_mass(a, b) == pytest.approx(float(want.ln()), abs=1e-13)
+        assert interval_mass(a, b) == pytest.approx(float(want), rel=1e-13)
+
+    def test_random_interval_sweep(self):
+        # the bound interval_mass's docstring states: 3000 intervals of widths
+        # 1e-12 to 10 that start anywhere in [-38, 38] (measured 9.8e-11)
+        gen = np.random.default_rng(40)
+        worst = 0.0
+        for _ in range(3000):
+            a = gen.uniform(-38.0, 38.0)
+            b = a + 10.0 ** gen.uniform(-12.0, 1.0)
+            want = oracles.phi_interval_dec(a, b)
+            err = abs(log_interval_mass(a, b) - float(want.ln()))
+            if want > Decimal("1e-300"):
+                err = max(err, abs(interval_mass(a, b) / float(want) - 1.0))
+            worst = max(worst, err)
+        assert worst <= 3e-10
 
     def test_rejects_reversed(self):
         with pytest.raises(ValueError):

@@ -476,6 +476,60 @@ class TestInstanceIO:
         with pytest.raises(ValueError, match="^lambda, mu and rotation must be nonempty$"):
             instance_from_dict({"decoupled": {"lambda": [], "mu": [], "theta": 1.0}})
 
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ({"n": 2.5, "A": [[-1, 0], [0, -1]], "b": [0, 0], "c": 1}, "n"),
+            ({"n": 2.0, "A": [[-1, 0], [0, -1]], "b": [0, 0], "c": 1}, "n"),
+            ({"n": "2", "A": [[-1, 0], [0, -1]], "b": [0, 0], "c": 1}, "n"),
+            ({"n": True, "A": [[-1]], "b": [0], "c": 1}, "n"),
+            ({"n": 0, "A": [], "b": [], "c": 1}, "n"),
+            ({"n": 2, "A": [[-1, 0], [0, -1]], "b": [0, 0], "c": True}, "c"),
+            ({"n": 2, "A": [[-1, 0], [0, -1]], "b": [0, 0], "c": "1"}, "c"),
+            ({"n": 2, "A": [["-1", 0], [0, -1]], "b": [0, 0], "c": 1}, "A"),
+            ({"n": 2, "A": [[-1, 0], [0]], "b": [0, 0], "c": 1}, "A"),
+            ({"n": 2, "A": [-1, 0], "b": [0, 0], "c": 1}, "A"),
+            ({"n": 3, "A": [[-1, 0], [0, -1]], "b": [0, 0, 0], "c": 1}, "A"),
+            ({"n": 2, "A": [[-1, 0], [0, -1]], "b": [0, False], "c": 1}, "b"),
+            ({"n": 2, "A": [[-1, 0], [0, -1]], "b": "00", "c": 1}, "b"),
+            ({"decoupled": {"lambda": [1, "x"], "mu": [0, 0], "theta": 1}}, "lambda"),
+            ({"decoupled": {"lambda": [1], "mu": [None], "theta": 1}}, "mu"),
+            ({"decoupled": {"lambda": [1], "mu": [0], "theta": [1]}}, "theta"),
+        ],
+    )
+    def test_wrongly_typed_field_rejected(self, doc, field):
+        # JSON integers for n, JSON numbers elsewhere: no float, string or
+        # boolean is read as one
+        with pytest.raises(ValueError, match=f"^field '{field}' (must be|has shape) "):
+            instance_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ({"n": 1, "A": [[-1]], "b": [0], "c": 10**400}, "c"),
+            ({"n": 1, "A": [[-(10**400)]], "b": [0], "c": 1}, "A"),
+        ],
+    )
+    def test_integer_beyond_float_range_named(self, doc, field):
+        with pytest.raises(ValueError, match=f"^field '{field}' holds an integer beyond the float range$"):
+            instance_from_dict(doc)
+
+    @pytest.mark.parametrize("field", ["n", "A", "b", "c", "lambda", "mu", "theta"])
+    def test_missing_field_named(self, field):
+        if field in ("lambda", "mu", "theta"):
+            doc = {"decoupled": {"lambda": [1.0], "mu": [0.0], "theta": 1.0}}
+            del doc["decoupled"][field]
+        else:
+            doc = {"n": 1, "A": [[-1.0]], "b": [0.0], "c": 1.0}
+            del doc[field]
+        with pytest.raises(ValueError, match=f"^missing field '{field}'$"):
+            instance_from_dict(doc)
+
+    @pytest.mark.parametrize("doc", [[1, 2], "instance", 3, None, {"decoupled": [1, 0]}])
+    def test_top_level_must_be_an_object(self, doc):
+        with pytest.raises(ValueError, match="^(the instance|field 'decoupled') must be a JSON object$"):
+            instance_from_dict(doc)
+
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):
             instance_from_dict({"n": 2, "A": [[0, 1], [0, 0]], "b": [0, 0], "c": 0})

@@ -242,7 +242,7 @@ class TestEnumerateDistribution:
     @pytest.mark.parametrize("n, tau", [(4, 0.25), (5, 0.5)])
     def test_per_point_ratio_linear_budget(self, n, tau):
         # the table's step spends 2n - 3 merges; every reachable point stays
-        # within the last CDF's budget beta = 1/(1 - eps) of the exact law
+        # within the table's beta = 1/(1 - eps) of the exact law
         spec = GridSpec(tau=tau, B=2.0, n=n)
         dropped = 0
         for seed in (1, 2):
@@ -252,7 +252,7 @@ class TestEnumerateDistribution:
             exact = oracles.conditional_pmf(dc.lam, dc.mu, dc.theta, spec.tau, spec.B)
             for eps in (0.05, 0.3, 0.7):
                 table = PrefixCDFTable.for_sampling(dc, spec, eps)
-                beta = table.cdfs[-1].err_budget
+                beta = table.beta
                 assert beta == pytest.approx(1.0 / (1.0 - eps), rel=1e-12)
                 sums = np.zeros(1)
                 for j in range(1, n):

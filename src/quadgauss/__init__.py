@@ -8,7 +8,6 @@ from .counter import (
     CountResult,
     count,
     count_ptf_gaussian,
-    exact_tail_bruteforce,
     mc_count,
 )
 from .densifier import (
@@ -20,7 +19,7 @@ from .densifier import (
     feature_map,
     planted_experiment,
 )
-from .grid import GridSpec, support_and_pmf
+from .grid import GridSpec
 from .hardness import (
     QuarticForm,
     SubsetSumInstance,
@@ -53,7 +52,6 @@ from .quadform import (
 )
 from .sampler import (
     PtfSampler,
-    enumerate_sampler_distribution,
     lift_to_continuous,
     sample_grid_point,
     sample_ptf_gaussian,
@@ -83,9 +81,7 @@ __all__ = [
     "count_ptf_gaussian",
     "decouple",
     "densify",
-    "enumerate_sampler_distribution",
     "evaluate",
-    "exact_tail_bruteforce",
     "feature_map",
     "gen_deg2_cube_instance",
     "gen_deg4_gauss_instance",
@@ -104,6 +100,5 @@ __all__ = [
     "save_instance",
     "sign_at",
     "std_normal_cdf",
-    "support_and_pmf",
     "truncated_normal_sample",
 ]

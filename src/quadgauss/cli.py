@@ -1,5 +1,5 @@
-"""Command-line front end: counting, sampling, instance generation,
-densification, and validation, all fixed by their flags (and --seed).
+"""Command-line front end: counting, sampling, instance generation and
+densification, all fixed by their flags (and --seed).
 
 Commands load their input and call the library, which checks its own
 settings; ``main`` writes any error they raise as one ``error: <message>``
@@ -12,9 +12,9 @@ line on stderr.  Exit codes:
   (0, 1], for one), or an instance beyond the engine's size guards.
 - 2: a counted mass below the floor (``count`` still prints its result).
 - 3: the exact filter rejected every draw within --filter-retries.
-- 4: validation or densification failed, including an exhausted mistake
-  budget and a kappa-rounding flip rate above 1% (``densify`` then prints a
-  JSON ``error`` line).
+- 4: densification failed, including an exhausted mistake budget and a
+  kappa-rounding flip rate above 1% (``densify`` then prints a JSON
+  ``error`` line).
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .densifier import (
 from .numerics import Rng
 from .quadform import DecoupledConstraint, QuadraticForm, instance_to_dict, load_instance
 from .sampler import FilterRetryError, FloorError, PtfSampler
-from .validation import run_validation
 
 DEFAULT_SEED = 0
 
@@ -158,17 +157,6 @@ def cmd_densify(args: argparse.Namespace) -> int:
     return 0 if (report["passed_a"] and report["passed_b"]) else 4
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
-    results = run_validation()
-    failed = 0
-    for name, ok, detail in results:
-        status = "ok" if ok else "FAIL"
-        sys.stdout.write(f"{status:4s} {name}: {detail}\n")
-        failed += 0 if ok else 1
-    sys.stdout.write(f"{len(results) - failed}/{len(results)} checks passed\n")
-    return 0 if failed == 0 else 4
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(
         prog="quadgauss",
@@ -210,8 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--transcript", type=str, default=None, help="write the run transcript as JSON lines")
     pd.set_defaults(func=cmd_densify)
 
-    pv = sub.add_parser("validate", help="run the shipped invariant checks")
-    pv.set_defaults(func=cmd_validate)
     return p
 
 

@@ -47,9 +47,9 @@ the mass at theta is that of the live coordinates' sum, counted on the grid
 of the same tau and B in their dimension k.  Sampling tables keep every
 coordinate, as a draw needs all of them.
 
-``exact_tail_bruteforce`` is the independent oracle: a dense convolution in
-80-bit extended precision, feasible up to ~1e7 grid points; it keeps every
-coordinate.
+The exact grid mass that a count brackets comes from no function here: the
+test suite computes it by an independent dense convolution
+(``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import GridSpec, _log_cell_masses, support_and_log_pmf, support_and_pmf
+from .grid import GridSpec, _log_cell_masses, support_and_log_pmf
 from .numerics import LOG_ZERO, Rng, _checked_int, _wilson_half_width, log_sum, normal_blocks
 from .quadform import (
     ConstantPolynomialError,
@@ -83,7 +83,6 @@ __all__ = [
     "DEFAULT_TAU",
     "DEFAULT_EPS",
     "default_trunc_radius",
-    "exact_tail_bruteforce",
     "count",
     "count_ptf_gaussian",
     "mc_count",
@@ -92,7 +91,6 @@ __all__ = [
 DEFAULT_TAU = 2.0**-8
 DEFAULT_EPS = 0.05
 
-_BRUTEFORCE_LIMIT = 10_000_000
 # pairs one convolution may form; it bounds time, not memory, since pairs
 # are formed _PAIR_BLOCK at a time
 _PAIR_LIMIT = 85_000_000
@@ -761,28 +759,6 @@ class PrefixCDFTable:
         # searching the first c - 1 entries keeps a target that rounds up to
         # the region's total on its last index
         return int(order[log_cum[: c - 1].searchsorted(target, "right")])
-
-
-def exact_tail_bruteforce(dc: DecoupledConstraint, spec: GridSpec) -> float:
-    """Exact Pr[sum_i Y_i <= theta] on the grid, by dense convolution with
-    80-bit accumulation.  Refuses grids beyond ~1e7 points."""
-    if spec.total_points > _BRUTEFORCE_LIMIT:
-        raise EngineTooLargeError(
-            f"grid has {spec.total_points:.3g} points, beyond the brute-force limit"
-        )
-    factors = [support_and_pmf(float(dc.lam[j]), float(dc.mu[j]), spec) for j in range(dc.n)]
-    acc_v, acc_p = factors[0][0], factors[0][1].astype(np.longdouble)
-    for v, p in factors[1:]:
-        vv = np.add.outer(acc_v, v).ravel()
-        pp = np.multiply.outer(acc_p, p.astype(np.longdouble)).ravel()
-        order = np.argsort(vv, kind="stable")
-        vv = vv[order]
-        pp = pp[order]
-        starts = np.flatnonzero(np.concatenate(([True], vv[1:] != vv[:-1])))
-        acc_v = vv[starts]
-        acc_p = np.add.reduceat(pp, starts)
-    idx = int(np.searchsorted(acc_v, dc.theta, side="right"))
-    return float(np.sum(acc_p[:idx]))
 
 
 # the share s < 1 of the lower end's slack that a count's floor spends (see

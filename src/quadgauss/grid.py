@@ -6,10 +6,10 @@ Each coordinate of a standard normal G is floored onto the grid
 (kappa = B owns [B, inf) and kappa = -B owns (-inf, -B+tau)), so the
 coordinate masses sum to exactly 1.
 
-``support_and_pmf`` pushes a coordinate through xi -> a*xi^2 + b*xi and
-returns the exact pmf of the image, one atom per distinct value.  The
-counter's merge is correct whether or not values of different coordinates
-collide, so a and b may be any finite doubles.
+``support_and_log_pmf`` pushes a coordinate through xi -> a*xi^2 + b*xi and
+returns the exact pmf of the image in log domain, one atom per distinct
+value.  The counter's merge is correct whether or not values of different
+coordinates collide, so a and b may be any finite doubles.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .numerics import log_interval_mass
 
 __all__ = [
     "GridSpec",
-    "support_and_pmf",
     "support_and_log_pmf",
 ]
 
@@ -66,10 +65,6 @@ class GridSpec:
     @property
     def points_per_coord(self) -> int:
         return 2 * self.half_index + 1
-
-    @property
-    def total_points(self) -> float:
-        return float(self.points_per_coord) ** self.n
 
     def value(self, index):
         """Grid value at index (0 maps to -B); exact for power-of-two tau."""
@@ -115,11 +110,3 @@ def support_and_log_pmf(
     starts = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
     merged = np.logaddexp.reduceat(logp, starts)
     return values[starts], merged
-
-
-def support_and_pmf(
-    a: float, b: float, spec: GridSpec
-) -> tuple[np.ndarray, np.ndarray]:
-    """Linear-probability variant of :func:`support_and_log_pmf`."""
-    values, logp = support_and_log_pmf(a, b, spec)
-    return values, np.exp(logp)

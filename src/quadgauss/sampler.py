@@ -20,6 +20,10 @@ one log cumulative sum.  Each later draw pays one ``searchsorted`` for
 coordinate n, two for coordinate 1, and rebuilds only the weights of
 coordinates n-1, ..., 2.
 
+The sampler's exact output law, the product of those n conditional laws
+over every reachable grid point, is enumerated only by the test suite
+(``tests/oracles.py``), from a table built here.
+
 The continuous lift is exact, not approximate: conditioned on the grid
 point, each coordinate of the underlying Gaussian is distributed as N(0,1)
 restricted to the grid point's owning cell, so lifting with truncated
@@ -36,21 +40,19 @@ from __future__ import annotations
 
 import math
 from contextlib import closing
-from dataclasses import dataclass
 
 import numpy as np
 
 from .counter import (
     DEFAULT_EPS,
     DEFAULT_TAU,
-    EngineTooLargeError,
     FloorError,
     PrefixCDFTable,
     _checked_grid,
     _prepare,
 )
 from .grid import GridSpec
-from .numerics import LOG_ZERO, Rng, _checked_int, normal_blocks, truncated_normal_sample
+from .numerics import Rng, _checked_int, normal_blocks, truncated_normal_sample
 from .quadform import ConstantPolynomialError, DecoupledConstraint, QuadraticForm, normalize, sign_at
 
 # Not called here: bench/tracing.py's WRAPS wraps these names on this module.
@@ -62,7 +64,6 @@ __all__ = [
     "FilterRetryError",
     "PtfSampler",
     "sample_grid_point",
-    "enumerate_sampler_distribution",
     "lift_to_continuous",
     "sample_ptf_gaussian",
     "region_source",
@@ -94,44 +95,6 @@ def sample_grid_point(table: PrefixCDFTable, rng: Rng) -> np.ndarray:
     else:
         idx[0] = table.first_coordinate_index(t, rng.uniform())
     return table.kappa[idx]
-
-
-@dataclass(frozen=True)
-class EnumeratedDistribution:
-    """Exact output law of the sampler: one row per reachable grid point."""
-
-    points: np.ndarray  # (k, n) grid values
-    probs: np.ndarray  # (k,)
-
-    def as_dict(self) -> dict[tuple, float]:
-        return {tuple(p): float(q) for p, q in zip(self.points, self.probs)}
-
-
-def enumerate_sampler_distribution(
-    dc: DecoupledConstraint, spec: GridSpec, eps: float
-) -> EnumeratedDistribution:
-    """Output law of :func:`sample_grid_point` on
-    ``PrefixCDFTable.for_sampling(dc, spec, eps)``: the product of the n
-    conditional laws it draws from, expanded over every reachable grid
-    point; feasible for grids up to 1e5 points."""
-    if spec.total_points > 100_000:
-        raise EngineTooLargeError("grid too large to enumerate")
-    table = PrefixCDFTable.for_sampling(dc, spec, eps)
-    m = spec.points_per_coord
-    idx = np.zeros((1, 0), dtype=int)  # chosen indices of coordinates j+1..n
-    logp = np.zeros(1)
-    t = np.array([table.theta])
-    for j in range(table.n - 1, -1, -1):
-        lw = table.log_weights(j, t)
-        top = lw.max(axis=1, keepdims=True)
-        lw -= top + np.log(np.sum(np.exp(lw - top), axis=1, keepdims=True))
-        joint = (logp[:, None] + lw).ravel()
-        reach = np.flatnonzero(joint > LOG_ZERO)
-        rows, cols = np.divmod(reach, m)
-        idx = np.column_stack([cols, idx[rows]])
-        t = t[rows] - table.support[j, cols]
-        logp = joint[reach]
-    return EnumeratedDistribution(points=table.kappa[idx], probs=np.exp(logp))
 
 
 def lift_to_continuous(kappa: np.ndarray, spec: GridSpec, rng: Rng) -> np.ndarray:

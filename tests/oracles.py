@@ -6,9 +6,12 @@ near 0, Laplace's continued fraction for the Mills ratio in the tails),
 eigenpairs from the 2x2 closed form, chi-square CDFs from their elementary
 closed forms, the Gaussian mass of a decoupled degree-2 region by
 characteristic-function inversion, discrete pmfs from direct cell
-enumeration, and the counting engine's kernels from a log-space
-implementation that never leaves the log domain.  The package computes Phi
-with libm's erfc too, so a check of Phi itself against ``phi_erfc`` or
+enumeration, exact grid masses from a dense 80-bit convolution of those
+pmfs, and the counting engine's kernels from a log-space implementation
+that never leaves the log domain.  The sampler's exact output law is
+expanded from a prefix-CDF table that the caller builds and passes in; the
+oracle reads only the table's fields.  The package computes Phi with libm's
+erfc too, so a check of Phi itself against ``phi_erfc`` or
 ``phi_interval`` tests only how the terms are assembled; checks of the CDF
 values use the ``decimal`` functions.
 """
@@ -256,6 +259,68 @@ def discrete_tail(lam, mu, theta: float, tau: float, B: float) -> float:
         if v <= theta:
             total += math.prod(masses[k] for k in combo)
     return total
+
+
+_BRUTEFORCE_LIMIT = 10_000_000
+_ENUMERATION_LIMIT = 100_000
+
+
+def _sci(k: int) -> str:
+    """The integer ``k`` to 3 significant digits (7.21e+16), formatted
+    from its exact digits, so a count beyond the float range prints too."""
+    return f"{Decimal(k):.2e}"
+
+
+def exact_tail_bruteforce(lam, mu, theta: float, tau: float, B: float) -> float:
+    """Exact Pr[sum lam_i [G]_i^2 + mu_i [G]_i <= theta] on the grid, by
+    dense convolution of the coordinates' ``discrete_image_pmf`` with 80-bit
+    accumulation; every coordinate is kept, null ones too.  Grids beyond
+    1e7 points raise ValueError before any pmf is built."""
+    total = (2 * round(B / tau) + 1) ** len(lam)
+    if total > _BRUTEFORCE_LIMIT:
+        raise ValueError(f"grid has {_sci(total)} points, beyond the brute-force limit")
+    acc_v, acc_p = np.zeros(1), np.ones(1, dtype=np.longdouble)
+    for a, b in zip(lam, mu):
+        pmf = discrete_image_pmf(float(a), float(b), tau, B)
+        v = np.array(sorted(pmf))
+        p = np.array([pmf[x] for x in v.tolist()], dtype=np.longdouble)
+        vv = np.add.outer(acc_v, v).ravel()
+        pp = np.multiply.outer(acc_p, p).ravel()
+        order = np.argsort(vv, kind="stable")
+        vv = vv[order]
+        pp = pp[order]
+        starts = np.flatnonzero(np.concatenate(([True], vv[1:] != vv[:-1])))
+        acc_v = vv[starts]
+        acc_p = np.add.reduceat(pp, starts)
+    idx = int(np.searchsorted(acc_v, theta, side="right"))
+    return float(np.sum(acc_p[:idx]))
+
+
+def enumerate_sampler_distribution(table) -> dict:
+    """Output law of the sampler's draw on a prefix-CDF ``table``, as
+    {grid point: probability}: coordinates n, ..., 1 in turn, coordinate
+    j+1 weighing its grid values by ``table.log_weights(j, t)`` at the
+    threshold t the later coordinates left, the n conditional laws
+    multiplied out over every reachable grid point.  Reads the table's
+    ``n``, ``support``, ``kappa``, ``theta`` and ``log_weights``.  Grids
+    beyond 1e5 points raise ValueError."""
+    n, m = table.n, table.support.shape[1]
+    if m**n > _ENUMERATION_LIMIT:
+        raise ValueError(f"grid has {_sci(m**n)} points, too many to enumerate")
+    idx = np.zeros((1, 0), dtype=int)  # chosen indices of coordinates j+1..n
+    logp = np.zeros(1)
+    t = np.array([table.theta])
+    for j in range(n - 1, -1, -1):
+        lw = table.log_weights(j, t)
+        top = lw.max(axis=1, keepdims=True)
+        lw -= top + np.log(np.sum(np.exp(lw - top), axis=1, keepdims=True))
+        joint = (logp[:, None] + lw).ravel()
+        reach = np.flatnonzero(joint > -math.inf)
+        rows, cols = np.divmod(reach, m)
+        idx = np.column_stack([cols, idx[rows]])
+        t = t[rows] - table.support[j, cols]
+        logp = joint[reach]
+    return {tuple(p): q for p, q in zip(table.kappa[idx].tolist(), np.exp(logp).tolist())}
 
 
 def conditional_pmf(lam, mu, theta: float, tau: float, B: float) -> dict:

@@ -16,7 +16,6 @@ from quadgauss.counter import (
     PrefixCDFTable,
     count,
     count_ptf_gaussian,
-    exact_tail_bruteforce,
     mc_count,
 )
 from quadgauss.densifier import DensifierConfig, planted_experiment
@@ -43,11 +42,7 @@ from quadgauss.quadform import (
     save_instance,
     sign_at,
 )
-from quadgauss.sampler import (
-    PtfSampler,
-    enumerate_sampler_distribution,
-    sample_ptf_gaussian,
-)
+from quadgauss.sampler import PtfSampler, sample_ptf_gaussian
 
 import oracles
 
@@ -96,7 +91,7 @@ def test_criterion_2_oracle_equivalence():
         mu = np.rint(gen.normal(size=n) / step) * step
         theta = float(gen.normal() * n)
         dc = DecoupledConstraint(lam=lam, mu=mu, theta=theta, rotation=np.eye(n))
-        exact = exact_tail_bruteforce(dc, spec)
+        exact = oracles.exact_tail_bruteforce(lam, mu, theta, tau, b_radius)
         for eps in (0.3, 0.1, 0.05):
             est = count(dc, spec, eps)
             checked += 1
@@ -140,20 +135,19 @@ def test_criterion_3_sampler_tv_soundness():
         dc, spec = _tv_instance(gen, n)
         exact = oracles.conditional_pmf(dc.lam, dc.mu, dc.theta, spec.tau, spec.B)
         for eps in (0.1, 0.05):
-            dist = enumerate_sampler_distribution(dc, spec, eps)
-            approx = dist.as_dict()
+            table = PrefixCDFTable.for_sampling(dc, spec, eps)
+            approx = oracles.enumerate_sampler_distribution(table)
             keys = set(exact) | set(approx)
             tv = 0.5 * sum(abs(exact.get(k, 0.0) - approx.get(k, 0.0)) for k in keys)
             worst_tv = max(worst_tv, tv)
             assert tv <= eps
-            for pt, prob in zip(dist.points, dist.probs):
-                truth = exact.get(tuple(pt))
+            for pt, prob in approx.items():
+                truth = exact.get(pt)
                 assert truth is not None and truth > 0.0
                 ratio = prob / truth
                 worst_ratio = max(worst_ratio, abs(ratio - 1.0))
                 assert 1.0 - eps <= ratio <= 1.0 / (1.0 - eps)
             if n == 3:
-                table = PrefixCDFTable.for_sampling(dc, spec, eps)
                 sums = np.unique(np.add.outer(table.support[0], table.support[1]))
                 merged += table.cdfs[2].values.size < sums.size
     assert merged >= 1  # the gate exercises sparsification

@@ -194,6 +194,15 @@ class TestBadInput:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
+    def test_validate_is_not_a_command(self, capsys):
+        # the invariant checks are the test suite's, not a command's
+        code = cli.main(["validate"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: argument command: invalid choice: 'validate'")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
     @pytest.mark.parametrize("command", ["count", "sample", "densify"])
     def test_missing_instance_exit_1(self, capsys, command):
         code = cli.main([command])
@@ -643,14 +652,6 @@ class TestDensifyCommand:
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
-class TestValidate:
-    def test_exit_zero_and_reports(self, capsys):
-        code, out = run_inproc(["validate"], capsys)
-        assert code == 0
-        assert out.endswith("11/11 checks passed\n")
-        assert "FAIL" not in out
-
-
 class TestSubprocessEntry:
     def test_module_invocation_byte_identical(self, tmp_path):
         path = tmp_path / "chi2.json"
@@ -684,7 +685,6 @@ class TestSubprocessEntry:
             f"sample --instance {chi2_instance} --filter --samples 3",
             f"densify --instance {chi2_instance}",
             "geninstance --variant pm1 --w0 2 --w 1,1,2",
-            "validate",
         ]
         r = subprocess.run(
             [sys.executable, "-c", script, *commands], capture_output=True, text=True

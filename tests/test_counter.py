@@ -22,7 +22,6 @@ from quadgauss.counter import (
     count,
     count_ptf_gaussian,
     default_trunc_radius,
-    exact_tail_bruteforce,
     mc_count,
 )
 from quadgauss.grid import GridSpec, support_and_log_pmf
@@ -42,54 +41,41 @@ def lattice_constraint(gen, n, step=2.0**-4):
 
 
 class TestExactTailBruteforce:
+    """The brute-force oracle the count tests compare against."""
+
     def test_single_square_example(self):
-        spec = GridSpec(tau=0.5, B=1.0, n=1)
-        dc = DecoupledConstraint(
-            lam=np.array([1.0]), mu=np.array([0.0]), theta=0.5, rotation=np.eye(1)
-        )
-        got = exact_tail_bruteforce(dc, spec)
+        got = oracles.exact_tail_bruteforce([1.0], [0.0], 0.5, 0.5, 1.0)
         want = oracles.phi_series(1.0) - oracles.phi_series(-0.5)
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_theta_below_min(self):
-        spec = GridSpec(tau=0.5, B=1.0, n=2)
-        dc = DecoupledConstraint(
-            lam=np.array([1.0, 1.0]), mu=np.zeros(2), theta=-0.5, rotation=np.eye(2)
-        )
-        assert exact_tail_bruteforce(dc, spec) == 0.0
+        assert oracles.exact_tail_bruteforce([1.0, 1.0], [0.0, 0.0], -0.5, 0.5, 1.0) == 0.0
 
     def test_theta_above_max(self):
-        spec = GridSpec(tau=0.5, B=1.0, n=2)
-        dc = DecoupledConstraint(
-            lam=np.array([1.0, 1.0]), mu=np.zeros(2), theta=10.0, rotation=np.eye(2)
-        )
-        assert exact_tail_bruteforce(dc, spec) == pytest.approx(1.0, abs=1e-13)
+        got = oracles.exact_tail_bruteforce([1.0, 1.0], [0.0, 0.0], 10.0, 0.5, 1.0)
+        assert got == pytest.approx(1.0, abs=1e-13)
 
     def test_matches_direct_enumeration(self):
         gen = np.random.default_rng(1)
-        spec = GridSpec(tau=0.25, B=1.0, n=2)
         for _ in range(10):
             dc = lattice_constraint(gen, 2)
-            got = exact_tail_bruteforce(dc, spec)
-            want = oracles.discrete_tail(
-                dc.lam.tolist(), dc.mu.tolist(), dc.theta, 0.25, 1.0
-            )
-            assert got == pytest.approx(want, rel=1e-11, abs=1e-13)
+            args = (dc.lam.tolist(), dc.mu.tolist(), dc.theta, 0.25, 1.0)
+            got = oracles.exact_tail_bruteforce(*args)
+            assert got == pytest.approx(oracles.discrete_tail(*args), rel=1e-11, abs=1e-13)
 
     def test_size_guard(self):
-        spec = GridSpec(tau=2.0**-10, B=8.0, n=4)
-        dc = DecoupledConstraint(
-            lam=np.ones(4), mu=np.zeros(4), theta=0.0, rotation=np.eye(4)
-        )
-        with pytest.raises(EngineTooLargeError):
-            exact_tail_bruteforce(dc, spec)
+        with pytest.raises(ValueError, match="beyond the brute-force limit"):
+            oracles.exact_tail_bruteforce(np.ones(4), np.zeros(4), 0.0, 2.0**-10, 8.0)
+
+    def test_size_guard_beyond_float_range(self):
+        # (2e200 + 1)^2 grid points, which no float holds
+        with pytest.raises(ValueError, match=r"^grid has 4\.00e\+400 points, beyond"):
+            oracles.exact_tail_bruteforce(np.ones(2), np.zeros(2), 0.0, 1.0, 1e200)
 
     def test_size_guard_prints_three_digits(self):
         # 16385^4 points, not its 17 digits
-        spec = GridSpec(tau=2.0**-10, B=8.0, n=4)
-        dc = DecoupledConstraint(lam=np.ones(4), mu=np.zeros(4), theta=0.0, rotation=np.eye(4))
-        with pytest.raises(EngineTooLargeError, match=r"^grid has 7\.21e\+16 points, beyond"):
-            exact_tail_bruteforce(dc, spec)
+        with pytest.raises(ValueError, match=r"^grid has 7\.21e\+16 points, beyond"):
+            oracles.exact_tail_bruteforce(np.ones(4), np.zeros(4), 0.0, 2.0**-10, 8.0)
 
 
 class TestCount:
@@ -101,7 +87,7 @@ class TestCount:
                 tau=2.0 ** -int(gen.integers(2, 5)), B=float(gen.integers(1, 4)), n=n
             )
             dc = lattice_constraint(gen, n)
-            exact = exact_tail_bruteforce(dc, spec)
+            exact = oracles.exact_tail_bruteforce(dc.lam, dc.mu, dc.theta, spec.tau, spec.B)
             for eps in (0.3, 0.1, 0.05):
                 est = count(dc, spec, eps)
                 if exact == 0.0:
@@ -116,7 +102,7 @@ class TestCount:
             for _ in range(10):
                 dc = lattice_constraint(gen, n)
                 fast = count(dc, spec, 0.05)
-                exact = exact_tail_bruteforce(dc, spec)
+                exact = oracles.exact_tail_bruteforce(dc.lam, dc.mu, dc.theta, spec.tau, spec.B)
                 assert fast == pytest.approx(exact, rel=1e-11, abs=1e-14)
 
     def test_determinism(self):
@@ -194,7 +180,7 @@ class TestCount:
         spec = GridSpec(tau=2.0**-2, B=2.0, n=4)
         for _ in range(8):
             dc = lattice_constraint(gen, 4)
-            exact = exact_tail_bruteforce(dc, spec)
+            exact = oracles.exact_tail_bruteforce(dc.lam, dc.mu, dc.theta, spec.tau, spec.B)
             for eps in (0.3, 0.1, 0.05):
                 est = count(dc, spec, eps)
                 if exact == 0.0:
@@ -280,10 +266,11 @@ class TestNullCoordinates:
     @pytest.mark.parametrize("null", [0, 1, 2])
     def test_matches_bruteforce_on_the_full_grid(self, null):
         gen = np.random.default_rng(30 + null)
-        spec = GridSpec(tau=2.0**-4, B=3.0, n=3)
-        for _ in range(3):
-            dc, _ = with_nulls(gen, "".join("0" if j == null else "1" for j in range(3)))
-            exact = exact_tail_bruteforce(dc, spec)
+        # n = 4 on a coarser grid, which the brute force can enumerate
+        specs = [GridSpec(tau=2.0**-4, B=3.0, n=3)] * 3 + [GridSpec(tau=2.0**-2, B=2.0, n=4)] * 2
+        for spec in specs:
+            dc, _ = with_nulls(gen, "".join("0" if j == null else "1" for j in range(spec.n)))
+            exact = oracles.exact_tail_bruteforce(dc.lam, dc.mu, dc.theta, spec.tau, spec.B)
             assert exact > 0.0
             for eps in (0.3, 0.05):
                 ratio = count(dc, spec, eps) / exact
@@ -733,7 +720,7 @@ class TestAnswerRelativeFloor:
         for trial in range(54):
             n = 3 + trial % 3
             dc = lattice_constraint(gen, n)
-            exact = exact_tail_bruteforce(dc, spec[n])
+            exact = oracles.exact_tail_bruteforce(dc.lam, dc.mu, dc.theta, 0.25, 2.0)
             if exact < 1e-9:
                 continue
             for eps in (0.05, 0.2, 0.5, 1.0):

@@ -55,7 +55,8 @@ class TestFeatureMap:
                     evaluate(q, x), rel=1e-12, abs=1e-12
                 )
             q2 = quadratic_from_weights(w, n)
-            assert np.allclose(q2.A, q.A) and np.allclose(q2.b, q.b) and q2.c == q.c
+            assert np.max(np.abs(q2.A - q.A)) <= 1e-12
+            assert np.allclose(q2.b, q.b) and q2.c == q.c
 
 
 def separable_stream(gen, dim, k, margin=0.05):

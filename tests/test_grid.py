@@ -3,16 +3,22 @@ import math
 import numpy as np
 import pytest
 
-from quadgauss.grid import GridSpec, support_and_pmf
+from quadgauss.grid import GridSpec, support_and_log_pmf
 
 import oracles
 
 SPEC_HALF = GridSpec(tau=0.5, B=1.0, n=1)
 
 
+def image_pmf(a, b, spec):
+    """The image pmf in linear space."""
+    values, logp = support_and_log_pmf(a, b, spec)
+    return values, np.exp(logp)
+
+
 def cell_masses(spec):
     """Mass of each grid value, read off the pmf of the identity map."""
-    vals, probs = support_and_pmf(0.0, 1.0, spec)
+    vals, probs = image_pmf(0.0, 1.0, spec)
     return dict(zip(vals.tolist(), probs.tolist()))
 
 
@@ -76,7 +82,7 @@ class TestCoordinateMass:
 
 class TestSupportAndPmf:
     def test_five_point_square_pmf(self):
-        vals, probs = support_and_pmf(1.0, 0.0, SPEC_HALF)
+        vals, probs = image_pmf(1.0, 0.0, SPEC_HALF)
         want = oracles.discrete_image_pmf(1.0, 0.0, 0.5, 1.0)
         assert vals.tolist() == sorted(want)
         for v, p in zip(vals, probs):
@@ -88,7 +94,7 @@ class TestSupportAndPmf:
         assert probs[2] == pytest.approx(0.4671927926574440, rel=1e-9)
 
     def test_degenerate_zero_coefficients(self):
-        vals, probs = support_and_pmf(0.0, 0.0, SPEC_HALF)
+        vals, probs = image_pmf(0.0, 0.0, SPEC_HALF)
         assert vals.tolist() == [0.0]
         assert probs[0] == pytest.approx(1.0, abs=1e-14)
 
@@ -97,7 +103,7 @@ class TestSupportAndPmf:
         spec = GridSpec(tau=2.0**-4, B=2.0, n=1)
         for _ in range(50):
             a, b = gen.uniform(-1, 1, size=2)
-            _, probs = support_and_pmf(a, b, spec)
+            _, probs = image_pmf(a, b, spec)
             assert abs(probs.sum() - 1.0) <= 1e-12
 
     def test_lattice_exactness(self):
@@ -109,7 +115,7 @@ class TestSupportAndPmf:
         for _ in range(20):
             a = float(np.rint(gen.uniform(-1, 1) / gamma) * gamma)
             b = float(np.rint(gen.uniform(-1, 1) / gamma) * gamma)
-            vals, _ = support_and_pmf(a, b, spec)
+            vals, _ = image_pmf(a, b, spec)
             ratio = vals / unit
             assert np.array_equal(ratio, np.rint(ratio))
             # range bound: |a| kappa^2 + |b| |kappa| <= 2B^2 + 2B
@@ -118,7 +124,7 @@ class TestSupportAndPmf:
     def test_min_atom_mass_lower_bound(self):
         spec = GridSpec(tau=2.0**-4, B=2.0, n=1)
         thinnest = min(cell_masses(spec).values())
-        _, probs = support_and_pmf(1.0, 0.5, spec)
+        _, probs = image_pmf(1.0, 0.5, spec)
         assert probs.min() >= thinnest - 1e-15
 
 
@@ -133,6 +139,9 @@ class TestOracleQuadratic:
             nu1, nu2 = np.sort(gen.normal(size=2) * 2.0)
             image = oracles.discrete_image_pmf(a, b, spec.tau, spec.B)
             direct = sum(p for v, p in image.items() if nu1 <= v <= nu2)
-            vals, probs = support_and_pmf(a, b, spec)
+            vals, probs = image_pmf(a, b, spec)
+            # one atom per distinct value, each the sum of its cells
+            assert vals.tolist() == sorted(image)
+            assert max(abs(image[v] - p) for v, p in zip(vals.tolist(), probs)) <= 1e-12
             mask = (vals >= nu1) & (vals <= nu2)
             assert direct == pytest.approx(float(probs[mask].sum()), rel=1e-10, abs=1e-13)

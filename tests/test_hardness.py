@@ -329,6 +329,7 @@ class TestDeg4Construction:
                 else:
                     hi = mid
             assert abs(Decimal(beta) / hi - 1) <= Decimal("1e-15")
+        assert beta < alpha
 
     @pytest.mark.parametrize("c", [4.0, 1e3, 1e6, 1e9])
     def test_beta_brackets_float_sign_change(self, c):

@@ -117,6 +117,18 @@ class TestIntervalMass:
             lhs = interval_mass(a, c)
             rhs = interval_mass(a, b) + interval_mass(b, c)
             assert abs(lhs - rhs) <= 1e-13
+        # thin splits deep in both tails, whose masses come from the
+        # quadrature: the parts add up, and each is its width times the pdf
+        # at its midpoint (log-survival differences telescope, so additivity
+        # alone would not see a wrong quadrature)
+        for lo in np.repeat([5.0, 12.0, 20.0, 30.0], 5):
+            w1, w2 = 10.0 ** gen.uniform(-12.0, -9.0, size=2)
+            for a, b, c in ((lo, lo + w1, lo + w1 + w2), (-lo - w1 - w2, -lo - w1, -lo)):
+                for x, y in ((a, b), (b, c)):
+                    midpoint_rule = (y - x) * math.exp(-0.125 * (x + y) ** 2) / math.sqrt(2.0 * math.pi)
+                    assert abs(interval_mass(x, y) / midpoint_rule - 1.0) <= 1e-10
+                lhs = interval_mass(a, c)
+                assert abs(lhs - interval_mass(a, b) - interval_mass(b, c)) <= 1e-10 * lhs
 
     def test_log_variant_deep(self):
         # far beyond float range: only the log value is representable

@@ -1,10 +1,11 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from quadgauss import counter
-from quadgauss.counter import PrefixCDFTable, count, exact_tail_bruteforce
+from quadgauss.counter import PrefixCDFTable, count
 from quadgauss.grid import GridSpec
 from quadgauss.numerics import LOG_ZERO, Rng
 from quadgauss.quadform import DecoupledConstraint, QuadraticForm, sign_at
@@ -12,7 +13,6 @@ from quadgauss.sampler import (
     FilterRetryError,
     FloorError,
     PtfSampler,
-    enumerate_sampler_distribution,
     lift_to_continuous,
     sample_grid_point,
     sample_ptf_gaussian,
@@ -210,17 +210,19 @@ class TestFirstCoordinateCDF:
 
 
 class TestEnumerateDistribution:
+    """The sampler's exact output law, enumerated from its table by the
+    oracle, against the exact conditional law."""
+
     def test_probabilities_sum_to_one(self):
-        spec = GridSpec(tau=0.25, B=2.0, n=2)
-        dist = enumerate_sampler_distribution(DISC, spec, 0.1)
-        assert dist.probs.sum() == pytest.approx(1.0, abs=1e-10)
+        table = PrefixCDFTable.for_sampling(DISC, GridSpec(tau=0.25, B=2.0, n=2), 0.1)
+        law = oracles.enumerate_sampler_distribution(table)
+        assert math.fsum(law.values()) == pytest.approx(1.0, abs=1e-10)
 
     def test_tv_within_eps(self):
         spec = GridSpec(tau=0.25, B=2.0, n=2)
         for eps in (0.1, 0.05):
-            dist = enumerate_sampler_distribution(DISC, spec, eps)
+            approx = oracles.enumerate_sampler_distribution(PrefixCDFTable.for_sampling(DISC, spec, eps))
             exact = oracles.conditional_pmf(DISC.lam, DISC.mu, DISC.theta, spec.tau, spec.B)
-            approx = dist.as_dict()
             keys = set(exact) | set(approx)
             tv = 0.5 * sum(abs(exact.get(k, 0.0) - approx.get(k, 0.0)) for k in keys)
             assert tv <= eps
@@ -231,11 +233,11 @@ class TestEnumerateDistribution:
         table = PrefixCDFTable.for_sampling(SKEW3, spec, eps)
         exact_sums = np.unique(np.add.outer(table.support[0], table.support[1]))
         assert table.cdfs[2].values.size < exact_sums.size  # atoms were merged
-        dist = enumerate_sampler_distribution(SKEW3, spec, eps)
+        law = oracles.enumerate_sampler_distribution(table)
         exact = oracles.conditional_pmf(SKEW3.lam, SKEW3.mu, SKEW3.theta, spec.tau, spec.B)
-        assert len(dist.probs) == len(exact)
-        for pt, prob in zip(dist.points, dist.probs):
-            truth = exact.get(tuple(pt))
+        assert len(law) == len(exact)
+        for pt, prob in law.items():
+            truth = exact.get(pt)
             assert truth is not None
             assert 1.0 - eps <= prob / truth <= 1.0 / (1.0 - eps)
 
@@ -258,12 +260,13 @@ class TestEnumerateDistribution:
                 for j in range(1, n):
                     sums = np.unique(np.add.outer(sums, table.support[j - 1]))
                     dropped += sums.size - table.cdfs[j].values.size
-                dist = enumerate_sampler_distribution(dc, spec, eps)
-                assert len(dist.probs) == len(exact)
-                truth = np.array([exact[tuple(pt)] for pt in dist.points])
-                ratio = dist.probs / truth
+                law = oracles.enumerate_sampler_distribution(table)
+                assert len(law) == len(exact)
+                probs = np.array(list(law.values()))
+                truth = np.array([exact[pt] for pt in law])
+                ratio = probs / truth
                 assert np.all((1.0 / beta <= ratio) & (ratio <= beta))
-                assert 0.5 * np.abs(dist.probs - truth).sum() <= eps
+                assert 0.5 * np.abs(probs - truth).sum() <= eps
         assert dropped > 0  # atoms were merged
 
     def test_single_point_region_mass_one(self):
@@ -271,23 +274,22 @@ class TestEnumerateDistribution:
         dc = DecoupledConstraint(
             lam=np.array([1.0]), mu=np.zeros(1), theta=0.1, rotation=np.eye(1)
         )
-        dist = enumerate_sampler_distribution(dc, spec, 0.1)
-        assert len(dist.probs) == 1
-        assert dist.probs[0] == pytest.approx(1.0, abs=1e-12)
+        law = oracles.enumerate_sampler_distribution(PrefixCDFTable.for_sampling(dc, spec, 0.1))
+        assert list(law.values()) == [pytest.approx(1.0, abs=1e-12)]
 
     def test_symmetric_instance_invariance(self):
         spec = GridSpec(tau=0.5, B=2.0, n=2)
         dc = DecoupledConstraint(
             lam=np.array([0.5, 0.5]), mu=np.zeros(2), theta=1.0, rotation=np.eye(2)
         )
-        pmf = enumerate_sampler_distribution(dc, spec, 0.05).as_dict()
+        pmf = oracles.enumerate_sampler_distribution(PrefixCDFTable.for_sampling(dc, spec, 0.05))
         for (k1, k2), p in pmf.items():
             assert pmf[(k2, k1)] == pytest.approx(p, abs=1e-9)
 
     def test_empirical_agreement_with_enumeration(self):
         spec = GridSpec(tau=0.5, B=2.0, n=2)
         table = PrefixCDFTable.for_sampling(DISC, spec, 0.1)
-        pmf = enumerate_sampler_distribution(DISC, spec, 0.1).as_dict()
+        pmf = oracles.enumerate_sampler_distribution(table)
         r = Rng(11)
         n = 20_000
         seen: dict = {}
@@ -297,6 +299,14 @@ class TestEnumerateDistribution:
         for k, p in pmf.items():
             if p > 0.01:
                 assert seen.get(k, 0) / n == pytest.approx(p, rel=0.15)
+
+    def test_size_guard_beyond_float_range(self):
+        # a table of GridSpec(tau=1.0, B=1e200, n=2)'s shape, which the
+        # package refuses to build: (2e200 + 1)^2 points, which no float holds
+        m = GridSpec(tau=1.0, B=1e200, n=2).points_per_coord
+        table = SimpleNamespace(n=2, support=SimpleNamespace(shape=(2, m)))
+        with pytest.raises(ValueError, match=r"^grid has 4\.00e\+400 points, too many"):
+            oracles.enumerate_sampler_distribution(table)
 
 
 class TestLift:
@@ -492,7 +502,7 @@ class TestPtfSampler:
         for _ in range(3):
             lam, mu = (np.rint(gen.normal(size=n) * 16.0) / 16.0 for _ in range(2))
             dc = DecoupledConstraint(lam=lam, mu=mu, theta=float(gen.normal() * n), rotation=np.eye(n))
-            exact = exact_tail_bruteforce(dc, spec)
+            exact = oracles.exact_tail_bruteforce(dc.lam, dc.mu, dc.theta, spec.tau, spec.B)
             for eps in (0.1, 0.5):
                 ratio = PrefixCDFTable.for_sampling(dc, spec, eps).mass() / exact
                 assert math.sqrt(1.0 - eps) <= ratio <= 1.0 / math.sqrt(1.0 - eps)

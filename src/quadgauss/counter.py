@@ -26,8 +26,9 @@ convolves factors its caller has sparsified and guarded
 P in one of two ways.  A grid sum adds one coordinate's cells, sum_kappa
 cell(kappa) P(theta - s(kappa)), whose terms are the weights the sampler
 draws that coordinate by, read through ``CompressedCDF.log_query``
-(``_grid_log_mass``): a count at n <= 3, its coarse pass and a sampling
-table's ``mass()`` read coordinate n so.  A count at n >= 4 chains only the
+(``_grid_log_mass``): a count at n <= 3 and its coarse pass read coordinate
+n so, and a sampling table's ``mass()`` sums the same terms, its
+``log_weights`` at theta.  A count at n >= 4 chains only the
 first n - 2 coordinates and reads the last two coordinates' sparsified
 factors b and c at once, sum_(b, c) mass(b) mass(c) P(theta - (v_b + v_c))
 (``_tail_log_mass``), by sorted lookups into P_{n-2}: a meet-in-the-middle
@@ -55,6 +56,7 @@ test suite computes it by an independent dense convolution
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -134,10 +136,18 @@ class CompressedCDF:
         if np.any(np.diff(v) <= 0.0) or np.any(np.diff(c) <= 0.0):
             raise ValueError("anchors must be strictly increasing")
 
+    @cached_property
+    def _padded_log_cum(self) -> np.ndarray:
+        """``log_cum`` after a leading -inf: entry i is log F' at a threshold
+        with i anchors at or below it."""
+        out = np.concatenate(([LOG_ZERO], self.log_cum))
+        out.setflags(write=False)
+        return out
+
     def log_query(self, t):
-        """log F'(t) for a scalar or an array of thresholds."""
-        idx = np.searchsorted(self.values, t, side="right")
-        out = np.where(idx == 0, LOG_ZERO, self.log_cum[idx - 1])
+        """log F'(t) for a scalar or an array of thresholds; an array comes
+        back as a new array."""
+        out = self._padded_log_cum[self.values.searchsorted(t, "right")]
         return out if out.ndim else float(out)
 
 
@@ -579,7 +589,7 @@ def _tail_log_mass(cdf: CompressedCDF, tail, theta: float) -> float:
     total = sum(float(pb[r : r + rows] @ (f[lookups(r)] @ pc)) for r in blocks)
     if total >= _LINEAR_FLOOR:
         return math.log(total) + sum(tops)
-    log_f = np.concatenate(([LOG_ZERO], cdf.log_cum))
+    log_f = cdf._padded_log_cum
     return log_sum([log_sum(lb[r : r + rows, None] + lc + log_f[lookups(r)]) for r in blocks])
 
 
@@ -599,6 +609,19 @@ def _midpoint_mass(log_mass: float, beta: float) -> float:
     """exp(``log_mass``) at the geometric midpoint of [1, ``beta``], capped
     at 1; 0 when nothing lies below theta."""
     return min(math.exp(log_mass + 0.5 * math.log(beta)), 1.0)
+
+
+def _scaled_cumsum(lw: np.ndarray) -> np.ndarray:
+    """Cumulative weights from log weights ``lw``, scaled by the largest;
+    ``lw`` is overwritten.  Raises FloorError when no grid value has weight.
+    The sum goes to a new array: numpy copies an accumulation whose output
+    is its input, which costs more than the allocation."""
+    top = lw.max()
+    if top == LOG_ZERO:
+        raise FloorError("no grid point lies in the acceptance region")
+    lw -= top
+    np.exp(lw, out=lw)
+    return lw.cumsum()
 
 
 def _grid_axis(spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -623,13 +646,16 @@ class PrefixCDFTable:
     ``log_cell`` the log mass of each grid value.  Given the threshold t left
     for coordinates 1..i+1, coordinate i+1 weighs kappa by cell(kappa) *
     P_i(t - support[i][kappa]) (``log_weights(i, t)``).  Two of these laws do
-    not depend on the draw, so the sampler reads them from inverse CDFs
-    cached on its first draw: coordinate n's at theta
+    not depend on the draw: coordinate n's, at theta
     (``last_coordinate_cum``), and coordinate 1's for every t at once, as the
-    cell masses in support order (``first_coordinate_cdf``).  A draw rebuilds
-    the weights of coordinates n-1, ..., 2 only.  The table's ``mass()`` sums
-    those weights at theta, P_{n-1} over coordinate n's cells
-    (``_grid_log_mass``), and reads the sum at the midpoint of ``beta``.
+    cell masses in support order (``first_coordinate_cdf``).  The draw plan
+    (``draw_plan``), built on the first draw, holds both, the support rows
+    and ``kappa`` as sequences of Python numbers, which a draw reads by
+    scalar arithmetic and ``bisect_right``.  A draw rebuilds the weights of
+    coordinates n-1, ..., 2 only, one ``cumulative_weights`` call each.  The table's ``mass()``
+    sums coordinate n's weights at theta, P_{n-1} over its cells as
+    ``_grid_log_mass`` sums a count's, and reads the sum at the midpoint of
+    ``beta``; ``last_coordinate_cum`` accumulates the same log weights.
 
     Accuracy.  The table takes the merge step e with ``beta`` =
     (1 + e)^(2n - 3) = 1/(1 - eps), and no floor; at n <= 2 nothing is
@@ -697,40 +723,44 @@ class PrefixCDFTable:
 
     def log_weights(self, j: int, t) -> np.ndarray:
         """Log weight of every grid value of coordinate j+1 given the
-        threshold ``t`` left for coordinates 1..j+1; ``t`` is a scalar,
-        giving shape (m,), or a (k,) array, giving (k, m)."""
-        t = np.asarray(t, dtype=float)[..., None]
-        return self.log_cell + self.cdfs[j].log_query(t - self.support[j])
+        threshold ``t`` left for coordinates 1..j+1, as a new array; ``t`` is
+        a float, giving shape (m,), or a (k,) array, giving (k, m)."""
+        if not isinstance(t, float):
+            t = np.asarray(t, dtype=float)[..., None]
+        out = self.cdfs[j].log_query(t - self.support[j])
+        out += self.log_cell
+        return out
+
+    @cached_property
+    def _last_log_weights(self) -> np.ndarray:
+        """``log_weights`` of coordinate n at theta, which both ``mass()``
+        and ``last_coordinate_cum`` read."""
+        out = self.log_weights(self.n - 1, self.theta)
+        out.setflags(write=False)
+        return out
 
     def mass(self) -> float:
         """P_{n-1} summed over coordinate n's cells at theta, read at the
         geometric midpoint of ``beta`` and capped at 1: within (1 -
         eps)^(+-1/2) of the exact grid mass."""
-        log_mass = _grid_log_mass(self.cdfs[-1], self.support[-1], self.log_cell, self.theta)
-        return _midpoint_mass(log_mass, self.beta)
+        return _midpoint_mass(log_sum(self._last_log_weights), self.beta)
 
     def cumulative_weights(self, j: int, t: float) -> np.ndarray:
         """Cumulative weights of coordinate j+1's grid values given the
         threshold ``t``, scaled by the largest: the inverse CDF a draw reads
         that coordinate from.  Raises FloorError when no grid value has
         weight."""
-        lw = self.log_weights(j, t)
-        top = lw.max()
-        if top == LOG_ZERO:
-            raise FloorError("no grid point lies in the acceptance region")
-        return np.cumsum(np.exp(lw - top))
+        return _scaled_cumsum(self.log_weights(j, t))
 
-    @cached_property
+    @property
     def last_coordinate_cum(self) -> np.ndarray:
         """``cumulative_weights`` of coordinate n, the first one a draw
-        takes.  Its threshold is always theta, so it is built once, on the
-        first draw.  An empty region raises FloorError here on every draw,
-        since a raise caches nothing."""
-        cum = self.cumulative_weights(self.n - 1, self.theta)
-        cum.setflags(write=False)
-        return cum
+        takes.  Its threshold is always theta, so the draw plan keeps it; it
+        accumulates the log weights ``mass()`` summed.  Raises FloorError
+        when the region holds no grid point."""
+        return _scaled_cumsum(self._last_log_weights.copy())
 
-    @cached_property
+    @property
     def first_coordinate_cdf(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Coordinate 1's inverse CDF for every threshold at once: its grid
         indices in stable order of ``support[0]``, that sorted support, and
@@ -738,27 +768,34 @@ class PrefixCDFTable:
         mass at 0, coordinate 1 weighs kappa by cell(kappa) exactly when
         support[0][kappa] <= t (a float difference has the sign of the exact
         one), so its law given t is the cell masses over a prefix of this
-        order.  Built on the first draw at n >= 2."""
+        order, and the draw plan keeps it (n >= 2)."""
         order = np.argsort(self.support[0], kind="stable")
-        arrays = (order, self.support[0][order], _log_cumsum(self.log_cell[order]))
-        for a in arrays:
-            a.setflags(write=False)
-        return arrays
+        return order, self.support[0][order], _log_cumsum(self.log_cell[order])
 
-    def first_coordinate_index(self, t: float, u: float) -> int:
-        """Coordinate 1's grid index given the threshold ``t`` and a uniform
-        ``u`` in [0, 1), by inverse CDF in support order in O(log m): the
-        cumulative mass of the indices with support <= t, scaled by u, is
-        compared in log space, so a far-tail region cannot underflow.  Raises
-        FloorError when no grid value lies in the region."""
-        order, support, log_cum = self.first_coordinate_cdf
-        c = int(support.searchsorted(t, "right"))
-        if c == 0:
-            raise FloorError("no grid point lies in the acceptance region")
-        target = log_cum[c - 1] + (math.log(u) if u > 0.0 else LOG_ZERO)
-        # searching the first c - 1 entries keeps a target that rounds up to
-        # the region's total on its last index
-        return int(order[log_cum[: c - 1].searchsorted(target, "right")])
+    @cached_property
+    def draw_plan(self) -> tuple:
+        """What a draw reads besides the middle coordinates' weights, as
+        Python sequences, built on the first draw: ``last_coordinate_cum``
+        and its total; ``first_coordinate_cdf`` (None at n = 1); the support
+        rows of coordinates 2..n, and ``kappa``.  A draw takes coordinates n
+        and 1 by ``bisect_right`` on these, which makes the comparisons
+        ``searchsorted(side="right")`` makes on the same doubles, and reads
+        single values as Python numbers.  Each sequence is an ``array.array``
+        copy of its numpy array, built by one memory copy where a list would
+        create a float object per grid value.  An empty region raises
+        FloorError here on every draw, since a raise caches nothing."""
+        cum = self.last_coordinate_cum
+        first = tuple(map(_py_array, self.first_coordinate_cdf)) if self.n > 1 else None
+        rows = [_py_array(row) for row in self.support[1:]]
+        return _py_array(cum), float(cum[-1]), first, rows, _py_array(self.kappa)
+
+
+def _py_array(a: np.ndarray) -> array:
+    """A 1-d float64 or integer array as an ``array.array`` of the same
+    values, whose items read as Python floats or ints."""
+    if a.dtype == np.float64:
+        return array("d", a.tobytes())
+    return array("q", a.astype(np.int64).tobytes())
 
 
 # the share s < 1 of the lower end's slack that a count's floor spends (see

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .numerics import log_interval_mass
+from .numerics import _THIN_LOG_GAP, _log_ndtr, _log_thin_mass, log_interval_mass, log_sub
 
 __all__ = [
     "GridSpec",
@@ -58,7 +58,7 @@ class GridSpec:
         if not ratio.is_integer():
             raise ValueError(f"B/tau must be integral, got {ratio}")
 
-    @property
+    @cached_property
     def half_index(self) -> int:
         return int(round(self.B / self.tau))
 
@@ -83,12 +83,24 @@ class GridSpec:
 
 @lru_cache(maxsize=64)
 def _log_cell_masses(tau: float, B: float) -> np.ndarray:
+    """The log mass of every cell of one coordinate, as ``log_interval_mass``
+    gives it.  Each one-sided cell [k tau, (k + 1) tau), 1 <= k < B/tau, is
+    formed as ``log_interval_mass`` forms it, from the log survivals
+    L_k = log S(k tau) of the edges, each computed once, and copied to its
+    mirror image (but [B - tau, B), whose mirror lies in the lower cap).
+    The two cells that touch 0 and the two caps go through
+    ``log_interval_mass`` itself."""
     spec = GridSpec(tau=tau, B=B, n=1)
-    m = spec.points_per_coord
+    h, m = spec.half_index, spec.points_per_coord
+    edges = [_log_ndtr(-(k * tau)) for k in range(h + 1)]
     out = np.empty(m)
-    for i in range(m):
-        left, right = spec.cell_bounds(i)
-        out[i] = log_interval_mass(left, right)
+    for k in range(1, h):  # cell h + k is [k tau, (k + 1) tau)
+        lsa, lsb = edges[k], edges[k + 1]
+        thin = lsa - lsb < _THIN_LOG_GAP
+        out[h + k] = _log_thin_mass(k * tau, (k + 1) * tau) if thin else log_sub(lsa, lsb)
+    out[1 : h - 1] = out[2 * h - 2 : h : -1]  # cell i mirrors cell 2h - 1 - i
+    for i in (0, h - 1, h, m - 1):
+        out[i] = log_interval_mass(*spec.cell_bounds(i))
     out.setflags(write=False)
     return out
 

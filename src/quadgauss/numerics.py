@@ -31,7 +31,7 @@ import os
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from functools import cached_property
+from functools import cached_property, lru_cache
 from statistics import NormalDist
 
 import numpy as np
@@ -62,6 +62,9 @@ _UPPER_LOG = math.log1p(-math.exp(-2.0))
 # Nodes/weights of 8-point Gauss-Legendre on [-1, 1], used only for very thin
 # intervals, where the difference of log survivals would cancel.
 _GL_NODES = np.polynomial.legendre.leggauss(8)
+# below this gap between the log survivals of its ends, an interval's mass
+# comes from quadrature
+_THIN_LOG_GAP = 1e-3
 
 
 def _ndtr(x: float) -> float:
@@ -213,7 +216,7 @@ def log_interval_mass(a: float, b: float) -> float:
         return math.log(m) if m > 0.0 else LOG_ZERO
     lo, hi = (a, b) if a >= 0.0 else (-b, -a)
     lsa, lsb = _log_ndtr(-lo), _log_ndtr(-hi)
-    if lsa - lsb < 1e-3:
+    if lsa - lsb < _THIN_LOG_GAP:
         return _log_thin_mass(lo, hi)
     return log_sub(lsa, lsb)
 
@@ -364,18 +367,35 @@ def normal_blocks(
                 fut.exception()
 
 
-def _right_tail_quantile(lsa: float, lsb: float, u: float) -> float:
-    # Inverse CDF in survival space on [lo, hi) for 0 <= lo < hi, from
-    # lsa = log S(lo) and lsb = log S(hi), accurate arbitrarily deep:
-    # S_x = S(lo) * (1 - u*(1 - S(hi)/S(lo))), inverted through _ndtri_exp on
-    # log S_x.
-    ratio = math.exp(lsb - lsa)  # 0 when hi = inf
-    return -_ndtri_exp(lsa + math.log1p(-u * (1.0 - ratio)))
-
-
 def _require_mass(a: float, b: float) -> None:
     if not log_interval_mass(a, b) > LOG_ZERO:
         raise ValueError(f"zero-mass interval [{a}, {b})")
+
+
+@lru_cache(maxsize=4096)
+def _inverse_cdf_constants(a: float, b: float) -> tuple[int, float, float, float]:
+    """What ``truncated_normal_sample`` needs of [a, b) before its uniform
+    u, as (side, base, width, top): x = Phi^-1(base + u width) across 0
+    (side 0), and for a one-sided interval, mirrored into the right tail as
+    [lo, hi) (side -1 when mirrored, else 1), base = log S(lo) and width =
+    1 - S(hi)/S(lo), so that S(x) = S(lo)(1 - u' width), u' = u or 1 - u, is
+    inverted in log-survival space, accurate arbitrarily deep.  top is the
+    largest double below b, the clamp.  A NaN, reversed or zero-mass
+    interval raises ValueError, and a raise caches nothing.  The grid
+    sampler lifts every coordinate from one grid's cells, so the cache
+    holds a default grid's 2049 cells at once."""
+    a, b = _validate_interval(a, b)
+    top = math.nextafter(b, -math.inf)
+    if a >= 0.0 or b <= 0.0:
+        # its log survival values show that it has mass whenever they differ
+        lo, hi = (a, b) if a >= 0.0 else (-b, -a)
+        lsa, lsb = _log_ndtr(-lo), _log_ndtr(-hi)
+        if not lsa > lsb:
+            _require_mass(a, b)
+        return (1 if a >= 0.0 else -1), lsa, 1.0 - math.exp(lsb - lsa), top  # S(hi) = 0 at hi = inf
+    _require_mass(a, b)
+    fa = _ndtr(a)
+    return 0, fa, _ndtr(b) - fa, top
 
 
 def truncated_normal_sample(a: float, b: float, rng: Rng) -> float:
@@ -385,22 +405,19 @@ def truncated_normal_sample(a: float, b: float, rng: Rng) -> float:
     Endpoints may be infinite.  The law is exact up to float resolution even
     for cells deep in the tails (the inversion runs in log-survival space).
     An interval of zero mass raises ValueError before the uniform is drawn.
+    Each interval's constants are computed once and kept in a bounded cache
+    (``_inverse_cdf_constants``).
     """
-    a, b = _validate_interval(a, b)
-    if a >= 0.0 or b <= 0.0:
-        # a one-sided interval, mirrored into the right tail as [lo, hi); its
-        # log survival values show that it has mass whenever they differ
-        lo, hi = (a, b) if a >= 0.0 else (-b, -a)
-        lsa, lsb = _log_ndtr(-lo), _log_ndtr(-hi)
-        if not lsa > lsb:
-            _require_mass(a, b)
-        u = rng.uniform()
-        if a >= 0.0:
-            x = _right_tail_quantile(lsa, lsb, u)
-        else:
-            x = -_right_tail_quantile(lsa, lsb, 1.0 - u)
+    a, b = float(a), float(b)
+    side, base, width, top = _inverse_cdf_constants(a, b)
+    u = rng.uniform()
+    if side > 0:
+        x = -_ndtri_exp(base + math.log1p(-u * width))
+    elif side < 0:
+        x = _ndtri_exp(base + math.log1p(-(1.0 - u) * width))
     else:
-        _require_mass(a, b)
-        fa = _ndtr(a)
-        x = _ndtri(fa + rng.uniform() * (_ndtr(b) - fa))
-    return max(min(x, math.nextafter(b, -math.inf)), a)
+        x = _ndtri(base + u * width)
+    # max(min(x, top), a), spelled with the comparisons min and max make
+    if top < x:
+        x = top
+    return a if a > x else x

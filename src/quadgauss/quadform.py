@@ -108,7 +108,7 @@ def evaluate(q: QuadraticForm, x: np.ndarray) -> float | np.ndarray:
 def sign_at(q: QuadraticForm, x: np.ndarray) -> int | np.ndarray:
     """sign(p(x)) with sign(0) = +1."""
     v = evaluate(q, x)
-    if np.ndim(v) == 0:
+    if isinstance(v, float):  # one point
         return 1 if v >= 0.0 else -1
     return np.where(np.asarray(v) >= 0.0, 1, -1)
 

@@ -16,9 +16,12 @@ theta, so its inverse CDF is fixed.  Coordinate 1 weighs kappa by cell(kappa)
 when its value lam_1 kappa^2 + mu_1 kappa is at most t and by 0 otherwise,
 as P_0 is the point mass at 0; so with its grid values sorted by that value,
 its law given any t is the cell masses over a prefix of the order, read from
-one log cumulative sum.  Each later draw pays one ``searchsorted`` for
-coordinate n, two for coordinate 1, and rebuilds only the weights of
-coordinates n-1, ..., 2.
+one log cumulative sum.  The first draw copies both inverse CDFs, the
+support rows and the grid values into the table's draw plan
+(``PrefixCDFTable.draw_plan``), sequences whose items read as Python
+numbers.  A draw then takes coordinate n by one ``bisect_right`` and
+coordinate 1 by two, in scalar float arithmetic, and calls into numpy only
+to rebuild the weights of coordinates n-1, ..., 2 and to return the point.
 
 The sampler's exact output law, the product of those n conditional laws
 over every reachable grid point, is enumerated only by the test suite
@@ -28,8 +31,9 @@ The continuous lift is exact, not approximate: conditioned on the grid
 point, each coordinate of the underlying Gaussian is distributed as N(0,1)
 restricted to the grid point's owning cell, so lifting with truncated
 normals inverts the discretization in law.  The lift reads each cell from
-the grid index kappa/tau + B/tau, in float arithmetic that is exact
-for a power-of-two tau.
+kappa/tau, in float arithmetic that is exact for a power-of-two tau, and
+``truncated_normal_sample`` keeps each cell's inverse-CDF constants, so a
+draw from a cell seen before costs one uniform and one quantile.
 
 ``region_source`` is the other route, with no table and no grid: exact
 rejection from an exponentially tilted Gaussian (Siegmund 1976).  It is how
@@ -39,6 +43,7 @@ the densifier draws its positives and negatives.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from contextlib import closing
 
 import numpy as np
@@ -52,7 +57,7 @@ from .counter import (
     _prepare,
 )
 from .grid import GridSpec
-from .numerics import Rng, _checked_int, normal_blocks, truncated_normal_sample
+from .numerics import LOG_ZERO, Rng, _checked_int, normal_blocks, truncated_normal_sample
 from .quadform import ConstantPolynomialError, DecoupledConstraint, QuadraticForm, normalize, sign_at
 
 # Not called here: bench/tracing.py's WRAPS wraps these names on this module.
@@ -77,40 +82,55 @@ class FilterRetryError(RuntimeError):
 def sample_grid_point(table: PrefixCDFTable, rng: Rng) -> np.ndarray:
     """Draw one grid point from the table: coordinates n, n-1, ..., 1 in
     turn, each by inverse CDF of one uniform.  Two of the inverse CDFs do not
-    depend on the draw and come from the table's cache: coordinate n's, at
-    theta, and coordinate 1's, in support order for every threshold.  So
-    only coordinates n-1, ..., 2 rebuild their weights; at n = 1 the single
-    coordinate is coordinate n."""
-    idx = np.empty(table.n, dtype=int)
-    t = table.theta
-    cum = table.last_coordinate_cum
-    for j in range(table.n - 1, 0, -1):
-        i = int(np.searchsorted(cum, rng.uniform() * cum[-1], side="right"))
-        idx[j] = i
-        t -= table.support[j, i]
-        if j > 1:
-            cum = table.cumulative_weights(j - 1, t)
-    if table.n == 1:
-        idx[0] = np.searchsorted(cum, rng.uniform() * cum[-1], side="right")
-    else:
-        idx[0] = table.first_coordinate_index(t, rng.uniform())
-    return table.kappa[idx]
+    depend on the draw and come from the table's ``draw_plan``: coordinate
+    n's, at theta, and coordinate 1's, in support order for every threshold.
+    So only coordinates n-1, ..., 2 rebuild their weights; at n = 1 the
+    single coordinate is coordinate n."""
+    last_cum, last_total, first, rows, kappa = table.draw_plan
+    n = table.n
+    i = bisect_right(last_cum, rng.uniform() * last_total)
+    if n == 1:
+        return np.array([kappa[i]])
+    point = [kappa[i]] * n
+    t = table.theta - rows[-1][i]
+    for j in range(n - 2, 0, -1):
+        cum = table.cumulative_weights(j, t)
+        i = int(cum.searchsorted(rng.uniform() * cum[-1], "right"))
+        point[j] = kappa[i]
+        t -= rows[j - 1][i]
+    # coordinate 1: the cumulative mass of the indices with support <= t,
+    # scaled by u, is compared in log space, so a far-tail region cannot
+    # underflow; searching the first c - 1 entries keeps a target that
+    # rounds up to the region's total on its last index
+    order, support, log_cum = first
+    u = rng.uniform()
+    c = bisect_right(support, t)
+    if c == 0:
+        raise FloorError("no grid point lies in the acceptance region")
+    target = log_cum[c - 1] + (math.log(u) if u > 0.0 else LOG_ZERO)
+    point[0] = kappa[order[bisect_right(log_cum, target, 0, c - 1)]]
+    return np.array(point)
 
 
 def lift_to_continuous(kappa: np.ndarray, spec: GridSpec, rng: Rng) -> np.ndarray:
     """Invert the discretization in law: given [G]_tau = kappa, each
     coordinate is N(0,1) restricted to kappa's owning cell ([kappa, kappa+tau)
     inside the grid, the unbounded tail at the caps)."""
-    values = np.atleast_1d(np.asarray(kappa, dtype=float)).tolist()
-    out = np.empty(len(values))
-    for j, v in enumerate(values):
+    tau, half = spec.tau, spec.half_index
+    values = np.asarray(kappa, dtype=float).tolist()  # a float for a 0-d kappa
+    out = []
+    for v in values if isinstance(values, list) else [values]:
         # exact: tau is a power of two, so v / tau is an integer on the grid
-        k = v / spec.tau
+        k = v / tau
         if not k.is_integer():
             raise ValueError(f"value {v} is not on the grid")
-        left, right = spec.cell_bounds(int(k) + spec.half_index)
-        out[j] = truncated_normal_sample(left, right, rng)
-    return out
+        k = int(k)
+        if not -half <= k <= half:
+            raise ValueError(f"index {k + half} out of range [0, {2 * half + 1})")
+        left = k * tau
+        right = math.inf if k == half else left + tau
+        out.append(truncated_normal_sample(-math.inf if k == -half else left, right, rng))
+    return np.array(out)
 
 
 class PtfSampler:
@@ -156,20 +176,24 @@ class PtfSampler:
         if mass < floor or mass == 0.0:
             raise FloorError(f"acceptance mass {mass} is zero or below the floor {floor}")
 
-    def _original_accepts(self, x: np.ndarray, y: np.ndarray) -> bool:
-        if isinstance(self.original, QuadraticForm):
-            return sign_at(self.original, x) == 1
-        return bool(self.original.accepts(y))
-
     def sample(self, rng: Rng, exact_filter: bool = False) -> np.ndarray:
+        """One point of shape (n,): a grid point from the table, lifted
+        exactly into its cells and rotated back.  Each attempt takes n
+        uniforms from ``rng`` for the grid point (coordinates n, ..., 1),
+        then n for the lift (coordinates 1, ..., n).  With ``exact_filter``
+        an attempt whose output the original constraint rejects (a
+        QuadraticForm's sign at x is -1, or a DecoupledConstraint does not
+        accept y) is counted in ``filter_rejections`` and repeated, at most
+        ``retry_limit`` times before FilterRetryError.  A constant form
+        draws ``rng.normal(n)``."""
         if self.rounded is None:
             return rng.normal(self.spec.n)
-        attempts = self.retry_limit + 1 if exact_filter else 1
-        for _ in range(attempts):
-            kappa = sample_grid_point(self.table, rng)
-            y = lift_to_continuous(kappa, self.spec, rng)
-            x = self.rotation @ y
-            if not exact_filter or self._original_accepts(x, y):
+        table, spec, rotation, original = self.table, self.spec, self.rotation, self.original
+        point_form = isinstance(original, QuadraticForm)
+        for _ in range(self.retry_limit + 1 if exact_filter else 1):
+            y = lift_to_continuous(sample_grid_point(table, rng), spec, rng)
+            x = rotation @ y
+            if not exact_filter or (sign_at(original, x) == 1 if point_form else original.accepts(y)):
                 return x
             self.filter_rejections += 1
         raise FilterRetryError(
@@ -179,6 +203,9 @@ class PtfSampler:
     def sample_batch(
         self, k: int, rng: Rng, exact_filter: bool = False
     ) -> np.ndarray:
+        """k draws of :meth:`sample` in turn, from the one stream ``rng``,
+        as a (k, n) array; a k that is not an integer >= 0 raises
+        ValueError before any draw."""
         k = _checked_int("k", k, 0)
         out = np.empty((k, self.spec.n))
         for i in range(k):

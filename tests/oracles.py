@@ -239,6 +239,20 @@ def grid_cell_mass(kappa: float, tau: float, B: float) -> float:
     return phi_interval(lo, hi)
 
 
+def log_cell_masses_per_cell(tau: float, B: float, log_interval_mass) -> np.ndarray:
+    """Log mass of every grid cell, -B's first, by one call of the given
+    ``log_interval_mass`` per cell: the per-cell loop that a faster table of
+    the same masses must match bit for bit."""
+    h = round(B / tau)
+    out = np.empty(2 * h + 1)
+    for i in range(out.size):
+        v = (i - h) * tau
+        left = -math.inf if i == 0 else v
+        right = math.inf if i == out.size - 1 else v + tau
+        out[i] = log_interval_mass(left, right)
+    return out
+
+
 def discrete_image_pmf(a: float, b: float, tau: float, B: float) -> dict[float, float]:
     """pmf of a*[G]^2 + b*[G] by direct enumeration of every grid cell."""
     out: dict[float, float] = {}

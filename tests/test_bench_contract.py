@@ -86,6 +86,9 @@ def test_tracer_drives_count_and_draw():
     # sampler.grid_point_s and sampler.lift_s keep measuring the draw
     for name in ("sampler.draw", "sampler.grid_point", "sampler.lift"):
         assert rows[name]["calls"] == 3, name
+    # and the lift draws each of the n = 4 coordinates through the wrapped
+    # truncated normal, so that numerics.truncnorm_s keeps measuring it
+    assert rows["numerics.truncnorm"]["calls"] == 3 * 4
 
 
 def test_tracer_counts_the_pairs_the_engine_forms(monkeypatch):

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from quadgauss.grid import GridSpec, support_and_log_pmf
+from quadgauss.grid import GridSpec, _log_cell_masses, support_and_log_pmf
+from quadgauss.numerics import log_interval_mass
 
 import oracles
 
@@ -78,6 +79,17 @@ class TestCoordinateMass:
         masses = cell_masses(SPEC_HALF)
         assert len(masses) == SPEC_HALF.points_per_coord
         assert sum(masses.values()) == pytest.approx(1.0, abs=1e-14)
+
+    @pytest.mark.parametrize(
+        "tau, B",
+        [(1.0, 1.0), (0.5, 1.0), (0.25, 2.0), (2.0**-4, 4.0), (2.0**-8, 4.0), (2.0**-8, 6.0), (0.25, 40.0), (2.0**-12, 2.0)],
+    )
+    def test_table_matches_the_per_cell_loop(self, tau, B):
+        # the table forms each one-sided cell from shared edge log survivals;
+        # every cell must equal its own log_interval_mass call bit for bit,
+        # the thin-quadrature cells of tau = 2^-12 among them
+        want = oracles.log_cell_masses_per_cell(tau, B, log_interval_mass)
+        assert np.array_equal(_log_cell_masses(tau, B), want)
 
 
 class TestSupportAndPmf:

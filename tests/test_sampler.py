@@ -1,3 +1,4 @@
+import hashlib
 import math
 from types import SimpleNamespace
 
@@ -512,3 +513,49 @@ class TestPtfSampler:
         a = sample_ptf_gaussian(q, 0.1, Rng(10), k=10, tau=2.0**-5, trunc_B=4.0)
         b = sample_ptf_gaussian(q, 0.1, Rng(10), k=10, tau=2.0**-5, trunc_B=4.0)
         assert np.array_equal(a, b)
+
+
+def _bench_like(seed, n):
+    """A = -I + 0.3 sym(N), b = 0.3 g, c = n, with N, g drawn from
+    default_rng(n), in a Haar-random basis drawn from (seed, n)."""
+    gen = np.random.default_rng(n)
+    big = gen.standard_normal((n, n))
+    g = gen.standard_normal(n)
+    z, r = np.linalg.qr(np.random.default_rng([seed, n]).standard_normal((n, n)))
+    rot = z * np.sign(np.diag(r))
+    a = rot.T @ (-np.eye(n) + 0.3 * (big + big.T) / 2.0) @ rot
+    return QuadraticForm(A=(a + a.T) / 2.0, b=rot.T @ (0.3 * g), c=float(n))
+
+
+# filtered draws at n = 1..4, default flags and tau 2^-4
+_PINNED_CASES = [
+    (_bench_like(seed, n), kwargs, (seed, n))
+    for n in (1, 2, 3, 4)
+    for kwargs in ({}, {"tau": 2.0**-4})
+    for seed in (1, 2)
+]
+_PINNED_DIGEST = "19370113413098ae66d4bc50c16d7734fc9f04340bb55fd987456e6e7fb51201"
+
+
+def test_draws_rejections_and_stream_pinned():
+    # every draw, the filter's rejection count and the uniform that follows
+    # the last draw (so the number of uniforms taken) are pinned bit for bit;
+    # so are grid points and lifts far below float range, on a B = 40 grid
+    # where coordinate 1 must take |kappa| >= 38
+    h = hashlib.sha256()
+    for q, kwargs, (seed, tag) in _PINNED_CASES:
+        s = PtfSampler(q, **kwargs)
+        rng = Rng(seed).derive(tag)
+        h.update(s.sample_batch(60, rng, exact_filter=True).tobytes())
+        h.update(np.int64(s.filter_rejections).tobytes())
+        h.update(np.float64(rng.uniform()).tobytes())
+    dc = DecoupledConstraint(lam=np.array([-1.0, 0.25]), mu=np.array([0.0, 0.5]), theta=-38.0**2, rotation=np.eye(2))
+    spec = GridSpec(tau=0.25, B=40.0, n=2)
+    table = PrefixCDFTable.for_sampling(dc, spec, 0.1)
+    rng = Rng(3)
+    for _ in range(60):
+        kappa = sample_grid_point(table, rng)
+        h.update(kappa.tobytes())
+        h.update(lift_to_continuous(kappa, spec, rng).tobytes())
+    h.update(np.float64(rng.uniform()).tobytes())
+    assert h.hexdigest() == _PINNED_DIGEST

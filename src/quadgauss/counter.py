@@ -42,11 +42,11 @@ the sampler draws coordinates n, ..., 1 in turn from them.  Everything is
 pure and deterministic: two runs on identical inputs produce bit-identical
 outputs.
 
-``count`` reads only the live coordinates, those with lam or mu nonzero.
+A grid is one coordinate's axis (``GridSpec``); each coordinate's image
+over it is formed once (``_coordinate_images``).  ``count`` reads only the live coordinates, those with lam or mu nonzero.
 A null coordinate has Y = 0 on every grid cell, and its cells sum to 1, so
-the mass at theta is that of the live coordinates' sum, counted on the grid
-of the same tau and B in their dimension k.  Sampling tables keep every
-coordinate, as a draw needs all of them.
+the mass at theta is that of the live coordinates' sum.  Sampling tables
+keep every coordinate, as a draw needs all of them.
 
 The exact grid mass that a count brackets comes from no function here: the
 test suite computes it by an independent dense convolution
@@ -57,7 +57,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -217,11 +217,6 @@ def _sparsify(
     fixed thresholds keep up to twice as many atoms (14% more on a 2561-atom
     default-flag pmf), and every pair a later convolution forms is a product
     of them."""
-    live = logp > LOG_ZERO
-    if not np.all(live):
-        values, logp = values[live], logp[live]
-    if values.size == 0:
-        raise ValueError("empty distribution")
     top = logp.max()
     lp = logp - top
     log_cum = _log_cumsum(lp)
@@ -635,6 +630,12 @@ def _grid_axis(spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     return spec.value(np.arange(spec.points_per_coord)), _log_cell_masses(spec.tau, spec.B)
 
 
+def _coordinate_images(lam: np.ndarray, mu: np.ndarray, kappa: np.ndarray) -> np.ndarray:
+    """Row j holds coordinate j's image lam_j kappa^2 + mu_j kappa at every
+    grid value ``kappa``."""
+    return lam[:, None] * kappa * kappa + mu[:, None] * kappa
+
+
 @dataclass(frozen=True)
 class PrefixCDFTable:
     """Prefix CDFs of the decoupled sum on one grid, which the sampler
@@ -696,10 +697,9 @@ class PrefixCDFTable:
             raise ValueError(f"eps must lie in (0, 1) for sampling, got {eps}")
         n = dc.n
         step = math.expm1(-math.log1p(-eps) / max(2 * n - 3, 1))
-        if spec.n != n:
-            raise ValueError("constraint and grid dimensions disagree")
         kappa, log_cell = _grid_axis(spec)
-        pmfs = [support_and_log_pmf(float(dc.lam[j]), float(dc.mu[j]), spec) for j in range(n - 1)]
+        support = _coordinate_images(dc.lam, dc.mu, kappa)
+        pmfs = [support_and_log_pmf(row, log_cell) for row in support[:-1]]
         cdfs = [_POINT_MASS_AT_ZERO]
         if pmfs:
             cdfs.append(_finalize_cdf(*pmfs[0]))
@@ -710,7 +710,7 @@ class PrefixCDFTable:
             cdfs.extend(steps[1:])
         return cls(
             cdfs=tuple(cdfs),
-            support=dc.lam[:, None] * kappa * kappa + dc.mu[:, None] * kappa,
+            support=support,
             log_cell=log_cell,
             kappa=kappa,
             theta=float(dc.theta),
@@ -721,12 +721,10 @@ class PrefixCDFTable:
     def n(self) -> int:
         return len(self.support)
 
-    def log_weights(self, j: int, t) -> np.ndarray:
+    def log_weights(self, j: int, t: float) -> np.ndarray:
         """Log weight of every grid value of coordinate j+1 given the
-        threshold ``t`` left for coordinates 1..j+1, as a new array; ``t`` is
-        a float, giving shape (m,), or a (k,) array, giving (k, m)."""
-        if not isinstance(t, float):
-            t = np.asarray(t, dtype=float)[..., None]
+        threshold ``t`` left for coordinates 1..j+1, as a new array of shape
+        (m,)."""
         out = self.cdfs[j].log_query(t - self.support[j])
         out += self.log_cell
         return out
@@ -820,11 +818,11 @@ def count(
     """Deterministic estimate of Pr[sum_i Y_i <= theta] on the grid with a
     certified multiplicative error factor of at most (1 + eps).
 
-    Once the dimensions of ``dc`` and ``spec`` agree (else ValueError), the
+    Every coordinate is floored onto the one-coordinate grid ``spec``.  The
     null coordinates (lam = mu = 0) are dropped: each adds 0 on every grid
-    cell, and its cells sum to 1.  The live coordinates are counted on the
-    grid of the same tau and B in their dimension, n below; a form with
-    none live is counted as it is, exactly, since its sum is 0.  At n <= 2
+    cell, and its cells sum to 1.  ``lam`` and ``mu`` are masked to the
+    live coordinates, n below; a form with none live is counted as it is,
+    exactly, since its sum is 0.  At n <= 2
     nothing is compressed: P_1 is exact, and the mass sums it over
     coordinate 2's cells (``_grid_log_mass``).  At n >= 3 the factors are
     sparsified and guarded (``_guarded_factors``), floored, and chained by
@@ -870,20 +868,14 @@ def count(
     neither the coarse pass nor the floor runs, and delta = 0."""
     if not (0.0 < eps <= 1.0):
         raise ValueError(f"eps must lie in (0, 1], got {eps}")
-    if spec.n != dc.n:
-        raise ValueError("constraint and grid dimensions disagree")
     live = (dc.lam != 0.0) | (dc.mu != 0.0)
-    k = int(np.count_nonzero(live))
-    if 0 < k < dc.n:
-        dc = DecoupledConstraint(lam=dc.lam[live], mu=dc.mu[live], theta=dc.theta, rotation=np.eye(k))
-        spec = GridSpec(tau=spec.tau, B=spec.B, n=k)
-    n, theta = dc.n, float(dc.theta)
+    if not live.any():
+        live[:] = True
+    n, theta = int(np.count_nonzero(live)), dc.theta
     kappa, log_cell = _grid_axis(spec)
-    row = dc.lam[-1] * kappa * kappa + dc.mu[-1] * kappa
-    pmfs = [
-        support_and_log_pmf(float(dc.lam[j]), float(dc.mu[j]), spec)
-        for j in range(n if n >= 4 else n - 1)
-    ]
+    rows = _coordinate_images(dc.lam[live], dc.mu[live], kappa)
+    row = rows[-1]
+    pmfs = [support_and_log_pmf(r, log_cell) for r in rows[: n if n >= 4 else n - 1]]
     if n <= 2:
         cdf = _finalize_cdf(*pmfs[0]) if pmfs else _POINT_MASS_AT_ZERO
         return _midpoint_mass(_grid_log_mass(cdf, row, log_cell, theta), 1.0)
@@ -907,19 +899,24 @@ class CountResult:
     """A count and the accuracy that certifies it.
 
     ``estimate`` lies within (1 +- eps) of the grid mass of the truncated
-    instance: the normalized constraint with each coordinate floored onto
-    the grid of step tau and radius B, whose end cells absorb the tails.
-    The gap from that grid mass to the Gaussian mass of the original
-    instance is not bounded here.  ``below_floor`` flags an estimate below
-    ``floor`` = 2^(-4n); it is reported, not suppressed.  The count reads
-    only the live coordinates (see ``count``), but B and the floor come
-    from the full dimension n.
+    instance: the normalized constraint with its linear coordinates folded
+    into one (``_fold_linear``), each coordinate floored onto the grid of
+    step tau and radius B, whose end cells absorb the tails.  The certified
+    instance is the folded one: the fold keeps the Gaussian mass, not the
+    grid mass.  The gap from that grid mass to the Gaussian mass of the
+    original instance is not bounded here.
+    ``below_floor`` flags an estimate below ``floor`` = 2^(-4n); it is
+    reported, not suppressed.  The count reads only the live coordinates
+    (see ``count``), but B and the floor come from the full dimension n.
     """
 
     estimate: float
     eps: float
-    below_floor: bool
     floor: float
+
+    @property
+    def below_floor(self) -> bool:
+        return self.estimate < self.floor
 
     def to_dict(self) -> dict:
         return {"estimate": self.estimate, "eps": self.eps, "below_floor": self.below_floor}
@@ -935,7 +932,7 @@ def _checked_grid(
     if not (0.0 < eps <= 1.0):
         raise ValueError(f"eps must lie in (0, 1], got {eps}")
     b_radius = float(trunc_B) if trunc_B is not None else default_trunc_radius(q.n, eps)
-    return GridSpec(tau=tau, B=b_radius, n=q.n), 2.0 ** (-4 * q.n)
+    return GridSpec(tau=tau, B=b_radius), 2.0 ** (-4 * q.n)
 
 
 def _prepare(q: QuadraticForm | DecoupledConstraint):
@@ -954,6 +951,29 @@ def _prepare(q: QuadraticForm | DecoupledConstraint):
         return None, err.mass
 
 
+def _fold_linear(dc: DecoupledConstraint) -> DecoupledConstraint:
+    """``dc`` with its linear coordinates (lam = 0, mu != 0), when there are
+    two or more, folded into the first of them: it takes mu = hypot of
+    their mu, and the others mu = 0, which ``count`` then drops.  The sum
+    sum_i mu_i y_i over them is |mu| times a standard normal coordinate, so
+    the region's Gaussian mass is unchanged.  The rotation takes the
+    Householder reflection of w = u + sign(u_1) e_1, u their mu's direction,
+    with the first column's sign set so that x = rotation @ y still holds."""
+    lin = np.flatnonzero((dc.lam == 0.0) & (dc.mu != 0.0))
+    if lin.size < 2:
+        return dc
+    mu = dc.mu.copy()
+    mu[lin] = 0.0
+    mu[lin[0]] = math.hypot(*dc.mu[lin])
+    w = dc.mu[lin] / mu[lin[0]]
+    sign = math.copysign(1.0, w[0])
+    w[0] += sign
+    rotation = dc.rotation.copy()
+    rotation[:, lin] -= np.outer(rotation[:, lin] @ w, w) * (2.0 / (w @ w))
+    rotation[:, lin[0]] *= -sign
+    return replace(dc, mu=mu, rotation=rotation)
+
+
 def count_ptf_gaussian(
     q: QuadraticForm | DecoupledConstraint,
     eps: float = DEFAULT_EPS,
@@ -963,8 +983,10 @@ def count_ptf_gaussian(
 ) -> CountResult:
     """Estimate Pr_{G ~ N(0,I)}[sign(q(G)) = +1].
 
-    Pipeline: decouple -> normalize -> count on the grid of step ``tau``
-    and radius ``trunc_B`` (default ``default_trunc_radius``).  The
+    Pipeline: decouple -> normalize -> fold the linear coordinates into one
+    (``_fold_linear``) -> count on the grid of step ``tau`` and radius
+    ``trunc_B`` (default ``default_trunc_radius``).  A halfspace or a
+    rank-deficient form is so counted in the coordinates it uses.  The
     estimate is within (1 +- eps) of the grid mass of that truncated
     instance; the gap to the Gaussian mass of ``q`` is not bounded (see
     ``CountResult``).  Constant polynomials are answered exactly, a
@@ -975,8 +997,8 @@ def count_ptf_gaussian(
     spec, floor = _checked_grid(q, eps, tau, trunc_B)
     normalized, estimate = _prepare(q)
     if normalized is not None:
-        estimate = count(normalized, spec, eps)
-    return CountResult(estimate=estimate, eps=eps, below_floor=estimate < floor, floor=floor)
+        estimate = count(_fold_linear(normalized), spec, eps)
+    return CountResult(estimate=estimate, eps=eps, floor=floor)
 
 
 def mc_count(q: QuadraticForm, n_samples: int, rng: Rng) -> tuple[float, float]:

@@ -232,7 +232,10 @@ class DensifierConfig:
 
     @property
     def gamma(self) -> float:
-        """Density bar 1/(8M) of a resolved config."""
+        """Density bar 1/(8M) of a resolved config; ValueError while the
+        budget M is still None."""
+        if self.mistake_budget is None:
+            raise ValueError("gamma needs the mistake budget: call resolve(n) first")
         return 1.0 / (8.0 * max(self.mistake_budget, 1))
 
 

@@ -1,12 +1,14 @@
 """The discretized standard Gaussian on a capped uniform grid.
 
-Each coordinate of a standard normal G is floored onto the grid
-{-B, -B+tau, ..., B-tau, B}: a grid point kappa owns the cell
+A grid is one coordinate's axis: each coordinate of a standard normal G is
+floored onto the same grid {-B, -B+tau, ..., B-tau, B}, on its own, so a
+``GridSpec`` has no dimension.  A grid point kappa owns the cell
 [kappa, kappa+tau), except that the extreme points absorb the tails
 (kappa = B owns [B, inf) and kappa = -B owns (-inf, -B+tau)), so the
 coordinate masses sum to exactly 1.
 
-``support_and_log_pmf`` pushes a coordinate through xi -> a*xi^2 + b*xi and
+``support_and_log_pmf`` takes one coordinate's image, the row a*kappa^2 +
+b*kappa over the grid values, with the log masses of their cells, and
 returns the exact pmf of the image in log domain, one atom per distinct
 value.  The counter's merge is correct whether or not values of different
 coordinates collide, so a and b may be any finite doubles.
@@ -30,21 +32,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Grid step ``tau``, truncation radius ``B``, and dimension ``n``.
+    """One coordinate's grid: step ``tau`` and truncation radius ``B``.
 
-    B/tau must be integral; each coordinate then has 2B/tau + 1 grid points.
+    B/tau must be integral; the coordinate then has 2B/tau + 1 grid points.
+    Every coordinate of a form is floored onto the same grid.
     """
 
     tau: float
     B: float
-    n: int
 
     def __post_init__(self) -> None:
         tau = float(self.tau)
         B = float(self.B)
         object.__setattr__(self, "tau", tau)
         object.__setattr__(self, "B", B)
-        object.__setattr__(self, "n", int(self.n))
         if not (0.0 < tau <= 1.0):
             raise ValueError(f"tau must lie in (0, 1], got {tau}")
         e = math.log2(tau)
@@ -52,8 +53,6 @@ class GridSpec:
             raise ValueError(f"tau must be an exact power of 2, got {tau}")
         if not (1.0 <= B < math.inf):
             raise ValueError(f"truncation radius B must be finite and >= 1, got {B}")
-        if self.n < 1:
-            raise ValueError("dimension must be >= 1")
         ratio = B / tau
         if not ratio.is_integer():
             raise ValueError(f"B/tau must be integral, got {ratio}")
@@ -90,7 +89,7 @@ def _log_cell_masses(tau: float, B: float) -> np.ndarray:
     mirror image (but [B - tau, B), whose mirror lies in the lower cap).
     The two cells that touch 0 and the two caps go through
     ``log_interval_mass`` itself."""
-    spec = GridSpec(tau=tau, B=B, n=1)
+    spec = GridSpec(tau=tau, B=B)
     h, m = spec.half_index, spec.points_per_coord
     edges = [_log_ndtr(-(k * tau)) for k in range(h + 1)]
     out = np.empty(m)
@@ -105,19 +104,17 @@ def _log_cell_masses(tau: float, B: float) -> np.ndarray:
     return out
 
 
-def support_and_log_pmf(
-    a: float, b: float, spec: GridSpec
-) -> tuple[np.ndarray, np.ndarray]:
-    """pmf of Y = a*[G]^2 + b*[G] on the grid, in log domain.
+def support_and_log_pmf(row: np.ndarray, log_cell: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """pmf of one coordinate's image Y = a*[G]^2 + b*[G] on the grid, in log
+    domain, from ``row``, Y at every grid value, and ``log_cell``, the log
+    masses of their cells.
 
     Returns (values ascending, log probabilities); exact value collisions are
     merged.
     """
-    kappa = spec.value(np.arange(spec.points_per_coord))
-    values = a * kappa * kappa + b * kappa
-    order = np.argsort(values, kind="stable")
-    values = values[order]
-    logp = _log_cell_masses(spec.tau, spec.B)[order]
+    order = np.argsort(row, kind="stable")
+    values = row[order]
+    logp = log_cell[order]
     # merge values equal as doubles (xi and -xi when b = 0, for one)
     starts = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
     merged = np.logaddexp.reduceat(logp, starts)

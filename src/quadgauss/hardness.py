@@ -396,7 +396,7 @@ def _ptf_pos(f, x: np.ndarray) -> np.ndarray:
         return np.asarray(sign_at(f, x)) == 1
     if isinstance(f, QuarticForm):
         return np.asarray(f.ptf_sign(x)) == 1
-    return np.asarray(f(x)) == 1
+    raise ValueError(f"f must be a QuadraticForm or a QuarticForm, not {type(f).__name__}")
 
 
 def region_mass_mc(

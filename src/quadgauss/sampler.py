@@ -187,7 +187,7 @@ class PtfSampler:
         ``retry_limit`` times before FilterRetryError.  A constant form
         draws ``rng.normal(n)``."""
         if self.rounded is None:
-            return rng.normal(self.spec.n)
+            return rng.normal(self.original.n)
         table, spec, rotation, original = self.table, self.spec, self.rotation, self.original
         point_form = isinstance(original, QuadraticForm)
         for _ in range(self.retry_limit + 1 if exact_filter else 1):
@@ -207,7 +207,7 @@ class PtfSampler:
         as a (k, n) array; a k that is not an integer >= 0 raises
         ValueError before any draw."""
         k = _checked_int("k", k, 0)
-        out = np.empty((k, self.spec.n))
+        out = np.empty((k, self.original.n))
         for i in range(k):
             out[i] = self.sample(rng, exact_filter=exact_filter)
         return out

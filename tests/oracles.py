@@ -313,11 +313,13 @@ def exact_tail_bruteforce(lam, mu, theta: float, tau: float, B: float) -> float:
 def enumerate_sampler_distribution(table) -> dict:
     """Output law of the sampler's draw on a prefix-CDF ``table``, as
     {grid point: probability}: coordinates n, ..., 1 in turn, coordinate
-    j+1 weighing its grid values by ``table.log_weights(j, t)`` at the
-    threshold t the later coordinates left, the n conditional laws
+    j+1 weighing its grid values by cell(kappa) P_j(t - support[j][kappa])
+    at each threshold t the later coordinates left, the n conditional laws
     multiplied out over every reachable grid point.  Reads the table's
-    ``n``, ``support``, ``kappa``, ``theta`` and ``log_weights``.  Grids
-    beyond 1e5 points raise ValueError."""
+    fields, ``cdfs``, ``support``, ``log_cell``, ``kappa`` and ``theta``,
+    and forms the weights of all thresholds at once, as
+    ``table.log_weights(j, t)`` forms them for one.  Grids beyond 1e5
+    points raise ValueError."""
     n, m = table.n, table.support.shape[1]
     if m**n > _ENUMERATION_LIMIT:
         raise ValueError(f"grid has {_sci(m**n)} points, too many to enumerate")
@@ -325,7 +327,7 @@ def enumerate_sampler_distribution(table) -> dict:
     logp = np.zeros(1)
     t = np.array([table.theta])
     for j in range(n - 1, -1, -1):
-        lw = table.log_weights(j, t)
+        lw = table.cdfs[j].log_query(t[:, None] - table.support[j]) + table.log_cell
         top = lw.max(axis=1, keepdims=True)
         lw -= top + np.log(np.sum(np.exp(lw - top), axis=1, keepdims=True))
         joint = (logp[:, None] + lw).ravel()

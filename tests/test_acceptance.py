@@ -86,7 +86,7 @@ def test_criterion_2_oracle_equivalence():
         lo, hi = grids[n]
         tau = 2.0 ** -int(gen.integers(lo, hi + 1))
         b_radius = float(gen.integers(1, 5))
-        spec = GridSpec(tau=tau, B=b_radius, n=n)
+        spec = GridSpec(tau=tau, B=b_radius)
         lam = np.rint(gen.normal(size=n) / step) * step
         mu = np.rint(gen.normal(size=n) / step) * step
         theta = float(gen.normal() * n)
@@ -106,9 +106,9 @@ def test_criterion_2_oracle_equivalence():
 
 def _tv_instance(gen, n):
     if n == 2:
-        spec = GridSpec(tau=2.0**-4, B=2.0, n=2)  # 65^2 = 4225 points
+        spec = GridSpec(tau=2.0**-4, B=2.0)  # 65^2 = 4225 points
     else:
-        spec = GridSpec(tau=2.0**-2, B=2.0, n=3)  # 17^3 = 4913 points
+        spec = GridSpec(tau=2.0**-2, B=2.0)  # 17^3 = 4913 points
     step = 2.0**-6
     lam = np.rint(gen.normal(size=n) / step) * step
     mu = np.rint(gen.normal(size=n) / step) * step

@@ -24,12 +24,13 @@ from quadgauss.counter import (
     default_trunc_radius,
     mc_count,
 )
-from quadgauss.grid import GridSpec, support_and_log_pmf
+from quadgauss.grid import GridSpec
 from quadgauss.numerics import LOG_ZERO, Rng, _wilson_half_width, normal_blocks
 from quadgauss.quadform import DecoupledConstraint, QuadraticForm, decouple, normalize, sign_at
 from quadgauss.sampler import PtfSampler
 
 import oracles
+from test_grid import grid_pmf
 from test_quadform import rotated_null_form
 
 
@@ -83,9 +84,7 @@ class TestCount:
         gen = np.random.default_rng(2)
         for trial in range(40):
             n = 1 + trial % 3
-            spec = GridSpec(
-                tau=2.0 ** -int(gen.integers(2, 5)), B=float(gen.integers(1, 4)), n=n
-            )
+            spec = GridSpec(tau=2.0 ** -int(gen.integers(2, 5)), B=float(gen.integers(1, 4)))
             dc = lattice_constraint(gen, n)
             exact = oracles.exact_tail_bruteforce(dc.lam, dc.mu, dc.theta, spec.tau, spec.B)
             for eps in (0.3, 0.1, 0.05):
@@ -98,7 +97,7 @@ class TestCount:
     def test_small_n_fast_path_matches_bruteforce(self):
         gen = np.random.default_rng(3)
         for n in (1, 2):
-            spec = GridSpec(tau=2.0**-4, B=2.0, n=n)
+            spec = GridSpec(tau=2.0**-4, B=2.0)
             for _ in range(10):
                 dc = lattice_constraint(gen, n)
                 fast = count(dc, spec, 0.05)
@@ -107,7 +106,7 @@ class TestCount:
 
     def test_determinism(self):
         gen = np.random.default_rng(4)
-        spec = GridSpec(tau=2.0**-3, B=2.0, n=3)
+        spec = GridSpec(tau=2.0**-3, B=2.0)
         dc = lattice_constraint(gen, 3)
         a = count(dc, spec, 0.1)
         b = count(dc, spec, 0.1)
@@ -115,7 +114,7 @@ class TestCount:
 
     def test_monotone_in_theta(self):
         gen = np.random.default_rng(5)
-        spec = GridSpec(tau=2.0**-3, B=2.0, n=3)
+        spec = GridSpec(tau=2.0**-3, B=2.0)
         base = lattice_constraint(gen, 3)
         prev = -1.0
         for theta in np.linspace(-4.0, 4.0, 60):
@@ -128,7 +127,7 @@ class TestCount:
 
     def test_chi2_decoupled_direct(self):
         # the canonical decoupled instance fed straight to the counter
-        spec = GridSpec(tau=2.0**-8, B=6.0, n=2)
+        spec = GridSpec(tau=2.0**-8, B=6.0)
         dc = DecoupledConstraint(
             lam=np.ones(2), mu=np.zeros(2), theta=2.0, rotation=np.eye(2)
         )
@@ -139,10 +138,10 @@ class TestCount:
         # instrumented: every intermediate compressed CDF must lower-bound
         # the exact running CDF and stay within its error budget
         gen = np.random.default_rng(7)
-        spec = GridSpec(tau=2.0**-3, B=2.0, n=3)
+        spec = GridSpec(tau=2.0**-3, B=2.0)
         dc = lattice_constraint(gen, 3)
         pmfs = [
-            support_and_log_pmf(float(dc.lam[j]), float(dc.mu[j]), spec)
+            grid_pmf(float(dc.lam[j]), float(dc.mu[j]), spec)
             for j in range(3)
         ]
         factors, _ = counter._guarded_factors(pmfs, 0.25, 0)
@@ -177,7 +176,7 @@ class TestCount:
     def test_oracle_equivalence_four_coordinates(self):
         # n = 4 makes two convolutions, each of a sparsified factor
         gen = np.random.default_rng(9)
-        spec = GridSpec(tau=2.0**-2, B=2.0, n=4)
+        spec = GridSpec(tau=2.0**-2, B=2.0)
         for _ in range(8):
             dc = lattice_constraint(gen, 4)
             exact = oracles.exact_tail_bruteforce(dc.lam, dc.mu, dc.theta, spec.tau, spec.B)
@@ -189,7 +188,7 @@ class TestCount:
                     assert 1.0 / (1.0 + eps) - 1e-9 <= est / exact <= 1.0 + eps + 1e-9
 
     def test_rejects_bad_eps(self):
-        spec = GridSpec(tau=0.5, B=1.0, n=1)
+        spec = GridSpec(tau=0.5, B=1.0)
         dc = DecoupledConstraint(
             lam=np.array([1.0]), mu=np.zeros(1), theta=0.0, rotation=np.eye(1)
         )
@@ -232,12 +231,11 @@ class TestNullCoordinates:
     )
     def test_counts_like_the_live_coordinates_alone(self, mask):
         dc, reduced = with_nulls(np.random.default_rng([ord(c) for c in mask]), mask)
-        spec = GridSpec(tau=DEFAULT_TAU, B=4.0, n=dc.n)
+        spec = GridSpec(tau=DEFAULT_TAU, B=4.0)
         got = count(dc, spec)
         assert got > 0.0
         # the live coordinates' own count, which has nothing to reduce
-        spec_k = GridSpec(tau=DEFAULT_TAU, B=4.0, n=reduced.n)
-        assert got == count(reduced, spec_k, DEFAULT_EPS)
+        assert got == count(reduced, spec, DEFAULT_EPS)
 
     @pytest.mark.parametrize("mask", ["010", "1001", "10110", "110011"])
     def test_builds_pmfs_for_live_coordinates_only(self, monkeypatch, mask):
@@ -245,9 +243,9 @@ class TestNullCoordinates:
         built, chains = [], []
         pmf, chain = counter.support_and_log_pmf, counter.compressed_tail_cdf
 
-        def pmf_spy(a, b, spec):
-            built.append((a, b, spec.n))
-            return pmf(a, b, spec)
+        def pmf_spy(row, log_cell):
+            built.append(row)
+            return pmf(row, log_cell)
 
         def chain_spy(*args, **kwargs):
             chains.append(len(args[0]))
@@ -257,9 +255,9 @@ class TestNullCoordinates:
         monkeypatch.setattr(counter, "compressed_tail_cdf", chain_spy)
         dc, reduced = with_nulls(np.random.default_rng(8), mask)
         k = reduced.n
-        count(dc, GridSpec(tau=DEFAULT_TAU, B=4.0, n=dc.n))
+        count(dc, GridSpec(tau=DEFAULT_TAU, B=4.0))
         assert len(built) <= k
-        assert all((a != 0.0 or b != 0.0) and n == k for a, b, n in built)
+        assert all(np.any(row != 0.0) for row in built)
         assert (chains == []) == (k <= 2)
         assert all(size < k for size in chains)
 
@@ -267,25 +265,20 @@ class TestNullCoordinates:
     def test_matches_bruteforce_on_the_full_grid(self, null):
         gen = np.random.default_rng(30 + null)
         # n = 4 on a coarser grid, which the brute force can enumerate
-        specs = [GridSpec(tau=2.0**-4, B=3.0, n=3)] * 3 + [GridSpec(tau=2.0**-2, B=2.0, n=4)] * 2
-        for spec in specs:
-            dc, _ = with_nulls(gen, "".join("0" if j == null else "1" for j in range(spec.n)))
+        cases = [(GridSpec(tau=2.0**-4, B=3.0), 3)] * 3 + [(GridSpec(tau=2.0**-2, B=2.0), 4)] * 2
+        for spec, n in cases:
+            dc, _ = with_nulls(gen, "".join("0" if j == null else "1" for j in range(n)))
             exact = oracles.exact_tail_bruteforce(dc.lam, dc.mu, dc.theta, spec.tau, spec.B)
             assert exact > 0.0
             for eps in (0.3, 0.05):
                 ratio = count(dc, spec, eps) / exact
                 assert 1.0 / (1.0 + eps) - 1e-9 <= ratio <= 1.0 + eps + 1e-9
 
-    def test_dimension_check_comes_before_the_reduction(self):
-        dc, reduced = with_nulls(np.random.default_rng(12), "101")
-        with pytest.raises(ValueError, match="dimensions disagree"):
-            count(dc, GridSpec(tau=DEFAULT_TAU, B=4.0, n=reduced.n))
-
     @pytest.mark.parametrize("theta, mass", [(0.0, 1.0), (0.5, 1.0), (-0.5, 0.0)])
     def test_all_null_constraint_counts_its_constant_sum(self, theta, mass):
         # nothing is dropped: the full table of point masses at 0 is exact
         dc = DecoupledConstraint(lam=np.zeros(3), mu=np.zeros(3), theta=theta, rotation=np.eye(3))
-        assert count(dc, GridSpec(tau=DEFAULT_TAU, B=4.0, n=3)) == mass
+        assert count(dc, GridSpec(tau=DEFAULT_TAU, B=4.0)) == mass
 
 
 def random_lattice_pmf(gen, size, step=2.0**-6):
@@ -471,7 +464,7 @@ class TestKernels:
     def test_no_atom_lost_beyond_linear_range(self, monkeypatch):
         # tails at B = 40 weigh ~e^-785 per factor: the sum of two spans more
         # than the ~745 nats a scaled double can hold
-        spec = GridSpec(tau=0.5, B=40.0, n=3)
+        spec = GridSpec(tau=0.5, B=40.0)
         dc = DecoupledConstraint(
             lam=np.array([-0.5, -0.25, 0.5]),
             mu=np.array([0.25, 0.0, 0.0]),
@@ -479,7 +472,7 @@ class TestKernels:
             rotation=np.eye(3),
         )
         f1, f2 = (
-            support_and_log_pmf(float(dc.lam[j]), float(dc.mu[j]), spec) for j in range(2)
+            grid_pmf(float(dc.lam[j]), float(dc.mu[j]), spec) for j in range(2)
         )
         exact = oracles.convolve_log(*f1, *f2)
         assert exact[1].max() - exact[1].min() > 1000.0
@@ -579,7 +572,7 @@ class TestKernels:
         def no_convolution(*args):
             raise AssertionError("a convolution ran before the size guard fired")
 
-        spec = GridSpec(tau=0.5, B=1.0, n=4)
+        spec = GridSpec(tau=0.5, B=1.0)
         dc = DecoupledConstraint(
             lam=np.array([1.0, 1.0, -0.5, 0.5]),
             mu=np.array([0.0, 0.0, 0.125, 0.375]),
@@ -691,9 +684,9 @@ class TestAnswerRelativeFloor:
         # in the log-space head of the walk, and the rest in its linear part
         monkeypatch.setattr(counter, "_PAIR_BLOCK", block)
         monkeypatch.setattr(counter, "_SAMPLE_STRIDE", stride)
-        spec = GridSpec(tau=0.5, B=40.0, n=2)
-        f1 = support_and_log_pmf(-0.5, 0.25, spec)
-        f2 = support_and_log_pmf(-0.25, 0.0, spec)
+        spec = GridSpec(tau=0.5, B=40.0)
+        f1 = grid_pmf(-0.5, 0.25, spec)
+        f2 = grid_pmf(-0.25, 0.0, spec)
         exact = oracles.convolve_log(*f1, *f2)
         gen = np.random.default_rng(22)
         floors = (LOG_ZERO, -1100.0, -900.0, -720.0, -30.0, *floors_between_cumulatives(gen, exact[1], 4))
@@ -715,7 +708,7 @@ class TestAnswerRelativeFloor:
 
         monkeypatch.setattr(counter, "_coarse_log_mass", spy)
         gen = np.random.default_rng(23)
-        spec = {n: GridSpec(tau=0.25, B=2.0, n=n) for n in (3, 4, 5)}
+        spec = {n: GridSpec(tau=0.25, B=2.0) for n in (3, 4, 5)}
         worst, floored = 0.0, 0
         for trial in range(54):
             n = 3 + trial % 3
@@ -744,11 +737,11 @@ class TestAnswerRelativeFloor:
         monkeypatch.setattr(counter, "_coarse_log_mass", no_coarse)
         reads = tail_reads(monkeypatch)
         gen = np.random.default_rng(24)
-        spec = GridSpec(tau=0.25, B=2.0, n=4)
+        spec = GridSpec(tau=0.25, B=2.0)
         dc = lattice_constraint(gen, 4)
         step = 0.05 / 5
         count(dc, spec, 0.05)
-        pmfs = [support_and_log_pmf(float(dc.lam[j]), float(dc.mu[j]), spec) for j in range(4)]
+        pmfs = [grid_pmf(float(dc.lam[j]), float(dc.mu[j]), spec) for j in range(4)]
         factors, _ = counter._guarded_factors(pmfs, step, 2)
         want = compressed_tail_cdf(factors[:2], step)
         assert len(reads) == 1
@@ -764,13 +757,13 @@ class TestAnswerRelativeFloor:
         monkeypatch.setattr(counter, "_PAIR_BLOCK", 61)
         gen = np.random.default_rng(25)
         for n in (3, 4, 5):
-            spec = GridSpec(tau=0.25, B=2.0, n=n)
+            spec = GridSpec(tau=0.25, B=2.0)
             dc = lattice_constraint(gen, n)
             for eps in (0.05, 0.5, 0.9):
                 table = PrefixCDFTable.for_sampling(dc, spec, eps)
                 step = math.expm1(-math.log1p(-eps) / (2 * n - 3))
                 pmfs = [
-                    support_and_log_pmf(float(dc.lam[j]), float(dc.mu[j]), spec)
+                    grid_pmf(float(dc.lam[j]), float(dc.mu[j]), spec)
                     for j in range(n - 1)
                 ]
                 factors, _ = counter._guarded_factors(pmfs, step, 0)
@@ -899,7 +892,7 @@ class TestTail:
 
         monkeypatch.setattr(counter, "compressed_tail_cdf", chain_spy)
         reads = tail_reads(monkeypatch)
-        spec = GridSpec(tau=1.0, B=25.0, n=n)
+        spec = GridSpec(tau=1.0, B=25.0)
         dc = DecoupledConstraint(lam=np.zeros(n), mu=-np.ones(n), theta=theta, rotation=np.eye(n))
         count(dc, spec, 0.05)
         step = 0.05 / (2 * n - 3)
@@ -908,7 +901,7 @@ class TestTail:
         assert chained[-1] == n - 2
         beta = (1.0 + step) ** (2 * n - 3)
         assert any(len(s) == 2 and s[1] > 1 for s in shapes)
-        pmf = support_and_log_pmf(0.0, -1.0, spec)
+        pmf = grid_pmf(0.0, -1.0, spec)
         v, lp = pmf
         for _ in range(n - 1):
             v, lp = oracles.convolve_log(v, lp, *pmf)
@@ -925,7 +918,7 @@ class TestTail:
         dc = DecoupledConstraint(
             lam=np.full(4, -0.5), mu=np.array([0.3, 0.2, 0.1, 0.4]), theta=-60.0, rotation=np.eye(4)
         )
-        mass = count(dc, GridSpec(tau=2.0**-8, B=16.0, n=4), 0.05)
+        mass = count(dc, GridSpec(tau=2.0**-8, B=16.0), 0.05)
         assert 0.0 < mass < 1e-20
         cdf, tail, theta, want = reads[-1]
         assert tail[0].size * tail[2].size > 5_000_000
@@ -1054,7 +1047,7 @@ class TestCountPtfGaussian:
         nz = normalize(decouple(q))
         lattice = 2.0**-20
         assert not np.array_equal(nz.lam, np.rint(nz.lam / lattice) * lattice)
-        spec = GridSpec(tau=DEFAULT_TAU, B=default_trunc_radius(5, 0.05), n=5)
+        spec = GridSpec(tau=DEFAULT_TAU, B=default_trunc_radius(5, 0.05))
         assert count_ptf_gaussian(q, 0.05).estimate == count(nz, spec, 0.05)
         held = PtfSampler(q, 0.1, tau=2.0**-4, trunc_B=3.0).rounded
         assert np.array_equal(held.lam, nz.lam) and np.array_equal(held.mu, nz.mu)
@@ -1092,6 +1085,50 @@ class TestCountPtfGaussian:
         assert spec_points > counter._POINTS_LIMIT
         with pytest.raises(EngineTooLargeError, match=re.escape(f"grid has {spec_points:.3g} points")):
             build(q, tau=2.0**-20, trunc_B=4.0)
+
+
+class TestFoldLinear:
+    """``count_ptf_gaussian`` folds two or more linear coordinates (lam = 0,
+    mu != 0) into one, so halfspaces and rank-deficient forms count in the
+    coordinates they use."""
+
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    @pytest.mark.parametrize("t", [1.234, 2.0, 5.0])
+    def test_rotated_halfspace_within_eps_of_phi(self, n, t):
+        w = np.random.default_rng(n).standard_normal(n)
+        q = QuadraticForm(A=np.zeros((n, n)), b=w / np.linalg.norm(w), c=-t)
+        res = count_ptf_gaussian(q)
+        assert 1.0 / (1.0 + res.eps) <= res.estimate / oracles.phi_erfc(-t) <= 1.0 + res.eps
+
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_rank_two_form_within_eps_of_exact_mass(self, n):
+        gen = np.random.default_rng(100 + n)
+        basis = np.linalg.qr(gen.standard_normal((n, 2)))[0]
+        q = QuadraticForm(A=basis @ np.diag([-1.0, 0.5]) @ basis.T, b=0.5 * gen.standard_normal(n), c=0.7)
+        res = count_ptf_gaussian(q)
+        ratio = res.estimate / oracles.gaussian_mass(*decoupled(q))
+        assert 1.0 / (1.0 + res.eps) <= ratio <= 1.0 + res.eps
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_fold_keeps_the_region(self, sign):
+        # the folded constraint, with its rotation, takes the same value at
+        # every x, and its rotation stays orthonormal
+        gen = np.random.default_rng(5)
+        lam = np.array([0.0, -0.5, 0.0, 0.0, 0.25])
+        mu = sign * np.array([0.75, 0.1, -1e-200, 0.5, 0.0])
+        rotation = np.linalg.qr(gen.standard_normal((5, 5)))[0]
+        dc = DecoupledConstraint(lam=lam, mu=mu, theta=0.3, rotation=rotation)
+        folded = counter._fold_linear(dc)
+        assert np.array_equal(folded.lam, lam)
+        assert folded.mu[0] == pytest.approx(math.hypot(0.75, 1e-200, 0.5))
+        assert np.array_equal(folded.mu[[1, 2, 3, 4]], [sign * 0.1, 0.0, 0.0, 0.0])
+        x = gen.standard_normal((200, 5))
+        np.testing.assert_allclose(folded.value(x @ folded.rotation), dc.value(x @ rotation), atol=1e-14)
+        np.testing.assert_allclose(folded.rotation.T @ folded.rotation, np.eye(5), atol=1e-14)
+
+    def test_one_linear_coordinate_is_left_as_it_is(self):
+        dc = DecoupledConstraint(lam=[0.0, 1.0], mu=[1.0, 1.0], theta=0.0, rotation=np.eye(2))
+        assert counter._fold_linear(dc) is dc
 
 
 def decoupled(q):

@@ -302,6 +302,12 @@ class TestDensify:
         assert (cfg.n_pos, cfg.mistake_budget) == (5000, 8)
         assert type(cfg.n_pos) is int and type(cfg.mistake_budget) is int
 
+    def test_gamma_of_an_unresolved_config_asks_for_resolve(self):
+        with pytest.raises(ValueError, match=r"call resolve\(n\) first"):
+            DensifierConfig().gamma
+        assert DensifierConfig().resolve(2).gamma > 0.0
+        assert DensifierConfig(mistake_budget=3).gamma == 1.0 / 24.0
+
     def test_n_pos_floor_enforced(self):
         f = QuadraticForm(A=-np.eye(2), b=np.zeros(2), c=2.0)
         cfg = DensifierConfig(eps=0.1, delta=0.1, n_pos=10)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,12 +9,18 @@ from quadgauss.numerics import log_interval_mass
 
 import oracles
 
-SPEC_HALF = GridSpec(tau=0.5, B=1.0, n=1)
+SPEC_HALF = GridSpec(tau=0.5, B=1.0)
+
+
+def grid_pmf(a, b, spec):
+    """``support_and_log_pmf`` of the coordinate image a*kappa^2 + b*kappa."""
+    kappa = spec.value(np.arange(spec.points_per_coord))
+    return support_and_log_pmf(a * kappa * kappa + b * kappa, _log_cell_masses(spec.tau, spec.B))
 
 
 def image_pmf(a, b, spec):
     """The image pmf in linear space."""
-    values, logp = support_and_log_pmf(a, b, spec)
+    values, logp = grid_pmf(a, b, spec)
     return values, np.exp(logp)
 
 
@@ -26,18 +33,21 @@ def cell_masses(spec):
 class TestGridSpec:
     def test_point_count(self):
         assert SPEC_HALF.points_per_coord == 5
-        assert GridSpec(tau=2.0**-3, B=2.0, n=2).points_per_coord == 33
+        assert GridSpec(tau=2.0**-3, B=2.0).points_per_coord == 33
+
+    def test_one_coordinate_axis(self):
+        assert [f.name for f in dataclasses.fields(GridSpec)] == ["tau", "B"]
 
     def test_requires_integral_ratio(self):
         with pytest.raises(ValueError):
-            GridSpec(tau=2.0**-1, B=1.25, n=1)
+            GridSpec(tau=2.0**-1, B=1.25)
 
     def test_requires_power_of_two(self):
         with pytest.raises(ValueError):
-            GridSpec(tau=0.3, B=1.0, n=1)
+            GridSpec(tau=0.3, B=1.0)
 
     def test_values_exact(self):
-        spec = GridSpec(tau=2.0**-4, B=3.0, n=1)
+        spec = GridSpec(tau=2.0**-4, B=3.0)
         vals = spec.value(np.arange(spec.points_per_coord))
         assert vals[0] == -3.0 and vals[-1] == 3.0
         assert np.all(np.diff(vals) == 2.0**-4)
@@ -112,7 +122,7 @@ class TestSupportAndPmf:
 
     def test_probabilities_sum_to_one(self):
         gen = np.random.default_rng(2)
-        spec = GridSpec(tau=2.0**-4, B=2.0, n=1)
+        spec = GridSpec(tau=2.0**-4, B=2.0)
         for _ in range(50):
             a, b = gen.uniform(-1, 1, size=2)
             _, probs = image_pmf(a, b, spec)
@@ -121,7 +131,7 @@ class TestSupportAndPmf:
     def test_lattice_exactness(self):
         # multiples of gamma in, multiples of gamma*tau^2 out, exactly
         gamma, tau = 2.0**-10, 2.0**-4
-        spec = GridSpec(tau=tau, B=4.0, n=1)
+        spec = GridSpec(tau=tau, B=4.0)
         gen = np.random.default_rng(3)
         unit = gamma * tau * tau
         for _ in range(20):
@@ -134,7 +144,7 @@ class TestSupportAndPmf:
             assert np.all(np.abs(vals) <= 2 * spec.B**2 + 2 * spec.B)
 
     def test_min_atom_mass_lower_bound(self):
-        spec = GridSpec(tau=2.0**-4, B=2.0, n=1)
+        spec = GridSpec(tau=2.0**-4, B=2.0)
         thinnest = min(cell_masses(spec).values())
         _, probs = image_pmf(1.0, 0.5, spec)
         assert probs.min() >= thinnest - 1e-15
@@ -145,7 +155,7 @@ class TestOracleQuadratic:
 
     def test_matches_pmf_sum_randomized(self):
         gen = np.random.default_rng(4)
-        spec = GridSpec(tau=2.0**-3, B=2.0, n=1)
+        spec = GridSpec(tau=2.0**-3, B=2.0)
         for _ in range(1000):
             a, b = gen.uniform(-1, 1, size=2)
             nu1, nu2 = np.sort(gen.normal(size=2) * 2.0)

@@ -498,6 +498,14 @@ class TestRegionMassMc:
         assert ci > 0.0
 
     @pytest.mark.parametrize("measure", ["cube-uniform", "gaussian"])
+    def test_form_of_another_type_rejected(self, measure):
+        def disc(x):
+            return np.where(np.sum(x * x, axis=-1) <= 1.0, 1, -1)
+
+        with pytest.raises(ValueError, match="QuadraticForm or a QuarticForm, not function"):
+            region_mass_mc(disc, np.array([0.0, 1.0]), 0.5, measure, 64, Rng(15))
+
+    @pytest.mark.parametrize("measure", ["cube-uniform", "gaussian"])
     @pytest.mark.parametrize("n_samples", [2.5, 1e4, -1, 0])
     def test_bad_sample_count_rejected(self, measure, n_samples):
         disc = QuadraticForm(A=-np.eye(2), b=np.zeros(2), c=1.0)

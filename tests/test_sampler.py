@@ -38,7 +38,7 @@ SKEW3 = DecoupledConstraint(
 
 class TestSampleGridPoint:
     def test_only_accepting_point_returned(self):
-        spec = GridSpec(tau=0.5, B=1.0, n=1)
+        spec = GridSpec(tau=0.5, B=1.0)
         dc = DecoupledConstraint(
             lam=np.array([1.0]), mu=np.zeros(1), theta=0.1, rotation=np.eye(1)
         )
@@ -49,8 +49,8 @@ class TestSampleGridPoint:
 
     def test_membership_always(self):
         for dc, spec in (
-            (DISC, GridSpec(tau=0.25, B=2.0, n=2)),
-            (SKEW3, GridSpec(tau=0.25, B=2.0, n=3)),
+            (DISC, GridSpec(tau=0.25, B=2.0)),
+            (SKEW3, GridSpec(tau=0.25, B=2.0)),
         ):
             table = PrefixCDFTable.for_sampling(dc, spec, 0.1)
             r = Rng(3)
@@ -59,7 +59,7 @@ class TestSampleGridPoint:
                 assert dc.value(kappa) <= dc.theta
 
     def test_floor_violation(self):
-        spec = GridSpec(tau=0.5, B=2.0, n=1)
+        spec = GridSpec(tau=0.5, B=2.0)
         dc = DecoupledConstraint(
             lam=np.array([0.0]), mu=np.array([1.0]), theta=-10.0, rotation=np.eye(1)
         )
@@ -73,7 +73,7 @@ class TestSampleGridPoint:
             PtfSampler(dc, 0.1, tau=0.5, trunc_B=2.0)
 
     def test_seed_determinism(self):
-        spec = GridSpec(tau=0.25, B=2.0, n=2)
+        spec = GridSpec(tau=0.25, B=2.0)
         table = PrefixCDFTable.for_sampling(DISC, spec, 0.1)
         a = [tuple(sample_grid_point(table, Rng(7))) for _ in range(5)]
         b = [tuple(sample_grid_point(table, Rng(7))) for _ in range(5)]
@@ -95,7 +95,7 @@ class TestSampleGridPoint:
         dc = DecoupledConstraint(
             lam=np.array(lam), mu=np.array(mu), theta=theta, rotation=np.eye(n)
         )
-        spec = GridSpec(tau=0.25, B=2.0, n=n)
+        spec = GridSpec(tau=0.25, B=2.0)
         table = PrefixCDFTable.for_sampling(dc, spec, 0.1)
         if n == 3:  # atoms were merged
             exact_sums = np.unique(np.add.outer(table.support[0], table.support[1]))
@@ -124,7 +124,7 @@ def _table2(lam1, mu1, B=2.0, tau=0.25, theta=0.0):
     dc = DecoupledConstraint(
         lam=np.array([lam1, -0.5]), mu=np.array([mu1, 0.25]), theta=theta, rotation=np.eye(2)
     )
-    return PrefixCDFTable.for_sampling(dc, GridSpec(tau=tau, B=B, n=2), 0.1)
+    return PrefixCDFTable.for_sampling(dc, GridSpec(tau=tau, B=B), 0.1)
 
 
 class TestFirstCoordinateCDF:
@@ -175,7 +175,7 @@ class TestFirstCoordinateCDF:
         dc = DecoupledConstraint(
             lam=np.array([-1.0, 0.0]), mu=np.zeros(2), theta=-38.0**2, rotation=np.eye(2)
         )
-        table = PrefixCDFTable.for_sampling(dc, GridSpec(tau=0.25, B=40.0, n=2), 0.1)
+        table = PrefixCDFTable.for_sampling(dc, GridSpec(tau=0.25, B=40.0), 0.1)
         r = Rng(5)
         got = np.array([sample_grid_point(table, r)[0] for _ in range(400)])
         assert np.all(np.abs(got) >= 38.0)
@@ -200,7 +200,7 @@ class TestFirstCoordinateCDF:
         monkeypatch.setattr(
             counter.CompressedCDF, "log_query", counted("query", counter.CompressedCDF.log_query)
         )
-        table = PrefixCDFTable.for_sampling(dc, GridSpec(tau=0.25, B=2.0, n=n), 0.1)
+        table = PrefixCDFTable.for_sampling(dc, GridSpec(tau=0.25, B=2.0), 0.1)
         r = Rng(4)
         sample_grid_point(table, r)  # builds both cached inverse CDFs
         for _ in range(20):
@@ -215,12 +215,12 @@ class TestEnumerateDistribution:
     oracle, against the exact conditional law."""
 
     def test_probabilities_sum_to_one(self):
-        table = PrefixCDFTable.for_sampling(DISC, GridSpec(tau=0.25, B=2.0, n=2), 0.1)
+        table = PrefixCDFTable.for_sampling(DISC, GridSpec(tau=0.25, B=2.0), 0.1)
         law = oracles.enumerate_sampler_distribution(table)
         assert math.fsum(law.values()) == pytest.approx(1.0, abs=1e-10)
 
     def test_tv_within_eps(self):
-        spec = GridSpec(tau=0.25, B=2.0, n=2)
+        spec = GridSpec(tau=0.25, B=2.0)
         for eps in (0.1, 0.05):
             approx = oracles.enumerate_sampler_distribution(PrefixCDFTable.for_sampling(DISC, spec, eps))
             exact = oracles.conditional_pmf(DISC.lam, DISC.mu, DISC.theta, spec.tau, spec.B)
@@ -229,7 +229,7 @@ class TestEnumerateDistribution:
             assert tv <= eps
 
     def test_per_point_ratio_merged_table(self):
-        spec = GridSpec(tau=0.25, B=2.0, n=3)
+        spec = GridSpec(tau=0.25, B=2.0)
         eps = 0.1
         table = PrefixCDFTable.for_sampling(SKEW3, spec, eps)
         exact_sums = np.unique(np.add.outer(table.support[0], table.support[1]))
@@ -246,7 +246,7 @@ class TestEnumerateDistribution:
     def test_per_point_ratio_linear_budget(self, n, tau):
         # the table's step spends 2n - 3 merges; every reachable point stays
         # within the table's beta = 1/(1 - eps) of the exact law
-        spec = GridSpec(tau=tau, B=2.0, n=n)
+        spec = GridSpec(tau=tau, B=2.0)
         dropped = 0
         for seed in (1, 2):
             gen = np.random.default_rng(seed)
@@ -271,7 +271,7 @@ class TestEnumerateDistribution:
         assert dropped > 0  # atoms were merged
 
     def test_single_point_region_mass_one(self):
-        spec = GridSpec(tau=0.5, B=1.0, n=1)
+        spec = GridSpec(tau=0.5, B=1.0)
         dc = DecoupledConstraint(
             lam=np.array([1.0]), mu=np.zeros(1), theta=0.1, rotation=np.eye(1)
         )
@@ -279,7 +279,7 @@ class TestEnumerateDistribution:
         assert list(law.values()) == [pytest.approx(1.0, abs=1e-12)]
 
     def test_symmetric_instance_invariance(self):
-        spec = GridSpec(tau=0.5, B=2.0, n=2)
+        spec = GridSpec(tau=0.5, B=2.0)
         dc = DecoupledConstraint(
             lam=np.array([0.5, 0.5]), mu=np.zeros(2), theta=1.0, rotation=np.eye(2)
         )
@@ -288,7 +288,7 @@ class TestEnumerateDistribution:
             assert pmf[(k2, k1)] == pytest.approx(p, abs=1e-9)
 
     def test_empirical_agreement_with_enumeration(self):
-        spec = GridSpec(tau=0.5, B=2.0, n=2)
+        spec = GridSpec(tau=0.5, B=2.0)
         table = PrefixCDFTable.for_sampling(DISC, spec, 0.1)
         pmf = oracles.enumerate_sampler_distribution(table)
         r = Rng(11)
@@ -302,9 +302,9 @@ class TestEnumerateDistribution:
                 assert seen.get(k, 0) / n == pytest.approx(p, rel=0.15)
 
     def test_size_guard_beyond_float_range(self):
-        # a table of GridSpec(tau=1.0, B=1e200, n=2)'s shape, which the
+        # a table of GridSpec(tau=1.0, B=1e200)'s shape, which the
         # package refuses to build: (2e200 + 1)^2 points, which no float holds
-        m = GridSpec(tau=1.0, B=1e200, n=2).points_per_coord
+        m = GridSpec(tau=1.0, B=1e200).points_per_coord
         table = SimpleNamespace(n=2, support=SimpleNamespace(shape=(2, m)))
         with pytest.raises(ValueError, match=r"^grid has 4\.00e\+400 points, too many"):
             oracles.enumerate_sampler_distribution(table)
@@ -312,7 +312,7 @@ class TestEnumerateDistribution:
 
 class TestLift:
     def test_interior_cell_support(self):
-        spec = GridSpec(tau=0.5, B=1.0, n=2)
+        spec = GridSpec(tau=0.5, B=1.0)
         r = Rng(0)
         for _ in range(200):
             y = lift_to_continuous(np.array([0.0, -0.5]), spec, r)
@@ -320,14 +320,14 @@ class TestLift:
             assert -0.5 <= y[1] < 0.0
 
     def test_cap_cell_support(self):
-        spec = GridSpec(tau=0.5, B=1.0, n=1)
+        spec = GridSpec(tau=0.5, B=1.0)
         r = Rng(1)
         ys = [lift_to_continuous(np.array([1.0]), spec, r)[0] for _ in range(200)]
         assert all(y >= 1.0 for y in ys)
         assert max(ys) > 1.5  # the cap really is unbounded
 
     def test_cell_mean_matches_moment_formula(self):
-        spec = GridSpec(tau=0.5, B=2.0, n=1)
+        spec = GridSpec(tau=0.5, B=2.0)
         r = Rng(2)
         for kappa, (a, b) in [(0.0, (0.0, 0.5)), (-1.0, (-1.0, -0.5)), (2.0, (2.0, math.inf))]:
             ys = np.array(
@@ -338,18 +338,18 @@ class TestLift:
             assert abs(ys.mean() - want) <= 3.5 * se
 
     def test_off_grid_value_refused(self):
-        spec = GridSpec(tau=0.5, B=1.0, n=1)
+        spec = GridSpec(tau=0.5, B=1.0)
         with pytest.raises(ValueError, match="not on the grid"):
             lift_to_continuous(np.array([0.3]), spec, Rng(0))
 
     def test_value_beyond_B_refused(self):
-        spec = GridSpec(tau=0.5, B=1.0, n=2)
+        spec = GridSpec(tau=0.5, B=1.0)
         for kappa in ([1.5, 0.0], [0.0, -1.5]):
             with pytest.raises(ValueError, match="out of range"):
                 lift_to_continuous(np.array(kappa), spec, Rng(0))
 
     def test_lower_cap_owns_left_tail(self):
-        spec = GridSpec(tau=0.5, B=1.0, n=1)
+        spec = GridSpec(tau=0.5, B=1.0)
         assert spec.cell_bounds(0) == (-math.inf, -0.5)
         r = Rng(3)
         ys = [lift_to_continuous(np.array([-1.0]), spec, r)[0] for _ in range(200)]
@@ -473,7 +473,7 @@ class TestPtfSampler:
     def test_eps_one_refused_by_sampling_table_kept_by_count(self):
         # a sampling table at eps = 1 would bound nothing; a count at eps = 1
         # is still a (1 +- 1) answer
-        spec = GridSpec(tau=0.25, B=2.0, n=3)
+        spec = GridSpec(tau=0.25, B=2.0)
         with pytest.raises(ValueError, match=r"^eps must lie in \(0, 1\) for sampling, got 1.0"):
             PrefixCDFTable.for_sampling(SKEW3, spec, 1.0)
         assert 0.0 < count(SKEW3, spec, 1.0) < 1.0
@@ -498,7 +498,7 @@ class TestPtfSampler:
     def test_floor_mass_within_half_the_budget(self, n, tau):
         # the sampling table's mass() lies within sqrt(beta) = (1 - eps)^(-1/2)
         # of the exact grid mass either way
-        spec = GridSpec(tau=tau, B=2.0, n=n)
+        spec = GridSpec(tau=tau, B=2.0)
         gen = np.random.default_rng(n)
         for _ in range(3):
             lam, mu = (np.rint(gen.normal(size=n) * 16.0) / 16.0 for _ in range(2))
@@ -550,7 +550,7 @@ def test_draws_rejections_and_stream_pinned():
         h.update(np.int64(s.filter_rejections).tobytes())
         h.update(np.float64(rng.uniform()).tobytes())
     dc = DecoupledConstraint(lam=np.array([-1.0, 0.25]), mu=np.array([0.0, 0.5]), theta=-38.0**2, rotation=np.eye(2))
-    spec = GridSpec(tau=0.25, B=40.0, n=2)
+    spec = GridSpec(tau=0.25, B=40.0)
     table = PrefixCDFTable.for_sampling(dc, spec, 0.1)
     rng = Rng(3)
     for _ in range(60):

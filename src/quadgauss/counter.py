@@ -11,12 +11,15 @@ into the next kept atom to their right, so the compressed CDF F' is a
 pointwise lower bound of the CDF F it replaces with F <= (1 + eps_step) F';
 after k merges the exact CDF is bracketed within (1 + eps_step)^k.  The
 proof that reads a CDF counts its merges (``count``, ``PrefixCDFTable``); a
-``CompressedCDF`` carries no budget.  A count also merges at a floor
-relative to the answer, which merges the far left tail into the first kept
-atom at a bounded additive cost.  Masses are stored as logs; pair masses
-and cumulative sums are formed in linear space scaled by each call's
-largest mass, and whatever falls too far below it for a double is summed in
-log space instead.  A convolution forms its pairs one window of values at a
+``CompressedCDF`` carries no budget.  A count also merges at a floor delta
+relative to the answer, and spends it at every step: its thresholds are
+affine, c_0 = delta and c_(k+1) = (1 + eps_step) c_k + delta, so that F <=
+(1 + eps_step) F' + delta, the bound the count's proof composes, and a
+running sum keeps about log(eps_step/delta)/eps_step atoms where geometric
+thresholds from delta would keep log(1/delta)/eps_step.  Masses are stored
+as logs; pair masses and cumulative sums are formed in linear space scaled
+by each call's largest mass, and whatever falls too far below it for a
+double is summed in log space instead.  A convolution forms its pairs one window of values at a
 time, and the merge carries its state from window to window, so results do
 not depend on where the windows split.
 
@@ -190,27 +193,42 @@ def _log_cumsum(logp: np.ndarray) -> np.ndarray:
     return out
 
 
+def _log_shifted(log_cum: np.ndarray, log_shift: float) -> np.ndarray:
+    """log(F + a) at every cumulative F given by its log ``log_cum``, with
+    a = exp(``log_shift``), both relative to a largest mass near 1.  The sum
+    is formed in linear space, except where F and a both lie below
+    ``_LINEAR_FLOOR``: there it is a ``logaddexp``."""
+    shift = math.exp(log_shift)
+    out = np.exp(log_cum)
+    out += shift
+    np.log(out, out=out)
+    if shift < _LINEAR_FLOOR:
+        head = int(log_cum.searchsorted(math.log(_LINEAR_FLOOR)))
+        out[:head] = np.logaddexp(log_cum[:head], log_shift)
+    return out
+
+
 def _crossings(log_cum, log_base: float, thresh: float):
     """How many thresholds log_base + k*thresh, k >= 0, lie strictly below
     each log cumulative mass: the rank of the last threshold an atom's
     cumulative has passed.  A cumulative equal to a threshold has not
-    passed it."""
+    passed it.  Applied to log(F + delta/e), with log_base = log(delta/e) +
+    thresh, it counts the affine thresholds c_0 = delta, c_(k+1) = (1 + e)
+    c_k + delta, as c_k + delta/e = (delta/e) (1 + e)^(k+1)."""
     return np.maximum(np.ceil((log_cum - log_base) / thresh), 0.0)
 
 
-def _sparsify(
-    values: np.ndarray, logp: np.ndarray, eps_step: float, log_floor: float = LOG_ZERO, unfloored=None
-):
+def _sparsify(values: np.ndarray, logp: np.ndarray, eps_step: float, log_floor: float = LOG_ZERO):
     """Greedy rightward merge of a sorted support: keep the first atom whose
-    cumulative mass exceeds exp(log_floor) (the first atom when there is no
-    floor), then the first atom whose cumulative mass exceeds (1 + eps_step)
-    times the last kept one's, and so on, and always keep the last atom; the
-    mass of dropped atoms merges into the next kept atom to their right, so
-    kept anchors retain their exact cumulative mass.  Cumulatives are
-    compared in log space, and every atom's successor comes from one
-    ``searchsorted``.  When the walk starts at the first atom it is the walk
-    without a floor, and ``unfloored``, that walk's result if given, is
-    returned as it is.
+    cumulative mass F exceeds delta = exp(log_floor) (the first atom when
+    there is no floor), then the first atom whose F exceeds (1 + eps_step)
+    F_last + delta, F_last the last kept one's, and so on, and always keep
+    the last atom; the mass of dropped atoms merges into the next kept atom
+    to their right, so kept anchors retain their exact cumulative mass.
+    The floor is compared exactly, log F against ``log_floor``.  The walk
+    after it compares log(F + delta/eps_step), in which each step is
+    log1p(eps_step) (``_log_shifted``; log F with no floor), so every atom's
+    successor comes from one ``searchsorted``.
 
     Factors are merged greedily, not at ``_merge_stream``'s fixed
     thresholds: their atoms are about as dense as the thresholds, where
@@ -221,8 +239,8 @@ def _sparsify(
     lp = logp - top
     log_cum = _log_cumsum(lp)
     i = int(log_cum.searchsorted(log_floor - top, "right"))
-    if i == 0 and unfloored is not None:
-        return unfloored
+    if log_floor > LOG_ZERO:
+        log_cum = _log_shifted(log_cum, log_floor - top - math.log(eps_step))
     nxt = log_cum.searchsorted(log_cum + math.log1p(eps_step), "right").tolist()
     kept = []
     while i < lp.size:
@@ -239,19 +257,62 @@ def _sparsify(
 # only the bins a threshold falls in (and the few the log-space paths need)
 # are sorted.
 _BIN_PAIRS = 8
+# A window of at least _KNOT_PAIRS pairs whose values crowd, so that every
+# _KNOT_STRIDE-th of them falls in fewer distinct equal-width bins than
+# _CROWDED times their number, places its bin edges by _KNOTS quantiles of
+# those values; any other window has bins of equal width.
+_KNOT_PAIRS = 1 << 13
+_KNOT_STRIDE = 32
+_KNOTS = 64
+_CROWDED = 0.75
+
+
+def _value_bins(v: np.ndarray, lo: float, hi: float) -> tuple[np.ndarray, int]:
+    """Each term's value bin, and the number of bins: about one per
+    ``_BIN_PAIRS`` terms, each a value interval, in ascending order, so that
+    equal values share a bin; a value at hi (up to rounding) falls in one
+    more bin of its own.  Bins of equal width crowd a window's terms into a
+    few bins when the window reaches an outlying value, such as a floored
+    factor's last atom (a grid's end cell), which stretches [lo, hi]; the
+    merge then sorts most of the window.  Such a window maps its values
+    through the piecewise-linear interpolation of quantile knots, with a
+    whole number of bins between two knots, so that an interpolated value
+    never rounds past the next knot's bin.  The interpolation costs several
+    times the equal-width map, so an uncrowded window keeps that."""
+    cells = v.size // _BIN_PAIRS
+    width = (hi - lo) / cells if cells else 0.0
+    if v.size >= _KNOT_PAIRS and width > 0.0:
+        sample = np.sort(v[::_KNOT_STRIDE])
+        cols = ((sample - lo) / width).astype(np.intp)
+        if np.count_nonzero(cols[1:] != cols[:-1]) < _CROWDED * sample.size:
+            knots = np.concatenate(([lo], sample[np.arange(1, _KNOTS) * sample.size // _KNOTS], [hi]))
+            knots = knots[np.concatenate(([True], knots[1:] > knots[:-1]))]
+            per = cells // (knots.size - 1)
+            x = np.interp(v, knots, np.arange(knots.size) * float(per))
+            return x.astype(np.intp), per * (knots.size - 1) + 1
+    if width > 0.0:
+        x = v - lo
+        x /= width
+        return x.astype(np.intp), cells + 1
+    return np.zeros(v.size, dtype=np.intp), cells + 1
 
 
 def _merge_stream(windows, top: float, eps_step: float, log_floor: float = LOG_ZERO):
     """Rightward merge of a distribution given in windows of unsorted terms,
-    at the thresholds c_k = base * (1 + eps_step)^k, k >= 0: for each c_k the
-    first atom whose cumulative mass exceeds it is kept (one equal to it is
-    not), the last atom is always kept, and the mass of dropped atoms merges
-    into the next kept atom to their right, so kept anchors retain their
-    exact cumulative mass.  ``base`` is exp(log_floor); with no floor it is
-    the first atom's mass times (1 + eps_step), and the first atom is kept,
-    which is the rule for a base just below it.  Between two kept atoms
-    every atom has F <= c_(k+1) < (1 + eps_step) F of the left one.  Returns
-    the kept (values, log masses).
+    at fixed thresholds c_0 < c_1 < ...: for each c_k the first atom whose
+    cumulative mass exceeds it is kept (one equal to it is not), the last
+    atom is always kept, and the mass of dropped atoms merges into the next
+    kept atom to their right, so kept anchors retain their exact cumulative
+    mass.  With a floor delta = exp(log_floor) the thresholds are affine,
+    c_0 = delta and c_(k+1) = (1 + eps_step) c_k + delta: the geometric
+    thresholds (delta/eps_step) (1 + eps_step)^(k+1) of F + delta/eps_step.
+    With no floor they are geometric, c_k = base (1 + eps_step)^k, base the
+    first atom's mass times (1 + eps_step), and the first atom is kept,
+    which is the rule for a base just below it.  Either way, if c_k is the
+    last threshold a kept atom's cumulative F_left has passed, every atom
+    before the next kept one has F <= c_(k+1) = (1 + eps_step) c_k + delta
+    < (1 + eps_step) F_left + delta (delta = 0 with no floor).  Returns the
+    kept (values, log masses).
 
     Each window is ``(v, p, lo, hi, log_terms)``: term values ``v`` with
     lo <= v <= hi and masses ``p`` scaled by exp(-top), in any order, and
@@ -260,20 +321,42 @@ def _merge_stream(windows, top: float, eps_step: float, log_floor: float = LOG_Z
     a window lies left of the next window's values; the first window's
     ``lo`` is its smallest value and the last window's ``hi`` its largest.
 
-    A window's masses are summed into about one bin of equal width per
-    ``_BIN_PAIRS`` terms, and the cumulative mass at each bin edge gives the
-    number of thresholds passed there (``_crossings``).  Only the terms of
-    the bins where that number grows are sorted, to place each kept atom
-    exactly: their atoms' cumulatives start from the bin's start and the
-    bin's last atom takes the count at its end, so each threshold lands on
-    an atom of the bin it was counted in.  A merged run sums whole bins and
-    sorted atoms.  Bins that start below ``_LINEAR_FLOOR`` are sorted too,
-    and their atoms take cumulatives from the terms' logs; so are bins of
-    mass below it, so that a run summing below it can be redone from its
-    terms' logs.  The cumulative mass, the threshold count and the pending
-    run carry from window to window."""
+    A window's masses are summed into about one value bin per
+    ``_BIN_PAIRS`` terms (``_value_bins``), and the cumulative mass at each
+    bin edge gives the number of thresholds passed there (``_crossings``,
+    on log(F + delta/eps_step); the floor c_0 itself is compared exactly,
+    on log F).  Only the terms of the bins where that number grows are
+    sorted, to place each kept atom exactly: their atoms' cumulatives start
+    from the bin's start and the bin's last atom takes the count at its
+    end, so each threshold lands on an atom of the bin it was counted in.
+    A merged run sums whole bins and sorted atoms.  Bins that start below
+    ``_LINEAR_FLOOR`` are sorted too, and their atoms take cumulatives from
+    the terms' logs; so are bins of mass below it, so that a run summing
+    below it can be redone from its terms' logs.  The cumulative mass, the
+    threshold count and the pending run carry from window to window."""
     thresh = math.log1p(eps_step)
-    base = None if log_floor == LOG_ZERO else log_floor - top
+    base, shift = None, None
+    if log_floor != LOG_ZERO:
+        floor = log_floor - top
+        log_shift = floor - math.log(eps_step)
+        base, shift = log_shift + thresh, math.exp(log_shift)
+
+    def ranks(cum=None, log_cum=None):
+        # _crossings at cumulatives given as scaled linear sums at least
+        # _LINEAR_FLOOR, or as logs
+        if shift is None:
+            return _crossings(np.log(cum) if log_cum is None else log_cum, base, thresh)
+        if log_cum is None:
+            k = _crossings(np.log(cum + shift), base, thresh)
+        else:
+            k = _crossings(np.logaddexp(log_cum, log_shift), base, thresh)
+        # at most c_1 = (2 + eps_step) delta, up to rounding: whether c_0 is
+        # passed is read from log F itself
+        near = np.flatnonzero(k <= 1.0)
+        if near.size:
+            k[near] = (np.log(cum[near]) if log_cum is None else log_cum[near]) > floor
+        return k
+
     kept_v, kept_lp = [], []
     cum_prev, log_cum_prev, k_prev = 0.0, LOG_ZERO, 0.0
     run_log, pending = LOG_ZERO, False  # the merged run not yet kept
@@ -281,25 +364,14 @@ def _merge_stream(windows, top: float, eps_step: float, log_floor: float = LOG_Z
         keep_first = base is None
         if keep_first:
             base = float(np.logaddexp.reduce(log_terms(np.flatnonzero(v == lo)))) + thresh
-        # cells of equal width from lo; a value at hi (up to rounding) falls
-        # in one more bin of its own
-        cells = v.size // _BIN_PAIRS
-        n_bins = cells + 1
-        width = (hi - lo) / cells if cells else 0.0
-        if width > 0.0:
-            x = v - lo
-            x /= width
-            bins = x.astype(np.intp)
-            del x
-        else:
-            bins = np.zeros(v.size, dtype=np.intp)
+        bins, n_bins = _value_bins(v, lo, hi)
         mass = np.bincount(bins, weights=p, minlength=n_bins)
         cum = np.empty(n_bins + 1)  # the cumulative mass at each bin edge
         cum[0] = cum_prev
         cum[1:] = mass
         np.cumsum(cum, out=cum)
         head = int(cum.searchsorted(_LINEAR_FLOOR))  # bins that start in the log head
-        edge_k = _crossings(np.log(cum[head:]), base, thresh)
+        edge_k = ranks(cum[head:])
         sort = mass < _LINEAR_FLOOR
         sort[:head] = True
         sort[head:] |= edge_k[1:] > edge_k[:-1]
@@ -326,14 +398,14 @@ def _merge_stream(windows, top: float, eps_step: float, log_floor: float = LOG_Z
             log_cum[0] = np.logaddexp(log_cum_prev, log_cum[0])
             np.logaddexp.accumulate(log_cum, out=log_cum)
             log_cum_prev = log_cum[-1]
-            k[:in_head] = _crossings(log_cum, base, thresh)
+            k[:in_head] = ranks(log_cum=log_cum)
         if in_head < n_atoms:
             # the cumulative within each bin, from the bin's start
             b, bp = atom_bin[in_head:], atom_p[in_head:]
             cs = np.cumsum(bp)
             before = np.where(new_bin[in_head:], cs - bp, 0.0)
             cs -= np.maximum.accumulate(before, out=before)
-            k[in_head:] = _crossings(np.log(cum[b] + cs), base, thresh)
+            k[in_head:] = ranks(cum[b] + cs)
         # the last atom of a bin that ends in the linear range takes the count
         # at the bin's end: its cumulative, summed in another order, may
         # round to the other side of a threshold, which would then land on
@@ -487,8 +559,9 @@ def _guarded_factors(pmfs, eps_step: float, tail: int) -> tuple[list, float]:
     the running sum with factor j + 1, and factor j + 2 is sparsified only
     once that is admitted.  The threshold merge keeps at most 2 +
     (log-range)/log1p(eps_step) atoms of a running sum, one more with a
-    floor below the first atom (the thresholds below its mass all keep it),
-    and the log-range of a sum is at most the sum of its factors'
+    floor below the first atom (the thresholds below its mass all keep it,
+    and each affine threshold is at least 1 + eps_step times the one
+    before), and the log-range of a sum is at most the sum of its factors'
     ``_log_spread``.  The last ``tail`` factors (none or two) are read in
     pairs of atoms, and those lookups are guarded too.  Callers run this
     before ``compressed_tail_cdf``, so a refusal comes before any
@@ -520,7 +593,8 @@ def _guarded_factors(pmfs, eps_step: float, tail: int) -> tuple[list, float]:
 class _FlooredStep:
     """A per-merge ``step`` with the floor ``log_floor`` = log delta for
     ``compressed_tail_cdf``: every merge of the chain keeps no atom up to
-    the cumulative mass delta.  It rides in ``eps_step`` because the
+    the cumulative mass delta, and keeps the next atom only past (1 + step)
+    F + delta.  It rides in ``eps_step`` because the
     benchmark's tracer forwards ``(factors, eps_step, collect=)`` and
     nothing else."""
 
@@ -537,7 +611,8 @@ def compressed_tail_cdf(factors, eps_step, collect: list | None = None) -> Compr
     receives one per prefix sum) lower-bounds its exact CDF; by how much is
     for the caller's proof to say, as 2j - 1 merges lie behind the j-th.
     ``eps_step`` may be a ``_FlooredStep``: then every merge keeps no atom
-    up to the floor delta (the thresholds start at it)."""
+    up to the floor delta and spends delta at every threshold after it
+    (``_merge_stream``)."""
     step, floor = eps_step, LOG_ZERO
     if isinstance(eps_step, _FlooredStep):
         step, floor = eps_step.step, eps_step.log_floor
@@ -588,13 +663,22 @@ def _tail_log_mass(cdf: CompressedCDF, tail, theta: float) -> float:
     return log_sum([log_sum(lb[r : r + rows, None] + lc + log_f[lookups(r)]) for r in blocks])
 
 
+# the merge step of a count's coarse pass
+_COARSE_STEP = 0.25
+
+
 def _coarse_log_mass(factors, row: np.ndarray, log_cell: np.ndarray, theta: float) -> float:
-    """log of a lower bound on the grid mass at theta: ``factors`` (the
-    first n - 1 coordinates) sparsified and chained at step 1, then summed
-    over the last coordinate's cells (``_grid_log_mass``); every merge
-    lower-bounds the CDF it replaces."""
-    coarse, _ = _guarded_factors(factors, 1.0, 0)
-    return _grid_log_mass(compressed_tail_cdf(coarse, 1.0), row, log_cell, theta)
+    """log of a lower bound L on the grid mass at theta: ``factors`` (the
+    first n - 1 coordinates) sparsified and chained at ``_COARSE_STEP``,
+    then summed over the last coordinate's cells (``_grid_log_mass``); every
+    merge lower-bounds the CDF it replaces.  The floor delta is
+    proportional to L, and a floored merge keeps about log(F_total
+    eps_step/delta)/eps_step atoms, so a tighter L pays in every fine
+    merge.  At step 1 each merge behind L can lose a factor 2: on the
+    benchmark's n = 5 instance (seed 1) L reads 0.047 at step 1 and 0.26
+    at step 1/4, against a mass of 0.51."""
+    coarse, _ = _guarded_factors(factors, _COARSE_STEP, 0)
+    return _grid_log_mass(compressed_tail_cdf(coarse, _COARSE_STEP), row, log_cell, theta)
 
 
 _POINT_MASS_AT_ZERO = CompressedCDF(values=np.zeros(1), log_cum=np.zeros(1))  # P_0, the empty sum
@@ -846,20 +930,25 @@ def count(
     the exact grid mass at theta.
 
     The floor.  A coarse pass (``_coarse_log_mass``) chains the first n - 1
-    sparsified factors at step 1, sums the result over coordinate n's grid
-    cells and reads its mass L at theta; L <= F, since every merge
-    lower-bounds.  Each merge then keeps no atom up to delta = s L (1 -
+    sparsified factors at ``_COARSE_STEP``, sums the result over coordinate
+    n's grid cells and reads its mass L at theta; L <= F, since every merge
+    lower-bounds.  Each merge then takes the floor delta = s L (1 -
     sqrt(beta)/(1 + eps))/(beta (2n - 3)), with s = ``_FLOOR_SHARE`` < 1
-    (``_count_step``): the greedy walk starts at the first atom past it, and
-    the thresholds start at it.  The mass whose cumulative total is at most
-    delta merges into the first kept atom, which keeps its exact cumulative
-    mass.  Such a merge leaves F' <= F <= (1 + e) F' + delta, as left of the
-    first kept atom F <= delta, and convolving with a probability law keeps
-    this without growing delta.  Over the 2n - 3 merges, M <= F <= beta (M +
-    (2n - 3) delta) <= beta M + r F, with r = s (1 - sqrt(beta)/(1 + eps)),
-    as L <= F.  So F <= beta M/(1 - r), and the midpoint sqrt(beta) M
-    satisfies (1 - r)/sqrt(beta) <= sqrt(beta) M/F <= sqrt(beta).  Both ends
-    lie within [1/(1 + eps), 1 + eps] for every eps = x in (0, 1].  The
+    (``_count_step``), and spends it at every step: it keeps no atom up to
+    delta, and after a kept atom of cumulative F_k the next one kept is the
+    first past (1 + e) F_k + delta (the greedy walk), or the first past the
+    next affine threshold c_(k+1) = (1 + e) c_k + delta, c_0 = delta (the
+    threshold merge).  Kept atoms keep their exact cumulative mass, and an
+    atom left of the first kept one has F <= delta, one between kept atoms
+    F <= (1 + e) F_left + delta.  So the merge leaves F' <= F <= (1 + e) F'
+    + delta, and convolving with a probability law keeps this without
+    growing delta.  Over the 2n - 3 merges, M <= F <= beta (M + (2n - 3)
+    delta) <= beta M + r F, with r = s (1 - sqrt(beta)/(1 + eps)), as
+    L <= F.  This per-merge bound is all the proof reads; a merge that
+    spent delta only below its first threshold would meet it with budget
+    left over.  So F <= beta M/(1 - r), and the midpoint sqrt(beta) M
+    satisfies (1 - r)/sqrt(beta) <= sqrt(beta) M/F <= sqrt(beta).  Both
+    ends lie within [1/(1 + eps), 1 + eps] for every eps = x in (0, 1].  The
     upper end: sqrt(beta) <= exp(x/2) <= 1 + x, as exp(x/2) - 1 - x is
     convex and not positive at x = 0 and x = 1.  The lower end, (1 - r)/
     sqrt(beta) >= 1/(1 + eps), is (1 - s)(1 - sqrt(beta)/(1 + eps)) >= 0,
@@ -885,7 +974,7 @@ def count(
     if worst > _PAIR_BLOCK:
         floor = log_floor_frac + _coarse_log_mass(factors[: n - 1], row, log_cell, theta)
         if floor > LOG_ZERO:
-            factors = [_sparsify(v, lp, step, floor, f) for (v, lp), f in zip(pmfs, factors)]
+            factors = [_sparsify(v, lp, step, floor) for v, lp in pmfs]
     cdf = compressed_tail_cdf(factors if n == 3 else factors[:-2], _FlooredStep(step, floor))
     if n == 3:
         log_mass = _grid_log_mass(cdf, row, log_cell, theta)

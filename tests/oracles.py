@@ -366,9 +366,10 @@ def convolve_log(values, logp, atom_v, atom_lp):
 
 def greedy_sparsify_log(values, logp, eps_step, log_floor=-math.inf):
     """Greedy rightward merge in log space: the first atom kept is the first
-    whose log cumulative mass exceeds ``log_floor``; after it, keep an atom
-    once the log cumulative mass has grown by more than log1p(eps_step)
-    since the last kept one, and always keep the last atom."""
+    whose log cumulative mass exceeds ``log_floor``; after it, keep the
+    first atom whose cumulative mass F exceeds (1 + eps_step) F_last +
+    delta, F_last the last kept atom's and delta = exp(log_floor) (0 with
+    no floor), and always keep the last atom."""
     live = logp > -math.inf
     values, logp = values[live], logp[live]
     m = values.size
@@ -378,7 +379,9 @@ def greedy_sparsify_log(values, logp, eps_step, log_floor=-math.inf):
     i = int(np.searchsorted(cum, log_floor, side="right"))
     while i < m:
         kept.append(i)
-        i = int(np.searchsorted(cum, cum[i] + thresh, side="right"))
+        # log((1 + eps_step) F_last + delta)
+        target = np.logaddexp(cum[i] + thresh, log_floor)
+        i = int(np.searchsorted(cum, target, side="right"))
     if not kept or kept[-1] != m - 1:
         kept.append(m - 1)
     kept = np.asarray(kept)
@@ -387,11 +390,14 @@ def greedy_sparsify_log(values, logp, eps_step, log_floor=-math.inf):
 
 
 def sparsify_log(values, logp, eps_step, log_floor=-math.inf):
-    """Threshold merge in log space, at the log thresholds log_base + k *
-    log1p(eps_step), k >= 0: for each, keep the first atom whose log
-    cumulative mass exceeds it, and always keep the last atom.  log_base
-    is ``log_floor``; with no floor it is the first atom's log mass plus
-    log1p(eps_step), and the first atom is kept."""
+    """Threshold merge in log space at thresholds c_0 < c_1 < ...: for each,
+    keep the first atom whose log cumulative mass exceeds log c_k, and
+    always keep the last atom.  With a floor delta = exp(``log_floor``),
+    c_0 = delta and c_(k+1) = (1 + eps_step) c_k + delta, that is c_k =
+    (delta/eps_step) ((1 + eps_step)^(k+1) - 1), with c_0 taken as
+    ``log_floor`` itself.  With no floor, c_k = base (1 + eps_step)^k, base
+    the first atom's mass times (1 + eps_step), and the first atom is
+    kept."""
     live = logp > -math.inf
     values, logp = values[live], logp[live]
     m = values.size
@@ -399,10 +405,17 @@ def sparsify_log(values, logp, eps_step, log_floor=-math.inf):
     cum = np.logaddexp.accumulate(logp)
     if log_floor == -math.inf:
         log_base, kept = logp[0] + thresh, [0]
+        steps = max(0, math.ceil((cum[-1] - log_base) / thresh) + 1)
+        thresholds = log_base + np.arange(steps) * thresh
     else:
-        log_base, kept = log_floor, []
-    steps = max(0, math.ceil((cum[-1] - log_base) / thresh) + 1)
-    thresholds = log_base + np.arange(steps) * thresh
+        kept = []
+        log_a = log_floor - math.log(eps_step)
+        # c_k < F_total needs (1 + eps_step)^(k+1) < F_total/a + 1
+        top = np.logaddexp(cum[-1] - log_a, 0.0)
+        steps = max(1, math.ceil(top / thresh) + 1)
+        x = np.arange(1, steps + 1) * thresh
+        thresholds = log_a + x + np.log(-np.expm1(-x))  # log_a + log(expm1(x))
+        thresholds[0] = log_floor
     thresholds = thresholds[thresholds < cum[-1]]
     kept = np.concatenate((kept, np.searchsorted(cum, thresholds, side="right"), [m - 1]))
     kept = np.unique(kept.astype(int))

@@ -434,6 +434,45 @@ class TestKernels:
                         spread = max(math.log(exact[-1] / base), 0.0)
                         assert got_v.size <= 2.0 + spread / math.log1p(eps_step)
 
+    @pytest.mark.parametrize("block, stride, size", [(61, 1, 150), (1 << 16, 32, 700)])
+    def test_every_merge_keeps_the_bound_the_count_composes(self, monkeypatch, block, stride, size):
+        # count's proof composes F' <= F <= (1 + e) F' + delta per merge:
+        # checked in the log at every atom of the exact law, for the greedy
+        # walk and for the threshold merge, in windows of 61 pairs and of
+        # 2^16.  One factor ends in a far, light atom, as a grid's end cell
+        # does, so that large windows crowd and place their bins by
+        # quantile knots
+        monkeypatch.setattr(counter, "_PAIR_BLOCK", block)
+        monkeypatch.setattr(counter, "_SAMPLE_STRIDE", stride)
+        knotted = [0]
+        real = np.interp
+
+        def spy(*args):
+            knotted[0] += 1
+            return real(*args)
+
+        monkeypatch.setattr(np, "interp", spy)
+        gen = np.random.default_rng(33)
+        for _ in range(8):
+            a = random_lattice_pmf(gen, int(gen.integers(2, size)))
+            b = random_lattice_pmf(gen, int(gen.integers(2, size)))
+            b = (np.append(b[0], b[0][-1] + 40.0), np.append(b[1], -12.0))
+            exact_v, exact_lp = oracles.convolve_log(*a, *b)
+            log_f = np.logaddexp.accumulate(exact_lp)
+            for log_floor in (LOG_ZERO, *floors_between_cumulatives(gen, exact_lp, 3)):
+                for eps_step in (1e-3, 0.3):
+                    for got_v, got_lp in (
+                        _convolve_sparsify(*a, *b, eps_step, log_floor),
+                        _sparsify(exact_v, exact_lp, eps_step, log_floor),
+                    ):
+                        idx = np.searchsorted(got_v, exact_v, side="right")
+                        merged = np.concatenate(([LOG_ZERO], np.logaddexp.accumulate(got_lp)))
+                        log_f_merged = merged[idx]
+                        assert np.all(log_f_merged <= log_f + 1e-12)
+                        bound = np.logaddexp(math.log1p(eps_step) + log_f_merged, log_floor)
+                        assert np.all(log_f <= bound + 1e-12)
+        assert (knotted[0] > 0) == (block == 1 << 16)
+
     def test_sparsify_merges_after_tiny_leading_atom(self):
         # the log-range is dominated by the first atom, yet the 1000 equal
         # atoms after it are far closer than the step and must merge
@@ -602,6 +641,16 @@ def bench_style(n):
     return QuadraticForm(
         A=-np.eye(n) + 0.3 * (big + big.T) / 2.0, b=0.3 * gen.standard_normal(n), c=float(n)
     )
+
+
+def bench_rotated(n, seed):
+    """``bench_style(n)`` in the orthonormal basis that the benchmark's
+    ``bench_instance(seed, n)`` draws: x -> q(Qx)."""
+    q = bench_style(n)
+    z, r = np.linalg.qr(np.random.default_rng([seed, n]).standard_normal((n, n)))
+    rot = z * np.sign(np.diag(r))
+    a = rot.T @ q.A @ rot
+    return QuadraticForm(A=(a + a.T) / 2.0, b=rot.T @ q.b, c=q.c)
 
 
 def cube_style(n):
@@ -778,15 +827,29 @@ class TestAnswerRelativeFloor:
     def test_floor_cuts_pairs_at_default_flags(self, monkeypatch):
         # machine-independent: pairs formed by default-flag counts, the
         # coarse pass included, against the floor-free tables (a coarse mass
-        # of zero leaves no floor)
+        # of zero leaves no floor).  Both estimates are sqrt(beta) M, with
+        # M in [F/beta, F] floor-free and in [(1 - r) F/beta, F] floored
+        # (see count), so their ratio lies in [(1 - r)/beta, beta]
         formed = pair_counter(monkeypatch)
-        estimates = [count_ptf_gaussian(q).estimate for q in (bench_style(5), cube_style(4))]
+        brackets = []
+        real_step = counter._count_step
+
+        def step_spy(n, eps):
+            step, log_floor_frac = real_step(n, eps)
+            beta = (1.0 + step) ** (2 * n - 3)
+            r = beta * (2 * n - 3) * math.exp(log_floor_frac)
+            brackets.append(((1.0 - r) / beta, beta))
+            return step, log_floor_frac
+
+        monkeypatch.setattr(counter, "_count_step", step_spy)
+        forms = (bench_style(5), cube_style(4))
+        estimates = [count_ptf_gaussian(q).estimate for q in forms]
         with_floor = formed[0]
         formed[0] = 0
         monkeypatch.setattr(counter, "_coarse_log_mass", lambda *args: LOG_ZERO)
-        for q, est in zip((bench_style(5), cube_style(4)), estimates):
-            assert count_ptf_gaussian(q).estimate == pytest.approx(est, rel=1e-3)
-        assert with_floor <= 0.7 * formed[0]
+        for q, est, (low, high) in zip(forms, estimates, brackets):
+            assert low <= est / count_ptf_gaussian(q).estimate <= high
+        assert with_floor <= 0.25 * formed[0]
 
     def test_default_count_forms_under_half_the_pairs(self, monkeypatch):
         # machine-independent: pairs formed, the coarse pass included.  A
@@ -795,6 +858,21 @@ class TestAnswerRelativeFloor:
         formed = pair_counter(monkeypatch)
         count_ptf_gaussian(bench_style(5))
         assert 0 < formed[0] <= 2_548_413 // 2
+
+    def test_default_count_pairs_at_n5(self, monkeypatch):
+        # machine-independent: pairs formed, the coarse pass included.
+        # Merges that spent the floor only below their first threshold, with
+        # a coarse pass at step 1, formed 483,123 pairs on this count
+        formed = pair_counter(monkeypatch)
+        count_ptf_gaussian(bench_style(5))
+        assert 0 < formed[0] <= 250_000
+
+    def test_default_count_pairs_at_n8(self, monkeypatch):
+        # the benchmark's n = 8 instance at seed 1; the rule above formed
+        # 5,121,529 pairs on it
+        formed = pair_counter(monkeypatch)
+        count_ptf_gaussian(bench_rotated(8, 1))
+        assert 0 < formed[0] <= 2_000_000
 
     def test_default_count_sorts_under_a_fifth_of_its_pairs(self, monkeypatch):
         # machine-independent: a merge sorts only the value bins a threshold
@@ -866,8 +944,8 @@ class TestTail:
 
         monkeypatch.setattr(counter, "_convolve_sparsify", spy)
         count_ptf_gaussian(bench_style(5))
-        assert sum(step < 1.0 for step in steps) == 5 - 3
-        assert 0 < formed[0] <= 0.6 * 996_293
+        assert sum(step != counter._COARSE_STEP for step in steps) == 5 - 3
+        assert 0 < formed[0] <= 0.25 * 996_293
 
     @pytest.mark.parametrize("n, theta", [(4, -90.0), (5, -100.0)])
     def test_deep_tail_sums_in_log_space(self, monkeypatch, n, theta):
@@ -930,35 +1008,6 @@ class TestTail:
             tracemalloc.stop()
         assert got == want
         assert peak < 8e6
-
-    def test_floored_factor_reuses_its_unfloored_walk(self, monkeypatch):
-        # a floor below a factor's first atom starts the walk there, where it
-        # is the unfloored walk: that factor is reused, and recomputing it
-        # gives the same arrays
-        reused = []
-        real = counter._sparsify
-
-        def spy(values, logp, eps_step, log_floor=LOG_ZERO, unfloored=None):
-            out = real(values, logp, eps_step, log_floor, unfloored)
-            if unfloored is not None and out is unfloored:
-                fresh = real(values, logp, eps_step, log_floor)
-                assert np.array_equal(out[0], fresh[0]) and np.array_equal(out[1], fresh[1])
-                reused.append(values.size)
-            return out
-
-        monkeypatch.setattr(counter, "_sparsify", spy)
-        for q in (bench_style(4), bench_style(5), cube_style(4)):
-            count_ptf_gaussian(q)
-        assert reused
-        values, logp = random_lattice_pmf(np.random.default_rng(26), 300)
-        unfloored = real(values, logp, 0.01)
-        below = logp[0] - 1.0
-        assert real(values, logp, 0.01, below, unfloored) is unfloored
-        above = float(np.logaddexp.reduce(logp[:10]))
-        got = real(values, logp, 0.01, above, unfloored)
-        want = real(values, logp, 0.01, above)
-        assert got is not unfloored and got[0][0] > values[0]
-        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 class TestPooledSort:

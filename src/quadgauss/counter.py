@@ -46,10 +46,18 @@ pure and deterministic: two runs on identical inputs produce bit-identical
 outputs.
 
 A grid is one coordinate's axis (``GridSpec``); each coordinate's image
-over it is formed once (``_coordinate_images``).  ``count`` reads only the live coordinates, those with lam or mu nonzero.
-A null coordinate has Y = 0 on every grid cell, and its cells sum to 1, so
-the mass at theta is that of the live coordinates' sum.  Sampling tables
-keep every coordinate, as a draw needs all of them.
+over it is formed once (``_coordinate_images``).  ``count`` reads only the
+live coordinates (``_live``), those with lam or mu nonzero.  A null
+coordinate has Y = 0 on every grid cell, and its cells sum to 1, so the
+mass at theta is that of the live coordinates' sum.  The sampler builds its
+table of the same live coordinates, and draws each null one as N(0, 1).
+
+Every route reads a form prepared once (``prepare``, a ``Region``):
+decoupled, normalized, and with two or more linear coordinates folded into
+one (``_fold_linear``), or the exact 0/1 mass of a constant form.
+``count_ptf_gaussian`` counts it, ``sampler.PtfSampler`` tables it and
+``sampler.region_source`` draws from it, so a caller that does more than
+one of these decouples the form once.
 
 The exact grid mass that a count brackets comes from no function here: the
 test suite computes it by an independent dense convolution
@@ -714,6 +722,13 @@ def _grid_axis(spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     return spec.value(np.arange(spec.points_per_coord)), _log_cell_masses(spec.tau, spec.B)
 
 
+def _live(dc: DecoupledConstraint) -> np.ndarray:
+    """The coordinates that ``count`` reads, and that ``PtfSampler`` builds
+    its table of: those with lam or mu nonzero, or every one when none is."""
+    live = (dc.lam != 0.0) | (dc.mu != 0.0)
+    return live if live.any() else ~live
+
+
 def _coordinate_images(lam: np.ndarray, mu: np.ndarray, kappa: np.ndarray) -> np.ndarray:
     """Row j holds coordinate j's image lam_j kappa^2 + mu_j kappa at every
     grid value ``kappa``."""
@@ -723,7 +738,9 @@ def _coordinate_images(lam: np.ndarray, mu: np.ndarray, kappa: np.ndarray) -> np
 @dataclass(frozen=True)
 class PrefixCDFTable:
     """Prefix CDFs of the decoupled sum on one grid, which the sampler
-    draws from.
+    draws from.  ``for_sampling`` tables every coordinate of the constraint
+    it is given; ``PtfSampler`` gives it only the live coordinates of a
+    region's form, so n below counts those.
 
     ``cdfs[i]`` is P_i, the CDF of Y_1 + ... + Y_i, for i = 0, ..., n - 1
     (P_0 is the point mass at 0); ``support[i]`` holds coordinate i+1's
@@ -903,8 +920,9 @@ def count(
     certified multiplicative error factor of at most (1 + eps).
 
     Every coordinate is floored onto the one-coordinate grid ``spec``.  The
-    null coordinates (lam = mu = 0) are dropped: each adds 0 on every grid
-    cell, and its cells sum to 1.  ``lam`` and ``mu`` are masked to the
+    null coordinates (lam = mu = 0) are dropped (``_live``, the rule the
+    sampler's table follows too): each adds 0 on every grid cell, and its
+    cells sum to 1.  ``lam`` and ``mu`` are masked to the
     live coordinates, n below; a form with none live is counted as it is,
     exactly, since its sum is 0.  At n <= 2
     nothing is compressed: P_1 is exact, and the mass sums it over
@@ -957,9 +975,7 @@ def count(
     neither the coarse pass nor the floor runs, and delta = 0."""
     if not (0.0 < eps <= 1.0):
         raise ValueError(f"eps must lie in (0, 1], got {eps}")
-    live = (dc.lam != 0.0) | (dc.mu != 0.0)
-    if not live.any():
-        live[:] = True
+    live = _live(dc)
     n, theta = int(np.count_nonzero(live)), dc.theta
     kappa, log_cell = _grid_axis(spec)
     rows = _coordinate_images(dc.lam[live], dc.mu[live], kappa)
@@ -988,9 +1004,11 @@ class CountResult:
     """A count and the accuracy that certifies it.
 
     ``estimate`` lies within (1 +- eps) of the grid mass of the truncated
-    instance: the normalized constraint with its linear coordinates folded
-    into one (``_fold_linear``), each coordinate floored onto the grid of
-    step tau and radius B, whose end cells absorb the tails.  The certified
+    instance: the region's form (``prepare``), the normalized constraint
+    with its linear coordinates folded into one (``_fold_linear``), each
+    coordinate floored onto the grid of step tau and radius B, whose end
+    cells absorb the tails.  A constant form's estimate is its exact 0/1
+    mass.  The certified
     instance is the folded one: the fold keeps the Gaussian mass, not the
     grid mass.  The gap from that grid mass to the Gaussian mass of the
     original instance is not bounded here.
@@ -1012,7 +1030,7 @@ class CountResult:
 
 
 def _checked_grid(
-    q: QuadraticForm | DecoupledConstraint, eps: float, tau: float, trunc_B: float | None
+    q: QuadraticForm | DecoupledConstraint | Region, eps: float, tau: float, trunc_B: float | None
 ) -> tuple[GridSpec, float]:
     """Check ``eps`` and build the grid (radius ``trunc_B``, default
     ``default_trunc_radius``) and the floor 2^(-4n) that counting and
@@ -1022,22 +1040,6 @@ def _checked_grid(
         raise ValueError(f"eps must lie in (0, 1], got {eps}")
     b_radius = float(trunc_B) if trunc_B is not None else default_trunc_radius(q.n, eps)
     return GridSpec(tau=tau, B=b_radius), 2.0 ** (-4 * q.n)
-
-
-def _prepare(q: QuadraticForm | DecoupledConstraint):
-    """``(normalized, mass)`` for ``q``: decoupled unless it already is,
-    then normalized; ``normalized`` keeps the rotation.  A constant form
-    has ``normalized`` None and its exact ``mass``, 0 or 1; any other
-    ``mass`` None.  A constant ``QuadraticForm`` (A = 0, b = 0) is answered
-    from the sign of c without decoupling."""
-    if isinstance(q, QuadraticForm):
-        if q.is_constant:
-            return None, 1.0 if q.c >= 0.0 else 0.0
-        q = decouple(q)
-    try:
-        return normalize(q), None
-    except ConstantPolynomialError as err:
-        return None, err.mass
 
 
 def _fold_linear(dc: DecoupledConstraint) -> DecoupledConstraint:
@@ -1063,8 +1065,46 @@ def _fold_linear(dc: DecoupledConstraint) -> DecoupledConstraint:
     return replace(dc, mu=mu, rotation=rotation)
 
 
+@dataclass(frozen=True)
+class Region:
+    """One degree-2 threshold region, prepared once for every route that
+    reads it (``prepare``): the count, the sampling table and the region
+    source.
+
+    ``original`` is the form as given, which exact sign tests read.
+    ``form`` is its decoupled constraint, normalized and with its linear
+    coordinates folded into one (``_fold_linear``), whose rotation maps
+    its coordinates back to x; None for a constant form, whose exact mass,
+    0 or 1, is ``mass`` (None otherwise).  ``n`` is the dimension of x."""
+
+    original: QuadraticForm | DecoupledConstraint
+    form: DecoupledConstraint | None
+    mass: float | None = None
+
+    @property
+    def n(self) -> int:
+        return self.original.n
+
+
+def prepare(q: QuadraticForm | DecoupledConstraint | Region) -> Region:
+    """The ``Region`` of ``q``, which comes back as it is when it is one: a
+    ``QuadraticForm`` is decoupled, a ``DecoupledConstraint`` taken as it
+    is, then normalized and folded.  A constant ``QuadraticForm`` (A = 0,
+    b = 0) is answered from the sign of c without decoupling, and a
+    constraint that ``normalize`` finds constant keeps the 0/1 mass it
+    reports."""
+    if isinstance(q, Region):
+        return q
+    if isinstance(q, QuadraticForm) and q.is_constant:
+        return Region(q, None, 1.0 if q.c >= 0.0 else 0.0)
+    try:
+        return Region(q, _fold_linear(normalize(decouple(q) if isinstance(q, QuadraticForm) else q)))
+    except ConstantPolynomialError as err:
+        return Region(q, None, err.mass)
+
+
 def count_ptf_gaussian(
-    q: QuadraticForm | DecoupledConstraint,
+    q: QuadraticForm | DecoupledConstraint | Region,
     eps: float = DEFAULT_EPS,
     *,
     tau: float = DEFAULT_TAU,
@@ -1072,21 +1112,21 @@ def count_ptf_gaussian(
 ) -> CountResult:
     """Estimate Pr_{G ~ N(0,I)}[sign(q(G)) = +1].
 
-    Pipeline: decouple -> normalize -> fold the linear coordinates into one
-    (``_fold_linear``) -> count on the grid of step ``tau`` and radius
-    ``trunc_B`` (default ``default_trunc_radius``).  A halfspace or a
-    rank-deficient form is so counted in the coordinates it uses.  The
-    estimate is within (1 +- eps) of the grid mass of that truncated
-    instance; the gap to the Gaussian mass of ``q`` is not bounded (see
-    ``CountResult``).  Constant polynomials are answered exactly, a
-    constant ``QuadraticForm`` without decoupling.  Estimates below
-    2^(-4n) are flagged, not suppressed.  A bad setting raises ValueError
-    before any work.
+    Pipeline: the region's form (``prepare``: decouple -> normalize -> fold
+    the linear coordinates into one) -> count on the grid of step ``tau``
+    and radius ``trunc_B`` (default ``default_trunc_radius``).  A halfspace
+    or a rank-deficient form is so counted in the coordinates it uses.  A
+    ``Region`` is counted as it is, so a caller that also draws from it
+    prepares it once.  The estimate is within (1 +- eps) of the grid mass
+    of that truncated instance; the gap to the Gaussian mass of ``q`` is
+    not bounded (see ``CountResult``).  Constant polynomials are answered
+    exactly, a constant ``QuadraticForm`` without decoupling.  Estimates
+    below 2^(-4n) are flagged, not suppressed.  A bad setting raises
+    ValueError before any work.
     """
     spec, floor = _checked_grid(q, eps, tau, trunc_B)
-    normalized, estimate = _prepare(q)
-    if normalized is not None:
-        estimate = count(_fold_linear(normalized), spec, eps)
+    region = prepare(q)
+    estimate = region.mass if region.form is None else count(region.form, spec, eps)
     return CountResult(estimate=estimate, eps=eps, floor=floor)
 
 

@@ -17,7 +17,10 @@ with label -1, which is correct with probability 1 - gamma per draw since
 the target occupies less than a gamma fraction of the hypothesis.  Target
 positives and hypothesis negatives alike come from
 ``sampler.region_source``, exact rejection from a tilted Gaussian; the
-densifier builds no sampling table.  With mistake budget M,
+densifier builds no sampling table.  Each form, the target and every
+hypothesis, is prepared once (``counter.prepare``): its count and its
+draws read the same ``Region``, and a constant hypothesis is never
+decoupled.  With mistake budget M,
 gamma = 1/(8M) and at most 4M + 16 negatives are drawn.  Points are rounded
 to the lattice of step ``_KAPPA`` before entering the learner; how often that
 flips the hypothesis sign is tracked and must stay below 1%.
@@ -40,9 +43,9 @@ from typing import TextIO
 
 import numpy as np
 
-from .counter import count_ptf_gaussian, mc_count
+from .counter import count_ptf_gaussian, mc_count, prepare
 from .numerics import Rng, _checked_int, _wilson_half_width
-from .quadform import QuadraticForm, decouple, sign_at
+from .quadform import QuadraticForm, sign_at
 from .sampler import region_source
 
 __all__ = [
@@ -284,9 +287,11 @@ def densify(
     Gaussian as an array (k, n).  It is called once with k = 0, whose (0, n)
     reply gives n, and then once with ``n_pos`` for the pool, at the first
     hypothesis that is not +1 everywhere.  A run that stops at round 0
-    therefore draws no point.  A constant hypothesis is counted exactly
-    and decoupled only when a negative is drawn from it, so a run that
-    stops at round 0 makes no eigensolve either.  ``p_hat`` is the caller's
+    therefore draws no point.  Each round prepares one region of its
+    hypothesis (``counter.prepare``), which both its count and its
+    negative draw read.  A constant hypothesis is never decoupled: it is
+    counted exactly, and a negative from g = R^n is a standard normal
+    point, so a run makes no eigensolve for it.  ``p_hat`` is the caller's
     estimate of the target mass, which the density termination test
     compares against.
     ``f_oracle`` (batch points -> +-1), when given, is used only to annotate
@@ -357,10 +362,10 @@ def densify(
                 j = int(bad[0])
                 feed(pool[j], feats[j], +1, "pos_mistake", rounds)
                 continue
-        # a constant g is counted without decoupling, and decoupled only
-        # when a negative is drawn from it
-        dc = g if g.is_constant else decouple(g)
-        res = count_ptf_gaussian(dc, cfg.delta)
+        # one region per hypothesis, for its count and its negative; a
+        # constant g is never decoupled
+        region = prepare(g)
+        res = count_ptf_gaussian(region, cfg.delta)
         transcript.append({"step": rounds, "event": "count", "estimate": res.estimate})
         if p_hat >= 0.5 * cfg.gamma * res.estimate:
             transcript.append({"step": rounds, "event": "terminate", "reason": "density"})
@@ -381,9 +386,7 @@ def densify(
             raise BudgetExhaustedError(
                 f"round budget {max_rounds} exhausted", transcript
             )
-        if dc is g:
-            dc = decouple(g)
-        x = region_source(g, dc, rng.derive(rounds))(1)[0]
+        x = region_source(region, rng.derive(rounds))(1)[0]
         feed(x, feature_map(_round_kappa(x)), -1, "neg_feed", rounds)
         rounds += 1
 
@@ -414,6 +417,8 @@ def planted_experiment(
     ``mc_count`` answers its mass without sampling; ``agreement_ci`` is still
     the Wilson half-width at n_validation, so reports match the sampled ones.
     ``n_validation`` must be an integer >= 1, else ValueError before any work.
+    f is prepared once (``counter.prepare``): p_estimate counts the region
+    that the positives are drawn from, one decoupling for both.
     The learner stops once p_hat >= gamma/2 * mass(g), but (b) passes only at
     density >= gamma, so a run that met the stopping rule can fail (b).
     ``transcript``, a text stream, receives the run's events as JSON lines,
@@ -426,13 +431,13 @@ def planted_experiment(
         )
     n_validation = _checked_int("n_validation", n_validation, 1)
     cfg = cfg.resolve(f.n)
-    dc = decouple(f)
-    p_est = count_ptf_gaussian(dc, cfg.eps / 3.0).estimate
+    target = prepare(f)  # one region for p_est and the positives
+    p_est = count_ptf_gaussian(target, cfg.eps / 3.0).estimate
     if p_est <= 0.0:
         raise ValueError("target has no measurable positive region")
     p_hat = min(p_est * (1.0 + cfg.eps / 3.0), 1.0)
 
-    pos = region_source(f, dc, rng.derive(1))
+    pos = region_source(target, rng.derive(1))
 
     try:
         result = densify(pos, p_hat, cfg, rng.derive(3), f_oracle=lambda pts: sign_at(f, pts))

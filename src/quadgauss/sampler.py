@@ -35,9 +35,14 @@ kappa/tau, in float arithmetic that is exact for a power-of-two tau, and
 ``truncated_normal_sample`` keeps each cell's inverse-CDF constants, so a
 draw from a cell seen before costs one uniform and one quantile.
 
-``region_source`` is the other route, with no table and no grid: exact
-rejection from an exponentially tilted Gaussian (Siegmund 1976).  It is how
-the densifier draws its positives and negatives.
+Both routes read one prepared ``Region`` (``counter.prepare``), the form
+that ``count`` reads too: decoupled, normalized and with its linear
+coordinates folded into one.  A sampling table covers only the live
+coordinates, those with lam or mu nonzero; a draw takes each null
+coordinate as N(0, 1), its exact conditional law, and rotates the whole
+point back.  ``region_source`` is the other route, with no table and no
+grid: exact rejection from an exponentially tilted Gaussian (Siegmund
+1976).  It is how the densifier draws its positives and negatives.
 """
 
 from __future__ import annotations
@@ -53,12 +58,14 @@ from .counter import (
     DEFAULT_TAU,
     FloorError,
     PrefixCDFTable,
+    Region,
     _checked_grid,
-    _prepare,
+    _live,
+    prepare,
 )
 from .grid import GridSpec
 from .numerics import LOG_ZERO, Rng, _checked_int, normal_blocks, truncated_normal_sample
-from .quadform import ConstantPolynomialError, DecoupledConstraint, QuadraticForm, normalize, sign_at
+from .quadform import DecoupledConstraint, QuadraticForm, sign_at
 
 # Not called here: bench/tracing.py's WRAPS wraps these names on this module.
 from .counter import count  # noqa: F401
@@ -133,28 +140,43 @@ def lift_to_continuous(kappa: np.ndarray, spec: GridSpec, rng: Rng) -> np.ndarra
     return np.array(out)
 
 
-class PtfSampler:
-    """Prepared sampling pipeline for one PTF: decouple -> normalize ->
-    prefix-CDF table -> grid point -> exact continuous lift -> rotate back.
+def _holds(original: QuadraticForm | DecoupledConstraint, x: np.ndarray) -> bool | np.ndarray:
+    """Whether ``original`` holds at x, one point (a bool) or the rows of a
+    batch (a bool array): a QuadraticForm's sign at x is +1, or a
+    DecoupledConstraint accepts its own coordinates of x, rotation.T @ x.
+    Every sign test of the sampler comes through here."""
+    if isinstance(original, QuadraticForm):
+        return sign_at(original, x) == 1
+    return original.accepts(x @ original.rotation)
 
-    The table is built once, here, and its own mass (``PrefixCDFTable.mass``)
-    is checked against the floor 2^(-4n), so FloorError comes
-    before any draw.  The table keeps every coordinate, null ones (lam =
-    mu = 0) included, which ``count`` drops: a draw takes each of them.
-    Draws lie within total variation eps of N(0, I)
-    conditioned on the truncated instance: the union of the grid cells
-    whose grid point satisfies the normalized constraint, each cell lifted
-    exactly.  The gap to N(0, I) conditioned on ``q`` itself is not
-    bounded.  ``rounded`` holds that normalized constraint (None for a
-    constant form), with the rotation that maps draws back.  With
-    ``exact_filter`` draws are rejected until the original polynomial is
-    nonnegative at the output.  A bad setting raises ValueError before any
-    work; eps must lie in (0, 1), as eps = 1 bounds nothing.
+
+class PtfSampler:
+    """Prepared sampling pipeline for one PTF: the region's form
+    (``prepare``: decouple -> normalize -> fold) -> prefix-CDF table of its
+    live coordinates -> grid point -> exact continuous lift, the null
+    coordinates drawn as N(0, 1) -> rotate back.
+
+    The table is built once, here, from the coordinates ``count`` reads,
+    those with lam or mu nonzero, after the fold has merged two or more
+    linear ones into one; so a halfspace is sampled from a one-coordinate
+    table at any n.  Its own mass (``PrefixCDFTable.mass``) is checked
+    against the floor 2^(-4n), so FloorError comes before any draw.  Draws
+    lie within total variation eps of N(0, I) conditioned on the truncated
+    instance: the union of the grid cells of the live coordinates whose
+    grid point satisfies the normalized constraint, each cell lifted
+    exactly, with every null coordinate free.  The gap to N(0, I)
+    conditioned on ``q`` itself is not bounded.  ``rounded`` holds that
+    normalized, folded constraint over all n coordinates (None for a
+    constant form), and ``rotation`` its rotation, which maps its
+    coordinates back to x.  With ``exact_filter`` draws are rejected until
+    the original constraint holds at the output.  A bad setting raises
+    ValueError before any work; eps must lie in (0, 1), as eps = 1 bounds
+    nothing.
     """
 
     def __init__(
         self,
-        q: QuadraticForm | DecoupledConstraint,
+        q: QuadraticForm | DecoupledConstraint | Region,
         eps: float = DEFAULT_EPS,
         *,
         tau: float = DEFAULT_TAU,
@@ -165,35 +187,48 @@ class PtfSampler:
         if eps >= 1.0:
             raise ValueError(f"eps must lie in (0, 1) for sampling, got {eps}")
         self.retry_limit = _checked_int("retry_limit", retry_limit, 0)
-        self.original = q
+        region = prepare(q)
+        self.original, self.rounded, mass = region.original, region.form, region.mass
         self.eps = float(eps)
         self.filter_rejections = 0
-        self.rounded, mass = _prepare(q)
-        if self.rounded is not None:  # else q is constant, of exact mass 0 or 1
-            self.rotation = self.rounded.rotation
-            self.table = PrefixCDFTable.for_sampling(self.rounded, self.spec, self.eps)
+        form = self.rounded
+        if form is not None:  # else q is constant, of exact mass 0 or 1
+            live = _live(form)
+            self._nulls = form.n - int(np.count_nonzero(live))
+            self.rotation = self._draw_rotation = form.rotation
+            if self._nulls:
+                # the table's form is the live coordinates; a draw lists them
+                # first, then the null ones
+                self._draw_rotation = form.rotation[:, np.argsort(~live, kind="stable")]
+                form = DecoupledConstraint(form.lam[live], form.mu[live], form.theta, np.eye(live.sum()))
+            self.table = PrefixCDFTable.for_sampling(form, self.spec, self.eps)
             mass = self.table.mass()
         if mass < floor or mass == 0.0:
             raise FloorError(f"acceptance mass {mass} is zero or below the floor {floor}")
 
     def sample(self, rng: Rng, exact_filter: bool = False) -> np.ndarray:
-        """One point of shape (n,): a grid point from the table, lifted
-        exactly into its cells and rotated back.  Each attempt takes n
-        uniforms from ``rng`` for the grid point (coordinates n, ..., 1),
-        then n for the lift (coordinates 1, ..., n).  With ``exact_filter``
-        an attempt whose output the original constraint rejects (a
-        QuadraticForm's sign at x is -1, or a DecoupledConstraint does not
-        accept y) is counted in ``filter_rejections`` and repeated, at most
-        ``retry_limit`` times before FilterRetryError.  A constant form
-        draws ``rng.normal(n)``."""
+        """One point of shape (n,): the k live coordinates of ``rounded`` as
+        a grid point from the table, lifted exactly into its cells, then
+        its n - k null coordinates (lam = mu = 0) as standard normals, all
+        rotated back.  A null coordinate does not enter the region, so its
+        conditional law is N(0, 1) itself.  Each attempt takes k uniforms
+        from ``rng`` for the grid point (the live coordinates last to
+        first), then k for the lift (first to last), then ``rng.normal(n -
+        k)`` when n > k; with every coordinate live, that is n and n
+        uniforms.  With ``exact_filter`` an attempt whose output the
+        original constraint rejects (a QuadraticForm's sign at x is -1, or
+        a DecoupledConstraint does not accept its own coordinates
+        ``original.rotation.T @ x``) is counted in ``filter_rejections`` and
+        repeated, at most ``retry_limit`` times before FilterRetryError.  A
+        constant form draws ``rng.normal(n)``."""
         if self.rounded is None:
             return rng.normal(self.original.n)
-        table, spec, rotation, original = self.table, self.spec, self.rotation, self.original
-        point_form = isinstance(original, QuadraticForm)
+        table, spec, rotation, nulls = self.table, self.spec, self._draw_rotation, self._nulls
         for _ in range(self.retry_limit + 1 if exact_filter else 1):
             y = lift_to_continuous(sample_grid_point(table, rng), spec, rng)
+            y = np.concatenate((y, rng.normal(nulls))) if nulls else y
             x = rotation @ y
-            if not exact_filter or (sign_at(original, x) == 1 if point_form else original.accepts(y)):
+            if not exact_filter or _holds(self.original, x):
                 return x
             self.filter_rejections += 1
         raise FilterRetryError(
@@ -274,33 +309,37 @@ def _tilt(dc: DecoupledConstraint) -> float:
     return lo
 
 
-def _tilted_keep(q: QuadraticForm, dc: DecoupledConstraint, c: float, z: np.ndarray) -> np.ndarray:
-    """The points that a region source with tilt ``c`` keeps from one block
-    ``z`` of standard normals: n columns, plus two more when c > 0.
+def _tilted_keep(region: Region, c: float, z: np.ndarray) -> np.ndarray:
+    """The points that a source of ``region`` with tilt ``c`` keeps from one
+    block ``z`` of standard normals: n columns, plus two more when c > 0.
 
     Column i gives y_i = z_i / sqrt(d_i) - c mu_i / d_i with
-    d_i = 1 + 2c lam_i, a draw from N(-c mu_i / d_i, 1 / d_i), and
-    x = R y is kept when sign(q, x) = +1 and, for c > 0, when
-    E = (z_n^2 + z_(n+1)^2) / 2, an Exp(1) draw, is at least
-    c (theta - Q(y)): that happens with probability e^(-c(theta - Q(y))),
-    capped at 1.
+    d_i = 1 + 2c lam_i, (lam, mu) from ``region.form``, a draw from
+    N(-c mu_i / d_i, 1 / d_i), and x = R y is kept when the original form
+    holds at x (sign(q, x) = +1, or a decoupled original accepts its own
+    coordinates of x) and, for c > 0, when E = (z_n^2 + z_(n+1)^2) / 2, an
+    Exp(1) draw, is at least c (theta - Q(y)): that happens with
+    probability e^(-c(theta - Q(y))), capped at 1.
     """
+    dc = region.form
     n = dc.n
     d = 1.0 + 2.0 * c * dc.lam
     y = z[:, :n] / np.sqrt(d) - c * dc.mu / d
     x = y @ dc.rotation.T
-    keep = np.asarray(sign_at(q, x)) == 1
+    keep = _holds(region.original, x)
     if c > 0.0:
         e = 0.5 * (z[:, n] ** 2 + z[:, n + 1] ** 2)
         keep &= e >= c * (dc.theta - dc.value(y))
     return x[keep]
 
 
-def region_source(q: QuadraticForm, dc: DecoupledConstraint, rng: Rng):
-    """Source of points from N(0, I) conditioned on sign(q) = +1, by exact
-    rejection from an exponentially tilted Gaussian; ``dc`` is
-    ``decouple(q)``, the region Q(y) = sum_i lam_i y_i^2 + mu_i y_i <= theta
-    with x = R y.
+def region_source(region: QuadraticForm | DecoupledConstraint | Region, rng: Rng):
+    """Source of points from N(0, I) conditioned on ``region`` (``prepare``
+    builds it from a form, once), by exact rejection from an exponentially
+    tilted Gaussian.  Its form is Q(y) = sum_i lam_i y_i^2 + mu_i y_i <=
+    theta, normalized and folded, with x = R y; a constant region of mass 1
+    is R^n, drawn as the zero form in the identity basis, so it costs no
+    eigensolve and its proposals are kept as they are drawn.
 
     For c >= 0 with every 1 + 2c lam_i > 0, the law proportional to
     phi(y) e^(-cQ(y)) is the product of N(-c mu_i/(1 + 2c lam_i),
@@ -319,18 +358,18 @@ def region_source(q: QuadraticForm, dc: DecoupledConstraint, rng: Rng):
     k kept points, so successive calls continue one stream and never repeat
     a point; ``source(a)`` then ``source(b)`` returns the rows of
     ``source(a + b)``.  The tilt is found on the first request for k >= 1:
-    building the source and ``source(0)`` search and draw nothing.  Q is
-    taken in its normalized form (``normalize``); a form that is constant
-    in floats keeps ``dc`` and gets c = 0.  Raises ValueError here when the
-    region is empty or lies in a hyperplane (theta <= min Q),
-    RuntimeError once the blocks below _BLOCK_LIMIT are spent, and
-    ValueError, before any draw, for a k that is not an integer >= 0.
+    building the source and ``source(0)`` search and draw nothing.  Raises
+    ValueError here when the region is empty or lies in a hyperplane
+    (a constant region of mass 0, or theta <= min Q), RuntimeError once the
+    blocks below _BLOCK_LIMIT are spent, and ValueError, before any draw,
+    for a k that is not an integer >= 0.
     """
-    try:
-        dc = normalize(dc)
-    except ConstantPolynomialError as err:
-        if err.mass == 0.0:
-            raise ValueError("the region has Gaussian mass 0: Q is constant above theta") from None
+    region = prepare(region)
+    if region.form is None:
+        if region.mass == 0.0:
+            raise ValueError("the region has Gaussian mass 0: Q is constant above theta")
+        region = Region(region.original, DecoupledConstraint(*np.zeros((2, region.n)), 0.0, np.eye(region.n)))
+    dc = region.form
     lam, mu = dc.lam.tolist(), dc.mu.tolist()
     if not any(v < 0.0 or (v == 0.0 and m != 0.0) for v, m in zip(lam, mu)):
         # Q is bounded below; its minimum holds only on a set of mass 0
@@ -354,7 +393,7 @@ def region_source(q: QuadraticForm, dc: DecoupledConstraint, rng: Rng):
                 while got < k:
                     if block >= _BLOCK_LIMIT:
                         raise RuntimeError("tilted rejection sampling starved")
-                    keep = _tilted_keep(q, dc, tilt, next(blocks))
+                    keep = _tilted_keep(region, tilt, next(blocks))
                     block += 1
                     parts.append(keep)
                     got += keep.shape[0]

@@ -20,9 +20,9 @@ from quadgauss.densifier import (
     quadratic_from_weights,
     weights_from_quadratic,
 )
-from quadgauss.counter import count_ptf_gaussian, mc_count
+from quadgauss.counter import Region, count_ptf_gaussian, mc_count, prepare
 from quadgauss.numerics import Rng
-from quadgauss.quadform import DecoupledConstraint, QuadraticForm, decouple, evaluate, sign_at
+from quadgauss.quadform import DecoupledConstraint, QuadraticForm, decouple, evaluate, normalize, sign_at
 from quadgauss.sampler import _tilted_keep, region_source
 from test_acceptance import _c7_targets
 
@@ -274,7 +274,7 @@ class TestDensify:
         p = 0.5 * math.erfc(6.0 / math.sqrt(2.0))
         cfg = DensifierConfig(eps=0.2, delta=0.2, mistake_budget=30, n_pos=1000)
         for seed in (5, 7):
-            pos = region_source(f, decouple(f), Rng(seed))
+            pos = region_source(f, Rng(seed))
             with pytest.raises(KappaFlipError, match="kappa rounding flipped") as err:
                 densify(pos, 1.05 * p, cfg, Rng(seed + 1))
             assert err.value.transcript[-1]["event"] == "terminate"
@@ -332,7 +332,7 @@ def _recording_sources(monkeypatch) -> list:
     """The forms that densifier builds a region source for, from now on."""
     sources = []
     monkeypatch.setattr(
-        densifier, "region_source", lambda q, *args: sources.append(q) or region_source(q, *args)
+        densifier, "region_source", lambda r, *args: sources.append(r.original) or region_source(r, *args)
     )
     return sources
 
@@ -342,12 +342,12 @@ def _recording_requests(monkeypatch) -> list:
     builds."""
     requests = []
 
-    def recording(q, *args):
-        source = region_source(q, *args)
+    def recording(region, *args):
+        source = region_source(region, *args)
 
         def request(k):
             out = source(k)
-            requests.append((q, k, out))
+            requests.append((region.original, k, out))
             return out
 
         return request
@@ -401,8 +401,10 @@ class TestPlantedExperiment:
 
     def test_each_form_decoupled_once(self, monkeypatch):
         # x1 >= 4 at seed 1 takes one negative round, so it meets 3 forms:
-        # the target and the hypotheses of rounds 0 and 1; decouple is
-        # counted under every name the package looks it up by
+        # the target and the hypotheses of rounds 0 and 1.  The round-0
+        # hypothesis g = R^n is constant, so it is never decoupled: 2
+        # eigensolves.  decouple is counted under every name the package
+        # looks it up by
         forms = []
         original = quadform.decouple
         for name, module in list(sys.modules.items()):
@@ -411,13 +413,13 @@ class TestPlantedExperiment:
         f = QuadraticForm(A=np.zeros((2, 2)), b=np.array([1.0, 0.0]), c=-4.0)
         rep = planted_experiment(f, DensifierConfig(eps=0.1, delta=0.1), Rng(1), n_validation=3000)
         assert rep["rounds"] == 1
-        assert len(forms) == 3 and len({id(q) for q in forms}) == 3 and forms[0] is f
+        assert len(forms) == 2 and len({id(q) for q in forms}) == 2 and forms[0] is f
 
     def test_sampler_positives_are_fresh_across_calls(self, monkeypatch):
         # the region source continues one stream: a second call must not
         # replay the first call's points, and no table is built
         samplers = _recording_samplers(monkeypatch)
-        pos = region_source(RING, decouple(RING), Rng(2))
+        pos = region_source(RING, Rng(2))
         a, b = pos(3), pos(3)
         assert samplers == []
         assert np.all(np.sum(a * a, axis=1) >= 20.0) and np.all(np.sum(b * b, axis=1) >= 20.0)
@@ -444,7 +446,7 @@ class TestPlantedExperiment:
         # above gamma/2, so a planted run stops at round 0 and draws none
         samplers = _recording_samplers(monkeypatch)
         f = QuadraticForm(A=np.zeros((2, 2)), b=np.array([1.0, 0.0]), c=-3.75)
-        x = region_source(f, decouple(f), Rng(3))(500)
+        x = region_source(f, Rng(3))(500)
         assert np.all(x[:, 0] >= 3.75)
         rep = planted_experiment(f, DensifierConfig(eps=0.1, delta=0.1), Rng(3), n_validation=500)
         assert samplers == []
@@ -556,8 +558,7 @@ class TestPlantedExperiment:
             return counted
 
         monkeypatch.setattr(numerics, "_philox", counting("philox", numerics._philox))
-        for module in (densifier, counter):
-            monkeypatch.setattr(module, "decouple", counting("decouple", quadform.decouple))
+        monkeypatch.setattr(counter, "decouple", counting("decouple", quadform.decouple))
         for f in C7_TARGETS:
             calls.update(philox=0, decouple=0)
             rep = planted_experiment(f, DensifierConfig(eps=0.1, delta=0.1), Rng(1), n_validation=3000)
@@ -575,15 +576,15 @@ THIN3 = QuadraticForm(A=np.zeros((3, 3)), b=np.array([1.0, 0.0, 0.0]), c=-3.0)
 
 
 def _source(q, rng):
-    return region_source(q, decouple(q), rng)
+    return region_source(q, rng)
 
 
 def _acceptance(q, rows=1 << 16):
     """Fraction of one block of proposals that q's tilted source keeps."""
-    dc = decouple(q)
-    c = sampler._tilt(dc)
-    z = next(numerics.normal_blocks(Rng(30), dc.n + 2, rows, total=rows))
-    return _tilted_keep(q, dc, c, z).shape[0] / rows
+    region = prepare(q)
+    c = sampler._tilt(region.form)
+    z = next(numerics.normal_blocks(Rng(30), q.n + 2, rows, total=rows))
+    return _tilted_keep(region, c, z).shape[0] / rows
 
 
 def _random_constraint(gen, n):
@@ -712,7 +713,9 @@ class TestRejectionSource:
         plain = g[np.asarray(sign_at(q, g)) == 1]
         k = min(plain.shape[0], 4_000)
         assert k > 100
-        tilted = region_source(q, dc, Rng(seed))(k)
+        # the region is built from the normalized dc itself: decouple would
+        # snap its lam = 1e-17 coordinates to 0
+        tilted = region_source(Region(q, normalize(dc)), Rng(seed))(k)
         assert np.all(np.asarray(sign_at(q, tilted)) == 1)
         se = np.sqrt(tilted.var(axis=0) / k + plain.var(axis=0) / plain.shape[0])
         assert np.all(np.abs(tilted.mean(axis=0) - plain.mean(axis=0)) <= 4.5 * se)

@@ -515,6 +515,69 @@ class TestPtfSampler:
         assert np.array_equal(a, b)
 
 
+def _truncated_normal_moments(a, b):
+    """Mean, variance and fourth central moment of N(0, 1) restricted to
+    [a, b], from the raw moments M_k = (k - 1) M_(k-2) + (a^(k-1) phi(a) -
+    b^(k-1) phi(b)) / P."""
+
+    def edge(t, k):  # t^k phi(t), 0 at an infinite end
+        return 0.0 if math.isinf(t) else t**k * math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
+
+    mass = 0.5 * (math.erfc(a / math.sqrt(2.0)) - math.erfc(b / math.sqrt(2.0)))
+    m = [1.0, (edge(a, 0) - edge(b, 0)) / mass]
+    for k in (2, 3, 4):
+        m.append((k - 1) * m[k - 2] + (edge(a, k - 1) - edge(b, k - 1)) / mass)
+    mean = m[1]
+    var = m[2] - mean**2
+    mu4 = m[4] - 4.0 * m[3] * mean + 6.0 * m[2] * mean**2 - 3.0 * mean**4
+    return mean, var, mu4
+
+
+class TestFoldedForms:
+    """The sampler reads the folded, live coordinates that ``count`` reads:
+    a rotated halfspace or slab is a one-coordinate table at any n, and the
+    other n - 1 coordinates are drawn as exact normals."""
+
+    @pytest.mark.parametrize("n", [8, 32, 128])
+    @pytest.mark.parametrize("shape", ["halfspace", "slab"])
+    def test_rotated_halfspace_and_slab_moments(self, n, shape):
+        # w.x >= 2, or |w.x| <= 0.5, with default flags and the exact
+        # filter: along w the draws follow the truncated normal, and on w's
+        # orthogonal complement they are standard normal
+        w = np.random.default_rng(n).standard_normal(n)
+        w /= np.linalg.norm(w)
+        if shape == "halfspace":
+            q, (a, b) = QuadraticForm(A=np.zeros((n, n)), b=w, c=-2.0), (2.0, math.inf)
+        else:
+            q, (a, b) = QuadraticForm(A=-np.outer(w, w), b=np.zeros(n), c=0.25), (-0.5, 0.5)
+        s = PtfSampler(q)
+        assert s.table.n == 1
+        k = 4000
+        x = s.sample_batch(k, Rng(n), exact_filter=True)
+        along = x @ w
+        mean, var, mu4 = _truncated_normal_moments(a, b)
+        assert abs(along.mean() - mean) <= 4.0 * math.sqrt(var / k)
+        assert abs(along.var() - var) <= 4.0 * math.sqrt((mu4 - var * var) / k)
+        rest = x - np.outer(along, w)
+        second = np.sum(rest * rest, axis=1) / (n - 1)  # chi^2_(n-1) / (n - 1)
+        assert abs(second.mean() - 1.0) <= 4.0 * math.sqrt(2.0 / ((n - 1) * k))
+
+    def test_filter_of_a_folded_decoupled_constraint(self):
+        # two linear coordinates and a quadratic one in a Haar basis: the
+        # fold leaves one linear coordinate and turns its rotation, so the
+        # exact filter must test the original at its own coordinates of x
+        z, r = np.linalg.qr(np.random.default_rng(7).standard_normal((3, 3)))
+        dc = DecoupledConstraint(
+            lam=np.array([0.0, 0.0, 0.5]), mu=np.array([0.6, -0.8, 0.3]), theta=0.5, rotation=z * np.sign(np.diag(r))
+        )
+        s = PtfSampler(dc)
+        assert np.count_nonzero((s.rounded.lam == 0.0) & (s.rounded.mu != 0.0)) == 1
+        np.testing.assert_allclose(s.rotation.T @ s.rotation, np.eye(3), atol=1e-14, rtol=0)
+        x = s.sample_batch(2000, Rng(11), exact_filter=True)
+        assert np.all(dc.accepts(x @ dc.rotation))  # dc.rotation.T @ x, row by row
+        assert s.filter_rejections > 0  # the filter had grid cells to trim
+
+
 def _bench_like(seed, n):
     """A = -I + 0.3 sym(N), b = 0.3 g, c = n, with N, g drawn from
     default_rng(n), in a Haar-random basis drawn from (seed, n)."""
